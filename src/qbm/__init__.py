@@ -31,7 +31,6 @@ from .dynamics import (
     Trajectory,
     TrajectoryEnsemble,
     integrate,
-    memory_force,
     run_ensemble,
 )
 from .preparation import (
@@ -41,9 +40,7 @@ from .preparation import (
     MomentumReset,
     ProductForm,
     cat_wigner,
-    envelope,
     gaussian_value,
-    sample,
 )
 from .observables import (
     ObservableSeries,

@@ -319,13 +319,15 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
                                  cfg.master_seed, stream_tag=0,
                                  batch_size=cfg.batch_size, workers=cfg.workers,
                                  progress=progress)
+    # each reference mode describes one observable and is written only beside it
+    ref_observable = {"sigma2": "x2", "p2": "p2"}.get(cfg.reference["mode"])
     written = []
     for name, fname in sorted(cfg.observables.items()):
         series = _series_for(name, cfg, ensemble)
         path = os.path.join(out_dir, fname)
         write_series_csv(path, series)
         written.append(path)
-        if cfg.reference["mode"] != "none":
+        if name == ref_observable:
             ref_series = _reference_series(cfg, spec, pot, sched, series.times)
             stem, ext = os.path.splitext(path)
             ref_path = f"{stem}_reference{ext}"

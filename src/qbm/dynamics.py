@@ -15,13 +15,12 @@ path only.
 
 The stepper is a leapfrog (kick-drift-kick) scheme, second order, with the
 memory convolution evaluated from the mid-interval velocity history by the
-midpoint rule.  The convolution window is truncated where the kernel falls
-below 1e-6 of its peak and the truncated tail mass is restored as an
-instantaneous friction correction (the Lorentzian kernel decays only as
-t^-2, so naive truncation loses O(eps/t_mem) of the friction mass).
+midpoint rule.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from . import bath as _bath
 from . import noise as _noise
 from .errors import ConfigurationError, IntegrationFailure
 
-# Relative kernel level below which the convolution window is truncated.
-_KERNEL_TRUNCATION = 1e-6
 # Node-block size for the blocked (BLAS) evaluation of the direct convolution.
 _CONV_BLOCK = 64
 
@@ -158,7 +155,8 @@ class Schedule:
         for t_k in times:
             if not 0.0 <= t_k < self.t_end:
                 raise ConfigurationError(f"intervention time {t_k} outside [0, t_end)")
-        for name, value in (("t_eq", self.t_eq), *((f"t_k={t}", t) for t in times)):
+        for name, value in (("t_eq", self.t_eq), ("t_end", self.t_end),
+                            *((f"t_k={t}", t) for t in times)):
             steps = value / self.dt
             if abs(steps - round(steps)) > 1e-12 * max(1.0, abs(steps)):
                 raise ConfigurationError(f"dt must divide {name} (got {value} / {self.dt})")
@@ -213,25 +211,16 @@ class Trajectory:
 class TrajectoryEnsemble:
     """Immutable stack of recorded trajectories sharing one recording grid."""
 
-    def __init__(self, times, x, p, weights, seeds=None, failed_ids=(), jump_logs=None):
+    def __init__(self, times, x, p, weights, failed_ids=()):
         self.times = np.asarray(times, dtype=float)
         self.x = x
         self.p = p
         self.weights = np.asarray(weights, dtype=float)
-        self.seeds = seeds
         self.failed_ids = tuple(failed_ids)
-        self.jump_logs = jump_logs
 
     @property
     def n_traj(self):
         return self.x.shape[0]
-
-    def trajectory(self, i):
-        seed = self.seeds[i] if self.seeds is not None else (i,)
-        jumps = self.jump_logs[i] if self.jump_logs is not None else ()
-        return Trajectory(times=self.times, x=self.x[i], p=self.p[i],
-                          weight=float(self.weights[i]), jump_log=tuple(jumps),
-                          seed=seed)
 
     def unweighted(self):
         return bool(np.all(self.weights == 1.0))
@@ -242,50 +231,6 @@ def default_equilibration_span(spec):
     if spec.gamma == 0.0:
         return 50.0 * spec.eps
     return max(10.0 / spec.gamma, 50.0 * spec.eps)
-
-
-def truncation_window(spec, dt, n_steps):
-    """Convolution window (in steps) and the truncated-tail friction coefficient."""
-    t_mem = spec.eps * np.sqrt(1.0 / _KERNEL_TRUNCATION - 1.0)
-    window = int(np.ceil(t_mem / dt))
-    if window >= n_steps:
-        return n_steps, 0.0
-    tail = spec.mass * spec.gamma - _bath.kernel_mass(spec, window * dt)
-    return window, tail
-
-
-def memory_force(spec, velocities, dt, jumps=(), t_start=0.0, t=None):
-    """Discrete friction force from a node-sampled velocity history.
-
-    ``velocities[i]`` is ``xdot`` at ``t_start + i*dt``; the force is evaluated
-    at ``t`` (default: the last sample time) as the trapezoidal convolution
-    ``-sum M(t - tau_i) xdot(tau_i) dt`` with half end-weights, minus
-    ``M(t - t_k) * dx_k`` for each logged jump ``(t_k, dx_k)`` with
-    ``t_k <= t``.  Lags beyond the kernel truncation window are dropped and
-    their mass restored as an instantaneous drag on the newest velocity.
-    """
-    v = np.asarray(velocities, dtype=float)
-    if t is None:
-        t = t_start + dt * (len(v) - 1)
-    lags = t - (t_start + dt * np.arange(len(v)))
-    live = lags >= -1e-12
-    v = v[live]
-    lags = lags[live]
-    if len(v) == 0:
-        total = 0.0
-    else:
-        weights = np.full(len(v), dt)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        window, tail = truncation_window(spec, dt, len(v) + 1)
-        keep = lags <= window * dt + 1e-12
-        total = -float(np.dot(_bath.memory_kernel(spec, lags[keep]), v[keep] * weights[keep]))
-        if tail:
-            total -= tail * v[-1]
-    for t_k, dx in jumps:
-        if t_k <= t + 1e-12:
-            total -= _bath.memory_kernel(spec, t - t_k) * dx
-    return total
 
 
 @dataclass
@@ -319,11 +264,12 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
     """Batched leapfrog GLE integration.  Core numerical engine.
 
     ``xi`` has shape (B, n_steps + 1) with samples on the node grid.
-    ``intervention_plan`` is a sequence of (node_index, callback) pairs; the
-    callback receives (t, rbar, pbar, rng) per trajectory and returns an
-    :class:`InterventionResult`.
+    ``intervention_plan`` is a sequence of (node_index, t_k, callback)
+    triples; the callback receives (t_k, rbar, pbar, rng) per trajectory and
+    returns an :class:`InterventionResult`.
 
-    Returns (x_rec, p_rec, weights, jump_logs).
+    Returns (x_rec, p_rec, weights, jump_nodes), where ``jump_nodes`` lists
+    (node, dx vector) for every intervention that moved a position.
     """
     B = xi.shape[0]
     mass = spec.mass
@@ -331,19 +277,17 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
     rec_pos = {int(n): k for k, n in enumerate(record_nodes)}
     n_rec = len(record_nodes)
 
-    window, tail = truncation_window(spec, dt, n_steps)
-    k_mid = _kernel_mid(spec, dt, min(n_steps, window + _CONV_BLOCK))
+    k_mid = _kernel_mid(spec, dt, n_steps)
     m_nodes = _bath.memory_kernel(spec, dt * np.arange(n_steps + 1))
 
-    plan = {int(n): cb for n, cb in intervention_plan}
+    plan = {int(n): (t_k, cb) for n, t_k, cb in intervention_plan}
 
     x = np.array(x0, dtype=float, copy=True)
     p = np.array(p0, dtype=float, copy=True)
     weights = np.ones(B)
     jump_nodes = []          # (node, dx vector)
-    jump_logs = [[] for _ in range(B)]
 
-    V = np.empty((B, n_steps)) if n_steps else np.empty((B, 0))
+    V = np.empty((B, n_steps))
     x_rec = np.empty((B, n_rec))
     p_rec = np.empty((B, n_rec))
 
@@ -353,7 +297,6 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
         p_rec[:, rec_pos[0]] = p
 
     old = np.zeros((B, _CONV_BLOCK))
-    block_start = None
     # divergence is detected after the fact via isfinite checks; silence the
     # transient overflow warnings a runaway trajectory produces on the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -367,24 +310,17 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
             # Friction at the new node from mid-interval velocities: the
             # block's pre-start history enters through one matrix product,
             # the in-block remainder through a short dot per step.
-            if block_start is None or node - block_start >= _CONV_BLOCK:
+            if n % _CONV_BLOCK == 0:
                 block_start = node
-                left = max(0, block_start - window)
-                hist = V[:, left:block_start]
-                if block_start - left > 0:
-                    cols = min(_CONV_BLOCK, n_steps + 1 - block_start)
-                    idx = (block_start - 1 - np.arange(left, block_start))[:, None] \
-                        + np.arange(cols)[None, :]
-                    old[:, :cols] = hist @ k_mid[idx]
-                else:
-                    old[:] = 0.0
+                cols = min(_CONV_BLOCK, n_steps + 1 - block_start)
+                idx = (block_start - 1 - np.arange(block_start))[:, None] \
+                    + np.arange(cols)[None, :]
+                old[:, :cols] = V[:, :block_start] @ k_mid[idx]
             s = node - block_start
             fric = -old[:, s]
             if node - 1 >= block_start:
                 seg = k_mid[:node - block_start][::-1]
                 fric = fric - V[:, block_start:node] @ seg
-            if tail and node > window:
-                fric = fric - tail * v
             for jn, dxv in jump_nodes:
                 fric = fric - m_nodes[node - jn] * dxv
 
@@ -392,18 +328,14 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
             p = p_half + (0.5 * dt) * force
 
             if node in plan:
-                callback = plan[node]
+                t_k, callback = plan[node]
                 dxv = np.zeros(B)
                 for i in range(B):
-                    res = callback(node, x[i], p[i],
-                                   rngs[i] if rngs is not None else None)
+                    res = callback(t_k, x[i], p[i], rngs[i])
                     weights[i] *= res.weight
                     if res.r_pre is not None:
                         x[i] = res.r_pre
-                    dx = res.r0 - x[i]
-                    if dx != 0.0:
-                        dxv[i] = dx
-                        jump_logs[i].append((node, dx))
+                    dxv[i] = res.r0 - x[i]
                     x[i] = res.r0
                     p[i] = res.p0
                 if np.any(dxv):
@@ -416,7 +348,7 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
                 x_rec[:, rec_pos[node]] = x
                 p_rec[:, rec_pos[node]] = p
 
-    return x_rec, p_rec, weights, [tuple(j) for j in jump_logs]
+    return x_rec, p_rec, weights, jump_nodes
 
 
 def _build_plan(sched, potential):
@@ -429,12 +361,7 @@ def _build_plan(sched, potential):
             raise ConfigurationError(
                 "translate-mode preparations require a translation-invariant "
                 "(free) potential")
-        cb = _prep.as_intervention(iv.preparation, mode=iv.mode)
-
-        def callback(n, rbar, pbar, rng, _cb=cb, _t=iv.time):
-            return _cb(_t, rbar, pbar, rng)
-
-        plan.append((node, callback))
+        plan.append((node, iv.time, _prep.as_intervention(iv.preparation, mode=iv.mode)))
     return plan
 
 
@@ -444,8 +371,8 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
     The particle starts at x = 0, p = 0 at t = -t_eq and evolves through the
     equilibration span before recording starts at t = 0.  ``prep_sampler``,
     when given, overrides the schedule's preparations: it is called at every
-    intervention time as ``prep_sampler(t_k, rbar, pbar, rng)`` and must
-    return an :class:`InterventionResult` (or ``(r0, p0, weight)``).
+    intervention time as ``prep_sampler(t_k, rbar, pbar, rng)`` and returns
+    an :class:`InterventionResult`.
 
     Raises :class:`IntegrationFailure` if the state leaves float range.
     """
@@ -460,18 +387,12 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
     if prep_sampler is None:
         plan = _build_plan(sched, pot)
     else:
-        def wrap(n, rbar, pbar, r, _dt=sched.dt, _teq=sched.t_eq):
-            res = prep_sampler(-_teq + n * _dt, rbar, pbar, r)
-            if not isinstance(res, InterventionResult):
-                r0, p0, w = res
-                res = InterventionResult(r0=r0, p0=p0, weight=w)
-            return res
-
-        plan = [(node, wrap) for node in sched.intervention_nodes()]
+        plan = [(node, iv.time, prep_sampler)
+                for iv, node in zip(sched.interventions, sched.intervention_nodes())]
 
     xi = noise_path.values[np.newaxis, :n_steps + 1]
     rec = sched.record_nodes()
-    x_rec, p_rec, weights, jump_logs = _integrate_batch(
+    x_rec, p_rec, weights, jump_nodes = _integrate_batch(
         spec, pot, sched.dt, n_steps, xi, np.zeros(1), np.zeros(1), rec,
         intervention_plan=plan, rngs=[rng])
     bad = ~np.isfinite(x_rec[0]) | ~np.isfinite(p_rec[0])
@@ -479,7 +400,7 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
         t_bad = sched.record_times()[int(np.argmax(bad))]
         raise IntegrationFailure("trajectory state became non-finite",
                                  trajectory_ids=(0,), time=t_bad)
-    jumps = tuple((-sched.t_eq + node * sched.dt, dx) for node, dx in jump_logs[0])
+    jumps = tuple((-sched.t_eq + node * sched.dt, dxv[0]) for node, dxv in jump_nodes)
     return Trajectory(times=sched.record_times(), x=x_rec[0], p=p_rec[0],
                       weight=float(weights[0]), jump_log=jumps,
                       seed=tuple(noise_path.seed))
@@ -505,13 +426,10 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
     xi = _noise.synthesize_batch(spec, grid, statistics, rngs)
     plan = _build_plan(sched, pot)
     B = len(ids)
-    return _integrate_batch(spec, pot, sched.dt, sched.n_steps, xi,
-                            np.zeros(B), np.zeros(B), sched.record_nodes(),
-                            intervention_plan=plan, rngs=rngs)
-
-
-def _run_batch_job(args):
-    return _run_batch(*args)
+    x_rec, p_rec, weights, _ = _integrate_batch(
+        spec, pot, sched.dt, sched.n_steps, xi, np.zeros(B), np.zeros(B),
+        sched.record_nodes(), intervention_plan=plan, rngs=rngs)
+    return x_rec, p_rec, weights
 
 
 def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
@@ -532,29 +450,25 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         raise ConfigurationError("n_traj must be >= 1")
     sched.validate_against(spec, pot)
 
+    job = partial(_run_batch, spec, pot, sched, statistics, master_seed, stream_tag)
     batches = [range(lo, min(lo + batch_size, n_traj))
                for lo in range(0, n_traj, batch_size)]
-    jobs = [(spec, pot, sched, statistics, master_seed, stream_tag, list(ids))
-            for ids in batches]
-
-    results = [None] * len(jobs)
+    mapper, pool = map, nullcontext()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, out in enumerate(pool.map(_run_batch_job, jobs)):
-                results[k] = out
-                if progress:
-                    progress(min((k + 1) * batch_size, n_traj), n_traj)
-    else:
-        for k, job in enumerate(jobs):
-            results[k] = _run_batch_job(job)
+        pool = ProcessPoolExecutor(max_workers=workers)
+        mapper = pool.map
+    results = []
+    with pool:
+        # both maps yield in submission order, i.e. in trajectory-id order
+        for out in mapper(job, batches):
+            results.append(out)
             if progress:
-                progress(min((k + 1) * batch_size, n_traj), n_traj)
+                progress(min(len(results) * batch_size, n_traj), n_traj)
 
     x = np.vstack([r[0] for r in results])
     p = np.vstack([r[1] for r in results])
     weights = np.concatenate([r[2] for r in results])
-    jump_logs = [j for r in results for j in r[3]]
 
     finite = np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1) & np.isfinite(weights)
     failed = np.flatnonzero(~finite)
@@ -562,7 +476,5 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         raise IntegrationFailure(
             f"{len(failed)} of {n_traj} trajectories diverged",
             trajectory_ids=tuple(failed[:32]))
-    seeds = [(master_seed, stream_tag, i) for i in range(n_traj)]
     return TrajectoryEnsemble(times=sched.record_times(), x=x, p=p,
-                              weights=weights, seeds=seeds,
-                              failed_ids=failed, jump_logs=jump_logs)
+                              weights=weights, failed_ids=failed)

@@ -161,33 +161,19 @@ def synthesize(spec, grid, statistics, rng, seed_record=("adhoc",)):
 
     The same seeded stream yields a bit-identical path.
     """
-    if statistics not in STATISTICS:
-        raise ConfigurationError(f"unknown noise statistics {statistics!r}")
-    grid.validate(spec)
-    values = _synthesize_values(spec, grid, statistics, rng)
+    values = synthesize_batch(spec, grid, statistics, [rng])[0]
     times = grid.t_step * np.arange(grid.n_times)
     return NoisePath(seed=tuple(seed_record), times=times, values=values)
-
-
-def _synthesize_values(spec, grid, statistics, rng):
-    if statistics == WHITE:
-        scale = np.sqrt(2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step)
-        return scale * rng.standard_normal(grid.n_times)
-    amp = mode_amplitudes(spec, grid, statistics)
-    coeff = amp * _draw_half(grid.n_modes, rng)
-    m = grid.fft_length
-    # Hermitian construction: the inverse transform is exactly real, so the
-    # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-    full = m * irfft(coeff, n=m)
-    return np.ascontiguousarray(full[:grid.n_times])
 
 
 def synthesize_batch(spec, grid, statistics, rngs):
     """Stack paths for several generators into one (len(rngs), n_times) array.
 
-    Each generator draws exactly what :func:`synthesize` would draw, so a
-    trajectory's noise is independent of how the ensemble is batched.
+    Each generator draws only its own path's coefficients, so a trajectory's
+    noise is independent of how the ensemble is batched.
     """
+    if statistics not in STATISTICS:
+        raise ConfigurationError(f"unknown noise statistics {statistics!r}")
     grid.validate(spec)
     if statistics == WHITE:
         scale = np.sqrt(2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step)
@@ -198,6 +184,8 @@ def synthesize_batch(spec, grid, statistics, rngs):
     for i, r in enumerate(rngs):
         coeff[i] = _draw_half(grid.n_modes, r)
     coeff *= amp
+    # Hermitian construction: the inverse transform is exactly real, so the
+    # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
     full = m * irfft(coeff, n=m, axis=1)
     return np.ascontiguousarray(full[:, :grid.n_times])
 

@@ -330,16 +330,6 @@ class ProductForm:
         return float(r0), float(p0), float(weight)
 
 
-def sample(prep, rbar, pbar, rng):
-    """Draw the post-intervention point and weight for one trajectory."""
-    return prep.sample(rbar, pbar, rng)
-
-
-def envelope(prep, rbar, pbar):
-    """Sampling box (center and half-widths) enclosing the essential support."""
-    return prep.envelope(rbar, pbar)
-
-
 def as_intervention(prep, mode="lab"):
     """Adapt a preparation to the integrator's intervention callback protocol."""
     if mode == "lab":

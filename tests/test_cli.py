@@ -180,6 +180,28 @@ class TestRun:
         ref = np.genfromtxt(out / "sigma2_reference.csv", delimiter=",", names=True)
         assert ref["estimate"][0] == pytest.approx(1.0)
 
+    def test_reference_runs_once_beside_its_observable(self, tmp_path, monkeypatch):
+        from qbm import dynamics
+        cfg_path = write_config(
+            tmp_path, prep="gaussian",
+            prep_extra="sigma0 = 1.0\nmode = translate",
+            observables="x2 = default\np2 = default", n_traj=16)
+        cfg_path.write_text(cfg_path.read_text()
+                            + "\n[reference]\nmode = sigma2\nn_traj = 16\n")
+        tags = []
+        real = dynamics.run_ensemble
+
+        def recording(*args, stream_tag=0, **kwargs):
+            tags.append(stream_tag)
+            return real(*args, stream_tag=stream_tag, **kwargs)
+
+        monkeypatch.setattr(dynamics, "run_ensemble", recording)
+        out = tmp_path / "out"
+        run(parse_config(cfg_path), out_dir=str(out))
+        assert tags == [0, 1]
+        assert (out / "x2_reference.csv").exists()
+        assert not (out / "p2_reference.csv").exists()
+
     def test_dump_noise_and_trajectories_round_trip(self, tmp_path):
         from qbm.noise import load_ensemble
         cfg = parse_config(write_config(tmp_path, n_traj=8))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from qbm import noise as qnoise
-from qbm.bath import BathSpec, memory_kernel, noise_psd
+from qbm.bath import BathSpec, noise_psd
 from qbm.dynamics import (
     Intervention,
     InterventionResult,
@@ -13,11 +15,10 @@ from qbm.dynamics import (
     _traj_stream,
     integrate,
     integrate_deterministic,
-    memory_force,
     run_ensemble,
 )
 from qbm.errors import ConfigurationError, IntegrationFailure
-from qbm.preparation import GaussianLocalize, Identity
+from qbm.preparation import CatProject, GaussianLocalize, Identity
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 NO_BATH = BathSpec(gamma=0.0, eps=0.5)
@@ -70,6 +71,9 @@ class TestSchedule:
             Schedule(t_eq=1.0, t_end=1.0, dt=0.1, record_stride=0)
         with pytest.raises(ConfigurationError):
             Schedule(t_eq=1.05, t_end=1.0, dt=0.1)  # dt does not divide t_eq
+        for t_end in (1.02, 1.03):  # would round to 1.0 and 1.05
+            with pytest.raises(ConfigurationError, match="t_end"):
+                Schedule(t_eq=1.0, t_end=t_end, dt=0.05)
 
     def test_intervention_ordering_and_range(self):
         iv = lambda t: Intervention(t, Identity())
@@ -174,27 +178,6 @@ class TestIntegrate:
                       prep_sampler=reset_to(1.0, 1.0))
 
 
-class TestMemoryForce:
-    def test_stationary_history(self):
-        assert memory_force(FIG1, np.zeros(200), 0.01) == 0.0
-
-    def test_constant_velocity_approaches_kernel_mass(self):
-        v = 0.7
-        force = memory_force(FIG1, np.full(8001, v), 0.01)
-        target = -FIG1.mass * FIG1.gamma * v
-        # trapezoid mass over a span of 80 captures all but ~0.4% of the kernel
-        assert force == pytest.approx(target, rel=5e-3)
-
-    def test_single_jump_term(self):
-        t_k, dx = 0.3, 0.7
-        force = memory_force(FIG1, np.zeros(101), 0.01, jumps=((t_k, dx),))
-        assert force == pytest.approx(-memory_kernel(FIG1, 1.0 - t_k) * dx, rel=1e-12)
-
-    def test_future_jump_ignored(self):
-        force = memory_force(FIG1, np.zeros(101), 0.01, jumps=((5.0, 1.0),))
-        assert force == 0.0
-
-
 def exact_equilibrium_p2(spec, n_grid=3000):
     """Oracle: FDT integral with the exact one-sided kernel transform.
 
@@ -210,6 +193,12 @@ def exact_equilibrium_p2(spec, n_grid=3000):
     g_re = spec.gamma * np.exp(-spec.eps * ws)
     s = noise_psd(spec, ws)
     return simpson(s / (g_re**2 + (ws - g_im) ** 2), x=ws) / np.pi
+
+
+# translate-mode cat preparation: signed weights, preparation draws per stream
+CAT_SCHED = Schedule(t_eq=1.0, t_end=0.5, dt=0.05, interventions=(
+    Intervention(0.0, CatProject(1.0, 0.5), mode="translate"),))
+N_SPLIT = 7
 
 
 class TestRunEnsemble:
@@ -268,6 +257,18 @@ class TestRunEnsemble:
                          workers=2)
         assert a.x.tobytes() == b.x.tobytes()
         assert a.p.tobytes() == b.p.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(batch_size=st.integers(1, N_SPLIT))
+    def test_batch_split_does_not_change_signed_ensemble(self, batch_size):
+        whole = run_ensemble(FIG1, FREE, CAT_SCHED, N_SPLIT, "quantum", 31,
+                             batch_size=N_SPLIT)
+        split = run_ensemble(FIG1, FREE, CAT_SCHED, N_SPLIT, "quantum", 31,
+                             batch_size=batch_size)
+        assert (whole.weights < 0).any() and (whole.weights > 0).any()
+        assert split.x.tobytes() == whole.x.tobytes()
+        assert split.p.tobytes() == whole.p.tobytes()
+        assert split.weights.tobytes() == whole.weights.tobytes()
 
 
 class TestDynamicsInvariants:
@@ -331,3 +332,25 @@ class TestTrajectoryRecords:
             t_probe / FIG1.eps)
         k = int(round(t_probe / 0.0125))
         assert traj.p[k] == pytest.approx(predicted, rel=0.05)
+
+    def test_position_jump_acts_only_after_its_time(self):
+        t_k, dx = 0.5, 1.5
+        sched = Schedule(t_eq=1.0, t_end=2.0, dt=0.0125,
+                         interventions=((t_k, None),))
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, _traj_stream(8, 0, 0))
+
+        def shift(step):
+            def cb(t, rbar, pbar, rng):
+                return InterventionResult(r0=rbar + step, p0=pbar, weight=1.0)
+            return cb
+
+        plain = integrate(FIG1, FREE, sched, path, prep_sampler=shift(0.0))
+        jumped = integrate(FIG1, FREE, sched, path, prep_sampler=shift(dx))
+        k = int(round(t_k / sched.dt))
+        assert plain.x[:k].tobytes() == jumped.x[:k].tobytes()
+        assert plain.p[:k].tobytes() == jumped.p[:k].tobytes()
+        assert jumped.p[k] == plain.p[k]
+        assert jumped.x[k] - plain.x[k] == pytest.approx(dx, rel=1e-12)
+        # from t_k on the boundary force -M(t - t_k) dx pulls the momentum back
+        assert np.all(jumped.p[k + 1:k + 41] < plain.p[k + 1:k + 41])

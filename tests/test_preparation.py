@@ -12,9 +12,7 @@ from qbm.preparation import (
     ProductForm,
     as_intervention,
     cat_wigner,
-    envelope,
     gaussian_value,
-    sample,
 )
 
 
@@ -92,13 +90,13 @@ class TestCatWigner:
 class TestEnvelope:
     def test_gaussian_box(self):
         g = GaussianLocalize(1.0)
-        box = envelope(g, 0.3, -0.2)
+        box = g.envelope(0.3, -0.2)
         assert box.half_r == 0.0 and box.center_r == 0.3
         assert box.half_p == pytest.approx(3.0)  # 6 * hbar/(2 sigma0)
 
     def test_cat_box_covers_both_packets(self):
         c = CatProject(2.0, 0.5)
-        box = envelope(c, 0.0, 0.0)
+        box = c.envelope(0.0, 0.0)
         assert box.half_r == pytest.approx(5.0)
         assert box.half_p == pytest.approx(6.0)
 
@@ -110,10 +108,10 @@ class TestEnvelope:
 
 class TestSampling:
     def test_identity_exact(self):
-        assert sample(Identity(), 0.7, -1.1, stream(0)) == (0.7, -1.1, 1.0)
+        assert Identity().sample(0.7, -1.1, stream(0)) == (0.7, -1.1, 1.0)
 
     def test_momentum_reset(self):
-        r0, p0, w = sample(MomentumReset(0.0), 0.7, -1.1, stream(0))
+        r0, p0, w = MomentumReset(0.0).sample(0.7, -1.1, stream(0))
         assert (r0, p0, w) == (0.7, 0.0, 1.0)
 
     def test_gaussian_keeps_position_and_blurs_momentum(self):
