@@ -14,6 +14,7 @@ are rejected.  Units are dimensionless with hbar = m = 1 defaults.
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -47,6 +48,9 @@ _SCHEMA = {
 }
 
 _OBSERVABLE_NAMES = ("x2", "p2", "xp", "cat_coherence", "msd")
+
+# each reference mode describes one observable and is written only beside it
+_REFERENCE_OBSERVABLE = {"sigma2": "x2", "p2": "p2"}
 
 
 @dataclass
@@ -223,9 +227,17 @@ def parse_config(path):
     master_seed = _get_int(parser, "run", "master_seed", required=True)
 
     reference = {"mode": parser.get("reference", "mode", fallback="none").strip()}
-    if reference["mode"] not in ("none", "sigma2", "p2"):
+    if reference["mode"] not in ("none", *_REFERENCE_OBSERVABLE):
         raise ConfigurationError(f"[reference] mode: unknown mode {reference['mode']!r}")
     if reference["mode"] != "none":
+        described = _REFERENCE_OBSERVABLE[reference["mode"]]
+        if described not in observables:
+            raise ConfigurationError(
+                f"[reference] mode {reference['mode']} describes the {described!r} "
+                f"observable, which [observables] does not configure")
+        if reference["mode"] == "sigma2" and prep_form != "gaussian":
+            raise ConfigurationError(
+                "[reference] mode sigma2 requires the gaussian preparation")
         reference["n_traj"] = _get_int(parser, "reference", "n_traj", n_traj)
 
     cfg = ExperimentConfig(
@@ -289,9 +301,6 @@ def _reference_series(cfg, spec, pot, sched, times):
                                      standard_errors=np.zeros_like(vals),
                                      effective_sample_size=np.full(len(times), np.inf))
     if mode == "sigma2":
-        if cfg.preparation["form"] != "gaussian":
-            raise ConfigurationError(
-                "[reference] mode sigma2 requires the gaussian preparation")
         ref_sched = _dyn.Schedule(t_eq=sched.t_eq, t_end=sched.t_end, dt=sched.dt,
                                   record_stride=sched.record_stride,
                                   relax_dt_check=sched.relax_dt_check)
@@ -319,8 +328,7 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
                                  cfg.master_seed, stream_tag=0,
                                  batch_size=cfg.batch_size, workers=cfg.workers,
                                  progress=progress)
-    # each reference mode describes one observable and is written only beside it
-    ref_observable = {"sigma2": "x2", "p2": "p2"}.get(cfg.reference["mode"])
+    ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])
     written = []
     for name, fname in sorted(cfg.observables.items()):
         series = _series_for(name, cfg, ensemble)
@@ -336,11 +344,10 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
 
     if dump_noise:
         grid = _noise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
-        rngs = [_dyn._traj_stream(cfg.master_seed, 0, i) for i in range(cfg.n_traj)]
-        vals = _noise.synthesize_batch(spec, grid, cfg.statistics, rngs)
         path = os.path.join(out_dir, "noise_paths.bin")
-        _noise.dump_ensemble(path, {"kind": "noise", "config": cfg.to_dict(),
-                                    "t_step": sched.dt}, vals)
+        with _noise_writer(path, cfg, grid) as write:
+            for _, block in _noise_batches(cfg, spec, grid, stream_tag=0):
+                write(block)
         written.append(path)
     if dump_trajectories:
         path = os.path.join(out_dir, "trajectories.bin")
@@ -384,12 +391,33 @@ def _runs_test_pvalue(signs):
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
+def _noise_batches(cfg, spec, grid, stream_tag):
+    """Synthesise the configured noise paths ``batch_size`` at a time.
+
+    Yields ``(ids, values)`` in trajectory-id order; each path comes from its
+    own stream, so the rows equal those of one whole-ensemble synthesis.
+    """
+    for lo in range(0, cfg.n_traj, cfg.batch_size):
+        ids = range(lo, min(lo + cfg.batch_size, cfg.n_traj))
+        rngs = [_dyn._traj_stream(cfg.master_seed, stream_tag, i) for i in ids]
+        yield ids, _noise.synthesize_batch(spec, grid, cfg.statistics, rngs)
+
+
+def _noise_writer(path, cfg, grid):
+    """Streaming ``noise_paths.bin`` writer for the configured ensemble."""
+    return _noise.ensemble_writer(
+        path, {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
+        (cfg.n_traj, grid.n_times))
+
+
 def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
     """Validate synthesized noise against the bath correlation target.
 
     Generates the configured ensemble of noise paths, estimates the
     autocorrelation on an ``n_lags``-point grid spaced by the cutoff time,
     and scores each lag against the analytic target.  Fails if any |z| > 4.
+    Paths are synthesised and reduced ``batch_size`` at a time, so memory
+    does not grow with ``n_traj`` beyond ``n_lags`` floats per path.
     Returns ``(report dict, ok flag)`` and writes ``noise_check.json``
     (plus the binary path ensemble when ``dump`` is set).
     """
@@ -398,6 +426,8 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,
               "master_seed": cfg.master_seed}
 
+    out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    os.makedirs(out_dir, exist_ok=True)
     if spec.gamma == 0.0:
         report.update(status="pass", degenerate=True,
                       note="gamma = 0: zero spectral density, noise identically zero")
@@ -405,11 +435,7 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
     else:
         n_times = sched.n_steps + 1
         grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_times)
-        rngs = [_dyn._traj_stream(cfg.master_seed, 2, i) for i in range(cfg.n_traj)]
-        vals = _noise.synthesize_batch(spec, grid, cfg.statistics, rngs)
         times = sched.dt * np.arange(n_times)
-        paths = [_noise.NoisePath(seed=(cfg.master_seed, 2, i), times=times,
-                                  values=vals[i]) for i in range(cfg.n_traj)]
 
         # lags spaced by the cutoff time where the span allows: estimates at
         # neighbouring lags decorrelate there, keeping the runs test meaningful
@@ -418,11 +444,26 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
             else span / (2 * (n_lags - 1))
         step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
         lags = step * np.arange(n_lags)
-        est, se = _noise.empirical_autocorrelation(paths, lags)
+
+        with (_noise_writer(os.path.join(out_dir, "noise_paths.bin"), cfg, grid)
+              if dump else contextlib.nullcontext()) as write:
+            def paths():
+                # one batch alive at a time: the autocorrelation consumes the
+                # paths batch_size at a time, and each batch goes to the dump
+                for ids, block in _noise_batches(cfg, spec, grid, stream_tag=2):
+                    if write is not None:
+                        write(block)
+                    yield from (_noise.NoisePath(seed=(cfg.master_seed, 2, i),
+                                                 times=times, values=row)
+                                for i, row in zip(ids, block))
+                    del block
+
+            est, se = _noise.empirical_autocorrelation(paths(), lags,
+                                                       chunk=cfg.batch_size)
         if cfg.statistics == _noise.QUANTUM:
-            target = np.array([_bath.quantum_correlation(spec, l) for l in lags])
+            target = _bath.quantum_correlation(spec, lags)
         elif cfg.statistics == _noise.CLASSICAL:
-            target = np.array([_bath.classical_correlation(spec, l) for l in lags])
+            target = _bath.classical_correlation(spec, lags)
         else:
             target = np.zeros_like(lags)
             target[0] = 2.0 * spec.mass * spec.gamma * spec.kT / sched.dt
@@ -438,15 +479,9 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
                       max_abs_z=float(np.abs(z).max()),
                       runs_test_pvalue=float(pval))
 
-    out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "noise_check.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    if dump and spec.gamma != 0.0:
-        _noise.dump_ensemble(os.path.join(out_dir, "noise_paths.bin"),
-                             {"kind": "noise", "config": cfg.to_dict(),
-                              "t_step": sched.dt}, vals)
     return report, ok
 
 

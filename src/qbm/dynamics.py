@@ -473,8 +473,11 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     finite = np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1) & np.isfinite(weights)
     failed = np.flatnonzero(~finite)
     if len(failed) > 0.001 * n_traj:
+        # first recorded time at which any failed trajectory is non-finite
+        bad = (~np.isfinite(x[failed]) | ~np.isfinite(p[failed])).any(axis=0)
+        t_bad = float(sched.record_times()[np.argmax(bad)]) if bad.any() else None
         raise IntegrationFailure(
             f"{len(failed)} of {n_traj} trajectories diverged",
-            trajectory_ids=tuple(failed[:32]))
+            trajectory_ids=tuple(failed[:32]), time=t_bad)
     return TrajectoryEnsemble(times=sched.record_times(), x=x, p=p,
                               weights=weights, failed_ids=failed)

@@ -7,6 +7,8 @@ amplitudes are chosen so the ensemble autocorrelation reproduces the quantum
 (or classical) fluctuation-dissipation target of :mod:`qbm.bath`.
 """
 
+import contextlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -186,55 +188,98 @@ def synthesize_batch(spec, grid, statistics, rngs):
     coeff *= amp
     # Hermitian construction: the inverse transform is exactly real, so the
     # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-    full = m * irfft(coeff, n=m, axis=1)
+    full = irfft(coeff, n=m, axis=1)
+    del coeff
+    full *= m
     return np.ascontiguousarray(full[:, :grid.n_times])
 
 
-def empirical_autocorrelation(paths, lags, window=None):
+def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
     """Cross-path estimate of <xi(t0) xi(t0+lag)> with standard errors.
 
     Averages over the ensemble and over all admissible ``t0`` within each
     path (optionally restricted to the index ``window = (lo, hi)``); paths are
     the independent units for the standard error.
 
+    ``paths`` is any iterable of :class:`NoisePath` on one time grid.  It is
+    consumed ``chunk`` paths at a time and each chunk is reduced at once to
+    its per-path lag products, so memory is bounded by ``chunk`` (plus
+    ``len(lags)`` floats per path) whatever the ensemble size, and the
+    estimates do not depend on ``chunk``.
+
     Returns ``(estimates, standard_errors)`` aligned with ``lags``.
     """
-    paths = list(paths)
-    if len(paths) < 2:
+    paths = iter(paths)
+    group = list(itertools.islice(paths, chunk))
+    if not group:
         raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
-    values = np.stack([p.values for p in paths])
-    times = paths[0].times
+    times = group[0].times
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    n = values.shape[1]
+    n = len(group[0].values)
     lo, hi = (0, n) if window is None else window
 
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
-    est = np.empty(lags.shape)
-    se = np.empty(lags.shape)
-    for i, lag in enumerate(lags):
+    shifts = []
+    for lag in lags:
         k = int(round(lag / dt))
         if abs(k * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise ConfigurationError(f"lag {lag} is not a multiple of the path step {dt}")
         if k < 0 or k >= hi - lo:
             raise ConfigurationError(f"lag {lag} exceeds the admissible path span")
-        a = values[:, lo:hi - k]
-        b = values[:, lo + k:hi]
-        per_path = np.mean(a * b, axis=1)
-        est[i] = per_path.mean()
-        se[i] = per_path.std(ddof=1) / np.sqrt(len(paths))
+        shifts.append(k)
+
+    blocks = []
+    while group:
+        values = np.stack([p.values for p in group])
+        block = np.empty((len(shifts), len(group)))
+        for i, k in enumerate(shifts):
+            block[i] = np.mean(values[:, lo:hi - k] * values[:, lo + k:hi], axis=1)
+        blocks.append(block)
+        # release this chunk before the iterable produces the next one
+        del values, group
+        group = list(itertools.islice(paths, chunk))
+    # lag-major, so each lag reduces over one contiguous row of per-path values
+    per_path = np.concatenate(blocks, axis=1)
+    n_paths = per_path.shape[1]
+    if n_paths < 2:
+        raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
+    est = np.array([row.mean() for row in per_path])
+    se = np.array([row.std(ddof=1) for row in per_path]) / np.sqrt(n_paths)
     return est, se
 
 
-def dump_ensemble(path, header, values):
-    """Write stacked float64 rows with a JSON header (little-endian payload)."""
+@contextlib.contextmanager
+def ensemble_writer(path, header, shape):
+    """Open a dump of float64 rows of the given shape; yields ``write(rows)``.
+
+    The JSON header, ``shape`` included, goes first, so row blocks can be
+    appended as they are produced; leaving the context checks that exactly
+    ``shape`` was written.  The payload is little-endian.
+    """
     meta = dict(header)
-    meta["shape"] = list(values.shape)
+    meta["shape"] = [int(d) for d in shape]
     blob = json.dumps(meta, sort_keys=True).encode()
+    expected = 8 * int(np.prod(meta["shape"]))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.array([len(blob)], dtype="<u4").tobytes())
         fh.write(blob)
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        start = fh.tell()
+
+        def write(rows):
+            fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+
+        yield write
+        if fh.tell() - start != expected:
+            raise ConfigurationError(
+                f"{path}: wrote {fh.tell() - start} payload bytes, shape {meta['shape']} "
+                f"needs {expected}")
+
+
+def dump_ensemble(path, header, values):
+    """Write stacked float64 rows with a JSON header (little-endian payload)."""
+    with ensemble_writer(path, header, values.shape) as write:
+        write(values)
 
 
 def load_ensemble(path):

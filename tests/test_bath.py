@@ -24,6 +24,27 @@ def zero_t_correlation(spec, lag):
     return spec.mass * spec.gamma * spec.hbar / np.pi * (e2 - l2) / (e2 + l2) ** 2
 
 
+def quad_correlation(spec, lag):
+    """Oracle: (1/pi) int_0^omega_max noise_psd(w) cos(w lag) dw by adaptive quad.
+
+    The range is split at 40 kT/hbar so the thermal low-frequency feature
+    (width kT/hbar, possibly far below the cutoff) is resolved, and the
+    absolute tolerance is relative to the zero-temperature scale
+    m gamma hbar / (pi eps^2) <= C(0).  Returns (value, error estimate).
+    """
+    scale = spec.mass * spec.gamma * spec.hbar / (np.pi * spec.eps**2)
+    edges = [0.0, spec.omega_max]
+    if 0.0 < 40.0 * spec.kT / spec.hbar < spec.omega_max:
+        edges.insert(1, 40.0 * spec.kT / spec.hbar)
+    oscillation = {} if lag == 0.0 else {"weight": "cos", "wvar": abs(lag)}
+    value = error = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        v, e = quad(lambda w: noise_psd(spec, w), lo, hi, epsabs=1e-12 * np.pi * scale,
+                    epsrel=1e-12, limit=400, **oscillation)
+        value, error = value + v, error + e
+    return value / np.pi, error / np.pi
+
+
 class TestBathSpec:
     def test_invariants(self):
         with pytest.raises(DomainError):
@@ -176,6 +197,36 @@ class TestQuantumCorrelation:
         for lag in [0.3, 1.1]:
             assert quantum_correlation(spec, lag) == pytest.approx(
                 quantum_correlation(spec, -lag), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.5])
+    @pytest.mark.parametrize("kT", [1e-3, 0.2, 1.0, 100.0])
+    def test_matsubara_series_matches_quadrature_oracle(self, kT, eps):
+        # a-priori bound of the series: 1.5e-14 |C(0)|; stated bound 1e-12 |C(0)|
+        spec = BathSpec(gamma=np.pi / 2, eps=eps, kT=kT)
+        lags = eps * np.linspace(0.0, 20.0, 41)
+        series = quantum_correlation(spec, lags)
+        c0 = abs(series[0])
+        for lag, value in zip(lags, series):
+            ref, err = quad_correlation(spec, lag)
+            assert abs(value - ref) <= 1e-12 * c0 + err
+            assert quantum_correlation(spec, lag) == value
+
+    @given(st.one_of(st.floats(5e-324, 1e-250), st.floats(1e3, 1e300)),
+           st.floats(0.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_at_float_range_temperatures(self, kT, lag_in_eps):
+        spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=kT)
+        lag = lag_in_eps * spec.eps
+        value = quantum_correlation(spec, lag)
+        assert np.isfinite(value)
+        if kT < 1.0:
+            # the thermal terms are below 1e-500 of C(0): the zero-point form
+            c0 = zero_t_correlation(spec, 0.0)
+            assert abs(value - zero_t_correlation(spec, lag)) <= 1e-12 * c0
+        else:
+            # hbar / (kT eps) <= 0.1: within (hbar/kT eps)^2/6 of kT M(lag)
+            c0 = classical_correlation(spec, 0.0)
+            assert abs(value - classical_correlation(spec, lag)) <= 2e-3 * c0
 
     def test_high_temperature_consistency(self):
         # hbar/(2 kT eps) <= 0.01: quantum and classical correlations agree

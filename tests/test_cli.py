@@ -1,9 +1,13 @@
 import json
 import os
+import tracemalloc
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from qbm import noise as qnoise
 from qbm.cli import (
     main,
     noise_check,
@@ -102,6 +106,19 @@ class TestParseConfig:
         path = tmp_path / "broken.cfg"
         path.write_text("[bath\ngamma = 1\n")
         with pytest.raises(ConfigurationError, match="line"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("mode, prep, prep_extra, observables", [
+        ("sigma2", "gaussian", "sigma0 = 1.0", "p2 = default"),   # sigma2 describes x2
+        ("p2", "identity", "", "x2 = default"),                    # p2 describes p2
+        ("sigma2", "cat", "x0 = 0.6\nsigma = 0.3", "x2 = default"),  # needs gaussian
+    ])
+    def test_reference_it_cannot_write_rejected(self, tmp_path, mode, prep, prep_extra,
+                                                observables):
+        path = write_config(tmp_path, prep=prep, prep_extra=prep_extra,
+                            observables=observables)
+        path.write_text(path.read_text() + f"\n[reference]\nmode = {mode}\n")
+        with pytest.raises(ConfigurationError, match=r"\[reference\] mode"):
             parse_config(path)
 
     def test_presets_parse_and_match_published_parameters(self):
@@ -215,6 +232,22 @@ class TestRun:
         assert tvals.shape[0] == 2 and tvals.shape[1] == 8  # x and p stacks
         assert len(tmeta["weights"]) == 8
 
+    def test_dump_noise_equals_whole_ensemble_dump(self, tmp_path):
+        # batch_size 3 does not divide 8: the streamed rows and header must
+        # equal one whole-ensemble synthesis written at once
+        from qbm.dynamics import _traj_stream
+        cfg = parse_config(write_config(tmp_path, n_traj=8, run_extra="batch_size = 3"))
+        out = tmp_path / "out"
+        run(cfg, out_dir=str(out), dump_noise=True)
+        spec, sched = cfg.bath_spec(), cfg.schedule_obj()
+        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+        whole = qnoise.synthesize_batch(spec, grid, cfg.statistics,
+                                        [_traj_stream(cfg.master_seed, 0, i) for i in range(8)])
+        ref = tmp_path / "whole.bin"
+        qnoise.dump_ensemble(ref, {"kind": "noise", "config": cfg.to_dict(),
+                                   "t_step": sched.dt}, whole)
+        assert (out / "noise_paths.bin").read_bytes() == ref.read_bytes()
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         cfg = parse_config(write_config(tmp_path))
         target = tmp_path / "envout"
@@ -239,6 +272,49 @@ class TestNoiseCheck:
         meta, vals = load_ensemble(out / "noise_paths.bin")
         assert meta["kind"] == "noise" and vals.shape[0] == 16
 
+    def test_estimates_independent_of_batch_size(self, tmp_path):
+        n = 150
+        reports = []
+        for batch_size in (7, 64, n):
+            cfg = parse_config(write_config(tmp_path, kT=0.2, n_traj=n,
+                                            run_extra=f"batch_size = {batch_size}"))
+            out = tmp_path / f"b{batch_size}"
+            report, _ = noise_check(cfg, out_dir=str(out), dump=True)
+            _, vals = qnoise.load_ensemble(out / "noise_paths.bin")
+            reports.append((report, vals))
+        (first, first_vals), *rest = reports
+        for report, vals in rest:
+            for key in ("estimates", "standard_errors", "targets", "z_scores"):
+                assert report[key] == first[key]
+            assert vals.tobytes() == first_vals.tobytes()
+
+    def test_peak_memory_bounded_by_batch_size(self, tmp_path):
+        path = write_config(tmp_path, kT=0.2, run_extra="batch_size = 64")
+        path.write_text(path.read_text().replace("t_end = 2.0", "t_end = 20.0"))
+        cfg = parse_config(path)
+
+        def peak(n_traj):
+            cfg.n_traj = n_traj
+            tracemalloc.start()
+            try:
+                noise_check(cfg, out_dir=str(tmp_path / "nc"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # warm up one-time allocations (FFT plan cache, imports)
+        assert peak(4 * 64) <= 1.25 * peak(64)
+
+    def test_fig2_preset_checks_without_warnings(self, tmp_path):
+        # the finite-temperature target must not leak quadrature warnings
+        with resources.as_file(preset_path("fig2")) as p:
+            cfg = parse_config(p)
+        cfg.n_traj = 32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = noise_check(cfg, out_dir=str(tmp_path / "nc"))
+        assert np.isfinite(report["targets"]).all()
+
     def test_gamma_zero_degenerate_pass(self, tmp_path):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace(
@@ -251,7 +327,6 @@ class TestNoiseCheck:
         # bath: z-scores blow past 4 at small lags by construction
         cfg = parse_config(write_config(tmp_path, kT=2.0, statistics="classical",
                                         n_traj=2000))
-        from qbm import noise as qnoise
         from qbm.bath import BathSpec, classical_correlation
         spec = cfg.bath_spec()
         sched = cfg.schedule_obj()

@@ -12,6 +12,8 @@ from qbm.dynamics import (
     Potential,
     Schedule,
     Trajectory,
+    _build_plan,
+    _integrate_batch,
     _traj_stream,
     integrate,
     integrate_deterministic,
@@ -244,6 +246,25 @@ class TestRunEnsemble:
             run_ensemble(BathSpec(gamma=0.5, eps=0.5, kT=1.0), pot, sched,
                          32, "classical", 11)
 
+    def test_abort_carries_first_nonfinite_time(self):
+        # a decoupled bath and the same kick for every trajectory: all of them
+        # diverge at the time integrate reports for one
+        class Kick:
+            def sample(self, rbar, pbar, rng):
+                return 1.0, 1.0, 1.0
+
+        pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
+                         interventions=(Intervention(0.0, Kick()),))
+        with pytest.raises(IntegrationFailure) as one:
+            integrate(NO_BATH, pot, sched, zero_path(sched),
+                      prep_sampler=reset_to(1.0, 1.0))
+        with pytest.raises(IntegrationFailure) as ensemble:
+            run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3)
+        assert ensemble.value.trajectory_ids == tuple(range(8))
+        assert 0.0 < one.value.time < sched.t_end
+        assert ensemble.value.time == one.value.time
+
     def test_requires_positive_count(self):
         sched = Schedule(t_eq=1.0, t_end=0.0, dt=0.05)
         with pytest.raises(ConfigurationError):
@@ -269,6 +290,35 @@ class TestRunEnsemble:
         assert split.x.tobytes() == whole.x.tobytes()
         assert split.p.tobytes() == whole.p.tobytes()
         assert split.weights.tobytes() == whole.weights.tobytes()
+
+
+class TestTranslateMode:
+    @settings(max_examples=10, deadline=None)
+    @given(shift=st.floats(-50.0, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_records_from_t_k_on_do_not_depend_on_a_shift_of_x0(self, shift, seed):
+        # free potential: the translate-mode preparation fixes the origin, so
+        # from t_k on the run forgets where the particle started
+        sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05, interventions=(
+            Intervention(0.2, CatProject(1.0, 0.5), mode="translate"),))
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        n = 4
+
+        def records(x0):
+            rngs = [_traj_stream(seed, 0, i) for i in range(n)]
+            xi = qnoise.synthesize_batch(FIG1, grid, "quantum", rngs)
+            return _integrate_batch(FIG1, FREE, sched.dt, sched.n_steps, xi,
+                                    np.full(n, x0), np.zeros(n), sched.record_nodes(),
+                                    intervention_plan=_build_plan(sched, FREE),
+                                    rngs=rngs)[:3]
+
+        x_a, p_a, w_a = records(0.0)
+        x_b, p_b, w_b = records(shift)
+        after = sched.record_times() >= 0.2 - 1e-12
+        assert x_b[:, after].tobytes() == x_a[:, after].tobytes()
+        assert p_b.tobytes() == p_a.tobytes()
+        assert w_b.tobytes() == w_a.tobytes()
+        # before t_k the whole path is translated by the shift
+        assert np.allclose(x_b[:, ~after] - shift, x_a[:, ~after], rtol=0.0, atol=1e-12)
 
 
 class TestDynamicsInvariants:

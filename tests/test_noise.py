@@ -12,6 +12,7 @@ from qbm.noise import (
     draw_auxiliary,
     dump_ensemble,
     empirical_autocorrelation,
+    ensemble_writer,
     load_ensemble,
     synthesize,
     synthesize_batch,
@@ -170,7 +171,30 @@ class TestEnsembleProperties:
         assert abs(excess) <= 5.0 * se
 
 
+def stacked_autocorrelation(paths, lags):
+    """Reference: the whole-ensemble kernel, all paths stacked in one array."""
+    values = np.stack([p.values for p in paths])
+    dt = paths[0].times[1] - paths[0].times[0]
+    est, se = [], []
+    for lag in lags:
+        k = int(round(lag / dt))
+        per_path = np.mean(values[:, :values.shape[1] - k] * values[:, k:], axis=1)
+        est.append(per_path.mean())
+        se.append(per_path.std(ddof=1) / np.sqrt(len(paths)))
+    return np.array(est), np.array(se)
+
+
 class TestEmpiricalAutocorrelation:
+    def test_chunked_consumption_matches_stacked_reference_bit_for_bit(self):
+        grid = FrequencyGrid.for_times(FIG1, 0.025, 201)
+        paths = make_paths(FIG1, grid, QUANTUM, 150, seed=17)
+        lags = FIG1.eps * np.arange(8)
+        ref_est, ref_se = stacked_autocorrelation(paths, lags)
+        for chunk in (1, 7, 64, 150, 1024):
+            est, se = empirical_autocorrelation(iter(paths), lags, chunk=chunk)
+            assert est.tobytes() == ref_est.tobytes()
+            assert se.tobytes() == ref_se.tobytes()
+
     def test_zero_ensemble(self):
         times = 0.1 * np.arange(50)
         paths = [NoisePath(seed=(i,), times=times, values=np.zeros(50))
@@ -205,6 +229,19 @@ class TestBinaryDump:
         meta, loaded = load_ensemble(path)
         assert meta["kind"] == "noise" and meta["seed"] == 7
         assert np.array_equal(loaded, vals)
+
+    def test_streamed_blocks_equal_one_dump(self, tmp_path):
+        vals = np.arange(15.0).reshape(5, 3)
+        dump_ensemble(tmp_path / "one.bin", {"kind": "noise"}, vals)
+        with ensemble_writer(tmp_path / "blocks.bin", {"kind": "noise"}, (5, 3)) as write:
+            write(vals[:2])
+            write(vals[2:])
+        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "one.bin").read_bytes()
+
+    def test_short_stream_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="payload"):
+            with ensemble_writer(tmp_path / "short.bin", {"kind": "noise"}, (5, 3)) as write:
+                write(np.zeros((4, 3)))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from qbm.errors import ConfigurationError, DomainError, EnvelopeError
@@ -199,6 +201,31 @@ class TestImportanceIdentity:
         num = simpson(simpson(wgrid * f(r[:, None], p[None, :]), x=p, axis=1), x=r)
         den = simpson(simpson(wgrid, x=p, axis=1), x=r)
         assert abs(mc - num / den) <= 3.0 * se
+
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(x0=st.floats(0.0, 2.0), sigma=st.floats(0.2, 1.0),
+           rbar=st.floats(-1.0, 1.0), pbar=st.floats(-1.0, 1.0))
+    def test_cat_weight_integrates_lambda_times_f(self, x0, sigma, rbar, pbar):
+        # E_q[lambda/q f] = int lambda f for f = 1 and f = r0^2; with
+        # lambda = W(r0, p0) W(rbar, pbar) the right side is W(rbar, pbar)
+        # times the cat's norm 1 and its <x^2> = sigma^2 + x0^2/(1 + overlap)
+        cat = CatProject(x0, sigma)
+        rng = stream(11)
+        draws = np.array([cat.sample(rbar, pbar, rng) for _ in range(6000)])
+        r0, w = draws[:, 0], draws[:, 2]
+        overlap = np.exp(-x0**2 / (2.0 * sigma**2))
+        w_pre = cat.wigner(rbar, pbar)
+        for f, integral in ((np.ones_like(r0), 1.0),
+                            (r0**2, sigma**2 + x0**2 / (1.0 + overlap))):
+            wf = w * f
+            exact = w_pre * integral
+            # standard error under the identity: (w f)^2 does not depend on
+            # the sign of W, so it is estimated well even when the negative
+            # fringes are too small to be drawn
+            se = np.sqrt(max(np.mean(wf**2) - exact**2, 0.0) / len(wf))
+            # 1e-8: the sampler's 6-sigma box drops 4e-9 of the mass
+            assert abs(wf.mean() - exact) <= 4.0 * se + 1e-8 * abs(exact)
 
 
 class TestInterventionAdapters:
