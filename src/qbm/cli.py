@@ -363,6 +363,8 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
         "config": cfg.to_dict(),
         "master_seed": cfg.master_seed,
         "wall_time_s": time.time() - t_start,
+        "peak_rss_mb": _peak_rss_mb(),
+        "environment": _environment(),
         "outputs": [os.path.basename(w) for w in written],
         "n_failed_trajectories": len(ensemble.failed_ids),
     }
@@ -371,6 +373,60 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
         json.dump(manifest, fh, indent=2, sort_keys=True)
     written.append(mpath)
     return written
+
+
+def _blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None if it is not found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return None
+
+
+def _environment():
+    """Library versions, the BLAS with its thread count, and the usable cores.
+
+    The output bits depend on these besides the config: another BLAS thread
+    count changes the friction sums in their last bits.
+    """
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        vendor = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        vendor = None
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:
+        nproc = os.cpu_count()
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": vendor,
+            "blas_threads": _blas_threads(), "nproc": nproc}
+
+
+def _peak_rss_mb():
+    """Peak resident set so far of this process plus its largest finished worker."""
+    import resource
+
+    kib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+           + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    return kib / 1024.0
 
 
 def _runs_test_pvalue(signs):

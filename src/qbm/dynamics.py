@@ -31,6 +31,12 @@ from .errors import ConfigurationError, IntegrationFailure
 # Node-block size for the blocked (BLAS) evaluation of the direct convolution.
 _CONV_BLOCK = 64
 
+# Trajectories per history product.  Every BLAS call multiplies a kernel block
+# with exactly this many velocity columns (the last tile zero-padded): the
+# kernels and thread splits OpenBLAS picks depend on the matrix shape, and so
+# would a trajectory's last bits on the batch it lands in.
+_HISTORY_TILE = 128
+
 FREE = "free"
 HARMONIC = "harmonic"
 POLYNOMIAL = "polynomial"
@@ -260,13 +266,17 @@ def _kernel_mid(spec, dt, n):
 
 
 def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
-                     intervention_plan=(), rngs=None):
+                     intervention_plan=(), rngs=None, tile=_HISTORY_TILE):
     """Batched leapfrog GLE integration.  Core numerical engine.
 
     ``xi`` has shape (B, n_steps + 1) with samples on the node grid.
     ``intervention_plan`` is a sequence of (node_index, t_k, callback)
     triples; the callback receives (t_k, rbar, pbar, rng) per trajectory and
     returns an :class:`InterventionResult`.
+
+    The friction history is stored time-major and multiplied ``tile``
+    trajectories at a time, so a trajectory's bits do not depend on the
+    batch around it.
 
     Returns (x_rec, p_rec, weights, jump_nodes), where ``jump_nodes`` lists
     (node, dx vector) for every intervention that moved a position.
@@ -287,23 +297,26 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
     weights = np.ones(B)
     jump_nodes = []          # (node, dx vector)
 
-    V = np.empty((B, n_steps))
-    x_rec = np.empty((B, n_rec))
-    p_rec = np.empty((B, n_rec))
+    # time-major: each step writes one contiguous row of B values; the
+    # columns past B are the zero padding of the last tile
+    width = -(-B // tile) * tile
+    V = np.zeros((n_steps, width))
+    x_rec = np.empty((n_rec, B))
+    p_rec = np.empty((n_rec, B))
 
     force = pot.force(x, mass) + xi[:, 0]
     if 0 in rec_pos:
-        x_rec[:, rec_pos[0]] = x
-        p_rec[:, rec_pos[0]] = p
+        x_rec[rec_pos[0]] = x
+        p_rec[rec_pos[0]] = p
 
-    old = np.zeros((B, _CONV_BLOCK))
+    old = np.zeros((_CONV_BLOCK, width))
     # divergence is detected after the fact via isfinite checks; silence the
     # transient overflow warnings a runaway trajectory produces on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             p_half = p + (0.5 * dt) * force
             v = p_half / mass
-            V[:, n] = v
+            V[n, :B] = v
             x += dt * v
 
             node = n + 1
@@ -315,12 +328,15 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
                 cols = min(_CONV_BLOCK, n_steps + 1 - block_start)
                 idx = (block_start - 1 - np.arange(block_start))[:, None] \
                     + np.arange(cols)[None, :]
-                old[:, :cols] = V[:, :block_start] @ k_mid[idx]
+                kernel_t = k_mid[idx].T
+                for t in range(0, width, tile):
+                    np.matmul(kernel_t, V[:block_start, t:t + tile],
+                              out=old[:cols, t:t + tile])
             s = node - block_start
-            fric = -old[:, s]
+            fric = -old[s, :B]
             if node - 1 >= block_start:
                 seg = k_mid[:node - block_start][::-1]
-                fric = fric - V[:, block_start:node] @ seg
+                fric = fric - seg @ V[block_start:node, :B]
             for jn, dxv in jump_nodes:
                 fric = fric - m_nodes[node - jn] * dxv
 
@@ -345,10 +361,11 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
                 force = pot.force(x, mass) + xi[:, node] + fric
 
             if node in rec_pos:
-                x_rec[:, rec_pos[node]] = x
-                p_rec[:, rec_pos[node]] = p
+                x_rec[rec_pos[node]] = x
+                p_rec[rec_pos[node]] = p
 
-    return x_rec, p_rec, weights, jump_nodes
+    return (np.ascontiguousarray(x_rec.T), np.ascontiguousarray(p_rec.T),
+            weights, jump_nodes)
 
 
 def _build_plan(sched, potential):
@@ -414,9 +431,10 @@ def integrate_deterministic(spec, pot, dt, n_steps, x0=0.0, p0=0.0):
     """
     xi = np.zeros((1, n_steps + 1))
     rec = np.arange(n_steps + 1)
+    # a lone solve, no ensemble member: one column, no tile padding
     x_rec, p_rec, _, _ = _integrate_batch(
         spec, pot, dt, n_steps, xi, np.array([x0], dtype=float),
-        np.array([p0], dtype=float), rec)
+        np.array([p0], dtype=float), rec, tile=1)
     return dt * np.arange(n_steps + 1), x_rec[0], p_rec[0]
 
 

@@ -31,6 +31,10 @@ _PERIOD_FACTOR = 3.0
 # Frequency coverage must resolve the exponential cutoff: N*delta_omega >= 20/eps.
 _COVERAGE_FACTOR = 20.0
 
+# Paths synthesised at a time: the normals, the complex coefficients and the
+# full-period inverse FFT exist for this many paths only, never for a batch.
+_SYNTH_CHUNK = 64
+
 _MAGIC = b"QBENS\x01"
 
 
@@ -118,7 +122,7 @@ def draw_auxiliary(grid, rng):
     Hermitian; its amplitude is exponentially negligible for any grid that
     resolves the cutoff.  Returns an array of length 2N+1 indexed k+N.
     """
-    half = _draw_half(grid.n_modes, rng)
+    half = _draw_half(grid.n_modes, [rng])[0]
     n = grid.n_modes
     z = np.empty(2 * n + 1, dtype=complex)
     z[n:] = half
@@ -126,13 +130,24 @@ def draw_auxiliary(grid, rng):
     return z
 
 
-def _draw_half(n_modes, rng):
-    """Coefficients for k = 0..N.  Draw order is part of the seed contract."""
-    a = rng.standard_normal(n_modes + 1)
-    b = rng.standard_normal(n_modes + 1)
-    z = (a + 1j * b) / np.sqrt(2.0)
-    z[0] = a[0]
-    z[-1] = a[-1]
+def _draw_half(n_modes, rngs):
+    """Coefficients for k = 0..N, one row per generator.
+
+    Each generator draws its N+1 real parts, then its N+1 imaginary parts;
+    the draw order is part of the seed contract.
+    """
+    normals = np.empty((len(rngs), 2, n_modes + 1))
+    for row, r in zip(normals, rngs):
+        r.standard_normal(out=row[0])
+        r.standard_normal(out=row[1])
+    # numpy divides (a + ib) by the real sqrt(2) as (a * s, b * s) with
+    # s = 1/sqrt(2); the same products keep the bits of that division
+    s = 1.0 / np.sqrt(2.0)
+    z = np.empty((len(rngs), n_modes + 1), dtype=complex)
+    np.multiply(normals[:, 0], s, out=z.real)
+    np.multiply(normals[:, 1], s, out=z.imag)
+    z[:, 0] = normals[:, 0, 0]
+    z[:, -1] = normals[:, 0, -1]
     return z
 
 
@@ -172,26 +187,31 @@ def synthesize_batch(spec, grid, statistics, rngs):
     """Stack paths for several generators into one (len(rngs), n_times) array.
 
     Each generator draws only its own path's coefficients, so a trajectory's
-    noise is independent of how the ensemble is batched.
+    noise is independent of how the ensemble is batched.  Paths are built
+    ``_SYNTH_CHUNK`` at a time straight into the result, so beyond it the
+    working set is a few chunks of full-period rows.
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
     grid.validate(spec)
+    out = np.empty((len(rngs), grid.n_times))
     if statistics == WHITE:
         scale = np.sqrt(2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step)
-        return np.stack([scale * r.standard_normal(grid.n_times) for r in rngs])
+        for row, r in zip(out, rngs):
+            np.multiply(r.standard_normal(grid.n_times), scale, out=row)
+        return out
     amp = mode_amplitudes(spec, grid, statistics)
     m = grid.fft_length
-    coeff = np.empty((len(rngs), grid.n_modes + 1), dtype=complex)
-    for i, r in enumerate(rngs):
-        coeff[i] = _draw_half(grid.n_modes, r)
-    coeff *= amp
-    # Hermitian construction: the inverse transform is exactly real, so the
-    # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-    full = irfft(coeff, n=m, axis=1)
-    del coeff
-    full *= m
-    return np.ascontiguousarray(full[:, :grid.n_times])
+    for lo in range(0, len(rngs), _SYNTH_CHUNK):
+        coeff = _draw_half(grid.n_modes, rngs[lo:lo + _SYNTH_CHUNK])
+        coeff *= amp
+        # Hermitian construction: the inverse transform is exactly real, so the
+        # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
+        np.multiply(irfft(coeff, n=m, axis=1)[:, :grid.n_times], m,
+                    out=out[lo:lo + len(coeff)])
+        # freed before the next chunk draws: two chunk arrays live at a time
+        del coeff
+    return out
 
 
 def empirical_autocorrelation(paths, lags, window=None, chunk=1024):

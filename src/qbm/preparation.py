@@ -49,6 +49,18 @@ class Box:
     half_p: float
 
 
+# 20-point Gauss-Legendre rule on [0, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+
+
+def _gauss_legendre(edges):
+    """Nodes and weights of the 20-point rule on each interval between edges."""
+    edges = np.asarray(edges, dtype=float)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * _GL_X).ravel(), (width * _GL_W).ravel()
+
+
 def gaussian_value(sigma0, r0, p0, rbar, pbar, hbar=1.0):
     """Position-localising Gaussian preparation density (delta factor implied).
 
@@ -234,14 +246,54 @@ class CatProject:
                    center_p=0.0, half_p=half_p)
 
     def _abs_box_mass(self):
-        """integral of |W| over the envelope box (cached; constant per form)."""
+        """Integral of |W| over the envelope box (cached; constant per form).
+
+        ``W = c exp(-alpha p^2) [a(r) + b(r) cos(beta p)]`` with
+        ``alpha = 2 sigma^2 / hbar^2``, ``beta = 2 x0 / hbar``,
+        ``a(r) = exp(-(r - x0)^2 / 2 sigma^2) + exp(-(r + x0)^2 / 2 sigma^2)`` and
+        ``b(r) = 2 exp(-r^2 / 2 sigma^2)``.  At fixed r its sign changes only at
+        the fringe zeros ``cos(beta p) = -a/b``, which exist where b > a, i.e.
+        for ``|r| < r* = (sigma^2 / x0) arccosh(exp(x0^2 / 2 sigma^2))``.  The p
+        integral runs Gauss-Legendre between those zeros and the fringe troughs
+        ``cos(beta p) = -1``, where |W| is smooth.  The r integral splits at r*,
+        where the negative mass sets in as ``(r* - |r|)^{3/2}``, and maps
+        ``[0, r*]`` by ``r = r* (1 - u^2)``, which makes that onset smooth.
+        """
         if self._box_mass is None:
             box = self.envelope(0.0, 0.0)
-            r = np.linspace(-box.half_r, box.half_r, 801)
-            p = np.linspace(-box.half_p, box.half_p, 801)
-            vals = np.abs(self.wigner(r[:, None], p[None, :]))
-            from scipy.integrate import simpson
-            self._box_mass = float(simpson(simpson(vals, x=p, axis=1), x=r))
+            s2, beta = self.sigma**2, 2.0 * self.x0 / self.hbar
+            t = self.x0**2 / (2.0 * s2)
+            # arccosh(e^t) = t + log(1 + sqrt(1 - e^{-2t})), without overflow
+            r_star = 0.0 if t == 0.0 else min(
+                box.half_r, s2 / self.x0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t)))))
+            # r pieces no wider than sigma, the width of the packets
+            n_in = int(np.ceil(2.0 * r_star / self.sigma))
+            n_out = int(np.ceil((box.half_r - r_star) / self.sigma))
+            u, wu = _gauss_legendre(np.linspace(0.0, 1.0, n_in + 1))
+            r_out, w_out = _gauss_legendre(np.linspace(r_star, box.half_r, n_out + 1))
+            r = np.concatenate([r_star * (1.0 - u**2), r_out])
+            wr = np.concatenate([2.0 * r_star * u * wu, w_out])
+
+            # fringe troughs and zeros as phases beta*p, then the p pieces in [0, half_p]
+            k = np.arange(int(beta * box.half_p / (2.0 * np.pi)) + 2)
+            troughs = np.pi * (2 * k + 1)
+            inner = 0.0
+            for r_i, w_i in zip(r, wr):
+                phases = troughs
+                if r_i < r_star:
+                    # a/b = e^{-t} cosh(r x0 / sigma^2) < 1 inside r*
+                    q = self.x0 * r_i / s2
+                    theta = np.arccos(-0.5 * (np.exp(q - t) + np.exp(-q - t)))
+                    phases = np.concatenate([troughs, 2 * np.pi * k + theta,
+                                             2 * np.pi * (k + 1) - theta])
+                with np.errstate(divide="ignore"):
+                    cuts = phases / beta
+                edges = np.unique(np.concatenate([[0.0, box.half_p],
+                                                  cuts[cuts < box.half_p]]))
+                p, wp = _gauss_legendre(edges)
+                inner += w_i * np.dot(wp, np.abs(self.wigner(r_i, p)))
+            # W is even in r and in p
+            self._box_mass = float(4.0 * inner)
         return self._box_mass
 
     def _draw_post(self, rng):

@@ -153,6 +153,50 @@ class TestRun:
         assert manifest["config"]["n_traj"] == 64
         assert manifest["version"]
 
+    def test_manifest_records_environment_and_peak_memory(self, tmp_path):
+        import scipy
+        cfg = parse_config(write_config(tmp_path))
+        out = tmp_path / "out"
+        run(cfg, out_dir=str(out))
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"numpy", "scipy", "blas", "blas_threads", "nproc"}
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["nproc"] >= 1
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
+        assert manifest["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig2_white", "fig3",
+                                        "fig3_classical", "classical_limit"])
+    def test_batch_split_leaves_outputs_and_dumps_identical(self, tmp_path, preset):
+        # 17 does not divide 96: synthesis chunks and integrator batches both
+        # end mid-ensemble
+        from qbm.noise import load_ensemble
+
+        def outputs(batch_size):
+            with resources.as_file(preset_path(preset)) as p:
+                cfg = parse_config(p)
+            cfg.n_traj, cfg.batch_size = 96, batch_size
+            if "n_traj" in cfg.reference:
+                cfg.reference["n_traj"] = 96
+            out = tmp_path / str(batch_size)
+            written = run(cfg, out_dir=str(out), dump_noise=True, dump_trajectories=True)
+            files = {}
+            for path in written:
+                name = os.path.basename(path)
+                if name.endswith(".bin"):
+                    meta, values = load_ensemble(path)
+                    del meta["config"]["batch_size"]
+                    files[name] = (meta, values.tobytes())
+                elif name.endswith(".csv"):
+                    with open(path, "rb") as fh:
+                        files[name] = fh.read()
+            return files
+
+        whole, split = outputs(96), outputs(17)
+        assert {"noise_paths.bin", "trajectories.bin"} < set(whole)
+        assert split == whole
+
     def test_float_serialisation_has_17_significant_digits(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         out = tmp_path / "out"

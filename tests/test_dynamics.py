@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from qbm import noise as qnoise
-from qbm.bath import BathSpec, noise_psd
+from qbm.bath import BathSpec, memory_kernel, noise_psd
 from qbm.dynamics import (
+    _CONV_BLOCK,
+    _HISTORY_TILE,
     Intervention,
     InterventionResult,
     Potential,
@@ -14,6 +16,7 @@ from qbm.dynamics import (
     Trajectory,
     _build_plan,
     _integrate_batch,
+    _kernel_mid,
     _traj_stream,
     integrate,
     integrate_deterministic,
@@ -291,6 +294,22 @@ class TestRunEnsemble:
         assert split.p.tobytes() == whole.p.tobytes()
         assert split.weights.tobytes() == whole.weights.tobytes()
 
+    def test_batch_split_does_not_change_a_long_history(self):
+        # 480 steps: history products over more than 384 nodes, where the BLAS
+        # kernels and thread splits chosen for a (nodes x batch) product would
+        # otherwise change the last bits with the batch width
+        sched = Schedule(t_eq=20.0, t_end=4.0, dt=0.05, record_stride=8)
+        whole = run_ensemble(FIG1, FREE, sched, 130, "quantum", 37, batch_size=130)
+        for batch_size in (1, 17, 64, 100):
+            split = run_ensemble(FIG1, FREE, sched, 130, "quantum", 37,
+                                 batch_size=batch_size)
+            assert split.x.tobytes() == whole.x.tobytes()
+            assert split.p.tobytes() == whole.p.tobytes()
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, _traj_stream(37, 0, 129))
+        traj = integrate(FIG1, FREE, sched, path)
+        assert traj.x.tobytes() == whole.x[129].tobytes()
+
 
 class TestTranslateMode:
     @settings(max_examples=10, deadline=None)
@@ -404,3 +423,110 @@ class TestTrajectoryRecords:
         assert jumped.x[k] - plain.x[k] == pytest.approx(dx, rel=1e-12)
         # from t_k on the boundary force -M(t - t_k) dx pulls the momentum back
         assert np.all(jumped.p[k + 1:k + 41] < plain.p[k + 1:k + 41])
+
+
+def column_major_integrate(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
+                           intervention_plan=(), rngs=None):
+    """Reference: the blocked midpoint loop with (B, n_steps) column writes."""
+    B = xi.shape[0]
+    mass = spec.mass
+    rec_pos = {int(n): k for k, n in enumerate(record_nodes)}
+    n_rec = len(record_nodes)
+    k_mid = _kernel_mid(spec, dt, n_steps)
+    m_nodes = memory_kernel(spec, dt * np.arange(n_steps + 1))
+    plan = {int(n): (t_k, cb) for n, t_k, cb in intervention_plan}
+    x = np.array(x0, dtype=float, copy=True)
+    p = np.array(p0, dtype=float, copy=True)
+    weights = np.ones(B)
+    jump_nodes = []
+    V = np.empty((B, n_steps))
+    x_rec = np.empty((B, n_rec))
+    p_rec = np.empty((B, n_rec))
+    force = pot.force(x, mass) + xi[:, 0]
+    if 0 in rec_pos:
+        x_rec[:, rec_pos[0]] = x
+        p_rec[:, rec_pos[0]] = p
+    old = np.zeros((B, _CONV_BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            p_half = p + (0.5 * dt) * force
+            v = p_half / mass
+            V[:, n] = v
+            x += dt * v
+            node = n + 1
+            if n % _CONV_BLOCK == 0:
+                block_start = node
+                cols = min(_CONV_BLOCK, n_steps + 1 - block_start)
+                idx = (block_start - 1 - np.arange(block_start))[:, None] \
+                    + np.arange(cols)[None, :]
+                old[:, :cols] = V[:, :block_start] @ k_mid[idx]
+            s = node - block_start
+            fric = -old[:, s]
+            if node - 1 >= block_start:
+                seg = k_mid[:node - block_start][::-1]
+                fric = fric - V[:, block_start:node] @ seg
+            for jn, dxv in jump_nodes:
+                fric = fric - m_nodes[node - jn] * dxv
+            force = pot.force(x, mass) + xi[:, node] + fric
+            p = p_half + (0.5 * dt) * force
+            if node in plan:
+                t_k, callback = plan[node]
+                dxv = np.zeros(B)
+                for i in range(B):
+                    res = callback(t_k, x[i], p[i], rngs[i])
+                    weights[i] *= res.weight
+                    if res.r_pre is not None:
+                        x[i] = res.r_pre
+                    dxv[i] = res.r0 - x[i]
+                    x[i] = res.r0
+                    p[i] = res.p0
+                if np.any(dxv):
+                    jump_nodes.append((node, dxv))
+                    fric = fric - m_nodes[0] * dxv
+                force = pot.force(x, mass) + xi[:, node] + fric
+            if node in rec_pos:
+                x_rec[:, rec_pos[node]] = x
+                p_rec[:, rec_pos[node]] = p
+    return x_rec, p_rec, weights, jump_nodes
+
+
+class TestTimeMajorIntegrator:
+    # 213 steps: three full friction blocks and a partial fourth; two cat
+    # interventions, each logging a position jump (in translate mode the one
+    # from the sampled pre-position to r0).  One trajectory alone is the
+    # one-column product of integrate_deterministic (tile 1); in tiles it
+    # gets the bits of a batch member instead, which the column-major loop
+    # gave it only in batches of more than one.
+    @pytest.mark.parametrize("n_traj, tile", [(1, 1), (5, _HISTORY_TILE),
+                                              (130, _HISTORY_TILE)])
+    @pytest.mark.parametrize("pot, mode", [
+        (FREE, "translate"),
+        (FREE, "lab"),
+        (Potential.harmonic(1.0), "lab"),
+        (Potential.polynomial([0.0, 0.0, 0.5, 0.0, 0.1]), "lab"),
+    ])
+    def test_matches_column_major_loop_bit_for_bit(self, pot, mode, n_traj, tile):
+        cat = CatProject(1.0, 0.5)
+        sched = Schedule(t_eq=6.0, t_end=4.65, dt=0.05, record_stride=3, interventions=(
+            Intervention(1.0, cat, mode=mode), Intervention(2.5, cat, mode=mode)))
+        assert sched.n_steps == 3 * _CONV_BLOCK + 21
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        xi = qnoise.synthesize_batch(FIG1, grid, "quantum",
+                                     [_traj_stream(61, 0, i) for i in range(n_traj)])
+
+        def call(integrator, **kw):
+            return integrator(FIG1, pot, sched.dt, sched.n_steps, xi,
+                              np.full(n_traj, 0.3), np.zeros(n_traj), sched.record_nodes(),
+                              intervention_plan=_build_plan(sched, pot),
+                              rngs=[_traj_stream(61, 0, i) for i in range(n_traj)], **kw)
+
+        x_ref, p_ref, w_ref, jumps_ref = call(column_major_integrate)
+        x, p, w, jumps = call(_integrate_batch, tile=tile)
+        assert np.isfinite(x_ref).all() and (w_ref != 1.0).any()
+        assert len(jumps_ref) == 2
+        assert x.flags.c_contiguous and p.flags.c_contiguous
+        assert x.tobytes() == x_ref.tobytes()
+        assert p.tobytes() == p_ref.tobytes()
+        assert w.tobytes() == w_ref.tobytes()
+        assert [n for n, _ in jumps] == [n for n, _ in jumps_ref]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(jumps, jumps_ref))

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import irfft
 
 from qbm.bath import BathSpec, quantum_correlation
 from qbm.errors import ConfigurationError
@@ -14,6 +17,7 @@ from qbm.noise import (
     empirical_autocorrelation,
     ensemble_writer,
     load_ensemble,
+    mode_amplitudes,
     synthesize,
     synthesize_batch,
 )
@@ -169,6 +173,53 @@ class TestEnsembleProperties:
         infl = (xi**4 - np.mean(xi**4)) - 6.0 * m2 * (xi**2 - m2)
         se = infl.std(ddof=1) / np.sqrt(len(xi))
         assert abs(excess) <= 5.0 * se
+
+
+def stacked_synthesis(spec, grid, statistics, rngs):
+    """Reference: the whole-batch synthesiser, every array the size of the batch."""
+    if statistics == WHITE:
+        scale = np.sqrt(2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step)
+        return np.stack([scale * r.standard_normal(grid.n_times) for r in rngs])
+    amp = mode_amplitudes(spec, grid, statistics)
+    m = grid.fft_length
+    coeff = np.empty((len(rngs), grid.n_modes + 1), dtype=complex)
+    for i, r in enumerate(rngs):
+        a = r.standard_normal(grid.n_modes + 1)
+        b = r.standard_normal(grid.n_modes + 1)
+        z = (a + 1j * b) / np.sqrt(2.0)
+        z[0] = a[0]
+        z[-1] = a[-1]
+        coeff[i] = z
+    coeff *= amp
+    full = irfft(coeff, n=m, axis=1)
+    full *= m
+    return np.ascontiguousarray(full[:, :grid.n_times])
+
+
+class TestChunkedSynthesis:
+    # 63, 64, 65 and 300 paths put chunk edges inside, on and past the batch
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+    @pytest.mark.parametrize("statistics", [QUANTUM, CLASSICAL, WHITE])
+    def test_matches_stacked_synthesis_bit_for_bit(self, statistics, n):
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+        ref = stacked_synthesis(spec, grid, statistics, [stream(41, 0, i) for i in range(n)])
+        got = synthesize_batch(spec, grid, statistics, [stream(41, 0, i) for i in range(n)])
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
+
+    def test_peak_memory_is_close_to_the_output(self):
+        # fig1's grid (1401 samples of a 4320-point period), 1024 paths: no
+        # batch-sized coefficient or full-period array may exist at once
+        grid = FrequencyGrid.for_times(FIG1, 0.025, 1401)
+        rngs = [stream(42, 0, i) for i in range(1024)]
+        tracemalloc.start()
+        try:
+            values = synthesize_batch(FIG1, grid, QUANTUM, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * values.nbytes
 
 
 def stacked_autocorrelation(paths, lags):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from qbm.errors import ConfigurationError, DomainError, EnvelopeError
 from qbm.preparation import (
@@ -226,6 +226,50 @@ class TestImportanceIdentity:
             se = np.sqrt(max(np.mean(wf**2) - exact**2, 0.0) / len(wf))
             # 1e-8: the sampler's 6-sigma box drops 4e-9 of the mass
             assert abs(wf.mean() - exact) <= 4.0 * se + 1e-8 * abs(exact)
+
+
+def quad_abs_box_mass(cat):
+    """Reference: nested adaptive quadrature of |W| over the envelope box.
+
+    The r integral splits where the fringes open (b(r) = a(r)); at each r the
+    p integral splits at the fringe troughs and, inside that radius, at the
+    fringe zeros.  |W| itself is integrated, so the splits only help accuracy.
+    """
+    box = cat.envelope(0.0, 0.0)
+    x0, s2, beta = cat.x0, cat.sigma**2, 2.0 * cat.x0 / cat.hbar
+    r_star = s2 / x0 * np.arccosh(np.exp(x0**2 / (2.0 * s2)))
+    k = np.arange(int(beta * box.half_p / (2.0 * np.pi)) + 2)
+
+    def over_p(r):
+        a = np.exp(-(r - x0)**2 / (2.0 * s2)) + np.exp(-(r + x0)**2 / (2.0 * s2))
+        b = 2.0 * np.exp(-r**2 / (2.0 * s2))
+        phases = list(np.pi * (2 * k + 1))
+        if b > a:
+            theta = np.arccos(-a / b)
+            phases += list(2 * np.pi * k + theta) + list(2 * np.pi * (k + 1) - theta)
+        cuts = sorted(c / beta for c in phases if c / beta < box.half_p)
+        edges = [0.0, *cuts, box.half_p]
+        return sum(quad(lambda p: abs(cat.wigner(r, p)), lo, hi,
+                        epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+                   for lo, hi in zip(edges, edges[1:]))
+
+    total = sum(quad(over_p, lo, hi, epsabs=1e-15, epsrel=1e-11, limit=200)[0]
+                for lo, hi in ((0.0, r_star), (r_star, box.half_r)))
+    return 4.0 * total
+
+
+class TestCatBoxMass:
+    @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3), (0.3, 0.2)])
+    def test_matches_nested_quadrature(self, x0, sigma):
+        cat = CatProject(x0, sigma)
+        ref = quad_abs_box_mass(cat)
+        assert abs(cat._abs_box_mass() - ref) <= 1e-8 * ref
+
+    def test_fringeless_cat_is_the_box_mass_of_w(self):
+        # x0 = 0 is one Gaussian packet: W > 0, and the box holds all but the
+        # 6-sigma tails of its two Gaussian factors
+        mass = CatProject(0.0, 0.5)._abs_box_mass()
+        assert mass == pytest.approx(0.9999999980268247**2, rel=1e-12)
 
 
 class TestInterventionAdapters:
