@@ -405,6 +405,7 @@ def _environment():
     The output bits depend on these besides the config: another BLAS thread
     count changes the friction sums in their last bits.
     """
+    # the top-level package only: it loads none of scipy's subpackages
     import scipy
 
     try:

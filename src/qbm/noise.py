@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len
+from numpy.fft import irfft
 
 from . import bath
 from .errors import ConfigurationError
@@ -34,6 +34,10 @@ _COVERAGE_FACTOR = 20.0
 # Paths synthesised at a time: the normals, the complex coefficients and the
 # full-period inverse FFT exist for this many paths only, never for a batch.
 _SYNTH_CHUNK = 64
+
+# Paths the autocorrelation stacks at a time: its lag products exist for this
+# many paths only, never for a chunk or a batch.
+_AUTOCORR_TILE = 64
 
 _MAGIC = b"QBENS\x01"
 
@@ -75,9 +79,9 @@ class FrequencyGrid:
         """
         span = (n_times - 1) * t_step
         min_len = max(int(np.ceil(_PERIOD_FACTOR * span / t_step)), n_times, 16)
-        m = next_fast_len(min_len, real=True)
+        m = _next_fast_len(min_len)
         while m % 2:
-            m = next_fast_len(m + 1, real=True)
+            m = _next_fast_len(m + 1)
         return cls(delta_omega=2.0 * np.pi / (m * t_step), n_modes=m // 2,
                    t_step=t_step, n_times=n_times)
 
@@ -99,6 +103,21 @@ class FrequencyGrid:
                     f"delta_omega = {self.delta_omega:.6g} too coarse: synthesis period "
                     f"2*pi/delta_omega must exceed {_PERIOD_FACTOR:g}x the simulated span "
                     f"(needs delta_omega <= {resolution:.6g})")
+
+
+def _next_fast_len(n):
+    """Smallest 5-smooth length ``2^a 3^b 5^c >= n`` (pocketfft's fast real sizes)."""
+    best = 2 * n  # an upper bound: the next power of two lies below it
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power of two taking p35 to at least n
+            p = p35 if p35 >= n else p35 << (-(-n // p35) - 1).bit_length()
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -218,14 +237,16 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
     """Cross-path estimate of <xi(t0) xi(t0+lag)> with standard errors.
 
     Averages over the ensemble and over all admissible ``t0`` within each
-    path (optionally restricted to the index ``window = (lo, hi)``); paths are
-    the independent units for the standard error.
+    path (optionally restricted to the index ``window = (lo, hi)`` with
+    ``0 <= lo < hi <= n_times``); paths are the independent units for the
+    standard error.
 
     ``paths`` is any iterable of :class:`NoisePath` on one time grid.  It is
-    consumed ``chunk`` paths at a time and each chunk is reduced at once to
-    its per-path lag products, so memory is bounded by ``chunk`` (plus
-    ``len(lags)`` floats per path) whatever the ensemble size, and the
-    estimates do not depend on ``chunk``.
+    consumed ``chunk`` paths at a time and each chunk is reduced
+    ``_AUTOCORR_TILE`` paths at a time to its per-path lag products, so memory
+    is bounded by ``chunk`` paths (plus ``len(lags)`` floats per path)
+    whatever the ensemble size, and the estimates depend neither on ``chunk``
+    nor on the tiling: each per-path mean is its own row reduction.
 
     Returns ``(estimates, standard_errors)`` aligned with ``lags``.
     """
@@ -237,6 +258,10 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
     n = len(group[0].values)
     lo, hi = (0, n) if window is None else window
+    if not 0 <= lo < hi <= n:
+        raise ConfigurationError(
+            f"window {tuple(window)} is not a sample range 0 <= lo < hi <= {n}")
+    width = hi - lo
 
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
     shifts = []
@@ -244,19 +269,27 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
         k = int(round(lag / dt))
         if abs(k * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise ConfigurationError(f"lag {lag} is not a multiple of the path step {dt}")
-        if k < 0 or k >= hi - lo:
+        if k < 0 or k >= width:
             raise ConfigurationError(f"lag {lag} exceeds the admissible path span")
         shifts.append(k)
 
     blocks = []
     while group:
-        values = np.stack([p.values for p in group])
         block = np.empty((len(shifts), len(group)))
-        for i, k in enumerate(shifts):
-            block[i] = np.mean(values[:, lo:hi - k] * values[:, lo + k:hi], axis=1)
+        for t in range(0, len(group), _AUTOCORR_TILE):
+            tile = group[t:t + _AUTOCORR_TILE]
+            if any(len(p.values) != n for p in tile):
+                raise ConfigurationError(
+                    f"empirical_autocorrelation requires paths of one length ({n} samples)")
+            values = np.stack([p.values[lo:hi] for p in tile])
+            for i, k in enumerate(shifts):
+                block[i, t:t + len(values)] = np.mean(values[:, :width - k] * values[:, k:],
+                                                      axis=1)
+            # a tile kept to the next chunk would keep its paths' batch alive
+            del tile, values
         blocks.append(block)
         # release this chunk before the iterable produces the next one
-        del values, group
+        del group
         group = list(itertools.islice(paths, chunk))
     # lag-major, so each lag reduces over one contiguous row of per-path values
     per_path = np.concatenate(blocks, axis=1)
@@ -303,12 +336,21 @@ def dump_ensemble(path, header, values):
 
 
 def load_ensemble(path):
-    """Inverse of :func:`dump_ensemble`; returns (header, values)."""
+    """Inverse of :func:`dump_ensemble`; returns (header, values).
+
+    A payload whose size does not match the header's shape (a truncated or
+    padded dump) is rejected.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ConfigurationError(f"{path}: not a noise/trajectory dump")
         (size,) = np.frombuffer(fh.read(4), dtype="<u4")
         meta = json.loads(fh.read(int(size)).decode())
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(meta["shape"])
-    return meta, values
+        payload = fh.read()
+    expected = 8 * int(np.prod(meta["shape"]))
+    if len(payload) != expected:
+        raise ConfigurationError(
+            f"{path}: payload has {len(payload)} bytes, shape {meta['shape']} "
+            f"needs {expected}")
+    return meta, np.frombuffer(payload, dtype="<f8").reshape(meta["shape"])

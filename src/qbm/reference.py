@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bath as _bath
 from .dynamics import FREE, HARMONIC, integrate_deterministic
@@ -87,6 +86,8 @@ def p2_quadrature(spec, t):
         raise ConfigurationError("p2_quadrature requires t >= 0")
     if t == 0.0 or spec.gamma == 0.0:
         return 0.0
+    from scipy.integrate import quad
+
     g = spec.gamma
     pref = spec.mass * g * spec.hbar / np.pi
 
@@ -116,6 +117,7 @@ def equilibrium_p2(spec):
     """
     if spec.gamma == 0.0:
         return 0.0
+    from scipy.integrate import quad
 
     def integrand(w):
         return _bath.noise_psd(spec, w) / (w**2 + spec.gamma**2)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from importlib import resources
@@ -7,6 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import qbm
 from qbm import noise as qnoise
 from qbm.cli import (
     main,
@@ -412,3 +416,32 @@ class TestMain:
         a = (tmp_path / "s1" / "x2.csv").read_bytes()
         b = (tmp_path / "s2" / "x2.csv").read_bytes()
         assert a != b
+
+
+class TestImportPath:
+    def test_run_and_noise_check_load_no_scipy_subpackage(self, tmp_path):
+        # a fresh interpreter: the test session itself has scipy loaded
+        script = textwrap.dedent("""
+            import json
+            import os
+            import sys
+            from importlib import resources
+            from qbm import cli
+
+            for preset, command in (("fig1", cli.run), ("fig2", cli.noise_check)):
+                with resources.as_file(cli.preset_path(preset)) as p:
+                    cfg = cli.parse_config(p)
+                cfg.n_traj = 64
+                if "n_traj" in cfg.reference:
+                    cfg.reference["n_traj"] = 64
+                command(cfg, out_dir=os.path.join(sys.argv[1], preset))
+            print(json.dumps([m for m in sys.modules if m.startswith("scipy.")]))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        loaded = json.loads(out.stdout.strip().splitlines()[-1])
+        heavy = {"scipy.fft", "scipy.integrate", "scipy.special", "scipy.linalg"}
+        assert heavy.isdisjoint(loaded), sorted(heavy & set(loaded))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fft import irfft
 
 from qbm.bath import BathSpec, quantum_correlation
@@ -21,6 +22,7 @@ from qbm.noise import (
     synthesize,
     synthesize_batch,
 )
+from qbm.noise import _next_fast_len
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 
@@ -52,6 +54,23 @@ class TestFrequencyGrid:
         bad = FrequencyGrid(delta_omega=1.0, n_modes=100, t_step=0.025, n_times=1000)
         with pytest.raises(ConfigurationError, match="delta_omega"):
             bad.validate(FIG1)
+
+    def test_next_fast_len_equals_scipy(self):
+        got = [_next_fast_len(n) for n in range(1, 100001)]
+        want = [scipy.fft.next_fast_len(n, real=True) for n in range(1, 100001)]
+        assert got == want
+
+
+def test_numpy_irfft_equals_scipy_irfft_bitwise():
+    # the synthesis runs on numpy's pocketfft; its bits are scipy's on every
+    # even 5-smooth length a FrequencyGrid can take up to 40000 points
+    rng = np.random.default_rng(5)
+    lengths = [m for m in range(16, 40001, 2) if _next_fast_len(m) == m]
+    assert len(lengths) == 206
+    for m in lengths:
+        coeff = rng.standard_normal((2, m // 2 + 1)) + 1j * rng.standard_normal((2, m // 2 + 1))
+        assert np.fft.irfft(coeff, n=m, axis=1).tobytes() == \
+            scipy.fft.irfft(coeff, n=m, axis=1).tobytes(), m
 
 
 class TestDrawAuxiliary:
@@ -271,6 +290,68 @@ class TestEmpiricalAutocorrelation:
         with pytest.raises(ConfigurationError):
             empirical_autocorrelation(paths, [3.0])
 
+    # a negative start used to wrap to the end of the path and return numbers
+    @pytest.mark.parametrize("window", [(-20, 100), (0, 102), (50, 50), (60, 40)])
+    def test_window_outside_the_path_rejected(self, window):
+        grid = FrequencyGrid.for_times(FIG1, 0.025, 101)
+        paths = make_paths(FIG1, grid, QUANTUM, 2, seed=16)
+        with pytest.raises(ConfigurationError, match=rf"window \({window[0]}, {window[1]}\)"):
+            empirical_autocorrelation(paths, [0.0], window=window)
+
+    def test_window_matches_stacked_reference_on_the_slice(self):
+        grid = FrequencyGrid.for_times(FIG1, 0.025, 201)
+        paths = make_paths(FIG1, grid, QUANTUM, 70, seed=18)
+        lags = FIG1.eps * np.arange(4)
+        cut = [NoisePath(seed=p.seed, times=p.times[30:170], values=p.values[30:170])
+               for p in paths]
+        ref_est, ref_se = stacked_autocorrelation(cut, lags)
+        est, se = empirical_autocorrelation(paths, lags, window=(30, 170), chunk=50)
+        assert est.tobytes() == ref_est.tobytes() and se.tobytes() == ref_se.tobytes()
+
+    # the longer path would otherwise be cut to the first path's window
+    @pytest.mark.parametrize("chunk", [1, 1024])
+    def test_paths_of_another_length_rejected(self, chunk):
+        times = 0.1 * np.arange(60)
+        paths = [NoisePath(seed=(0,), times=times[:50], values=np.ones(50)),
+                 NoisePath(seed=(1,), times=times, values=np.ones(60))]
+        with pytest.raises(ConfigurationError, match="one length"):
+            empirical_autocorrelation(paths, [0.0], chunk=chunk)
+
+    def test_peak_memory_is_a_small_part_of_the_chunk(self):
+        # fig2's grid (4001 samples) and 20 lags, one 1024-path chunk: only
+        # tiles of paths may be stacked, never the chunk or a product of its size
+        times = 0.001 * np.arange(4001)
+        values = np.random.default_rng(3).standard_normal((1024, 4001))
+        paths = [NoisePath(seed=(i,), times=times, values=row) for i, row in enumerate(values)]
+        tracemalloc.start()
+        try:
+            empirical_autocorrelation(paths, 0.01 * np.arange(20), chunk=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * values.nbytes
+
+    def test_one_batch_of_paths_alive_at_a_time(self):
+        # as noise-check feeds it: batches made on demand and dropped once
+        # consumed; no path of a consumed batch may be held while the next is made
+        times = 0.001 * np.arange(4001)
+        rng = np.random.default_rng(4)
+
+        def batches(n_batches, size):
+            for b in range(n_batches):
+                block = rng.standard_normal((size, len(times)))
+                yield from (NoisePath(seed=(b, i), times=times, values=row)
+                            for i, row in enumerate(block))
+                del block
+
+        tracemalloc.start()
+        try:
+            empirical_autocorrelation(batches(2, 1024), 0.01 * np.arange(20), chunk=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 1024 * len(times) * 8
+
 
 class TestBinaryDump:
     def test_round_trip(self, tmp_path):
@@ -293,6 +374,15 @@ class TestBinaryDump:
         with pytest.raises(ConfigurationError, match="payload"):
             with ensemble_writer(tmp_path / "short.bin", {"kind": "noise"}, (5, 3)) as write:
                 write(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("cut", [8, 3])
+    def test_truncated_payload_rejected(self, tmp_path, cut):
+        path = tmp_path / "cut.bin"
+        dump_ensemble(path, {"kind": "noise"}, np.arange(12.0).reshape(3, 4))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ConfigurationError,
+                           match=rf"cut\.bin: payload has {96 - cut} bytes.*needs 96"):
+            load_ensemble(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
