@@ -44,7 +44,7 @@ _SCHEMA = {
     "preparation": {"form", "mode", "sigma0", "x0", "sigma", "p_value", "time"},
     "observables": None,          # free-form: name = output filename
     "run": {"n_traj", "master_seed", "batch_size", "workers", "out_dir"},
-    "reference": {"mode", "n_traj"},
+    "reference": {"mode"},
 }
 
 _OBSERVABLE_NAMES = ("x2", "p2", "xp", "cat_coherence", "msd")
@@ -226,19 +226,32 @@ def parse_config(path):
         raise ConfigurationError("[run] n_traj must be >= 1")
     master_seed = _get_int(parser, "run", "master_seed", required=True)
 
-    reference = {"mode": parser.get("reference", "mode", fallback="none").strip()}
-    if reference["mode"] not in ("none", *_REFERENCE_OBSERVABLE):
-        raise ConfigurationError(f"[reference] mode: unknown mode {reference['mode']!r}")
-    if reference["mode"] != "none":
-        described = _REFERENCE_OBSERVABLE[reference["mode"]]
+    mode = parser.get("reference", "mode", fallback="none").strip()
+    if mode not in ("none", *_REFERENCE_OBSERVABLE):
+        raise ConfigurationError(f"[reference] mode: unknown mode {mode!r}")
+    if mode != "none":
+        described = _REFERENCE_OBSERVABLE[mode]
         if described not in observables:
             raise ConfigurationError(
-                f"[reference] mode {reference['mode']} describes the {described!r} "
+                f"[reference] mode {mode} describes the {described!r} "
                 f"observable, which [observables] does not configure")
-        if reference["mode"] == "sigma2" and prep_form != "gaussian":
+        # each reference is the curve of one experiment; any other config
+        # would get that curve beside an observable it does not describe
+        needs = {"the free potential": pform == "free"}
+        if mode == "sigma2":
+            needs["the gaussian preparation"] = prep_form == "gaussian"
+        else:
+            needs.update({
+                "kT = 0": bath["kT"] == 0.0,
+                "quantum statistics": statistics == _noise.QUANTUM,
+                "a momentum-reset to p_value = 0 at time = 0":
+                    prep_form == "momentum-reset" and preparation["p_value"] == 0.0
+                    and preparation["time"] == 0.0,
+            })
+        unmet = [need for need, met in needs.items() if not met]
+        if unmet:
             raise ConfigurationError(
-                "[reference] mode sigma2 requires the gaussian preparation")
-        reference["n_traj"] = _get_int(parser, "reference", "n_traj", n_traj)
+                f"[reference] mode {mode} requires {' and '.join(unmet)}")
 
     cfg = ExperimentConfig(
         bath=bath, potential=potential, schedule=schedule, statistics=statistics,
@@ -247,7 +260,7 @@ def parse_config(path):
         batch_size=_get_int(parser, "run", "batch_size", 1024),
         workers=_get_int(parser, "run", "workers", 1),
         out_dir=parser.get("run", "out_dir", fallback=None),
-        reference=reference)
+        reference={"mode": mode})
 
     # revalidate module-level invariants now, with config-level naming
     try:
@@ -301,13 +314,7 @@ def _reference_series(cfg, spec, pot, sched, times):
                                      standard_errors=np.zeros_like(vals),
                                      effective_sample_size=np.full(len(times), np.inf))
     if mode == "sigma2":
-        ref_sched = _dyn.Schedule(t_eq=sched.t_eq, t_end=sched.t_end, dt=sched.dt,
-                                  record_stride=sched.record_stride,
-                                  relax_dt_check=sched.relax_dt_check)
-        ens = _dyn.run_ensemble(spec, pot, ref_sched, cfg.reference["n_traj"],
-                                cfg.statistics, cfg.master_seed, stream_tag=1,
-                                batch_size=cfg.batch_size, workers=cfg.workers)
-        d2 = _obs.msd(ens, 0.0)
+        d2 = _ref.thermal_msd(spec, pot, sched, cfg.statistics)
         resp = _ref.response(spec, pot, times, dt=sched.dt)
         return _ref.sigma_analytical(cfg.preparation["sigma0"], d2, resp)
     raise ConfigurationError(f"no reference series for mode {mode!r}")
@@ -569,8 +576,6 @@ def _apply_overrides(cfg, args):
         cfg.master_seed = args.seed
     if args.n_traj is not None:
         cfg.n_traj = args.n_traj
-        if cfg.reference.get("mode") not in (None, "none") and "n_traj" in cfg.reference:
-            cfg.reference["n_traj"] = args.n_traj
     if args.workers is not None:
         cfg.workers = args.workers
     return cfg

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import irfft
+from numpy.fft import irfft, rfft
 
 from . import bath
 from .errors import ConfigurationError
@@ -181,6 +181,33 @@ def mode_amplitudes(spec, grid, statistics):
     else:
         raise ConfigurationError(f"no spectral amplitudes for statistics {statistics!r}")
     return np.sqrt(grid.delta_omega / (2.0 * np.pi) * psd)
+
+
+def linear_variance(spec, grid, statistics, coeffs):
+    """Exact variance of ``sum_j c_j xi_j`` over the paths synthesize_batch draws.
+
+    ``coeffs`` holds one row of node weights per variance.  With
+    ``H = rfft(c)`` over the FFT period and ``a_k`` the
+    :func:`mode_amplitudes`, it is ``a_0^2 |H_0|^2 + 2 sum_{0<k<N} a_k^2
+    |H_k|^2 + a_N^2 |H_N|^2``: z_0 and z_N are real, the other z_k complex
+    with variance 1/2 per part.  White noise is independent per node.
+    Rows longer than ``grid.n_times`` are rejected: they would wrap into the
+    circular period, or past it be cropped, instead of weighting the path.
+    """
+    if statistics not in STATISTICS:
+        raise ConfigurationError(f"unknown noise statistics {statistics!r}")
+    grid.validate(spec)
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape[-1] > grid.n_times:
+        raise ConfigurationError(
+            f"coefficient rows have {c.shape[-1]} entries, the noise grid only "
+            f"{grid.n_times} nodes")
+    if statistics == WHITE:
+        return 2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step * np.sum(c**2, axis=-1)
+    power = np.abs(rfft(c, n=grid.fft_length, axis=-1)) ** 2
+    power *= mode_amplitudes(spec, grid, statistics) ** 2
+    power[..., 1:-1] *= 2.0
+    return power.sum(axis=-1)
 
 
 def synthesize(spec, grid, statistics, rng, seed_record=("adhoc",)):

@@ -1,10 +1,12 @@
 """Analytical and semi-analytical baselines for validating the simulator."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import bath as _bath
+from . import noise as _noise
 from .dynamics import FREE, HARMONIC, integrate_deterministic
 from .errors import ConfigurationError
 from .observables import ObservableSeries
@@ -51,12 +53,38 @@ def response(spec, pot, t_grid, dt=None):
     return ResponseFunction(times=t_grid, values=x[idx], hbar=spec.hbar)
 
 
+def thermal_msd(spec, pot, sched, statistics):
+    """Exact thermal mean squared displacement <(x(t) - x(0))^2> of the scheme.
+
+    For a free or harmonic potential the integrator is linear in the noise:
+    node k holds ``x(k) = dt sum_{j<k} G(k - j) xi_j`` with G the
+    :func:`response` on the node grid (G(0) = 0); xi_0 counts half, as it
+    enters only the first half-kick.  :func:`qbm.noise.linear_variance`
+    gives each displacement's variance over the synthesised noise: the
+    expectation of :func:`qbm.dynamics.run_ensemble` with the same dt,
+    history rule and FFT period.  The schedule's interventions are not
+    applied.  The series has standard error 0 and effective size inf.
+    """
+    n, dt = sched.n_steps, sched.dt
+    g = response(spec, pot, dt * np.arange(n + 1), dt=dt).values
+    # G vanishes at lag 0, so clipping the lags j >= k to 0 zeroes them
+    rows = dt * g[np.maximum(sched.record_nodes()[:, None] - np.arange(n + 1), 0)]
+    rows[:, 0] *= 0.5
+    grid = _noise.FrequencyGrid.for_times(spec, dt, n + 1)
+    # the first record node is t = 0
+    d2 = _noise.linear_variance(spec, grid, statistics, rows - rows[0])
+    return ObservableSeries(times=sched.record_times(), estimates=d2,
+                            standard_errors=np.zeros_like(d2),
+                            effective_sample_size=np.full(len(d2), np.inf))
+
+
 def sigma_analytical(sigma0, d2_series, resp):
     """Position variance of a Gaussian-localised preparation.
 
     Assembles ``sigma0^2 + d2(t) + A(t)^2 / sigma0^2`` pointwise from the
-    measured thermal mean squared displacement and the deterministic response
-    amplitude.  All three terms are individually nonnegative.
+    thermal mean squared displacement (measured, or exact from
+    :func:`thermal_msd`) and the deterministic response amplitude.  All
+    three terms are individually nonnegative.
     """
     if len(d2_series.times) != len(resp.times) or \
             np.any(np.abs(d2_series.times - resp.times) > 1e-9):
@@ -90,20 +118,28 @@ def p2_quadrature(spec, t):
 
     g = spec.gamma
     pref = spec.mass * g * spec.hbar / np.pi
-
-    def base(w):
-        return w * np.exp(-spec.eps * w) / (w**2 + g**2)
-
-    flat, err1 = quad(base, 0.0, spec.omega_max, epsabs=1e-12, epsrel=1e-10,
-                      limit=400)
-    osc, err2 = quad(base, 0.0, spec.omega_max, weight="cos", wvar=t,
-                     epsabs=1e-12, epsrel=1e-10, limit=400)
+    flat, err1 = _p2_flat(spec)
+    osc, err2 = quad(_p2_integrand, 0.0, spec.omega_max, args=(spec,), weight="cos",
+                     wvar=t, epsabs=1e-12, epsrel=1e-10, limit=400)
     value = pref * ((1.0 + np.exp(-2.0 * g * t)) * flat
                     - 2.0 * np.exp(-g * t) * osc)
     if not np.isfinite(value):
         raise RuntimeError(f"momentum variance quadrature failed at t={t}: "
                            f"errors ({err1:.2g}, {err2:.2g})")
     return value
+
+
+def _p2_integrand(w, spec):
+    return w * np.exp(-spec.eps * w) / (w**2 + spec.gamma**2)
+
+
+@lru_cache(maxsize=None)
+def _p2_flat(spec):
+    """The t-independent integral of :func:`p2_quadrature`, once per bath."""
+    from scipy.integrate import quad
+
+    return quad(_p2_integrand, 0.0, spec.omega_max, args=(spec,), epsabs=1e-12,
+                epsrel=1e-10, limit=400)
 
 
 def equilibrium_p2(spec):

@@ -29,7 +29,7 @@ eps = 0.5
 kT = {kT}
 
 [potential]
-form = free
+{potential}
 
 [schedule]
 t_eq = 4.0
@@ -55,8 +55,9 @@ master_seed = {seed}
 
 
 def write_config(tmp_path, name="exp.cfg", **kw):
-    defaults = dict(kT=0.0, statistics="quantum", prep="identity", prep_extra="",
-                    observables="x2 = default", n_traj=64, seed=7, run_extra="")
+    defaults = dict(kT=0.0, statistics="quantum", potential="form = free", prep="identity",
+                    prep_extra="", observables="x2 = default", n_traj=64, seed=7,
+                    run_extra="")
     defaults.update(kw)
     path = tmp_path / name
     path.write_text(TINY.format(**defaults))
@@ -112,17 +113,44 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="line"):
             parse_config(path)
 
-    @pytest.mark.parametrize("mode, prep, prep_extra, observables", [
-        ("sigma2", "gaussian", "sigma0 = 1.0", "p2 = default"),   # sigma2 describes x2
-        ("p2", "identity", "", "x2 = default"),                    # p2 describes p2
-        ("sigma2", "cat", "x0 = 0.6\nsigma = 0.3", "x2 = default"),  # needs gaussian
+    @pytest.mark.parametrize("mode, prep, prep_extra, observables, config", [
+        # the ids of the first three cases are those of their four columns
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0", "p2 = default", {},  # describes x2
+                     id="sigma2-gaussian-sigma0 = 1.0-p2 = default"),
+        pytest.param("p2", "identity", "", "x2 = default", {},  # p2 describes p2
+                     id="p2-identity--x2 = default"),
+        pytest.param("sigma2", "cat", "x0 = 0.6\nsigma = 0.3", "x2 = default", {},
+                     id="sigma2-cat-x0 = 0.6\nsigma = 0.3-x2 = default"),  # needs gaussian
+        # one case per rule the reference curves rest on: sigma2 needs the
+        # free potential; p2 the free potential, kT = 0, quantum statistics
+        # and the momentum-reset preparation to p_value = 0 at time = 0
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0", "x2 = default",
+                     dict(potential="form = polynomial\ncoefficients = 0 0 0.5 0 0.1"),
+                     id="sigma2-polynomial"),
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0", "x2 = default",
+                     dict(potential="form = harmonic\nomega0 = 1.0"), id="sigma2-harmonic"),
+        pytest.param("p2", "momentum-reset", "", "p2 = default",
+                     dict(potential="form = harmonic\nomega0 = 1.0"), id="p2-harmonic"),
+        pytest.param("p2", "momentum-reset", "", "p2 = default", dict(kT=1.0), id="p2-kT"),
+        pytest.param("p2", "momentum-reset", "", "p2 = default", dict(statistics="classical"),
+                     id="p2-classical"),
+        pytest.param("p2", "momentum-reset", "p_value = 2.0", "p2 = default", {},
+                     id="p2-p_value"),
+        pytest.param("p2", "momentum-reset", "time = 0.3", "p2 = default", {}, id="p2-time"),
+        pytest.param("p2", "identity", "", "p2 = default", {}, id="p2-identity"),
     ])
     def test_reference_it_cannot_write_rejected(self, tmp_path, mode, prep, prep_extra,
-                                                observables):
+                                                observables, config):
         path = write_config(tmp_path, prep=prep, prep_extra=prep_extra,
-                            observables=observables)
+                            observables=observables, **config)
         path.write_text(path.read_text() + f"\n[reference]\nmode = {mode}\n")
         with pytest.raises(ConfigurationError, match=r"\[reference\] mode"):
+            parse_config(path)
+
+    def test_reference_has_no_ensemble_size(self, tmp_path):
+        path = write_config(tmp_path, prep="gaussian", prep_extra="sigma0 = 1.0")
+        path.write_text(path.read_text() + "\n[reference]\nmode = sigma2\nn_traj = 64\n")
+        with pytest.raises(ConfigurationError, match=r"\[reference\] unknown key 'n_traj'"):
             parse_config(path)
 
     def test_presets_parse_and_match_published_parameters(self):
@@ -181,8 +209,6 @@ class TestRun:
             with resources.as_file(preset_path(preset)) as p:
                 cfg = parse_config(p)
             cfg.n_traj, cfg.batch_size = 96, batch_size
-            if "n_traj" in cfg.reference:
-                cfg.reference["n_traj"] = 96
             out = tmp_path / str(batch_size)
             written = run(cfg, out_dir=str(out), dump_noise=True, dump_trajectories=True)
             files = {}
@@ -236,7 +262,7 @@ class TestRun:
             prep_extra="sigma0 = 1.0\nmode = translate",
             observables="x2 = sigma2.csv",
             run_extra="\n")
-        text = cfg_path.read_text() + "\n[reference]\nmode = sigma2\nn_traj = 64\n"
+        text = cfg_path.read_text() + "\n[reference]\nmode = sigma2\n"
         cfg_path.write_text(text)
         out = tmp_path / "out"
         written = run(parse_config(cfg_path), out_dir=str(out))
@@ -244,6 +270,9 @@ class TestRun:
         assert "sigma2.csv" in names and "sigma2_reference.csv" in names
         ref = np.genfromtxt(out / "sigma2_reference.csv", delimiter=",", names=True)
         assert ref["estimate"][0] == pytest.approx(1.0)
+        # the exact expectation of the simulated scheme: no sampling error
+        assert np.all(ref["standard_error"] == 0.0)
+        assert np.all(np.isinf(ref["effective_n"]))
 
     def test_reference_runs_once_beside_its_observable(self, tmp_path, monkeypatch):
         from qbm import dynamics
@@ -252,7 +281,7 @@ class TestRun:
             prep_extra="sigma0 = 1.0\nmode = translate",
             observables="x2 = default\np2 = default", n_traj=16)
         cfg_path.write_text(cfg_path.read_text()
-                            + "\n[reference]\nmode = sigma2\nn_traj = 16\n")
+                            + "\n[reference]\nmode = sigma2\n")
         tags = []
         real = dynamics.run_ensemble
 
@@ -263,7 +292,7 @@ class TestRun:
         monkeypatch.setattr(dynamics, "run_ensemble", recording)
         out = tmp_path / "out"
         run(parse_config(cfg_path), out_dir=str(out))
-        assert tags == [0, 1]
+        assert tags == [0]
         assert (out / "x2_reference.csv").exists()
         assert not (out / "p2_reference.csv").exists()
 
@@ -432,8 +461,6 @@ class TestImportPath:
                 with resources.as_file(cli.preset_path(preset)) as p:
                     cfg = cli.parse_config(p)
                 cfg.n_traj = 64
-                if "n_traj" in cfg.reference:
-                    cfg.reference["n_traj"] = 64
                 command(cfg, out_dir=os.path.join(sys.argv[1], preset))
             print(json.dumps([m for m in sys.modules if m.startswith("scipy.")]))
         """)

@@ -17,6 +17,7 @@ from qbm.noise import (
     dump_ensemble,
     empirical_autocorrelation,
     ensemble_writer,
+    linear_variance,
     load_ensemble,
     mode_amplitudes,
     synthesize,
@@ -160,6 +161,19 @@ class TestSynthesize:
         from qbm.bath import classical_correlation
         for e, s, lag in zip(est, se, lags):
             assert abs(e - classical_correlation(spec, lag)) <= 3.0 * s
+
+
+class TestLinearVariance:
+    @pytest.mark.parametrize("statistics", [QUANTUM, CLASSICAL, WHITE])
+    def test_rows_longer_than_the_path_rejected(self, statistics):
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.05, 101)
+        assert len(linear_variance(spec, grid, statistics, np.ones((2, 101)))) == 2
+        # past n_times the row would wrap into the period, past the FFT
+        # length rfft would crop it
+        for length in (102, grid.fft_length + 1):
+            with pytest.raises(ConfigurationError, match="101 nodes"):
+                linear_variance(spec, grid, statistics, np.ones(length))
 
 
 class TestEnsembleProperties:

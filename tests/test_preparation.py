@@ -1,3 +1,5 @@
+from math import erf
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,26 @@ class TestCatBoxMass:
         # 6-sigma tails of its two Gaussian factors
         mass = CatProject(0.0, 0.5)._abs_box_mass()
         assert mass == pytest.approx(0.9999999980268247**2, rel=1e-12)
+
+
+class TestProductFormBoxMass:
+    # Simpson on 201 x 201 points: exact enough for a smooth factor, biased
+    # at the kinks of |post_factor| where a signed factor changes sign
+    def test_smooth_gaussian_matches_analytic_mass(self):
+        box = Box(center_r=0.5, half_r=3.0, center_p=-0.2, half_p=2.4)
+        form = ProductForm(lambda r, p: np.exp(-((r - 0.5)**2 / 0.5 + (p + 0.2)**2 / 0.32)),
+                           lambda r, p: 1.0, box)
+        # erf(half / (sqrt(2) s)) per axis, with s^2 = 0.25 and 0.16
+        exact = (np.pi * np.sqrt(0.5 * 0.32) * erf(3.0 / np.sqrt(0.5))
+                 * erf(2.4 / np.sqrt(0.32)))
+        assert abs(form._box_mass - exact) <= 1e-6 * exact
+
+    @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3)])
+    def test_cat_bias_stays_within_its_stated_bound(self, x0, sigma):
+        cat = CatProject(x0, sigma)
+        form = ProductForm(cat.wigner, lambda r, p: 1.0, cat.envelope(0.0, 0.0))
+        exact = cat._abs_box_mass()
+        assert abs(form._box_mass - exact) <= 2.5e-4 * exact
 
 
 class TestInterventionAdapters:

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+import scipy.integrate
+from numpy.fft import irfft
 from scipy.integrate import simpson
 from scipy.signal import fftconvolve
 
+from qbm import reference
 from qbm.bath import BathSpec
-from qbm.dynamics import Potential, Schedule, integrate_deterministic, run_ensemble
+from qbm.dynamics import (
+    Potential,
+    Schedule,
+    _integrate_batch,
+    integrate_deterministic,
+    run_ensemble,
+)
+from qbm.noise import FrequencyGrid, mode_amplitudes
 from qbm.errors import ConfigurationError
 from qbm.observables import WeylObservable, estimate, msd
 from qbm.preparation import MomentumReset
@@ -15,6 +25,7 @@ from qbm.reference import (
     response,
     sigma_analytical,
     small_parameter,
+    thermal_msd,
 )
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
@@ -121,6 +132,24 @@ class TestP2Quadrature:
             p2_quadrature(FIG3, -0.1)
 
 
+    def test_flat_integral_computed_once_per_bath(self, monkeypatch):
+        calls = []
+        real = scipy.integrate.quad
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("weight"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting)
+        reference._p2_flat.cache_clear()
+        times = np.linspace(0.1, 1.0, 10)
+        first = [p2_quadrature(FIG3, t) for t in times]
+        # one flat integral, then one oscillatory integral per time
+        assert calls == [None] + ["cos"] * 10
+        assert [p2_quadrature(FIG3, t) for t in times] == first
+        assert len(calls) == 21
+
+
 class TestCoherenceLength:
     def test_definition(self):
         lam, p2 = coherence_length(FIG1)
@@ -217,3 +246,59 @@ class TestAgainstExactResponse:
 
         i = np.argmin(np.abs(series.times - 0.3))
         assert abs(series.estimates[i] - exact) <= 3.0 * series.standard_errors[i]
+
+
+def identity_batch_msd(spec, pot, sched, statistics):
+    """Oracle: d^2 = diag(D C D^T) from one unit impulse per noise node.
+
+    Row j of an identity noise batch pushed through the integrator gives the
+    weight of xi_j in every recorded x; D holds those weights minus the ones
+    at t = 0, and C is the synthesiser's node covariance, m * irfft(a^2) at
+    lag |i - j| for the spectral statistics.
+    """
+    n = sched.n_steps
+    x, _, _, _ = _integrate_batch(spec, pot, sched.dt, n, np.eye(n + 1), np.zeros(n + 1),
+                                  np.zeros(n + 1), sched.record_nodes())
+    d = (x - x[:, :1]).T  # record_nodes()[0] is t = 0
+    if statistics == "white":
+        cov = 2.0 * spec.mass * spec.gamma * spec.kT / sched.dt * np.eye(n + 1)
+    else:
+        grid = FrequencyGrid.for_times(spec, sched.dt, n + 1)
+        lag_cov = grid.fft_length * irfft(mode_amplitudes(spec, grid, statistics) ** 2,
+                                          n=grid.fft_length)
+        cov = lag_cov[np.abs(np.arange(n + 1)[:, None] - np.arange(n + 1))]
+    return np.einsum("ij,jk,ik->i", d, cov, d)
+
+
+class TestThermalMsd:
+    WARM = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+
+    @pytest.mark.parametrize("pot", [Potential.free(), Potential.harmonic(1.0)],
+                             ids=["free", "harmonic"])
+    @pytest.mark.parametrize("statistics", ["quantum", "classical", "white"])
+    def test_matches_identity_batch_oracle(self, pot, statistics):
+        sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2)
+        exact = thermal_msd(self.WARM, pot, sched, statistics)
+        oracle = identity_batch_msd(self.WARM, pot, sched, statistics)
+        assert np.allclose(exact.times, sched.record_times(), rtol=0, atol=0)
+        assert exact.estimates[0] == 0.0 and oracle[0] == 0.0
+        np.testing.assert_allclose(exact.estimates, oracle, rtol=1e-12, atol=0)
+        assert np.all(exact.standard_errors == 0.0)
+        assert np.all(np.isinf(exact.effective_sample_size))
+
+    @pytest.mark.parametrize("spec, pot, statistics", [
+        (FIG1, Potential.free(), "quantum"),
+        (WARM, Potential.harmonic(1.0), "classical"),
+    ], ids=["fig1-free-quantum", "harmonic-classical"])
+    def test_pooled_monte_carlo_agrees(self, spec, pot, statistics):
+        # a short fig1-like schedule: the exact moments carry the same
+        # unfinished equilibration as the simulation, so t_eq need not be long
+        sched = Schedule(t_eq=4.0, t_end=2.0, dt=0.025, record_stride=2)
+        exact = thermal_msd(spec, pot, sched, statistics).estimates
+        parts = [msd(run_ensemble(spec, pot, sched, 1024, statistics, seed), 0.0)
+                 for seed in (11, 12, 13, 14)]
+        est = np.mean([s.estimates for s in parts], axis=0)
+        se = np.sqrt(np.sum([s.standard_errors**2 for s in parts], axis=0)) / len(parts)
+        z = (est[1:] - exact[1:]) / se[1:]
+        # 40 correlated times: a 4-sigma bound for the largest |z|
+        assert np.abs(z).max() <= 4.0
