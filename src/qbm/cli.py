@@ -253,12 +253,16 @@ def parse_config(path):
             raise ConfigurationError(
                 f"[reference] mode {mode} requires {' and '.join(unmet)}")
 
+    batch_size = _get_int(parser, "run", "batch_size", 1024)
+    workers = _get_int(parser, "run", "workers", 1)
+    for key, value in (("batch_size", batch_size), ("workers", workers)):
+        if value < 1:
+            raise ConfigurationError(f"[run] {key} must be >= 1, got {value}")
+
     cfg = ExperimentConfig(
         bath=bath, potential=potential, schedule=schedule, statistics=statistics,
         preparation=preparation, observables=observables, n_traj=n_traj,
-        master_seed=master_seed,
-        batch_size=_get_int(parser, "run", "batch_size", 1024),
-        workers=_get_int(parser, "run", "workers", 1),
+        master_seed=master_seed, batch_size=batch_size, workers=workers,
         out_dir=parser.get("run", "out_dir", fallback=None),
         reference={"mode": mode})
 
@@ -286,24 +290,21 @@ def write_series_csv(path, series):
             fh.write(",".join(_format_float(v) for v in row) + "\n")
 
 
-def _series_for(name, cfg, ensemble):
-    hbar = cfg.bath["hbar"]
-    if name == "x2":
-        return _obs.estimate(ensemble, _obs.WeylObservable.x2())
-    if name == "p2":
-        return _obs.estimate(ensemble, _obs.WeylObservable.p2())
-    if name == "xp":
-        return _obs.estimate(ensemble, _obs.WeylObservable.xp())
+def _accumulator(name, cfg, times):
+    if name == "msd":
+        return _obs.Accumulator.displacement(times, 0.0)
     if name == "cat_coherence":
         prep = cfg.preparation
         if prep["form"] != "cat":
             raise ConfigurationError(
                 "cat_coherence observable requires the cat preparation")
-        o = _obs.WeylObservable.cat_coherence(prep["x0"], prep["sigma"], hbar=hbar)
-        return _obs.estimate(ensemble, o)
-    if name == "msd":
-        return _obs.msd(ensemble, 0.0)
-    raise ConfigurationError(f"unknown observable {name!r}")
+        obs = _obs.WeylObservable.cat_coherence(prep["x0"], prep["sigma"],
+                                                hbar=cfg.bath["hbar"])
+    elif name in ("x2", "p2", "xp"):
+        obs = getattr(_obs.WeylObservable, name)()
+    else:
+        raise ConfigurationError(f"unknown observable {name!r}")
+    return _obs.Accumulator(times, obs)
 
 
 def _reference_series(cfg, spec, pot, sched, times):
@@ -331,14 +332,26 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
     pot = cfg.potential_obj()
     sched = cfg.schedule_obj()
 
+    accumulators = {name: _accumulator(name, cfg, sched.record_times())
+                    for name in cfg.observables}
+
+    def consume(batch):
+        for acc in accumulators.values():
+            acc.add(batch)
+
+    # the estimators take the ensemble batch by batch; only the trajectory
+    # dump, which writes every record, keeps them all
     ensemble = _dyn.run_ensemble(spec, pot, sched, cfg.n_traj, cfg.statistics,
                                  cfg.master_seed, stream_tag=0,
                                  batch_size=cfg.batch_size, workers=cfg.workers,
-                                 progress=progress)
+                                 progress=progress,
+                                 consumer=None if dump_trajectories else consume)
+    if dump_trajectories:
+        consume(ensemble)
     ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])
     written = []
     for name, fname in sorted(cfg.observables.items()):
-        series = _series_for(name, cfg, ensemble)
+        series = accumulators[name].series(ensemble)
         path = os.path.join(out_dir, fname)
         write_series_csv(path, series)
         written.append(path)
@@ -577,6 +590,8 @@ def _apply_overrides(cfg, args):
     if args.n_traj is not None:
         cfg.n_traj = args.n_traj
     if args.workers is not None:
+        if args.workers < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         cfg.workers = args.workers
     return cfg
 

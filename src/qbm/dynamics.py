@@ -215,18 +215,24 @@ class Trajectory:
 
 
 class TrajectoryEnsemble:
-    """Immutable stack of recorded trajectories sharing one recording grid."""
+    """Immutable stack of recorded trajectories sharing one recording grid.
 
-    def __init__(self, times, x, p, weights, failed_ids=()):
+    ``failure_time`` is the first recorded time at which a failed
+    trajectory is non-finite (None without one).  A streamed ensemble keeps
+    no records: its ``x`` and ``p`` are None.
+    """
+
+    def __init__(self, times, x, p, weights, failed_ids=(), failure_time=None):
         self.times = np.asarray(times, dtype=float)
         self.x = x
         self.p = p
         self.weights = np.asarray(weights, dtype=float)
         self.failed_ids = tuple(failed_ids)
+        self.failure_time = failure_time
 
     @property
     def n_traj(self):
-        return self.x.shape[0]
+        return len(self.weights)
 
     def unweighted(self):
         return bool(np.all(self.weights == 1.0))
@@ -265,23 +271,33 @@ def _kernel_mid(spec, dt, n):
     return dt * _bath.memory_kernel(spec, dt * (np.arange(n) + 0.5))
 
 
-def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
+def _noise_buffer(n_steps, n_traj, tile=_HISTORY_TILE):
+    """Zeroed time-major (n_steps + 1, width) buffer, width a multiple of ``tile``."""
+    return np.zeros((n_steps + 1, -(-n_traj // tile) * tile))
+
+
+def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
                      intervention_plan=(), rngs=None, tile=_HISTORY_TILE):
     """Batched leapfrog GLE integration.  Core numerical engine.
 
-    ``xi`` has shape (B, n_steps + 1) with samples on the node grid.
+    ``buf`` (see :func:`_noise_buffer`) holds the noise time-major: row n is
+    node n, column i trajectory i for the B = ``len(x0)`` trajectories, and
+    the columns past B are zero.  The integrator overwrites row n with the
+    mid-interval velocities of step n, whose noise is dead by then (the
+    force at node n was formed at the end of step n - 1), so one array holds
+    both the noise and the friction history and the noise is consumed.
     ``intervention_plan`` is a sequence of (node_index, t_k, callback)
     triples; the callback receives (t_k, rbar, pbar, rng) per trajectory and
     returns an :class:`InterventionResult`.
 
-    The friction history is stored time-major and multiplied ``tile``
-    trajectories at a time, so a trajectory's bits do not depend on the
-    batch around it.
+    The friction history is multiplied ``tile`` trajectories at a time, so a
+    trajectory's bits do not depend on the batch around it.
 
     Returns (x_rec, p_rec, weights, jump_nodes), where ``jump_nodes`` lists
     (node, dx vector) for every intervention that moved a position.
     """
-    B = xi.shape[0]
+    B = len(x0)
+    width = buf.shape[1]
     mass = spec.mass
     record_nodes = np.asarray(record_nodes, dtype=int)
     rec_pos = {int(n): k for k, n in enumerate(record_nodes)}
@@ -298,13 +314,11 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
     jump_nodes = []          # (node, dx vector)
 
     # time-major: each step writes one contiguous row of B values; the
-    # columns past B are the zero padding of the last tile
-    width = -(-B // tile) * tile
-    V = np.zeros((n_steps, width))
+    # columns past B stay the zero padding of the last tile
     x_rec = np.empty((n_rec, B))
     p_rec = np.empty((n_rec, B))
 
-    force = pot.force(x, mass) + xi[:, 0]
+    force = pot.force(x, mass) + buf[0, :B]
     if 0 in rec_pos:
         x_rec[rec_pos[0]] = x
         p_rec[rec_pos[0]] = p
@@ -316,7 +330,7 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
         for n in range(n_steps):
             p_half = p + (0.5 * dt) * force
             v = p_half / mass
-            V[n, :B] = v
+            buf[n, :B] = v
             x += dt * v
 
             node = n + 1
@@ -330,17 +344,17 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
                     + np.arange(cols)[None, :]
                 kernel_t = k_mid[idx].T
                 for t in range(0, width, tile):
-                    np.matmul(kernel_t, V[:block_start, t:t + tile],
+                    np.matmul(kernel_t, buf[:block_start, t:t + tile],
                               out=old[:cols, t:t + tile])
             s = node - block_start
             fric = -old[s, :B]
             if node - 1 >= block_start:
                 seg = k_mid[:node - block_start][::-1]
-                fric = fric - seg @ V[block_start:node, :B]
+                fric = fric - seg @ buf[block_start:node, :B]
             for jn, dxv in jump_nodes:
                 fric = fric - m_nodes[node - jn] * dxv
 
-            force = pot.force(x, mass) + xi[:, node] + fric
+            force = pot.force(x, mass) + buf[node, :B] + fric
             p = p_half + (0.5 * dt) * force
 
             if node in plan:
@@ -358,14 +372,16 @@ def _integrate_batch(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
                     jump_nodes.append((node, dxv))
                     fric = fric - m_nodes[0] * dxv
                 # forces changed discontinuously with the state
-                force = pot.force(x, mass) + xi[:, node] + fric
+                force = pot.force(x, mass) + buf[node, :B] + fric
 
             if node in rec_pos:
                 x_rec[rec_pos[node]] = x
                 p_rec[rec_pos[node]] = p
 
-    return (np.ascontiguousarray(x_rec.T), np.ascontiguousarray(p_rec.T),
-            weights, jump_nodes)
+    # one transposed copy alive at a time
+    x_rec = np.ascontiguousarray(x_rec.T)
+    p_rec = np.ascontiguousarray(p_rec.T)
+    return x_rec, p_rec, weights, jump_nodes
 
 
 def _build_plan(sched, potential):
@@ -407,10 +423,12 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
         plan = [(node, iv.time, prep_sampler)
                 for iv, node in zip(sched.interventions, sched.intervention_nodes())]
 
-    xi = noise_path.values[np.newaxis, :n_steps + 1]
+    # the integrator consumes its buffer, never the caller's path
+    buf = _noise_buffer(n_steps, 1)
+    buf[:, 0] = noise_path.values[:n_steps + 1]
     rec = sched.record_nodes()
     x_rec, p_rec, weights, jump_nodes = _integrate_batch(
-        spec, pot, sched.dt, n_steps, xi, np.zeros(1), np.zeros(1), rec,
+        spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1), rec,
         intervention_plan=plan, rngs=[rng])
     bad = ~np.isfinite(x_rec[0]) | ~np.isfinite(p_rec[0])
     if bad.any():
@@ -429,36 +447,54 @@ def integrate_deterministic(spec, pot, dt, n_steps, x0=0.0, p0=0.0):
     Used for response functions; friction history starts empty at t = 0.
     Returns (times, x, p).
     """
-    xi = np.zeros((1, n_steps + 1))
     rec = np.arange(n_steps + 1)
     # a lone solve, no ensemble member: one column, no tile padding
     x_rec, p_rec, _, _ = _integrate_batch(
-        spec, pot, dt, n_steps, xi, np.array([x0], dtype=float),
-        np.array([p0], dtype=float), rec, tile=1)
+        spec, pot, dt, n_steps, _noise_buffer(n_steps, 1, tile=1),
+        np.array([x0], dtype=float), np.array([p0], dtype=float), rec, tile=1)
     return dt * np.arange(n_steps + 1), x_rec[0], p_rec[0]
 
 
 def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
-    grid = _noise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+    """One batch as a :class:`TrajectoryEnsemble` whose ``failed_ids`` index its rows."""
+    n_steps = sched.n_steps
+    grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
     rngs = [_traj_stream(master_seed, stream_tag, i) for i in ids]
-    xi = _noise.synthesize_batch(spec, grid, statistics, rngs)
-    plan = _build_plan(sched, pot)
     B = len(ids)
-    x_rec, p_rec, weights, _ = _integrate_batch(
-        spec, pot, sched.dt, sched.n_steps, xi, np.zeros(B), np.zeros(B),
-        sched.record_nodes(), intervention_plan=plan, rngs=rngs)
-    return x_rec, p_rec, weights
+    # one synthesis chunk at a time, transposed into the shared buffer: the
+    # batch never holds its noise and its velocity history side by side
+    buf = _noise_buffer(n_steps, B)
+    for lo in range(0, B, _noise._SYNTH_CHUNK):
+        hi = min(lo + _noise._SYNTH_CHUNK, B)
+        buf[:, lo:hi] = _noise.synthesize_batch(spec, grid, statistics, rngs[lo:hi]).T
+    x, p, weights, _ = _integrate_batch(
+        spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
+        sched.record_nodes(), intervention_plan=_build_plan(sched, pot), rngs=rngs)
+    failed = np.flatnonzero(~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
+                              & np.isfinite(weights)))
+    times = sched.record_times()
+    # first recorded time at which any failed trajectory is non-finite
+    bad = (~np.isfinite(x[failed]) | ~np.isfinite(p[failed])).any(axis=0)
+    t_bad = float(times[np.argmax(bad)]) if bad.any() else None
+    return TrajectoryEnsemble(times, x, p, weights, failed_ids=failed, failure_time=t_bad)
 
 
 def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
-                 stream_tag=0, batch_size=1024, workers=1, progress=None):
-    """Simulate ``n_traj`` independent trajectories and stack the records.
+                 stream_tag=0, batch_size=1024, workers=1, progress=None,
+                 consumer=None):
+    """Simulate ``n_traj`` independent trajectories.
 
     Each trajectory owns a counter-based stream derived from
     ``(master_seed, stream_tag, trajectory_id)``; within a stream the noise
     coefficients are drawn first, then any preparation draws, so results are
-    bit-reproducible for any batch split or worker count.  Batches are merged
-    in trajectory-id order.
+    bit-reproducible for any batch split or worker count.
+
+    Without a ``consumer`` the records are stacked in trajectory-id order.
+    With one, each batch goes to ``consumer(batch)`` in trajectory-id order
+    as a :class:`TrajectoryEnsemble` whose ``failed_ids`` index its own
+    rows, and the returned ensemble keeps only the weights and the failed
+    ids (``x`` and ``p`` are None), so memory does not grow with ``n_traj``
+    beyond 8 bytes per trajectory.
 
     Aborts with :class:`IntegrationFailure` if more than 0.1% of the
     trajectories leave float range; isolated failures are reported through
@@ -466,7 +502,18 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     """
     if n_traj < 1:
         raise ConfigurationError("n_traj must be >= 1")
+    for name, value in (("batch_size", batch_size), ("workers", workers)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     sched.validate_against(spec, pot)
+
+    times = sched.record_times()
+    x = p = None
+    if consumer is None:
+        x = np.empty((n_traj, len(times)))
+        p = np.empty((n_traj, len(times)))
+    weights = np.empty(n_traj)
+    failed, bad_times = [], []
 
     job = partial(_run_batch, spec, pot, sched, statistics, master_seed, stream_tag)
     batches = [range(lo, min(lo + batch_size, n_traj))
@@ -476,26 +523,29 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
         mapper = pool.map
-    results = []
+    done = 0
     with pool:
         # both maps yield in submission order, i.e. in trajectory-id order
-        for out in mapper(job, batches):
-            results.append(out)
+        for batch in mapper(job, batches):
+            lo, done = done, done + batch.n_traj
+            weights[lo:done] = batch.weights
+            failed.extend(lo + i for i in batch.failed_ids)
+            if batch.failure_time is not None:
+                bad_times.append(batch.failure_time)
+            if consumer is None:
+                x[lo:done] = batch.x
+                p[lo:done] = batch.p
+            else:
+                consumer(batch)
+            del batch  # not alive while the next batch is integrated
             if progress:
-                progress(min(len(results) * batch_size, n_traj), n_traj)
+                progress(done, n_traj)
 
-    x = np.vstack([r[0] for r in results])
-    p = np.vstack([r[1] for r in results])
-    weights = np.concatenate([r[2] for r in results])
-
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1) & np.isfinite(weights)
-    failed = np.flatnonzero(~finite)
+    failed = np.array(failed, dtype=int)
+    t_bad = min(bad_times, default=None)
     if len(failed) > 0.001 * n_traj:
-        # first recorded time at which any failed trajectory is non-finite
-        bad = (~np.isfinite(x[failed]) | ~np.isfinite(p[failed])).any(axis=0)
-        t_bad = float(sched.record_times()[np.argmax(bad)]) if bad.any() else None
         raise IntegrationFailure(
             f"{len(failed)} of {n_traj} trajectories diverged",
             trajectory_ids=tuple(failed[:32]), time=t_bad)
-    return TrajectoryEnsemble(times=sched.record_times(), x=x, p=p,
-                              weights=weights, failed_ids=failed)
+    return TrajectoryEnsemble(times=times, x=x, p=p, weights=weights,
+                              failed_ids=failed, failure_time=t_bad)

@@ -1,6 +1,7 @@
 """Weighted ensemble estimates of phase-space (Weyl symbol) observables."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -102,33 +103,111 @@ def _check_weights(weights):
     return total
 
 
+def _squared_displacement(x, p, k0):
+    return (x - x[:, k0][:, None]) ** 2
+
+
+def _good(ensemble):
+    """Row indices of the trajectories that stayed finite."""
+    return np.setdiff1d(np.arange(ensemble.n_traj), ensemble.failed_ids)
+
+
+class Accumulator:
+    """Streamed estimate of one observable over a trajectory ensemble.
+
+    :meth:`add` takes the ensemble a batch at a time, in trajectory-id
+    order, and keeps three sums per recorded time; :meth:`series` turns
+    them into an :class:`ObservableSeries`.  Each sum adds the rows one after
+    another, the order in which numpy reduces a whole (n_traj, n_times)
+    array along its first axis (given more than one time), so the estimates
+    equal those of one pass over the stacked ensemble bit for bit, whatever
+    the batches.  The delta-method variance comes from the values shifted by
+    the first trajectory's (Chan, Golub & LeVeque, Am. Stat. 37, 1983),
+    which keeps its cancellation small.
+    """
+
+    def __init__(self, times, obs, thermal=False):
+        self.times = np.asarray(times, dtype=float)
+        self._obs = obs
+        self._thermal = thermal   # unit weights: the plain mean and its error
+        self._shift = None
+        self._sums = None   # sum w v, sum w^2 u, sum w^2 u^2 with u = v - shift
+
+    @classmethod
+    def displacement(cls, times, t0=0.0):
+        """Squared displacement ``(x(t) - x(t0))^2`` of the unweighted ensemble."""
+        times = np.asarray(times, dtype=float)
+        k0 = int(np.argmin(np.abs(times - t0)))
+        if abs(times[k0] - t0) > 1e-9:
+            raise ValueError(f"reference time {t0} not on the recording grid")
+        return cls(times, partial(_squared_displacement, k0=k0), thermal=True)
+
+    def add(self, ensemble, chunk=1024):
+        """Fold in the finite trajectories of ``ensemble``, ``chunk`` rows at a time."""
+        good = _good(ensemble)
+        for lo in range(0, len(good), chunk):
+            rows = good[lo:lo + chunk]
+            self._add_rows(ensemble.x[rows], ensemble.p[rows], ensemble.weights[rows])
+
+    def _add_rows(self, x, p, w):
+        vals = self._obs(x, p)
+        if self._shift is None:
+            self._shift = vals[0].copy()
+        rows = np.empty((3, len(w) + 1, len(self.times)))
+        np.multiply(w[:, None], vals, out=rows[0, 1:])
+        vals -= self._shift
+        np.multiply((w * w)[:, None], vals, out=rows[1, 1:])
+        np.multiply(rows[1, 1:], vals, out=rows[2, 1:])
+        # row 0 carries the sums so far; accumulate adds row after row
+        if self._sums is None:
+            rows = rows[:, 1:]
+        else:
+            rows[:, 0] = self._sums
+        np.add.accumulate(rows, axis=1, out=rows)
+        self._sums = rows[:, -1].copy()
+
+    def series(self, ensemble):
+        """The estimate, from the sums and the weights of the whole ``ensemble``.
+
+        Only the ensemble's weights and failed ids are read, not its records.
+        Per time: ``sum_j w_j O_j / sum_j w_j`` with the standard error from
+        the delta-method linearisation of the ratio (weights are signed, so
+        the naive weighted variance underestimates).  Effective sample size
+        is ``(sum w)^2 / sum w^2``; times where it drops below 100 are
+        flagged via ``low_ess``.  The displacement is the plain mean with
+        the standard error of the mean and ``n`` as its sample size.
+        """
+        w = ensemble.weights[_good(ensemble)]
+        if not self._thermal:
+            total = _check_weights(w)
+        elif not ensemble.unweighted():
+            raise ValueError("msd is defined for the unweighted thermal ensemble; "
+                             "got preparation weights != 1")
+        else:
+            total = float(len(w))
+        s_wv, s_w2u, s_w2u2 = self._sums
+        sum_w2 = np.sum(w**2)
+        ratio = s_wv / total
+        # sum_j w_j^2 (v_j - ratio)^2, expanded around the shift
+        d = ratio - self._shift
+        resid2 = np.maximum(s_w2u2 - 2.0 * d * s_w2u + d * d * sum_w2, 0.0)
+        if not self._thermal:
+            se, ess = np.sqrt(resid2) / abs(total), total**2 / sum_w2
+        else:
+            se, ess = np.sqrt(resid2 / (total - 1)) / np.sqrt(total), total
+        return ObservableSeries(times=self.times, estimates=ratio, standard_errors=se,
+                                effective_sample_size=np.full(len(self.times), ess))
+
+
 def estimate(ensemble, obs):
     """Weighted ratio estimate of ``obs`` on the ensemble's recording grid.
 
-    Per time: ``sum_j w_j O(x_j, p_j) / sum_j w_j`` with the standard error
-    from the delta-method linearisation of the ratio (weights are signed, so
-    the naive weighted variance underestimates).  Effective sample size is
-    ``(sum w)^2 / sum w^2``; times where it drops below 100 are flagged via
-    ``low_ess``.
+    See :meth:`Accumulator.series`; the ensemble goes through an
+    :class:`Accumulator` 1024 trajectories at a time.
     """
-    good = np.setdiff1d(np.arange(ensemble.n_traj), ensemble.failed_ids)
-    w = ensemble.weights[good]
-    total = _check_weights(w)
-    ess = total**2 / np.sum(w**2)
-
-    n_times = len(ensemble.times)
-    est = np.empty(n_times)
-    se = np.empty(n_times)
-    for k0 in range(0, n_times, 256):
-        k1 = min(k0 + 256, n_times)
-        vals = obs(ensemble.x[good, k0:k1], ensemble.p[good, k0:k1])
-        ratio = (w[:, None] * vals).sum(axis=0) / total
-        resid = w[:, None] * (vals - ratio[None, :])
-        se[k0:k1] = np.sqrt((resid**2).sum(axis=0)) / abs(total)
-        est[k0:k1] = ratio
-    return ObservableSeries(times=ensemble.times, estimates=est,
-                            standard_errors=se,
-                            effective_sample_size=np.full(n_times, ess))
+    acc = Accumulator(ensemble.times, obs)
+    acc.add(ensemble)
+    return acc.series(ensemble)
 
 
 def msd(ensemble, t0=0.0):
@@ -137,20 +216,9 @@ def msd(ensemble, t0=0.0):
     Defined for the unprepared (all weights exactly 1) equilibrium ensemble;
     a weighted ensemble is a usage error.
     """
-    if not ensemble.unweighted():
-        raise ValueError("msd is defined for the unweighted thermal ensemble; "
-                         "got preparation weights != 1")
-    k0 = int(np.argmin(np.abs(ensemble.times - t0)))
-    if abs(ensemble.times[k0] - t0) > 1e-9:
-        raise ValueError(f"reference time {t0} not on the recording grid")
-    good = np.setdiff1d(np.arange(ensemble.n_traj), ensemble.failed_ids)
-    disp = (ensemble.x[good] - ensemble.x[good, k0][:, None]) ** 2
-    n = len(good)
-    est = disp.mean(axis=0)
-    se = disp.std(axis=0, ddof=1) / np.sqrt(n)
-    return ObservableSeries(times=ensemble.times, estimates=est,
-                            standard_errors=se,
-                            effective_sample_size=np.full(len(ensemble.times), float(n)))
+    acc = Accumulator.displacement(ensemble.times, t0)
+    acc.add(ensemble)
+    return acc.series(ensemble)
 
 
 def cat_initial_value(x0, sigma):

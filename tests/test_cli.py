@@ -94,6 +94,14 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="n_traj"):
             parse_config(write_config(tmp_path, n_traj=0))
 
+    @pytest.mark.parametrize("run_extra, key", [
+        ("batch_size = 0", "batch_size"), ("batch_size = -4", "batch_size"),
+        ("workers = 0", "workers"), ("workers = -3", "workers"),
+    ])
+    def test_run_sizes_below_one_rejected(self, tmp_path, run_extra, key):
+        with pytest.raises(ConfigurationError, match=rf"\[run\] {key} must be >= 1"):
+            parse_config(write_config(tmp_path, run_extra=run_extra))
+
     def test_default_equilibration_span(self, tmp_path):
         # omitted t_eq defaults to max(10/gamma, 50 eps), step-rounded
         path = write_config(tmp_path)
@@ -226,6 +234,31 @@ class TestRun:
         whole, split = outputs(96), outputs(17)
         assert {"noise_paths.bin", "trajectories.bin"} < set(whole)
         assert split == whole
+
+    def test_peak_memory_flat_in_ensemble_size(self, tmp_path):
+        # a fig1-like run of 200 steps recording every step: the estimators
+        # take each batch as it comes, so no per-trajectory record is kept
+        path = write_config(tmp_path, prep="gaussian",
+                            prep_extra="sigma0 = 1.0\nmode = translate",
+                            run_extra="batch_size = 128")
+        path.write_text(path.read_text().replace("t_eq = 4.0", "t_eq = 5.0")
+                        .replace("t_end = 2.0", "t_end = 5.0")
+                        .replace("record_stride = 4", "record_stride = 1")
+                        + "\n[reference]\nmode = sigma2\n")
+        cfg = parse_config(path)
+        assert cfg.schedule_obj().n_steps == 200
+
+        def peak(n_traj):
+            cfg.n_traj = n_traj
+            tracemalloc.start()
+            try:
+                run(cfg, out_dir=str(tmp_path / str(n_traj)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)  # warm up one-time allocations (FFT plan cache, imports)
+        assert peak(4096) <= 1.25 * peak(512)
 
     def test_float_serialisation_has_17_significant_digits(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -437,6 +470,14 @@ class TestMain:
         bad = tmp_path / "missing.cfg"
         assert main(["run", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_override_below_one_rejected(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, n_traj=8)
+        assert main(["run", str(cfg), "--workers", workers,
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, n_traj=32)

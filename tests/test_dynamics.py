@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from qbm.dynamics import (
     _build_plan,
     _integrate_batch,
     _kernel_mid,
+    _noise_buffer,
+    _run_batch,
     _traj_stream,
     integrate,
     integrate_deterministic,
@@ -34,6 +38,13 @@ def zero_path(sched):
     n = sched.n_steps + 1
     return qnoise.NoisePath(seed=("zero",), times=sched.dt * np.arange(n),
                             values=np.zeros(n))
+
+
+def noise_buffer(xi, tile=_HISTORY_TILE):
+    """The (B, n_times) noise rows in the integrator's time-major shared buffer."""
+    buf = _noise_buffer(xi.shape[1] - 1, xi.shape[0], tile)
+    buf[:, :xi.shape[0]] = xi.T
+    return buf
 
 
 def reset_to(x0, p0):
@@ -311,6 +322,79 @@ class TestRunEnsemble:
         assert traj.x.tobytes() == whole.x[129].tobytes()
 
 
+class TestStreamedRun:
+    def test_consumer_gets_every_batch_in_id_order(self):
+        whole = run_ensemble(FIG1, FREE, CAT_SCHED, 40, "quantum", 23)
+        got = []
+        streamed = run_ensemble(FIG1, FREE, CAT_SCHED, 40, "quantum", 23, batch_size=17,
+                                consumer=got.append)
+        assert [b.n_traj for b in got] == [17, 17, 6]
+        assert np.concatenate([b.x for b in got]).tobytes() == whole.x.tobytes()
+        assert np.concatenate([b.p for b in got]).tobytes() == whole.p.tobytes()
+        assert streamed.x is None and streamed.p is None
+        assert streamed.weights.tobytes() == whole.weights.tobytes()
+        assert streamed.times.tobytes() == whole.times.tobytes()
+        assert streamed.failed_ids == () and all(b.failed_ids == () for b in got)
+
+    def test_failures_are_booked_per_batch(self):
+        # the polynomial runaway of test_abort_carries_first_nonfinite_time
+        # with a kick drawn per trajectory, so each diverges at its own time:
+        # streamed in batches, every id and the earliest time are reported
+        class Kick:
+            def sample(self, rbar, pbar, rng):
+                return rng.uniform(0.3, 1.5), 1.0, 1.0
+
+        pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
+                         interventions=(Intervention(0.0, Kick()),))
+        with pytest.raises(IntegrationFailure) as stacked:
+            run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3)
+        seen = []
+        with pytest.raises(IntegrationFailure) as streamed:
+            run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3, batch_size=3,
+                         consumer=seen.append)
+        assert streamed.value.trajectory_ids == stacked.value.trajectory_ids == tuple(range(8))
+        assert streamed.value.time == stacked.value.time
+        assert str(streamed.value) == str(stacked.value)
+        # each batch names its own rows and its own first failure time
+        assert [b.failed_ids for b in seen] == [(0, 1, 2), (0, 1, 2), (0, 1)]
+        times = [b.failure_time for b in seen]
+        assert streamed.value.time == min(times) < max(times)
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", -4),
+                                            ("workers", 0), ("workers", -3)])
+    def test_sizes_below_one_rejected(self, key, value):
+        sched = Schedule(t_eq=1.0, t_end=0.0, dt=0.05)
+        with pytest.raises(ConfigurationError, match=key):
+            run_ensemble(FIG1, FREE, sched, 4, "quantum", 1, **{key: value})
+
+    def test_integrate_leaves_the_noise_path_intact(self):
+        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, _traj_stream(4, 0, 0))
+        before = path.values.copy()
+        first = integrate(FIG1, FREE, sched, path)
+        assert path.values.tobytes() == before.tobytes()
+        assert integrate(FIG1, FREE, sched, path).x.tobytes() == first.x.tobytes()
+
+    def test_batch_holds_one_noise_sized_buffer(self):
+        # noise and velocity history share one (n_steps + 1) x width buffer.
+        # Beyond it a batch holds its generators, one 64-path synthesis chunk
+        # and its records: at 3000 trajectories of 1600 steps with two
+        # records these stay below 0.3 buffers, while a second noise-sized
+        # array would add a whole one
+        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
+        n_traj = 3000
+        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
+        tracemalloc.start()
+        try:
+            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * _noise_buffer(sched.n_steps, n_traj).nbytes
+
+
 class TestTranslateMode:
     @settings(max_examples=10, deadline=None)
     @given(shift=st.floats(-50.0, 50.0), seed=st.integers(0, 2**32 - 1))
@@ -325,7 +409,7 @@ class TestTranslateMode:
         def records(x0):
             rngs = [_traj_stream(seed, 0, i) for i in range(n)]
             xi = qnoise.synthesize_batch(FIG1, grid, "quantum", rngs)
-            return _integrate_batch(FIG1, FREE, sched.dt, sched.n_steps, xi,
+            return _integrate_batch(FIG1, FREE, sched.dt, sched.n_steps, noise_buffer(xi),
                                     np.full(n, x0), np.zeros(n), sched.record_nodes(),
                                     intervention_plan=_build_plan(sched, FREE),
                                     rngs=rngs)[:3]
@@ -514,14 +598,14 @@ class TestTimeMajorIntegrator:
         xi = qnoise.synthesize_batch(FIG1, grid, "quantum",
                                      [_traj_stream(61, 0, i) for i in range(n_traj)])
 
-        def call(integrator, **kw):
-            return integrator(FIG1, pot, sched.dt, sched.n_steps, xi,
+        def call(integrator, noise, **kw):
+            return integrator(FIG1, pot, sched.dt, sched.n_steps, noise,
                               np.full(n_traj, 0.3), np.zeros(n_traj), sched.record_nodes(),
                               intervention_plan=_build_plan(sched, pot),
                               rngs=[_traj_stream(61, 0, i) for i in range(n_traj)], **kw)
 
-        x_ref, p_ref, w_ref, jumps_ref = call(column_major_integrate)
-        x, p, w, jumps = call(_integrate_batch, tile=tile)
+        x_ref, p_ref, w_ref, jumps_ref = call(column_major_integrate, xi)
+        x, p, w, jumps = call(_integrate_batch, noise_buffer(xi, tile), tile=tile)
         assert np.isfinite(x_ref).all() and (w_ref != 1.0).any()
         assert len(jumps_ref) == 2
         assert x.flags.c_contiguous and p.flags.c_contiguous

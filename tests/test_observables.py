@@ -5,6 +5,7 @@ from scipy.integrate import simpson
 from qbm.dynamics import TrajectoryEnsemble
 from qbm.errors import SignProblemError
 from qbm.observables import (
+    Accumulator,
     ObservableSeries,
     WeylObservable,
     cat_initial_value,
@@ -136,3 +137,135 @@ class TestCatInitialValue:
         o = WeylObservable.cat_coherence(x0, sigma)(r[:, None], p[None, :])
         val = simpson(simpson(w * o, x=p, axis=1), x=r)
         assert val == pytest.approx(cat_initial_value(x0, sigma), abs=1e-6)
+
+
+def two_pass_estimate(ensemble, obs):
+    """Reference: the whole-ensemble estimator, sums over stacked rows."""
+    good = np.setdiff1d(np.arange(ensemble.n_traj), ensemble.failed_ids)
+    w = ensemble.weights[good]
+    total = w.sum()
+    ess = total**2 / np.sum(w**2)
+    vals = obs(ensemble.x[good], ensemble.p[good])
+    ratio = (w[:, None] * vals).sum(axis=0) / total
+    resid = w[:, None] * (vals - ratio[None, :])
+    se = np.sqrt((resid**2).sum(axis=0)) / abs(total)
+    return ratio, se, np.full(len(ensemble.times), ess)
+
+
+def two_pass_msd(ensemble, t0):
+    """Reference: the mean squared displacement over stacked rows."""
+    k0 = int(np.argmin(np.abs(ensemble.times - t0)))
+    good = np.setdiff1d(np.arange(ensemble.n_traj), ensemble.failed_ids)
+    disp = (ensemble.x[good] - ensemble.x[good, k0][:, None]) ** 2
+    n = len(good)
+    return (disp.mean(axis=0), disp.std(axis=0, ddof=1) / np.sqrt(n),
+            np.full(len(ensemble.times), float(n)))
+
+
+def batches(ensemble, batch_size):
+    """The ensemble as run_ensemble hands it to a consumer: failed ids per batch."""
+    failed = np.asarray(ensemble.failed_ids, dtype=int)
+    for lo in range(0, ensemble.n_traj, batch_size):
+        hi = min(lo + batch_size, ensemble.n_traj)
+        mine = failed[(failed >= lo) & (failed < hi)] - lo
+        yield TrajectoryEnsemble(ensemble.times, ensemble.x[lo:hi], ensemble.p[lo:hi],
+                                 ensemble.weights[lo:hi], failed_ids=mine)
+
+
+def streamed(acc, ensemble, batch_size):
+    for batch in batches(ensemble, batch_size):
+        acc.add(batch)
+    return acc.series(ensemble)
+
+
+def simulated(prep, n_traj, seed):
+    """A short fig1-bath run; prep None leaves the thermal ensemble unweighted."""
+    from qbm.bath import BathSpec
+    from qbm.dynamics import Intervention, Potential, Schedule, run_ensemble
+
+    spec = BathSpec(gamma=np.pi / 2, eps=0.5)
+    ivs = () if prep is None else (Intervention(0.0, prep, mode="translate"),)
+    sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.05, interventions=ivs)
+    return run_ensemble(spec, Potential.free(), sched, n_traj, "quantum", seed)
+
+
+class TestAccumulator:
+    @pytest.fixture(scope="class")
+    def ensembles(self):
+        from qbm.preparation import CatProject, MomentumReset
+
+        rng = np.random.default_rng(11)
+        thermal = simulated(None, 1500, 3)
+        # positive weights spanning four decades, and two failed trajectories
+        # whose NaN records must not reach the sums
+        x, p = thermal.x.copy(), thermal.p.copy()
+        x[[5, 900]] = np.nan
+        weighted = TrajectoryEnsemble(thermal.times, x, p,
+                                      10.0 ** rng.uniform(-2, 2, thermal.n_traj),
+                                      failed_ids=(5, 900))
+        cat = simulated(CatProject(1.0, 0.5), 1500, 4)
+        reset = simulated(MomentumReset(0.0), 300, 5)
+        assert (cat.weights < 0).any() and (cat.weights > 0).any()
+        return {"thermal": thermal, "weighted": weighted, "cat": cat, "reset": reset}
+
+    @pytest.mark.parametrize("batch_size", [1, 17, 1024])
+    @pytest.mark.parametrize("name, obs", [
+        ("thermal", WeylObservable.x2()),
+        ("weighted", WeylObservable.xp()),
+        ("cat", WeylObservable.p2()),
+        ("cat", WeylObservable.cat_coherence(1.0, 0.5)),
+        ("reset", WeylObservable.p2()),
+    ])
+    def test_matches_two_pass_estimate(self, ensembles, name, obs, batch_size):
+        ens = ensembles[name]
+        est, se, ess = two_pass_estimate(ens, obs)
+        series = streamed(Accumulator(ens.times, obs), ens, batch_size)
+        assert series.estimates.tobytes() == est.tobytes()
+        assert series.effective_sample_size.tobytes() == ess.tobytes()
+        assert np.array_equal(series.standard_errors == 0.0, se == 0.0)
+        live = se > 0
+        assert np.max(np.abs(series.standard_errors[live] / se[live] - 1.0)) <= 1e-13
+        # the public estimator feeds the same accumulator 1024 rows at a time
+        whole = estimate(ens, obs)
+        assert whole.estimates.tobytes() == series.estimates.tobytes()
+        assert whole.standard_errors.tobytes() == series.standard_errors.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 17, 1024])
+    def test_matches_two_pass_msd(self, ensembles, batch_size):
+        ens = ensembles["thermal"]
+        est, se, n = two_pass_msd(ens, 0.0)
+        series = streamed(Accumulator.displacement(ens.times, 0.0), ens, batch_size)
+        assert series.estimates.tobytes() == est.tobytes()
+        assert series.effective_sample_size.tobytes() == n.tobytes()
+        assert series.standard_errors[0] == 0.0 == se[0]
+        assert np.max(np.abs(series.standard_errors[1:] / se[1:] - 1.0)) <= 1e-13
+        assert msd(ens, 0.0).estimates.tobytes() == est.tobytes()
+
+    def test_zero_values_have_zero_error(self, ensembles):
+        # p is reset to exactly 0 at t = 0: every value there is 0
+        ens = ensembles["reset"]
+        series = streamed(Accumulator(ens.times, WeylObservable.p2()), ens, 17)
+        assert ens.times[0] == 0.0 and not ens.p[:, 0].any()
+        assert series.estimates[0] == 0.0 and series.standard_errors[0] == 0.0
+        assert (series.standard_errors[1:] > 0).all()
+
+    def test_sign_problem_and_weighted_msd_still_raise(self):
+        ens = make_ensemble(np.ones((4, 3)), weights=[1.0, -1.0, 1.0, -1.0])
+        acc = Accumulator(ens.times, WeylObservable.x2())
+        acc.add(ens)
+        with pytest.raises(SignProblemError):
+            acc.series(ens)
+        ens = make_ensemble(np.ones((3, 2)), weights=[1.0, 0.5, 1.0])
+        acc = Accumulator.displacement(ens.times, 0.0)
+        acc.add(ens)
+        with pytest.raises(ValueError, match="unweighted"):
+            acc.series(ens)
+
+    def test_series_reads_no_records(self, ensembles):
+        # a streamed ensemble keeps only its weights and failed ids
+        ens = ensembles["weighted"]
+        acc = Accumulator(ens.times, WeylObservable.x2())
+        acc.add(ens)
+        bare = TrajectoryEnsemble(ens.times, None, None, ens.weights,
+                                  failed_ids=ens.failed_ids)
+        assert acc.series(bare).estimates.tobytes() == acc.series(ens).estimates.tobytes()

@@ -11,6 +11,7 @@ from qbm.dynamics import (
     Potential,
     Schedule,
     _integrate_batch,
+    _noise_buffer,
     integrate_deterministic,
     run_ensemble,
 )
@@ -257,7 +258,9 @@ def identity_batch_msd(spec, pot, sched, statistics):
     lag |i - j| for the spectral statistics.
     """
     n = sched.n_steps
-    x, _, _, _ = _integrate_batch(spec, pot, sched.dt, n, np.eye(n + 1), np.zeros(n + 1),
+    impulses = _noise_buffer(n, n + 1)
+    impulses[:, :n + 1] = np.eye(n + 1)
+    x, _, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, np.zeros(n + 1),
                                   np.zeros(n + 1), sched.record_nodes())
     d = (x - x[:, :1]).T  # record_nodes()[0] is t = 0
     if statistics == "white":
