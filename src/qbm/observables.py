@@ -9,6 +9,8 @@ from .errors import SignProblemError
 
 # Times whose effective sample size falls below this are flagged unreliable.
 _ESS_FLOOR = 100.0
+# Trajectories an accumulator folds in at a time (bounds its temporaries).
+_ADD_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,10 @@ class Accumulator:
     order, and keeps three sums per recorded time; :meth:`series` turns
     them into an :class:`ObservableSeries`.  Each sum adds the rows one after
     another, the order in which numpy reduces a whole (n_traj, n_times)
-    array along its first axis (given more than one time), so the estimates
-    equal those of one pass over the stacked ensemble bit for bit, whatever
-    the batches.  The delta-method variance comes from the values shifted by
+    array along its first axis when it has more than one column, so the
+    estimates equal those of one pass over the stacked ensemble bit for bit,
+    whatever the batches.  A single column numpy sums pairwise instead; there
+    the two differ in the last bits.  The delta-method variance comes from the values shifted by
     the first trajectory's (Chan, Golub & LeVeque, Am. Stat. 37, 1983),
     which keeps its cancellation small.
     """
@@ -142,11 +145,11 @@ class Accumulator:
             raise ValueError(f"reference time {t0} not on the recording grid")
         return cls(times, partial(_squared_displacement, k0=k0), thermal=True)
 
-    def add(self, ensemble, chunk=1024):
-        """Fold in the finite trajectories of ``ensemble``, ``chunk`` rows at a time."""
+    def add(self, ensemble):
+        """Fold in the finite trajectories of ``ensemble``, ``_ADD_CHUNK`` at a time."""
         good = _good(ensemble)
-        for lo in range(0, len(good), chunk):
-            rows = good[lo:lo + chunk]
+        for lo in range(0, len(good), _ADD_CHUNK):
+            rows = good[lo:lo + _ADD_CHUNK]
             self._add_rows(ensemble.x[rows], ensemble.p[rows], ensemble.weights[rows])
 
     def _add_rows(self, x, p, w):

@@ -241,6 +241,17 @@ class TestAccumulator:
         assert np.max(np.abs(series.standard_errors[1:] / se[1:] - 1.0)) <= 1e-13
         assert msd(ens, 0.0).estimates.tobytes() == est.tobytes()
 
+    def test_single_time_agrees_to_rounding(self, ensembles):
+        # numpy sums a single column pairwise, not row after row: the one
+        # case where the streamed sums may differ from one pass in the last bits
+        th = ensembles["thermal"]
+        ens = TrajectoryEnsemble(th.times[-1:], th.x[:, -1:], th.p[:, -1:], th.weights)
+        est, se, ess = two_pass_estimate(ens, WeylObservable.x2())
+        series = streamed(Accumulator(ens.times, WeylObservable.x2()), ens, 17)
+        assert series.effective_sample_size.tobytes() == ess.tobytes()
+        assert abs(series.estimates[0] / est[0] - 1.0) <= 1e-14
+        assert abs(series.standard_errors[0] / se[0] - 1.0) <= 1e-13
+
     def test_zero_values_have_zero_error(self, ensembles):
         # p is reset to exactly 0 at t = 0: every value there is 0
         ens = ensembles["reset"]
