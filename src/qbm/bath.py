@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import DomainError
 
-OHMIC_EXPONENTIAL = "ohmic-exponential"
-
 # Arguments of coth below this threshold use the Laurent series to avoid
 # catastrophic cancellation in cosh/sinh.
 _COTH_SERIES_THRESHOLD = 1e-4
@@ -51,10 +49,6 @@ class BathSpec:
         Reduced Planck constant in the chosen unit system.
     kT : float
         Thermal energy; ``kT = 0`` selects pure zero-point statistics.
-    family : str
-        Spectral density family tag.  Only ``"ohmic-exponential"`` ships;
-        the tag exists so other families can be added without touching
-        consumers.
     """
 
     gamma: float
@@ -62,11 +56,8 @@ class BathSpec:
     mass: float = 1.0
     hbar: float = 1.0
     kT: float = 0.0
-    family: str = OHMIC_EXPONENTIAL
 
     def __post_init__(self):
-        if self.family != OHMIC_EXPONENTIAL:
-            raise DomainError(f"unknown spectral density family: {self.family!r}")
         if not self.gamma >= 0.0:
             raise DomainError("gamma must be >= 0")
         if not self.eps > 0.0:

@@ -220,11 +220,21 @@ def parse_config(path):
             observables[name] = f"{name}.csv" if target in ("", "default") else target
     if not observables:
         raise ConfigurationError("[observables] at least one observable is required")
+    if "cat_coherence" in observables and prep_form != "cat":
+        raise ConfigurationError("[observables] cat_coherence requires the cat preparation")
+    weighted = prep_form == "cat" or (prep_form == "gaussian"
+                                      and preparation["mode"] == "lab")
+    if "msd" in observables and weighted:
+        raise ConfigurationError(
+            f"[observables] msd needs unit weights; the {prep_form} preparation "
+            f"in {preparation['mode']} mode weights its trajectories")
 
     n_traj = _get_int(parser, "run", "n_traj", required=True)
     if n_traj is None or n_traj < 1:
         raise ConfigurationError("[run] n_traj must be >= 1")
     master_seed = _get_int(parser, "run", "master_seed", required=True)
+    if master_seed < 0:
+        raise ConfigurationError(f"[run] master_seed must be >= 0, got {master_seed}")
 
     mode = parser.get("reference", "mode", fallback="none").strip()
     if mode not in ("none", *_REFERENCE_OBSERVABLE):
@@ -295,9 +305,6 @@ def _accumulator(name, cfg, times):
         return _obs.Accumulator.displacement(times, 0.0)
     if name == "cat_coherence":
         prep = cfg.preparation
-        if prep["form"] != "cat":
-            raise ConfigurationError(
-                "cat_coherence observable requires the cat preparation")
         obs = _obs.WeylObservable.cat_coherence(prep["x0"], prep["sigma"],
                                                 hbar=cfg.bath["hbar"])
     elif name in ("x2", "p2", "xp"):
@@ -332,22 +339,29 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
     pot = cfg.potential_obj()
     sched = cfg.schedule_obj()
 
-    accumulators = {name: _accumulator(name, cfg, sched.record_times())
-                    for name in cfg.observables}
-
-    def consume(batch):
-        for acc in accumulators.values():
-            acc.add(batch)
-
-    # the estimators take the ensemble batch by batch; only the trajectory
-    # dump, which writes every record, keeps them all
-    ensemble = _dyn.run_ensemble(spec, pot, sched, cfg.n_traj, cfg.statistics,
-                                 cfg.master_seed, stream_tag=0,
-                                 batch_size=cfg.batch_size, workers=cfg.workers,
-                                 progress=progress,
-                                 consumer=None if dump_trajectories else consume)
+    times = sched.record_times()
+    accumulators = {name: _accumulator(name, cfg, times) for name in cfg.observables}
+    traj_path = os.path.join(out_dir, "trajectories.bin")
+    dump = contextlib.nullcontext()
     if dump_trajectories:
-        consume(ensemble)
+        # one row per trajectory, in id order, as each batch reaches the
+        # estimators; a failed run deletes the file
+        dump = _noise.ensemble_writer(
+            traj_path, {"kind": "trajectories", "config": cfg.to_dict(),
+                        "times": list(map(float, times)),
+                        "row_layout": "weight, x(times), p(times)"},
+            (cfg.n_traj, 1 + 2 * len(times)))
+    with dump as write_rows:
+        def consume(batch):
+            for acc in accumulators.values():
+                acc.add(batch)
+            if write_rows is not None:
+                write_rows(np.column_stack([batch.weights, batch.x, batch.p]))
+
+        ensemble = _dyn.run_ensemble(spec, pot, sched, cfg.n_traj, cfg.statistics,
+                                     cfg.master_seed, stream_tag=0,
+                                     batch_size=cfg.batch_size, workers=cfg.workers,
+                                     progress=progress, consumer=consume)
     ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])
     written = []
     for name, fname in sorted(cfg.observables.items()):
@@ -370,12 +384,7 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
                 write(block)
         written.append(path)
     if dump_trajectories:
-        path = os.path.join(out_dir, "trajectories.bin")
-        stacked = np.stack([ensemble.x, ensemble.p])
-        _noise.dump_ensemble(path, {"kind": "trajectories", "config": cfg.to_dict(),
-                                    "weights": list(map(float, ensemble.weights)),
-                                    "times": list(map(float, ensemble.times))}, stacked)
-        written.append(path)
+        written.append(traj_path)
 
     manifest = {
         "package": "qbm",
@@ -586,6 +595,8 @@ def _resolve_config(arg):
 
 def _apply_overrides(cfg, args):
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         cfg.master_seed = args.seed
     if args.n_traj is not None:
         cfg.n_traj = args.n_traj

@@ -31,10 +31,10 @@ from .errors import ConfigurationError, IntegrationFailure
 # Node-block size for the blocked (BLAS) evaluation of the direct convolution.
 _CONV_BLOCK = 64
 
-# Trajectories per history product.  Every BLAS call multiplies a kernel block
-# with exactly this many velocity columns (the last tile zero-padded): the
-# kernels and thread splits OpenBLAS picks depend on the matrix shape, and so
-# would a trajectory's last bits on the batch it lands in.
+# Trajectories per history product.  Every batch's BLAS call multiplies a
+# kernel block with exactly this many velocity columns (the last tile
+# zero-padded): the kernels and thread splits OpenBLAS picks depend on the
+# matrix shape, and so would a trajectory's last bits on the batch it lands in.
 _HISTORY_TILE = 128
 
 FREE = "free"
@@ -271,13 +271,13 @@ def _kernel_mid(spec, dt, n):
     return dt * _bath.memory_kernel(spec, dt * (np.arange(n) + 0.5))
 
 
-def _noise_buffer(n_steps, n_traj, tile=_HISTORY_TILE):
-    """Zeroed time-major (n_steps + 1, width) buffer, width a multiple of ``tile``."""
-    return np.zeros((n_steps + 1, -(-n_traj // tile) * tile))
+def _noise_buffer(n_steps, n_traj):
+    """Zeroed time-major (n_steps + 1, width) buffer, width a whole number of tiles."""
+    return np.zeros((n_steps + 1, -(-n_traj // _HISTORY_TILE) * _HISTORY_TILE))
 
 
 def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
-                     intervention_plan=(), rngs=None, tile=_HISTORY_TILE):
+                     intervention_plan=(), rngs=None):
     """Batched leapfrog GLE integration.  Core numerical engine.
 
     ``buf`` (see :func:`_noise_buffer`) holds the noise time-major: row n is
@@ -290,8 +290,9 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     triples; the callback receives (t_k, rbar, pbar, rng) per trajectory and
     returns an :class:`InterventionResult`.
 
-    The friction history is multiplied ``tile`` trajectories at a time, so a
-    trajectory's bits do not depend on the batch around it.
+    The friction history is multiplied ``_HISTORY_TILE`` columns of ``buf``
+    at a time, so a trajectory's bits do not depend on the batch around it;
+    a narrower buffer is one narrower product.
 
     Returns (x_rec, p_rec, weights, jump_nodes), where ``jump_nodes`` lists
     (node, dx vector) for every intervention that moved a position.
@@ -343,9 +344,9 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
                 idx = (block_start - 1 - np.arange(block_start))[:, None] \
                     + np.arange(cols)[None, :]
                 kernel_t = k_mid[idx].T
-                for t in range(0, width, tile):
-                    np.matmul(kernel_t, buf[:block_start, t:t + tile],
-                              out=old[:cols, t:t + tile])
+                for t in range(0, width, _HISTORY_TILE):
+                    np.matmul(kernel_t, buf[:block_start, t:t + _HISTORY_TILE],
+                              out=old[:cols, t:t + _HISTORY_TILE])
             s = node - block_start
             fric = -old[s, :B]
             if node - 1 >= block_start:
@@ -450,8 +451,8 @@ def integrate_deterministic(spec, pot, dt, n_steps, x0=0.0, p0=0.0):
     rec = np.arange(n_steps + 1)
     # a lone solve, no ensemble member: one column, no tile padding
     x_rec, p_rec, _, _ = _integrate_batch(
-        spec, pot, dt, n_steps, _noise_buffer(n_steps, 1, tile=1),
-        np.array([x0], dtype=float), np.array([p0], dtype=float), rec, tile=1)
+        spec, pot, dt, n_steps, np.zeros((n_steps + 1, 1)),
+        np.array([x0], dtype=float), np.array([p0], dtype=float), rec)
     return dt * np.arange(n_steps + 1), x_rec[0], p_rec[0]
 
 

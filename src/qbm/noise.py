@@ -10,6 +10,7 @@ amplitudes are chosen so the ensemble autocorrelation reproduces the quantum
 import contextlib
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,26 +335,32 @@ def ensemble_writer(path, header, shape):
 
     The JSON header, ``shape`` included, goes first, so row blocks can be
     appended as they are produced; leaving the context checks that exactly
-    ``shape`` was written.  The payload is little-endian.
+    ``shape`` was written.  The payload is little-endian.  If the block
+    raises, or the check fails, the file is deleted: no partial dump is left.
     """
     meta = dict(header)
     meta["shape"] = [int(d) for d in shape]
     blob = json.dumps(meta, sort_keys=True).encode()
     expected = 8 * int(np.prod(meta["shape"]))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.array([len(blob)], dtype="<u4").tobytes())
-        fh.write(blob)
-        start = fh.tell()
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(np.array([len(blob)], dtype="<u4").tobytes())
+            fh.write(blob)
+            start = fh.tell()
 
-        def write(rows):
-            fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+            def write(rows):
+                fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
 
-        yield write
-        if fh.tell() - start != expected:
-            raise ConfigurationError(
-                f"{path}: wrote {fh.tell() - start} payload bytes, shape {meta['shape']} "
-                f"needs {expected}")
+            yield write
+            if fh.tell() - start != expected:
+                raise ConfigurationError(
+                    f"{path}: wrote {fh.tell() - start} payload bytes, shape {meta['shape']} "
+                    f"needs {expected}")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def dump_ensemble(path, header, values):

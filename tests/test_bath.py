@@ -53,8 +53,6 @@ class TestBathSpec:
             BathSpec(gamma=1.0, eps=0.0)
         with pytest.raises(DomainError):
             BathSpec(gamma=1.0, eps=0.5, kT=-0.1)
-        with pytest.raises(DomainError):
-            BathSpec(gamma=1.0, eps=0.5, family="drude")
 
     def test_gamma_zero_is_degenerate_but_allowed(self):
         spec = BathSpec(gamma=0.0, eps=0.5)

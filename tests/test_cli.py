@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,7 +21,7 @@ from qbm.cli import (
     preset_path,
     run,
 )
-from qbm.errors import ConfigurationError
+from qbm.errors import ConfigurationError, IntegrationFailure
 
 TINY = """
 [bath]
@@ -101,6 +102,26 @@ class TestParseConfig:
     def test_run_sizes_below_one_rejected(self, tmp_path, run_extra, key):
         with pytest.raises(ConfigurationError, match=rf"\[run\] {key} must be >= 1"):
             parse_config(write_config(tmp_path, run_extra=run_extra))
+
+    @pytest.mark.parametrize("prep, prep_extra", [
+        ("cat", "x0 = 1.0\nsigma = 0.5\nmode = translate"),
+        ("cat", "x0 = 1.0\nsigma = 0.5"),
+        ("gaussian", "sigma0 = 1.0"),
+    ], ids=["cat-translate", "cat-lab", "gaussian-lab"])
+    def test_msd_of_weighted_preparation_rejected(self, tmp_path, prep, prep_extra):
+        with pytest.raises(ConfigurationError, match=rf"msd .* the {prep} preparation"):
+            parse_config(write_config(tmp_path, prep=prep, prep_extra=prep_extra,
+                                      observables="msd = default"))
+
+    def test_msd_of_unweighted_preparation_accepted(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, prep="gaussian",
+                                        prep_extra="sigma0 = 1.0\nmode = translate",
+                                        observables="msd = default"))
+        assert cfg.observables == {"msd": "msd.csv"}
+
+    def test_cat_coherence_without_cat_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cat_coherence requires the cat"):
+            parse_config(write_config(tmp_path, observables="cat_coherence = default"))
 
     def test_default_equilibration_span(self, tmp_path):
         # omitted t_eq defaults to max(10/gamma, 50 eps), step-rounded
@@ -237,7 +258,8 @@ class TestRun:
 
     def test_peak_memory_flat_in_ensemble_size(self, tmp_path):
         # a fig1-like run of 200 steps recording every step: the estimators
-        # take each batch as it comes, so no per-trajectory record is kept
+        # and the trajectory dump take each batch as it comes, so no
+        # per-trajectory record is kept
         path = write_config(tmp_path, prep="gaussian",
                             prep_extra="sigma0 = 1.0\nmode = translate",
                             run_extra="batch_size = 128")
@@ -248,17 +270,20 @@ class TestRun:
         cfg = parse_config(path)
         assert cfg.schedule_obj().n_steps == 200
 
-        def peak(n_traj):
+        def peak(n_traj, dump_trajectories):
             cfg.n_traj = n_traj
             tracemalloc.start()
             try:
-                run(cfg, out_dir=str(tmp_path / str(n_traj)))
+                run(cfg, out_dir=str(tmp_path / str(n_traj)),
+                    dump_trajectories=dump_trajectories)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(128)  # warm up one-time allocations (FFT plan cache, imports)
-        assert peak(4096) <= 1.25 * peak(512)
+        peak(128, True)  # warm up one-time allocations (FFT plan cache, imports)
+        assert peak(4096, False) <= 1.25 * peak(512, False)
+        # the dump writes each batch as it comes, as the estimators take it
+        assert peak(4096, True) <= 1.25 * peak(512, True)
 
     def test_float_serialisation_has_17_significant_digits(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -330,8 +355,13 @@ class TestRun:
         assert not (out / "p2_reference.csv").exists()
 
     def test_dump_noise_and_trajectories_round_trip(self, tmp_path):
+        from qbm.dynamics import run_ensemble
         from qbm.noise import load_ensemble
-        cfg = parse_config(write_config(tmp_path, n_traj=8))
+        # a lab-mode gaussian weights its trajectories; batch_size 3 does not
+        # divide 8
+        cfg = parse_config(write_config(tmp_path, n_traj=8, prep="gaussian",
+                                        prep_extra="sigma0 = 1.0",
+                                        run_extra="batch_size = 3"))
         out = tmp_path / "out"
         run(cfg, out_dir=str(out), dump_noise=True, dump_trajectories=True)
         meta, vals = load_ensemble(out / "noise_paths.bin")
@@ -339,8 +369,61 @@ class TestRun:
         assert vals.shape[0] == 8
         tmeta, tvals = load_ensemble(out / "trajectories.bin")
         assert tmeta["kind"] == "trajectories"
-        assert tvals.shape[0] == 2 and tvals.shape[1] == 8  # x and p stacks
-        assert len(tmeta["weights"]) == 8
+        assert tmeta["row_layout"] == "weight, x(times), p(times)"
+        k = len(tmeta["times"])
+        assert tvals.shape == (8, 1 + 2 * k)
+        # the rows are the stacked ensemble of one whole run, in id order
+        ens = run_ensemble(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
+                           cfg.n_traj, cfg.statistics, cfg.master_seed)
+        assert tmeta["times"] == list(ens.times)
+        assert (ens.weights != 1.0).any()
+        assert tvals[:, 0].tobytes() == ens.weights.tobytes()
+        assert tvals[:, 1:1 + k].tobytes() == ens.x.tobytes()
+        assert tvals[:, 1 + k:].tobytes() == ens.p.tobytes()
+
+    @pytest.mark.parametrize("dump_trajectories", [False, True])
+    def test_run_streams_every_batch_to_a_consumer(self, tmp_path, monkeypatch,
+                                                   dump_trajectories):
+        from qbm import dynamics
+        consumers = []
+        real = dynamics.run_ensemble
+
+        def recording(*args, consumer=None, **kwargs):
+            consumers.append(consumer)
+            return real(*args, consumer=consumer, **kwargs)
+
+        monkeypatch.setattr(dynamics, "run_ensemble", recording)
+        run(parse_config(write_config(tmp_path, n_traj=8)), out_dir=str(tmp_path / "out"),
+            dump_trajectories=dump_trajectories)
+        assert len(consumers) == 1 and consumers[0] is not None
+
+    def test_failed_run_leaves_no_trajectory_dump(self, tmp_path):
+        # an inverted quartic: every trajectory runs off to infinity
+        cfg = parse_config(write_config(
+            tmp_path, n_traj=16, run_extra="batch_size = 4",
+            potential="form = polynomial\ncoefficients = 0 0 0 0 -100"))
+        out = tmp_path / "out"
+        with pytest.raises(IntegrationFailure):
+            run(cfg, out_dir=str(out), dump_trajectories=True)
+        assert not (out / "trajectories.bin").exists()
+
+    def test_process_pool_leaves_outputs_and_dump_identical(self, tmp_path):
+        # four batches over two worker processes: the dump's rows keep id order
+        cfg = write_config(tmp_path, n_traj=32, prep="cat",
+                           prep_extra="x0 = 1.0\nsigma = 0.5\nmode = translate",
+                           observables="x2 = default\ncat_coherence = default",
+                           run_extra="batch_size = 8")
+        outputs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["run", str(cfg), "--workers", workers, "--dump-trajectories",
+                         "--out-dir", str(out)]) == 0
+            meta, vals = qnoise.load_ensemble(out / "trajectories.bin")
+            assert meta["config"].pop("workers") == int(workers)
+            outputs[workers] = (meta, vals.tobytes(),
+                                *((out / name).read_bytes()
+                                  for name in ("x2.csv", "cat_coherence.csv")))
+        assert outputs["2"] == outputs["1"]
 
     def test_dump_noise_equals_whole_ensemble_dump(self, tmp_path):
         # batch_size 3 does not divide 8: the streamed rows and header must
@@ -477,6 +560,18 @@ class TestMain:
         assert main(["run", str(cfg), "--workers", workers,
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "noise-check"])
+    @pytest.mark.parametrize("seed, flags, message", [
+        (-1, [], r"\[run\] master_seed must be >= 0, got -1"),
+        (7, ["--seed", "-2"], "--seed must be >= 0, got -2"),
+    ], ids=["config", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, seed, flags, message):
+        cfg = write_config(tmp_path, n_traj=8, seed=seed)
+        assert main([command, str(cfg), *flags, "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err) and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_seed_override_changes_output(self, tmp_path):

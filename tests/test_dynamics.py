@@ -41,8 +41,8 @@ def zero_path(sched):
 
 
 def noise_buffer(xi, tile=_HISTORY_TILE):
-    """The (B, n_times) noise rows in the integrator's time-major shared buffer."""
-    buf = _noise_buffer(xi.shape[1] - 1, xi.shape[0], tile)
+    """The (B, n_times) noise rows in a time-major buffer ``tile``-padded wide."""
+    buf = np.zeros((xi.shape[1], -(-xi.shape[0] // tile) * tile))
     buf[:, :xi.shape[0]] = xi.T
     return buf
 
@@ -605,7 +605,7 @@ class TestTimeMajorIntegrator:
                               rngs=[_traj_stream(61, 0, i) for i in range(n_traj)], **kw)
 
         x_ref, p_ref, w_ref, jumps_ref = call(column_major_integrate, xi)
-        x, p, w, jumps = call(_integrate_batch, noise_buffer(xi, tile), tile=tile)
+        x, p, w, jumps = call(_integrate_batch, noise_buffer(xi, tile))
         assert np.isfinite(x_ref).all() and (w_ref != 1.0).any()
         assert len(jumps_ref) == 2
         assert x.flags.c_contiguous and p.flags.c_contiguous

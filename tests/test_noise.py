@@ -388,6 +388,14 @@ class TestBinaryDump:
         with pytest.raises(ConfigurationError, match="payload"):
             with ensemble_writer(tmp_path / "short.bin", {"kind": "noise"}, (5, 3)) as write:
                 write(np.zeros((4, 3)))
+        assert not (tmp_path / "short.bin").exists()
+
+    def test_failure_inside_the_block_deletes_the_dump(self, tmp_path):
+        with pytest.raises(RuntimeError, match="mid-run"):
+            with ensemble_writer(tmp_path / "cut.bin", {"kind": "noise"}, (5, 3)) as write:
+                write(np.zeros((2, 3)))
+                raise RuntimeError("mid-run")
+        assert not (tmp_path / "cut.bin").exists()
 
     @pytest.mark.parametrize("cut", [8, 3])
     def test_truncated_payload_rejected(self, tmp_path, cut):
