@@ -478,13 +478,15 @@ def _runs_test_pvalue(signs):
 
 
 def _noise_batches(cfg, spec, grid, stream_tag):
-    """Synthesise the configured noise paths ``batch_size`` at a time.
+    """Synthesise the configured noise paths ``_SYNTH_CHUNK`` at a time.
 
     Yields ``(ids, values)`` in trajectory-id order; each path comes from its
-    own stream, so the rows equal those of one whole-ensemble synthesis.
+    own stream, so the rows equal those of one whole-ensemble synthesis,
+    whatever ``batch_size`` is.
     """
-    for lo in range(0, cfg.n_traj, cfg.batch_size):
-        ids = range(lo, min(lo + cfg.batch_size, cfg.n_traj))
+    step = _noise._SYNTH_CHUNK
+    for lo in range(0, cfg.n_traj, step):
+        ids = range(lo, min(lo + step, cfg.n_traj))
         rngs = [_dyn._traj_stream(cfg.master_seed, stream_tag, i) for i in ids]
         yield ids, _noise.synthesize_batch(spec, grid, cfg.statistics, rngs)
 
@@ -502,11 +504,14 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
     Generates the configured ensemble of noise paths, estimates the
     autocorrelation on an ``n_lags``-point grid spaced by the cutoff time,
     and scores each lag against the analytic target.  Fails if any |z| > 4.
-    Paths are synthesised and reduced ``batch_size`` at a time, so memory
-    does not grow with ``n_traj`` beyond ``n_lags`` floats per path.
-    Returns ``(report dict, ok flag)`` and writes ``noise_check.json``
-    (plus the binary path ensemble when ``dump`` is set).
+    Paths are synthesised and reduced ``_SYNTH_CHUNK`` at a time, so memory
+    grows neither with ``n_traj`` beyond ``n_lags`` floats per path nor with
+    ``batch_size``.  Returns ``(report dict, ok flag)`` and writes
+    ``noise_check.json`` (plus the binary path ensemble when ``dump`` is set).
     """
+    if cfg.n_traj < 2:
+        raise ConfigurationError(
+            f"noise-check needs n_traj >= 2 paths for a standard error, got {cfg.n_traj}")
     spec = cfg.bath_spec()
     sched = cfg.schedule_obj()
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,
@@ -534,8 +539,8 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
         with (_noise_writer(os.path.join(out_dir, "noise_paths.bin"), cfg, grid)
               if dump else contextlib.nullcontext()) as write:
             def paths():
-                # one batch alive at a time: the autocorrelation consumes the
-                # paths batch_size at a time, and each batch goes to the dump
+                # one block alive at a time: the autocorrelation consumes the
+                # paths a block at a time, and each block goes to the dump
                 for ids, block in _noise_batches(cfg, spec, grid, stream_tag=2):
                     if write is not None:
                         write(block)
@@ -545,7 +550,7 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
                     del block
 
             est, se = _noise.empirical_autocorrelation(paths(), lags,
-                                                       chunk=cfg.batch_size)
+                                                       chunk=_noise._SYNTH_CHUNK)
         if cfg.statistics == _noise.QUANTUM:
             target = _bath.quantum_correlation(spec, lags)
         elif cfg.statistics == _noise.CLASSICAL:
@@ -599,6 +604,8 @@ def _apply_overrides(cfg, args):
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         cfg.master_seed = args.seed
     if args.n_traj is not None:
+        if args.n_traj < 1:
+            raise ConfigurationError(f"--n-traj must be >= 1, got {args.n_traj}")
         cfg.n_traj = args.n_traj
     if args.workers is not None:
         if args.workers < 1:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bath as _bath
 from . import noise as _noise
@@ -314,15 +315,13 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     weights = np.ones(B)
     jump_nodes = []          # (node, dx vector)
 
-    # time-major: each step writes one contiguous row of B values; the
-    # columns past B stay the zero padding of the last tile
-    x_rec = np.empty((n_rec, B))
-    p_rec = np.empty((n_rec, B))
+    x_rec = np.empty((B, n_rec))
+    p_rec = np.empty((B, n_rec))
 
     force = pot.force(x, mass) + buf[0, :B]
     if 0 in rec_pos:
-        x_rec[rec_pos[0]] = x
-        p_rec[rec_pos[0]] = p
+        x_rec[:, rec_pos[0]] = x
+        p_rec[:, rec_pos[0]] = p
 
     old = np.zeros((_CONV_BLOCK, width))
     # divergence is detected after the fact via isfinite checks; silence the
@@ -341,9 +340,11 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
             if n % _CONV_BLOCK == 0:
                 block_start = node
                 cols = min(_CONV_BLOCK, n_steps + 1 - block_start)
-                idx = (block_start - 1 - np.arange(block_start))[:, None] \
-                    + np.arange(cols)[None, :]
-                kernel_t = k_mid[idx].T
+                # row i holds k_mid[block_start - 1 - i + j], j < cols: a
+                # strided view, copied C-contiguous so BLAS sees the operand
+                # layout of a gathered kernel block
+                window = sliding_window_view(k_mid[:block_start - 1 + cols], cols)
+                kernel_t = np.ascontiguousarray(window[::-1]).T
                 for t in range(0, width, _HISTORY_TILE):
                     np.matmul(kernel_t, buf[:block_start, t:t + _HISTORY_TILE],
                               out=old[:cols, t:t + _HISTORY_TILE])
@@ -376,12 +377,9 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
                 force = pot.force(x, mass) + buf[node, :B] + fric
 
             if node in rec_pos:
-                x_rec[rec_pos[node]] = x
-                p_rec[rec_pos[node]] = p
+                x_rec[:, rec_pos[node]] = x
+                p_rec[:, rec_pos[node]] = p
 
-    # one transposed copy alive at a time
-    x_rec = np.ascontiguousarray(x_rec.T)
-    p_rec = np.ascontiguousarray(p_rec.T)
     return x_rec, p_rec, weights, jump_nodes
 
 

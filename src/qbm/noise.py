@@ -32,9 +32,16 @@ _PERIOD_FACTOR = 3.0
 # Frequency coverage must resolve the exponential cutoff: N*delta_omega >= 20/eps.
 _COVERAGE_FACTOR = 20.0
 
-# Paths synthesised at a time: the normals, the complex coefficients and the
-# full-period inverse FFT exist for this many paths only, never for a batch.
+# Paths the run and the noise check synthesise per call: noise exists as
+# blocks of this many paths, never as a batch.
 _SYNTH_CHUNK = 64
+
+# Paths synthesize_batch transforms per inverse FFT call, through workspaces
+# of this many rows.  numpy plans the transform anew on every call, and each
+# call has a fixed overhead, so one path per call is slower than a 64-path
+# block in one call; four per call are as fast, and the workspaces stay four
+# rows long.
+_FFT_ROWS = 4
 
 # Paths the autocorrelation stacks at a time: its lag products exist for this
 # many paths only, never for a chunk or a batch.
@@ -142,28 +149,27 @@ def draw_auxiliary(grid, rng):
     Hermitian; its amplitude is exponentially negligible for any grid that
     resolves the cutoff.  Returns an array of length 2N+1 indexed k+N.
     """
-    half = _draw_half(grid.n_modes, [rng])[0]
     n = grid.n_modes
+    half = _draw_half([rng], np.empty((1, 2, n + 1)), np.empty((1, n + 1), dtype=complex))[0]
     z = np.empty(2 * n + 1, dtype=complex)
     z[n:] = half
     z[:n] = np.conj(half[:0:-1])
     return z
 
 
-def _draw_half(n_modes, rngs):
-    """Coefficients for k = 0..N, one row per generator.
+def _draw_half(rngs, normals, z):
+    """Coefficients for k = 0..N, one row of ``z`` per generator.
 
-    Each generator draws its N+1 real parts, then its N+1 imaginary parts;
-    the draw order is part of the seed contract.
+    Each generator draws its N+1 real parts, then its N+1 imaginary parts,
+    into its row of ``normals`` (shape ``(len(rngs), 2, N+1)``); the draw
+    order is part of the seed contract.
     """
-    normals = np.empty((len(rngs), 2, n_modes + 1))
     for row, r in zip(normals, rngs):
         r.standard_normal(out=row[0])
         r.standard_normal(out=row[1])
     # numpy divides (a + ib) by the real sqrt(2) as (a * s, b * s) with
     # s = 1/sqrt(2); the same products keep the bits of that division
     s = 1.0 / np.sqrt(2.0)
-    z = np.empty((len(rngs), n_modes + 1), dtype=complex)
     np.multiply(normals[:, 0], s, out=z.real)
     np.multiply(normals[:, 1], s, out=z.imag)
     z[:, 0] = normals[:, 0, 0]
@@ -235,8 +241,10 @@ def synthesize_batch(spec, grid, statistics, rngs):
 
     Each generator draws only its own path's coefficients, so a trajectory's
     noise is independent of how the ensemble is batched.  Paths are built
-    ``_SYNTH_CHUNK`` at a time straight into the result, so beyond it the
-    working set is a few chunks of full-period rows.
+    ``_FFT_ROWS`` at a time straight into the result through workspaces of
+    that many rows of normals, of coefficients and of the FFT period,
+    allocated once per call: beyond the result the working set does not grow
+    with the number of paths.
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
@@ -245,19 +253,23 @@ def synthesize_batch(spec, grid, statistics, rngs):
     if statistics == WHITE:
         scale = np.sqrt(2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step)
         for row, r in zip(out, rngs):
-            np.multiply(r.standard_normal(grid.n_times), scale, out=row)
+            r.standard_normal(out=row)
+            row *= scale
         return out
-    amp = mode_amplitudes(spec, grid, statistics)
+    # cast once: multiplying by the real amplitudes would cast them per group
+    amp = mode_amplitudes(spec, grid, statistics).astype(complex)
     m = grid.fft_length
-    for lo in range(0, len(rngs), _SYNTH_CHUNK):
-        coeff = _draw_half(grid.n_modes, rngs[lo:lo + _SYNTH_CHUNK])
-        coeff *= amp
+    normals = np.empty((_FFT_ROWS, 2, grid.n_modes + 1))
+    coeff = np.empty((_FFT_ROWS, grid.n_modes + 1), dtype=complex)
+    full = np.empty((_FFT_ROWS, m))
+    for lo in range(0, len(rngs), _FFT_ROWS):
+        group = rngs[lo:lo + _FFT_ROWS]
+        rows = _draw_half(group, normals[:len(group)], coeff[:len(group)])
+        rows *= amp
         # Hermitian construction: the inverse transform is exactly real, so the
         # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-        np.multiply(irfft(coeff, n=m, axis=1)[:, :grid.n_times], m,
-                    out=out[lo:lo + len(coeff)])
-        # freed before the next chunk draws: two chunk arrays live at a time
-        del coeff
+        periods = irfft(rows, n=m, axis=1, out=full[:len(group)])
+        np.multiply(periods[:, :grid.n_times], m, out=out[lo:lo + len(group)])
     return out
 
 
@@ -271,10 +283,12 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
 
     ``paths`` is any iterable of :class:`NoisePath` on one time grid.  It is
     consumed ``chunk`` paths at a time and each chunk is reduced
-    ``_AUTOCORR_TILE`` paths at a time to its per-path lag products, so memory
-    is bounded by ``chunk`` paths (plus ``len(lags)`` floats per path)
-    whatever the ensemble size, and the estimates depend neither on ``chunk``
-    nor on the tiling: each per-path mean is its own row reduction.
+    ``_AUTOCORR_TILE`` paths at a time to its per-path lag products, through
+    one tile of paths and one product buffer allocated once per call.  So
+    memory is bounded by ``chunk`` paths and those two tiles (plus
+    ``len(lags)`` floats per path) whatever the ensemble size, and the
+    estimates depend neither on ``chunk`` nor on the tiling: each per-path
+    mean is its own row reduction.
 
     Returns ``(estimates, standard_errors)`` aligned with ``lags``.
     """
@@ -302,6 +316,9 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
         shifts.append(k)
 
     blocks = []
+    rows = min(_AUTOCORR_TILE, len(group))
+    tile_values = np.empty((rows, width))
+    prod = np.empty((rows, width))
     while group:
         block = np.empty((len(shifts), len(group)))
         for t in range(0, len(group), _AUTOCORR_TILE):
@@ -309,12 +326,14 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
             if any(len(p.values) != n for p in tile):
                 raise ConfigurationError(
                     f"empirical_autocorrelation requires paths of one length ({n} samples)")
-            values = np.stack([p.values[lo:hi] for p in tile])
+            values = np.stack([p.values[lo:hi] for p in tile], out=tile_values[:len(tile)])
             for i, k in enumerate(shifts):
-                block[i, t:t + len(values)] = np.mean(values[:, :width - k] * values[:, k:],
-                                                      axis=1)
+                lagged = np.multiply(values[:, :width - k], values[:, k:],
+                                     out=prod[:len(tile), :width - k])
+                # np.mean's own row sum and division, without its temporaries
+                block[i, t:t + len(tile)] = np.add.reduce(lagged, axis=1) / (width - k)
             # a tile kept to the next chunk would keep its paths' batch alive
-            del tile, values
+            del tile
         blocks.append(block)
         # release this chunk before the iterable produces the next one
         del group

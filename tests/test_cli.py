@@ -498,6 +498,40 @@ class TestNoiseCheck:
         peak(64)  # warm up one-time allocations (FFT plan cache, imports)
         assert peak(4 * 64) <= 1.25 * peak(64)
 
+    def test_report_and_dump_identical_at_any_batch_size(self, tmp_path):
+        # 1 and 17 cut the ensemble into odd pieces, 1024 exceeds it
+        outputs = {}
+        for batch_size in (1, 17, 64, 1024):
+            cfg = parse_config(write_config(tmp_path, kT=0.2, n_traj=150,
+                                            run_extra=f"batch_size = {batch_size}"))
+            out = tmp_path / f"b{batch_size}"
+            noise_check(cfg, out_dir=str(out), dump=True)
+            meta, values = qnoise.load_ensemble(out / "noise_paths.bin")
+            # the header records the config, batch_size included
+            del meta["config"]["batch_size"]
+            outputs[batch_size] = ((out / "noise_check.json").read_bytes(), meta,
+                                   values.tobytes())
+        assert outputs[1] == outputs[17] == outputs[64] == outputs[1024]
+
+    def test_peak_memory_flat_in_batch_size(self, tmp_path):
+        # fig2's grid (4001 samples of a 12000-point period): paths are
+        # synthesised and reduced a 64-path block at a time, whatever the batch
+        with resources.as_file(preset_path("fig2")) as p:
+            cfg = parse_config(p)
+        cfg.n_traj = 256
+
+        def peak(batch_size):
+            cfg.batch_size = batch_size
+            tracemalloc.start()
+            try:
+                noise_check(cfg, out_dir=str(tmp_path / "nc"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # warm up one-time allocations (FFT plan cache, imports)
+        assert peak(1024) <= 1.25 * peak(64)
+
     def test_fig2_preset_checks_without_warnings(self, tmp_path):
         # the finite-temperature target must not leak quadrature warnings
         with resources.as_file(preset_path("fig2")) as p:
@@ -560,6 +594,20 @@ class TestMain:
         assert main(["run", str(cfg), "--workers", workers,
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # noise-check needs two paths for a standard error
+    @pytest.mark.parametrize("command, n_traj, message", [
+        ("run", "0", "--n-traj must be >= 1, got 0"),
+        ("noise-check", "-4", "--n-traj must be >= 1, got -4"),
+        ("noise-check", "1", "noise-check needs n_traj >= 2 paths .*got 1"),
+    ], ids=["run-0", "noise-check-negative", "noise-check-1"])
+    def test_too_few_trajectories_rejected(self, tmp_path, capsys, command, n_traj, message):
+        cfg = write_config(tmp_path, n_traj=8)
+        assert main([command, str(cfg), "--n-traj", n_traj, "--dump-noise",
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err) and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "noise-check"])

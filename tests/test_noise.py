@@ -23,7 +23,7 @@ from qbm.noise import (
     synthesize,
     synthesize_batch,
 )
-from qbm.noise import _next_fast_len
+from qbm.noise import _FFT_ROWS, _next_fast_len
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 
@@ -253,6 +253,31 @@ class TestChunkedSynthesis:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * values.nbytes
+
+
+def test_synthesis_working_set_is_its_row_workspaces():
+    # fig2's grid (4001 samples of a 12000-point period): beyond the output
+    # only _FFT_ROWS rows of normals, coefficients and FFT periods (each
+    # fft_length + 2 floats), the amplitudes and one numpy ufunc buffer may
+    # exist, whatever the number of paths; the old synthesiser held three
+    # such arrays per 64-path chunk
+    spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
+    grid = FrequencyGrid.for_times(spec, 0.001, 4001)
+    assert grid.fft_length == 12000
+    workspaces = (3 * _FFT_ROWS + 1) * (grid.fft_length + 2) * 8 + 8 * np.getbufsize()
+    synthesize_batch(spec, grid, QUANTUM, [stream(43, 1, 0)])
+
+    def beyond_output(n):
+        rngs = [stream(43, 0, i) for i in range(n)]
+        tracemalloc.start()
+        try:
+            values = synthesize_batch(spec, grid, QUANTUM, rngs)
+            return tracemalloc.get_traced_memory()[1] - values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert beyond_output(64) <= 1.02 * workspaces
+    assert beyond_output(256) <= 1.02 * workspaces
 
 
 def stacked_autocorrelation(paths, lags):
