@@ -529,7 +529,7 @@ class TestNoiseCheck:
             finally:
                 tracemalloc.stop()
 
-        peak(64)  # warm up one-time allocations (FFT plan cache, imports)
+        peak(64)  # warm up one-time allocations (imports, first-call set-up)
         assert peak(1024) <= 1.25 * peak(64)
 
     def test_fig2_preset_checks_without_warnings(self, tmp_path):

@@ -259,13 +259,12 @@ def test_synthesis_working_set_is_its_row_workspaces():
     # fig2's grid (4001 samples of a 12000-point period): beyond the output
     # only _FFT_ROWS rows of normals, coefficients and FFT periods (each
     # fft_length + 2 floats), the amplitudes and one numpy ufunc buffer may
-    # exist, whatever the number of paths; the old synthesiser held three
-    # such arrays per 64-path chunk
+    # exist, whatever the number of paths
     spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
     grid = FrequencyGrid.for_times(spec, 0.001, 4001)
     assert grid.fft_length == 12000
     workspaces = (3 * _FFT_ROWS + 1) * (grid.fft_length + 2) * 8 + 8 * np.getbufsize()
-    synthesize_batch(spec, grid, QUANTUM, [stream(43, 1, 0)])
+    synthesize_batch(spec, grid, QUANTUM, [stream(43, 1, 0)])  # first-call set-up
 
     def beyond_output(n):
         rngs = [stream(43, 0, i) for i in range(n)]
