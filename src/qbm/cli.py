@@ -380,7 +380,9 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
         grid = _noise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
         path = os.path.join(out_dir, "noise_paths.bin")
         with _noise_writer(path, cfg, grid) as write:
-            for _, block in _noise_batches(cfg, spec, grid, stream_tag=0):
+            blocks = _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed,
+                                       stream_tag=0, ids=range(cfg.n_traj))
+            for _, _, block in blocks:
                 write(block)
         written.append(path)
     if dump_trajectories:
@@ -477,20 +479,6 @@ def _runs_test_pvalue(signs):
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _noise_batches(cfg, spec, grid, stream_tag):
-    """Synthesise the configured noise paths ``_SYNTH_CHUNK`` at a time.
-
-    Yields ``(ids, values)`` in trajectory-id order; each path comes from its
-    own stream, so the rows equal those of one whole-ensemble synthesis,
-    whatever ``batch_size`` is.
-    """
-    step = _noise._SYNTH_CHUNK
-    for lo in range(0, cfg.n_traj, step):
-        ids = range(lo, min(lo + step, cfg.n_traj))
-        rngs = [_dyn._traj_stream(cfg.master_seed, stream_tag, i) for i in ids]
-        yield ids, _noise.synthesize_batch(spec, grid, cfg.statistics, rngs)
-
-
 def _noise_writer(path, cfg, grid):
     """Streaming ``noise_paths.bin`` writer for the configured ensemble."""
     return _noise.ensemble_writer(
@@ -504,8 +492,8 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
     Generates the configured ensemble of noise paths, estimates the
     autocorrelation on an ``n_lags``-point grid spaced by the cutoff time,
     and scores each lag against the analytic target.  Fails if any |z| > 4.
-    Paths are synthesised and reduced ``_SYNTH_CHUNK`` at a time, so memory
-    grows neither with ``n_traj`` beyond ``n_lags`` floats per path nor with
+    Paths are synthesised and reduced 64 at a time, so memory grows neither
+    with ``n_traj`` beyond ``n_lags`` floats per path nor with
     ``batch_size``.  Returns ``(report dict, ok flag)`` and writes
     ``noise_check.json`` (plus the binary path ensemble when ``dump`` is set).
     """
@@ -541,7 +529,9 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
             def paths():
                 # one block alive at a time: the autocorrelation consumes the
                 # paths a block at a time, and each block goes to the dump
-                for ids, block in _noise_batches(cfg, spec, grid, stream_tag=2):
+                blocks = _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed,
+                                           stream_tag=2, ids=range(cfg.n_traj))
+                for ids, _, block in blocks:
                     if write is not None:
                         write(block)
                     yield from (_noise.NoisePath(seed=(cfg.master_seed, 2, i),
@@ -549,8 +539,7 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
                                 for i, row in zip(ids, block))
                     del block
 
-            est, se = _noise.empirical_autocorrelation(paths(), lags,
-                                                       chunk=_noise._SYNTH_CHUNK)
+            est, se = _noise.empirical_autocorrelation(paths(), lags)
         if cfg.statistics == _noise.QUANTUM:
             target = _bath.quantum_correlation(spec, lags)
         elif cfg.statistics == _noise.CLASSICAL:

@@ -38,6 +38,10 @@ _CONV_BLOCK = 64
 # matrix shape, and so would a trajectory's last bits on the batch it lands in.
 _HISTORY_TILE = 128
 
+# Paths synthesised per call: noise exists as blocks of this many paths,
+# never as a batch.
+_NOISE_BLOCK = 64
+
 FREE = "free"
 HARMONIC = "harmonic"
 POLYNOMIAL = "polynomial"
@@ -267,6 +271,20 @@ def _traj_stream(master_seed, stream_tag, traj_id):
     return np.random.Generator(np.random.Philox(seq))
 
 
+def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids):
+    """Noise paths of the trajectories ``ids``, ``_NOISE_BLOCK`` at a time.
+
+    Yields ``(block_ids, rngs, values)`` in the order of ``ids``: row ``i``
+    of ``values`` is the path of ``block_ids[i]``, drawn from its own
+    stream, which ``rngs[i]`` continues past the noise draws.  So the rows
+    equal those of one synthesis of all ``ids``, whatever the blocks.
+    """
+    for lo in range(0, len(ids), _NOISE_BLOCK):
+        block = ids[lo:lo + _NOISE_BLOCK]
+        rngs = [_traj_stream(master_seed, stream_tag, i) for i in block]
+        yield block, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs)
+
+
 def _kernel_mid(spec, dt, n):
     """dt * M((i + 1/2) dt), the midpoint-rule convolution weights."""
     return dt * _bath.memory_kernel(spec, dt * (np.arange(n) + 0.5))
@@ -458,14 +476,15 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
     """One batch as a :class:`TrajectoryEnsemble` whose ``failed_ids`` index its rows."""
     n_steps = sched.n_steps
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
-    rngs = [_traj_stream(master_seed, stream_tag, i) for i in ids]
     B = len(ids)
-    # one synthesis chunk at a time, transposed into the shared buffer: the
+    # one noise block at a time, transposed into the shared buffer: the
     # batch never holds its noise and its velocity history side by side
     buf = _noise_buffer(n_steps, B)
-    for lo in range(0, B, _noise._SYNTH_CHUNK):
-        hi = min(lo + _noise._SYNTH_CHUNK, B)
-        buf[:, lo:hi] = _noise.synthesize_batch(spec, grid, statistics, rngs[lo:hi]).T
+    rngs = []
+    for _, block_rngs, values in noise_blocks(spec, grid, statistics, master_seed,
+                                              stream_tag, ids):
+        buf[:, len(rngs):len(rngs) + len(block_rngs)] = values.T
+        rngs += block_rngs
     x, p, weights, _ = _integrate_batch(
         spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
         sched.record_nodes(), intervention_plan=_build_plan(sched, pot), rngs=rngs)

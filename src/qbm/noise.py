@@ -32,10 +32,6 @@ _PERIOD_FACTOR = 3.0
 # Frequency coverage must resolve the exponential cutoff: N*delta_omega >= 20/eps.
 _COVERAGE_FACTOR = 20.0
 
-# Paths the run and the noise check synthesise per call: noise exists as
-# blocks of this many paths, never as a batch.
-_SYNTH_CHUNK = 64
-
 # Paths synthesize_batch transforms per inverse FFT call, through workspaces
 # of this many rows.  numpy plans the transform anew on every call, and each
 # call has a fixed overhead, so one path per call is slower than a 64-path
@@ -43,8 +39,8 @@ _SYNTH_CHUNK = 64
 # rows long.
 _FFT_ROWS = 4
 
-# Paths the autocorrelation stacks at a time: its lag products exist for this
-# many paths only, never for a chunk or a batch.
+# Paths the autocorrelation takes from its iterable and stacks at a time: its
+# lag products exist for this many paths only, never for a batch.
 _AUTOCORR_TILE = 64
 
 _MAGIC = b"QBENS\x01"
@@ -241,10 +237,10 @@ def synthesize_batch(spec, grid, statistics, rngs):
 
     Each generator draws only its own path's coefficients, so a trajectory's
     noise is independent of how the ensemble is batched.  Paths are built
-    ``_FFT_ROWS`` at a time straight into the result through workspaces of
-    that many rows of normals, of coefficients and of the FFT period,
-    allocated once per call: beyond the result the working set does not grow
-    with the number of paths.
+    ``_FFT_ROWS`` at a time into the result through workspaces of that many
+    rows of normals and of coefficients, allocated once per call, and one
+    inverse transform of that many rows: beyond the result the working set
+    does not grow with the number of paths.
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
@@ -261,19 +257,19 @@ def synthesize_batch(spec, grid, statistics, rngs):
     m = grid.fft_length
     normals = np.empty((_FFT_ROWS, 2, grid.n_modes + 1))
     coeff = np.empty((_FFT_ROWS, grid.n_modes + 1), dtype=complex)
-    full = np.empty((_FFT_ROWS, m))
     for lo in range(0, len(rngs), _FFT_ROWS):
         group = rngs[lo:lo + _FFT_ROWS]
         rows = _draw_half(group, normals[:len(group)], coeff[:len(group)])
         rows *= amp
         # Hermitian construction: the inverse transform is exactly real, so the
         # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-        periods = irfft(rows, n=m, axis=1, out=full[:len(group)])
-        np.multiply(periods[:, :grid.n_times], m, out=out[lo:lo + len(group)])
+        # One expression, so no group's transform is alive during the next one.
+        np.multiply(irfft(rows, n=m, axis=1)[:, :grid.n_times], m,
+                    out=out[lo:lo + len(group)])
     return out
 
 
-def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
+def empirical_autocorrelation(paths, lags, window=None):
     """Cross-path estimate of <xi(t0) xi(t0+lag)> with standard errors.
 
     Averages over the ensemble and over all admissible ``t0`` within each
@@ -282,23 +278,22 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
     standard error.
 
     ``paths`` is any iterable of :class:`NoisePath` on one time grid.  It is
-    consumed ``chunk`` paths at a time and each chunk is reduced
-    ``_AUTOCORR_TILE`` paths at a time to its per-path lag products, through
-    one tile of paths and one product buffer allocated once per call.  So
-    memory is bounded by ``chunk`` paths and those two tiles (plus
-    ``len(lags)`` floats per path) whatever the ensemble size, and the
-    estimates depend neither on ``chunk`` nor on the tiling: each per-path
-    mean is its own row reduction.
+    consumed ``_AUTOCORR_TILE`` paths at a time, and each tile is reduced to
+    its per-path lag products through one tile of paths and one product
+    buffer allocated once per call.  So memory is bounded by those two tiles
+    (plus ``len(lags)`` floats per path) whatever the ensemble size, and the
+    estimates do not depend on the tiling: each per-path mean is its own row
+    reduction.
 
     Returns ``(estimates, standard_errors)`` aligned with ``lags``.
     """
     paths = iter(paths)
-    group = list(itertools.islice(paths, chunk))
-    if not group:
+    tile = list(itertools.islice(paths, _AUTOCORR_TILE))
+    if not tile:
         raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
-    times = group[0].times
+    times = tile[0].times
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    n = len(group[0].values)
+    n = len(tile[0].values)
     lo, hi = (0, n) if window is None else window
     if not 0 <= lo < hi <= n:
         raise ConfigurationError(
@@ -316,28 +311,24 @@ def empirical_autocorrelation(paths, lags, window=None, chunk=1024):
         shifts.append(k)
 
     blocks = []
-    rows = min(_AUTOCORR_TILE, len(group))
-    tile_values = np.empty((rows, width))
-    prod = np.empty((rows, width))
-    while group:
-        block = np.empty((len(shifts), len(group)))
-        for t in range(0, len(group), _AUTOCORR_TILE):
-            tile = group[t:t + _AUTOCORR_TILE]
-            if any(len(p.values) != n for p in tile):
-                raise ConfigurationError(
-                    f"empirical_autocorrelation requires paths of one length ({n} samples)")
-            values = np.stack([p.values[lo:hi] for p in tile], out=tile_values[:len(tile)])
-            for i, k in enumerate(shifts):
-                lagged = np.multiply(values[:, :width - k], values[:, k:],
-                                     out=prod[:len(tile), :width - k])
-                # np.mean's own row sum and division, without its temporaries
-                block[i, t:t + len(tile)] = np.add.reduce(lagged, axis=1) / (width - k)
-            # a tile kept to the next chunk would keep its paths' batch alive
-            del tile
+    tile_values = np.empty((len(tile), width))
+    prod = np.empty((len(tile), width))
+    while tile:
+        if any(len(p.values) != n for p in tile):
+            raise ConfigurationError(
+                f"empirical_autocorrelation requires paths of one length ({n} samples)")
+        values = np.stack([p.values[lo:hi] for p in tile], out=tile_values[:len(tile)])
+        block = np.empty((len(shifts), len(tile)))
+        for i, k in enumerate(shifts):
+            lagged = np.multiply(values[:, :width - k], values[:, k:],
+                                 out=prod[:len(tile), :width - k])
+            # np.mean's own row sum and division, without its temporaries
+            block[i] = np.add.reduce(lagged, axis=1) / (width - k)
         blocks.append(block)
-        # release this chunk before the iterable produces the next one
-        del group
-        group = list(itertools.islice(paths, chunk))
+        # release this tile's paths, and any array they view, before the
+        # iterable produces the next ones
+        del tile
+        tile = list(itertools.islice(paths, _AUTOCORR_TILE))
     # lag-major, so each lag reduces over one contiguous row of per-path values
     per_path = np.concatenate(blocks, axis=1)
     n_paths = per_path.shape[1]

@@ -379,7 +379,7 @@ class TestStreamedRun:
 
     def test_batch_holds_one_noise_sized_buffer(self):
         # noise and velocity history share one (n_steps + 1) x width buffer.
-        # Beyond it a batch holds its generators, one 64-path synthesis chunk
+        # Beyond it a batch holds its generators, one 64-path noise block
         # and its records: at 3000 trajectories of 1600 steps with two
         # records these stay below 0.3 buffers, while a second noise-sized
         # array would add a whole one

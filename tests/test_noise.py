@@ -23,7 +23,7 @@ from qbm.noise import (
     synthesize,
     synthesize_batch,
 )
-from qbm.noise import _FFT_ROWS, _next_fast_len
+from qbm.noise import _next_fast_len
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 
@@ -257,13 +257,13 @@ class TestChunkedSynthesis:
 
 def test_synthesis_working_set_is_its_row_workspaces():
     # fig2's grid (4001 samples of a 12000-point period): beyond the output
-    # only _FFT_ROWS rows of normals, coefficients and FFT periods (each
+    # only four rows each of normals, coefficients and FFT periods (each row
     # fft_length + 2 floats), the amplitudes and one numpy ufunc buffer may
     # exist, whatever the number of paths
     spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
     grid = FrequencyGrid.for_times(spec, 0.001, 4001)
     assert grid.fft_length == 12000
-    workspaces = (3 * _FFT_ROWS + 1) * (grid.fft_length + 2) * 8 + 8 * np.getbufsize()
+    workspaces = (3 * 4 + 1) * (grid.fft_length + 2) * 8 + 8 * np.getbufsize()
     synthesize_batch(spec, grid, QUANTUM, [stream(43, 1, 0)])  # first-call set-up
 
     def beyond_output(n):
@@ -294,12 +294,13 @@ def stacked_autocorrelation(paths, lags):
 
 class TestEmpiricalAutocorrelation:
     def test_chunked_consumption_matches_stacked_reference_bit_for_bit(self):
+        # 63, 64, 65 and 150 paths put tile edges inside, on and past the ensemble
         grid = FrequencyGrid.for_times(FIG1, 0.025, 201)
         paths = make_paths(FIG1, grid, QUANTUM, 150, seed=17)
         lags = FIG1.eps * np.arange(8)
-        ref_est, ref_se = stacked_autocorrelation(paths, lags)
-        for chunk in (1, 7, 64, 150, 1024):
-            est, se = empirical_autocorrelation(iter(paths), lags, chunk=chunk)
+        for n in (2, 63, 64, 65, 150):
+            ref_est, ref_se = stacked_autocorrelation(paths[:n], lags)
+            est, se = empirical_autocorrelation(iter(paths[:n]), lags)
             assert est.tobytes() == ref_est.tobytes()
             assert se.tobytes() == ref_se.tobytes()
 
@@ -343,27 +344,29 @@ class TestEmpiricalAutocorrelation:
         cut = [NoisePath(seed=p.seed, times=p.times[30:170], values=p.values[30:170])
                for p in paths]
         ref_est, ref_se = stacked_autocorrelation(cut, lags)
-        est, se = empirical_autocorrelation(paths, lags, window=(30, 170), chunk=50)
+        est, se = empirical_autocorrelation(paths, lags, window=(30, 170))
         assert est.tobytes() == ref_est.tobytes() and se.tobytes() == ref_se.tobytes()
 
-    # the longer path would otherwise be cut to the first path's window
-    @pytest.mark.parametrize("chunk", [1, 1024])
-    def test_paths_of_another_length_rejected(self, chunk):
+    # the longer path would otherwise be cut to the first path's window; it
+    # follows 1 path (first tile) or 1024 paths (a later tile) of the first length
+    @pytest.mark.parametrize("n_before", [1, 1024])
+    def test_paths_of_another_length_rejected(self, n_before):
         times = 0.1 * np.arange(60)
-        paths = [NoisePath(seed=(0,), times=times[:50], values=np.ones(50)),
-                 NoisePath(seed=(1,), times=times, values=np.ones(60))]
+        paths = [NoisePath(seed=(i,), times=times[:50], values=np.ones(50))
+                 for i in range(n_before)]
+        paths.append(NoisePath(seed=(n_before,), times=times, values=np.ones(60)))
         with pytest.raises(ConfigurationError, match="one length"):
-            empirical_autocorrelation(paths, [0.0], chunk=chunk)
+            empirical_autocorrelation(paths, [0.0])
 
     def test_peak_memory_is_a_small_part_of_the_chunk(self):
-        # fig2's grid (4001 samples) and 20 lags, one 1024-path chunk: only
+        # fig2's grid (4001 samples) and 20 lags, a chunk of 1024 paths: only
         # tiles of paths may be stacked, never the chunk or a product of its size
         times = 0.001 * np.arange(4001)
         values = np.random.default_rng(3).standard_normal((1024, 4001))
         paths = [NoisePath(seed=(i,), times=times, values=row) for i, row in enumerate(values)]
         tracemalloc.start()
         try:
-            empirical_autocorrelation(paths, 0.01 * np.arange(20), chunk=1024)
+            empirical_autocorrelation(paths, 0.01 * np.arange(20))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,7 +387,7 @@ class TestEmpiricalAutocorrelation:
 
         tracemalloc.start()
         try:
-            empirical_autocorrelation(batches(2, 1024), 0.01 * np.arange(20), chunk=1024)
+            empirical_autocorrelation(batches(2, 1024), 0.01 * np.arange(20))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
