@@ -317,7 +317,7 @@ def _accumulator(name, cfg, times):
 def _reference_series(cfg, spec, pot, sched, times):
     mode = cfg.reference["mode"]
     if mode == "p2":
-        vals = np.array([_ref.p2_quadrature(spec, t) for t in times])
+        vals = _ref.p2_quadrature(spec, times)
         return _obs.ObservableSeries(times=times, estimates=vals,
                                      standard_errors=np.zeros_like(vals),
                                      effective_sample_size=np.full(len(times), np.inf))
@@ -540,13 +540,7 @@ def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
                     del block
 
             est, se = _noise.empirical_autocorrelation(paths(), lags)
-        if cfg.statistics == _noise.QUANTUM:
-            target = _bath.quantum_correlation(spec, lags)
-        elif cfg.statistics == _noise.CLASSICAL:
-            target = _bath.classical_correlation(spec, lags)
-        else:
-            target = np.zeros_like(lags)
-            target[0] = 2.0 * spec.mass * spec.gamma * spec.kT / sched.dt
+        target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
         z = (est - target) / np.where(se > 0, se, 1.0)
         pval = _runs_test_pvalue(np.sign(est - target))
         ok = bool(np.all(np.abs(z) <= 4.0))

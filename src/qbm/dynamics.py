@@ -193,9 +193,6 @@ class Schedule:
     def eq_steps(self):
         return int(round(self.t_eq / self.dt))
 
-    def node_times(self):
-        return -self.t_eq + self.dt * np.arange(self.n_steps + 1)
-
     def record_nodes(self):
         """Node indices written to the output (t = 0 onward, decimated)."""
         return np.arange(self.eq_steps, self.n_steps + 1, self.record_stride)
@@ -424,7 +421,8 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
     intervention time as ``prep_sampler(t_k, rbar, pbar, rng)`` and returns
     an :class:`InterventionResult`.
 
-    Raises :class:`IntegrationFailure` if the state leaves float range.
+    Raises :class:`IntegrationFailure` if the state leaves float range or
+    the weight is not finite.
     """
     sched.validate_against(spec, pot)
     n_steps = sched.n_steps
@@ -447,11 +445,10 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
     x_rec, p_rec, weights, jump_nodes = _integrate_batch(
         spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1), rec,
         intervention_plan=plan, rngs=[rng])
-    bad = ~np.isfinite(x_rec[0]) | ~np.isfinite(p_rec[0])
-    if bad.any():
-        t_bad = sched.record_times()[int(np.argmax(bad))]
-        raise IntegrationFailure("trajectory state became non-finite",
-                                 trajectory_ids=(0,), time=t_bad)
+    failed, t_bad = _failures(sched.record_times(), x_rec, p_rec, weights)
+    if len(failed):
+        raise IntegrationFailure("trajectory state or weight became non-finite",
+                                 trajectory_ids=failed, time=t_bad)
     jumps = tuple((-sched.t_eq + node * sched.dt, dxv[0]) for node, dxv in jump_nodes)
     return Trajectory(times=sched.record_times(), x=x_rec[0], p=p_rec[0],
                       weight=float(weights[0]), jump_log=jumps,
@@ -488,13 +485,19 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
     x, p, weights, _ = _integrate_batch(
         spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
         sched.record_nodes(), intervention_plan=_build_plan(sched, pot), rngs=rngs)
+    times = sched.record_times()
+    failed, t_bad = _failures(times, x, p, weights)
+    return TrajectoryEnsemble(times, x, p, weights, failed_ids=failed, failure_time=t_bad)
+
+
+def _failures(times, x, p, weights):
+    """Rows with a non-finite record or weight, and the first of ``times`` at
+    which a record of theirs is non-finite (None if only weights are)."""
     failed = np.flatnonzero(~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
                               & np.isfinite(weights)))
-    times = sched.record_times()
-    # first recorded time at which any failed trajectory is non-finite
     bad = (~np.isfinite(x[failed]) | ~np.isfinite(p[failed])).any(axis=0)
     t_bad = float(times[np.argmax(bad)]) if bad.any() else None
-    return TrajectoryEnsemble(times, x, p, weights, failed_ids=failed, failure_time=t_bad)
+    return failed, t_bad
 
 
 def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
@@ -564,6 +567,6 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     if len(failed) > 0.001 * n_traj:
         raise IntegrationFailure(
             f"{len(failed)} of {n_traj} trajectories diverged",
-            trajectory_ids=tuple(failed[:32]), time=t_bad)
+            trajectory_ids=failed[:32], time=t_bad)
     return TrajectoryEnsemble(times=times, x=x, p=p, weights=weights,
                               failed_ids=failed, failure_time=t_bad)

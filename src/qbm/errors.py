@@ -22,5 +22,5 @@ class IntegrationFailure(RuntimeError):
 
     def __init__(self, message, trajectory_ids=(), time=None):
         super().__init__(message)
-        self.trajectory_ids = tuple(trajectory_ids)
+        self.trajectory_ids = tuple(int(i) for i in trajectory_ids)
         self.time = time

@@ -186,6 +186,27 @@ def mode_amplitudes(spec, grid, statistics):
     return np.sqrt(grid.delta_omega / (2.0 * np.pi) * psd)
 
 
+def _white_variance(spec, t_step):
+    """Node variance 2*m*gamma*kT / t_step of the white (Markovian) noise."""
+    return 2.0 * spec.mass * spec.gamma * spec.kT / t_step
+
+
+def target_correlation(spec, statistics, lags, t_step):
+    """Correlation ``<xi(t0) xi(t0 + lag)>`` that the ``statistics`` paths target.
+
+    The quantum and classical targets are :func:`qbm.bath.quantum_correlation`
+    and :func:`qbm.bath.classical_correlation`; white noise, independent per
+    node of spacing ``t_step``, has its node variance at lag 0 and 0 elsewhere.
+    """
+    if statistics == QUANTUM:
+        return bath.quantum_correlation(spec, lags)
+    if statistics == CLASSICAL:
+        return bath.classical_correlation(spec, lags)
+    if statistics == WHITE:
+        return np.where(np.equal(lags, 0.0), _white_variance(spec, t_step), 0.0)
+    raise ConfigurationError(f"unknown noise statistics {statistics!r}")
+
+
 def linear_variance(spec, grid, statistics, coeffs):
     """Exact variance of ``sum_j c_j xi_j`` over the paths synthesize_batch draws.
 
@@ -206,7 +227,7 @@ def linear_variance(spec, grid, statistics, coeffs):
             f"coefficient rows have {c.shape[-1]} entries, the noise grid only "
             f"{grid.n_times} nodes")
     if statistics == WHITE:
-        return 2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step * np.sum(c**2, axis=-1)
+        return _white_variance(spec, grid.t_step) * np.sum(c**2, axis=-1)
     power = np.abs(rfft(c, n=grid.fft_length, axis=-1)) ** 2
     power *= mode_amplitudes(spec, grid, statistics) ** 2
     power[..., 1:-1] *= 2.0
@@ -247,7 +268,7 @@ def synthesize_batch(spec, grid, statistics, rngs):
     grid.validate(spec)
     out = np.empty((len(rngs), grid.n_times))
     if statistics == WHITE:
-        scale = np.sqrt(2.0 * spec.mass * spec.gamma * spec.kT / grid.t_step)
+        scale = np.sqrt(_white_variance(spec, grid.t_step))
         for row, r in zip(out, rngs):
             r.standard_normal(out=row)
             row *= scale

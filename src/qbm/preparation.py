@@ -121,13 +121,28 @@ def _rejection_draw(rng, propose, density, ceiling):
         "proposals; envelope is misconfigured")
 
 
+def _draw_signed(rng, box, factor, ceiling, mass):
+    """Draw ``(r0, p0)`` from ``|factor|`` inside ``box`` by rejection.
+
+    Returns the point with its weight ``sign(factor) * mass``, ``mass`` being
+    the integral of ``|factor|`` over the box.
+    """
+    def propose(r, n):
+        u = r.random((2, n))
+        return (box.center_r + box.half_r * (2.0 * u[0] - 1.0),
+                box.center_p + box.half_p * (2.0 * u[1] - 1.0))
+
+    def density(r0, p0):
+        return np.abs(factor(r0, p0))
+
+    r0, p0 = _rejection_draw(rng, propose, density, ceiling)
+    return r0, p0, np.sign(factor(r0, p0)) * mass
+
+
 class Identity:
     """No-op preparation: keeps the phase-space point, weight exactly 1."""
 
     form = "identity"
-
-    def envelope(self, rbar, pbar):
-        return Box(center_r=rbar, half_r=0.0, center_p=pbar, half_p=0.0)
 
     def sample(self, rbar, pbar, rng):
         return rbar, pbar, 1.0
@@ -147,9 +162,6 @@ class MomentumReset:
 
     def __init__(self, p_value=0.0):
         self.p_value = float(p_value)
-
-    def envelope(self, rbar, pbar):
-        return Box(center_r=rbar, half_r=0.0, center_p=self.p_value, half_p=0.0)
 
     def sample(self, rbar, pbar, rng):
         return rbar, self.p_value, 1.0
@@ -237,9 +249,6 @@ class CatProject:
     def wigner(self, r, p):
         return cat_wigner(self.x0, self.sigma, r, p, hbar=self.hbar)
 
-    def value(self, r0, p0, rbar, pbar):
-        return self.wigner(r0, p0) * self.wigner(rbar, pbar)
-
     def envelope(self, rbar, pbar):
         half_p = 6.0 * self.hbar / (2.0 * self.sigma)
         return Box(center_r=0.0, half_r=self.x0 + 6.0 * self.sigma,
@@ -297,23 +306,13 @@ class CatProject:
         return self._box_mass
 
     def _draw_post(self, rng):
-        box = self.envelope(0.0, 0.0)
         overlap = np.exp(-self.x0**2 / (2.0 * self.sigma**2))
         ceiling = 8.0 / (2.0 * np.pi * self.hbar * 2.0 * (1.0 + overlap))
-
-        def propose(r, n):
-            u = r.random((2, n))
-            return (box.center_r + box.half_r * (2.0 * u[0] - 1.0),
-                    box.center_p + box.half_p * (2.0 * u[1] - 1.0))
-
-        def density(r0, p0):
-            return np.abs(self.wigner(r0, p0))
-
-        return _rejection_draw(rng, propose, density, ceiling)
+        return _draw_signed(rng, self.envelope(0.0, 0.0), self.wigner, ceiling,
+                            self._abs_box_mass())
 
     def sample(self, rbar, pbar, rng):
-        r0, p0 = self._draw_post(rng)
-        w_post = np.sign(self.wigner(r0, p0)) * self._abs_box_mass()
+        r0, p0, w_post = self._draw_post(rng)
         weight = w_post * self.wigner(rbar, pbar)
         return float(r0), float(p0), float(weight)
 
@@ -331,8 +330,7 @@ class CatProject:
                    for w, c in zip(probs, centers))
         w_pre = self.wigner(r_pre, pbar) / dens
 
-        r0, p0 = self._draw_post(rng)
-        w_post = np.sign(self.wigner(r0, p0)) * self._abs_box_mass()
+        r0, p0, w_post = self._draw_post(rng)
         return InterventionResult(r0=float(r0), p0=float(p0),
                                   weight=float(w_pre * w_post), r_pre=float(r_pre))
 
@@ -366,25 +364,9 @@ class ProductForm:
         from scipy.integrate import simpson
         self._box_mass = float(simpson(simpson(vals, x=p, axis=1), x=r))
 
-    def envelope(self, rbar, pbar):
-        return self.box
-
-    def value(self, r0, p0, rbar, pbar):
-        return self.post_factor(r0, p0) * self.pre_factor(rbar, pbar)
-
     def sample(self, rbar, pbar, rng):
-        box = self.box
-
-        def propose(r, n):
-            u = r.random((2, n))
-            return (box.center_r + box.half_r * (2.0 * u[0] - 1.0),
-                    box.center_p + box.half_p * (2.0 * u[1] - 1.0))
-
-        def density(r0, p0):
-            return np.abs(self.post_factor(r0, p0))
-
-        r0, p0 = _rejection_draw(rng, propose, density, self._ceiling)
-        w_post = np.sign(self.post_factor(r0, p0)) * self._box_mass
+        r0, p0, w_post = _draw_signed(rng, self.box, self.post_factor, self._ceiling,
+                                      self._box_mass)
         weight = w_post * self.pre_factor(rbar, pbar)
         return float(r0), float(p0), float(weight)
 

@@ -21,6 +21,7 @@ from qbm.cli import (
     preset_path,
     run,
 )
+from qbm.bath import classical_correlation, quantum_correlation
 from qbm.errors import ConfigurationError, IntegrationFailure
 
 TINY = """
@@ -542,6 +543,27 @@ class TestNoiseCheck:
             report, _ = noise_check(cfg, out_dir=str(tmp_path / "nc"))
         assert np.isfinite(report["targets"]).all()
 
+    @pytest.mark.parametrize("preset", ["fig2", "classical_limit", "fig2_white"])
+    def test_target_is_the_bath_correlation_bit_for_bit(self, tmp_path, preset):
+        # one preset per statistics tag, on the lag grid noise-check scores
+        with resources.as_file(preset_path(preset)) as p:
+            cfg = parse_config(p)
+        cfg.n_traj = 2
+        report, _ = noise_check(cfg, out_dir=str(tmp_path / "nc"))
+        spec, dt = cfg.bath_spec(), cfg.schedule["dt"]
+        lags = np.array(report["lags"])
+        target = qnoise.target_correlation(spec, cfg.statistics, lags, dt)
+        assert list(target) == report["targets"]
+        if cfg.statistics == qnoise.QUANTUM:
+            expected = quantum_correlation(spec, lags)
+        elif cfg.statistics == qnoise.CLASSICAL:
+            expected = classical_correlation(spec, lags)
+        else:
+            expected = np.zeros_like(lags)
+            expected[0] = 2.0 * spec.mass * spec.gamma * spec.kT / dt
+        assert lags[0] == 0.0 and lags[1] > 0.0
+        assert target.tobytes() == expected.tobytes()
+
     def test_gamma_zero_degenerate_pass(self, tmp_path):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace(
@@ -641,12 +663,15 @@ class TestImportPath:
             from importlib import resources
             from qbm import cli
 
-            for preset, command in (("fig1", cli.run), ("fig2", cli.noise_check)):
+            loaded = {}
+            for preset, command in (("fig1", cli.run), ("fig2", cli.noise_check),
+                                    ("fig3", cli.run)):
                 with resources.as_file(cli.preset_path(preset)) as p:
                     cfg = cli.parse_config(p)
                 cfg.n_traj = 64
                 command(cfg, out_dir=os.path.join(sys.argv[1], preset))
-            print(json.dumps([m for m in sys.modules if m.startswith("scipy.")]))
+                loaded[preset] = [m for m in sys.modules if m.startswith("scipy.")]
+            print(json.dumps(loaded))
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -654,5 +679,8 @@ class TestImportPath:
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                              capture_output=True, text=True, timeout=300, check=True)
         loaded = json.loads(out.stdout.strip().splitlines()[-1])
-        heavy = {"scipy.fft", "scipy.integrate", "scipy.special", "scipy.linalg"}
-        assert heavy.isdisjoint(loaded), sorted(heavy & set(loaded))
+        heavy = {"scipy.fft", "scipy.integrate", "scipy.linalg"}
+        # fig1 and fig2 need numpy only; fig3's p2 reference needs scipy.special
+        assert (heavy | {"scipy.special"}).isdisjoint(loaded["fig2"]), loaded["fig2"]
+        assert heavy.isdisjoint(loaded["fig3"]), sorted(heavy & set(loaded["fig3"]))
+        assert "scipy.special" in loaded["fig3"]

@@ -279,6 +279,26 @@ class TestRunEnsemble:
         assert 0.0 < one.value.time < sched.t_end
         assert ensemble.value.time == one.value.time
 
+    def test_nonfinite_weight_fails_integrate_as_it_fails_run_ensemble(self):
+        # finite records, NaN weight: both paths flag the trajectory, with no
+        # failure time, and name it by a Python int
+        class NanWeight:
+            def sample(self, rbar, pbar, rng):
+                return rbar, pbar, np.nan
+
+        sched = Schedule(t_eq=0.5, t_end=1.0, dt=0.05,
+                         interventions=((0.0, NanWeight()),))
+        assert sched.n_steps == 30
+        with pytest.raises(IntegrationFailure) as one:
+            integrate(FIG1, FREE, sched, zero_path(sched))
+        with pytest.raises(IntegrationFailure, match="4 of 4 trajectories diverged") as ensemble:
+            run_ensemble(FIG1, FREE, sched, 4, "quantum", 5)
+        assert one.value.trajectory_ids == (0,)
+        assert ensemble.value.trajectory_ids == (0, 1, 2, 3)
+        assert one.value.time is None and ensemble.value.time is None
+        ids = one.value.trajectory_ids + ensemble.value.trajectory_ids
+        assert all(type(i) is int for i in ids)
+
     def test_requires_positive_count(self):
         sched = Schedule(t_eq=1.0, t_end=0.0, dt=0.05)
         with pytest.raises(ConfigurationError):

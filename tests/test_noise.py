@@ -64,7 +64,8 @@ class TestFrequencyGrid:
 
 def test_numpy_irfft_equals_scipy_irfft_bitwise():
     # the synthesis runs on numpy's pocketfft; its bits are scipy's on every
-    # even 5-smooth length a FrequencyGrid can take up to 40000 points
+    # even 5-smooth length a FrequencyGrid can take up to 40000 points (numpy
+    # 2.0 moved numpy.fft to the C++ pocketfft scipy.fft uses, hence the floor)
     rng = np.random.default_rng(5)
     lengths = [m for m in range(16, 40001, 2) if _next_fast_len(m) == m]
     assert len(lengths) == 206

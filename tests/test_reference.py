@@ -5,7 +5,6 @@ from numpy.fft import irfft
 from scipy.integrate import simpson
 from scipy.signal import fftconvolve
 
-from qbm import reference
 from qbm.bath import BathSpec
 from qbm.dynamics import (
     Potential,
@@ -133,22 +132,56 @@ class TestP2Quadrature:
             p2_quadrature(FIG3, -0.1)
 
 
-    def test_flat_integral_computed_once_per_bath(self, monkeypatch):
-        calls = []
-        real = scipy.integrate.quad
+    def test_vectorised_over_times(self):
+        ts = np.array([0.0, 0.01, 0.3, 2.0])
+        vals = p2_quadrature(FIG3, ts)
+        assert vals.shape == ts.shape
+        assert list(vals) == [p2_quadrature(FIG3, t) for t in ts]
+        assert isinstance(p2_quadrature(FIG3, 0.3), float)
+        assert vals[0] == 0.0
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("weight"))
-            return real(*args, **kwargs)
+    def test_no_bath_gives_zero(self):
+        assert p2_quadrature(NO_BATH, 1.0) == 0.0
+        assert list(p2_quadrature(NO_BATH, [0.0, 1.0])) == [0.0, 0.0]
 
-        monkeypatch.setattr(scipy.integrate, "quad", counting)
-        reference._p2_flat.cache_clear()
-        times = np.linspace(0.1, 1.0, 10)
-        first = [p2_quadrature(FIG3, t) for t in times]
-        # one flat integral, then one oscillatory integral per time
-        assert calls == [None] + ["cos"] * 10
-        assert [p2_quadrature(FIG3, t) for t in times] == first
-        assert len(calls) == 21
+
+def p2_quadpack(spec, t):
+    """Oracle: the wide-band integral of p2_quadrature by adaptive quadrature."""
+    if t == 0.0 or spec.gamma == 0.0:
+        return 0.0
+    g = spec.gamma
+
+    def integrand(w):
+        return w * np.exp(-spec.eps * w) / (w**2 + g**2)
+
+    opts = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
+    flat, _ = scipy.integrate.quad(integrand, 0.0, spec.omega_max, **opts)
+    osc, _ = scipy.integrate.quad(integrand, 0.0, spec.omega_max, weight="cos",
+                                  wvar=t, **opts)
+    return spec.mass * g * spec.hbar / np.pi * (
+        (1.0 + np.exp(-2.0 * g * t)) * flat - 2.0 * np.exp(-g * t) * osc)
+
+
+class TestP2ClosedForm:
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, np.pi / 2, 5.0, 40.0])
+    def test_matches_quadpack_oracle(self, gamma):
+        for eps in (1e-3, 0.01, 0.1, 0.5, 2.0):
+            for hbar, mass in ((1.0, 1.0), (2.0, 3.0)):
+                spec = BathSpec(gamma=gamma, eps=eps, mass=mass, hbar=hbar)
+                ts = np.geomspace(eps / 100, 100 / gamma, 40)
+                oracle = np.array([p2_quadpack(spec, t) for t in ts])
+                err = np.abs(p2_quadrature(spec, ts) - oracle).max()
+                assert err <= 1e-13 * np.abs(oracle).max(), (eps, hbar, mass)
+
+    @pytest.mark.parametrize("gamma_t", [700.0, 710.0, 1e6])
+    def test_finite_at_long_times(self, gamma_t):
+        # E1 overflows near gamma t = 709, where e^{-gamma t} underflows: the
+        # curve is its flat equilibrium value, to QUADPACK's requested 1e-10
+        t = gamma_t / FIG3.gamma
+        value = p2_quadrature(FIG3, t)
+        assert np.isfinite(value)
+        assert value == pytest.approx(equilibrium_p2(FIG3), rel=1e-10)
+        assert value == pytest.approx(p2_quadpack(FIG3, t), rel=1e-10)
 
 
 class TestCoherenceLength:
