@@ -36,19 +36,6 @@ from .errors import ConfigurationError, IntegrationFailure, SignProblemError
 
 OUT_DIR_ENV = "QBM_OUT_DIR"
 
-_SCHEMA = {
-    "bath": {"gamma", "eps", "mass", "hbar", "kT"},
-    "potential": {"form", "omega0", "coefficients"},
-    "schedule": {"t_eq", "t_end", "dt", "record_stride", "relax_dt_check"},
-    "noise": {"statistics"},
-    "preparation": {"form", "mode", "sigma0", "x0", "sigma", "p_value", "time"},
-    "observables": None,          # free-form: name = output filename
-    "run": {"n_traj", "master_seed", "batch_size", "workers", "out_dir"},
-    "reference": {"mode"},
-}
-
-_OBSERVABLE_NAMES = ("x2", "p2", "xp", "cat_coherence", "msd")
-
 # each reference mode describes one observable and is written only beside it
 _REFERENCE_OBSERVABLE = {"sigma2": "x2", "p2": "p2"}
 
@@ -77,16 +64,10 @@ class ExperimentConfig:
         return _bath.BathSpec(**self.bath)
 
     def potential_obj(self):
-        p = self.potential
-        if p["form"] == "free":
-            return _dyn.Potential.free()
-        if p["form"] == "harmonic":
-            return _dyn.Potential.harmonic(p["omega0"])
-        return _dyn.Potential.polynomial(p["coefficients"])
+        return _dyn.Potential(**self.potential)
 
     def preparation_obj(self):
-        p = self.preparation
-        hbar = self.bath["hbar"]
+        p, hbar = self.preparation, self.bath["hbar"]
         if p["form"] == "identity":
             return _prep.Identity()
         if p["form"] == "gaussian":
@@ -94,130 +75,121 @@ class ExperimentConfig:
         if p["form"] == "cat":
             return _prep.CatProject(p["x0"], p["sigma"], hbar=hbar)
         if p["form"] == "momentum-reset":
-            return _prep.MomentumReset(p.get("p_value", 0.0))
+            return _prep.MomentumReset(p["p_value"])
         raise ConfigurationError(f"[preparation] form: unknown form {p['form']!r}")
 
     def schedule_obj(self):
-        s = self.schedule
-        interventions = ()
-        if self.preparation["form"] != "identity":
-            interventions = (_dyn.Intervention(
-                time=self.preparation.get("time", 0.0),
-                preparation=self.preparation_obj(),
-                mode=self.preparation.get("mode", "lab")),)
-        return _dyn.Schedule(t_eq=s["t_eq"], t_end=s["t_end"], dt=s["dt"],
-                             record_stride=int(s.get("record_stride", 1)),
-                             relax_dt_check=bool(s.get("relax_dt_check", False)),
-                             interventions=interventions)
+        p = self.preparation
+        interventions = () if p["form"] == "identity" else (_dyn.Intervention(
+            time=p["time"], preparation=self.preparation_obj(), mode=p["mode"]),)
+        return _dyn.Schedule(**self.schedule, interventions=interventions)
 
 
-def _get_float(parser, section, key, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigurationError(f"[{section}] missing required key {key!r}")
-        return default
-    raw = parser.get(section, key)
+def _number(raw):
     try:
-        return float(raw)
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
+
+
+def _numbers(raw):
+    return [_number(c) for c in raw.replace(",", " ").split()]
+
+
+def _integer(floor=-math.inf):
+    def read(raw):
+        value = _number(raw)
+        if value != int(value):
+            raise ValueError(f"must be an integer, got {raw!r}")
+        if value < floor:
+            raise ValueError(f"must be >= {floor}, got {int(value)}")
+        # a plain run of digits is read exactly, however large
+        return int(raw) if raw.isdigit() else int(value)
+    return read
+
+
+def _boolean(raw):
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    return states[_choice(*states)(raw.lower())]
+
+
+def _choice(*options):
+    def read(raw):
+        if raw not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, got {raw!r}")
+        return raw
+    return read
+
+
+_REQUIRED = object()
+
+# the keys a preparation acting at a time reads besides its own
+_INTERVENTION = {"mode": (_choice("lab", "translate"), "lab"), "time": (_number, 0.0)}
+
+# Every config key: section -> key -> (reader, default or _REQUIRED).  The
+# "form" entry of a section maps each form to the keys it reads; the first
+# form is the default.
+_TABLE = {
+    "bath": {"gamma": (_number, _REQUIRED), "eps": (_number, _REQUIRED),
+             "mass": (_number, 1.0), "hbar": (_number, 1.0), "kT": (_number, 0.0)},
+    "potential": {"form": {"free": {}, "harmonic": {"omega0": (_number, _REQUIRED)},
+                           "polynomial": {"coefficients": (_numbers, _REQUIRED)}}},
+    # t_eq = None: the bath's default span
+    "schedule": {"t_eq": (_number, None), "t_end": (_number, _REQUIRED),
+                 "dt": (_number, _REQUIRED), "record_stride": (_integer(), 1),
+                 "relax_dt_check": (_boolean, False)},
+    "noise": {"statistics": (_choice(*_noise.STATISTICS), _noise.QUANTUM)},
+    "preparation": {"form": {
+        "identity": {},
+        "gaussian": {**_INTERVENTION, "sigma0": (_number, _REQUIRED)},
+        "cat": {**_INTERVENTION, "x0": (_number, _REQUIRED), "sigma": (_number, _REQUIRED)},
+        "momentum-reset": {**_INTERVENTION, "p_value": (_number, 0.0)}}},
+    # name = output file name; "" or "default" for <name>.csv
+    "observables": dict.fromkeys(("x2", "p2", "xp", "cat_coherence", "msd"), (str, None)),
+    "run": {"n_traj": (_integer(1), _REQUIRED), "master_seed": (_integer(0), _REQUIRED),
+            "batch_size": (_integer(1), 1024), "workers": (_integer(1), 1),
+            "out_dir": (str, None)},
+    "reference": {"mode": (_choice("none", *_REFERENCE_OBSERVABLE), "none")},
+}
+
+
+def _read(name, reader, raw):
+    try:
+        return reader(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        raise ConfigurationError(f"{name} {exc}") from None
 
 
-def _get_int(parser, section, key, default=None, required=False):
-    val = _get_float(parser, section, key, default=default, required=required)
-    if val is None:
-        return None
-    if val != int(val):
-        raise ConfigurationError(f"[{section}] {key}: expected an integer, got {val}")
-    return int(val)
+def _read_section(parser, section):
+    """The section's values by the table, defaults filled in."""
+    keys = _TABLE[section]
+    given = dict(parser.items(section)) if parser.has_section(section) else {}
+    values = {}
+    forms = keys.get("form")
+    if forms is not None:
+        form = _read(f"[{section}] form", _choice(*forms), given.pop("form", next(iter(forms))))
+        values, keys = {"form": form}, forms[form]
+    for key in given:
+        if key not in keys:
+            if forms is not None and any(key in other for other in forms.values()):
+                raise ConfigurationError(f"[{section}] form {form} does not read {key!r}")
+            raise ConfigurationError(f"[{section}] unknown key {key!r}")
+    for key, (reader, default) in keys.items():
+        if key in given:
+            values[key] = _read(f"[{section}] {key}", reader, given[key])
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"[{section}] missing required key {key!r}")
+        else:
+            values[key] = default
+    return values
 
 
-def parse_config(path):
-    """Parse and validate a config file into an :class:`ExperimentConfig`.
-
-    Structural errors carry line numbers (from the INI parser); semantic
-    errors name the offending section and key.  Unknown sections and keys are
-    rejected for typo safety.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.optionxform = str  # keys are case-sensitive (kT vs kt)
-    try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except configparser.Error as exc:
-        raise ConfigurationError(f"config parse error: {exc}")
-
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigurationError(f"unknown config section [{section}]")
-        allowed = _SCHEMA[section]
-        if allowed is not None:
-            for key in parser.options(section):
-                if key not in allowed:
-                    raise ConfigurationError(f"[{section}] unknown key {key!r}")
-
-    bath = {
-        "gamma": _get_float(parser, "bath", "gamma", required=True),
-        "eps": _get_float(parser, "bath", "eps", required=True),
-        "mass": _get_float(parser, "bath", "mass", 1.0),
-        "hbar": _get_float(parser, "bath", "hbar", 1.0),
-        "kT": _get_float(parser, "bath", "kT", 0.0),
-    }
-
-    pform = parser.get("potential", "form", fallback="free").strip()
-    potential = {"form": pform}
-    if pform == "harmonic":
-        potential["omega0"] = _get_float(parser, "potential", "omega0", required=True)
-    elif pform == "polynomial":
-        raw = parser.get("potential", "coefficients", fallback=None)
-        if raw is None:
-            raise ConfigurationError("[potential] missing required key 'coefficients'")
-        potential["coefficients"] = [float(c) for c in raw.replace(",", " ").split()]
-    elif pform != "free":
-        raise ConfigurationError(f"[potential] form: unknown form {pform!r}")
-
-    dt = _get_float(parser, "schedule", "dt", required=True)
-    t_eq = _get_float(parser, "schedule", "t_eq")
-    if t_eq is None:
-        # default span covers both the relaxation and the memory time scale,
-        # rounded up to a step multiple
-        t_eq = _dyn.default_equilibration_span(_bath.BathSpec(**bath))
-        t_eq = np.ceil(t_eq / dt) * dt
-    schedule = {
-        "t_eq": t_eq,
-        "t_end": _get_float(parser, "schedule", "t_end", required=True),
-        "dt": dt,
-        "record_stride": _get_int(parser, "schedule", "record_stride", 1),
-        "relax_dt_check": parser.getboolean("schedule", "relax_dt_check", fallback=False),
-    }
-
-    statistics = parser.get("noise", "statistics", fallback="quantum").strip()
-    if statistics not in _noise.STATISTICS:
-        raise ConfigurationError(f"[noise] statistics: unknown tag {statistics!r}")
-
-    prep_form = parser.get("preparation", "form", fallback="identity").strip()
-    preparation = {"form": prep_form,
-                   "mode": parser.get("preparation", "mode", fallback="lab").strip(),
-                   "time": _get_float(parser, "preparation", "time", 0.0)}
-    if prep_form == "gaussian":
-        preparation["sigma0"] = _get_float(parser, "preparation", "sigma0", required=True)
-    elif prep_form == "cat":
-        preparation["x0"] = _get_float(parser, "preparation", "x0", required=True)
-        preparation["sigma"] = _get_float(parser, "preparation", "sigma", required=True)
-    elif prep_form == "momentum-reset":
-        preparation["p_value"] = _get_float(parser, "preparation", "p_value", 0.0)
-    elif prep_form != "identity":
-        raise ConfigurationError(f"[preparation] form: unknown form {prep_form!r}")
-
-    observables = {}
-    if parser.has_section("observables"):
-        for name in parser.options("observables"):
-            if name not in _OBSERVABLE_NAMES:
-                raise ConfigurationError(f"[observables] unknown observable {name!r}")
-            target = parser.get("observables", name).strip()
-            observables[name] = f"{name}.csv" if target in ("", "default") else target
+def _check_observables(observables, preparation, mode):
+    """Reject observables the run cannot write, or not under their names."""
+    prep_form = preparation["form"]
     if not observables:
         raise ConfigurationError("[observables] at least one observable is required")
     if "cat_coherence" in observables and prep_form != "cat":
@@ -228,17 +200,60 @@ def parse_config(path):
         raise ConfigurationError(
             f"[observables] msd needs unit weights; the {prep_form} preparation "
             f"in {preparation['mode']} mode weights its trajectories")
+    # every file the run writes into its output directory, with its writer
+    files = list(observables.items())
+    described = _REFERENCE_OBSERVABLE.get(mode)
+    if described in observables:
+        stem, ext = os.path.splitext(observables[described])
+        files.append((f"the {mode} reference beside {described}", f"{stem}_reference{ext}"))
+    taken = dict.fromkeys(("run_manifest.json", "trajectories.bin", "noise_paths.bin"),
+                          "the run")
+    for name, fname in files:
+        if os.path.dirname(fname) or fname in (os.curdir, os.pardir):
+            raise ConfigurationError(
+                f"[observables] {name}: {fname!r} is not a file name in the output directory")
+        if fname in taken:
+            raise ConfigurationError(
+                f"[observables] {name}: {fname!r} is written by {taken[fname]} too")
+        taken[fname] = name
 
-    n_traj = _get_int(parser, "run", "n_traj", required=True)
-    if n_traj is None or n_traj < 1:
-        raise ConfigurationError("[run] n_traj must be >= 1")
-    master_seed = _get_int(parser, "run", "master_seed", required=True)
-    if master_seed < 0:
-        raise ConfigurationError(f"[run] master_seed must be >= 0, got {master_seed}")
 
-    mode = parser.get("reference", "mode", fallback="none").strip()
-    if mode not in ("none", *_REFERENCE_OBSERVABLE):
-        raise ConfigurationError(f"[reference] mode: unknown mode {mode!r}")
+def parse_config(path):
+    """Parse and validate a config file into an :class:`ExperimentConfig`.
+
+    Structural errors carry line numbers (from the INI parser); semantic
+    errors name the offending section and key.  Unknown sections and keys,
+    keys the chosen form does not read, and values their key's reader cannot
+    read are rejected.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive (kT vs kt)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh, source=str(path))
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ConfigurationError(f"config parse error: {exc}")
+
+    for section in parser.sections():
+        if section not in _TABLE:
+            raise ConfigurationError(f"unknown config section [{section}]")
+    bath, potential, schedule, noise, preparation, observables, run_keys, reference = (
+        _read_section(parser, section) for section in _TABLE)
+
+    if schedule["t_eq"] is None:
+        # default span covers both the relaxation and the memory time scale,
+        # rounded up to a step multiple
+        t_eq = _dyn.default_equilibration_span(_bath.BathSpec(**bath))
+        schedule["t_eq"] = np.ceil(t_eq / schedule["dt"]) * schedule["dt"]
+
+    observables = {name: f"{name}.csv" if fname in ("", "default") else fname
+                   for name, fname in observables.items() if fname is not None}
+    mode = reference["mode"]
+    _check_observables(observables, preparation, mode)
+
     if mode != "none":
         described = _REFERENCE_OBSERVABLE[mode]
         if described not in observables:
@@ -247,41 +262,30 @@ def parse_config(path):
                 f"observable, which [observables] does not configure")
         # each reference is the curve of one experiment; any other config
         # would get that curve beside an observable it does not describe
-        needs = {"the free potential": pform == "free"}
+        needs = {"the free potential": potential["form"] == "free"}
         if mode == "sigma2":
-            needs["the gaussian preparation"] = prep_form == "gaussian"
+            needs["the gaussian preparation"] = preparation["form"] == "gaussian"
         else:
             needs.update({
                 "kT = 0": bath["kT"] == 0.0,
-                "quantum statistics": statistics == _noise.QUANTUM,
+                "quantum statistics": noise["statistics"] == _noise.QUANTUM,
                 "a momentum-reset to p_value = 0 at time = 0":
-                    prep_form == "momentum-reset" and preparation["p_value"] == 0.0
-                    and preparation["time"] == 0.0,
+                    preparation["form"] == "momentum-reset"
+                    and preparation["p_value"] == 0.0 and preparation["time"] == 0.0,
             })
         unmet = [need for need, met in needs.items() if not met]
         if unmet:
             raise ConfigurationError(
                 f"[reference] mode {mode} requires {' and '.join(unmet)}")
 
-    batch_size = _get_int(parser, "run", "batch_size", 1024)
-    workers = _get_int(parser, "run", "workers", 1)
-    for key, value in (("batch_size", batch_size), ("workers", workers)):
-        if value < 1:
-            raise ConfigurationError(f"[run] {key} must be >= 1, got {value}")
-
     cfg = ExperimentConfig(
-        bath=bath, potential=potential, schedule=schedule, statistics=statistics,
-        preparation=preparation, observables=observables, n_traj=n_traj,
-        master_seed=master_seed, batch_size=batch_size, workers=workers,
-        out_dir=parser.get("run", "out_dir", fallback=None),
-        reference={"mode": mode})
+        bath=bath, potential=potential, schedule=schedule, statistics=noise["statistics"],
+        preparation=preparation, observables=observables, reference=reference, **run_keys)
 
     # revalidate module-level invariants now, with config-level naming
     try:
-        spec = cfg.bath_spec()
-        pot = cfg.potential_obj()
-        sched = cfg.schedule_obj()
-        sched.validate_against(spec, pot)
+        spec, pot = cfg.bath_spec(), cfg.potential_obj()
+        cfg.schedule_obj().validate_against(spec, pot)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return cfg
@@ -582,18 +586,12 @@ def _resolve_config(arg):
 
 
 def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-        cfg.master_seed = args.seed
-    if args.n_traj is not None:
-        if args.n_traj < 1:
-            raise ConfigurationError(f"--n-traj must be >= 1, got {args.n_traj}")
-        cfg.n_traj = args.n_traj
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
-        cfg.workers = args.workers
+    """Apply --seed, --n-traj and --workers, read as their [run] keys are."""
+    for flag, key in (("seed", "master_seed"), ("n_traj", "n_traj"), ("workers", "workers")):
+        value = getattr(args, flag)
+        if value is not None:
+            reader, _ = _TABLE["run"][key]
+            setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
     return cfg
 
 

@@ -19,7 +19,7 @@ midpoint rule.
 """
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -56,6 +56,8 @@ class Potential:
     form: str
     omega0: float = 0.0
     coefficients: tuple = ()
+    # polynomial coefficients of V, V', V'', ... down to the zero polynomial
+    _derivatives: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.form not in (FREE, HARMONIC, POLYNOMIAL):
@@ -71,6 +73,10 @@ class Potential:
                     f"polynomial degree {len(coeffs) - 1} exceeds {_MAX_POLY_DEGREE} "
                     "(overflow guard for long runs)")
             object.__setattr__(self, "coefficients", coeffs)
+            chain = [coeffs]
+            for _ in coeffs:
+                chain.append(np.polynomial.polynomial.polyder(chain[-1]))
+            object.__setattr__(self, "_derivatives", tuple(chain))
 
     @classmethod
     def free(cls):
@@ -90,12 +96,7 @@ class Potential:
 
     def force(self, x, mass):
         """-dV/dx, vectorised over x."""
-        if self.form == FREE:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.form == HARMONIC:
-            return -mass * self.omega0**2 * np.asarray(x, dtype=float)
-        dcoef = np.polynomial.polynomial.polyder(self.coefficients)
-        return -np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dcoef)
+        return -self.derivative(x, mass)
 
     def derivative(self, x, mass, order=1):
         """d^order V / dx^order, vectorised over x."""
@@ -103,13 +104,10 @@ class Potential:
         if self.form == FREE:
             return np.zeros_like(x)
         if self.form == HARMONIC:
-            table = {1: mass * self.omega0**2 * x,
-                     2: np.full_like(x, mass * self.omega0**2)}
-            return table.get(order, np.zeros_like(x))
-        c = self.coefficients
-        for _ in range(order):
-            c = np.polynomial.polynomial.polyder(c)
-        return np.polynomial.polynomial.polyval(x, c)
+            k = mass * self.omega0**2
+            return k * x if order == 1 else np.full_like(x, k if order == 2 else 0.0)
+        chain = self._derivatives
+        return np.polynomial.polynomial.polyval(x, chain[min(order, len(chain) - 1)])
 
 
 @dataclass(frozen=True)
@@ -173,12 +171,19 @@ class Schedule:
                 raise ConfigurationError(f"dt must divide {name} (got {value} / {self.dt})")
 
     def validate_against(self, spec, potential=None):
-        """Step-size invariants that need the bath (and potential) context."""
+        """Step-size and translate-mode invariants that need the bath (and potential)."""
         if not self.relax_dt_check and self.dt > spec.eps / 10 * (1 + 1e-12):
             raise ConfigurationError(
                 f"dt = {self.dt} too coarse for the kernel time scale "
                 f"(needs dt <= eps/10 = {spec.eps / 10:.6g})")
-        if potential is not None and potential.form == HARMONIC:
+        if potential is None:
+            return
+        if (not potential.translation_invariant
+                and any(iv.mode == "translate" for iv in self.interventions)):
+            raise ConfigurationError(
+                "translate-mode preparations require a translation-invariant "
+                "(free) potential")
+        if potential.form == HARMONIC:
             limit = (2 * np.pi / potential.omega0) / 50
             if self.dt > limit * (1 + 1e-12):
                 raise ConfigurationError(
@@ -398,18 +403,12 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     return x_rec, p_rec, weights, jump_nodes
 
 
-def _build_plan(sched, potential):
+def _build_plan(sched):
     """Bind the schedule's interventions to per-trajectory callbacks."""
     from . import preparation as _prep
 
-    plan = []
-    for iv, node in zip(sched.interventions, sched.intervention_nodes()):
-        if iv.mode == "translate" and not potential.translation_invariant:
-            raise ConfigurationError(
-                "translate-mode preparations require a translation-invariant "
-                "(free) potential")
-        plan.append((node, iv.time, _prep.as_intervention(iv.preparation, mode=iv.mode)))
-    return plan
+    return [(node, iv.time, _prep.as_intervention(iv.preparation, mode=iv.mode))
+            for iv, node in zip(sched.interventions, sched.intervention_nodes())]
 
 
 def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
@@ -433,7 +432,7 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
         rng = _traj_stream(0, 3, 0)
 
     if prep_sampler is None:
-        plan = _build_plan(sched, pot)
+        plan = _build_plan(sched)
     else:
         plan = [(node, iv.time, prep_sampler)
                 for iv, node in zip(sched.interventions, sched.intervention_nodes())]
@@ -484,7 +483,7 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
         rngs += block_rngs
     x, p, weights, _ = _integrate_batch(
         spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
-        sched.record_nodes(), intervention_plan=_build_plan(sched, pot), rngs=rngs)
+        sched.record_nodes(), intervention_plan=_build_plan(sched), rngs=rngs)
     times = sched.record_times()
     failed, t_bad = _failures(times, x, p, weights)
     return TrajectoryEnsemble(times, x, p, weights, failed_ids=failed, failure_time=t_bad)

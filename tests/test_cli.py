@@ -66,6 +66,62 @@ def write_config(tmp_path, name="exp.cfg", **kw):
     return path
 
 
+# inputs no run can honour: (write_config keywords, (old, new) text
+# replacement or None, error message)
+REJECTED = [
+    pytest.param(dict(potential="form = free\nomega0 = 1.0"), None,
+                 r"\[potential\] form free does not read 'omega0'", id="free-omega0"),
+    pytest.param(dict(potential="form = free\ncoefficients = 0 0 0.5"), None,
+                 r"\[potential\] form free does not read 'coefficients'",
+                 id="free-coefficients"),
+    *(pytest.param(dict(prep_extra=f"{key} = {value}"), None,
+                   rf"\[preparation\] form identity does not read '{key}'",
+                   id=f"identity-{key}")
+      for key, value in (("sigma0", -4), ("x0", 2), ("mode", "sideways"), ("time", 9))),
+    pytest.param(dict(), ("record_stride = 4", "record_stride = 4\nrelax_dt_check = maybe"),
+                 r"\[schedule\] relax_dt_check must be one of .*got 'maybe'",
+                 id="relax_dt_check-maybe"),
+    pytest.param(dict(potential="form = polynomial\ncoefficients = 0 x 1"), None,
+                 r"\[potential\] coefficients must be a finite number, got 'x'",
+                 id="coefficients-0-x-1"),
+    *(pytest.param(dict(n_traj=value), None,
+                   rf"\[run\] n_traj must be a finite number, got '{value}'",
+                   id=f"n_traj-{value}")
+      for value in ("inf", "nan")),
+    pytest.param(dict(), ("t_end = 2.0", "t_end = inf"),
+                 r"\[schedule\] t_end must be a finite number, got 'inf'", id="t_end-inf"),
+    pytest.param(dict(potential="form = harmonic\nomega0 = 1.0", prep="cat",
+                      prep_extra="x0 = 0.6\nsigma = 0.3\nmode = translate"), None,
+                 "translate-mode preparations require a translation-invariant",
+                 id="translate-harmonic"),
+    pytest.param(dict(potential="form = polynomial\ncoefficients = 0 0 0.5 0 0.1",
+                      prep="gaussian",
+                      prep_extra="sigma0 = 1.0\nmode = translate"), None,
+                 "translate-mode preparations require a translation-invariant",
+                 id="translate-polynomial"),
+    pytest.param(dict(observables="x2 = sub/x.csv"), None,
+                 r"\[observables\] x2: 'sub/x.csv' is not a file name", id="file-in-directory"),
+    pytest.param(dict(observables="x2 = out.csv\np2 = out.csv"), None,
+                 r"\[observables\] p2: 'out.csv' is written by x2 too", id="file-twice"),
+    *(pytest.param(dict(observables=f"x2 = default\nxp = {name}"), None,
+                   rf"\[observables\] xp: '{name}' is written by the run too",
+                   id=f"file-{name}")
+      for name in ("run_manifest.json", "trajectories.bin", "noise_paths.bin")),
+    pytest.param(dict(prep="gaussian", prep_extra="sigma0 = 1.0",
+                      observables="x2 = a.csv\np2 = a_reference.csv"),
+                 ("[run]", "[reference]\nmode = sigma2\n\n[run]"),
+                 r"\[observables\] the sigma2 reference beside x2: 'a_reference.csv' "
+                 "is written by p2 too", id="file-of-the-reference"),
+]
+
+
+def write_edited(tmp_path, kw, edit):
+    path = write_config(tmp_path, **kw)
+    if edit is not None:
+        path.write_text(path.read_text().replace(*edit))
+    return path
+
+
 class TestParseConfig:
     def test_happy_path(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -182,6 +238,33 @@ class TestParseConfig:
         path.write_text(path.read_text() + "\n[reference]\nmode = sigma2\nn_traj = 64\n")
         with pytest.raises(ConfigurationError, match=r"\[reference\] unknown key 'n_traj'"):
             parse_config(path)
+
+    @pytest.mark.parametrize("kw, edit, message", REJECTED)
+    def test_input_a_run_cannot_honour_rejected(self, tmp_path, kw, edit, message):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(write_edited(tmp_path, kw, edit))
+
+    def test_identity_reads_no_intervention_keys(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        assert cfg.preparation == {"form": "identity"}
+        assert cfg.schedule_obj().interventions == ()
+
+    def test_seed_digits_read_exactly(self, tmp_path):
+        # past 2^53 a float would round the seed
+        cfg = parse_config(write_config(tmp_path, seed=2**60 + 1))
+        assert cfg.master_seed == 2**60 + 1
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        example = text.split("### Config format", 1)[1].split("```ini\n", 1)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(example.split("```", 1)[0])
+        cfg = parse_config(path)
+        assert cfg.preparation == {"form": "gaussian", "mode": "translate", "time": 0.0,
+                                   "sigma0": 1.0}
+        assert cfg.reference == {"mode": "sigma2"}
 
     def test_presets_parse_and_match_published_parameters(self):
         names = preset_names()
@@ -641,6 +724,17 @@ class TestMain:
         cfg = write_config(tmp_path, n_traj=8, seed=seed)
         assert main([command, str(cfg), *flags, "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
+        assert re.search(message, err) and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "noise-check"])
+    @pytest.mark.parametrize("kw, edit, message", REJECTED)
+    def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, kw, edit,
+                                              message):
+        path = write_edited(tmp_path, kw, edit)
+        assert main([command, str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert re.search(message, err) and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

@@ -78,6 +78,31 @@ class TestPotential:
         assert FREE.translation_invariant
         assert not Potential.harmonic(1.0).translation_invariant
 
+    @pytest.mark.parametrize("pot", [FREE, Potential.harmonic(1.3),
+                                     Potential.polynomial([0.1, -0.4, 0.5, 0.0, 0.1])],
+                             ids=["free", "harmonic", "polynomial"])
+    def test_force_is_minus_the_first_derivative_bit_for_bit(self, pot):
+        x = np.array([-1.7, -0.0, 0.0, 0.3, 2.5])
+        assert pot.force(x, 1.7).tobytes() == (-pot.derivative(x, 1.7)).tobytes()
+        if pot.form == "harmonic":
+            # the closed form the integrator has always used, to the bit
+            assert pot.force(x, 1.7).tobytes() == (-1.7 * 1.3**2 * x).tobytes()
+
+    def test_harmonic_derivative_orders(self):
+        h, x = Potential.harmonic(2.0), np.array([-1.0, 0.5])
+        assert np.array_equal(h.derivative(x, 3.0, order=1), 12.0 * x)
+        assert np.array_equal(h.derivative(x, 3.0, order=2), [12.0, 12.0])
+        assert np.array_equal(h.derivative(x, 3.0, order=3), [0.0, 0.0])
+
+    def test_polynomial_derivatives_formed_once(self, monkeypatch):
+        # every order past the degree is the zero polynomial
+        p = Potential.polynomial([0.0, 1.0, 0.0, 2.0])  # x + 2x^3
+        monkeypatch.setattr(np.polynomial.polynomial, "polyder", None)
+        x = np.array([-1.0, 0.5])
+        assert np.array_equal(p.force(x, 1.0), -(1.0 + 6.0 * x**2))
+        assert np.array_equal(p.derivative(x, 1.0, order=3), [12.0, 12.0])
+        assert np.array_equal(p.derivative(x, 1.0, order=7), [0.0, 0.0])
+
 
 class TestSchedule:
     def test_basic_invariants(self):
@@ -108,6 +133,21 @@ class TestSchedule:
         fine.validate_against(FIG1)
         with pytest.raises(ConfigurationError):
             fine.validate_against(FIG1, Potential.harmonic(10.0))
+
+    @pytest.mark.parametrize("pot", [Potential.harmonic(1.0),
+                                     Potential.polynomial([0.0, 0.0, 0.5, 0.0, 0.1])],
+                             ids=["harmonic", "polynomial"])
+    def test_translate_mode_needs_the_free_potential(self, pot):
+        sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.05, interventions=(
+            Intervention(0.0, CatProject(1.0, 0.5), mode="translate"),))
+        sched.validate_against(FIG1, FREE)
+        with pytest.raises(ConfigurationError, match="translate-mode"):
+            sched.validate_against(FIG1, pot)
+        # rejected before any batch is integrated or handed on
+        batches = []
+        with pytest.raises(ConfigurationError, match="translate-mode"):
+            run_ensemble(FIG1, pot, sched, 4, "quantum", 1, consumer=batches.append)
+        assert batches == []
 
     def test_record_grid(self):
         sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.05, record_stride=4)
@@ -431,7 +471,7 @@ class TestTranslateMode:
             xi = qnoise.synthesize_batch(FIG1, grid, "quantum", rngs)
             return _integrate_batch(FIG1, FREE, sched.dt, sched.n_steps, noise_buffer(xi),
                                     np.full(n, x0), np.zeros(n), sched.record_nodes(),
-                                    intervention_plan=_build_plan(sched, FREE),
+                                    intervention_plan=_build_plan(sched),
                                     rngs=rngs)[:3]
 
         x_a, p_a, w_a = records(0.0)
@@ -621,7 +661,7 @@ class TestTimeMajorIntegrator:
         def call(integrator, noise, **kw):
             return integrator(FIG1, pot, sched.dt, sched.n_steps, noise,
                               np.full(n_traj, 0.3), np.zeros(n_traj), sched.record_nodes(),
-                              intervention_plan=_build_plan(sched, pot),
+                              intervention_plan=_build_plan(sched),
                               rngs=[_traj_stream(61, 0, i) for i in range(n_traj)], **kw)
 
         x_ref, p_ref, w_ref, jumps_ref = call(column_major_integrate, xi)
