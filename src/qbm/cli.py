@@ -208,6 +208,7 @@ def _check_observables(observables, preparation, mode):
         files.append((f"the {mode} reference beside {described}", f"{stem}_reference{ext}"))
     taken = dict.fromkeys(("run_manifest.json", "trajectories.bin", "noise_paths.bin"),
                           "the run")
+    taken["noise_check.json"] = "qbm noise-check"
     for name, fname in files:
         if os.path.dirname(fname) or fname in (os.curdir, os.pardir):
             raise ConfigurationError(
@@ -284,8 +285,9 @@ def parse_config(path):
 
     # revalidate module-level invariants now, with config-level naming
     try:
-        spec, pot = cfg.bath_spec(), cfg.potential_obj()
-        cfg.schedule_obj().validate_against(spec, pot)
+        spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
+        sched.validate_against(spec, pot)
+        _dyn.check_memory(sched, cfg.n_traj, cfg.batch_size)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return cfg
@@ -400,6 +402,7 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
         "wall_time_s": time.time() - t_start,
         "peak_rss_mb": _peak_rss_mb(),
         "environment": _environment(),
+        "threads": _dyn.thread_counts(cfg.workers),
         "outputs": [os.path.basename(w) for w in written],
         "n_failed_trajectories": len(ensemble.failed_ids),
     }
@@ -410,35 +413,12 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
     return written
 
 
-def _blas_threads():
-    """Thread count of the OpenBLAS that numpy loaded, or None if it is not found."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return int(fn())
-    return None
-
-
 def _environment():
     """Library versions, the BLAS with its thread count, and the usable cores.
 
-    The output bits depend on these besides the config: another BLAS thread
-    count changes the friction sums in their last bits.
+    The output bits depend on the library versions besides the config.
+    ``blas_threads`` is the process's count outside the integration, which
+    runs on one OpenBLAS thread (the manifest's ``threads``).
     """
     # the top-level package only: it loads none of scipy's subpackages
     import scipy
@@ -448,12 +428,8 @@ def _environment():
         vendor = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):
         vendor = None
-    try:
-        nproc = len(os.sched_getaffinity(0))
-    except AttributeError:
-        nproc = os.cpu_count()
     return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": vendor,
-            "blas_threads": _blas_threads(), "nproc": nproc}
+            "blas_threads": _dyn.blas_threads(), "nproc": _noise.usable_cores()}
 
 
 def _peak_rss_mb():

@@ -18,7 +18,8 @@ memory convolution evaluated from the mid-interval velocity history by the
 midpoint rule.
 """
 
-from contextlib import nullcontext
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -105,6 +106,8 @@ class Potential:
             return np.zeros_like(x)
         if self.form == HARMONIC:
             k = mass * self.omega0**2
+            if order == 0:
+                return 0.5 * k * x**2
             return k * x if order == 1 else np.full_like(x, k if order == 2 else 0.0)
         chain = self._derivatives
         return np.polynomial.polynomial.polyval(x, chain[min(order, len(chain) - 1)])
@@ -292,9 +295,115 @@ def _kernel_mid(spec, dt, n):
     return dt * _bath.memory_kernel(spec, dt * (np.arange(n) + 0.5))
 
 
+def _buffer_width(n_traj):
+    """Columns of a batch's buffer: ``n_traj`` rounded up to whole history tiles."""
+    return -(-n_traj // _HISTORY_TILE) * _HISTORY_TILE
+
+
 def _noise_buffer(n_steps, n_traj):
     """Zeroed time-major (n_steps + 1, width) buffer, width a whole number of tiles."""
-    return np.zeros((n_steps + 1, -(-n_traj // _HISTORY_TILE) * _HISTORY_TILE))
+    return np.zeros((n_steps + 1, _buffer_width(n_traj)))
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError, AttributeError):
+        return None
+
+
+def check_memory(sched, n_traj, batch_size):
+    """Reject a run whose batch buffer cannot fit in physical memory.
+
+    A batch's buffer holds ``(n_steps + 1) x width`` floats, ``width`` being
+    the batch rounded up to the history tile; the noise grid's period
+    (about ``3 x n_steps`` samples) and a noise block are smaller, so they fit
+    if it does.  The step count comes from ``t_eq``, ``t_end`` and ``dt``
+    alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows: it is
+    rejected here, before anything is allocated.
+    """
+    memory = _physical_memory()
+    need = 8 * (sched.n_steps + 1) * _buffer_width(min(batch_size, n_traj))
+    if memory is not None and need > memory:
+        raise ConfigurationError(
+            f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose batch "
+            f"buffer of {need / 2**30:.3g} GiB exceeds the {memory / 2**30:.3g} GiB of "
+            f"physical memory (raise [schedule] dt or lower [run] batch_size)")
+
+
+def _openblas():
+    """``(get, set)`` of the thread count of the OpenBLAS numpy loaded, or None.
+
+    The library is looked up among the process's mapped files by the getter
+    symbols the numpy wheels' OpenBLAS builds export; the setter is the
+    getter's ``set`` twin.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            put = getattr(lib, symbol.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS numpy loaded, or None if it is not found."""
+    calls = _openblas()
+    return None if calls is None else int(calls[0]())
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block, then restore its count.
+
+    How OpenBLAS splits the friction product among its threads changes the
+    product's last bits, so one thread makes a run's bits independent of
+    ``OPENBLAS_NUM_THREADS``; and with the noise drawn on every core,
+    OpenBLAS's spinning workers would only take those cores back.
+    """
+    calls = _openblas()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _init_pool_process():
+    """Pool-process set-up: one BLAS thread and one noise thread, as the
+    pool's other processes take the other cores."""
+    calls = _openblas()
+    if calls is not None:
+        calls[1](1)
+    _noise._threads = 1
+
+
+def thread_counts(workers):
+    """Threads each integrating process draws noise on, and OpenBLAS's pinned
+    count (None when OpenBLAS is not found)."""
+    return {"noise": 1 if workers > 1 else _noise.thread_count(),
+            "blas": None if _openblas() is None else 1}
 
 
 def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
@@ -507,7 +616,10 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     Each trajectory owns a counter-based stream derived from
     ``(master_seed, stream_tag, trajectory_id)``; within a stream the noise
     coefficients are drawn first, then any preparation draws, so results are
-    bit-reproducible for any batch split or worker count.
+    bit-reproducible for any batch split or worker count.  OpenBLAS runs on
+    one thread while the ensemble is integrated (its count is restored on
+    return), so they are also independent of ``OPENBLAS_NUM_THREADS``; pool
+    processes also draw their noise on one thread.
 
     Without a ``consumer`` the records are stacked in trajectory-id order.
     With one, each batch goes to ``consumer(batch)`` in trajectory-id order
@@ -526,6 +638,7 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
     sched.validate_against(spec, pot)
+    check_memory(sched, n_traj, batch_size)
 
     times = sched.record_times()
     x = p = None
@@ -541,10 +654,10 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     mapper, pool = map, nullcontext()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_process)
         mapper = pool.map
     done = 0
-    with pool:
+    with _one_blas_thread(), pool:
         # both maps yield in submission order, i.e. in trajectory-id order
         for batch in mapper(job, batches):
             lo, done = done, done + batch.n_traj

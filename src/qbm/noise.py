@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,17 @@ _PERIOD_FACTOR = 3.0
 # Frequency coverage must resolve the exponential cutoff: N*delta_omega >= 20/eps.
 _COVERAGE_FACTOR = 20.0
 
-# Paths synthesize_batch transforms per inverse FFT call, through workspaces
-# of this many rows.  numpy plans the transform anew on every call, and each
-# call has a fixed overhead, so one path per call is slower than a 64-path
-# block in one call; four per call are as fast, and the workspaces stay four
-# rows long.
+# Rows of synthesize_batch's workspaces, shared out among its threads: each
+# transforms its share of rows per inverse FFT call.  numpy plans the
+# transform anew on every call, and each call has a fixed overhead, so one
+# path per call is slower than a 64-path block in one call; four per call
+# are as fast, and the workspaces stay four rows long.
 _FFT_ROWS = 4
+
+# Threads synthesize_batch fills a block's rows on (see thread_count); None
+# for one per usable core.  A pool process sets 1, as the pool's other
+# processes take the other cores.
+_threads = None
 
 # Paths the autocorrelation takes from its iterable and stacks at a time: its
 # lag products exist for this many paths only, never for a batch.
@@ -253,40 +259,101 @@ def synthesize(spec, grid, statistics, rng, seed_record=("adhoc",)):
     return NoisePath(seed=tuple(seed_record), times=times, values=values)
 
 
+def usable_cores():
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def thread_count():
+    """Threads :func:`synthesize_batch` fills a block on: the usable cores, at
+    most one per workspace row."""
+    return min(_threads or usable_cores(), _FFT_ROWS)
+
+
+def _in_threads(fill, n_rows, n_threads):
+    """Call ``fill(k, lo, hi)`` on ``n_threads`` contiguous slices of the rows at once.
+
+    The calling thread fills slice 0, short-lived threads the others; all are
+    joined before this returns, and an exception raised in any of them is
+    raised here.
+    """
+    bounds = [n_rows * k // n_threads for k in range(n_threads + 1)]
+    errors = []
+
+    def work(k):
+        try:
+            fill(k, bounds[k], bounds[k + 1])
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(1, n_threads)]
+    for t in workers:
+        t.start()
+    try:
+        fill(0, bounds[0], bounds[1])
+    finally:
+        for t in workers:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def synthesize_batch(spec, grid, statistics, rngs):
     """Stack paths for several generators into one (len(rngs), n_times) array.
 
     Each generator draws only its own path's coefficients, so a trajectory's
-    noise is independent of how the ensemble is batched.  Paths are built
-    ``_FFT_ROWS`` at a time into the result through workspaces of that many
-    rows of normals and of coefficients, allocated once per call, and one
-    inverse transform of that many rows: beyond the result the working set
-    does not grow with the number of paths.
+    noise is independent of how the ensemble is batched.  The rows are split
+    into :func:`thread_count` contiguous slices filled at once, one per
+    thread.  Workspaces of ``_FFT_ROWS`` rows of normals, of coefficients and
+    of transform output are allocated once per call and shared out among the
+    threads; each thread builds its paths that many at a time into the
+    result, with one inverse transform of that many rows.  So beyond the
+    result the working set grows neither with the number of paths nor with
+    the threads, and since every row keeps its own generator, draw order and
+    transform, the paths do not depend on the thread count either.
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
     grid.validate(spec)
     out = np.empty((len(rngs), grid.n_times))
+    n_threads = max(1, min(thread_count(), len(rngs)))
     if statistics == WHITE:
         scale = np.sqrt(_white_variance(spec, grid.t_step))
-        for row, r in zip(out, rngs):
-            r.standard_normal(out=row)
-            row *= scale
+
+        def fill(k, lo, hi):
+            for row, r in zip(out[lo:hi], rngs[lo:hi]):
+                r.standard_normal(out=row)
+                row *= scale
+
+        _in_threads(fill, len(rngs), n_threads)
         return out
     # cast once: multiplying by the real amplitudes would cast them per group
     amp = mode_amplitudes(spec, grid, statistics).astype(complex)
     m = grid.fft_length
     normals = np.empty((_FFT_ROWS, 2, grid.n_modes + 1))
     coeff = np.empty((_FFT_ROWS, grid.n_modes + 1), dtype=complex)
-    for lo in range(0, len(rngs), _FFT_ROWS):
-        group = rngs[lo:lo + _FFT_ROWS]
-        rows = _draw_half(group, normals[:len(group)], coeff[:len(group)])
-        rows *= amp
-        # Hermitian construction: the inverse transform is exactly real, so the
-        # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-        # One expression, so no group's transform is alive during the next one.
-        np.multiply(irfft(rows, n=m, axis=1)[:, :grid.n_times], m,
-                    out=out[lo:lo + len(group)])
+    periods = np.empty((_FFT_ROWS, m))
+    per = _FFT_ROWS // n_threads
+
+    def fill(k, lo, hi):
+        own = slice(k * per, (k + 1) * per)  # this thread's workspace rows
+        for start in range(lo, hi, per):
+            group = rngs[start:min(start + per, hi)]
+            g = len(group)
+            rows = _draw_half(group, normals[own][:g], coeff[own][:g])
+            rows *= amp
+            # Hermitian construction: the inverse transform is exactly real, so the
+            # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
+            irfft(rows, n=m, axis=1, out=periods[own][:g])
+            # row by row: a multiply over the strided block would take a
+            # ufunc buffer, one per thread
+            for period, row in zip(periods[own], out[start:start + g]):
+                np.multiply(period[:grid.n_times], m, out=row)
+
+    _in_threads(fill, len(rngs), n_threads)
     return out
 
 

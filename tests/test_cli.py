@@ -107,6 +107,12 @@ REJECTED = [
                    rf"\[observables\] xp: '{name}' is written by the run too",
                    id=f"file-{name}")
       for name in ("run_manifest.json", "trajectories.bin", "noise_paths.bin")),
+    pytest.param(dict(observables="x2 = default\nxp = noise_check.json"), None,
+                 r"\[observables\] xp: 'noise_check.json' is written by qbm noise-check too",
+                 id="file-noise_check.json"),
+    pytest.param(dict(), ("dt = 0.05", "dt = 1e-300"),
+                 r"\[schedule\] t_eq, t_end and dt give 6e\+300 steps, whose batch buffer "
+                 r"of .* GiB exceeds the .* GiB of physical memory", id="dt-1e-300"),
     pytest.param(dict(prep="gaussian", prep_extra="sigma0 = 1.0",
                       observables="x2 = a.csv\np2 = a_reference.csv"),
                  ("[run]", "[reference]\nmode = sigma2\n\n[run]"),
@@ -310,6 +316,36 @@ class TestRun:
         assert env["nproc"] >= 1
         assert env["blas_threads"] is None or env["blas_threads"] >= 1
         assert manifest["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_manifest_records_the_thread_counts(self, tmp_path, workers):
+        from qbm import dynamics
+        cfg = parse_config(write_config(tmp_path, run_extra=f"workers = {workers}"))
+        out = tmp_path / "out"
+        run(cfg, out_dir=str(out))
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        blas = None if dynamics.blas_threads() is None else 1
+        noise = qnoise.thread_count() if workers == 1 else 1
+        assert manifest["threads"] == {"noise": noise, "blas": blas}
+
+    def test_outputs_do_not_depend_on_openblas_num_threads(self, tmp_path):
+        # a fresh interpreter per setting: OpenBLAS reads it when it loads.
+        # 128 trajectories are one history tile, which 2 unpinned threads
+        # split differently from one
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
+        csvs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "qbm.cli", "run", "fig1", "--n-traj", "128",
+                            "--out-dir", str(out)], env=env, capture_output=True,
+                           timeout=300, check=True)
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["environment"]["blas_threads"] in (None, int(threads))
+            csvs[threads] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+        assert list(csvs["1"]) == ["sigma2.csv", "sigma2_reference.csv"]
+        assert csvs["1"] == csvs["2"]
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig2_white", "fig3",
                                         "fig3_classical", "classical_limit"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
+from qbm import dynamics as qdyn
 from qbm import noise as qnoise
 from qbm.bath import BathSpec, memory_kernel, noise_psd
 from qbm.dynamics import (
@@ -93,6 +94,21 @@ class TestPotential:
         assert np.array_equal(h.derivative(x, 3.0, order=1), 12.0 * x)
         assert np.array_equal(h.derivative(x, 3.0, order=2), [12.0, 12.0])
         assert np.array_equal(h.derivative(x, 3.0, order=3), [0.0, 0.0])
+
+    @pytest.mark.parametrize("pot, mass, v", [
+        (FREE, 1.7, lambda x: 0.0 * x),
+        (Potential.harmonic(2.0), 3.0, lambda x: 0.5 * 3.0 * 4.0 * x**2),
+        (Potential.polynomial([0.1, -0.4, 0.5]), 1.0, lambda x: 0.1 - 0.4 * x + 0.5 * x**2),
+    ], ids=["free", "harmonic", "polynomial"])
+    def test_order_zero_is_the_potential(self, pot, mass, v):
+        x = np.array([-1.0, 0.0, 0.5, 2.0])
+        assert np.allclose(pot.derivative(x, mass, order=0), v(x), rtol=1e-15, atol=0)
+
+    def test_harmonic_equals_its_polynomial_at_every_order(self):
+        x = np.array([-1.0, 0.5, 2.0])
+        h, p = Potential.harmonic(1.0), Potential.polynomial([0.0, 0.0, 0.5])
+        for order in range(4):
+            assert np.array_equal(h.derivative(x, 1.0, order), p.derivative(x, 1.0, order))
 
     def test_polynomial_derivatives_formed_once(self, monkeypatch):
         # every order past the degree is the zero polynomial
@@ -427,6 +443,78 @@ class TestStreamedRun:
         sched = Schedule(t_eq=1.0, t_end=0.0, dt=0.05)
         with pytest.raises(ConfigurationError, match=key):
             run_ensemble(FIG1, FREE, sched, 4, "quantum", 1, **{key: value})
+
+    def test_step_count_beyond_physical_memory_rejected_before_allocating(self):
+        # 6e300 steps: the batch buffer would be 6e300 rows
+        sched = Schedule(t_eq=4.0, t_end=2.0, dt=1e-300)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=r"\[schedule\] t_eq, t_end and dt give 6e\+300 steps.*"
+                                     r"physical memory.*\[run\] batch_size"):
+                run_ensemble(FIG1, FREE, sched, 4, "quantum", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_buffer_that_fits_only_in_smaller_batches(self, monkeypatch):
+        # 4001 nodes: 128 columns need 4.1 MB, 256 columns 8.2 MB
+        sched = Schedule(t_eq=100.0, t_end=100.0, dt=0.05)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 6_000_000)
+        qdyn.check_memory(sched, n_traj=4096, batch_size=128)
+        qdyn.check_memory(sched, n_traj=100, batch_size=1024)
+        with pytest.raises(ConfigurationError, match="buffer of 0.00763 GiB exceeds"):
+            qdyn.check_memory(sched, n_traj=4096, batch_size=256)
+
+
+class TestThreads:
+    @pytest.fixture
+    def openblas(self):
+        calls = qdyn._openblas()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with thread-count calls")
+        get, put = calls
+        before = get()
+        yield get, put
+        put(before)
+
+    def test_run_ensemble_pins_openblas_to_one_thread_and_restores_it(self, openblas):
+        get, put = openblas
+        put(2)
+        seen = []
+        sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
+        run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4,
+                     consumer=lambda batch: seen.append(get()))
+        assert seen == [1, 1]
+        assert get() == 2
+
+    def test_pin_is_restored_when_the_run_fails(self, openblas):
+        get, put = openblas
+        put(2)
+        sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
+
+        def consumer(batch):
+            raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, consumer=consumer)
+        assert get() == 2
+
+    def test_pool_process_initializer_pins_both_to_one(self, monkeypatch, openblas):
+        get, put = openblas
+        put(2)
+        monkeypatch.setattr(qnoise, "_threads", None)
+        qdyn._init_pool_process()
+        assert get() == 1 and qnoise.thread_count() == 1
+        assert qdyn.thread_counts(workers=2) == {"noise": 1, "blas": 1}
+
+    def test_thread_counts_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(qdyn, "_openblas", lambda: None)
+        assert qdyn.thread_counts(workers=1) == {"noise": qnoise.thread_count(), "blas": None}
+        assert qdyn.blas_threads() is None
+        sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
+        assert run_ensemble(FIG1, FREE, sched, 4, "quantum", 1).n_traj == 4
 
     def test_integrate_leaves_the_noise_path_intact(self):
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)

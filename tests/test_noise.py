@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 import scipy.fft
 from scipy.fft import irfft
 
+from qbm import noise as qnoise
 from qbm.bath import BathSpec, quantum_correlation
 from qbm.errors import ConfigurationError
 from qbm.noise import (
@@ -278,6 +281,64 @@ def test_synthesis_working_set_is_its_row_workspaces():
 
     assert beyond_output(64) <= 1.02 * workspaces
     assert beyond_output(256) <= 1.02 * workspaces
+
+
+class TestThreadedSynthesis:
+    # 1 and 3 paths leave threads with one row or none, 64 and 65 split a
+    # block evenly and not
+    @pytest.mark.parametrize("n", [1, 3, 64, 65])
+    @pytest.mark.parametrize("statistics", [QUANTUM, CLASSICAL, WHITE])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_rows_do_not_depend_on_the_thread_count(self, monkeypatch, threads,
+                                                    statistics, n):
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+        ref = stacked_synthesis(spec, grid, statistics, [stream(44, 0, i) for i in range(n)])
+        monkeypatch.setattr(qnoise, "_threads", threads)
+        got = synthesize_batch(spec, grid, statistics, [stream(44, 0, i) for i in range(n)])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_thread_count_is_the_cores_at_most_one_per_workspace_row(self, monkeypatch):
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 64)
+        assert qnoise.thread_count() == qnoise._FFT_ROWS
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        assert qnoise.thread_count() == 2
+        monkeypatch.setattr(qnoise, "_threads", 1)
+        assert qnoise.thread_count() == 1
+
+    @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
+    def test_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch, statistics):
+        class Broken:
+            def standard_normal(self, out=None):
+                raise RuntimeError("broken generator")
+
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+        monkeypatch.setattr(qnoise, "_threads", 2)
+        before = threading.active_count()
+        # the calling thread fills rows 0-3, a worker rows 4-7
+        rngs = [stream(45, 0, i) for i in range(8)]
+        rngs[6] = Broken()
+        with pytest.raises(RuntimeError, match="broken generator"):
+            synthesize_batch(spec, grid, statistics, rngs)
+        assert threading.active_count() == before
+
+    def test_stress_more_threads_than_cores_and_short_switch_interval(self, monkeypatch):
+        # four threads on the shared workspaces, switching every microsecond:
+        # a row written from another thread's workspace would change the bits
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+        ref = stacked_synthesis(spec, grid, QUANTUM, [stream(46, 0, i) for i in range(65)])
+        monkeypatch.setattr(qnoise, "_threads", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = synthesize_batch(spec, grid, QUANTUM,
+                                       [stream(46, 0, i) for i in range(65)])
+                assert got.tobytes() == ref.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def stacked_autocorrelation(paths, lags):
