@@ -273,28 +273,53 @@ def thread_count():
     return min(_threads or usable_cores(), _FFT_ROWS)
 
 
-def _in_threads(fill, n_rows, n_threads):
-    """Call ``fill(k, lo, hi)`` on ``n_threads`` contiguous slices of the rows at once.
+def _in_threads(fill, n_rows, group, n_threads):
+    """Call ``fill(k, lo, hi)`` on the rows, ``group`` at a time, on ``n_threads`` threads.
 
-    The calling thread fills slice 0, short-lived threads the others; all are
-    joined before this returns, and an exception raised in any of them is
-    raised here.
+    Thread ``k`` (the calling thread is 0, short-lived threads the others)
+    claims the next group from one shared counter each time it finishes
+    one, so a thread whose core is taken by another process fills fewer
+    groups instead of holding the others up at the end.  Each thread is
+    pinned to its own usable core while it works, and the calling thread's
+    affinity is restored after: left to itself, the kernel of a 2-core
+    virtual machine was seen to keep both threads on one core for a whole
+    run, each wake-up by the other landing there, at no gain over one
+    thread.  All are joined before this returns; an exception raised in any
+    of them stops the claims and is raised here.
     """
-    bounds = [n_rows * k // n_threads for k in range(n_threads + 1)]
+    try:
+        cores = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity calls on this platform
+        cores = None
+    groups = iter(range(0, n_rows, group))
+    lock = threading.Lock()
     errors = []
 
     def work(k):
-        try:
-            fill(k, bounds[k], bounds[k + 1])
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
+        if cores and n_threads > 1:
+            try:
+                os.sched_setaffinity(0, {cores[k % len(cores)]})
+            except OSError:  # the core went away: run unpinned
+                pass
+        while True:
+            with lock:
+                lo = None if errors else next(groups, None)
+            if lo is None:
+                return
+            try:
+                fill(k, lo, min(lo + group, n_rows))
+            except BaseException as exc:  # re-raised in the calling thread
+                with lock:
+                    errors.append(exc)
 
     workers = [threading.Thread(target=work, args=(k,)) for k in range(1, n_threads)]
     for t in workers:
         t.start()
     try:
-        fill(0, bounds[0], bounds[1])
+        work(0)
     finally:
+        if cores and n_threads > 1:
+            os.sched_setaffinity(0, cores)
         for t in workers:
             t.join()
     if errors:
@@ -305,21 +330,22 @@ def synthesize_batch(spec, grid, statistics, rngs):
     """Stack paths for several generators into one (len(rngs), n_times) array.
 
     Each generator draws only its own path's coefficients, so a trajectory's
-    noise is independent of how the ensemble is batched.  The rows are split
-    into :func:`thread_count` contiguous slices filled at once, one per
-    thread.  Workspaces of ``_FFT_ROWS`` rows of normals, of coefficients and
-    of transform output are allocated once per call and shared out among the
-    threads; each thread builds its paths that many at a time into the
-    result, with one inverse transform of that many rows.  So beyond the
-    result the working set grows neither with the number of paths nor with
-    the threads, and since every row keeps its own generator, draw order and
-    transform, the paths do not depend on the thread count either.
+    noise is independent of how the ensemble is batched.  The paths are
+    built on :func:`thread_count` threads at once, each taking groups of
+    ``_FFT_ROWS // threads`` paths in turn.  Workspaces of ``_FFT_ROWS``
+    rows of normals, of coefficients and of transform output are allocated
+    once per call and shared out among the threads, and each group is one
+    inverse transform.  So beyond the result the working set grows neither
+    with the number of paths nor with the threads, and since every row keeps
+    its own generator, draw order and transform, the paths do not depend on
+    the thread count or on which thread built them.
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
     grid.validate(spec)
     out = np.empty((len(rngs), grid.n_times))
     n_threads = max(1, min(thread_count(), len(rngs)))
+    per = _FFT_ROWS // n_threads
     if statistics == WHITE:
         scale = np.sqrt(_white_variance(spec, grid.t_step))
 
@@ -328,7 +354,7 @@ def synthesize_batch(spec, grid, statistics, rngs):
                 r.standard_normal(out=row)
                 row *= scale
 
-        _in_threads(fill, len(rngs), n_threads)
+        _in_threads(fill, len(rngs), per, n_threads)
         return out
     # cast once: multiplying by the real amplitudes would cast them per group
     amp = mode_amplitudes(spec, grid, statistics).astype(complex)
@@ -336,24 +362,20 @@ def synthesize_batch(spec, grid, statistics, rngs):
     normals = np.empty((_FFT_ROWS, 2, grid.n_modes + 1))
     coeff = np.empty((_FFT_ROWS, grid.n_modes + 1), dtype=complex)
     periods = np.empty((_FFT_ROWS, m))
-    per = _FFT_ROWS // n_threads
 
     def fill(k, lo, hi):
-        own = slice(k * per, (k + 1) * per)  # this thread's workspace rows
-        for start in range(lo, hi, per):
-            group = rngs[start:min(start + per, hi)]
-            g = len(group)
-            rows = _draw_half(group, normals[own][:g], coeff[own][:g])
-            rows *= amp
-            # Hermitian construction: the inverse transform is exactly real, so the
-            # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-            irfft(rows, n=m, axis=1, out=periods[own][:g])
-            # row by row: a multiply over the strided block would take a
-            # ufunc buffer, one per thread
-            for period, row in zip(periods[own], out[start:start + g]):
-                np.multiply(period[:grid.n_times], m, out=row)
+        own = slice(k * per, k * per + hi - lo)  # thread k's workspace rows
+        rows = _draw_half(rngs[lo:hi], normals[own], coeff[own])
+        rows *= amp
+        # Hermitian construction: the inverse transform is exactly real, so the
+        # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
+        irfft(rows, n=m, axis=1, out=periods[own])
+        # row by row: a multiply over the strided block would take a ufunc
+        # buffer, one per thread
+        for period, row in zip(periods[own], out[lo:hi]):
+            np.multiply(period[:grid.n_times], m, out=row)
 
-    _in_threads(fill, len(rngs), n_threads)
+    _in_threads(fill, len(rngs), per, n_threads)
     return out
 
 

@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -283,6 +285,29 @@ def test_synthesis_working_set_is_its_row_workspaces():
     assert beyond_output(256) <= 1.02 * workspaces
 
 
+class Drawing:
+    """A generator that records the threads it draws on and their CPU
+    affinity, and draws after a pause in the calling thread (``main_s``) or
+    in others (``worker_s``), or raises in others."""
+
+    def __init__(self, rng, main_s=0.0, worker_s=0.0, worker_error=False):
+        self.rng, self.main_s, self.worker_s = rng, main_s, worker_s
+        self.worker_error = worker_error
+        self.threads = set()
+        self.affinity = {}
+
+    def standard_normal(self, out=None):
+        thread = threading.current_thread()
+        self.threads.add(thread)
+        if hasattr(os, "sched_getaffinity"):
+            self.affinity.setdefault(thread, set()).add(frozenset(os.sched_getaffinity(0)))
+        in_main = thread is threading.main_thread()
+        if self.worker_error and not in_main:
+            raise RuntimeError("broken generator")
+        time.sleep(self.main_s if in_main else self.worker_s)
+        return self.rng.standard_normal(out=out)
+
+
 class TestThreadedSynthesis:
     # 1 and 3 paths leave threads with one row or none, 64 and 65 split a
     # block evenly and not
@@ -308,20 +333,52 @@ class TestThreadedSynthesis:
 
     @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
     def test_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch, statistics):
-        class Broken:
-            def standard_normal(self, out=None):
-                raise RuntimeError("broken generator")
-
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         monkeypatch.setattr(qnoise, "_threads", 2)
         before = threading.active_count()
-        # the calling thread fills rows 0-3, a worker rows 4-7
-        rngs = [stream(45, 0, i) for i in range(8)]
-        rngs[6] = Broken()
+        # slow in the calling thread, so that the worker claims a group
+        rngs = [Drawing(stream(45, 0, i), main_s=0.01, worker_error=True) for i in range(8)]
+        affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         with pytest.raises(RuntimeError, match="broken generator"):
             synthesize_batch(spec, grid, statistics, rngs)
         assert threading.active_count() == before
+        if affinity is not None:
+            assert os.sched_getaffinity(0) == affinity
+
+    @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
+    def test_a_slow_thread_fills_fewer_groups(self, monkeypatch, statistics):
+        # a worker whose core is taken draws slowly: the calling thread
+        # claims the groups it does not reach, and the rows keep their bits
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+        ref = stacked_synthesis(spec, grid, statistics, [stream(47, 0, i) for i in range(64)])
+        monkeypatch.setattr(qnoise, "_threads", 2)
+        rngs = [Drawing(stream(47, 0, i), worker_s=0.05) for i in range(64)]
+        got = synthesize_batch(spec, grid, statistics, rngs)
+        assert got.tobytes() == ref.tobytes()
+        in_main = sum(r.threads == {threading.main_thread()} for r in rngs)
+        assert in_main >= 56
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_each_thread_works_on_its_own_core_and_the_callers_affinity_is_restored(
+            self, monkeypatch):
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(qnoise, "_threads", 2)
+        # slow in the calling thread, so that the worker claims groups too
+        rngs = [Drawing(stream(48, 0, i), main_s=0.005) for i in range(16)]
+        synthesize_batch(spec, grid, QUANTUM, rngs)
+        assert os.sched_getaffinity(0) == before
+        masks = {}
+        for r in rngs:
+            for thread, seen in r.affinity.items():
+                masks.setdefault(thread, set()).update(seen)
+        assert len(masks) == 2
+        assert all(len(seen) == 1 and len(next(iter(seen))) == 1 for seen in masks.values())
+        if len(before) > 1:
+            assert len({next(iter(seen)) for seen in masks.values()}) == 2
 
     def test_stress_more_threads_than_cores_and_short_switch_interval(self, monkeypatch):
         # four threads on the shared workspaces, switching every microsecond:
