@@ -288,7 +288,7 @@ def _in_threads(fill, n_rows, group, n_threads):
     of them stops the claims and is raised here.
     """
     try:
-        cores = sorted(os.sched_getaffinity(0))
+        cores = sorted(os.sched_getaffinity(0)) if n_threads > 1 else None
     except AttributeError:  # no affinity calls on this platform
         cores = None
     groups = iter(range(0, n_rows, group))
@@ -296,7 +296,7 @@ def _in_threads(fill, n_rows, group, n_threads):
     errors = []
 
     def work(k):
-        if cores and n_threads > 1:
+        if cores:
             try:
                 os.sched_setaffinity(0, {cores[k % len(cores)]})
             except OSError:  # the core went away: run unpinned
@@ -318,7 +318,7 @@ def _in_threads(fill, n_rows, group, n_threads):
     try:
         work(0)
     finally:
-        if cores and n_threads > 1:
+        if cores:
             os.sched_setaffinity(0, cores)
         for t in workers:
             t.join()
