@@ -467,6 +467,32 @@ class TestStreamedRun:
         with pytest.raises(ConfigurationError, match="buffer of 0.00763 GiB exceeds"):
             qdyn.check_memory(sched, n_traj=4096, batch_size=256)
 
+    def test_integrate_leaves_the_noise_path_intact(self):
+        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, _traj_stream(4, 0, 0))
+        before = path.values.copy()
+        first = integrate(FIG1, FREE, sched, path)
+        assert path.values.tobytes() == before.tobytes()
+        assert integrate(FIG1, FREE, sched, path).x.tobytes() == first.x.tobytes()
+
+    def test_batch_holds_one_noise_sized_buffer(self):
+        # noise and velocity history share one (n_steps + 1) x width buffer.
+        # Beyond it a batch holds its generators, one 64-path noise block
+        # and its records: at 3000 trajectories of 1600 steps with two
+        # records these stay below 0.3 buffers, while a second noise-sized
+        # array would add a whole one
+        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
+        n_traj = 3000
+        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
+        tracemalloc.start()
+        try:
+            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * _noise_buffer(sched.n_steps, n_traj).nbytes
+
 
 class TestThreads:
     @pytest.fixture
@@ -515,32 +541,6 @@ class TestThreads:
         assert qdyn.blas_threads() is None
         sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
         assert run_ensemble(FIG1, FREE, sched, 4, "quantum", 1).n_traj == 4
-
-    def test_integrate_leaves_the_noise_path_intact(self):
-        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
-        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
-        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, _traj_stream(4, 0, 0))
-        before = path.values.copy()
-        first = integrate(FIG1, FREE, sched, path)
-        assert path.values.tobytes() == before.tobytes()
-        assert integrate(FIG1, FREE, sched, path).x.tobytes() == first.x.tobytes()
-
-    def test_batch_holds_one_noise_sized_buffer(self):
-        # noise and velocity history share one (n_steps + 1) x width buffer.
-        # Beyond it a batch holds its generators, one 64-path noise block
-        # and its records: at 3000 trajectories of 1600 steps with two
-        # records these stay below 0.3 buffers, while a second noise-sized
-        # array would add a whole one
-        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
-        n_traj = 3000
-        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
-        tracemalloc.start()
-        try:
-            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * _noise_buffer(sched.n_steps, n_traj).nbytes
 
 
 class TestTranslateMode:
