@@ -25,6 +25,7 @@ from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.random.bit_generator import ISeedSequence
 
 from . import bath as _bath
 from . import noise as _noise
@@ -33,10 +34,13 @@ from .errors import ConfigurationError, IntegrationFailure
 # Node-block size for the blocked (BLAS) evaluation of the direct convolution.
 _CONV_BLOCK = 64
 
-# Trajectories per history product.  Every batch's BLAS call multiplies a
-# kernel block with exactly this many velocity columns (the last tile
-# zero-padded): the kernels and thread splits OpenBLAS picks depend on the
-# matrix shape, and so would a trajectory's last bits on the batch it lands in.
+# Trajectories per history tile; a batch's buffer is a whole number of tiles
+# wide (the last zero-padded).  The block product multiplies a kernel block
+# with one tile at a time, and the in-block vector product runs over the
+# whole padded width: the kernels and thread splits OpenBLAS picks depend on
+# the operand shapes, and a dgemv's column tail takes a different kernel, so
+# with any other width a trajectory's last bits would depend on the batch it
+# lands in.
 _HISTORY_TILE = 128
 
 # Paths synthesised per call: noise exists as blocks of this many paths,
@@ -270,10 +274,104 @@ class InterventionResult:
     r_pre: float = None
 
 
+# numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``): a pool of
+# four uint32 words, ``hashmix`` and ``mix`` constants, and the state hash
+_POOL = 4
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n):
+    """SeedSequence's uint32 words of a non-negative int, least significant first."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hash_constants(start, mult, count):
+    """``start * mult**k`` mod 2**32 for k < count, as a (count, 1) uint32 column."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _seed_keys(entropy):
+    """``SeedSequence(row).generate_state(2, np.uint64)`` for every row of an
+    (n, w) uint32 entropy array, as an (n, 2) uint64 array.
+
+    The hash of numpy's SeedSequence, vectorised over the rows: each
+    ``hashmix`` call takes the next hash constant, so the calls SeedSequence
+    makes one after the other for the pool's other words are one array
+    operation here, in the same order of constants.
+    """
+    n, w = entropy.shape
+    words = np.zeros((max(w, _POOL), n), dtype=np.uint32)
+    words[:w] = entropy.T
+    hc = _hash_constants(_HASH_A, _MULT_A, _POOL * len(words) + 1)
+    calls = 0
+
+    def hashmix(value, count):
+        nonlocal calls
+        value = (value ^ hc[calls:calls + count]) * hc[calls + 1:calls + count + 1]
+        calls += count
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> 16)
+
+    # the entropy up to the pool size (zero words past its end), then every
+    # pool word into every other, then the entropy past the pool
+    pool = hashmix(words[:_POOL], _POOL)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for src in range(_POOL, len(words)):
+        pool = mix(pool, hashmix(words[src], _POOL))
+    hb = _hash_constants(_HASH_B, _MULT_B, _POOL + 1)
+    state = (pool ^ hb[:_POOL]) * hb[1:]
+    state ^= state >> 16
+    # generate_state's uint64 words: pairs of uint32 words, little-endian
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a key already derived: ``Philox(key=...)`` would first
+    draw a seed from the OS, and a SeedSequence would hash it again."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _traj_streams(master_seed, stream_tag, ids):
+    """Counter-based streams of the trajectories ``ids``, keyed together.
+
+    Stream ``i`` is Philox keyed as by ``SeedSequence((master_seed,
+    stream_tag, i))``, so it is independent of scheduling order and of the
+    ids keyed with it.
+    """
+    prefix = _uint32_words(int(master_seed)) + _uint32_words(int(stream_tag))
+    rows = [prefix + _uint32_words(int(i)) for i in ids]
+    keys = np.empty((len(rows), 2), dtype=np.uint64)
+    # a long id (or seed) gives more entropy words: one hash per row length
+    for width in set(map(len, rows)):
+        sel = [k for k, row in enumerate(rows) if len(row) == width]
+        keys[sel] = _seed_keys(np.array([rows[k] for k in sel], dtype=np.uint32))
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
+
+
 def _traj_stream(master_seed, stream_tag, traj_id):
-    """Counter-based per-trajectory stream; independent of scheduling order."""
-    seq = np.random.SeedSequence((int(master_seed), int(stream_tag), int(traj_id)))
-    return np.random.Generator(np.random.Philox(seq))
+    """The stream of one trajectory (see :func:`_traj_streams`)."""
+    return _traj_streams(master_seed, stream_tag, (traj_id,))[0]
 
 
 def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids):
@@ -286,7 +384,7 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids):
     """
     for lo in range(0, len(ids), _NOISE_BLOCK):
         block = ids[lo:lo + _NOISE_BLOCK]
-        rngs = [_traj_stream(master_seed, stream_tag, i) for i in block]
+        rngs = _traj_streams(master_seed, stream_tag, block)
         yield block, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs)
 
 
@@ -420,9 +518,14 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     triples; the callback receives (t_k, rbar, pbar, rng) per trajectory and
     returns an :class:`InterventionResult`.
 
-    The friction history is multiplied ``_HISTORY_TILE`` columns of ``buf``
-    at a time, so a trajectory's bits do not depend on the batch around it;
-    a narrower buffer is one narrower product.
+    The friction at a node is the product of the kernel with the history
+    before its block of ``_CONV_BLOCK`` nodes, one matrix product per block
+    and ``_HISTORY_TILE`` columns of ``buf`` at a time, plus the in-block
+    remainder, one BLAS vector product per step over the whole width of
+    ``buf``.  Both see operands of whole tiles whatever B, so a trajectory's
+    bits do not depend on the batch around it; a buffer narrower than a tile
+    (``integrate_deterministic``'s one column) is one narrower product.
+    The step works in place on arrays allocated once per call.
 
     Returns (x_rec, p_rec, weights, jump_nodes), where ``jump_nodes`` lists
     (node, dx vector) for every intervention that moved a position.
@@ -435,6 +538,8 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     n_rec = len(record_nodes)
 
     k_mid = _kernel_mid(spec, dt, n_steps)
+    # k_rev[n_steps - L:] is k_mid[:L] reversed, contiguous for BLAS
+    k_rev = np.ascontiguousarray(k_mid[::-1])
     m_nodes = _bath.memory_kernel(spec, dt * np.arange(n_steps + 1))
 
     plan = {int(n): (t_k, cb) for n, t_k, cb in intervention_plan}
@@ -447,7 +552,24 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     x_rec = np.empty((B, n_rec))
     p_rec = np.empty((B, n_rec))
 
-    force = pot.force(x, mass) + buf[0, :B]
+    # the step's arrays, written in place: the loop allocates nothing
+    p_half = np.empty(B)
+    force = np.empty(B)
+    fric = np.empty(B)
+    row = np.empty(width)    # the in-block product over the whole buffer width
+    tmp = row[:B]            # scratch once the product is spent
+
+    def set_force(node, friction=True):
+        """force = F(x) + noise[node] (+ fric), summed in that order."""
+        if pot.form == FREE:
+            # F(x) = -0.0, the identity of the sum
+            np.copyto(force, buf[node, :B])
+        else:
+            np.add(pot.force(x, mass), buf[node, :B], out=force)
+        if friction:
+            np.add(force, fric, out=force)
+
+    set_force(0, friction=False)
     if 0 in rec_pos:
         x_rec[:, rec_pos[0]] = x
         p_rec[:, rec_pos[0]] = p
@@ -457,15 +579,18 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     # transient overflow warnings a runaway trajectory produces on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            p_half = p + (0.5 * dt) * force
-            v = p_half / mass
-            buf[n, :B] = v
-            x += dt * v
+            # p_half = p + (dt/2) force; v = p_half / m; x += dt v
+            np.multiply(force, 0.5 * dt, out=p_half)
+            np.add(p, p_half, out=p_half)
+            v = buf[n, :B]
+            np.divide(p_half, mass, out=v)
+            np.multiply(v, dt, out=tmp)
+            np.add(x, tmp, out=x)
 
             node = n + 1
             # Friction at the new node from mid-interval velocities: the
             # block's pre-start history enters through one matrix product,
-            # the in-block remainder through a short dot per step.
+            # the in-block remainder through one vector product per step.
             if n % _CONV_BLOCK == 0:
                 block_start = node
                 cols = min(_CONV_BLOCK, n_steps + 1 - block_start)
@@ -478,15 +603,20 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
                     np.matmul(kernel_t, buf[:block_start, t:t + _HISTORY_TILE],
                               out=old[:cols, t:t + _HISTORY_TILE])
             s = node - block_start
-            fric = -old[s, :B]
-            if node - 1 >= block_start:
-                seg = k_mid[:node - block_start][::-1]
-                fric = fric - seg @ buf[block_start:node, :B]
+            np.negative(old[s, :B], out=fric)
+            if s > 0:
+                # k_mid[:s] reversed against the block's rows, over the whole
+                # (tile-padded) width, so its bits do not depend on B
+                np.matmul(k_rev[n_steps - s:], buf[block_start:node], out=row)
+                np.subtract(fric, row[:B], out=fric)
             for jn, dxv in jump_nodes:
-                fric = fric - m_nodes[node - jn] * dxv
+                np.multiply(dxv, m_nodes[node - jn], out=tmp)
+                np.subtract(fric, tmp, out=fric)
 
-            force = pot.force(x, mass) + buf[node, :B] + fric
-            p = p_half + (0.5 * dt) * force
+            set_force(node)
+            # p = p_half + (dt/2) force
+            np.multiply(force, 0.5 * dt, out=p)
+            np.add(p_half, p, out=p)
 
             if node in plan:
                 t_k, callback = plan[node]
@@ -501,9 +631,10 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
                     p[i] = res.p0
                 if np.any(dxv):
                     jump_nodes.append((node, dxv))
-                    fric = fric - m_nodes[0] * dxv
+                    np.multiply(dxv, m_nodes[0], out=tmp)
+                    np.subtract(fric, tmp, out=fric)
                 # forces changed discontinuously with the state
-                force = pot.force(x, mass) + buf[node, :B] + fric
+                set_force(node)
 
             if node in rec_pos:
                 x_rec[:, rec_pos[node]] = x
