@@ -25,7 +25,6 @@ from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.random.bit_generator import ISeedSequence
 
 from . import bath as _bath
 from . import noise as _noise
@@ -341,9 +340,10 @@ def _seed_keys(entropy):
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _PhiloxKey(ISeedSequence):
+class _PhiloxKey:
     """Hands Philox a key already derived: ``Philox(key=...)`` would first
-    draw a seed from the OS, and a SeedSequence would hash it again."""
+    draw a seed from the OS, and a SeedSequence would hash it again.
+    Registered as a ``numpy.random.bit_generator.ISeedSequence`` on use."""
 
     def __init__(self, key):
         self.key = key
@@ -359,10 +359,14 @@ def _traj_streams(master_seed, stream_tag, ids):
     stream_tag, i))``, so it is independent of scheduling order and of the
     ids keyed with it.
     """
+    # registered here, not at import: importing qbm does not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
     prefix = _uint32_words(int(master_seed)) + _uint32_words(int(stream_tag))
     rows = [prefix + _uint32_words(int(i)) for i in ids]
     keys = np.empty((len(rows), 2), dtype=np.uint64)
-    # a long id (or seed) gives more entropy words: one hash per row length
+    # ids past 2**32 are more entropy words: one hash per row length
     for width in set(map(len, rows)):
         sel = [k for k, row in enumerate(rows) if len(row) == width]
         keys[sel] = _seed_keys(np.array([rows[k] for k in sel], dtype=np.uint32))
