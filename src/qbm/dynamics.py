@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bath as _bath
 from . import noise as _noise
+from . import preparation as _prep
 from .errors import ConfigurationError, IntegrationFailure
 
 # Node-block size for the blocked (BLAS) evaluation of the direct convolution.
@@ -256,21 +257,6 @@ def default_equilibration_span(spec):
     if spec.gamma == 0.0:
         return 50.0 * spec.eps
     return max(10.0 / spec.gamma, 50.0 * spec.eps)
-
-
-@dataclass
-class InterventionResult:
-    """Outcome of one preparation draw for one trajectory.
-
-    ``r_pre`` (optional) first translates the trajectory to that position
-    without a friction boundary term (exact for free potentials); the move
-    from there to ``r0`` is a physical jump and is logged.
-    """
-
-    r0: float
-    p0: float
-    weight: float
-    r_pre: float = None
 
 
 # numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``): a pool of
@@ -518,9 +504,11 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     mid-interval velocities of step n, whose noise is dead by then (the
     force at node n was formed at the end of step n - 1), so one array holds
     both the noise and the friction history and the noise is consumed.
-    ``intervention_plan`` is a sequence of (node_index, t_k, callback)
-    triples; the callback receives (t_k, rbar, pbar, rng) per trajectory and
-    returns an :class:`InterventionResult`.
+    ``intervention_plan`` is a sequence of (node_index, draw) pairs; the
+    draw (see :func:`preparation.as_intervention`) is called once per
+    trajectory, in row order, as ``draw(rbar, pbar, rng)`` and returns
+    ``(r_pre, r0, p0, weight)``: the trajectory moves to ``r_pre`` without a
+    friction boundary term (exact for free potentials), then jumps to ``r0``.
 
     The friction at a node is the product of the kernel with the history
     before its block of ``_CONV_BLOCK`` nodes, one matrix product per block
@@ -546,7 +534,7 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     k_rev = np.ascontiguousarray(k_mid[::-1])
     m_nodes = _bath.memory_kernel(spec, dt * np.arange(n_steps + 1))
 
-    plan = {int(n): (t_k, cb) for n, t_k, cb in intervention_plan}
+    plan = {int(n): draw for n, draw in intervention_plan}
 
     x = np.array(x0, dtype=float, copy=True)
     p = np.array(p0, dtype=float, copy=True)
@@ -623,16 +611,13 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
             np.add(p_half, p, out=p)
 
             if node in plan:
-                t_k, callback = plan[node]
-                dxv = np.zeros(B)
-                for i in range(B):
-                    res = callback(t_k, x[i], p[i], rngs[i])
-                    weights[i] *= res.weight
-                    if res.r_pre is not None:
-                        x[i] = res.r_pre
-                    dxv[i] = res.r0 - x[i]
-                    x[i] = res.r0
-                    p[i] = res.p0
+                draw = plan[node]
+                r_pre, r0, p0, w = np.array(
+                    [draw(x[i], p[i], rngs[i]) for i in range(B)], dtype=float).T
+                weights *= w
+                dxv = r0 - r_pre
+                x[:] = r0
+                p[:] = p0
                 if np.any(dxv):
                     jump_nodes.append((node, dxv))
                     np.multiply(dxv, m_nodes[0], out=tmp)
@@ -648,21 +633,17 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
 
 
 def _build_plan(sched):
-    """Bind the schedule's interventions to per-trajectory callbacks."""
-    from . import preparation as _prep
-
-    return [(node, iv.time, _prep.as_intervention(iv.preparation, mode=iv.mode))
+    """Bind the schedule's interventions to their per-trajectory draws."""
+    return [(node, _prep.as_intervention(iv.preparation, mode=iv.mode))
             for iv, node in zip(sched.interventions, sched.intervention_nodes())]
 
 
-def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
+def integrate(spec, pot, sched, noise_path, rng=None):
     """Integrate one trajectory for a fixed noise realization.
 
     The particle starts at x = 0, p = 0 at t = -t_eq and evolves through the
-    equilibration span before recording starts at t = 0.  ``prep_sampler``,
-    when given, overrides the schedule's preparations: it is called at every
-    intervention time as ``prep_sampler(t_k, rbar, pbar, rng)`` and returns
-    an :class:`InterventionResult`.
+    equilibration span before recording starts at t = 0; the schedule's
+    preparations draw from ``rng``.
 
     Raises :class:`IntegrationFailure` if the state leaves float range or
     the weight is not finite.
@@ -675,19 +656,13 @@ def integrate(spec, pot, sched, noise_path, prep_sampler=None, rng=None):
     if rng is None:
         rng = _traj_stream(0, 3, 0)
 
-    if prep_sampler is None:
-        plan = _build_plan(sched)
-    else:
-        plan = [(node, iv.time, prep_sampler)
-                for iv, node in zip(sched.interventions, sched.intervention_nodes())]
-
     # the integrator consumes its buffer, never the caller's path
     buf = _noise_buffer(n_steps, 1)
     buf[:, 0] = noise_path.values[:n_steps + 1]
     rec = sched.record_nodes()
     x_rec, p_rec, weights, jump_nodes = _integrate_batch(
         spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1), rec,
-        intervention_plan=plan, rngs=[rng])
+        intervention_plan=_build_plan(sched), rngs=[rng])
     failed, t_bad = _failures(sched.record_times(), x_rec, p_rec, weights)
     if len(failed):
         raise IntegrationFailure("trajectory state or weight became non-finite",

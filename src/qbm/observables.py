@@ -111,7 +111,8 @@ def _squared_displacement(x, p, k0):
 
 def _good(ensemble):
     """Row indices of the trajectories that stayed finite."""
-    return np.setdiff1d(np.arange(ensemble.n_traj), ensemble.failed_ids)
+    # not np.setdiff1d: its np.unique imports numpy.ma on first use
+    return np.delete(np.arange(ensemble.n_traj), ensemble.failed_ids)
 
 
 class Accumulator:

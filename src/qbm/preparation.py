@@ -9,22 +9,25 @@ the weighted trajectory average is an exact importance-sampling identity even
 when the preparation function takes negative values; unknown normalisation
 constants cancel between numerator and denominator of the ratio estimator.
 
-Two sampling modes exist for position-selective preparations:
+Every preparation draws ``sample(rbar, pbar, rng) -> (r0, p0, weight)``, and
+is attached to a run through ``Schedule(interventions=((t, prep),))``.  Two
+sampling modes exist for position-selective preparations:
 
 - ``lab``: the literal update (position kept for delta-constrained forms,
-  jumped otherwise with a friction boundary term).
+  jumped otherwise with a friction boundary term), drawn by ``sample``.
 - ``translate``: for free (translation-invariant) potentials, where the
   equilibrium position marginal is improper and the preparation itself fixes
-  the coordinate origin.  The whole trajectory is translated to the sampled
-  pre-intervention position, which realises the flat-marginal limit exactly
-  instead of approaching it logarithmically in the equilibration span.
+  the coordinate origin.  ``sample_translate(rbar, pbar, rng) -> (r_pre, r0,
+  p0, weight)`` first translates the whole trajectory to the sampled
+  pre-intervention position ``r_pre``, which realises the flat-marginal limit
+  exactly instead of approaching it logarithmically in the equilibration span;
+  the move from ``r_pre`` to ``r0`` is a jump.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InterventionResult
 from .errors import ConfigurationError, DomainError, EnvelopeError
 
 # Rejection draws happen in blocks; a sampler that burns through this many
@@ -148,7 +151,7 @@ class Identity:
         return rbar, pbar, 1.0
 
     def sample_translate(self, rbar, pbar, rng):
-        return InterventionResult(r0=rbar, p0=pbar, weight=1.0)
+        return rbar, rbar, pbar, 1.0
 
 
 class MomentumReset:
@@ -167,7 +170,7 @@ class MomentumReset:
         return rbar, self.p_value, 1.0
 
     def sample_translate(self, rbar, pbar, rng):
-        return InterventionResult(r0=rbar, p0=self.p_value, weight=1.0)
+        return rbar, rbar, self.p_value, 1.0
 
 
 class GaussianLocalize:
@@ -220,8 +223,7 @@ class GaussianLocalize:
     def sample_translate(self, rbar, pbar, rng):
         r0 = self.sigma0 * rng.standard_normal()
         p0 = pbar + self.sigma_p * rng.standard_normal()
-        return InterventionResult(r0=float(r0), p0=float(p0), weight=1.0,
-                                  r_pre=float(r0))
+        return float(r0), float(r0), float(p0), 1.0
 
 
 class CatProject:
@@ -331,8 +333,7 @@ class CatProject:
         w_pre = self.wigner(r_pre, pbar) / dens
 
         r0, p0, w_post = self._draw_post(rng)
-        return InterventionResult(r0=float(r0), p0=float(p0),
-                                  weight=float(w_pre * w_post), r_pre=float(r_pre))
+        return float(r_pre), float(r0), float(p0), float(w_pre * w_post)
 
 
 class ProductForm:
@@ -372,17 +373,13 @@ class ProductForm:
 
 
 def as_intervention(prep, mode="lab"):
-    """Adapt a preparation to the integrator's intervention callback protocol."""
+    """The per-trajectory draw ``(rbar, pbar, rng) -> (r_pre, r0, p0, weight)``
+    of a preparation in the given mode; ``r_pre = rbar`` in lab mode."""
     if mode == "lab":
-        def callback(t, rbar, pbar, rng):
-            r0, p0, w = prep.sample(rbar, pbar, rng)
-            return InterventionResult(r0=r0, p0=p0, weight=w)
-        return callback
+        return lambda rbar, pbar, rng: (rbar, *prep.sample(rbar, pbar, rng))
     if mode == "translate":
         if not hasattr(prep, "sample_translate"):
             raise ConfigurationError(
                 f"{type(prep).__name__} has no translation-covariant sampler")
-        def callback(t, rbar, pbar, rng):
-            return prep.sample_translate(rbar, pbar, rng)
-        return callback
+        return prep.sample_translate
     raise ConfigurationError(f"unknown intervention mode {mode!r}")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -800,7 +801,8 @@ class TestImportPath:
                     cfg = cli.parse_config(p)
                 cfg.n_traj = 64
                 command(cfg, out_dir=os.path.join(sys.argv[1], preset))
-                loaded[preset] = [m for m in sys.modules if m.startswith("scipy.")]
+                loaded[preset] = [m for m in sys.modules
+                                  if m.startswith("scipy.") or m == "numpy.ma"]
             print(json.dumps(loaded))
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
@@ -812,5 +814,31 @@ class TestImportPath:
         heavy = {"scipy.fft", "scipy.integrate", "scipy.linalg"}
         # fig1 and fig2 need numpy only; fig3's p2 reference needs scipy.special
         assert (heavy | {"scipy.special"}).isdisjoint(loaded["fig2"]), loaded["fig2"]
+        # nor numpy.ma, which costs every run its import; scipy.special loads it
+        assert "numpy.ma" not in loaded["fig1"] and "numpy.ma" not in loaded["fig2"]
         assert heavy.isdisjoint(loaded["fig3"]), sorted(heavy & set(loaded["fig3"]))
         assert "scipy.special" in loaded["fig3"]
+
+
+class TestBenchmarkSpans:
+    def test_every_attribute_the_benchmark_wraps_is_called_through(self, tmp_path):
+        # perfbench/spans.py times a traced run by replacing the module
+        # attributes through which qbm's layers call each other; a renamed
+        # attribute would fail its instrument() or leave its span empty
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "spans.py")
+        module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(spans)
+        with resources.as_file(preset_path("fig1")) as p:
+            cfg = parse_config(p)
+        cfg.n_traj = 128
+        recorder = spans.Recorder()
+        try:
+            spans.instrument(recorder)
+            run(cfg, out_dir=str(tmp_path))
+        finally:
+            recorder.restore()
+        names = [span["name"] for span in recorder.spans]
+        assert names.count("preparation.sample") == 128
+        assert "noise.synthesize_batch" in names

@@ -13,7 +13,6 @@ from qbm.dynamics import (
     _CONV_BLOCK,
     _HISTORY_TILE,
     Intervention,
-    InterventionResult,
     Potential,
     Schedule,
     Trajectory,
@@ -49,10 +48,24 @@ def noise_buffer(xi, tile=_HISTORY_TILE):
     return buf
 
 
-def reset_to(x0, p0):
-    def cb(t, rbar, pbar, rng):
-        return InterventionResult(r0=x0, p0=p0, weight=1.0)
-    return cb
+class ResetTo:
+    """Moves the particle to (x0, p0) with weight 1."""
+
+    def __init__(self, x0, p0):
+        self.x0, self.p0 = x0, p0
+
+    def sample(self, rbar, pbar, rng):
+        return self.x0, self.p0, 1.0
+
+
+class Shift:
+    """Moves the particle by ``step``, keeping its momentum, with weight 1."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def sample(self, rbar, pbar, rng):
+        return rbar + self.step, pbar, 1.0
 
 
 class TestPotential:
@@ -176,18 +189,16 @@ class TestSchedule:
 class TestIntegrate:
     def test_no_forces_constant_position(self):
         sched = Schedule(t_eq=1.0, t_end=5.0, dt=0.025,
-                         interventions=((0.0, None),))
-        traj = integrate(NO_BATH, FREE, sched, zero_path(sched),
-                         prep_sampler=reset_to(1.0, 0.0))
+                         interventions=((0.0, ResetTo(1.0, 0.0)),))
+        traj = integrate(NO_BATH, FREE, sched, zero_path(sched))
         assert np.all(traj.x == 1.0)
         assert traj.weight == 1.0
 
     def test_harmonic_oscillator_cosine(self):
         dt = 5e-4
         sched = Schedule(t_eq=10 * dt, t_end=10.0, dt=dt,
-                         interventions=((0.0, None),))
-        traj = integrate(NO_BATH, Potential.harmonic(1.0), sched, zero_path(sched),
-                         prep_sampler=reset_to(1.0, 0.0))
+                         interventions=((0.0, ResetTo(1.0, 0.0)),))
+        traj = integrate(NO_BATH, Potential.harmonic(1.0), sched, zero_path(sched))
         assert np.abs(traj.x - np.cos(traj.times)).max() <= 1e-6
 
     def test_fixed_noise_gle_matches_volterra_reference(self):
@@ -245,10 +256,9 @@ class TestIntegrate:
         # inverted quartic: runaway force, state overflows to non-finite
         pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
         sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
-                         interventions=((0.0, None),))
+                         interventions=((0.0, ResetTo(1.0, 1.0)),))
         with pytest.raises(IntegrationFailure):
-            integrate(NO_BATH, pot, sched, zero_path(sched),
-                      prep_sampler=reset_to(1.0, 1.0))
+            integrate(NO_BATH, pot, sched, zero_path(sched))
 
 
 def exact_equilibrium_p2(spec, n_grid=3000):
@@ -328,8 +338,7 @@ class TestRunEnsemble:
         sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
                          interventions=(Intervention(0.0, Kick()),))
         with pytest.raises(IntegrationFailure) as one:
-            integrate(NO_BATH, pot, sched, zero_path(sched),
-                      prep_sampler=reset_to(1.0, 1.0))
+            integrate(NO_BATH, pot, sched, zero_path(sched))
         with pytest.raises(IntegrationFailure) as ensemble:
             run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3)
         assert ensemble.value.trajectory_ids == tuple(range(8))
@@ -611,9 +620,8 @@ class TestDynamicsInvariants:
 class TestTrajectoryRecords:
     def test_jump_log_carries_time_and_size(self):
         sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.05,
-                         interventions=((0.5, None),))
-        traj = integrate(NO_BATH, FREE, sched, zero_path(sched),
-                         prep_sampler=reset_to(2.0, 0.0))
+                         interventions=((0.5, ResetTo(2.0, 0.0)),))
+        traj = integrate(NO_BATH, FREE, sched, zero_path(sched))
         assert len(traj.jump_log) == 1
         t_k, dx = traj.jump_log[0]
         assert t_k == pytest.approx(0.5)
@@ -624,11 +632,10 @@ class TestTrajectoryRecords:
         # boundary force -M(t - t_k) dx; at short times (gamma*t << 1) the
         # momentum is its impulse integral -dx * int_0^t M(u) du, with the
         # friction back-reaction on the induced motion entering at O((gamma t)^2)
-        sched = Schedule(t_eq=1.0, t_end=2.0, dt=0.0125,
-                         interventions=((0.0, None),))
         dx = 1.5
-        traj = integrate(FIG1, FREE, sched, zero_path(sched),
-                         prep_sampler=reset_to(dx, 0.0))
+        sched = Schedule(t_eq=1.0, t_end=2.0, dt=0.0125,
+                         interventions=((0.0, ResetTo(dx, 0.0)),))
+        traj = integrate(FIG1, FREE, sched, zero_path(sched))
         t_probe = 0.1
         predicted = -dx * (2.0 * FIG1.mass * FIG1.gamma / np.pi) * np.arctan(
             t_probe / FIG1.eps)
@@ -637,18 +644,16 @@ class TestTrajectoryRecords:
 
     def test_position_jump_acts_only_after_its_time(self):
         t_k, dx = 0.5, 1.5
-        sched = Schedule(t_eq=1.0, t_end=2.0, dt=0.0125,
-                         interventions=((t_k, None),))
+
+        def shifted(step):
+            return Schedule(t_eq=1.0, t_end=2.0, dt=0.0125,
+                            interventions=((t_k, Shift(step)),))
+
+        sched = shifted(0.0)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
         path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, _traj_stream(8, 0, 0))
-
-        def shift(step):
-            def cb(t, rbar, pbar, rng):
-                return InterventionResult(r0=rbar + step, p0=pbar, weight=1.0)
-            return cb
-
-        plain = integrate(FIG1, FREE, sched, path, prep_sampler=shift(0.0))
-        jumped = integrate(FIG1, FREE, sched, path, prep_sampler=shift(dx))
+        plain = integrate(FIG1, FREE, sched, path)
+        jumped = integrate(FIG1, FREE, shifted(dx), path)
         k = int(round(t_k / sched.dt))
         assert plain.x[:k].tobytes() == jumped.x[:k].tobytes()
         assert plain.p[:k].tobytes() == jumped.p[:k].tobytes()
@@ -667,7 +672,7 @@ def column_major_integrate(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
     n_rec = len(record_nodes)
     k_mid = _kernel_mid(spec, dt, n_steps)
     m_nodes = memory_kernel(spec, dt * np.arange(n_steps + 1))
-    plan = {int(n): (t_k, cb) for n, t_k, cb in intervention_plan}
+    plan = {int(n): draw for n, draw in intervention_plan}
     x = np.array(x0, dtype=float, copy=True)
     p = np.array(p0, dtype=float, copy=True)
     weights = np.ones(B)
@@ -703,16 +708,13 @@ def column_major_integrate(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
             force = pot.force(x, mass) + xi[:, node] + fric
             p = p_half + (0.5 * dt) * force
             if node in plan:
-                t_k, callback = plan[node]
                 dxv = np.zeros(B)
                 for i in range(B):
-                    res = callback(t_k, x[i], p[i], rngs[i])
-                    weights[i] *= res.weight
-                    if res.r_pre is not None:
-                        x[i] = res.r_pre
-                    dxv[i] = res.r0 - x[i]
-                    x[i] = res.r0
-                    p[i] = res.p0
+                    r_pre, r0, p0, w = plan[node](x[i], p[i], rngs[i])
+                    weights[i] *= w
+                    dxv[i] = r0 - r_pre
+                    x[i] = r0
+                    p[i] = p0
                 if np.any(dxv):
                     jump_nodes.append((node, dxv))
                     fric = fric - m_nodes[0] * dxv
@@ -771,15 +773,14 @@ class TestTimeMajorIntegrator:
             rngs = [_traj_stream(61, 0, i) for i in range(n_traj)]
             plan = _build_plan(sched)
             if log:
-                def logged(callback):
-                    def sample(t_k, rbar, pbar, rng):
-                        res = callback(t_k, rbar, pbar, rng)
-                        at = rbar if res.r_pre is None else res.r_pre
+                def logged(draw):
+                    def sample(rbar, pbar, rng):
+                        r_pre, r0, p0, w = draw(rbar, pbar, rng)
                         i = next(k for k, r in enumerate(rngs) if r is rng)
-                        factor_scale[i] *= abs(res.weight / cat.wigner(at, pbar))
-                        return res
+                        factor_scale[i] *= abs(w / cat.wigner(r_pre, pbar))
+                        return r_pre, r0, p0, w
                     return sample
-                plan = [(n, t_k, logged(cb)) for n, t_k, cb in plan]
+                plan = [(n, logged(draw)) for n, draw in plan]
             return integrator(FIG1, pot, dt, n_steps, noise, np.full(n_traj, 0.3),
                               np.zeros(n_traj), sched.record_nodes(),
                               intervention_plan=plan, rngs=rngs)

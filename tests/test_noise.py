@@ -288,11 +288,14 @@ def test_synthesis_working_set_is_its_row_workspaces():
 class Drawing:
     """A generator that records the threads it draws on and their CPU
     affinity, and draws after a pause in the calling thread (``main_s``) or
-    in others (``worker_s``), or raises in others."""
+    in others (``worker_s``), or raises in others.  With a ``started`` event
+    the calling thread sets it after a draw, and the others wait for it
+    before each of theirs."""
 
-    def __init__(self, rng, main_s=0.0, worker_s=0.0, worker_error=False):
+    def __init__(self, rng, main_s=0.0, worker_s=0.0, worker_error=False, started=None):
         self.rng, self.main_s, self.worker_s = rng, main_s, worker_s
         self.worker_error = worker_error
+        self.started = started
         self.threads = set()
         self.affinity = {}
 
@@ -304,8 +307,13 @@ class Drawing:
         in_main = thread is threading.main_thread()
         if self.worker_error and not in_main:
             raise RuntimeError("broken generator")
+        if self.started is not None and not in_main:
+            self.started.wait(timeout=60)
         time.sleep(self.main_s if in_main else self.worker_s)
-        return self.rng.standard_normal(out=out)
+        values = self.rng.standard_normal(out=out)
+        if self.started is not None and in_main:
+            self.started.set()
+        return values
 
 
 class TestThreadedSynthesis:
@@ -367,8 +375,11 @@ class TestThreadedSynthesis:
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         before = os.sched_getaffinity(0)
         monkeypatch.setattr(qnoise, "_threads", 2)
-        # slow in the calling thread, so that the worker claims groups too
-        rngs = [Drawing(stream(48, 0, i), main_s=0.005) for i in range(16)]
+        # slow in the calling thread, so that the worker claims groups too;
+        # the worker holds its first group until the calling thread has
+        # drawn, so it cannot claim them all before the calling thread's first
+        started = threading.Event()
+        rngs = [Drawing(stream(48, 0, i), main_s=0.005, started=started) for i in range(16)]
         synthesize_batch(spec, grid, QUANTUM, rngs)
         assert os.sched_getaffinity(0) == before
         masks = {}

@@ -296,22 +296,22 @@ class TestProductFormBoxMass:
 
 class TestInterventionAdapters:
     def test_lab_mode_returns_plain_update(self):
-        cb = as_intervention(GaussianLocalize(1.0), mode="lab")
-        res = cb(0.0, 0.5, 0.1, stream(7))
-        assert res.r_pre is None and res.r0 == 0.5
+        draw = as_intervention(GaussianLocalize(1.0), mode="lab")
+        r_pre, r0, _, _ = draw(0.5, 0.1, stream(7))
+        # no translation: r_pre is the pre-intervention position, kept
+        assert r_pre == r0 == 0.5
 
     def test_translate_mode_gaussian(self):
-        cb = as_intervention(GaussianLocalize(1.0), mode="translate")
-        res = cb(0.0, 12.3, 0.1, stream(8))
+        draw = as_intervention(GaussianLocalize(1.0), mode="translate")
+        r_pre, r0, _, weight = draw(12.3, 0.1, stream(8))
         # pure translation: no jump between r_pre and r0, unit weight
-        assert res.r_pre == res.r0 and res.weight == 1.0
+        assert r_pre == r0 and weight == 1.0
 
     def test_translate_mode_cat_importance(self):
         cat = CatProject(1.0, 0.4)
-        cb = as_intervention(cat, mode="translate")
+        draw = as_intervention(cat, mode="translate")
         rng = stream(9)
-        draws = [cb(0.0, 5.0, 0.3, rng) for _ in range(4000)]
-        r_pre = np.array([d.r_pre for d in draws])
+        r_pre = np.array([draw(5.0, 0.3, rng)[0] for _ in range(4000)])
         # pre-positions are importance-sampled from the cat support, not kept
         assert np.abs(r_pre).max() < cat.x0 + 8 * cat.sigma
         assert np.std(r_pre) > 0.2
@@ -334,8 +334,7 @@ class TestCatTranslateUnbiased:
         cat = CatProject(0.6, 0.3)
         pbar = 0.4
         rng = stream(10)
-        draws = [cat.sample_translate(0.0, pbar, rng) for _ in range(60000)]
-        w = np.array([d.weight for d in draws])
+        w = np.array([cat.sample_translate(0.0, pbar, rng)[3] for _ in range(60000)])
         # E[w] = [int W(r, pbar) dr] * E[sign * box-mass] over the post draw
         r = np.linspace(-10, 10, 4001)
         marginal = simpson(cat.wigner(r, pbar), x=r)
