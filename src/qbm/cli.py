@@ -4,8 +4,8 @@ Subcommands:
 
 - ``run <config>``: simulate an ensemble, write per-observable CSV series and
   a JSON manifest (and, for preset-style configs, a reference baseline CSV).
-- ``noise-check <config>``: validate the synthesized noise statistics against
-  the bath target with per-lag z-scores and a sign runs test.
+- ``noise-check <config>``: validate the noise ``run`` integrates against the
+  bath target with per-lag z-scores and a sign runs test (and dump it).
 - ``presets list``: list packaged experiment presets.
 
 Config files are flat INI-style key/value sections; unknown sections or keys
@@ -38,6 +38,9 @@ OUT_DIR_ENV = "QBM_OUT_DIR"
 
 # each reference mode describes one observable and is written only beside it
 _REFERENCE_OBSERVABLE = {"sigma2": "x2", "p2": "p2"}
+
+# lags at which noise-check scores the autocorrelation
+_N_LAGS = 20
 
 
 @dataclass
@@ -206,9 +209,8 @@ def _check_observables(observables, preparation, mode):
     if described in observables:
         stem, ext = os.path.splitext(observables[described])
         files.append((f"the {mode} reference beside {described}", f"{stem}_reference{ext}"))
-    taken = dict.fromkeys(("run_manifest.json", "trajectories.bin", "noise_paths.bin"),
-                          "the run")
-    taken["noise_check.json"] = "qbm noise-check"
+    taken = {**dict.fromkeys(("run_manifest.json", "trajectories.bin"), "the run"),
+             **dict.fromkeys(("noise_check.json", "noise_paths.bin"), "qbm noise-check")}
     for name, fname in files:
         if os.path.dirname(fname) or fname in (os.curdir, os.pardir):
             raise ConfigurationError(
@@ -334,8 +336,7 @@ def _reference_series(cfg, spec, pot, sched, times):
     raise ConfigurationError(f"no reference series for mode {mode!r}")
 
 
-def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
-        progress=None):
+def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
     """Execute a configured experiment; returns the list of files written."""
     t_start = time.time()
     out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
@@ -382,15 +383,6 @@ def run(cfg, out_dir=None, dump_noise=False, dump_trajectories=False,
             write_series_csv(ref_path, ref_series)
             written.append(ref_path)
 
-    if dump_noise:
-        grid = _noise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
-        path = os.path.join(out_dir, "noise_paths.bin")
-        with _noise_writer(path, cfg, grid) as write:
-            blocks = _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed,
-                                       stream_tag=0, ids=range(cfg.n_traj))
-            for _, _, block in blocks:
-                write(block)
-        written.append(path)
     if dump_trajectories:
         written.append(traj_path)
 
@@ -459,79 +451,81 @@ def _runs_test_pvalue(signs):
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _noise_writer(path, cfg, grid):
-    """Streaming ``noise_paths.bin`` writer for the configured ensemble."""
-    return _noise.ensemble_writer(
-        path, {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
-        (cfg.n_traj, grid.n_times))
+def noise_check(cfg, out_dir=None, dump=False):
+    """Validate the run's noise against the bath correlation target.
 
-
-def noise_check(cfg, n_lags=20, out_dir=None, dump=False):
-    """Validate synthesized noise against the bath correlation target.
-
-    Generates the configured ensemble of noise paths, estimates the
-    autocorrelation on an ``n_lags``-point grid spaced by the cutoff time,
-    and scores each lag against the analytic target.  Fails if any |z| > 4.
-    Paths are synthesised and reduced 64 at a time, so memory grows neither
-    with ``n_traj`` beyond ``n_lags`` floats per path nor with
-    ``batch_size``.  Returns ``(report dict, ok flag)`` and writes
-    ``noise_check.json`` (plus the binary path ensemble when ``dump`` is set).
+    Generates the noise paths ``qbm run`` integrates for the same config and
+    seed (stream tag 0), estimates the autocorrelation on an
+    ``_N_LAGS``-point grid spaced by the cutoff time, and scores each lag
+    against the analytic target.  Fails if any |z| > 4.  Paths are
+    synthesised and reduced 64 at a time, so memory grows neither with
+    ``n_traj`` beyond ``_N_LAGS`` floats per path nor with ``batch_size``.
+    Returns ``(report dict, ok flag)`` and writes ``noise_check.json`` (plus
+    the paths, as ``noise_paths.bin``, when ``dump`` is set).
     """
     if cfg.n_traj < 2:
         raise ConfigurationError(
             f"noise-check needs n_traj >= 2 paths for a standard error, got {cfg.n_traj}")
     spec = cfg.bath_spec()
     sched = cfg.schedule_obj()
+    n_times = sched.n_steps + 1
+    grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_times)
+    # the run's own streams, a block alive at a time
+    blocks = _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed,
+                               stream_tag=0, ids=range(cfg.n_traj))
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,
               "master_seed": cfg.master_seed}
 
     out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
-    if spec.gamma == 0.0:
-        report.update(status="pass", degenerate=True,
-                      note="gamma = 0: zero spectral density, noise identically zero")
-        ok = True
-    else:
-        n_times = sched.n_steps + 1
-        grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_times)
-        times = sched.dt * np.arange(n_times)
+    with (_noise.ensemble_writer(
+            os.path.join(out_dir, "noise_paths.bin"),
+            {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
+            (cfg.n_traj, n_times))
+          if dump else contextlib.nullcontext()) as write:
+        if spec.gamma == 0.0:
+            if dump:
+                # the zero paths the run integrates
+                for _, _, block in blocks:
+                    write(block)
+            report.update(status="pass", degenerate=True,
+                          note="gamma = 0: zero spectral density, noise identically zero")
+            ok = True
+        else:
+            # lags spaced by the cutoff time where the span allows: estimates
+            # at neighbouring lags decorrelate there, keeping the runs test
+            # meaningful
+            span = (n_times - 1) * sched.dt
+            step_target = spec.eps if 2 * (_N_LAGS - 1) * spec.eps <= span \
+                else span / (2 * (_N_LAGS - 1))
+            step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
+            lags = step * np.arange(_N_LAGS)
+            times = sched.dt * np.arange(n_times)
 
-        # lags spaced by the cutoff time where the span allows: estimates at
-        # neighbouring lags decorrelate there, keeping the runs test meaningful
-        span = (n_times - 1) * sched.dt
-        step_target = spec.eps if 2 * (n_lags - 1) * spec.eps <= span \
-            else span / (2 * (n_lags - 1))
-        step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
-        lags = step * np.arange(n_lags)
-
-        with (_noise_writer(os.path.join(out_dir, "noise_paths.bin"), cfg, grid)
-              if dump else contextlib.nullcontext()) as write:
             def paths():
-                # one block alive at a time: the autocorrelation consumes the
-                # paths a block at a time, and each block goes to the dump
-                blocks = _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed,
-                                           stream_tag=2, ids=range(cfg.n_traj))
+                # the autocorrelation consumes the paths a block at a time,
+                # and each block goes to the dump
                 for ids, _, block in blocks:
                     if write is not None:
                         write(block)
-                    yield from (_noise.NoisePath(seed=(cfg.master_seed, 2, i),
+                    yield from (_noise.NoisePath(seed=(cfg.master_seed, 0, i),
                                                  times=times, values=row)
                                 for i, row in zip(ids, block))
                     del block
 
             est, se = _noise.empirical_autocorrelation(paths(), lags)
-        target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
-        z = (est - target) / np.where(se > 0, se, 1.0)
-        pval = _runs_test_pvalue(np.sign(est - target))
-        ok = bool(np.all(np.abs(z) <= 4.0))
-        report.update(status="pass" if ok else "fail",
-                      lags=[float(v) for v in lags],
-                      estimates=[float(v) for v in est],
-                      standard_errors=[float(v) for v in se],
-                      targets=[float(v) for v in target],
-                      z_scores=[float(v) for v in z],
-                      max_abs_z=float(np.abs(z).max()),
-                      runs_test_pvalue=float(pval))
+            target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
+            z = (est - target) / np.where(se > 0, se, 1.0)
+            pval = _runs_test_pvalue(np.sign(est - target))
+            ok = bool(np.all(np.abs(z) <= 4.0))
+            report.update(status="pass" if ok else "fail",
+                          lags=[float(v) for v in lags],
+                          estimates=[float(v) for v in est],
+                          standard_errors=[float(v) for v in se],
+                          targets=[float(v) for v in target],
+                          z_scores=[float(v) for v in z],
+                          max_abs_z=float(np.abs(z).max()),
+                          runs_test_pvalue=float(pval))
 
     path = os.path.join(out_dir, "noise_check.json")
     with open(path, "w") as fh:
@@ -562,9 +556,10 @@ def _resolve_config(arg):
 
 
 def _apply_overrides(cfg, args):
-    """Apply --seed, --n-traj and --workers, read as their [run] keys are."""
+    """Apply --seed, --n-traj and --workers, read as their [run] keys are;
+    a flag the subcommand lacks is skipped."""
     for flag, key in (("seed", "master_seed"), ("n_traj", "n_traj"), ("workers", "workers")):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None:
             reader, _ = _TABLE["run"][key]
             setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
@@ -582,16 +577,14 @@ def main(argv=None):
     for p in (run_p, chk_p):
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--n-traj", type=int, default=None, help="override ensemble size")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: config value or 1)")
         p.add_argument("--out-dir", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-    run_p.add_argument("--dump-noise", action="store_true",
-                       help="dump the noise ensemble (binary)")
+    run_p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: config value or 1)")
     run_p.add_argument("--dump-trajectories", action="store_true",
                        help="dump recorded trajectories (binary)")
-    chk_p.add_argument("--dump-noise", action="store_true",
-                       help="dump the validated noise ensemble (binary)")
+    chk_p.add_argument("--dump-noise", action="store_true", dest="dump",
+                       help="dump the checked noise paths, those qbm run integrates (binary)")
 
     pre_p = sub.add_parser("presets", help="preset management")
     pre_p.add_argument("action", choices=["list"])
@@ -609,15 +602,13 @@ def main(argv=None):
             def progress(done, total):
                 print(f"\r{done}/{total} trajectories", end="", file=sys.stderr)
 
-            written = run(cfg, out_dir=args.out_dir, dump_noise=args.dump_noise,
-                          dump_trajectories=args.dump_trajectories,
-                          progress=progress)
+            written = run(cfg, out_dir=args.out_dir,
+                          dump_trajectories=args.dump_trajectories, progress=progress)
             print("", file=sys.stderr)
             for path in written:
                 print(path)
             return 0
-        report, ok = noise_check(cfg, out_dir=args.out_dir,
-                                 dump=getattr(args, "dump_noise", False))
+        report, ok = noise_check(cfg, out_dir=args.out_dir, dump=args.dump)
         keys = {"status", "statistics", "n_paths", "max_abs_z", "runs_test_pvalue"}
         print(json.dumps({k: report[k] for k in sorted(keys & report.keys())},
                          sort_keys=True))

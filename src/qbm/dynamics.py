@@ -133,8 +133,9 @@ class Intervention:
     mode: str = "lab"
 
     def __post_init__(self):
-        if self.mode not in ("lab", "translate"):
-            raise ConfigurationError(f"unknown intervention mode {self.mode!r}")
+        # rejects an unknown mode, or translate mode for a preparation
+        # without a translation-covariant sampler, before any run starts
+        _prep.as_intervention(self.preparation, mode=self.mode)
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,8 @@ class Schedule:
             raise ConfigurationError("dt must be > 0")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ConfigurationError("record_stride must be a positive integer")
+        # 2.0 passes the check; node indices must be integers
+        object.__setattr__(self, "record_stride", int(self.record_stride))
         norm = []
         for item in self.interventions:
             if isinstance(item, Intervention):
@@ -645,14 +648,21 @@ def integrate(spec, pot, sched, noise_path, rng=None):
     equilibration span before recording starts at t = 0; the schedule's
     preparations draw from ``rng``.
 
-    Raises :class:`IntegrationFailure` if the state leaves float range or
-    the weight is not finite.
+    Raises :class:`ConfigurationError` if the path is shorter than the run
+    or sampled at a step other than ``sched.dt``, and
+    :class:`IntegrationFailure` if the state leaves float range or the
+    weight is not finite.
     """
     sched.validate_against(spec, pot)
     n_steps = sched.n_steps
     if len(noise_path.values) < n_steps + 1:
         raise ConfigurationError(
             f"noise path has {len(noise_path.values)} samples, run needs {n_steps + 1}")
+    steps = np.diff(noise_path.times[:n_steps + 1])
+    off = ~np.isclose(steps, sched.dt, rtol=1e-9, atol=0.0)
+    if off.any():
+        raise ConfigurationError(
+            f"noise path steps by {steps[off][0]}, run steps by dt = {sched.dt}")
     if rng is None:
         rng = _traj_stream(0, 3, 0)
 

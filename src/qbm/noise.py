@@ -10,6 +10,7 @@ amplitudes are chosen so the ensemble autocorrelation reproduces the quantum
 import contextlib
 import itertools
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -492,17 +493,22 @@ def dump_ensemble(path, header, values):
 def load_ensemble(path):
     """Inverse of :func:`dump_ensemble`; returns (header, values).
 
-    A payload whose size does not match the header's shape (a truncated or
-    padded dump) is rejected.
+    A malformed header, or a payload whose size does not match the header's
+    shape (a truncated or padded dump), is rejected.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ConfigurationError(f"{path}: not a noise/trajectory dump")
-        (size,) = np.frombuffer(fh.read(4), dtype="<u4")
-        meta = json.loads(fh.read(int(size)).decode())
+        try:
+            (size,) = np.frombuffer(fh.read(4), dtype="<u4")
+            meta = json.loads(fh.read(int(size)).decode())
+            if not all(type(d) is int and d >= 0 for d in meta["shape"]):
+                raise ValueError(f"shape {meta['shape']!r} is not a list of sizes")
+            expected = 8 * math.prod(meta["shape"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigurationError(f"{path}: malformed dump header ({exc!r})") from None
         payload = fh.read()
-    expected = 8 * int(np.prod(meta["shape"]))
     if len(payload) != expected:
         raise ConfigurationError(
             f"{path}: payload has {len(payload)} bytes, shape {meta['shape']} "

@@ -105,12 +105,11 @@ REJECTED = [
     pytest.param(dict(observables="x2 = out.csv\np2 = out.csv"), None,
                  r"\[observables\] p2: 'out.csv' is written by x2 too", id="file-twice"),
     *(pytest.param(dict(observables=f"x2 = default\nxp = {name}"), None,
-                   rf"\[observables\] xp: '{name}' is written by the run too",
+                   rf"\[observables\] xp: '{name}' is written by {writer} too",
                    id=f"file-{name}")
-      for name in ("run_manifest.json", "trajectories.bin", "noise_paths.bin")),
-    pytest.param(dict(observables="x2 = default\nxp = noise_check.json"), None,
-                 r"\[observables\] xp: 'noise_check.json' is written by qbm noise-check too",
-                 id="file-noise_check.json"),
+      for name, writer in (("run_manifest.json", "the run"), ("trajectories.bin", "the run"),
+                           ("noise_paths.bin", "qbm noise-check"),
+                           ("noise_check.json", "qbm noise-check"))),
     pytest.param(dict(), ("dt = 0.05", "dt = 1e-300"),
                  r"\[schedule\] t_eq, t_end and dt give 6e\+300 steps, whose batch buffer "
                  r"of .* GiB exceeds the .* GiB of physical memory", id="dt-1e-300"),
@@ -360,7 +359,7 @@ class TestRun:
                 cfg = parse_config(p)
             cfg.n_traj, cfg.batch_size = 96, batch_size
             out = tmp_path / str(batch_size)
-            written = run(cfg, out_dir=str(out), dump_noise=True, dump_trajectories=True)
+            written = run(cfg, out_dir=str(out), dump_trajectories=True)
             files = {}
             for path in written:
                 name = os.path.basename(path)
@@ -374,7 +373,7 @@ class TestRun:
             return files
 
         whole, split = outputs(96), outputs(17)
-        assert {"noise_paths.bin", "trajectories.bin"} < set(whole)
+        assert "trajectories.bin" in whole
         assert split == whole
 
     def test_peak_memory_flat_in_ensemble_size(self, tmp_path):
@@ -475,7 +474,7 @@ class TestRun:
         assert (out / "x2_reference.csv").exists()
         assert not (out / "p2_reference.csv").exists()
 
-    def test_dump_noise_and_trajectories_round_trip(self, tmp_path):
+    def test_trajectory_dump_round_trip(self, tmp_path):
         from qbm.dynamics import run_ensemble
         from qbm.noise import load_ensemble
         # a lab-mode gaussian weights its trajectories; batch_size 3 does not
@@ -484,10 +483,7 @@ class TestRun:
                                         prep_extra="sigma0 = 1.0",
                                         run_extra="batch_size = 3"))
         out = tmp_path / "out"
-        run(cfg, out_dir=str(out), dump_noise=True, dump_trajectories=True)
-        meta, vals = load_ensemble(out / "noise_paths.bin")
-        assert meta["kind"] == "noise"
-        assert vals.shape[0] == 8
+        run(cfg, out_dir=str(out), dump_trajectories=True)
         tmeta, tvals = load_ensemble(out / "trajectories.bin")
         assert tmeta["kind"] == "trajectories"
         assert tmeta["row_layout"] == "weight, x(times), p(times)"
@@ -546,22 +542,6 @@ class TestRun:
                                   for name in ("x2.csv", "cat_coherence.csv")))
         assert outputs["2"] == outputs["1"]
 
-    def test_dump_noise_equals_whole_ensemble_dump(self, tmp_path):
-        # batch_size 3 does not divide 8: the streamed rows and header must
-        # equal one whole-ensemble synthesis written at once
-        from qbm.dynamics import _traj_stream
-        cfg = parse_config(write_config(tmp_path, n_traj=8, run_extra="batch_size = 3"))
-        out = tmp_path / "out"
-        run(cfg, out_dir=str(out), dump_noise=True)
-        spec, sched = cfg.bath_spec(), cfg.schedule_obj()
-        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
-        whole = qnoise.synthesize_batch(spec, grid, cfg.statistics,
-                                        [_traj_stream(cfg.master_seed, 0, i) for i in range(8)])
-        ref = tmp_path / "whole.bin"
-        qnoise.dump_ensemble(ref, {"kind": "noise", "config": cfg.to_dict(),
-                                   "t_step": sched.dt}, whole)
-        assert (out / "noise_paths.bin").read_bytes() == ref.read_bytes()
-
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         cfg = parse_config(write_config(tmp_path))
         target = tmp_path / "envout"
@@ -585,6 +565,40 @@ class TestNoiseCheck:
         noise_check(cfg, out_dir=str(out), dump=True)
         meta, vals = load_ensemble(out / "noise_paths.bin")
         assert meta["kind"] == "noise" and vals.shape[0] == 16
+
+    def test_dump_equals_whole_ensemble_dump(self, tmp_path):
+        # batch_size 3 does not divide 8: the streamed rows and header must
+        # equal one whole-ensemble synthesis of the run's streams (tag 0)
+        # written at once
+        from qbm.dynamics import _traj_stream
+        cfg = parse_config(write_config(tmp_path, n_traj=8, run_extra="batch_size = 3"))
+        out = tmp_path / "out"
+        noise_check(cfg, out_dir=str(out), dump=True)
+        spec, sched = cfg.bath_spec(), cfg.schedule_obj()
+        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+        whole = qnoise.synthesize_batch(spec, grid, cfg.statistics,
+                                        [_traj_stream(cfg.master_seed, 0, i) for i in range(8)])
+        ref = tmp_path / "whole.bin"
+        qnoise.dump_ensemble(ref, {"kind": "noise", "config": cfg.to_dict(),
+                                   "t_step": sched.dt}, whole)
+        assert (out / "noise_paths.bin").read_bytes() == ref.read_bytes()
+
+    def test_dump_is_the_noise_the_run_integrates(self, tmp_path):
+        # identity preparation: a trajectory depends on its noise path alone,
+        # so each dumped path, integrated, gives the run's row bit for bit
+        from qbm.dynamics import integrate
+        cfg = parse_config(write_config(tmp_path, kT=0.2, n_traj=70,
+                                        run_extra="batch_size = 32"))
+        noise_check(cfg, out_dir=str(tmp_path / "nc"), dump=True)
+        run(cfg, out_dir=str(tmp_path / "run"), dump_trajectories=True)
+        meta, paths = qnoise.load_ensemble(tmp_path / "nc" / "noise_paths.bin")
+        _, rows = qnoise.load_ensemble(tmp_path / "run" / "trajectories.bin")
+        spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
+        times = meta["t_step"] * np.arange(paths.shape[1])
+        for i, values in enumerate(paths):
+            traj = integrate(spec, pot, sched,
+                             qnoise.NoisePath(seed=(i,), times=times, values=values))
+            assert np.hstack([traj.weight, traj.x, traj.p]).tobytes() == rows[i].tobytes()
 
     def test_estimates_independent_of_batch_size(self, tmp_path):
         n = 150
@@ -691,6 +705,18 @@ class TestNoiseCheck:
         report, ok = noise_check(parse_config(path), out_dir=str(tmp_path / "nc"))
         assert ok and report.get("degenerate")
 
+    def test_gamma_zero_dump_holds_the_zero_paths(self, tmp_path):
+        path = write_config(tmp_path, n_traj=70)
+        path.write_text(path.read_text().replace(
+            "gamma = 1.5707963267948966", "gamma = 0.0"))
+        cfg = parse_config(path)
+        report, ok = noise_check(cfg, out_dir=str(tmp_path / "nc"), dump=True)
+        assert ok and report.get("degenerate")
+        meta, vals = qnoise.load_ensemble(tmp_path / "nc" / "noise_paths.bin")
+        assert meta["kind"] == "noise" and meta["t_step"] == cfg.schedule["dt"]
+        assert vals.shape == (70, cfg.schedule_obj().n_steps + 1)
+        assert not vals.any()
+
     def test_mismatched_target_fails(self, tmp_path):
         # generate classical noise at kT=2 but score it against the kT=0.2
         # bath: z-scores blow past 4 at small lags by construction
@@ -725,6 +751,18 @@ class TestMain:
         assert main(["noise-check", str(cfg), "--n-traj", "400",
                      "--out-dir", str(tmp_path / "o2")]) == 0
 
+    @pytest.mark.parametrize("command, flag", [("run", "--dump-noise"),
+                                               ("noise-check", "--workers")])
+    def test_flag_the_command_does_not_read_rejected(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path, n_traj=8)
+        args = [command, str(cfg), flag, *(["2"] if flag == "--workers" else []),
+                "--out-dir", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "missing.cfg"
         assert main(["run", str(bad)]) == 1
@@ -746,7 +784,8 @@ class TestMain:
     ], ids=["run-0", "noise-check-negative", "noise-check-1"])
     def test_too_few_trajectories_rejected(self, tmp_path, capsys, command, n_traj, message):
         cfg = write_config(tmp_path, n_traj=8)
-        assert main([command, str(cfg), "--n-traj", n_traj, "--dump-noise",
+        dump = ["--dump-noise"] if command == "noise-check" else []
+        assert main([command, str(cfg), "--n-traj", n_traj, *dump,
                      "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert re.search(message, err) and "Traceback" not in err

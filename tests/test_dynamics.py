@@ -28,7 +28,7 @@ from qbm.dynamics import (
     run_ensemble,
 )
 from qbm.errors import ConfigurationError, IntegrationFailure
-from qbm.preparation import CatProject, GaussianLocalize, Identity
+from qbm.preparation import Box, CatProject, GaussianLocalize, Identity, ProductForm
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 NO_BATH = BathSpec(gamma=0.0, eps=0.5)
@@ -179,6 +179,16 @@ class TestSchedule:
             run_ensemble(FIG1, pot, sched, 4, "quantum", 1, consumer=batches.append)
         assert batches == []
 
+    def test_translate_mode_without_a_covariant_sampler_rejected_when_built(self):
+        # before any schedule holds it, so before any noise is synthesised
+        form = ProductForm(lambda r, p: np.exp(-r**2 - p**2), lambda r, p: 1.0,
+                           Box(0.0, 4.0, 0.0, 4.0))
+        Intervention(0.0, form)  # lab mode samples the form itself
+        with pytest.raises(ConfigurationError, match="no translation-covariant sampler"):
+            Intervention(0.0, form, mode="translate")
+        with pytest.raises(ConfigurationError, match="unknown intervention mode"):
+            Intervention(0.0, form, mode="sideways")
+
     def test_record_grid(self):
         sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.05, record_stride=4)
         t = sched.record_times()
@@ -251,6 +261,13 @@ class TestIntegrate:
         short = qnoise.NoisePath(seed=(), times=np.arange(5.0), values=np.zeros(5))
         with pytest.raises(ConfigurationError):
             integrate(FIG1, FREE, sched, short)
+
+    def test_noise_path_at_another_step_rejected(self):
+        sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.05)
+        n = sched.n_steps + 1
+        coarse = qnoise.NoisePath(seed=(), times=0.1 * np.arange(n), values=np.zeros(n))
+        with pytest.raises(ConfigurationError, match="steps by 0.1, run steps by dt = 0.05"):
+            integrate(FIG1, FREE, sched, coarse)
 
     def test_divergence_raises_integration_failure(self):
         # inverted quartic: runaway force, state overflows to non-finite

@@ -28,7 +28,7 @@ from qbm.noise import (
     synthesize,
     synthesize_batch,
 )
-from qbm.noise import _next_fast_len
+from qbm.noise import _MAGIC, _next_fast_len
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 
@@ -567,4 +567,17 @@ class TestBinaryDump:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a dump")
         with pytest.raises(ConfigurationError):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("tail", [
+        b"",
+        b"\x05\x00",
+        (6).to_bytes(4, "little") + b"{shape",
+        (17).to_bytes(4, "little") + b'{"kind": "noise"}',
+        (19).to_bytes(4, "little") + b'{"shape": [2.5, 2]}' + bytes(40),
+    ], ids=["magic-only", "two-byte-length", "not-json", "no-shape", "fractional-shape"])
+    def test_malformed_header_rejected(self, tmp_path, tail):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(_MAGIC + tail)
+        with pytest.raises(ConfigurationError, match=r"bad\.bin: malformed dump header"):
             load_ensemble(path)

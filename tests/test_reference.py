@@ -322,6 +322,16 @@ class TestThermalMsd:
         assert np.all(exact.standard_errors == 0.0)
         assert np.all(np.isinf(exact.effective_sample_size))
 
+    def test_float_record_stride_reads_as_its_integer(self):
+        # 2.0 passes the integer check; the record nodes index the response
+        pot = Potential.free()
+        as_float = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2.0)
+        as_int = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2)
+        exact = thermal_msd(self.WARM, pot, as_float, "quantum")
+        assert exact.estimates.tobytes() == thermal_msd(
+            self.WARM, pot, as_int, "quantum").estimates.tobytes()
+        assert as_float.record_nodes().dtype.kind == "i"
+
     @pytest.mark.parametrize("spec, pot, statistics", [
         (FIG1, Potential.free(), "quantum"),
         (WARM, Potential.harmonic(1.0), "classical"),
