@@ -21,7 +21,6 @@ from .bath import (
 from .noise import (
     FrequencyGrid,
     NoisePath,
-    draw_auxiliary,
     empirical_autocorrelation,
     synthesize,
 )

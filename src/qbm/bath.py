@@ -98,13 +98,6 @@ def memory_kernel(spec, t):
     return out if out.ndim else float(out)
 
 
-def kernel_mass(spec, upto=None):
-    """Integral of the memory kernel over [0, upto]; the full mass for upto=None."""
-    if upto is None:
-        return spec.mass * spec.gamma
-    return (2.0 * spec.mass * spec.gamma / np.pi) * np.arctan(upto / spec.eps)
-
-
 def thermal_spectrum(spec, omega):
     """Thermal occupation factor coth(hbar*omega / (2*kT)).
 

@@ -434,10 +434,15 @@ def _peak_rss_mb():
 
 
 def _runs_test_pvalue(signs):
-    """Wald-Wolfowitz runs test on the sign sequence of the residuals."""
+    """Wald-Wolfowitz runs test on the sign sequence of the residuals.
+
+    A zero residual carries no sign and is dropped; with fewer than two
+    residuals left the sequence says nothing, and p = 1.
+    """
     signs = np.asarray(signs)
+    signs = signs[signs != 0]
     n_pos = int(np.sum(signs > 0))
-    n_neg = int(np.sum(signs <= 0))
+    n_neg = int(np.sum(signs < 0))
     n = n_pos + n_neg
     if n < 2:
         return 1.0
@@ -483,49 +488,40 @@ def noise_check(cfg, out_dir=None, dump=False):
             {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
             (cfg.n_traj, n_times))
           if dump else contextlib.nullcontext()) as write:
-        if spec.gamma == 0.0:
-            if dump:
-                # the zero paths the run integrates
-                for _, _, block in blocks:
+        # lags spaced by the cutoff time where the span allows: estimates
+        # at neighbouring lags decorrelate there, keeping the runs test
+        # meaningful
+        span = (n_times - 1) * sched.dt
+        step_target = spec.eps if 2 * (_N_LAGS - 1) * spec.eps <= span \
+            else span / (2 * (_N_LAGS - 1))
+        step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
+        lags = step * np.arange(_N_LAGS)
+        times = sched.dt * np.arange(n_times)
+
+        def paths():
+            # the autocorrelation consumes the paths a block at a time,
+            # and each block goes to the dump
+            for ids, _, block in blocks:
+                if write is not None:
                     write(block)
-            report.update(status="pass", degenerate=True,
-                          note="gamma = 0: zero spectral density, noise identically zero")
-            ok = True
-        else:
-            # lags spaced by the cutoff time where the span allows: estimates
-            # at neighbouring lags decorrelate there, keeping the runs test
-            # meaningful
-            span = (n_times - 1) * sched.dt
-            step_target = spec.eps if 2 * (_N_LAGS - 1) * spec.eps <= span \
-                else span / (2 * (_N_LAGS - 1))
-            step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
-            lags = step * np.arange(_N_LAGS)
-            times = sched.dt * np.arange(n_times)
+                yield from (_noise.NoisePath(seed=(cfg.master_seed, 0, i),
+                                             times=times, values=row)
+                            for i, row in zip(ids, block))
+                del block
 
-            def paths():
-                # the autocorrelation consumes the paths a block at a time,
-                # and each block goes to the dump
-                for ids, _, block in blocks:
-                    if write is not None:
-                        write(block)
-                    yield from (_noise.NoisePath(seed=(cfg.master_seed, 0, i),
-                                                 times=times, values=row)
-                                for i, row in zip(ids, block))
-                    del block
-
-            est, se = _noise.empirical_autocorrelation(paths(), lags)
-            target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
-            z = (est - target) / np.where(se > 0, se, 1.0)
-            pval = _runs_test_pvalue(np.sign(est - target))
-            ok = bool(np.all(np.abs(z) <= 4.0))
-            report.update(status="pass" if ok else "fail",
-                          lags=[float(v) for v in lags],
-                          estimates=[float(v) for v in est],
-                          standard_errors=[float(v) for v in se],
-                          targets=[float(v) for v in target],
-                          z_scores=[float(v) for v in z],
-                          max_abs_z=float(np.abs(z).max()),
-                          runs_test_pvalue=float(pval))
+        est, se = _noise.empirical_autocorrelation(paths(), lags)
+        target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
+        z = (est - target) / np.where(se > 0, se, 1.0)
+        pval = _runs_test_pvalue(np.sign(est - target))
+        ok = bool(np.all(np.abs(z) <= 4.0))
+        report.update(status="pass" if ok else "fail",
+                      lags=[float(v) for v in lags],
+                      estimates=[float(v) for v in est],
+                      standard_errors=[float(v) for v in se],
+                      targets=[float(v) for v in target],
+                      z_scores=[float(v) for v in z],
+                      max_abs_z=float(np.abs(z).max()),
+                      runs_test_pvalue=float(pval))
 
     path = os.path.join(out_dir, "noise_check.json")
     with open(path, "w") as fh:
@@ -563,6 +559,7 @@ def _apply_overrides(cfg, args):
         if value is not None:
             reader, _ = _TABLE["run"][key]
             setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
+    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size)
     return cfg
 
 

@@ -405,22 +405,31 @@ def _physical_memory():
 
 
 def check_memory(sched, n_traj, batch_size):
-    """Reject a run whose batch buffer cannot fit in physical memory.
+    """Reject a run whose batch buffer and weights cannot fit in physical memory.
 
     A batch's buffer holds ``(n_steps + 1) x width`` floats, ``width`` being
     the batch rounded up to the history tile; the noise grid's period
     (about ``3 x n_steps`` samples) and a noise block are smaller, so they fit
-    if it does.  The step count comes from ``t_eq``, ``t_end`` and ``dt``
-    alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows: it is
-    rejected here, before anything is allocated.
+    if it does.  Beside it the run keeps one weight per trajectory.  The step
+    count comes from ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt = 1e-300``
+    would size a buffer of 1e300 rows, and ``n_traj = 1e14`` would size 800 TB
+    of weights: both are rejected here, before anything is allocated.
     """
     memory = _physical_memory()
-    need = 8 * (sched.n_steps + 1) * _buffer_width(min(batch_size, n_traj))
-    if memory is not None and need > memory:
+    buffer = 8 * (sched.n_steps + 1) * _buffer_width(min(batch_size, n_traj))
+    weights = 8 * n_traj
+    if memory is None or buffer + weights <= memory:
+        return
+    if weights > buffer:
         raise ConfigurationError(
-            f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose batch "
-            f"buffer of {need / 2**30:.3g} GiB exceeds the {memory / 2**30:.3g} GiB of "
-            f"physical memory (raise [schedule] dt or lower [run] batch_size)")
+            f"[run] n_traj = {n_traj} needs {weights / 2**30:.3g} GiB of trajectory "
+            f"weights, which with the batch buffer exceed the {memory / 2**30:.3g} GiB of "
+            f"physical memory (lower [run] n_traj)")
+    raise ConfigurationError(
+        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose batch "
+        f"buffer of {buffer / 2**30:.3g} GiB exceeds the {(memory - weights) / 2**30:.3g} "
+        f"GiB of physical memory the trajectory weights leave (raise [schedule] dt or "
+        f"lower [run] batch_size)")
 
 
 def _openblas():

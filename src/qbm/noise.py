@@ -143,29 +143,14 @@ class NoisePath:
         return len(self.values)
 
 
-def draw_auxiliary(grid, rng):
-    """Draw the complex auxiliary coefficients z_{-N..N} with Hermitian symmetry.
-
-    z_0 is a real standard normal; for 0 < k < N, z_k = (eta_k + i*zeta_k)/sqrt(2)
-    with independent standard normals; z_{-k} = conj(z_k).  The band-edge
-    coefficient z_N is kept real so the even-length inverse FFT is exactly
-    Hermitian; its amplitude is exponentially negligible for any grid that
-    resolves the cutoff.  Returns an array of length 2N+1 indexed k+N.
-    """
-    n = grid.n_modes
-    half = _draw_half([rng], np.empty((1, 2, n + 1)), np.empty((1, n + 1), dtype=complex))[0]
-    z = np.empty(2 * n + 1, dtype=complex)
-    z[n:] = half
-    z[:n] = np.conj(half[:0:-1])
-    return z
-
-
 def _draw_half(rngs, normals, z):
     """Coefficients for k = 0..N, one row of ``z`` per generator.
 
     Each generator draws its N+1 real parts, then its N+1 imaginary parts,
     into its row of ``normals`` (shape ``(len(rngs), 2, N+1)``); the draw
-    order is part of the seed contract.
+    order is part of the seed contract.  ``z_k = (eta_k + i zeta_k)/sqrt(2)``
+    for 0 < k < N; z_0 and the band-edge z_N are real standard normals, so
+    the even-length inverse FFT is exactly Hermitian.
     """
     for row, r in zip(normals, rngs):
         r.standard_normal(out=row[0])

@@ -2,12 +2,15 @@
 
 A preparation at time ``t_k`` maps the pre-intervention point ``(rbar, pbar)``
 to a post-intervention point ``(r0, p0)`` plus a signed importance weight.
-The new point is drawn by rejection from a density ``q`` proportional to
-``|lambda(r0, p0 | rbar, pbar)|`` inside a box that encloses the essential
-support, and the weight is the quotient ``lambda / q``.  With that quotient
-the weighted trajectory average is an exact importance-sampling identity even
-when the preparation function takes negative values; unknown normalisation
-constants cancel between numerator and denominator of the ratio estimator.
+The new point is drawn from a density ``q`` proportional to
+``|lambda(r0, p0 | rbar, pbar)|`` and the weight is the quotient
+``lambda / q``.  The Gaussian localisation draws its momentum blur in closed
+form; the cat projection and the general product form draw by rejection
+inside a box, fixed when the preparation is built, that encloses the
+essential support.  With that quotient the weighted trajectory average is an
+exact importance-sampling identity even when the preparation function takes
+negative values; unknown normalisation constants cancel between numerator
+and denominator of the ratio estimator.
 
 Every preparation draws ``sample(rbar, pbar, rng) -> (r0, p0, weight)``, and
 is attached to a run through ``Schedule(interventions=((t, prep),))``.  Two
@@ -37,9 +40,6 @@ _REJECTION_BLOCK = 128
 _REJECTION_MAX_BLOCKS = 2000
 
 _GAUSS_PREFACTOR = 1.0 / (2.0 * (2.0 * np.pi) ** 2)
-# Mass of a centred unit Gaussian within +-6 sigma; the box truncation error
-# of the 6-sigma envelope is below 1e-8.
-_SIX_SIGMA_MASS = 0.9999999980268247
 
 
 @dataclass(frozen=True)
@@ -106,40 +106,28 @@ def cat_wigner(x0, sigma, r, p, hbar=1.0):
     return out if out.ndim else float(out)
 
 
-def _rejection_draw(rng, propose, density, ceiling):
-    """Draw one point from density/integral by rejection under ``ceiling``."""
-    for _ in range(_REJECTION_MAX_BLOCKS):
-        cand = propose(rng, _REJECTION_BLOCK)
-        dens = density(*cand)
-        if np.any(dens > ceiling * (1.0 + 1e-9)):
-            raise EnvelopeError("rejection ceiling below the sampled density; "
-                                "envelope is misconfigured")
-        accept = rng.random(_REJECTION_BLOCK) * ceiling < dens
-        hits = np.flatnonzero(accept)
-        if len(hits):
-            k = hits[0]
-            return tuple(c[k] for c in cand)
-    raise EnvelopeError(
-        f"rejection acceptance below 1e-4 over {_REJECTION_BLOCK * _REJECTION_MAX_BLOCKS} "
-        "proposals; envelope is misconfigured")
-
-
 def _draw_signed(rng, box, factor, ceiling, mass):
-    """Draw ``(r0, p0)`` from ``|factor|`` inside ``box`` by rejection.
+    """Draw ``(r0, p0)`` from ``|factor|`` inside ``box`` by rejection under ``ceiling``.
 
     Returns the point with its weight ``sign(factor) * mass``, ``mass`` being
     the integral of ``|factor|`` over the box.
     """
-    def propose(r, n):
-        u = r.random((2, n))
-        return (box.center_r + box.half_r * (2.0 * u[0] - 1.0),
-                box.center_p + box.half_p * (2.0 * u[1] - 1.0))
-
-    def density(r0, p0):
-        return np.abs(factor(r0, p0))
-
-    r0, p0 = _rejection_draw(rng, propose, density, ceiling)
-    return r0, p0, np.sign(factor(r0, p0)) * mass
+    for _ in range(_REJECTION_MAX_BLOCKS):
+        u = rng.random((2, _REJECTION_BLOCK))
+        r0 = box.center_r + box.half_r * (2.0 * u[0] - 1.0)
+        p0 = box.center_p + box.half_p * (2.0 * u[1] - 1.0)
+        vals = factor(r0, p0)
+        dens = np.abs(vals)
+        if np.any(dens > ceiling * (1.0 + 1e-9)):
+            raise EnvelopeError("rejection ceiling below the sampled density; "
+                                "envelope is misconfigured")
+        hits = np.flatnonzero(rng.random(_REJECTION_BLOCK) * ceiling < dens)
+        if len(hits):
+            k = hits[0]
+            return r0[k], p0[k], np.sign(vals[k]) * mass
+    raise EnvelopeError(
+        f"rejection acceptance below 1e-4 over {_REJECTION_BLOCK * _REJECTION_MAX_BLOCKS} "
+        "proposals; envelope is misconfigured")
 
 
 class Identity:
@@ -194,30 +182,12 @@ class GaussianLocalize:
     def sigma_p(self):
         return self.hbar / (2.0 * self.sigma0)
 
-    def value(self, r0, p0, rbar, pbar):
-        return gaussian_value(self.sigma0, r0, p0, rbar, pbar, hbar=self.hbar)
-
-    def envelope(self, rbar, pbar):
-        return Box(center_r=rbar, half_r=0.0, center_p=pbar, half_p=6.0 * self.sigma_p)
-
     def sample(self, rbar, pbar, rng):
-        box = self.envelope(rbar, pbar)
-        ceiling = self.value(rbar, pbar, rbar, pbar)
-
-        def propose(r, n):
-            return (box.center_p + box.half_p * (2.0 * r.random(n) - 1.0),)
-
-        def density(p0):
-            return self.value(rbar, p0, rbar, pbar)
-
-        if ceiling == 0.0:
-            # rbar far in the Gaussian tail: weight underflows to 0, point kept
-            return rbar, pbar, 0.0
-        (p0,) = _rejection_draw(rng, propose, density, ceiling)
-        # weight = lambda / q with q the normalised accepted density; the p0
-        # dependence cancels, leaving the box mass of lambda at this rbar.
+        p0 = pbar + self.sigma_p * rng.standard_normal()
+        # weight = lambda / q with q the normal density of p0; the p0
+        # dependence cancels, leaving lambda's momentum integral at rbar.
         weight = (_GAUSS_PREFACTOR * np.exp(-rbar**2 / (2.0 * self.sigma0**2))
-                  * np.sqrt(2.0 * np.pi) * self.sigma_p * _SIX_SIGMA_MASS)
+                  * np.sqrt(2.0 * np.pi) * self.sigma_p)
         return rbar, float(p0), float(weight)
 
     def sample_translate(self, rbar, pbar, rng):
@@ -246,18 +216,18 @@ class CatProject:
         self.x0 = float(x0)
         self.sigma = float(sigma)
         self.hbar = float(hbar)
+        self.box = Box(center_r=0.0, half_r=self.x0 + 6.0 * self.sigma,
+                       center_p=0.0, half_p=6.0 * self.hbar / (2.0 * self.sigma))
+        # the peak of |W|: each of its four packet terms is at most 2
+        overlap = np.exp(-self.x0**2 / (2.0 * self.sigma**2))
+        self._ceiling = 8.0 / (2.0 * np.pi * self.hbar * 2.0 * (1.0 + overlap))
         self._box_mass = None
 
     def wigner(self, r, p):
         return cat_wigner(self.x0, self.sigma, r, p, hbar=self.hbar)
 
-    def envelope(self, rbar, pbar):
-        half_p = 6.0 * self.hbar / (2.0 * self.sigma)
-        return Box(center_r=0.0, half_r=self.x0 + 6.0 * self.sigma,
-                   center_p=0.0, half_p=half_p)
-
     def _abs_box_mass(self):
-        """Integral of |W| over the envelope box (cached; constant per form).
+        """Integral of |W| over the sampling box (cached; constant per form).
 
         ``W = c exp(-alpha p^2) [a(r) + b(r) cos(beta p)]`` with
         ``alpha = 2 sigma^2 / hbar^2``, ``beta = 2 x0 / hbar``,
@@ -271,7 +241,7 @@ class CatProject:
         ``[0, r*]`` by ``r = r* (1 - u^2)``, which makes that onset smooth.
         """
         if self._box_mass is None:
-            box = self.envelope(0.0, 0.0)
+            box = self.box
             s2, beta = self.sigma**2, 2.0 * self.x0 / self.hbar
             t = self.x0**2 / (2.0 * s2)
             # arccosh(e^t) = t + log(1 + sqrt(1 - e^{-2t})), without overflow
@@ -308,10 +278,7 @@ class CatProject:
         return self._box_mass
 
     def _draw_post(self, rng):
-        overlap = np.exp(-self.x0**2 / (2.0 * self.sigma**2))
-        ceiling = 8.0 / (2.0 * np.pi * self.hbar * 2.0 * (1.0 + overlap))
-        return _draw_signed(rng, self.envelope(0.0, 0.0), self.wigner, ceiling,
-                            self._abs_box_mass())
+        return _draw_signed(rng, self.box, self.wigner, self._ceiling, self._abs_box_mass())
 
     def sample(self, rbar, pbar, rng):
         r0, p0, w_post = self._draw_post(rng)

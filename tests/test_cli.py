@@ -15,6 +15,7 @@ import pytest
 import qbm
 from qbm import noise as qnoise
 from qbm.cli import (
+    _runs_test_pvalue,
     main,
     noise_check,
     parse_config,
@@ -89,6 +90,9 @@ REJECTED = [
                    rf"\[run\] n_traj must be a finite number, got '{value}'",
                    id=f"n_traj-{value}")
       for value in ("inf", "nan")),
+    pytest.param(dict(n_traj=10**14), None,
+                 r"\[run\] n_traj = 100000000000000 needs .* GiB of trajectory weights",
+                 id="n_traj-1e14"),
     pytest.param(dict(), ("t_end = 2.0", "t_end = inf"),
                  r"\[schedule\] t_end must be a finite number, got 'inf'", id="t_end-inf"),
     pytest.param(dict(potential="form = harmonic\nomega0 = 1.0", prep="cat",
@@ -703,7 +707,24 @@ class TestNoiseCheck:
         path.write_text(path.read_text().replace(
             "gamma = 1.5707963267948966", "gamma = 0.0"))
         report, ok = noise_check(parse_config(path), out_dir=str(tmp_path / "nc"))
-        assert ok and report.get("degenerate")
+        # zero noise scored as any other: every estimate, target and z is 0
+        assert ok and report["status"] == "pass" and "degenerate" not in report
+        assert not any(report["estimates"] + report["targets"] + report["z_scores"])
+        assert report["max_abs_z"] == 0.0 and report["runs_test_pvalue"] == 1.0
+
+    @pytest.mark.parametrize("statistics", ["classical", "white"])
+    def test_zero_temperature_classical_noise_passes(self, tmp_path, statistics):
+        # classical and white noise vanish at kT = 0: no residual has a sign
+        cfg = parse_config(write_config(tmp_path, statistics=statistics))
+        report, ok = noise_check(cfg, out_dir=str(tmp_path / "nc"))
+        assert ok and report["max_abs_z"] == 0.0 and report["runs_test_pvalue"] == 1.0
+
+    def test_runs_test_drops_zero_residuals(self):
+        signs = np.array([1.0, -1, 1, 1, -1, -1, 1, -1, 1, 1, -1, 1])
+        assert _runs_test_pvalue(np.insert(signs, [0, 3, 3, 7, 12], 0.0)) \
+            == _runs_test_pvalue(signs) < 1.0
+        assert _runs_test_pvalue(np.zeros(20)) == 1.0
+        assert _runs_test_pvalue(np.array([0.0, 1.0, 0.0])) == 1.0
 
     def test_gamma_zero_dump_holds_the_zero_paths(self, tmp_path):
         path = write_config(tmp_path, n_traj=70)
@@ -711,7 +732,7 @@ class TestNoiseCheck:
             "gamma = 1.5707963267948966", "gamma = 0.0"))
         cfg = parse_config(path)
         report, ok = noise_check(cfg, out_dir=str(tmp_path / "nc"), dump=True)
-        assert ok and report.get("degenerate")
+        assert ok and report["max_abs_z"] == 0.0
         meta, vals = qnoise.load_ensemble(tmp_path / "nc" / "noise_paths.bin")
         assert meta["kind"] == "noise" and meta["t_step"] == cfg.schedule["dt"]
         assert vals.shape == (70, cfg.schedule_obj().n_steps + 1)
@@ -813,6 +834,16 @@ class TestMain:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert re.search(message, err) and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "noise-check"])
+    def test_n_traj_override_beyond_memory_is_one_error_line(self, tmp_path, capsys,
+                                                            command):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, str(cfg), "--n-traj", str(10**14), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [run] n_traj = 100000000000000 needs")
+        assert len(err.splitlines()) == 1 and not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, n_traj=32)

@@ -485,6 +485,20 @@ class TestStreamedRun:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_weights_beyond_physical_memory_rejected_before_allocating(self):
+        # 1e14 trajectories: 800 TB of weights beside a small batch buffer
+        sched = Schedule(t_eq=4.0, t_end=2.0, dt=0.05)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=r"\[run\] n_traj = 100000000000000 needs 7\.45e\+05 "
+                                     r"GiB of trajectory weights.*physical memory"):
+                run_ensemble(FIG1, FREE, sched, 10**14, "quantum", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_buffer_that_fits_only_in_smaller_batches(self, monkeypatch):
         # 4001 nodes: 128 columns need 4.1 MB, 256 columns 8.2 MB
         sched = Schedule(t_eq=100.0, t_end=100.0, dt=0.05)

@@ -18,7 +18,6 @@ from qbm.noise import (
     WHITE,
     FrequencyGrid,
     NoisePath,
-    draw_auxiliary,
     dump_ensemble,
     empirical_autocorrelation,
     ensemble_writer,
@@ -80,27 +79,21 @@ def test_numpy_irfft_equals_scipy_irfft_bitwise():
             scipy.fft.irfft(coeff, n=m, axis=1).tobytes(), m
 
 
-class TestDrawAuxiliary:
-    def test_hermitian_symmetry_exact(self):
-        grid = FrequencyGrid(delta_omega=0.1, n_modes=32, t_step=0.1, n_times=8)
-        z = draw_auxiliary(grid, stream(5))
-        n = grid.n_modes
-        for k in range(1, n + 1):
-            assert z[n - k] == np.conj(z[n + k])
-        assert z[n].imag == 0.0
-
+class TestDrawHalf:
     def test_moments(self):
-        grid = FrequencyGrid(delta_omega=0.1, n_modes=8, t_step=0.1, n_times=8)
-        rng = stream(7)
-        draws = np.stack([draw_auxiliary(grid, rng) for _ in range(120000)])
-        n = grid.n_modes
+        # the coefficients z_0..z_N of 120000 draws of N = 8 modes, one stream
+        n, m = 8, 120000
+        draws = qnoise._draw_half([stream(7)] * m, np.empty((m, 2, n + 1)),
+                                  np.empty((m, n + 1), dtype=complex))
+        # z_0 and z_N are real
+        assert not draws[:, 0].imag.any() and not draws[:, n].imag.any()
         # <|z_k|^2> -> 1 within 3 standard errors
         sq = np.abs(draws) ** 2
         se = sq.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(sq.mean(axis=0) - 1.0) <= 3.0 * se)
-        # <z_k z_k> -> 0 for interior k > 0
+        # <z_k z_k> -> 0 for interior 0 < k < N
         for k in range(1, n):
-            zz = draws[:, n + k] ** 2
+            zz = draws[:, k] ** 2
             for part in (zz.real, zz.imag):
                 se_p = part.std(ddof=1) / np.sqrt(len(part))
                 assert abs(part.mean()) <= 3.0 * se_p

@@ -1,3 +1,4 @@
+import copy
 from math import erf
 
 import numpy as np
@@ -92,15 +93,9 @@ class TestCatWigner:
 
 
 class TestEnvelope:
-    def test_gaussian_box(self):
-        g = GaussianLocalize(1.0)
-        box = g.envelope(0.3, -0.2)
-        assert box.half_r == 0.0 and box.center_r == 0.3
-        assert box.half_p == pytest.approx(3.0)  # 6 * hbar/(2 sigma0)
-
     def test_cat_box_covers_both_packets(self):
         c = CatProject(2.0, 0.5)
-        box = c.envelope(0.0, 0.0)
+        box = c.box
         assert box.half_r == pytest.approx(5.0)
         assert box.half_p == pytest.approx(6.0)
 
@@ -127,6 +122,24 @@ class TestSampling:
         se = sd / np.sqrt(2 * len(draws))
         assert abs(sd - 0.5) <= 3.0 * se  # hbar/(2 sigma0)
         assert draws[:, 1].mean() == pytest.approx(1.0, abs=3 * sd / np.sqrt(len(draws)))
+
+    def test_gaussian_lab_draw_is_the_closed_form(self):
+        # p0 is the stream's next normal scaled by sigma_p; the weight is
+        # lambda's momentum integral at rbar, drawn p0 or not
+        g = GaussianLocalize(0.8)
+        sigma_p = 0.5 / 0.8
+        for i, rbar in enumerate((0.4, -1.3, 0.0, 1e3)):
+            rng = stream(12, i)
+            z = copy.deepcopy(rng).standard_normal()
+            lam_integral = (np.exp(-rbar**2 / (2.0 * 0.8**2)) * np.sqrt(2.0 * np.pi) * sigma_p
+                            / (2.0 * (2.0 * np.pi) ** 2))
+            r0, p0, w = g.sample(rbar, -0.3, rng)
+            assert r0 == rbar and p0 == -0.3 + sigma_p * z
+            assert w == pytest.approx(lam_integral, rel=1e-14, abs=0.0)
+        assert g.sample(1e3, 0.0, stream(13))[2] == 0.0
+        # sigma0 = 1, rbar = 0.4: the untruncated momentum integral
+        assert GaussianLocalize(1.0).sample(0.4, 0.0, stream(14))[2] == pytest.approx(
+            0.0146530033056, rel=1e-11)
 
     def test_cat_samples_negative_weights(self):
         c = CatProject(2.0, 0.5)  # x0 = 4 sigma: strong interference fringes
@@ -196,7 +209,7 @@ class TestImportanceIdentity:
         ratio = w * (fv - mc)
         se = ratio.std(ddof=1) / np.sqrt(len(w)) / abs(np.mean(w))
 
-        box = c.envelope(0.0, 0.0)
+        box = c.box
         r = np.linspace(-box.half_r, box.half_r, 801)
         p = np.linspace(-box.half_p, box.half_p, 801)
         wgrid = c.wigner(r[:, None], p[None, :])
@@ -231,13 +244,13 @@ class TestImportanceIdentity:
 
 
 def quad_abs_box_mass(cat):
-    """Reference: nested adaptive quadrature of |W| over the envelope box.
+    """Reference: nested adaptive quadrature of |W| over the sampling box.
 
     The r integral splits where the fringes open (b(r) = a(r)); at each r the
     p integral splits at the fringe troughs and, inside that radius, at the
     fringe zeros.  |W| itself is integrated, so the splits only help accuracy.
     """
-    box = cat.envelope(0.0, 0.0)
+    box = cat.box
     x0, s2, beta = cat.x0, cat.sigma**2, 2.0 * cat.x0 / cat.hbar
     r_star = s2 / x0 * np.arccosh(np.exp(x0**2 / (2.0 * s2)))
     k = np.arange(int(beta * box.half_p / (2.0 * np.pi)) + 2)
@@ -258,6 +271,60 @@ def quad_abs_box_mass(cat):
     total = sum(quad(over_p, lo, hi, epsabs=1e-15, epsrel=1e-11, limit=200)[0]
                 for lo, hi in ((0.0, r_star), (r_star, box.half_r)))
     return 4.0 * total
+
+
+def block_rejection_reference(rng, box, factor, ceiling, mass):
+    """Reference rejection draw: per block, 2 x 128 uniforms place the
+    proposals in the box and 128 more accept the first one under ``ceiling``;
+    the density is evaluated one point at a time."""
+    while True:
+        u, accept = rng.random((2, 128)), rng.random(128)
+        for k in range(128):
+            r0 = box.center_r + box.half_r * (2.0 * u[0, k] - 1.0)
+            p0 = box.center_p + box.half_p * (2.0 * u[1, k] - 1.0)
+            value = factor(r0, p0)
+            if accept[k] * ceiling < abs(value):
+                return r0, p0, np.sign(value) * mass
+
+
+class TestRejectionDraws:
+    # every rejection sampler draws the reference's points and weights and
+    # leaves its stream where the reference does
+    @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3)])
+    def test_cat_lab(self, x0, sigma):
+        cat = CatProject(x0, sigma)
+        for i in range(150):
+            rng = stream(15, i)
+            ref = copy.deepcopy(rng)
+            r0, p0, w_post = block_rejection_reference(ref, cat.box, cat.wigner,
+                                                       cat._ceiling, cat._abs_box_mass())
+            assert cat.sample(0.2, -0.4, rng) == (r0, p0, float(w_post * cat.wigner(0.2, -0.4)))
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3)])
+    def test_cat_translate(self, x0, sigma):
+        cat = CatProject(x0, sigma)
+        for i in range(150):
+            rng = stream(16, i)
+            ref = copy.deepcopy(rng)
+            ref.random(), ref.standard_normal()  # the mixture component and offset
+            r0, p0, w_post = block_rejection_reference(ref, cat.box, cat.wigner,
+                                                       cat._ceiling, cat._abs_box_mass())
+            r_pre, r0_t, p0_t, w = cat.sample_translate(0.2, -0.4, rng)
+            assert (r0_t, p0_t) == (r0, p0)
+            assert np.sign(w) == np.sign(w_post * cat.wigner(r_pre, -0.4))
+            assert rng.random() == ref.random()
+
+    def test_product_form(self):
+        cat = CatProject(0.6, 0.3)
+        form = ProductForm(cat.wigner, lambda r, p: 0.5, cat.box)
+        for i in range(300):
+            rng = stream(17, i)
+            ref = copy.deepcopy(rng)
+            r0, p0, w_post = block_rejection_reference(ref, form.box, form.post_factor,
+                                                       form._ceiling, form._box_mass)
+            assert form.sample(0.2, -0.4, rng) == (r0, p0, float(w_post * 0.5))
+            assert rng.random() == ref.random()
 
 
 class TestCatBoxMass:
@@ -289,7 +356,7 @@ class TestProductFormBoxMass:
     @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3)])
     def test_cat_bias_stays_within_its_stated_bound(self, x0, sigma):
         cat = CatProject(x0, sigma)
-        form = ProductForm(cat.wigner, lambda r, p: 1.0, cat.envelope(0.0, 0.0))
+        form = ProductForm(cat.wigner, lambda r, p: 1.0, cat.box)
         exact = cat._abs_box_mass()
         assert abs(form._box_mass - exact) <= 2.5e-4 * exact
 
@@ -338,7 +405,7 @@ class TestCatTranslateUnbiased:
         # E[w] = [int W(r, pbar) dr] * E[sign * box-mass] over the post draw
         r = np.linspace(-10, 10, 4001)
         marginal = simpson(cat.wigner(r, pbar), x=r)
-        box = cat.envelope(0.0, 0.0)
+        box = cat.box
         rr = np.linspace(-box.half_r, box.half_r, 1201)
         pp = np.linspace(-box.half_p, box.half_p, 1201)
         wg = cat.wigner(rr[:, None], pp[None, :])
