@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -55,10 +55,10 @@ class ExperimentConfig:
     observables: dict
     n_traj: int
     master_seed: int
-    batch_size: int = 1024
-    workers: int = 1
-    out_dir: str = None
-    reference: dict = field(default_factory=lambda: {"mode": "none"})
+    batch_size: int
+    workers: int
+    out_dir: str
+    reference: dict
 
     def to_dict(self):
         return asdict(self)
@@ -114,11 +114,6 @@ def _integer(floor=-math.inf):
     return read
 
 
-def _boolean(raw):
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    return states[_choice(*states)(raw.lower())]
-
-
 def _choice(*options):
     def read(raw):
         if raw not in options:
@@ -142,8 +137,7 @@ _TABLE = {
                            "polynomial": {"coefficients": (_numbers, _REQUIRED)}}},
     # t_eq = None: the bath's default span
     "schedule": {"t_eq": (_number, None), "t_end": (_number, _REQUIRED),
-                 "dt": (_number, _REQUIRED), "record_stride": (_integer(), 1),
-                 "relax_dt_check": (_boolean, False)},
+                 "dt": (_number, _REQUIRED), "record_stride": (_integer(), 1)},
     "noise": {"statistics": (_choice(*_noise.STATISTICS), _noise.QUANTUM)},
     "preparation": {"form": {
         "identity": {},
@@ -221,6 +215,16 @@ def _check_observables(observables, preparation, mode):
         taken[fname] = name
 
 
+def _check_ensemble(cfg, n_traj_name):
+    """Reject an ensemble the run cannot estimate from or hold in memory;
+    ``n_traj_name`` is the input that set ``cfg.n_traj``."""
+    if "msd" in cfg.observables and cfg.n_traj < 2:
+        raise ConfigurationError(
+            f"{n_traj_name} = {cfg.n_traj}: msd needs n_traj >= 2 trajectories "
+            f"for a standard error")
+    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size)
+
+
 def parse_config(path):
     """Parse and validate a config file into an :class:`ExperimentConfig`.
 
@@ -267,7 +271,11 @@ def parse_config(path):
         # would get that curve beside an observable it does not describe
         needs = {"the free potential": potential["form"] == "free"}
         if mode == "sigma2":
-            needs["the gaussian preparation"] = preparation["form"] == "gaussian"
+            needs.update({
+                "the gaussian preparation": preparation["form"] == "gaussian",
+                "translate mode": preparation.get("mode") == "translate",
+                "time = 0": preparation.get("time") == 0.0,
+            })
         else:
             needs.update({
                 "kT = 0": bath["kT"] == 0.0,
@@ -289,7 +297,7 @@ def parse_config(path):
     try:
         spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
         sched.validate_against(spec, pot)
-        _dyn.check_memory(sched, cfg.n_traj, cfg.batch_size)
+        _check_ensemble(cfg, "[run] n_traj")
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return cfg
@@ -336,11 +344,22 @@ def _reference_series(cfg, spec, pot, sched, times):
     raise ConfigurationError(f"no reference series for mode {mode!r}")
 
 
+def _output_dir(out_dir, cfg):
+    """Make the output directory, ``out_dir`` or else the config's, else
+    ``$QBM_OUT_DIR``, else ``.``, and return it."""
+    out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot make output directory {out_dir!r}: {exc.strerror or exc}") from None
+    return out_dir
+
+
 def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
     """Execute a configured experiment; returns the list of files written."""
     t_start = time.time()
-    out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(out_dir, cfg)
 
     spec = cfg.bath_spec()
     pot = cfg.potential_obj()
@@ -394,7 +413,8 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         "wall_time_s": time.time() - t_start,
         "peak_rss_mb": _peak_rss_mb(),
         "environment": _environment(),
-        "threads": _dyn.thread_counts(cfg.workers),
+        "threads": _dyn.thread_counts(_dyn.processes(cfg.n_traj, cfg.batch_size,
+                                                     cfg.workers)),
         "outputs": [os.path.basename(w) for w in written],
         "n_failed_trajectories": len(ensemble.failed_ids),
     }
@@ -474,6 +494,19 @@ def noise_check(cfg, out_dir=None, dump=False):
     spec = cfg.bath_spec()
     sched = cfg.schedule_obj()
     n_times = sched.n_steps + 1
+    span = (n_times - 1) * sched.dt
+    if n_times < _N_LAGS:
+        raise ConfigurationError(
+            f"[schedule] t_eq + t_end = {span:.6g} is too short: noise-check's {_N_LAGS} "
+            f"lags need a span of at least {_N_LAGS - 1} dt = {(_N_LAGS - 1) * sched.dt:.6g}")
+    # lags spaced by the cutoff time where the span allows: estimates at
+    # neighbouring lags decorrelate there, keeping the runs test meaningful
+    step_target = spec.eps if 2 * (_N_LAGS - 1) * spec.eps <= span \
+        else span / (2 * (_N_LAGS - 1))
+    step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
+    lags = step * np.arange(_N_LAGS)
+    times = sched.dt * np.arange(n_times)
+
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_times)
     # the run's own streams, a block alive at a time
     blocks = _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed,
@@ -481,23 +514,12 @@ def noise_check(cfg, out_dir=None, dump=False):
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,
               "master_seed": cfg.master_seed}
 
-    out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(out_dir, cfg)
     with (_noise.ensemble_writer(
             os.path.join(out_dir, "noise_paths.bin"),
             {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
             (cfg.n_traj, n_times))
           if dump else contextlib.nullcontext()) as write:
-        # lags spaced by the cutoff time where the span allows: estimates
-        # at neighbouring lags decorrelate there, keeping the runs test
-        # meaningful
-        span = (n_times - 1) * sched.dt
-        step_target = spec.eps if 2 * (_N_LAGS - 1) * spec.eps <= span \
-            else span / (2 * (_N_LAGS - 1))
-        step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
-        lags = step * np.arange(_N_LAGS)
-        times = sched.dt * np.arange(n_times)
-
         def paths():
             # the autocorrelation consumes the paths a block at a time,
             # and each block goes to the dump
@@ -559,7 +581,8 @@ def _apply_overrides(cfg, args):
         if value is not None:
             reader, _ = _TABLE["run"][key]
             setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
-    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size)
+    _check_ensemble(cfg, "[run] n_traj" if getattr(args, "n_traj", None) is None
+                    else "--n-traj")
     return cfg
 
 

@@ -147,7 +147,6 @@ class Schedule:
     dt: float
     interventions: tuple = ()
     record_stride: int = 1
-    relax_dt_check: bool = False
 
     def __post_init__(self):
         if not self.t_eq > 0:
@@ -182,7 +181,7 @@ class Schedule:
 
     def validate_against(self, spec, potential=None):
         """Step-size and translate-mode invariants that need the bath (and potential)."""
-        if not self.relax_dt_check and self.dt > spec.eps / 10 * (1 + 1e-12):
+        if self.dt > spec.eps / 10 * (1 + 1e-12):
             raise ConfigurationError(
                 f"dt = {self.dt} too coarse for the kernel time scale "
                 f"(needs dt <= eps/10 = {spec.eps / 10:.6g})")
@@ -499,9 +498,16 @@ def _init_pool_process():
     _noise._threads = 1
 
 
+def processes(n_traj, batch_size, workers):
+    """Processes a run integrates on: ``workers``, at most one per batch.
+    One process is the caller itself, without a pool."""
+    return min(workers, -(-n_traj // batch_size))
+
+
 def thread_counts(workers):
-    """Threads each integrating process draws noise on, and OpenBLAS's pinned
-    count (None when OpenBLAS is not found)."""
+    """Threads each of ``workers`` integrating processes (see :func:`processes`)
+    draws noise on, and OpenBLAS's pinned count (None when OpenBLAS is not
+    found)."""
     return {"noise": 1 if workers > 1 else _noise.thread_count(),
             "blas": None if _openblas() is None else 1}
 
@@ -747,8 +753,9 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     coefficients are drawn first, then any preparation draws, so results are
     bit-reproducible for any batch split or worker count.  OpenBLAS runs on
     one thread while the ensemble is integrated (its count is restored on
-    return), so they are also independent of ``OPENBLAS_NUM_THREADS``; pool
-    processes also draw their noise on one thread.
+    return), so they are also independent of ``OPENBLAS_NUM_THREADS``.  The
+    batches go to :func:`processes` processes, a pool only when that is
+    more than one; pool processes draw their noise on one thread.
 
     Without a ``consumer`` the records are stacked in trajectory-id order.
     With one, each batch goes to ``consumer(batch)`` in trajectory-id order
@@ -781,9 +788,10 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     batches = [range(lo, min(lo + batch_size, n_traj))
                for lo in range(0, n_traj, batch_size)]
     mapper, pool = map, nullcontext()
-    if workers > 1:
+    n_proc = processes(n_traj, batch_size, workers)
+    if n_proc > 1:
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_process)
+        pool = ProcessPoolExecutor(max_workers=n_proc, initializer=_init_pool_process)
         mapper = pool.map
     done = 0
     with _one_blas_thread(), pool:

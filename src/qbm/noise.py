@@ -139,9 +139,6 @@ class NoisePath:
     times: np.ndarray
     values: np.ndarray
 
-    def __len__(self):
-        return len(self.values)
-
 
 def _draw_half(rngs, normals, z):
     """Coefficients for k = 0..N, one row of ``z`` per generator.
@@ -226,7 +223,7 @@ def linear_variance(spec, grid, statistics, coeffs):
     return power.sum(axis=-1)
 
 
-def synthesize(spec, grid, statistics, rng, seed_record=("adhoc",)):
+def synthesize(spec, grid, statistics, rng):
     """Generate one NoisePath whose ensemble statistics match the chosen target.
 
     ``statistics``:
@@ -238,11 +235,12 @@ def synthesize(spec, grid, statistics, rng, seed_record=("adhoc",)):
       2*m*gamma*kT / t_step per sample (Markovian limit); the zero path
       at kT = 0.
 
-    The same seeded stream yields a bit-identical path.
+    The same seeded stream yields a bit-identical path, whose seed record is
+    ``("adhoc",)``.
     """
     values = synthesize_batch(spec, grid, statistics, [rng])[0]
     times = grid.t_step * np.arange(grid.n_times)
-    return NoisePath(seed=tuple(seed_record), times=times, values=values)
+    return NoisePath(seed=("adhoc",), times=times, values=values)
 
 
 def usable_cores():
@@ -365,13 +363,12 @@ def synthesize_batch(spec, grid, statistics, rngs):
     return out
 
 
-def empirical_autocorrelation(paths, lags, window=None):
+def empirical_autocorrelation(paths, lags):
     """Cross-path estimate of <xi(t0) xi(t0+lag)> with standard errors.
 
     Averages over the ensemble and over all admissible ``t0`` within each
-    path (optionally restricted to the index ``window = (lo, hi)`` with
-    ``0 <= lo < hi <= n_times``); paths are the independent units for the
-    standard error.
+    path; paths are the independent units for the standard error.  To
+    estimate over part of the span, pass paths sliced to it.
 
     ``paths`` is any iterable of :class:`NoisePath` on one time grid.  It is
     consumed ``_AUTOCORR_TILE`` paths at a time, and each tile is reduced to
@@ -390,11 +387,6 @@ def empirical_autocorrelation(paths, lags, window=None):
     times = tile[0].times
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
     n = len(tile[0].values)
-    lo, hi = (0, n) if window is None else window
-    if not 0 <= lo < hi <= n:
-        raise ConfigurationError(
-            f"window {tuple(window)} is not a sample range 0 <= lo < hi <= {n}")
-    width = hi - lo
 
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
     shifts = []
@@ -402,24 +394,24 @@ def empirical_autocorrelation(paths, lags, window=None):
         k = int(round(lag / dt))
         if abs(k * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise ConfigurationError(f"lag {lag} is not a multiple of the path step {dt}")
-        if k < 0 or k >= width:
+        if k < 0 or k >= n:
             raise ConfigurationError(f"lag {lag} exceeds the admissible path span")
         shifts.append(k)
 
     blocks = []
-    tile_values = np.empty((len(tile), width))
-    prod = np.empty((len(tile), width))
+    tile_values = np.empty((len(tile), n))
+    prod = np.empty((len(tile), n))
     while tile:
         if any(len(p.values) != n for p in tile):
             raise ConfigurationError(
                 f"empirical_autocorrelation requires paths of one length ({n} samples)")
-        values = np.stack([p.values[lo:hi] for p in tile], out=tile_values[:len(tile)])
+        values = np.stack([p.values for p in tile], out=tile_values[:len(tile)])
         block = np.empty((len(shifts), len(tile)))
         for i, k in enumerate(shifts):
-            lagged = np.multiply(values[:, :width - k], values[:, k:],
-                                 out=prod[:len(tile), :width - k])
+            lagged = np.multiply(values[:, :n - k], values[:, k:],
+                                 out=prod[:len(tile), :n - k])
             # np.mean's own row sum and division, without its temporaries
-            block[i] = np.add.reduce(lagged, axis=1) / (width - k)
+            block[i] = np.add.reduce(lagged, axis=1) / (n - k)
         blocks.append(block)
         # release this tile's paths, and any array they view, before the
         # iterable produces the next ones

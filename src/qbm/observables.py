@@ -179,7 +179,8 @@ class Accumulator:
         the naive weighted variance underestimates).  Effective sample size
         is ``(sum w)^2 / sum w^2``; times where it drops below 100 are
         flagged via ``low_ess``.  The displacement is the plain mean with
-        the standard error of the mean and ``n`` as its sample size.
+        the standard error of the mean and ``n`` as its sample size; it
+        needs at least 2 finite trajectories.
         """
         w = ensemble.weights[_good(ensemble)]
         if not self._thermal:
@@ -187,6 +188,9 @@ class Accumulator:
         elif not ensemble.unweighted():
             raise ValueError("msd is defined for the unweighted thermal ensemble; "
                              "got preparation weights != 1")
+        elif len(w) < 2:
+            raise ValueError(f"msd needs at least 2 finite trajectories for a "
+                             f"standard error, got {len(w)}")
         else:
             total = float(len(w))
         s_wv, s_w2u, s_w2u2 = self._sums

@@ -133,8 +133,6 @@ def _draw_signed(rng, box, factor, ceiling, mass):
 class Identity:
     """No-op preparation: keeps the phase-space point, weight exactly 1."""
 
-    form = "identity"
-
     def sample(self, rbar, pbar, rng):
         return rbar, pbar, 1.0
 
@@ -148,8 +146,6 @@ class MomentumReset:
     Product form with structural delta factors ``delta(r0 - rbar) delta(p0 - p)``;
     used to start momentum-relaxation measurements from a definite momentum.
     """
-
-    form = "product-form"
 
     def __init__(self, p_value=0.0):
         self.p_value = float(p_value)
@@ -169,8 +165,6 @@ class GaussianLocalize:
     weighting the trajectory by the position factor ``exp(-rbar^2/(2 sigma0^2))``
     (times constants that cancel in the ratio estimator).
     """
-
-    form = "gaussian-localize"
 
     def __init__(self, sigma0, hbar=1.0):
         if not sigma0 > 0:
@@ -205,8 +199,6 @@ class CatProject:
     value) and the pre-factor multiplies the weight.  The overall projection
     normalisation is dropped: it cancels in the ratio estimator.
     """
-
-    form = "cat-project"
 
     def __init__(self, x0, sigma, hbar=1.0):
         if not sigma > 0:
@@ -318,8 +310,6 @@ class ProductForm:
     comes out 5.8e-5 high at (x0, sigma) = (0.6, 0.3) and 1.9e-4 high at
     (2, 0.2).  :class:`CatProject` integrates its own sign changes exactly.
     """
-
-    form = "product-form"
 
     def __init__(self, post_factor, pre_factor, box):
         self.post_factor = post_factor

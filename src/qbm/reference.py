@@ -10,6 +10,9 @@ from .dynamics import FREE, HARMONIC, integrate_deterministic
 from .errors import ConfigurationError
 from .observables import ObservableSeries
 
+# points at which small_parameter probes the potential over its range
+_PROBE_POINTS = 2001
+
 # E1(-gamma t - i gamma eps) overflows near gamma t = 709; above this gamma t
 # p2_quadrature leaves out its oscillating term, below e^-700 of the flat one
 _P2_OSCILLATION_CUTOFF = 700.0
@@ -34,20 +37,18 @@ class ResponseFunction:
         return 0.5 * self.hbar * self.values
 
 
-def response(spec, pot, t_grid, dt=None):
-    """Response function on ``t_grid`` by deterministic integration.
+def response(spec, pot, t_grid, dt):
+    """Response function on ``t_grid`` by deterministic integration at step ``dt``.
 
     Supported for the free and harmonic potentials, where the dynamics is
-    linear and the commutator reduces to a c-number.  ``dt`` defaults to the
-    grid spacing; pass the ensemble's own step to share discretisation with a
-    Monte Carlo run.
+    linear and the commutator reduces to a c-number.  Pass the ensemble's
+    own step to share discretisation with a Monte Carlo run; every time of
+    ``t_grid`` must be a multiple of ``dt``.
     """
     if pot.form not in (FREE, HARMONIC):
         raise ConfigurationError(
             "response requires a quadratic (free or harmonic) potential")
     t_grid = np.asarray(t_grid, dtype=float)
-    if dt is None:
-        dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else spec.eps / 20
     n_steps = int(round(t_grid[-1] / dt))
     times, x, _ = integrate_deterministic(spec, pot, dt, n_steps, x0=0.0, p0=1.0)
     idx = np.round(t_grid / dt).astype(int)
@@ -173,7 +174,7 @@ def coherence_length(spec):
     return spec.hbar / np.sqrt(p2), p2
 
 
-def small_parameter(spec, pot, x_range=None, n_points=2001):
+def small_parameter(spec, pot, x_range=None):
     """Classicality ratio lambda / L with L the potential's curvature scale.
 
     ``L = min over the probed range of |V'(x) / V'''(x)|^(1/2)`` excluding
@@ -185,7 +186,7 @@ def small_parameter(spec, pot, x_range=None, n_points=2001):
         return 0.0, True
     if x_range is None:
         raise ConfigurationError("small_parameter needs x_range for polynomial potentials")
-    x = np.linspace(x_range[0], x_range[1], n_points)
+    x = np.linspace(x_range[0], x_range[1], _PROBE_POINTS)
     v1 = pot.derivative(x, spec.mass, order=1)
     v3 = pot.derivative(x, spec.mass, order=3)
     if np.all(v3 == 0.0):

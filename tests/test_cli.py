@@ -80,9 +80,9 @@ REJECTED = [
                    rf"\[preparation\] form identity does not read '{key}'",
                    id=f"identity-{key}")
       for key, value in (("sigma0", -4), ("x0", 2), ("mode", "sideways"), ("time", 9))),
-    pytest.param(dict(), ("record_stride = 4", "record_stride = 4\nrelax_dt_check = maybe"),
-                 r"\[schedule\] relax_dt_check must be one of .*got 'maybe'",
-                 id="relax_dt_check-maybe"),
+    # the dt <= eps/10 rule has no switch
+    pytest.param(dict(), ("record_stride = 4", "record_stride = 4\nrelax_dt_check = true"),
+                 r"\[schedule\] unknown key 'relax_dt_check'", id="relax_dt_check-true"),
     pytest.param(dict(potential="form = polynomial\ncoefficients = 0 x 1"), None,
                  r"\[potential\] coefficients must be a finite number, got 'x'",
                  id="coefficients-0-x-1"),
@@ -90,6 +90,9 @@ REJECTED = [
                    rf"\[run\] n_traj must be a finite number, got '{value}'",
                    id=f"n_traj-{value}")
       for value in ("inf", "nan")),
+    # msd's standard error needs two trajectories
+    pytest.param(dict(observables="msd = default", n_traj=1), None,
+                 r"\[run\] n_traj = 1: msd needs n_traj >= 2", id="msd-n_traj-1"),
     pytest.param(dict(n_traj=10**14), None,
                  r"\[run\] n_traj = 100000000000000 needs .* GiB of trajectory weights",
                  id="n_traj-1e14"),
@@ -218,13 +221,17 @@ class TestParseConfig:
         pytest.param("sigma2", "cat", "x0 = 0.6\nsigma = 0.3", "x2 = default", {},
                      id="sigma2-cat-x0 = 0.6\nsigma = 0.3-x2 = default"),  # needs gaussian
         # one case per rule the reference curves rest on: sigma2 needs the
-        # free potential; p2 the free potential, kT = 0, quantum statistics
-        # and the momentum-reset preparation to p_value = 0 at time = 0
-        pytest.param("sigma2", "gaussian", "sigma0 = 1.0", "x2 = default",
+        # free potential and the gaussian in translate mode at time = 0; p2
+        # the free potential, kT = 0, quantum statistics and the
+        # momentum-reset preparation to p_value = 0 at time = 0
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate", "x2 = default",
                      dict(potential="form = polynomial\ncoefficients = 0 0 0.5 0 0.1"),
                      id="sigma2-polynomial"),
-        pytest.param("sigma2", "gaussian", "sigma0 = 1.0", "x2 = default",
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate", "x2 = default",
                      dict(potential="form = harmonic\nomega0 = 1.0"), id="sigma2-harmonic"),
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0", "x2 = default", {}, id="sigma2-lab"),
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate\ntime = 0.5",
+                     "x2 = default", {}, id="sigma2-time"),
         pytest.param("p2", "momentum-reset", "", "p2 = default",
                      dict(potential="form = harmonic\nomega0 = 1.0"), id="p2-harmonic"),
         pytest.param("p2", "momentum-reset", "", "p2 = default", dict(kT=1.0), id="p2-kT"),
@@ -324,13 +331,29 @@ class TestRun:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_manifest_records_the_thread_counts(self, tmp_path, workers):
         from qbm import dynamics
-        cfg = parse_config(write_config(tmp_path, run_extra=f"workers = {workers}"))
+        # two batches, so two workers make a pool
+        cfg = parse_config(write_config(tmp_path,
+                                        run_extra=f"workers = {workers}\nbatch_size = 32"))
         out = tmp_path / "out"
         run(cfg, out_dir=str(out))
         manifest = json.loads((out / "run_manifest.json").read_text())
         blas = None if dynamics.blas_threads() is None else 1
         noise = qnoise.thread_count() if workers == 1 else 1
         assert manifest["threads"] == {"noise": noise, "blas": blas}
+
+    def test_one_batch_builds_no_process_pool(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool for a run of one batch")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = parse_config(write_config(tmp_path, run_extra="workers = 2"))
+        out = tmp_path / "out"
+        run(cfg, out_dir=str(out))
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["workers"] == 2
+        assert manifest["threads"]["noise"] == qnoise.thread_count()
 
     def test_outputs_do_not_depend_on_openblas_num_threads(self, tmp_path):
         # a fresh interpreter per setting: OpenBLAS reads it when it loads.
@@ -844,6 +867,38 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: [run] n_traj = 100000000000000 needs")
         assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_msd_n_traj_override_below_two_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, observables="msd = default")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--n-traj", "1", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n-traj = 1: msd needs n_traj >= 2")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_noise_check_span_shorter_than_its_lags_rejected(self, tmp_path, capsys):
+        # 3 nodes against the 20 lags: rejected before the output directory
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("t_eq = 4.0", "t_eq = 0.05")
+                        .replace("t_end = 2.0", "t_end = 0.05")
+                        .replace("record_stride = 4", "record_stride = 1"))
+        out = tmp_path / "o"
+        assert main(["noise-check", str(path), "--dump-noise", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: \[schedule\] t_eq \+ t_end = 0\.1 is too short: "
+                        r"noise-check's 20 lags need a span of at least 19 dt = 0\.95", err)
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "noise-check"])
+    def test_out_dir_naming_a_file_is_one_error_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, n_traj=8)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        assert main([command, str(cfg), "--out-dir", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make output directory {str(taken)!r}")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert taken.read_text() == "a file\n"
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, n_traj=32)

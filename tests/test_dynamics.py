@@ -272,7 +272,7 @@ class TestIntegrate:
     def test_divergence_raises_integration_failure(self):
         # inverted quartic: runaway force, state overflows to non-finite
         pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
-        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
                          interventions=((0.0, ResetTo(1.0, 1.0)),))
         with pytest.raises(IntegrationFailure):
             integrate(NO_BATH, pot, sched, zero_path(sched))
@@ -310,8 +310,7 @@ class TestRunEnsemble:
 
         rng = _traj_stream(99, 0, 0)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
-        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, rng,
-                                 seed_record=(99, 0, 0))
+        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, rng)
         traj = integrate(FIG1, FREE, sched, path, rng=rng)
         assert np.array_equal(ens.x[0], traj.x)
         assert np.array_equal(ens.p[0], traj.p)
@@ -337,7 +336,7 @@ class TestRunEnsemble:
 
     def test_abort_on_mass_divergence(self):
         pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
-        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
                          interventions=(
                              Intervention(0.0, GaussianLocalize(1.0)),))
         with pytest.raises(IntegrationFailure):
@@ -352,7 +351,7 @@ class TestRunEnsemble:
                 return 1.0, 1.0, 1.0
 
         pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
-        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
                          interventions=(Intervention(0.0, Kick()),))
         with pytest.raises(IntegrationFailure) as one:
             integrate(NO_BATH, pot, sched, zero_path(sched))
@@ -448,7 +447,7 @@ class TestStreamedRun:
                 return rng.uniform(0.3, 1.5), 1.0, 1.0
 
         pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
-        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05, relax_dt_check=True,
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
                          interventions=(Intervention(0.0, Kick()),))
         with pytest.raises(IntegrationFailure) as stacked:
             run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3)
@@ -615,11 +614,11 @@ class TestTranslateMode:
 
 class TestDynamicsInvariants:
     def test_markovian_classical_limit_equipartition(self):
-        # eps at the smallest grid-resolvable cutoff (6.4 dt) stands in for
-        # the eps -> 0 limit; classical statistics must equipartition.
-        dt = 0.01
-        spec = BathSpec(gamma=1.0, eps=6.4 * dt, mass=1.0, kT=1.0)
-        sched = Schedule(t_eq=12.0, t_end=0.0, dt=dt, relax_dt_check=True)
+        # a short cutoff (eps = 0.064, gamma eps << 1) stands in for the
+        # eps -> 0 limit, resolved at dt = eps/10; classical statistics must
+        # equipartition.
+        spec = BathSpec(gamma=1.0, eps=0.064, mass=1.0, kT=1.0)
+        sched = Schedule(t_eq=12.0, t_end=0.0, dt=spec.eps / 10)
         ens = run_ensemble(spec, FREE, sched, 3000, "classical", 3)
         p2 = ens.p[:, 0] ** 2
         se = p2.std(ddof=1) / np.sqrt(len(p2))

@@ -117,6 +117,18 @@ class TestMsd:
         with pytest.raises(ValueError):
             msd(make_ensemble(np.ones((3, 4))), 0.5)
 
+    # one trajectory, or two of which one failed: no standard error exists
+    @pytest.mark.parametrize("x, failed", [([[0.0, 1.0]], ()),
+                                           ([[0.0, 1.0], [0.0, np.nan]], (1,))])
+    def test_fewer_than_two_finite_trajectories_rejected(self, x, failed):
+        ens = make_ensemble(x)
+        ens.failed_ids = failed
+        acc = Accumulator.displacement(ens.times, 0.0)
+        acc.add(ens)
+        with pytest.raises(ValueError,
+                           match="at least 2 finite trajectories for a standard error, got 1"):
+            acc.series(ens)
+
 
 class TestCatInitialValue:
     def test_coincident_packets(self):
