@@ -146,7 +146,7 @@ _TABLE = {
         "momentum-reset": {**_INTERVENTION, "p_value": (_number, 0.0)}}},
     # name = output file name; "" or "default" for <name>.csv
     "observables": dict.fromkeys(("x2", "p2", "xp", "cat_coherence", "msd"), (str, None)),
-    "run": {"n_traj": (_integer(1), _REQUIRED), "master_seed": (_integer(0), _REQUIRED),
+    "run": {"n_traj": (_integer(2), _REQUIRED), "master_seed": (_integer(0), _REQUIRED),
             "batch_size": (_integer(1), 1024), "workers": (_integer(1), 1),
             "out_dir": (str, None)},
     "reference": {"mode": (_choice("none", *_REFERENCE_OBSERVABLE), "none")},
@@ -215,16 +215,6 @@ def _check_observables(observables, preparation, mode):
         taken[fname] = name
 
 
-def _check_ensemble(cfg, n_traj_name):
-    """Reject an ensemble the run cannot estimate from or hold in memory;
-    ``n_traj_name`` is the input that set ``cfg.n_traj``."""
-    if "msd" in cfg.observables and cfg.n_traj < 2:
-        raise ConfigurationError(
-            f"{n_traj_name} = {cfg.n_traj}: msd needs n_traj >= 2 trajectories "
-            f"for a standard error")
-    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size)
-
-
 def parse_config(path):
     """Parse and validate a config file into an :class:`ExperimentConfig`.
 
@@ -269,21 +259,18 @@ def parse_config(path):
                 f"observable, which [observables] does not configure")
         # each reference is the curve of one experiment; any other config
         # would get that curve beside an observable it does not describe
-        needs = {"the free potential": potential["form"] == "free"}
         if mode == "sigma2":
-            needs.update({
+            needs = {
+                "the free potential": potential["form"] == "free",
                 "the gaussian preparation": preparation["form"] == "gaussian",
                 "translate mode": preparation.get("mode") == "translate",
                 "time = 0": preparation.get("time") == 0.0,
-            })
+            }
         else:
-            needs.update({
-                "kT = 0": bath["kT"] == 0.0,
-                "quantum statistics": noise["statistics"] == _noise.QUANTUM,
-                "a momentum-reset to p_value = 0 at time = 0":
-                    preparation["form"] == "momentum-reset"
-                    and preparation["p_value"] == 0.0 and preparation["time"] == 0.0,
-            })
+            needs = {
+                "a free or harmonic potential": potential["form"] in ("free", "harmonic"),
+                "the momentum-reset preparation": preparation["form"] == "momentum-reset",
+            }
         unmet = [need for need, met in needs.items() if not met]
         if unmet:
             raise ConfigurationError(
@@ -297,7 +284,7 @@ def parse_config(path):
     try:
         spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
         sched.validate_against(spec, pot)
-        _check_ensemble(cfg, "[run] n_traj")
+        _dyn.check_memory(sched, cfg.n_traj, cfg.batch_size)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return cfg
@@ -330,17 +317,14 @@ def _accumulator(name, cfg, times):
     return _obs.Accumulator(times, obs)
 
 
-def _reference_series(cfg, spec, pot, sched, times):
+def _reference_series(cfg, spec, pot, sched):
     mode = cfg.reference["mode"]
     if mode == "p2":
-        vals = _ref.p2_quadrature(spec, times)
-        return _obs.ObservableSeries(times=times, estimates=vals,
-                                     standard_errors=np.zeros_like(vals),
-                                     effective_sample_size=np.full(len(times), np.inf))
+        return _ref.p2_exact(spec, pot, sched, cfg.statistics)
     if mode == "sigma2":
-        d2 = _ref.thermal_msd(spec, pot, sched, cfg.statistics)
-        resp = _ref.response(spec, pot, times, dt=sched.dt)
-        return _ref.sigma_analytical(cfg.preparation["sigma0"], d2, resp)
+        return _ref.sigma_analytical(
+            cfg.preparation["sigma0"], _ref.thermal_msd(spec, pot, sched, cfg.statistics),
+            _ref.response(spec, pot, sched.record_times(), dt=sched.dt))
     raise ConfigurationError(f"no reference series for mode {mode!r}")
 
 
@@ -396,7 +380,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         write_series_csv(path, series)
         written.append(path)
         if name == ref_observable:
-            ref_series = _reference_series(cfg, spec, pot, sched, series.times)
+            ref_series = _reference_series(cfg, spec, pot, sched)
             stem, ext = os.path.splitext(path)
             ref_path = f"{stem}_reference{ext}"
             write_series_csv(ref_path, ref_series)
@@ -581,8 +565,7 @@ def _apply_overrides(cfg, args):
         if value is not None:
             reader, _ = _TABLE["run"][key]
             setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
-    _check_ensemble(cfg, "[run] n_traj" if getattr(args, "n_traj", None) is None
-                    else "--n-traj")
+    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size)
     return cfg
 
 

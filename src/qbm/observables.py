@@ -96,7 +96,7 @@ def _check_weights(weights):
     if total == 0.0:
         raise SignProblemError("sum of weights is exactly zero")
     mixed = np.any(weights > 0) and np.any(weights < 0)
-    if mixed and len(weights) > 1:
+    if mixed:
         se_total = weights.std(ddof=1) * np.sqrt(len(weights))
         if abs(total) < 5.0 * se_total:
             raise SignProblemError(
@@ -179,20 +179,17 @@ class Accumulator:
         the naive weighted variance underestimates).  Effective sample size
         is ``(sum w)^2 / sum w^2``; times where it drops below 100 are
         flagged via ``low_ess``.  The displacement is the plain mean with
-        the standard error of the mean and ``n`` as its sample size; it
+        the standard error of the mean and ``n`` as its sample size.  Either
         needs at least 2 finite trajectories.
         """
         w = ensemble.weights[_good(ensemble)]
-        if not self._thermal:
-            total = _check_weights(w)
-        elif not ensemble.unweighted():
+        if self._thermal and not ensemble.unweighted():
             raise ValueError("msd is defined for the unweighted thermal ensemble; "
                              "got preparation weights != 1")
-        elif len(w) < 2:
-            raise ValueError(f"msd needs at least 2 finite trajectories for a "
+        if len(w) < 2:
+            raise ValueError(f"an estimate needs at least 2 finite trajectories for a "
                              f"standard error, got {len(w)}")
-        else:
-            total = float(len(w))
+        total = float(len(w)) if self._thermal else _check_weights(w)
         s_wv, s_w2u, s_w2u2 = self._sums
         sum_w2 = np.sum(w**2)
         ratio = s_wv / total

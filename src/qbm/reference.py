@@ -3,12 +3,14 @@
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bath as _bath
 from . import noise as _noise
 from .dynamics import FREE, HARMONIC, integrate_deterministic
 from .errors import ConfigurationError
 from .observables import ObservableSeries
+from .preparation import MomentumReset
 
 # points at which small_parameter probes the potential over its range
 _PROBE_POINTS = 2001
@@ -57,29 +59,83 @@ def response(spec, pot, t_grid, dt):
     return ResponseFunction(times=t_grid, values=x[idx], hbar=spec.hbar)
 
 
+def _noise_rows(spec, pot, sched, nodes, momentum):
+    """Weights of the noise nodes in x (or p) at ``nodes``, and the response G.
+
+    See :func:`thermal_msd`: xi_0 enters only the first half-kick and xi_k
+    only the last half-kick of step k - 1.  One row of ``n_steps + 1``
+    weights per node.
+    """
+    if pot.form not in (FREE, HARMONIC):
+        raise ConfigurationError(
+            "the exact references require a quadratic (free or harmonic) potential")
+    n, dt = sched.n_steps, sched.dt
+    _, gx, gp = integrate_deterministic(spec, pot, dt, n, x0=0.0, p0=1.0)
+    g = gp if momentum else gx
+    # u[n - k + j] = dt G(k - j), 0 for j > k: row k is the window of u at n - k
+    u = np.concatenate((dt * g[::-1], np.zeros(n)))
+    rows = sliding_window_view(u, n + 1)[n - nodes]
+    rows[:, 0] *= 0.5
+    rows[np.arange(len(nodes)), nodes] *= 0.5
+    return rows, g
+
+
+def _exact_series(spec, sched, statistics, rows, mean=0.0):
+    """``mean^2`` plus the variance of the rows over the synthesised noise,
+    as a series on the record times with standard error 0."""
+    grid = _noise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+    est = _noise.linear_variance(spec, grid, statistics, rows) + mean**2
+    return ObservableSeries(times=sched.record_times(), estimates=est,
+                            standard_errors=np.zeros_like(est),
+                            effective_sample_size=np.full(len(est), np.inf))
+
+
 def thermal_msd(spec, pot, sched, statistics):
     """Exact thermal mean squared displacement <(x(t) - x(0))^2> of the scheme.
 
     For a free or harmonic potential the integrator is linear in the noise:
-    node k holds ``x(k) = dt sum_{j<k} G(k - j) xi_j`` with G the
-    :func:`response` on the node grid (G(0) = 0); xi_0 counts half, as it
-    enters only the first half-kick.  :func:`qbm.noise.linear_variance`
-    gives each displacement's variance over the synthesised noise: the
-    expectation of :func:`qbm.dynamics.run_ensemble` with the same dt,
-    history rule and FFT period.  The schedule's interventions are not
-    applied.  The series has standard error 0 and effective size inf.
+    node k holds ``dt sum_{j<=k} G(k - j) xi_j``, with G the response to a
+    unit momentum, of position (:func:`response`, G(0) = 0) or of momentum;
+    xi_0 and xi_k count half.  :func:`qbm.noise.linear_variance` gives each
+    displacement's variance over the synthesised noise: the expectation of
+    :func:`qbm.dynamics.run_ensemble` with the same dt, history rule and FFT
+    period.  The schedule's interventions are not applied.  The series has
+    standard error 0 and effective size inf.
     """
-    n, dt = sched.n_steps, sched.dt
-    g = response(spec, pot, dt * np.arange(n + 1), dt=dt).values
-    # G vanishes at lag 0, so clipping the lags j >= k to 0 zeroes them
-    rows = dt * g[np.maximum(sched.record_nodes()[:, None] - np.arange(n + 1), 0)]
-    rows[:, 0] *= 0.5
-    grid = _noise.FrequencyGrid.for_times(spec, dt, n + 1)
+    rows, _ = _noise_rows(spec, pot, sched, sched.record_nodes(), momentum=False)
     # the first record node is t = 0
-    d2 = _noise.linear_variance(spec, grid, statistics, rows - rows[0])
-    return ObservableSeries(times=sched.record_times(), estimates=d2,
-                            standard_errors=np.zeros_like(d2),
-                            effective_sample_size=np.full(len(d2), np.inf))
+    rows -= rows[0]
+    return _exact_series(spec, sched, statistics, rows)
+
+
+def p2_exact(spec, pot, sched, statistics):
+    """Exact <p^2> of the scheme through the schedule's momentum resets.
+
+    The momentum rows are those of :func:`thermal_msd`, with the momentum
+    response Gp.  A reset to ``p_value`` at node r adds the response to the
+    kick ``p_value - p(r)``: for n >= r the rows become ``rows(n) - Gp(n - r)
+    rows(r)`` and the mean ``p_value Gp(n - r)``.  The mean squared plus
+    :func:`qbm.noise.linear_variance` of the rows is the expectation of
+    :func:`qbm.dynamics.run_ensemble` on the same schedule, whose
+    interventions must all be momentum resets.  Standard error 0.
+    """
+    resets = sched.intervention_nodes()
+    for iv in sched.interventions:
+        if not isinstance(iv.preparation, MomentumReset):
+            raise ConfigurationError(
+                f"p2_exact applies momentum resets only, not {type(iv.preparation).__name__}")
+    n_rec = len(sched.record_nodes())
+    # the reset nodes' rows follow the records'
+    nodes = np.append(sched.record_nodes(), resets).astype(int)
+    rows, gp = _noise_rows(spec, pot, sched, nodes, momentum=True)
+    mean = np.zeros(len(nodes))
+    for k, (iv, r) in enumerate(zip(sched.interventions, resets), start=n_rec):
+        after = nodes >= r
+        lag = gp[nodes[after] - r]
+        kick = iv.preparation.p_value - mean[k]
+        rows[after] -= lag[:, None] * rows[k]
+        mean[after] += lag * kick
+    return _exact_series(spec, sched, statistics, rows[:n_rec], mean[:n_rec])
 
 
 def sigma_analytical(sigma0, d2_series, resp):

@@ -90,9 +90,9 @@ REJECTED = [
                    rf"\[run\] n_traj must be a finite number, got '{value}'",
                    id=f"n_traj-{value}")
       for value in ("inf", "nan")),
-    # msd's standard error needs two trajectories
+    # a standard error needs two trajectories
     pytest.param(dict(observables="msd = default", n_traj=1), None,
-                 r"\[run\] n_traj = 1: msd needs n_traj >= 2", id="msd-n_traj-1"),
+                 r"\[run\] n_traj must be >= 2, got 1", id="msd-n_traj-1"),
     pytest.param(dict(n_traj=10**14), None,
                  r"\[run\] n_traj = 100000000000000 needs .* GiB of trajectory weights",
                  id="n_traj-1e14"),
@@ -222,8 +222,7 @@ class TestParseConfig:
                      id="sigma2-cat-x0 = 0.6\nsigma = 0.3-x2 = default"),  # needs gaussian
         # one case per rule the reference curves rest on: sigma2 needs the
         # free potential and the gaussian in translate mode at time = 0; p2
-        # the free potential, kT = 0, quantum statistics and the
-        # momentum-reset preparation to p_value = 0 at time = 0
+        # a free or harmonic potential and the momentum-reset preparation
         pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate", "x2 = default",
                      dict(potential="form = polynomial\ncoefficients = 0 0 0.5 0 0.1"),
                      id="sigma2-polynomial"),
@@ -233,13 +232,8 @@ class TestParseConfig:
         pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate\ntime = 0.5",
                      "x2 = default", {}, id="sigma2-time"),
         pytest.param("p2", "momentum-reset", "", "p2 = default",
-                     dict(potential="form = harmonic\nomega0 = 1.0"), id="p2-harmonic"),
-        pytest.param("p2", "momentum-reset", "", "p2 = default", dict(kT=1.0), id="p2-kT"),
-        pytest.param("p2", "momentum-reset", "", "p2 = default", dict(statistics="classical"),
-                     id="p2-classical"),
-        pytest.param("p2", "momentum-reset", "p_value = 2.0", "p2 = default", {},
-                     id="p2-p_value"),
-        pytest.param("p2", "momentum-reset", "time = 0.3", "p2 = default", {}, id="p2-time"),
+                     dict(potential="form = polynomial\ncoefficients = 0 0 0.5 0 0.1"),
+                     id="p2-polynomial"),
         pytest.param("p2", "identity", "", "p2 = default", {}, id="p2-identity"),
     ])
     def test_reference_it_cannot_write_rejected(self, tmp_path, mode, prep, prep_extra,
@@ -500,6 +494,32 @@ class TestRun:
         assert tags == [0]
         assert (out / "x2_reference.csv").exists()
         assert not (out / "p2_reference.csv").exists()
+
+    # the exact p2 covers every momentum reset on a quadratic potential
+    @pytest.mark.parametrize("prep_extra, config", [
+        pytest.param("", dict(potential="form = harmonic\nomega0 = 1.0"), id="p2-harmonic"),
+        pytest.param("", dict(kT=1.0), id="p2-kT"),
+        pytest.param("", dict(statistics="classical", kT=1.0), id="p2-classical"),
+        pytest.param("p_value = 2.0", {}, id="p2-p_value"),
+        # a reset between record nodes
+        pytest.param("time = 0.3\np_value = -0.5", {}, id="p2-time"),
+    ])
+    def test_p2_reference_written(self, tmp_path, prep_extra, config):
+        from qbm.reference import p2_exact
+        path = write_config(tmp_path, prep="momentum-reset", prep_extra=prep_extra,
+                            observables="p2 = default", n_traj=16, **config)
+        path.write_text(path.read_text() + "\n[reference]\nmode = p2\n")
+        cfg = parse_config(path)
+        out = tmp_path / "out"
+        run(cfg, out_dir=str(out))
+        ref = np.genfromtxt(out / "p2_reference.csv", delimiter=",", names=True)
+        exact = p2_exact(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
+                         cfg.statistics)
+        assert ref["estimate"].tolist() == exact.estimates.tolist()
+        assert np.all(ref["standard_error"] == 0.0) and np.all(np.isinf(ref["effective_n"]))
+        p_value = cfg.preparation["p_value"]
+        at = ref["time"] == cfg.preparation["time"]
+        assert ref["estimate"][at].tolist() == [p_value**2] * np.count_nonzero(at)
 
     def test_trajectory_dump_round_trip(self, tmp_path):
         from qbm.dynamics import run_ensemble
@@ -820,11 +840,11 @@ class TestMain:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    # noise-check needs two paths for a standard error
+    # a standard error needs two trajectories
     @pytest.mark.parametrize("command, n_traj, message", [
-        ("run", "0", "--n-traj must be >= 1, got 0"),
-        ("noise-check", "-4", "--n-traj must be >= 1, got -4"),
-        ("noise-check", "1", "noise-check needs n_traj >= 2 paths .*got 1"),
+        ("run", "0", "--n-traj must be >= 2, got 0"),
+        ("noise-check", "-4", "--n-traj must be >= 2, got -4"),
+        ("noise-check", "1", "--n-traj must be >= 2, got 1"),
     ], ids=["run-0", "noise-check-negative", "noise-check-1"])
     def test_too_few_trajectories_rejected(self, tmp_path, capsys, command, n_traj, message):
         cfg = write_config(tmp_path, n_traj=8)
@@ -873,8 +893,16 @@ class TestMain:
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--n-traj", "1", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --n-traj = 1: msd needs n_traj >= 2")
+        assert err.startswith("error: --n-traj must be >= 2, got 1")
         assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_one_trajectory_preset_run_is_one_error_line(self, tmp_path, capsys):
+        # one trajectory has no standard error, whatever the observable
+        out = tmp_path / "o"
+        assert main(["run", "fig1", "--n-traj", "1", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --n-traj must be >= 2, got 1\n"
+        assert not out.exists()
 
     def test_noise_check_span_shorter_than_its_lags_rejected(self, tmp_path, capsys):
         # 3 nodes against the 20 lags: rejected before the output directory
@@ -926,8 +954,11 @@ class TestImportPath:
                     cfg = cli.parse_config(p)
                 cfg.n_traj = 64
                 command(cfg, out_dir=os.path.join(sys.argv[1], preset))
-                loaded[preset] = [m for m in sys.modules
-                                  if m.startswith("scipy.") or m == "numpy.ma"]
+                # the manifest's top-level import of scipy loads only
+                # scipy.version and private modules
+                loaded[preset] = [m for m in sys.modules if m == "numpy.ma" or (
+                    m.startswith("scipy.") and not m.startswith("scipy._")
+                    and m != "scipy.version")]
             print(json.dumps(loaded))
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
@@ -936,13 +967,10 @@ class TestImportPath:
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                              capture_output=True, text=True, timeout=300, check=True)
         loaded = json.loads(out.stdout.strip().splitlines()[-1])
-        heavy = {"scipy.fft", "scipy.integrate", "scipy.linalg"}
-        # fig1 and fig2 need numpy only; fig3's p2 reference needs scipy.special
-        assert (heavy | {"scipy.special"}).isdisjoint(loaded["fig2"]), loaded["fig2"]
-        # nor numpy.ma, which costs every run its import; scipy.special loads it
-        assert "numpy.ma" not in loaded["fig1"] and "numpy.ma" not in loaded["fig2"]
-        assert heavy.isdisjoint(loaded["fig3"]), sorted(heavy & set(loaded["fig3"]))
-        assert "scipy.special" in loaded["fig3"]
+        # every command needs numpy only, fig3's exact p2 reference included;
+        # nor numpy.ma, which costs every run its import
+        for preset, modules in loaded.items():
+            assert modules == [], (preset, modules)
 
 
 class TestBenchmarkSpans:

@@ -71,6 +71,19 @@ class TestEstimate:
         assert np.allclose(series.standard_errors,
                            (x**2).std(axis=0, ddof=0) / np.sqrt(500), rtol=5e-3)
 
+    # one trajectory, or two of which one failed: its residual is exactly 0,
+    # which would read as a standard error of 0
+    @pytest.mark.parametrize("x, weights, failed", [
+        ([[1.0, 2.0]], [0.5], ()),
+        ([[1.0, 2.0], [np.nan, 1.0]], [1.0, 1.0], (1,)),
+    ], ids=["one", "one-finite"])
+    def test_fewer_than_two_finite_trajectories_rejected(self, x, weights, failed):
+        ens = make_ensemble(x, weights=weights)
+        ens.failed_ids = failed
+        with pytest.raises(ValueError,
+                           match="at least 2 finite trajectories for a standard error, got 1"):
+            estimate(ens, WeylObservable.x2())
+
     def test_weighted_ratio_and_ess(self):
         x = np.array([[1.0], [2.0], [3.0]])
         w = np.array([1.0, 2.0, 1.0])

@@ -7,8 +7,10 @@ from scipy.signal import fftconvolve
 
 from qbm.bath import BathSpec
 from qbm.dynamics import (
+    Intervention,
     Potential,
     Schedule,
+    _build_plan,
     _integrate_batch,
     _noise_buffer,
     integrate_deterministic,
@@ -17,10 +19,11 @@ from qbm.dynamics import (
 from qbm.noise import FrequencyGrid, mode_amplitudes
 from qbm.errors import ConfigurationError
 from qbm.observables import WeylObservable, estimate, msd
-from qbm.preparation import MomentumReset
+from qbm.preparation import GaussianLocalize, MomentumReset
 from qbm.reference import (
     coherence_length,
     equilibrium_p2,
+    p2_exact,
     p2_quadrature,
     response,
     sigma_analytical,
@@ -296,14 +299,38 @@ def identity_batch_msd(spec, pot, sched, statistics):
     x, _, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, np.zeros(n + 1),
                                   np.zeros(n + 1), sched.record_nodes())
     d = (x - x[:, :1]).T  # record_nodes()[0] is t = 0
-    if statistics == "white":
-        cov = 2.0 * spec.mass * spec.gamma * spec.kT / sched.dt * np.eye(n + 1)
-    else:
-        grid = FrequencyGrid.for_times(spec, sched.dt, n + 1)
-        lag_cov = grid.fft_length * irfft(mode_amplitudes(spec, grid, statistics) ** 2,
-                                          n=grid.fft_length)
-        cov = lag_cov[np.abs(np.arange(n + 1)[:, None] - np.arange(n + 1))]
+    cov = node_covariance(spec, sched, statistics)
     return np.einsum("ij,jk,ik->i", d, cov, d)
+
+
+def node_covariance(spec, sched, statistics):
+    """The synthesiser's covariance of the noise nodes of ``sched``."""
+    n = sched.n_steps
+    if statistics == "white":
+        return 2.0 * spec.mass * spec.gamma * spec.kT / sched.dt * np.eye(n + 1)
+    grid = FrequencyGrid.for_times(spec, sched.dt, n + 1)
+    lag_cov = grid.fft_length * irfft(mode_amplitudes(spec, grid, statistics) ** 2,
+                                      n=grid.fft_length)
+    return lag_cov[np.abs(np.arange(n + 1)[:, None] - np.arange(n + 1))]
+
+
+def identity_batch_p2(spec, pot, sched, statistics):
+    """Oracle: <p^2> = mean^2 + diag(D C D^T) through the schedule's resets.
+
+    Column 0 of the batch runs without noise and gives the mean; column
+    j + 1 adds a unit impulse at noise node j, so its records minus the
+    mean are the weights D of xi_j in every recorded p.
+    """
+    n = sched.n_steps
+    impulses = _noise_buffer(n, n + 2)
+    impulses[:, 1:n + 2] = np.eye(n + 1)
+    start = np.zeros(n + 2)
+    _, p, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, start, start,
+                                  sched.record_nodes(), intervention_plan=_build_plan(sched),
+                                  rngs=[None] * (n + 2))
+    d = (p[1:] - p[0]).T
+    cov = node_covariance(spec, sched, statistics)
+    return p[0] ** 2 + np.einsum("ij,jk,ik->i", d, cov, d)
 
 
 class TestThermalMsd:
@@ -346,5 +373,70 @@ class TestThermalMsd:
         est = np.mean([s.estimates for s in parts], axis=0)
         se = np.sqrt(np.sum([s.standard_errors**2 for s in parts], axis=0)) / len(parts)
         z = (est[1:] - exact[1:]) / se[1:]
+        # 40 correlated times: a 4-sigma bound for the largest |z|
+        assert np.abs(z).max() <= 4.0
+
+
+class TestP2Exact:
+    WARM = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+
+    @staticmethod
+    def reset_schedule(p_value, **kw):
+        # the reset at t = 0.5 is a record node; t = 0.525 is not
+        kw = dict(dict(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2), **kw)
+        return Schedule(**kw, interventions=(Intervention(0.5, MomentumReset(p_value)),))
+
+    @pytest.mark.parametrize("pot", [Potential.free(), Potential.harmonic(1.0)],
+                             ids=["free", "harmonic"])
+    @pytest.mark.parametrize("statistics", ["quantum", "classical", "white"])
+    def test_matches_identity_batch_oracle(self, pot, statistics):
+        sched = self.reset_schedule(0.7)
+        exact = p2_exact(self.WARM, pot, sched, statistics)
+        oracle = identity_batch_p2(self.WARM, pot, sched, statistics)
+        assert np.array_equal(exact.times, sched.record_times())
+        np.testing.assert_allclose(exact.estimates, oracle, rtol=1e-12, atol=0)
+        assert np.all(exact.standard_errors == 0.0)
+        assert np.all(np.isinf(exact.effective_sample_size))
+        # the reset pins p; before it the particle is thermal
+        at = np.flatnonzero(exact.times == 0.5)
+        assert len(at) == 1 and exact.estimates[at[0]] == 0.7**2
+        thermal = p2_exact(self.WARM, pot, Schedule(t_eq=2.0, t_end=1.5, dt=0.025,
+                                                    record_stride=2), statistics)
+        np.testing.assert_allclose(exact.estimates[:at[0]], thermal.estimates[:at[0]],
+                                   rtol=1e-15, atol=0)
+        assert np.all(thermal.estimates[at[0]:] != exact.estimates[at[0]:])
+
+    def test_reset_off_the_record_grid(self):
+        sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2,
+                         interventions=((0.525, MomentumReset(-1.3)),))
+        assert 0.525 not in sched.record_times()
+        exact = p2_exact(self.WARM, Potential.harmonic(1.0), sched, "quantum")
+        oracle = identity_batch_p2(self.WARM, Potential.harmonic(1.0), sched, "quantum")
+        np.testing.assert_allclose(exact.estimates, oracle, rtol=1e-12, atol=0)
+
+    def test_other_preparation_and_nonlinear_potential_rejected(self):
+        sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.025,
+                         interventions=((0.0, GaussianLocalize(1.0)),))
+        with pytest.raises(ConfigurationError, match="momentum resets only"):
+            p2_exact(self.WARM, Potential.free(), sched, "quantum")
+        with pytest.raises(ConfigurationError, match="quadratic"):
+            p2_exact(self.WARM, Potential.polynomial([0, 0, 0.5, 0, 0.1]),
+                     self.reset_schedule(0.0), "quantum")
+
+    @pytest.mark.parametrize("spec, pot, statistics", [
+        (FIG1, Potential.free(), "quantum"),
+        (WARM, Potential.harmonic(1.0), "classical"),
+    ], ids=["fig1-free-quantum", "harmonic-classical"])
+    def test_pooled_monte_carlo_agrees(self, spec, pot, statistics):
+        sched = self.reset_schedule(0.7, t_eq=4.0, t_end=2.0)
+        exact = p2_exact(spec, pot, sched, statistics).estimates
+        parts = [estimate(run_ensemble(spec, pot, sched, 1024, statistics, seed),
+                          WeylObservable.p2()) for seed in (21, 22, 23)]
+        est = np.mean([s.estimates for s in parts], axis=0)
+        se = np.sqrt(np.sum([s.standard_errors**2 for s in parts], axis=0)) / len(parts)
+        # at the reset every trajectory holds p_value: no spread to score
+        at = sched.record_times() == 0.5
+        np.testing.assert_allclose(est[at], exact[at], rtol=1e-12)
+        z = (est[~at] - exact[~at]) / se[~at]
         # 40 correlated times: a 4-sigma bound for the largest |z|
         assert np.abs(z).max() <= 4.0
