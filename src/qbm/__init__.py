@@ -37,7 +37,6 @@ from .preparation import (
     GaussianLocalize,
     Identity,
     MomentumReset,
-    ProductForm,
     cat_wigner,
     gaussian_value,
 )

@@ -69,23 +69,18 @@ class ExperimentConfig:
     def potential_obj(self):
         return _dyn.Potential(**self.potential)
 
-    def preparation_obj(self):
+    def schedule_obj(self):
         p, hbar = self.preparation, self.bath["hbar"]
         if p["form"] == "identity":
-            return _prep.Identity()
+            return _dyn.Schedule(**self.schedule)
         if p["form"] == "gaussian":
-            return _prep.GaussianLocalize(p["sigma0"], hbar=hbar)
-        if p["form"] == "cat":
-            return _prep.CatProject(p["x0"], p["sigma"], hbar=hbar)
-        if p["form"] == "momentum-reset":
-            return _prep.MomentumReset(p["p_value"])
-        raise ConfigurationError(f"[preparation] form: unknown form {p['form']!r}")
-
-    def schedule_obj(self):
-        p = self.preparation
-        interventions = () if p["form"] == "identity" else (_dyn.Intervention(
-            time=p["time"], preparation=self.preparation_obj(), mode=p["mode"]),)
-        return _dyn.Schedule(**self.schedule, interventions=interventions)
+            prep = _prep.GaussianLocalize(p["sigma0"], hbar=hbar)
+        elif p["form"] == "cat":
+            prep = _prep.CatProject(p["x0"], p["sigma"], hbar=hbar)
+        else:  # momentum-reset, the one form left: _read_section admits no other
+            prep = _prep.MomentumReset(p["p_value"])
+        return _dyn.Schedule(**self.schedule, interventions=(
+            _dyn.Intervention(time=p["time"], preparation=prep, mode=p["mode"]),))
 
 
 def _number(raw):
@@ -184,6 +179,12 @@ def _read_section(parser, section):
     return values
 
 
+def _reference_file(fname):
+    """The file the reference beside observable file ``fname`` is written to."""
+    stem, ext = os.path.splitext(fname)
+    return f"{stem}_reference{ext}"
+
+
 def _check_observables(observables, preparation, mode):
     """Reject observables the run cannot write, or not under their names."""
     prep_form = preparation["form"]
@@ -201,8 +202,8 @@ def _check_observables(observables, preparation, mode):
     files = list(observables.items())
     described = _REFERENCE_OBSERVABLE.get(mode)
     if described in observables:
-        stem, ext = os.path.splitext(observables[described])
-        files.append((f"the {mode} reference beside {described}", f"{stem}_reference{ext}"))
+        files.append((f"the {mode} reference beside {described}",
+                      _reference_file(observables[described])))
     taken = {**dict.fromkeys(("run_manifest.json", "trajectories.bin"), "the run"),
              **dict.fromkeys(("noise_check.json", "noise_paths.bin"), "qbm noise-check")}
     for name, fname in files:
@@ -284,7 +285,7 @@ def parse_config(path):
     try:
         spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
         sched.validate_against(spec, pot)
-        _dyn.check_memory(sched, cfg.n_traj, cfg.batch_size)
+        _dyn.check_memory(sched, cfg.n_traj, cfg.batch_size, cfg.workers)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return cfg
@@ -340,10 +341,25 @@ def _output_dir(out_dir, cfg):
     return out_dir
 
 
+def _check_outputs(out_dir, names):
+    """Reject, before any work, an output file name a directory in ``out_dir`` takes."""
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
+            raise ConfigurationError(f"cannot write {path!r}: it is a directory")
+
+
 def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
     """Execute a configured experiment; returns the list of files written."""
     t_start = time.time()
     out_dir = _output_dir(out_dir, cfg)
+    ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])
+    names = [*cfg.observables.values(), "run_manifest.json"]
+    if ref_observable:
+        names.append(_reference_file(cfg.observables[ref_observable]))
+    if dump_trajectories:
+        names.append("trajectories.bin")
+    _check_outputs(out_dir, names)
 
     spec = cfg.bath_spec()
     pot = cfg.potential_obj()
@@ -372,7 +388,6 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
                                      cfg.master_seed, stream_tag=0,
                                      batch_size=cfg.batch_size, workers=cfg.workers,
                                      progress=progress, consumer=consume)
-    ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])
     written = []
     for name, fname in sorted(cfg.observables.items()):
         series = accumulators[name].series(ensemble)
@@ -380,10 +395,8 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         write_series_csv(path, series)
         written.append(path)
         if name == ref_observable:
-            ref_series = _reference_series(cfg, spec, pot, sched)
-            stem, ext = os.path.splitext(path)
-            ref_path = f"{stem}_reference{ext}"
-            write_series_csv(ref_path, ref_series)
+            ref_path = os.path.join(out_dir, _reference_file(fname))
+            write_series_csv(ref_path, _reference_series(cfg, spec, pot, sched))
             written.append(ref_path)
 
     if dump_trajectories:
@@ -499,6 +512,7 @@ def noise_check(cfg, out_dir=None, dump=False):
               "master_seed": cfg.master_seed}
 
     out_dir = _output_dir(out_dir, cfg)
+    _check_outputs(out_dir, ["noise_check.json", *(["noise_paths.bin"] if dump else [])])
     with (_noise.ensemble_writer(
             os.path.join(out_dir, "noise_paths.bin"),
             {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
@@ -565,7 +579,7 @@ def _apply_overrides(cfg, args):
         if value is not None:
             reader, _ = _TABLE["run"][key]
             setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
-    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size)
+    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size, cfg.workers)
     return cfg
 
 
@@ -618,6 +632,11 @@ def main(argv=None):
         return 0 if ok else 1
     except (ConfigurationError, SignProblemError, IntegrationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # what no check foresees, such as a full disk: the file and the reason
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

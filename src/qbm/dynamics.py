@@ -226,8 +226,6 @@ class Trajectory:
     x: np.ndarray
     p: np.ndarray
     weight: float
-    jump_log: tuple
-    seed: tuple
 
 
 class TrajectoryEnsemble:
@@ -403,32 +401,38 @@ def _physical_memory():
         return None
 
 
-def check_memory(sched, n_traj, batch_size):
-    """Reject a run whose batch buffer and weights cannot fit in physical memory.
+def check_memory(sched, n_traj, batch_size, workers=1):
+    """Reject a run whose batch buffers and weights cannot fit in physical memory.
 
     A batch's buffer holds ``(n_steps + 1) x width`` floats, ``width`` being
     the batch rounded up to the history tile; the noise grid's period
     (about ``3 x n_steps`` samples) and a noise block are smaller, so they fit
-    if it does.  Beside it the run keeps one weight per trajectory.  The step
-    count comes from ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt = 1e-300``
-    would size a buffer of 1e300 rows, and ``n_traj = 1e14`` would size 800 TB
-    of weights: both are rejected here, before anything is allocated.
+    if it does.  Each of the run's :func:`processes` holds one buffer at a
+    time, and the run keeps one weight per trajectory.  The step count comes
+    from ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt = 1e-300`` would size
+    a buffer of 1e300 rows, and ``n_traj = 1e14`` would size 800 TB of
+    weights: both are rejected here, before anything is allocated or started.
     """
     memory = _physical_memory()
+    n_proc = processes(n_traj, batch_size, workers)
     buffer = 8 * (sched.n_steps + 1) * _buffer_width(min(batch_size, n_traj))
     weights = 8 * n_traj
-    if memory is None or buffer + weights <= memory:
+    if memory is None or n_proc * buffer + weights <= memory:
         return
-    if weights > buffer:
+    if weights > n_proc * buffer:
         raise ConfigurationError(
             f"[run] n_traj = {n_traj} needs {weights / 2**30:.3g} GiB of trajectory "
-            f"weights, which with the batch buffer exceed the {memory / 2**30:.3g} GiB of "
+            f"weights, which with the batch buffers exceed the {memory / 2**30:.3g} GiB of "
             f"physical memory (lower [run] n_traj)")
+    held, lower = f"batch buffer of {buffer / 2**30:.3g} GiB exceeds", "[run] batch_size"
+    if n_proc > 1:
+        held = (f"batch buffers of {buffer / 2**30:.3g} GiB, one in each of the {n_proc} "
+                f"processes of [run] workers = {workers}, exceed")
+        lower = "[run] batch_size or [run] workers"
     raise ConfigurationError(
-        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose batch "
-        f"buffer of {buffer / 2**30:.3g} GiB exceeds the {(memory - weights) / 2**30:.3g} "
-        f"GiB of physical memory the trajectory weights leave (raise [schedule] dt or "
-        f"lower [run] batch_size)")
+        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose {held} the "
+        f"{(memory - weights) / 2**30:.3g} GiB of physical memory the trajectory weights "
+        f"leave (raise [schedule] dt or lower {lower})")
 
 
 def _openblas():
@@ -537,8 +541,7 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
     (``integrate_deterministic``'s one column) is one narrower product.
     The step works in place on arrays allocated once per call.
 
-    Returns (x_rec, p_rec, weights, jump_nodes), where ``jump_nodes`` lists
-    (node, dx vector) for every intervention that moved a position.
+    Returns (x_rec, p_rec, weights).
     """
     B = len(x0)
     width = buf.shape[1]
@@ -647,7 +650,7 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
                 x_rec[:, rec_pos[node]] = x
                 p_rec[:, rec_pos[node]] = p
 
-    return x_rec, p_rec, weights, jump_nodes
+    return x_rec, p_rec, weights
 
 
 def _build_plan(sched):
@@ -685,30 +688,26 @@ def integrate(spec, pot, sched, noise_path, rng=None):
     buf = _noise_buffer(n_steps, 1)
     buf[:, 0] = noise_path.values[:n_steps + 1]
     rec = sched.record_nodes()
-    x_rec, p_rec, weights, jump_nodes = _integrate_batch(
+    x_rec, p_rec, weights = _integrate_batch(
         spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1), rec,
         intervention_plan=_build_plan(sched), rngs=[rng])
     failed, t_bad = _failures(sched.record_times(), x_rec, p_rec, weights)
     if len(failed):
         raise IntegrationFailure("trajectory state or weight became non-finite",
                                  trajectory_ids=failed, time=t_bad)
-    jumps = tuple((-sched.t_eq + node * sched.dt, dxv[0]) for node, dxv in jump_nodes)
     return Trajectory(times=sched.record_times(), x=x_rec[0], p=p_rec[0],
-                      weight=float(weights[0]), jump_log=jumps,
-                      seed=tuple(noise_path.seed))
+                      weight=float(weights[0]))
 
 
-def integrate_deterministic(spec, pot, dt, n_steps, x0=0.0, p0=0.0):
-    """Noise-free solve from t = 0 with given initial conditions.
+def integrate_deterministic(spec, pot, dt, n_steps):
+    """Noise-free response to a unit momentum: x = 0, p = 1 at t = 0.
 
-    Used for response functions; friction history starts empty at t = 0.
-    Returns (times, x, p).
+    Friction history starts empty at t = 0.  Returns (times, x, p).
     """
     rec = np.arange(n_steps + 1)
     # a lone solve, no ensemble member: one column, no tile padding
-    x_rec, p_rec, _, _ = _integrate_batch(
-        spec, pot, dt, n_steps, np.zeros((n_steps + 1, 1)),
-        np.array([x0], dtype=float), np.array([p0], dtype=float), rec)
+    x_rec, p_rec, _ = _integrate_batch(spec, pot, dt, n_steps, np.zeros((n_steps + 1, 1)),
+                                       np.zeros(1), np.ones(1), rec)
     return dt * np.arange(n_steps + 1), x_rec[0], p_rec[0]
 
 
@@ -725,7 +724,7 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
                                               stream_tag, ids):
         buf[:, len(rngs):len(rngs) + len(block_rngs)] = values.T
         rngs += block_rngs
-    x, p, weights, _ = _integrate_batch(
+    x, p, weights = _integrate_batch(
         spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
         sched.record_nodes(), intervention_plan=_build_plan(sched), rngs=rngs)
     times = sched.record_times()
@@ -774,7 +773,7 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
     sched.validate_against(spec, pot)
-    check_memory(sched, n_traj, batch_size)
+    check_memory(sched, n_traj, batch_size, workers)
 
     times = sched.record_times()
     x = p = None

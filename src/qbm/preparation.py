@@ -5,12 +5,12 @@ to a post-intervention point ``(r0, p0)`` plus a signed importance weight.
 The new point is drawn from a density ``q`` proportional to
 ``|lambda(r0, p0 | rbar, pbar)|`` and the weight is the quotient
 ``lambda / q``.  The Gaussian localisation draws its momentum blur in closed
-form; the cat projection and the general product form draw by rejection
-inside a box, fixed when the preparation is built, that encloses the
-essential support.  With that quotient the weighted trajectory average is an
-exact importance-sampling identity even when the preparation function takes
-negative values; unknown normalisation constants cancel between numerator
-and denominator of the ratio estimator.
+form; the cat projection draws by rejection inside a box, fixed when the
+preparation is built, that encloses the essential support.  With that
+quotient the weighted trajectory average is an exact importance-sampling
+identity even when the preparation function takes negative values; unknown
+normalisation constants cancel between numerator and denominator of the
+ratio estimator.
 
 Every preparation draws ``sample(rbar, pbar, rng) -> (r0, p0, weight)``, and
 is attached to a run through ``Schedule(interventions=((t, prep),))``.  Two
@@ -293,40 +293,6 @@ class CatProject:
 
         r0, p0, w_post = self._draw_post(rng)
         return float(r_pre), float(r0), float(p0), float(w_pre * w_post)
-
-
-class ProductForm:
-    """General factorised preparation with callable post and pre factors.
-
-    ``post_factor(r0, p0)`` is sampled by rejection on its absolute value
-    inside the given envelope box; ``pre_factor(rbar, pbar)`` multiplies the
-    weight.  The rejection ceiling is scanned numerically with a safety
-    margin; densities exceeding it raise :class:`EnvelopeError`.
-
-    The box mass that scales the weights is Simpson's rule on a 201 x 201
-    grid of ``|post_factor|``.  It is accurate for a smooth factor (3e-13
-    relative for a Gaussian that fills the box) but biased where the factor
-    changes sign, since ``|.|`` has a kink there: the cat Wigner function
-    comes out 5.8e-5 high at (x0, sigma) = (0.6, 0.3) and 1.9e-4 high at
-    (2, 0.2).  :class:`CatProject` integrates its own sign changes exactly.
-    """
-
-    def __init__(self, post_factor, pre_factor, box):
-        self.post_factor = post_factor
-        self.pre_factor = pre_factor
-        self.box = box
-        r = np.linspace(box.center_r - box.half_r, box.center_r + box.half_r, 201)
-        p = np.linspace(box.center_p - box.half_p, box.center_p + box.half_p, 201)
-        vals = np.abs(post_factor(r[:, None], p[None, :]))
-        self._ceiling = 1.25 * float(vals.max())
-        from scipy.integrate import simpson
-        self._box_mass = float(simpson(simpson(vals, x=p, axis=1), x=r))
-
-    def sample(self, rbar, pbar, rng):
-        r0, p0, w_post = _draw_signed(rng, self.box, self.post_factor, self._ceiling,
-                                      self._box_mass)
-        weight = w_post * self.pre_factor(rbar, pbar)
-        return float(r0), float(p0), float(weight)
 
 
 def as_intervention(prep, mode="lab"):

@@ -52,7 +52,7 @@ def response(spec, pot, t_grid, dt):
             "response requires a quadratic (free or harmonic) potential")
     t_grid = np.asarray(t_grid, dtype=float)
     n_steps = int(round(t_grid[-1] / dt))
-    times, x, _ = integrate_deterministic(spec, pot, dt, n_steps, x0=0.0, p0=1.0)
+    times, x, _ = integrate_deterministic(spec, pot, dt, n_steps)
     idx = np.round(t_grid / dt).astype(int)
     if np.any(np.abs(t_grid - times[idx]) > 1e-9 * max(1.0, t_grid[-1])):
         raise ConfigurationError("t_grid is not commensurate with dt")
@@ -70,7 +70,7 @@ def _noise_rows(spec, pot, sched, nodes, momentum):
         raise ConfigurationError(
             "the exact references require a quadratic (free or harmonic) potential")
     n, dt = sched.n_steps, sched.dt
-    _, gx, gp = integrate_deterministic(spec, pot, dt, n, x0=0.0, p0=1.0)
+    _, gx, gp = integrate_deterministic(spec, pot, dt, n)
     g = gp if momentum else gx
     # u[n - k + j] = dt G(k - j), 0 for j > k: row k is the window of u at n - k
     u = np.concatenate((dt * g[::-1], np.zeros(n)))

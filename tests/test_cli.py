@@ -255,6 +255,16 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=message):
             parse_config(write_edited(tmp_path, kw, edit))
 
+    def test_workers_whose_buffers_exceed_memory_rejected(self, tmp_path, monkeypatch):
+        # 121 nodes: a 128-column buffer is 0.124 MB; 0.2 MB holds one, not two
+        from qbm import dynamics
+
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 200_000)
+        parse_config(write_config(tmp_path, "one.cfg", run_extra="batch_size = 32"))
+        two = write_config(tmp_path, "two.cfg", run_extra="batch_size = 32\nworkers = 2")
+        with pytest.raises(ConfigurationError, match=r"2 processes of \[run\] workers = 2"):
+            parse_config(two)
+
     def test_identity_reads_no_intervention_keys(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         assert cfg.preparation == {"form": "identity"}
@@ -927,6 +937,42 @@ class TestMain:
         assert err.startswith(f"error: cannot make output directory {str(taken)!r}")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert taken.read_text() == "a file\n"
+
+    def test_workers_override_beyond_memory_is_one_error_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from qbm import dynamics
+
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 200_000)
+        cfg = write_config(tmp_path, run_extra="batch_size = 32")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--workers", "2", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: \[schedule\] .* 2 processes of \[run\] workers = 2", err)
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("command, name, flags", [
+        ("run", "sigma2.csv", []),
+        ("run", "run_manifest.json", []),
+        ("run", "trajectories.bin", ["--dump-trajectories"]),
+        ("noise-check", "noise_check.json", []),
+        ("noise-check", "noise_paths.bin", ["--dump-noise"]),
+    ])
+    def test_output_name_taken_by_a_directory_is_one_error_line(self, tmp_path, capsys,
+                                                                command, name, flags):
+        cfg = write_config(tmp_path, n_traj=8, observables="x2 = sigma2.csv")
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main([command, str(cfg), "--out-dir", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {str(out / name)!r}: it is a directory\n"
+        # rejected before anything ran: nothing written beside it
+        assert os.listdir(out) == [name]
+
+    def test_file_error_no_check_foresees_is_one_error_line(self, tmp_path, capsys):
+        # a config path naming a directory fails when it is opened
+        assert main(["run", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: Is a directory\n"
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, n_traj=32)

@@ -28,7 +28,7 @@ from qbm.dynamics import (
     run_ensemble,
 )
 from qbm.errors import ConfigurationError, IntegrationFailure
-from qbm.preparation import Box, CatProject, GaussianLocalize, Identity, ProductForm
+from qbm.preparation import CatProject, GaussianLocalize, Identity
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 NO_BATH = BathSpec(gamma=0.0, eps=0.5)
@@ -181,8 +181,7 @@ class TestSchedule:
 
     def test_translate_mode_without_a_covariant_sampler_rejected_when_built(self):
         # before any schedule holds it, so before any noise is synthesised
-        form = ProductForm(lambda r, p: np.exp(-r**2 - p**2), lambda r, p: 1.0,
-                           Box(0.0, 4.0, 0.0, 4.0))
+        form = ResetTo(1.0, 0.0)
         Intervention(0.0, form)  # lab mode samples the form itself
         with pytest.raises(ConfigurationError, match="no translation-covariant sampler"):
             Intervention(0.0, form, mode="translate")
@@ -233,7 +232,7 @@ class TestIntegrate:
         for mult in (1, 2):
             dt = dt0 / mult
             n = int(round(t_end / dt))
-            _, x, _ = integrate_deterministic(FIG1, FREE, dt, n, x0=0.0, p0=1.0)
+            _, x, _ = integrate_deterministic(FIG1, FREE, dt, n)
             errs.append(np.abs(x - x_ref[:: 16 // mult]).max())
         assert errs[0] < 2e-4
         # halving dt shrinks the error consistently with second order
@@ -507,6 +506,24 @@ class TestStreamedRun:
         with pytest.raises(ConfigurationError, match="buffer of 0.00763 GiB exceeds"):
             qdyn.check_memory(sched, n_traj=4096, batch_size=256)
 
+    def test_one_buffer_per_process_counted_before_a_process_starts(self, monkeypatch):
+        # 121 nodes: a 128-column buffer is 0.124 MB; 0.2 MB holds one, not two
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 200_000)
+        sched = Schedule(t_eq=4.0, t_end=2.0, dt=0.05)
+        with pytest.raises(ConfigurationError,
+                           match=r"buffers of 0\.000115 GiB, one in each of the 2 processes "
+                                 r"of \[run\] workers = 2, exceed.*lower \[run\] batch_size "
+                                 r"or \[run\] workers"):
+            run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4, workers=2)
+        ens = run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4, workers=1)
+        assert ens.n_traj == 8
+
     def test_integrate_leaves_the_noise_path_intact(self):
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
@@ -648,15 +665,6 @@ class TestDynamicsInvariants:
 
 
 class TestTrajectoryRecords:
-    def test_jump_log_carries_time_and_size(self):
-        sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.05,
-                         interventions=((0.5, ResetTo(2.0, 0.0)),))
-        traj = integrate(NO_BATH, FREE, sched, zero_path(sched))
-        assert len(traj.jump_log) == 1
-        t_k, dx = traj.jump_log[0]
-        assert t_k == pytest.approx(0.5)
-        assert dx == pytest.approx(2.0)
-
     def test_jump_boundary_force_matches_kernel(self):
         # after a pure position jump at t=0, a quiet trajectory feels the
         # boundary force -M(t - t_k) dx; at short times (gamma*t << 1) the
@@ -752,7 +760,7 @@ def column_major_integrate(spec, pot, dt, n_steps, xi, x0, p0, record_nodes,
             if node in rec_pos:
                 x_rec[:, rec_pos[node]] = x
                 p_rec[:, rec_pos[node]] = p
-    return x_rec, p_rec, weights, jump_nodes
+    return x_rec, p_rec, weights
 
 
 def cat_wigner_bounds(cat):
@@ -799,25 +807,29 @@ class TestTimeMajorIntegrator:
         # multiplied up per trajectory
         factor_scale = np.ones(n_traj)
 
-        def call(integrator, noise, log=False):
+        def call(integrator, noise, scale=False):
+            """The integrator's records and weights, and each node's jumps r0 - r_pre."""
             rngs = [_traj_stream(61, 0, i) for i in range(n_traj)]
-            plan = _build_plan(sched)
-            if log:
-                def logged(draw):
-                    def sample(rbar, pbar, rng):
-                        r_pre, r0, p0, w = draw(rbar, pbar, rng)
-                        i = next(k for k, r in enumerate(rngs) if r is rng)
+            jumps = {}
+
+            def logged(node, draw):
+                def sample(rbar, pbar, rng):
+                    r_pre, r0, p0, w = draw(rbar, pbar, rng)
+                    i = next(k for k, r in enumerate(rngs) if r is rng)
+                    jumps.setdefault(node, np.zeros(n_traj))[i] = r0 - r_pre
+                    if scale:
                         factor_scale[i] *= abs(w / cat.wigner(r_pre, pbar))
-                        return r_pre, r0, p0, w
-                    return sample
-                plan = [(n, logged(draw)) for n, draw in plan]
-            return integrator(FIG1, pot, dt, n_steps, noise, np.full(n_traj, 0.3),
-                              np.zeros(n_traj), sched.record_nodes(),
-                              intervention_plan=plan, rngs=rngs)
+                    return r_pre, r0, p0, w
+                return sample
+
+            plan = [(n, logged(n, draw)) for n, draw in _build_plan(sched)]
+            return (*integrator(FIG1, pot, dt, n_steps, noise, np.full(n_traj, 0.3),
+                                np.zeros(n_traj), sched.record_nodes(),
+                                intervention_plan=plan, rngs=rngs), jumps)
 
         buf = noise_buffer(xi, tile)
         x, p, w, jumps = call(_integrate_batch, buf)
-        x_ref, p_ref, w_ref, jumps_ref = call(column_major_integrate, xi, log=True)
+        x_ref, p_ref, w_ref, jumps_ref = call(column_major_integrate, xi, scale=True)
 
         # The a-priori bound, formed before anything is compared.  The two
         # loops differ only in the order in which they sum a step's in-block
@@ -850,14 +862,14 @@ class TestTimeMajorIntegrator:
         weight_bound = 2 * w_max * w_slope * factor_scale * state_bound
 
         assert np.isfinite(x_ref).all() and (w_ref != 1.0).any()
-        assert len(jumps_ref) == 2
+        assert len(jumps_ref) == 2 and all(np.any(dx) for dx in jumps_ref.values())
         assert x.flags.c_contiguous and p.flags.c_contiguous
         assert np.all(np.abs(x - x_ref) <= state_bound[:, None])
         assert np.all(np.abs(p - p_ref) <= state_bound[:, None])
         assert np.all(np.abs(w - w_ref) <= weight_bound)
-        assert [n for n, _ in jumps] == [n for n, _ in jumps_ref]
+        assert jumps.keys() == jumps_ref.keys()
         # a jump dx = r0 - rbar carries at most the position's error
-        assert all(np.all(np.abs(a - b) <= state_bound) for (_, a), (_, b) in zip(jumps, jumps_ref))
+        assert all(np.all(np.abs(jumps[n] - jumps_ref[n]) <= state_bound) for n in jumps)
 
     def test_rows_do_not_depend_on_the_batch_around_them(self):
         # fig1's bath and step, 1024 trajectories, 240 steps (three full

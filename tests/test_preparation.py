@@ -1,5 +1,4 @@
 import copy
-from math import erf
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from qbm.preparation import (
     GaussianLocalize,
     Identity,
     MomentumReset,
-    ProductForm,
+    _draw_signed,
     as_intervention,
     cat_wigner,
     gaussian_value,
@@ -154,16 +153,15 @@ class TestSampling:
         assert a == b
 
     def test_envelope_misconfiguration_raises(self):
-        # a needle-thin density in a huge box: the scanned ceiling is honest
-        # (the needle sits on a scan grid point) but the acceptance fraction
-        # collapses far below the 1e-4 floor
-        def post(r, p):
+        # a needle-thin density in a huge box: the ceiling is honest (1.25
+        # times the needle's peak) but the acceptance fraction collapses far
+        # below the 1e-4 floor
+        def needle(r, p):
             return np.exp(-(r / 1e-10) ** 2 - (p / 1e-10) ** 2)
 
-        form = ProductForm(post, lambda r, p: 1.0,
-                           Box(center_r=0.0, half_r=5.0, center_p=0.0, half_p=5.0))
-        with pytest.raises(EnvelopeError):
-            form.sample(0.0, 0.0, stream(4))
+        box = Box(center_r=0.0, half_r=5.0, center_p=0.0, half_p=5.0)
+        with pytest.raises(EnvelopeError, match="acceptance below 1e-4"):
+            _draw_signed(stream(4), box, needle, 1.25, 1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -315,17 +313,6 @@ class TestRejectionDraws:
             assert np.sign(w) == np.sign(w_post * cat.wigner(r_pre, -0.4))
             assert rng.random() == ref.random()
 
-    def test_product_form(self):
-        cat = CatProject(0.6, 0.3)
-        form = ProductForm(cat.wigner, lambda r, p: 0.5, cat.box)
-        for i in range(300):
-            rng = stream(17, i)
-            ref = copy.deepcopy(rng)
-            r0, p0, w_post = block_rejection_reference(ref, form.box, form.post_factor,
-                                                       form._ceiling, form._box_mass)
-            assert form.sample(0.2, -0.4, rng) == (r0, p0, float(w_post * 0.5))
-            assert rng.random() == ref.random()
-
 
 class TestCatBoxMass:
     @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3), (0.3, 0.2)])
@@ -339,26 +326,6 @@ class TestCatBoxMass:
         # 6-sigma tails of its two Gaussian factors
         mass = CatProject(0.0, 0.5)._abs_box_mass()
         assert mass == pytest.approx(0.9999999980268247**2, rel=1e-12)
-
-
-class TestProductFormBoxMass:
-    # Simpson on 201 x 201 points: exact enough for a smooth factor, biased
-    # at the kinks of |post_factor| where a signed factor changes sign
-    def test_smooth_gaussian_matches_analytic_mass(self):
-        box = Box(center_r=0.5, half_r=3.0, center_p=-0.2, half_p=2.4)
-        form = ProductForm(lambda r, p: np.exp(-((r - 0.5)**2 / 0.5 + (p + 0.2)**2 / 0.32)),
-                           lambda r, p: 1.0, box)
-        # erf(half / (sqrt(2) s)) per axis, with s^2 = 0.25 and 0.16
-        exact = (np.pi * np.sqrt(0.5 * 0.32) * erf(3.0 / np.sqrt(0.5))
-                 * erf(2.4 / np.sqrt(0.32)))
-        assert abs(form._box_mass - exact) <= 1e-6 * exact
-
-    @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3)])
-    def test_cat_bias_stays_within_its_stated_bound(self, x0, sigma):
-        cat = CatProject(x0, sigma)
-        form = ProductForm(cat.wigner, lambda r, p: 1.0, cat.box)
-        exact = cat._abs_box_mass()
-        assert abs(form._box_mass - exact) <= 2.5e-4 * exact
 
 
 class TestInterventionAdapters:
@@ -384,10 +351,13 @@ class TestInterventionAdapters:
         assert np.std(r_pre) > 0.2
 
     def test_translate_requires_supported_form(self):
-        form = ProductForm(lambda r, p: np.exp(-r**2 - p**2), lambda r, p: 1.0,
-                           Box(0.0, 4.0, 0.0, 4.0))
-        with pytest.raises(ConfigurationError):
-            as_intervention(form, mode="translate")
+        class LabOnly:
+            def sample(self, rbar, pbar, rng):
+                return rbar, pbar, 1.0
+
+        as_intervention(LabOnly(), mode="lab")
+        with pytest.raises(ConfigurationError, match="LabOnly has no translation-covariant"):
+            as_intervention(LabOnly(), mode="translate")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):

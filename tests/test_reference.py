@@ -49,7 +49,7 @@ class TestResponse:
 
     def test_initial_data(self):
         dt = 0.01
-        _, g, p = integrate_deterministic(FIG1, Potential.free(), dt, 10, 0.0, 1.0)
+        _, g, p = integrate_deterministic(FIG1, Potential.free(), dt, 10)
         assert g[0] == 0.0
         assert p[0] == 1.0
 
@@ -244,7 +244,7 @@ class TestAgainstExactResponse:
         # and the residual shrinks with eps.
         def exact_curve(spec, t, dt):
             n = int(round(t / dt))
-            _, _, k = integrate_deterministic(spec, Potential.free(), dt, n, 0.0, 1.0)
+            _, _, k = integrate_deterministic(spec, Potential.free(), dt, n)
             u = dt * np.arange(n + 1)
             lag = np.concatenate([-u[::-1][:-1], u])
             c = (spec.mass * spec.gamma * spec.hbar / np.pi) \
@@ -273,7 +273,7 @@ class TestAgainstExactResponse:
 
         dt = 1e-4
         n = int(round(0.3 / dt))
-        _, _, k = integrate_deterministic(spec, Potential.free(), dt, n, 0.0, 1.0)
+        _, _, k = integrate_deterministic(spec, Potential.free(), dt, n)
         u = dt * np.arange(n + 1)
         lag = np.concatenate([-u[::-1][:-1], u])
         c = (spec.mass * spec.gamma * spec.hbar / np.pi) \
@@ -296,8 +296,8 @@ def identity_batch_msd(spec, pot, sched, statistics):
     n = sched.n_steps
     impulses = _noise_buffer(n, n + 1)
     impulses[:, :n + 1] = np.eye(n + 1)
-    x, _, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, np.zeros(n + 1),
-                                  np.zeros(n + 1), sched.record_nodes())
+    x, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, np.zeros(n + 1),
+                               np.zeros(n + 1), sched.record_nodes())
     d = (x - x[:, :1]).T  # record_nodes()[0] is t = 0
     cov = node_covariance(spec, sched, statistics)
     return np.einsum("ij,jk,ik->i", d, cov, d)
@@ -325,9 +325,9 @@ def identity_batch_p2(spec, pot, sched, statistics):
     impulses = _noise_buffer(n, n + 2)
     impulses[:, 1:n + 2] = np.eye(n + 1)
     start = np.zeros(n + 2)
-    _, p, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, start, start,
-                                  sched.record_nodes(), intervention_plan=_build_plan(sched),
-                                  rngs=[None] * (n + 2))
+    _, p, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, start, start,
+                               sched.record_nodes(), intervention_plan=_build_plan(sched),
+                               rngs=[None] * (n + 2))
     d = (p[1:] - p[0]).T
     cov = node_covariance(spec, sched, statistics)
     return p[0] ** 2 + np.einsum("ij,jk,ik->i", d, cov, d)
