@@ -25,6 +25,7 @@ from .noise import (
     synthesize,
 )
 from .dynamics import (
+    Intervention,
     Potential,
     Schedule,
     Trajectory,
@@ -35,7 +36,6 @@ from .dynamics import (
 from .preparation import (
     CatProject,
     GaussianLocalize,
-    Identity,
     MomentumReset,
     cat_wigner,
     gaussian_value,

@@ -80,7 +80,7 @@ class ExperimentConfig:
         else:  # momentum-reset, the one form left: _read_section admits no other
             prep = _prep.MomentumReset(p["p_value"])
         return _dyn.Schedule(**self.schedule, interventions=(
-            _dyn.Intervention(time=p["time"], preparation=prep, mode=p["mode"]),))
+            _dyn.Intervention(time=p["time"], preparation=prep, mode=p.get("mode", "lab")),))
 
 
 def _number(raw):
@@ -138,7 +138,7 @@ _TABLE = {
         "identity": {},
         "gaussian": {**_INTERVENTION, "sigma0": (_number, _REQUIRED)},
         "cat": {**_INTERVENTION, "x0": (_number, _REQUIRED), "sigma": (_number, _REQUIRED)},
-        "momentum-reset": {**_INTERVENTION, "p_value": (_number, 0.0)}}},
+        "momentum-reset": {"time": (_number, 0.0), "p_value": (_number, 0.0)}}},
     # name = output file name; "" or "default" for <name>.csv
     "observables": dict.fromkeys(("x2", "p2", "xp", "cat_coherence", "msd"), (str, None)),
     "run": {"n_traj": (_integer(2), _REQUIRED), "master_seed": (_integer(0), _REQUIRED),
@@ -616,12 +616,20 @@ def main(argv=None):
     try:
         cfg = _apply_overrides(_resolve_config(args.config), args)
         if args.command == "run":
+            shown = False
+
             def progress(done, total):
+                nonlocal shown
+                shown = True
                 print(f"\r{done}/{total} trajectories", end="", file=sys.stderr)
 
-            written = run(cfg, out_dir=args.out_dir,
-                          dump_trajectories=args.dump_trajectories, progress=progress)
-            print("", file=sys.stderr)
+            try:
+                written = run(cfg, out_dir=args.out_dir,
+                              dump_trajectories=args.dump_trajectories, progress=progress)
+            finally:
+                if shown:
+                    # end the progress line, before any error is printed too
+                    print("", file=sys.stderr)
             for path in written:
                 print(path)
             return 0

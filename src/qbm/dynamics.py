@@ -179,14 +179,12 @@ class Schedule:
             if abs(steps - round(steps)) > 1e-12 * max(1.0, abs(steps)):
                 raise ConfigurationError(f"dt must divide {name} (got {value} / {self.dt})")
 
-    def validate_against(self, spec, potential=None):
-        """Step-size and translate-mode invariants that need the bath (and potential)."""
+    def validate_against(self, spec, potential):
+        """Step-size and translate-mode invariants that need the bath and potential."""
         if self.dt > spec.eps / 10 * (1 + 1e-12):
             raise ConfigurationError(
                 f"dt = {self.dt} too coarse for the kernel time scale "
                 f"(needs dt <= eps/10 = {spec.eps / 10:.6g})")
-        if potential is None:
-            return
         if (not potential.translation_invariant
                 and any(iv.mode == "translate" for iv in self.interventions)):
             raise ConfigurationError(
@@ -401,7 +399,7 @@ def _physical_memory():
         return None
 
 
-def check_memory(sched, n_traj, batch_size, workers=1):
+def check_memory(sched, n_traj, batch_size, workers=1, stacked=False):
     """Reject a run whose batch buffers and weights cannot fit in physical memory.
 
     A batch's buffer holds ``(n_steps + 1) x width`` floats, ``width`` being
@@ -412,13 +410,23 @@ def check_memory(sched, n_traj, batch_size, workers=1):
     from ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt = 1e-300`` would size
     a buffer of 1e300 rows, and ``n_traj = 1e14`` would size 800 TB of
     weights: both are rejected here, before anything is allocated or started.
+    A ``stacked`` run (:func:`run_ensemble` without a consumer) also holds
+    every trajectory's ``x`` and ``p`` records.
     """
     memory = _physical_memory()
     n_proc = processes(n_traj, batch_size, workers)
     buffer = 8 * (sched.n_steps + 1) * _buffer_width(min(batch_size, n_traj))
     weights = 8 * n_traj
-    if memory is None or n_proc * buffer + weights <= memory:
+    # counted, not listed: dt = 1e-300 would list 6e300 record nodes
+    n_rec = (sched.n_steps - sched.eq_steps) // sched.record_stride + 1
+    records = 16 * n_traj * n_rec if stacked else 0
+    if memory is None or n_proc * buffer + weights + records <= memory:
         return
+    if n_proc * buffer + weights <= memory:
+        raise ConfigurationError(
+            f"n_traj = {n_traj} stacks {records / 2**30:.3g} GiB of x and p records, which "
+            f"with the batch buffers and weights exceed the {memory / 2**30:.3g} GiB of "
+            f"physical memory (stream the batches to a consumer)")
     if weights > n_proc * buffer:
         raise ConfigurationError(
             f"[run] n_traj = {n_traj} needs {weights / 2**30:.3g} GiB of trajectory "
@@ -763,9 +771,10 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     ids (``x`` and ``p`` are None), so memory does not grow with ``n_traj``
     beyond 8 bytes per trajectory.
 
-    Aborts with :class:`IntegrationFailure` if more than 0.1% of the
-    trajectories leave float range; isolated failures are reported through
-    ``failed_ids`` and carry NaN records.
+    Aborts with :class:`IntegrationFailure` once more than 0.1% of the
+    trajectories have left float range, without integrating the batches
+    after the one that crosses that bound; isolated failures are reported
+    through ``failed_ids`` and carry NaN records.
     """
     if n_traj < 1:
         raise ConfigurationError("n_traj must be >= 1")
@@ -773,7 +782,7 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
     sched.validate_against(spec, pot)
-    check_memory(sched, n_traj, batch_size, workers)
+    check_memory(sched, n_traj, batch_size, workers, stacked=consumer is None)
 
     times = sched.record_times()
     x = p = None
@@ -809,12 +818,20 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
             del batch  # not alive while the next batch is integrated
             if progress:
                 progress(done, n_traj)
+            if len(failed) > 0.001 * n_traj:
+                # the run fails whatever the rest holds: drop the batches
+                # not yet started
+                if n_proc > 1:
+                    pool.shutdown(cancel_futures=True)
+                break
 
     failed = np.array(failed, dtype=int)
     t_bad = min(bad_times, default=None)
     if len(failed) > 0.001 * n_traj:
-        raise IntegrationFailure(
-            f"{len(failed)} of {n_traj} trajectories diverged",
-            trajectory_ids=failed[:32], time=t_bad)
+        message = f"{len(failed)} of {n_traj} trajectories diverged"
+        if done < n_traj:
+            message = (f"{len(failed)} of the first {done} trajectories diverged; "
+                       f"{n_traj - done} of {n_traj} were not integrated")
+        raise IntegrationFailure(message, trajectory_ids=failed[:32], time=t_bad)
     return TrajectoryEnsemble(times=times, x=x, p=p, weights=weights,
                               failed_ids=failed, failure_time=t_bad)

@@ -130,21 +130,12 @@ def _draw_signed(rng, box, factor, ceiling, mass):
         "proposals; envelope is misconfigured")
 
 
-class Identity:
-    """No-op preparation: keeps the phase-space point, weight exactly 1."""
-
-    def sample(self, rbar, pbar, rng):
-        return rbar, pbar, 1.0
-
-    def sample_translate(self, rbar, pbar, rng):
-        return rbar, rbar, pbar, 1.0
-
-
 class MomentumReset:
     """Sharp momentum localisation: keeps position, pins momentum.
 
     Product form with structural delta factors ``delta(r0 - rbar) delta(p0 - p)``;
     used to start momentum-relaxation measurements from a definite momentum.
+    Lab mode only: it selects no position, so a translate mode would repeat the lab draw.
     """
 
     def __init__(self, p_value=0.0):
@@ -152,9 +143,6 @@ class MomentumReset:
 
     def sample(self, rbar, pbar, rng):
         return rbar, self.p_value, 1.0
-
-    def sample_translate(self, rbar, pbar, rng):
-        return rbar, rbar, self.p_value, 1.0
 
 
 class GaussianLocalize:

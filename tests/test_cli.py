@@ -80,6 +80,11 @@ REJECTED = [
                    rf"\[preparation\] form identity does not read '{key}'",
                    id=f"identity-{key}")
       for key, value in (("sigma0", -4), ("x0", 2), ("mode", "sideways"), ("time", 9))),
+    # the reset keeps the position: it has no translate mode to choose
+    *(pytest.param(dict(prep="momentum-reset", prep_extra=f"mode = {mode}"), None,
+                   r"\[preparation\] form momentum-reset does not read 'mode'",
+                   id=f"momentum-reset-mode-{mode}")
+      for mode in ("lab", "translate")),
     # the dt <= eps/10 rule has no switch
     pytest.param(dict(), ("record_stride = 4", "record_stride = 4\nrelax_dt_check = true"),
                  r"\[schedule\] unknown key 'relax_dt_check'", id="relax_dt_check-true"),
@@ -973,6 +978,16 @@ class TestMain:
         assert main(["run", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_diverging_run_ends_the_progress_line_before_its_error(self, tmp_path, capsys):
+        # an inverted quartic at kT = 1: the first batch crosses the 0.1% bound
+        cfg = write_config(tmp_path, kT=1.0, n_traj=256, run_extra="batch_size = 64",
+                           potential="form = polynomial\ncoefficients = 0 0 0 0 -1")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-2:-1] == ["64/256 trajectories"]
+        assert re.fullmatch(r"error: \d+ of the first 64 trajectories diverged; "
+                            r"192 of 256 were not integrated", lines[-1])
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, n_traj=32)

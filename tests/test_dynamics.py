@@ -28,7 +28,7 @@ from qbm.dynamics import (
     run_ensemble,
 )
 from qbm.errors import ConfigurationError, IntegrationFailure
-from qbm.preparation import CatProject, GaussianLocalize, Identity
+from qbm.preparation import CatProject, GaussianLocalize, MomentumReset
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 NO_BATH = BathSpec(gamma=0.0, eps=0.5)
@@ -147,7 +147,7 @@ class TestSchedule:
                 Schedule(t_eq=1.0, t_end=t_end, dt=0.05)
 
     def test_intervention_ordering_and_range(self):
-        iv = lambda t: Intervention(t, Identity())
+        iv = lambda t: Intervention(t, ResetTo(0.0, 0.0))
         with pytest.raises(ConfigurationError):
             Schedule(t_eq=1.0, t_end=1.0, dt=0.1, interventions=(iv(0.5), iv(0.2)))
         with pytest.raises(ConfigurationError):
@@ -158,9 +158,9 @@ class TestSchedule:
     def test_dt_resolution_checks(self):
         sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.1)
         with pytest.raises(ConfigurationError):
-            sched.validate_against(FIG1)  # dt > eps/10
+            sched.validate_against(FIG1, FREE)  # dt > eps/10
         fine = Schedule(t_eq=1.0, t_end=1.0, dt=0.05)
-        fine.validate_against(FIG1)
+        fine.validate_against(FIG1, FREE)
         with pytest.raises(ConfigurationError):
             fine.validate_against(FIG1, Potential.harmonic(10.0))
 
@@ -187,6 +187,18 @@ class TestSchedule:
             Intervention(0.0, form, mode="translate")
         with pytest.raises(ConfigurationError, match="unknown intervention mode"):
             Intervention(0.0, form, mode="sideways")
+
+    def test_intervention_is_exported(self):
+        import qbm
+
+        assert qbm.Intervention is Intervention
+
+    def test_momentum_reset_is_lab_only(self):
+        # it keeps the position, so a translate mode would repeat the lab draw
+        Intervention(0.0, MomentumReset(0.4))
+        with pytest.raises(ConfigurationError,
+                           match="MomentumReset has no translation-covariant sampler"):
+            Intervention(0.0, MomentumReset(0.4), mode="translate")
 
     def test_record_grid(self):
         sched = Schedule(t_eq=1.0, t_end=1.0, dt=0.05, record_stride=4)
@@ -438,9 +450,34 @@ class TestStreamedRun:
         assert streamed.failed_ids == () and all(b.failed_ids == () for b in got)
 
     def test_failures_are_booked_per_batch(self):
-        # the polynomial runaway of test_abort_carries_first_nonfinite_time
-        # with a kick drawn per trajectory, so each diverges at its own time:
-        # streamed in batches, every id and the earliest time are reported
+        # the polynomial runaway of test_abort_carries_first_nonfinite_time,
+        # kicked in about one trajectory in 1000 at a time drawn per
+        # trajectory: 2 of 2000 diverge, within the 0.1% bound, and streamed
+        # in batches every id and the earliest time are reported
+        class RareKick:
+            def sample(self, rbar, pbar, rng):
+                if rng.random() < 1e-3:
+                    return rng.uniform(0.3, 1.5), 1.0, 1.0
+                return rbar, pbar, 1.0
+
+        pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
+                         interventions=(Intervention(0.0, RareKick()),))
+        stacked = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2)
+        seen = []
+        streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2, batch_size=700,
+                                consumer=seen.append)
+        assert streamed.failed_ids == stacked.failed_ids == (1039, 1826)
+        assert streamed.failure_time == stacked.failure_time
+        # each batch names its own rows and its own first failure time
+        assert [b.failed_ids for b in seen] == [(), (339,), (426,)]
+        times = [b.failure_time for b in seen]
+        assert times[0] is None
+        assert streamed.failure_time == min(times[1:]) < max(times[1:])
+
+    def test_run_stops_at_the_batch_that_crosses_the_bound(self):
+        # every trajectory diverges: the first batch of 3 crosses the bound
+        # of 0.008 failures, and no later batch is integrated or handed on
         class Kick:
             def sample(self, rbar, pbar, rng):
                 return rng.uniform(0.3, 1.5), 1.0, 1.0
@@ -448,19 +485,16 @@ class TestStreamedRun:
         pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
         sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
                          interventions=(Intervention(0.0, Kick()),))
-        with pytest.raises(IntegrationFailure) as stacked:
-            run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3)
-        seen = []
-        with pytest.raises(IntegrationFailure) as streamed:
+        seen, shown = [], []
+        with pytest.raises(IntegrationFailure,
+                           match="^3 of the first 3 trajectories diverged; "
+                                 "5 of 8 were not integrated$") as failure:
             run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3, batch_size=3,
-                         consumer=seen.append)
-        assert streamed.value.trajectory_ids == stacked.value.trajectory_ids == tuple(range(8))
-        assert streamed.value.time == stacked.value.time
-        assert str(streamed.value) == str(stacked.value)
-        # each batch names its own rows and its own first failure time
-        assert [b.failed_ids for b in seen] == [(0, 1, 2), (0, 1, 2), (0, 1)]
-        times = [b.failure_time for b in seen]
-        assert streamed.value.time == min(times) < max(times)
+                         consumer=seen.append, progress=lambda *a: shown.append(a))
+        assert [b.n_traj for b in seen] == [3]
+        assert shown == [(3, 8)]
+        assert failure.value.trajectory_ids == (0, 1, 2)
+        assert failure.value.time == seen[0].failure_time
 
     @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", -4),
                                             ("workers", 0), ("workers", -3)])
@@ -505,6 +539,23 @@ class TestStreamedRun:
         qdyn.check_memory(sched, n_traj=100, batch_size=1024)
         with pytest.raises(ConfigurationError, match="buffer of 0.00763 GiB exceeds"):
             qdyn.check_memory(sched, n_traj=4096, batch_size=256)
+
+    def test_stacked_records_counted_before_integrating(self, monkeypatch):
+        # 81 nodes and 41 records: a 128-column buffer is 82,944 B and 4096
+        # weights 32,768 B, while x and p stacked for 4096 trajectories are
+        # 2,686,976 B; the memory holds the streamed run, not the stacked one
+        sched = Schedule(t_eq=2.0, t_end=2.0, dt=0.05)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 82_944 + 32_768 + 1000)
+        qdyn.check_memory(sched, n_traj=4096, batch_size=128)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=r"n_traj = 4096 stacks 0\.0025 GiB of x and p records"):
+                run_ensemble(FIG1, FREE, sched, 4096, "quantum", 1, batch_size=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_one_buffer_per_process_counted_before_a_process_starts(self, monkeypatch):
         # 121 nodes: a 128-column buffer is 0.124 MB; 0.2 MB holds one, not two
@@ -642,9 +693,13 @@ class TestDynamicsInvariants:
         assert abs(p2.mean() - spec.mass * spec.kT) <= 3.0 * se
 
     def test_weight_neutrality_of_identity_intervention(self):
+        class Keep:
+            def sample(self, rbar, pbar, rng):
+                return rbar, pbar, 1.0
+
         sched_plain = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
         sched_iv = Schedule(t_eq=2.0, t_end=1.0, dt=0.05,
-                            interventions=(Intervention(0.0, Identity()),))
+                            interventions=(Intervention(0.0, Keep()),))
         a = run_ensemble(FIG1, FREE, sched_plain, 128, "quantum", 23)
         b = run_ensemble(FIG1, FREE, sched_iv, 128, "quantum", 23)
         assert np.all(b.weights == 1.0)

@@ -203,13 +203,13 @@ def streamed(acc, ensemble, batch_size):
     return acc.series(ensemble)
 
 
-def simulated(prep, n_traj, seed):
+def simulated(prep, n_traj, seed, mode="translate"):
     """A short fig1-bath run; prep None leaves the thermal ensemble unweighted."""
     from qbm.bath import BathSpec
     from qbm.dynamics import Intervention, Potential, Schedule, run_ensemble
 
     spec = BathSpec(gamma=np.pi / 2, eps=0.5)
-    ivs = () if prep is None else (Intervention(0.0, prep, mode="translate"),)
+    ivs = () if prep is None else (Intervention(0.0, prep, mode=mode),)
     sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.05, interventions=ivs)
     return run_ensemble(spec, Potential.free(), sched, n_traj, "quantum", seed)
 
@@ -229,7 +229,7 @@ class TestAccumulator:
                                       10.0 ** rng.uniform(-2, 2, thermal.n_traj),
                                       failed_ids=(5, 900))
         cat = simulated(CatProject(1.0, 0.5), 1500, 4)
-        reset = simulated(MomentumReset(0.0), 300, 5)
+        reset = simulated(MomentumReset(0.0), 300, 5, mode="lab")
         assert (cat.weights < 0).any() and (cat.weights > 0).any()
         return {"thermal": thermal, "weighted": weighted, "cat": cat, "reset": reset}
 

@@ -11,7 +11,6 @@ from qbm.preparation import (
     Box,
     CatProject,
     GaussianLocalize,
-    Identity,
     MomentumReset,
     _draw_signed,
     as_intervention,
@@ -105,9 +104,6 @@ class TestEnvelope:
 
 
 class TestSampling:
-    def test_identity_exact(self):
-        assert Identity().sample(0.7, -1.1, stream(0)) == (0.7, -1.1, 1.0)
-
     def test_momentum_reset(self):
         r0, p0, w = MomentumReset(0.0).sample(0.7, -1.1, stream(0))
         assert (r0, p0, w) == (0.7, 0.0, 1.0)
@@ -361,7 +357,7 @@ class TestInterventionAdapters:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            as_intervention(Identity(), mode="sideways")
+            as_intervention(MomentumReset(0.0), mode="sideways")
 
 
 class TestCatTranslateUnbiased:
