@@ -285,7 +285,7 @@ def parse_config(path):
     try:
         spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
         sched.validate_against(spec, pot)
-        _dyn.check_memory(sched, cfg.n_traj, cfg.batch_size, cfg.workers)
+        _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size, cfg.workers)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return cfg
@@ -579,7 +579,8 @@ def _apply_overrides(cfg, args):
         if value is not None:
             reader, _ = _TABLE["run"][key]
             setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
-    _dyn.check_memory(cfg.schedule_obj(), cfg.n_traj, cfg.batch_size, cfg.workers)
+    _dyn.check_memory(cfg.schedule_obj(), cfg.potential_obj(), cfg.n_traj, cfg.batch_size,
+                      cfg.workers)
     return cfg
 
 

@@ -16,12 +16,26 @@ path only.
 The stepper is a leapfrog (kick-drift-kick) scheme, second order, with the
 memory convolution evaluated from the mid-interval velocity history by the
 midpoint rule.
+
+Two engines run that scheme.  For a free or harmonic potential it is linear
+in the noise and in each preparation's jumps, so every record is a fixed row
+of weights against the noise path plus the responses to the preparations'
+kicks: the linear map (:func:`linear_rows`), applied one matrix product per
+noise block.  Per path it does 2 n_map (n_steps + 1) multiply-adds, n_map
+being the record and intervention nodes, where the stepper's friction
+history does n_steps (n_steps + 1) / 2; :func:`run_ensemble` and
+:func:`integrate` take the map when it does no more and its rows fit in
+physical memory (:func:`_takes_map`).  A batch then holds the rows, built
+once per process, one noise block and its records.  Every other run, and
+:func:`integrate_deterministic` (which builds the map's responses), takes
+the stepper (:func:`_integrate_batch`), whose batch holds one
+``(n_steps + 1) x width`` buffer of noise and velocity history.
 """
 
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -239,7 +253,7 @@ class TrajectoryEnsemble:
         self.x = x
         self.p = p
         self.weights = np.asarray(weights, dtype=float)
-        self.failed_ids = tuple(failed_ids)
+        self.failed_ids = tuple(int(i) for i in failed_ids)
         self.failure_time = failure_time
 
     @property
@@ -399,48 +413,96 @@ def _physical_memory():
         return None
 
 
-def check_memory(sched, n_traj, batch_size, workers=1, stacked=False):
-    """Reject a run whose batch buffers and weights cannot fit in physical memory.
+def _n_records(sched):
+    """Record nodes of ``sched``, counted, not listed: dt = 1e-300 would list
+    6e300 of them."""
+    return (sched.n_steps - sched.eq_steps) // sched.record_stride + 1
 
-    A batch's buffer holds ``(n_steps + 1) x width`` floats, ``width`` being
-    the batch rounded up to the history tile; the noise grid's period
-    (about ``3 x n_steps`` samples) and a noise block are smaller, so they fit
-    if it does.  Each of the run's :func:`processes` holds one buffer at a
-    time, and the run keeps one weight per trajectory.  The step count comes
-    from ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt = 1e-300`` would size
-    a buffer of 1e300 rows, and ``n_traj = 1e14`` would size 800 TB of
-    weights: both are rejected here, before anything is allocated or started.
-    A ``stacked`` run (:func:`run_ensemble` without a consumer) also holds
+
+def _takes_map(pot, sched):
+    """Whether a run of ``pot`` over ``sched`` takes the linear map.
+
+    It does for a free or harmonic potential whose map does no more
+    multiply-adds per path than the stepper, 4 n_map <= n_steps (see the
+    module docstring), and whose x and p rows, ``16 n_map (n_steps + 1)``
+    bytes, fit in physical memory.  Neither the batch size nor the worker
+    count enters, so a run's bits do not depend on them.
+    """
+    if pot.form == POLYNOMIAL:
+        return False
+    n_map = _n_records(sched) + len(sched.interventions)
+    memory = _physical_memory()
+    return (4 * n_map <= sched.n_steps
+            and (memory is None or 16 * n_map * (sched.n_steps + 1) <= memory))
+
+
+def check_memory(sched, pot, n_traj, batch_size, workers=1, stacked=False):
+    """Reject a run whose per-process memory and weights cannot fit in physical memory.
+
+    What a process holds depends on the engine the run takes
+    (:func:`_takes_map`).  The stepper's batch buffer holds ``(n_steps + 1)
+    x width`` floats, ``width`` being the batch rounded up to the history
+    tile; the noise grid's period (about ``3 x n_steps`` samples) and a
+    noise block are smaller, so they fit if it does.  The linear map holds
+    ``16 n_map (n_steps + 1)`` bytes of x and p rows, ``n_map`` being the
+    record and intervention nodes; two noise blocks of ``_NOISE_BLOCK``
+    paths (a block beside its synthesis workspace or its zero-padded copy)
+    with the block's x and p at the nodes; and its batch's x and p records.
+    Each of the run's :func:`processes` holds that once, and the run keeps
+    one weight per trajectory.  The step count comes from ``t_eq``,
+    ``t_end`` and ``dt`` alone, so ``dt = 1e-300`` would size a buffer of
+    1e300 rows, and ``n_traj = 1e14`` would size 800 TB of weights: both
+    are rejected here, before anything is allocated or started.  A
+    ``stacked`` run (:func:`run_ensemble` without a consumer) also holds
     every trajectory's ``x`` and ``p`` records.
     """
     memory = _physical_memory()
     n_proc = processes(n_traj, batch_size, workers)
-    buffer = 8 * (sched.n_steps + 1) * _buffer_width(min(batch_size, n_traj))
+    n_nodes = sched.n_steps + 1
+    batch = min(batch_size, n_traj)
+    n_rec = _n_records(sched)
     weights = 8 * n_traj
-    # counted, not listed: dt = 1e-300 would list 6e300 record nodes
-    n_rec = (sched.n_steps - sched.eq_steps) // sched.record_stride + 1
     records = 16 * n_traj * n_rec if stacked else 0
-    if memory is None or n_proc * buffer + weights + records <= memory:
+    linear = _takes_map(pot, sched)
+    if linear:
+        n_map = n_rec + len(sched.interventions)
+        held = 16 * n_map * n_nodes + 16 * _NOISE_BLOCK * (n_nodes + n_map) + 16 * batch * n_rec
+        name = "x and p rows, noise blocks and batch records"
+    else:
+        held = 8 * n_nodes * _buffer_width(batch)
+        name = "batch buffers"
+    if memory is None or n_proc * held + weights + records <= memory:
         return
-    if n_proc * buffer + weights <= memory:
+    if n_proc * held + weights <= memory:
         raise ConfigurationError(
             f"n_traj = {n_traj} stacks {records / 2**30:.3g} GiB of x and p records, which "
-            f"with the batch buffers and weights exceed the {memory / 2**30:.3g} GiB of "
+            f"with the {name} and weights exceed the {memory / 2**30:.3g} GiB of "
             f"physical memory (stream the batches to a consumer)")
-    if weights > n_proc * buffer:
+    if weights > n_proc * held:
         raise ConfigurationError(
             f"[run] n_traj = {n_traj} needs {weights / 2**30:.3g} GiB of trajectory "
-            f"weights, which with the batch buffers exceed the {memory / 2**30:.3g} GiB of "
+            f"weights, which with the {name} exceed the {memory / 2**30:.3g} GiB of "
             f"physical memory (lower [run] n_traj)")
-    held, lower = f"batch buffer of {buffer / 2**30:.3g} GiB exceeds", "[run] batch_size"
+    left = (f"the {(memory - weights) / 2**30:.3g} GiB of physical memory the trajectory "
+            f"weights leave")
+    lower = "[run] batch_size or [run] workers" if n_proc > 1 else "[run] batch_size"
+    if linear:
+        what = f"x and p rows, noise block and batch records of {held / 2**30:.3g} GiB exceed"
+        if n_proc > 1:
+            what = (f"x and p rows, noise block and batch records of {held / 2**30:.3g} GiB, "
+                    f"held in each of the {n_proc} processes of [run] workers = {workers}, "
+                    f"exceed")
+        raise ConfigurationError(
+            f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps and [schedule] "
+            f"record_stride = {sched.record_stride} gives {n_rec:.3g} records, whose {what} "
+            f"{left} (raise [schedule] dt or [schedule] record_stride, or lower {lower})")
+    what = f"batch buffer of {held / 2**30:.3g} GiB exceeds"
     if n_proc > 1:
-        held = (f"batch buffers of {buffer / 2**30:.3g} GiB, one in each of the {n_proc} "
+        what = (f"batch buffers of {held / 2**30:.3g} GiB, one in each of the {n_proc} "
                 f"processes of [run] workers = {workers}, exceed")
-        lower = "[run] batch_size or [run] workers"
     raise ConfigurationError(
-        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose {held} the "
-        f"{(memory - weights) / 2**30:.3g} GiB of physical memory the trajectory weights "
-        f"leave (raise [schedule] dt or lower {lower})")
+        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose {what} "
+        f"{left} (raise [schedule] dt or lower {lower})")
 
 
 def _openblas():
@@ -672,7 +734,8 @@ def integrate(spec, pot, sched, noise_path, rng=None):
 
     The particle starts at x = 0, p = 0 at t = -t_eq and evolves through the
     equilibration span before recording starts at t = 0; the schedule's
-    preparations draw from ``rng``.
+    preparations draw from ``rng``.  The engine (:func:`_takes_map`) is
+    :func:`run_ensemble`'s, with the same bits.
 
     Raises :class:`ConfigurationError` if the path is shorter than the run
     or sampled at a step other than ``sched.dt``, and
@@ -692,13 +755,19 @@ def integrate(spec, pot, sched, noise_path, rng=None):
     if rng is None:
         rng = _traj_stream(0, 3, 0)
 
-    # the integrator consumes its buffer, never the caller's path
-    buf = _noise_buffer(n_steps, 1)
-    buf[:, 0] = noise_path.values[:n_steps + 1]
-    rec = sched.record_nodes()
-    x_rec, p_rec, weights = _integrate_batch(
-        spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1), rec,
-        intervention_plan=_build_plan(sched), rngs=[rng])
+    values = noise_path.values[:n_steps + 1]
+    if _takes_map(pot, sched):
+        with _one_blas_thread():
+            x_rec, p_rec, weights = _apply_map(spec, pot, sched, _build_plan(sched),
+                                               linear_rows(spec, pot, sched)[0],
+                                               values[None], [rng])
+    else:
+        # the integrator consumes its buffer, never the caller's path
+        buf = _noise_buffer(n_steps, 1)
+        buf[:, 0] = values
+        x_rec, p_rec, weights = _integrate_batch(
+            spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1),
+            sched.record_nodes(), intervention_plan=_build_plan(sched), rngs=[rng])
     failed, t_bad = _failures(sched.record_times(), x_rec, p_rec, weights)
     if len(failed):
         raise IntegrationFailure("trajectory state or weight became non-finite",
@@ -719,22 +788,152 @@ def integrate_deterministic(spec, pot, dt, n_steps):
     return dt * np.arange(n_steps + 1), x_rec[0], p_rec[0]
 
 
+@lru_cache(maxsize=2)
+def momentum_response(spec, pot, dt, n_steps):
+    """``(Gx, Gp)``: x and p at lags 0..n_steps after a unit momentum at rest.
+
+    The :func:`integrate_deterministic` solve, read-only and memoised on
+    its arguments.  A solve of other length is solved anew: the last
+    history block's product has as many rows as that block has nodes, and
+    with another row count OpenBLAS may sum a row in another order, so a
+    longer solve's first values need not have a shorter one's bits.
+    """
+    _, gx, gp = integrate_deterministic(spec, pot, dt, n_steps)
+    gx.flags.writeable = gp.flags.writeable = False
+    return gx, gp
+
+
+def _unit_jump(rbar, pbar, rng):
+    return 0.0, 1.0, 0.0, 1.0
+
+
+@lru_cache(maxsize=1)
+def _jump_response(spec, pot, dt, n_steps):
+    """``(Jx, Jp)`` at lags 0..n_steps - 1 after a unit position jump at rest,
+    with its friction boundary term; read-only.
+
+    The jump is made at node 1 of an n_steps solve, since node 0 takes no
+    intervention; at rest before it the particle leaves a zero velocity in
+    the history.
+    """
+    x, p, _ = _integrate_batch(spec, pot, dt, n_steps, np.zeros((n_steps + 1, 1)),
+                               np.zeros(1), np.zeros(1), np.arange(1, n_steps + 1),
+                               intervention_plan=[(1, _unit_jump)], rngs=[None])
+    x.flags.writeable = p.flags.writeable = False
+    return x[0], p[0]
+
+
+@lru_cache(maxsize=1)
+def _node_rows(spec, pot, dt, n_steps, nodes):
+    gx, gp = momentum_response(spec, pot, dt, n_steps)
+    nodes = np.array(nodes, dtype=int)
+    rows = np.empty((2, len(nodes), n_steps + 1))
+    for half, g in zip(rows, (gx, gp)):
+        # u[n - k + j] = dt G(k - j), 0 for j > k: row k is the window of u at n - k
+        window = sliding_window_view(np.concatenate((dt * g[::-1], np.zeros(n_steps))),
+                                     n_steps + 1)
+        # row by row: taking them all at once copies the whole window
+        for row, node in zip(half, nodes):
+            row[:] = window[n_steps - node]
+        half[:, 0] *= 0.5
+        half[np.arange(len(nodes)), nodes] *= 0.5
+    rows.flags.writeable = False
+    return rows, gx, gp
+
+
+def linear_rows(spec, pot, sched):
+    """The linear map of a free or harmonic run, without its preparations.
+
+    Returns ``(rows, Gx, Gp)``.  ``rows[0]`` and ``rows[1]`` hold the
+    weights of the noise nodes in x and in p at the record nodes, then at
+    the intervention nodes, one row of ``n_steps + 1`` per node: node k
+    takes ``dt G(k - j)`` from noise node j <= k, with G the response to a
+    unit momentum (:func:`momentum_response`), xi_0 counting half (it enters
+    only the first half-kick) and, in p, xi_k counting half (it enters only
+    the last half-kick of step k - 1).  Read-only, memoised on the bath,
+    potential, step, step count and nodes, so a process builds them once
+    per schedule.
+    """
+    nodes = (*sched.record_nodes().tolist(), *sched.intervention_nodes())
+    return _node_rows(spec, pot, sched.dt, sched.n_steps, nodes)
+
+
+def _apply_map(spec, pot, sched, plan, rows, values, rngs):
+    """Records and weights of the noise paths ``values`` (one noise block at
+    most) by the linear map ``rows`` (:func:`linear_rows`), with the
+    preparations of ``plan`` in time order.
+
+    The x and p rows multiply a ``_NOISE_BLOCK``-path block, a short one
+    zero-padded: in this layout a path's bits do not depend on its place in
+    the block or on the block around it.  At each intervention node
+    ``(rbar, pbar)`` come from the rows and the earlier interventions'
+    responses, and each trajectory draws there once, in row order, from its
+    own stream.  Later nodes then take a translate ``r_pre - rbar`` as a
+    shift (translate mode needs the free potential), the kick ``p0 - pbar``
+    through (Gx, Gp) and a jump ``r0 - r_pre`` through the unit-jump
+    response; the records at the node itself are ``(r0, p0)`` exactly.
+    Returns (x_rec, p_rec, weights).
+    """
+    n_steps = sched.n_steps
+    gx, gp = momentum_response(spec, pot, sched.dt, n_steps)
+    nodes = np.array([*sched.record_nodes(), *sched.intervention_nodes()], dtype=int)
+    n_rec = len(nodes) - len(plan)
+    b = len(values)
+    if b < _NOISE_BLOCK:
+        values = np.concatenate((values, np.zeros((_NOISE_BLOCK - b, n_steps + 1))))
+    x, p = (rows @ values.T)[:, :, :b]
+    weights = np.ones(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (node, draw) in enumerate(plan):
+            rbar, pbar = x[n_rec + k], p[n_rec + k]
+            r_pre, r0, p0, w = np.array(
+                [draw(rbar[i], pbar[i], rngs[i]) for i in range(b)], dtype=float).T
+            weights *= w
+            shift, kick, dx = r_pre - rbar, p0 - pbar, r0 - r_pre
+            later = nodes > node
+            lag = nodes[later] - node
+            x[later] += shift + gx[lag, None] * kick
+            p[later] += gp[lag, None] * kick
+            if np.any(dx):
+                jx, jp = _jump_response(spec, pot, sched.dt, n_steps)
+                x[later] += jx[lag, None] * dx
+                p[later] += jp[lag, None] * dx
+            at = nodes == node
+            x[at] = r0
+            p[at] = p0
+    return x[:n_rec].T, p[:n_rec].T, weights
+
+
 def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
     """One batch as a :class:`TrajectoryEnsemble` whose ``failed_ids`` index its rows."""
     n_steps = sched.n_steps
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
     B = len(ids)
-    # one noise block at a time, transposed into the shared buffer: the
-    # batch never holds its noise and its velocity history side by side
-    buf = _noise_buffer(n_steps, B)
-    rngs = []
-    for _, block_rngs, values in noise_blocks(spec, grid, statistics, master_seed,
-                                              stream_tag, ids):
-        buf[:, len(rngs):len(rngs) + len(block_rngs)] = values.T
-        rngs += block_rngs
-    x, p, weights = _integrate_batch(
-        spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
-        sched.record_nodes(), intervention_plan=_build_plan(sched), rngs=rngs)
+    plan = _build_plan(sched)
+    blocks = noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids)
+    if _takes_map(pot, sched):
+        rows = linear_rows(spec, pot, sched)[0]
+        n_rec = len(sched.record_nodes())
+        x, p, weights = np.empty((B, n_rec)), np.empty((B, n_rec)), np.empty(B)
+        lo = 0
+        with _one_blas_thread():
+            for _, rngs, values in blocks:
+                hi = lo + len(rngs)
+                x[lo:hi], p[lo:hi], weights[lo:hi] = _apply_map(
+                    spec, pot, sched, plan, rows, values, rngs)
+                lo = hi
+                del values  # not alive while the next block is drawn
+    else:
+        # one noise block at a time, transposed into the shared buffer: the
+        # batch never holds its noise and its velocity history side by side
+        buf = _noise_buffer(n_steps, B)
+        rngs = []
+        for _, block_rngs, values in blocks:
+            buf[:, len(rngs):len(rngs) + len(block_rngs)] = values.T
+            rngs += block_rngs
+        x, p, weights = _integrate_batch(
+            spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
+            sched.record_nodes(), intervention_plan=plan, rngs=rngs)
     times = sched.record_times()
     failed, t_bad = _failures(times, x, p, weights)
     return TrajectoryEnsemble(times, x, p, weights, failed_ids=failed, failure_time=t_bad)
@@ -782,7 +981,7 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
     sched.validate_against(spec, pot)
-    check_memory(sched, n_traj, batch_size, workers, stacked=consumer is None)
+    check_memory(sched, pot, n_traj, batch_size, workers, stacked=consumer is None)
 
     times = sched.record_times()
     x = p = None

@@ -3,11 +3,10 @@
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bath as _bath
 from . import noise as _noise
-from .dynamics import FREE, HARMONIC, integrate_deterministic
+from .dynamics import FREE, HARMONIC, linear_rows, momentum_response
 from .errors import ConfigurationError
 from .observables import ObservableSeries
 from .preparation import MomentumReset
@@ -52,32 +51,20 @@ def response(spec, pot, t_grid, dt):
             "response requires a quadratic (free or harmonic) potential")
     t_grid = np.asarray(t_grid, dtype=float)
     n_steps = int(round(t_grid[-1] / dt))
-    times, x, _ = integrate_deterministic(spec, pot, dt, n_steps)
+    x, _ = momentum_response(spec, pot, dt, n_steps)
+    times = dt * np.arange(n_steps + 1)
     idx = np.round(t_grid / dt).astype(int)
     if np.any(np.abs(t_grid - times[idx]) > 1e-9 * max(1.0, t_grid[-1])):
         raise ConfigurationError("t_grid is not commensurate with dt")
     return ResponseFunction(times=t_grid, values=x[idx], hbar=spec.hbar)
 
 
-def _noise_rows(spec, pot, sched, nodes, momentum):
-    """Weights of the noise nodes in x (or p) at ``nodes``, and the response G.
-
-    See :func:`thermal_msd`: xi_0 enters only the first half-kick and xi_k
-    only the last half-kick of step k - 1.  One row of ``n_steps + 1``
-    weights per node.
-    """
+def _rows(spec, pot, sched):
+    """:func:`qbm.dynamics.linear_rows` of a quadratic potential."""
     if pot.form not in (FREE, HARMONIC):
         raise ConfigurationError(
             "the exact references require a quadratic (free or harmonic) potential")
-    n, dt = sched.n_steps, sched.dt
-    _, gx, gp = integrate_deterministic(spec, pot, dt, n)
-    g = gp if momentum else gx
-    # u[n - k + j] = dt G(k - j), 0 for j > k: row k is the window of u at n - k
-    u = np.concatenate((dt * g[::-1], np.zeros(n)))
-    rows = sliding_window_view(u, n + 1)[n - nodes]
-    rows[:, 0] *= 0.5
-    rows[np.arange(len(nodes)), nodes] *= 0.5
-    return rows, g
+    return linear_rows(spec, pot, sched)
 
 
 def _exact_series(spec, sched, statistics, rows, mean=0.0):
@@ -102,10 +89,10 @@ def thermal_msd(spec, pot, sched, statistics):
     period.  The schedule's interventions are not applied.  The series has
     standard error 0 and effective size inf.
     """
-    rows, _ = _noise_rows(spec, pot, sched, sched.record_nodes(), momentum=False)
+    rows, _, _ = _rows(spec, pot, sched)
+    x_rows = rows[0, :len(sched.record_nodes())]
     # the first record node is t = 0
-    rows -= rows[0]
-    return _exact_series(spec, sched, statistics, rows)
+    return _exact_series(spec, sched, statistics, x_rows - x_rows[0])
 
 
 def p2_exact(spec, pot, sched, statistics):
@@ -127,7 +114,8 @@ def p2_exact(spec, pot, sched, statistics):
     n_rec = len(sched.record_nodes())
     # the reset nodes' rows follow the records'
     nodes = np.append(sched.record_nodes(), resets).astype(int)
-    rows, gp = _noise_rows(spec, pot, sched, nodes, momentum=True)
+    all_rows, _, gp = _rows(spec, pot, sched)
+    rows = all_rows[1].copy()
     mean = np.zeros(len(nodes))
     for k, (iv, r) in enumerate(zip(sched.interventions, resets), start=n_rec):
         after = nodes >= r

@@ -33,6 +33,9 @@ from qbm.preparation import CatProject, GaussianLocalize, MomentumReset
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 NO_BATH = BathSpec(gamma=0.0, eps=0.5)
 FREE = Potential.free()
+# a polynomial potential: the stepper runs it, in one batch buffer per process
+WELL = Potential.polynomial([0.0, 0.0, 0.5])
+HARMONIC = Potential.harmonic(1.0)
 
 
 def zero_path(sched):
@@ -535,10 +538,10 @@ class TestStreamedRun:
         # 4001 nodes: 128 columns need 4.1 MB, 256 columns 8.2 MB
         sched = Schedule(t_eq=100.0, t_end=100.0, dt=0.05)
         monkeypatch.setattr(qdyn, "_physical_memory", lambda: 6_000_000)
-        qdyn.check_memory(sched, n_traj=4096, batch_size=128)
-        qdyn.check_memory(sched, n_traj=100, batch_size=1024)
+        qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
+        qdyn.check_memory(sched, FREE, n_traj=100, batch_size=1024)
         with pytest.raises(ConfigurationError, match="buffer of 0.00763 GiB exceeds"):
-            qdyn.check_memory(sched, n_traj=4096, batch_size=256)
+            qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=256)
 
     def test_stacked_records_counted_before_integrating(self, monkeypatch):
         # 81 nodes and 41 records: a 128-column buffer is 82,944 B and 4096
@@ -546,7 +549,7 @@ class TestStreamedRun:
         # 2,686,976 B; the memory holds the streamed run, not the stacked one
         sched = Schedule(t_eq=2.0, t_end=2.0, dt=0.05)
         monkeypatch.setattr(qdyn, "_physical_memory", lambda: 82_944 + 32_768 + 1000)
-        qdyn.check_memory(sched, n_traj=4096, batch_size=128)
+        qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError,
@@ -601,6 +604,77 @@ class TestStreamedRun:
             tracemalloc.stop()
         assert peak <= 1.3 * _noise_buffer(sched.n_steps, n_traj).nbytes
 
+    def test_linear_batch_holds_what_check_memory_counts(self, monkeypatch):
+        # a free potential takes the linear map, with no buffer: its rows,
+        # built within the trace, two noise blocks with the block's x and p
+        # at the nodes, and the batch's records are what check_memory counts
+        # (9.2 MB here), against a 1601 x 3072 buffer of 39 MB; the rest (a
+        # block's generators, the failure check's masks) stays within a tenth
+        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
+        n_traj = 3000
+        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
+        qdyn._node_rows.cache_clear()
+        qdyn.momentum_response.cache_clear()
+        tracemalloc.start()
+        try:
+            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 16 * 101 * 1601 + 16 * 64 * (1601 + 101) + 16 * n_traj * 101
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj)
+        qdyn.check_memory(sched, FREE, n_traj, n_traj)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj - 1)
+        with pytest.raises(ConfigurationError, match=r"noise block and batch records of .*"
+                                                     r"\[schedule\] record_stride"):
+            qdyn.check_memory(sched, FREE, n_traj, n_traj)
+        assert peak <= 1.1 * held
+
+    def test_record_dense_quadratic_run_takes_the_stepper(self, monkeypatch):
+        # 10,000 steps recorded at every node from t = 0: the map would do
+        # 2 x 8001 x 10001 multiply-adds per path against the stepper's
+        # 10000 x 10001 / 2, and hold 16 x 8001 x 10001 B = 1.28 GB of rows
+        # against the stepper's 10001 x 1024 x 8 B = 82 MB buffer
+        dense = Schedule(t_eq=100.0, t_end=400.0, dt=0.05)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 2**30)
+        for pot in (FREE, HARMONIC, WELL):
+            assert not qdyn._takes_map(pot, dense)
+            qdyn.check_memory(dense, pot, n_traj=4096, batch_size=1024)
+        # the count decides where the rows would fit: of 80 steps, 20 nodes
+        # take the map and 21 the stepper
+        assert qdyn._takes_map(FREE, Schedule(t_eq=3.05, t_end=0.95, dt=0.05))
+        reset = (Intervention(0.5, MomentumReset(0.0)),)
+        assert not qdyn._takes_map(FREE, Schedule(t_eq=3.05, t_end=0.95, dt=0.05,
+                                                  interventions=reset))
+        # every fourth node: 2001 nodes whose rows take 320 MB, which 1 GiB holds and
+        # 256 MiB does not
+        sparse = Schedule(t_eq=100.0, t_end=400.0, dt=0.05, record_stride=4)
+        assert qdyn._takes_map(FREE, sparse) and qdyn._takes_map(HARMONIC, sparse)
+        assert not qdyn._takes_map(WELL, sparse)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 2**28)
+        assert not qdyn._takes_map(FREE, sparse)
+        qdyn.check_memory(sparse, FREE, n_traj=4096, batch_size=1024)
+
+    def test_failed_ids_are_python_ints(self):
+        # the diverging quartic of test_failures_are_booked_per_batch: the
+        # ensemble and each batch name ids by Python ints, as
+        # IntegrationFailure does
+        class RareKick:
+            def sample(self, rbar, pbar, rng):
+                if rng.random() < 1e-3:
+                    return rng.uniform(0.3, 1.5), 1.0, 1.0
+                return rbar, pbar, 1.0
+
+        pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
+                         interventions=(Intervention(0.0, RareKick()),))
+        seen = []
+        stacked = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2)
+        streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2, batch_size=700,
+                                consumer=seen.append)
+        ids = stacked.failed_ids + streamed.failed_ids + seen[1].failed_ids
+        assert ids == (1039, 1826, 1039, 1826, 339)
+        assert all(type(i) is int for i in ids)
 
 class TestThreads:
     @pytest.fixture
@@ -943,6 +1017,218 @@ class TestTimeMajorIntegrator:
         traj = integrate(FIG1, FREE, sched, path)
         assert traj.x.tobytes() == whole.x[17].tobytes()
         assert traj.p.tobytes() == whole.p[17].tobytes()
+
+    def test_polynomial_rows_do_not_depend_on_the_batch_around_them(self):
+        # the slices of the test above on the stepper, which a polynomial
+        # potential takes: its friction products run on whole history tiles
+        sched = Schedule(t_eq=10.0, t_end=2.0, dt=0.05)
+        pot = Potential.polynomial([0.0, 0.0, 0.5, 0.0, 0.1])
+        whole = _run_batch(FIG1, pot, sched, "quantum", 20260808, 0, range(1024))
+        for lo, hi in [(1000, 1017), (5, 6), (100, 229), (0, 300), (513, 1024)]:
+            part = _run_batch(FIG1, pot, sched, "quantum", 20260808, 0, range(lo, hi))
+            assert part.x.tobytes() == whole.x[lo:hi].tobytes(), (lo, hi)
+            assert part.p.tobytes() == whole.p[lo:hi].tobytes(), (lo, hi)
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        path = qnoise.synthesize(FIG1, grid, qnoise.QUANTUM, _traj_stream(20260808, 0, 17))
+        traj = integrate(FIG1, pot, sched, path)
+        assert traj.x.tobytes() == whole.x[17].tobytes()
+        assert traj.p.tobytes() == whole.p[17].tobytes()
+
+
+U = np.finfo(float).eps / 2
+
+
+def gamma_n(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    return n * U / (1 - n * U)
+
+
+def carried(spec, pot, n_steps, dt):
+    """How far the scheme carries a unit error in p or in x (see TestLinearMap)."""
+    omega0 = pot.omega0 if pot.form == "harmonic" else 0.0
+    return (1 + n_steps * dt / spec.mass) * (1 + spec.mass * omega0)
+
+
+def logged_plan(plan, log):
+    """``plan`` with every draw appended to ``log[node]`` as (rbar, pbar, r_pre, r0, p0, w)."""
+    def logged(node, draw):
+        def sample(rbar, pbar, rng):
+            out = draw(rbar, pbar, rng)
+            log.setdefault(node, []).append((rbar, pbar, *out))
+            return out
+        return sample
+    return [(node, logged(node, draw)) for node, draw in plan]
+
+
+def stepper_with_bound(spec, pot, dt, n_steps, xi, x0, p0, plan=(), rngs=None):
+    """The stepper's records at every node for the rows of ``xi``, its weights
+    and draws, and a bound on its roundoff per row (see TestLinearMap)."""
+    n_traj = xi.shape[0]
+    buf = noise_buffer(xi)
+    log = {}
+    nodes = np.arange(n_steps + 1)
+    x, p, w = _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, nodes,
+                               intervention_plan=logged_plan(plan, log), rngs=rngs)
+    draws = {node: np.array(rows, dtype=float).T for node, rows in log.items()}
+    v = np.abs(buf[:n_steps, :n_traj])  # the buffer ends holding the velocities
+    lag = nodes[:, None] - 1 - nodes[None, :n_steps]
+    k_abs = np.abs(_kernel_mid(spec, dt, n_steps))
+    force = np.where(lag >= 0, k_abs[np.maximum(lag, 0)], 0.0) @ v
+    force += np.abs(xi.T) + np.abs(pot.force(x, spec.mass)).T
+    state = np.abs(x).T + np.abs(p).T
+    state[:n_steps] += (spec.mass + dt) * v
+    m_abs = np.abs(memory_kernel(spec, dt * nodes))
+    for node, (rbar, pbar, r_pre, r0, p0_, _) in draws.items():
+        force[node:] += m_abs[:n_steps + 1 - node, None] * np.abs(r0 - r_pre)
+        force[node] += np.abs(pot.force(rbar, spec.mass))
+        state[node] += np.abs(rbar) + np.abs(pbar) + np.abs(r_pre) + np.abs(r0) + np.abs(p0_)
+    local = dt * force + state
+    bound = carried(spec, pot, n_steps, dt) * gamma_n(n_steps + 10) * local.sum(axis=0)
+    return x, p, w, draws, bound
+
+
+WARM = BathSpec(gamma=1.0, eps=0.5, mass=1.0, kT=1.0)
+CAT = CatProject(1.0, 0.5)
+
+
+class TestLinearMap:
+    @pytest.mark.parametrize("spec, pot, statistics, interventions", [
+        pytest.param(FIG1, FREE, "quantum", (
+            Intervention(0.0, GaussianLocalize(1.0), mode="translate"),), id="fig1"),
+        pytest.param(FIG1, FREE, "quantum", (
+            Intervention(0.0, CAT, mode="translate"),), id="fig2"),
+        pytest.param(FIG1, FREE, "quantum", (Intervention(0.0, MomentumReset(0.0)),),
+                     id="fig3"),
+        pytest.param(WARM, FREE, "classical", (), id="classical_limit"),
+        pytest.param(FIG1, HARMONIC, "quantum", (
+            Intervention(0.0, GaussianLocalize(1.0)),), id="harmonic-gaussian-lab"),
+        pytest.param(FIG1, HARMONIC, "quantum", (Intervention(0.0, CAT),),
+                     id="harmonic-cat-lab"),
+        pytest.param(FIG1, FREE, "quantum", (
+            Intervention(1.05, MomentumReset(0.5)),
+            Intervention(2.5, CAT, mode="translate")), id="reset-then-cat"),
+    ])
+    def test_matches_the_stepper_within_the_roundoff_bound(
+            self, monkeypatch, spec, pot, statistics, interventions):
+        # 213 steps (three full friction blocks and part of a fourth), 130
+        # trajectories (two noise blocks and a zero-padded tail of two)
+        sched = Schedule(t_eq=6.0, t_end=4.65, dt=0.05, record_stride=3,
+                         interventions=interventions)
+        dt, n, n_traj = sched.dt, sched.n_steps, 130
+        ids = range(n_traj)
+        map_log = {}
+        monkeypatch.setattr(qdyn, "_build_plan",
+                            lambda sched: logged_plan(_build_plan(sched), map_log))
+        ens = _run_batch(spec, pot, sched, statistics, 47, 0, ids)
+        grid = qnoise.FrequencyGrid.for_times(spec, dt, n + 1)
+        blocks = list(qdyn.noise_blocks(spec, grid, statistics, 47, 0, ids))
+        xi = np.concatenate([values for _, _, values in blocks])
+        rngs = [rng for _, block_rngs, _ in blocks for rng in block_rngs]
+        x_all, p_all, w_ref, draws, step_bound = stepper_with_bound(
+            spec, pot, dt, n, xi, np.zeros(n_traj), np.zeros(n_traj),
+            _build_plan(sched), rngs)
+        rec = sched.record_nodes()
+        x_ref, p_ref = x_all[:, rec], p_all[:, rec]
+
+        # The a-priori bound, formed before anything is compared.  Both
+        # engines evaluate the same linear scheme; |map - stepper| is at most
+        # the sum of their distances to its exact-arithmetic value.
+        # - A momentum error d moves p by at most d (the bath is passive) and
+        #   x by at most d T / m over the span T; a position error d moves x
+        #   by at most d and p by at most m omega0 d.  So the scheme carries a
+        #   unit error at most A = (1 + T/m)(1 + m omega0) (``carried``).
+        # - The stepper: the force at a node sums at most n + 3 terms (the
+        #   history products, the noise, the potential, the jumps' boundary
+        #   terms), within gamma_(n+3) of their absolute sum (Higham, Accuracy
+        #   and Stability of Numerical Algorithms, section 3.1), an impulse of
+        #   dt times that; each half-kick, drift and intervention rounds once
+        #   more, relative to |x|, |p|, m |v| and the draw's values.  With
+        #   gamma_(n+10) for all of them, the stepper is within A gamma_(n+10)
+        #   sum over nodes of (dt |force terms| + |state terms|)
+        #   (``stepper_with_bound``).  The unit solves behind Gx, Gp and the
+        #   jump response Jx, Jp are stepper runs: E_G and E_J.
+        # - The map: the product sums n + 1 terms, within gamma_(n+2) sum_j
+        #   |row_kj xi_j| (dt G rounds once), and each row inherits G's error,
+        #   dt sum_j |xi_j| E_G.  Each intervention adds its shift, kick and
+        #   jump through responses in error by E_G or E_J, each term rounding
+        #   within gamma_4 R, where R = A (1 + A J_M) bounds a response (J_M =
+        #   dt sum |M| is the boundary impulse of a unit jump).
+        # - An error at an intervention node enters its kick or jump, which
+        #   carries it at most R further: a factor (1 + R) per intervention.
+        _, _, _, _, e_g = stepper_with_bound(spec, pot, dt, n, np.zeros((1, n + 1)),
+                                             np.zeros(1), np.ones(1))
+        _, _, _, _, e_j = stepper_with_bound(spec, pot, dt, n, np.zeros((1, n + 1)),
+                                             np.zeros(1), np.zeros(1),
+                                             [(1, qdyn._unit_jump)], [None])
+        a = carried(spec, pot, n, dt)
+        response = a * (1 + a * dt * np.abs(memory_kernel(spec, dt * np.arange(n + 1))).sum())
+        rows = np.abs(qdyn.linear_rows(spec, pot, sched)[0]).reshape(-1, n + 1)
+        map_bound = (gamma_n(n + 2) * (rows @ np.abs(xi).T).max(axis=0)
+                     + dt * np.abs(xi).sum(axis=1) * e_g[0])
+        for rbar, pbar, r_pre, r0, p0, _ in (np.array(v, dtype=float).T
+                                             for v in map_log.values()):
+            kicks = np.abs(r_pre - rbar) + np.abs(p0 - pbar) + np.abs(r0 - r_pre)
+            map_bound += kicks * (e_g[0] + e_j[0] + gamma_n(4) * response)
+        bound = (1 + response) ** len(interventions) * (step_bound + map_bound)
+
+        assert np.isfinite(x_ref).all() and np.isfinite(p_ref).all()
+        assert np.all(np.abs(ens.x - x_ref) <= bound[:, None])
+        assert np.all(np.abs(ens.p - p_ref) <= bound[:, None])
+        # each preparation drew once per trajectory on both engines, in id order
+        assert map_log.keys() == draws.keys() == set(sched.intervention_nodes())
+        assert all(len(v) == n_traj for v in map_log.values())
+        # the records at an intervention node are the draw's (r0, p0) exactly
+        for node, entries in map_log.items():
+            _, _, _, r0, p0, _ = np.array(entries, dtype=float).T
+            at = rec == node
+            if at.any():
+                assert ens.x[:, at].ravel().tobytes() == r0.tobytes()
+                assert ens.p[:, at].ravel().tobytes() == p0.tobytes()
+        # A weight that does not read (rbar, pbar) has the stepper's bits; a
+        # cat's weight c W(r, pbar) (r = rbar in lab mode) moves by at most
+        # |c| (|dW/dr| + |dW/dp|) times the state's error, a lab Gaussian's
+        # w e^(-rbar^2/2 sigma0^2) by at most |w| (|rbar| + e) e / sigma0^2
+        # (to first order, doubled).
+        weight_bound = np.zeros(n_traj)
+        for iv, node in zip(interventions, sched.intervention_nodes()):
+            rbar, pbar, r_pre, _, _, w = draws[node]
+            if isinstance(iv.preparation, CatProject):
+                _, slope = cat_wigner_bounds(CAT)
+                weight_bound += 2 * np.abs(w / CAT.wigner(r_pre, pbar)) * slope * bound
+            elif iv.mode == "lab" and isinstance(iv.preparation, GaussianLocalize):
+                sigma0 = iv.preparation.sigma0
+                weight_bound += 2 * np.abs(w) * (np.abs(rbar) + bound) * bound / sigma0**2
+        assert np.all(np.abs(ens.weights - w_ref) <= weight_bound)
+        if not weight_bound.any():
+            assert ens.weights.tobytes() == w_ref.tobytes()
+
+    def test_rows_are_built_once_and_read_only(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(qdyn, "integrate_deterministic",
+                            lambda *args: solves.append(args) or integrate_deterministic(*args))
+        qdyn.momentum_response.cache_clear()
+        qdyn._node_rows.cache_clear()
+        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4, interventions=(
+            Intervention(0.0, GaussianLocalize(1.0), mode="translate"),))
+        assert qdyn._takes_map(FREE, sched)
+        for lo in (0, 64, 128):
+            _run_batch(FIG1, FREE, sched, "quantum", 3, 0, range(lo, lo + 64))
+        rows, gx, gp = qdyn.linear_rows(FIG1, FREE, sched)
+        assert len(solves) == 1
+        assert not (rows.flags.writeable or gx.flags.writeable or gp.flags.writeable)
+        assert rows.shape == (2, len(sched.record_nodes()) + 1, sched.n_steps + 1)
+
+    def test_no_jump_response_without_a_position_jump(self):
+        qdyn._jump_response.cache_clear()
+        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4, interventions=(
+            Intervention(0.0, GaussianLocalize(1.0), mode="translate"),
+            Intervention(0.5, MomentumReset(0.0))))
+        _run_batch(FIG1, FREE, sched, "quantum", 3, 0, range(70))
+        assert qdyn._jump_response.cache_info().currsize == 0
+        cat = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4, interventions=(
+            Intervention(0.0, CAT, mode="translate"),))
+        _run_batch(FIG1, FREE, cat, "quantum", 3, 0, range(70))
+        assert qdyn._jump_response.cache_info().currsize == 1
 
 
 class TestStreams:

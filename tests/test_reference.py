@@ -5,6 +5,7 @@ from numpy.fft import irfft
 from scipy.integrate import simpson
 from scipy.signal import fftconvolve
 
+from qbm import dynamics as qdyn
 from qbm.bath import BathSpec
 from qbm.dynamics import (
     Intervention,
@@ -405,6 +406,21 @@ class TestP2Exact:
         np.testing.assert_allclose(exact.estimates[:at[0]], thermal.estimates[:at[0]],
                                    rtol=1e-15, atol=0)
         assert np.all(thermal.estimates[at[0]:] != exact.estimates[at[0]:])
+
+    def test_run_and_references_share_one_solve(self, monkeypatch):
+        # the run's rows, p2_exact and thermal_msd on one schedule take one
+        # deterministic solve between them
+        solves = []
+        monkeypatch.setattr(qdyn, "integrate_deterministic",
+                            lambda *args: solves.append(args) or integrate_deterministic(*args))
+        qdyn.momentum_response.cache_clear()
+        qdyn._node_rows.cache_clear()
+        sched = self.reset_schedule(0.7)
+        ens = run_ensemble(self.WARM, Potential.free(), sched, 8, "quantum", 1)
+        p2_exact(self.WARM, Potential.free(), sched, "quantum")
+        thermal_msd(self.WARM, Potential.free(), sched, "quantum")
+        assert len(solves) == 1
+        assert np.all(ens.p[:, sched.record_times() == 0.5] == 0.7)
 
     def test_reset_off_the_record_grid(self):
         sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2,
