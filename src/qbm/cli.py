@@ -56,7 +56,6 @@ class ExperimentConfig:
     n_traj: int
     master_seed: int
     batch_size: int
-    workers: int
     out_dir: str
     reference: dict
 
@@ -142,8 +141,7 @@ _TABLE = {
     # name = output file name; "" or "default" for <name>.csv
     "observables": dict.fromkeys(("x2", "p2", "xp", "cat_coherence", "msd"), (str, None)),
     "run": {"n_traj": (_integer(2), _REQUIRED), "master_seed": (_integer(0), _REQUIRED),
-            "batch_size": (_integer(1), 1024), "workers": (_integer(1), 1),
-            "out_dir": (str, None)},
+            "batch_size": (_integer(1), 1024), "out_dir": (str, None)},
     "reference": {"mode": (_choice("none", *_REFERENCE_OBSERVABLE), "none")},
 }
 
@@ -285,7 +283,7 @@ def parse_config(path):
     try:
         spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
         sched.validate_against(spec, pot)
-        _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size, cfg.workers)
+        _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return cfg
@@ -386,8 +384,8 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
 
         ensemble = _dyn.run_ensemble(spec, pot, sched, cfg.n_traj, cfg.statistics,
                                      cfg.master_seed, stream_tag=0,
-                                     batch_size=cfg.batch_size, workers=cfg.workers,
-                                     progress=progress, consumer=consume)
+                                     batch_size=cfg.batch_size, progress=progress,
+                                     consumer=consume)
     written = []
     for name, fname in sorted(cfg.observables.items()):
         series = accumulators[name].series(ensemble)
@@ -410,8 +408,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         "wall_time_s": time.time() - t_start,
         "peak_rss_mb": _peak_rss_mb(),
         "environment": _environment(),
-        "threads": _dyn.thread_counts(_dyn.processes(cfg.n_traj, cfg.batch_size,
-                                                     cfg.workers)),
+        "threads": _dyn.thread_counts(),
         "outputs": [os.path.basename(w) for w in written],
         "n_failed_trajectories": len(ensemble.failed_ids),
     }
@@ -442,12 +439,10 @@ def _environment():
 
 
 def _peak_rss_mb():
-    """Peak resident set so far of this process plus its largest finished worker."""
+    """Peak resident set of this process so far, which integrates the whole run."""
     import resource
 
-    kib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-           + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-    return kib / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _runs_test_pvalue(signs):
@@ -572,15 +567,13 @@ def _resolve_config(arg):
 
 
 def _apply_overrides(cfg, args):
-    """Apply --seed, --n-traj and --workers, read as their [run] keys are;
-    a flag the subcommand lacks is skipped."""
-    for flag, key in (("seed", "master_seed"), ("n_traj", "n_traj"), ("workers", "workers")):
-        value = getattr(args, flag, None)
+    """Apply --seed and --n-traj, read as their [run] keys are."""
+    for flag, key in (("seed", "master_seed"), ("n_traj", "n_traj")):
+        value = getattr(args, flag)
         if value is not None:
             reader, _ = _TABLE["run"][key]
             setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
-    _dyn.check_memory(cfg.schedule_obj(), cfg.potential_obj(), cfg.n_traj, cfg.batch_size,
-                      cfg.workers)
+    _dyn.check_memory(cfg.schedule_obj(), cfg.potential_obj(), cfg.n_traj, cfg.batch_size)
     return cfg
 
 
@@ -597,8 +590,6 @@ def main(argv=None):
         p.add_argument("--n-traj", type=int, default=None, help="override ensemble size")
         p.add_argument("--out-dir", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: config value or 1)")
     run_p.add_argument("--dump-trajectories", action="store_true",
                        help="dump recorded trajectories (binary)")
     chk_p.add_argument("--dump-noise", action="store_true", dest="dump",

@@ -33,9 +33,9 @@ the stepper (:func:`_integrate_batch`), whose batch holds one
 """
 
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -425,8 +425,8 @@ def _takes_map(pot, sched):
     It does for a free or harmonic potential whose map does no more
     multiply-adds per path than the stepper, 4 n_map <= n_steps (see the
     module docstring), and whose x and p rows, ``16 n_map (n_steps + 1)``
-    bytes, fit in physical memory.  Neither the batch size nor the worker
-    count enters, so a run's bits do not depend on them.
+    bytes, fit in physical memory.  The batch size does not enter, so a
+    run's bits do not depend on it.
     """
     if pot.form == POLYNOMIAL:
         return False
@@ -436,10 +436,10 @@ def _takes_map(pot, sched):
             and (memory is None or 16 * n_map * (sched.n_steps + 1) <= memory))
 
 
-def check_memory(sched, pot, n_traj, batch_size, workers=1, stacked=False):
-    """Reject a run whose per-process memory and weights cannot fit in physical memory.
+def check_memory(sched, pot, n_traj, batch_size, stacked=False):
+    """Reject a run whose batch memory and weights cannot fit in physical memory.
 
-    What a process holds depends on the engine the run takes
+    What a batch holds depends on the engine the run takes
     (:func:`_takes_map`).  The stepper's batch buffer holds ``(n_steps + 1)
     x width`` floats, ``width`` being the batch rounded up to the history
     tile; the noise grid's period (about ``3 x n_steps`` samples) and a
@@ -448,16 +448,15 @@ def check_memory(sched, pot, n_traj, batch_size, workers=1, stacked=False):
     record and intervention nodes; two noise blocks of ``_NOISE_BLOCK``
     paths (a block beside its synthesis workspace or its zero-padded copy)
     with the block's x and p at the nodes; and its batch's x and p records.
-    Each of the run's :func:`processes` holds that once, and the run keeps
-    one weight per trajectory.  The step count comes from ``t_eq``,
-    ``t_end`` and ``dt`` alone, so ``dt = 1e-300`` would size a buffer of
-    1e300 rows, and ``n_traj = 1e14`` would size 800 TB of weights: both
-    are rejected here, before anything is allocated or started.  A
-    ``stacked`` run (:func:`run_ensemble` without a consumer) also holds
-    every trajectory's ``x`` and ``p`` records.
+    The run integrates one batch at a time and keeps one weight per
+    trajectory.  The step count comes from ``t_eq``, ``t_end`` and ``dt``
+    alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows, and
+    ``n_traj = 1e14`` would size 800 TB of weights: both are rejected here,
+    before anything is allocated.  A ``stacked`` run (:func:`run_ensemble`
+    without a consumer) also holds every trajectory's ``x`` and ``p``
+    records.
     """
     memory = _physical_memory()
-    n_proc = processes(n_traj, batch_size, workers)
     n_nodes = sched.n_steps + 1
     batch = min(batch_size, n_traj)
     n_rec = _n_records(sched)
@@ -470,47 +469,41 @@ def check_memory(sched, pot, n_traj, batch_size, workers=1, stacked=False):
         name = "x and p rows, noise blocks and batch records"
     else:
         held = 8 * n_nodes * _buffer_width(batch)
-        name = "batch buffers"
-    if memory is None or n_proc * held + weights + records <= memory:
+        name = "batch buffer"
+    if memory is None or held + weights + records <= memory:
         return
-    if n_proc * held + weights <= memory:
+    if held + weights <= memory:
         raise ConfigurationError(
             f"n_traj = {n_traj} stacks {records / 2**30:.3g} GiB of x and p records, which "
             f"with the {name} and weights exceed the {memory / 2**30:.3g} GiB of "
             f"physical memory (stream the batches to a consumer)")
-    if weights > n_proc * held:
+    if weights > held:
         raise ConfigurationError(
             f"[run] n_traj = {n_traj} needs {weights / 2**30:.3g} GiB of trajectory "
             f"weights, which with the {name} exceed the {memory / 2**30:.3g} GiB of "
             f"physical memory (lower [run] n_traj)")
     left = (f"the {(memory - weights) / 2**30:.3g} GiB of physical memory the trajectory "
             f"weights leave")
-    lower = "[run] batch_size or [run] workers" if n_proc > 1 else "[run] batch_size"
     if linear:
-        what = f"x and p rows, noise block and batch records of {held / 2**30:.3g} GiB exceed"
-        if n_proc > 1:
-            what = (f"x and p rows, noise block and batch records of {held / 2**30:.3g} GiB, "
-                    f"held in each of the {n_proc} processes of [run] workers = {workers}, "
-                    f"exceed")
         raise ConfigurationError(
             f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps and [schedule] "
-            f"record_stride = {sched.record_stride} gives {n_rec:.3g} records, whose {what} "
-            f"{left} (raise [schedule] dt or [schedule] record_stride, or lower {lower})")
-    what = f"batch buffer of {held / 2**30:.3g} GiB exceeds"
-    if n_proc > 1:
-        what = (f"batch buffers of {held / 2**30:.3g} GiB, one in each of the {n_proc} "
-                f"processes of [run] workers = {workers}, exceed")
+            f"record_stride = {sched.record_stride} gives {n_rec:.3g} records, whose x and p "
+            f"rows, noise block and batch records of {held / 2**30:.3g} GiB exceed {left} "
+            f"(raise [schedule] dt or [schedule] record_stride, or lower [run] batch_size)")
     raise ConfigurationError(
-        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose {what} "
-        f"{left} (raise [schedule] dt or lower {lower})")
+        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose batch buffer "
+        f"of {held / 2**30:.3g} GiB exceeds {left} (raise [schedule] dt or lower "
+        f"[run] batch_size)")
 
 
+@lru_cache(maxsize=1)
 def _openblas():
     """``(get, set)`` of the thread count of the OpenBLAS numpy loaded, or None.
 
     The library is looked up among the process's mapped files by the getter
     symbols the numpy wheels' OpenBLAS builds export; the setter is the
-    getter's ``set`` twin.
+    getter's ``set`` twin.  Looked up once per process: numpy loads its BLAS
+    at import, before the first call.
     """
     import ctypes
 
@@ -548,7 +541,7 @@ def _one_blas_thread():
     How OpenBLAS splits the friction product among its threads changes the
     product's last bits, so one thread makes a run's bits independent of
     ``OPENBLAS_NUM_THREADS``; and with the noise drawn on every core,
-    OpenBLAS's spinning workers would only take those cores back.
+    OpenBLAS's spinning threads would only take those cores back.
     """
     calls = _openblas()
     if calls is None:
@@ -563,27 +556,10 @@ def _one_blas_thread():
         put(before)
 
 
-def _init_pool_process():
-    """Pool-process set-up: one BLAS thread and one noise thread, as the
-    pool's other processes take the other cores."""
-    calls = _openblas()
-    if calls is not None:
-        calls[1](1)
-    _noise._threads = 1
-
-
-def processes(n_traj, batch_size, workers):
-    """Processes a run integrates on: ``workers``, at most one per batch.
-    One process is the caller itself, without a pool."""
-    return min(workers, -(-n_traj // batch_size))
-
-
-def thread_counts(workers):
-    """Threads each of ``workers`` integrating processes (see :func:`processes`)
-    draws noise on, and OpenBLAS's pinned count (None when OpenBLAS is not
-    found)."""
-    return {"noise": 1 if workers > 1 else _noise.thread_count(),
-            "blas": None if _openblas() is None else 1}
+def thread_counts():
+    """Threads a run draws its noise on, and OpenBLAS's pinned count (None
+    when OpenBLAS is not found)."""
+    return {"noise": _noise.thread_count(), "blas": None if _openblas() is None else 1}
 
 
 def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
@@ -823,20 +799,39 @@ def _jump_response(spec, pot, dt, n_steps):
     return x[0], p[0]
 
 
+def response_rows(g, dt, nodes, out=None):
+    """Weights of the noise nodes at each node of ``nodes`` through the
+    unit-momentum response ``g`` of an ``len(g) - 1``-step solve.
+
+    Row k holds ``dt g(k - j)`` at noise node j <= k and 0 past it, with
+    xi_0 and xi_k counting half (see :func:`linear_rows`); a
+    ``(len(nodes), len(g))`` array, written into ``out`` when given.
+    """
+    n_steps = len(g) - 1
+    nodes = np.asarray(nodes, dtype=int)
+    # u[n - k + j] = dt g(k - j), 0 for j > k: row k is the window of u at n - k
+    window = sliding_window_view(np.concatenate((dt * g[::-1], np.zeros(n_steps))),
+                                 n_steps + 1)
+    rows = np.empty((len(nodes), n_steps + 1)) if out is None else out
+    # row by row: taking them all at once copies the whole window
+    for row, node in zip(rows, nodes):
+        row[:] = window[n_steps - node]
+    rows[:, 0] *= 0.5
+    rows[np.arange(len(nodes)), nodes] *= 0.5
+    return rows
+
+
 @lru_cache(maxsize=1)
 def _node_rows(spec, pot, dt, n_steps, nodes):
+    """The run's x and p rows at ``nodes`` (see :func:`linear_rows`), read-only.
+
+    Memoised for the map's batches; the exact references build theirs a
+    block at a time and keep none.
+    """
     gx, gp = momentum_response(spec, pot, dt, n_steps)
-    nodes = np.array(nodes, dtype=int)
     rows = np.empty((2, len(nodes), n_steps + 1))
     for half, g in zip(rows, (gx, gp)):
-        # u[n - k + j] = dt G(k - j), 0 for j > k: row k is the window of u at n - k
-        window = sliding_window_view(np.concatenate((dt * g[::-1], np.zeros(n_steps))),
-                                     n_steps + 1)
-        # row by row: taking them all at once copies the whole window
-        for row, node in zip(half, nodes):
-            row[:] = window[n_steps - node]
-        half[:, 0] *= 0.5
-        half[np.arange(len(nodes)), nodes] *= 0.5
+        response_rows(g, dt, nodes, out=half)
     rows.flags.writeable = False
     return rows, gx, gp
 
@@ -950,18 +945,17 @@ def _failures(times, x, p, weights):
 
 
 def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
-                 stream_tag=0, batch_size=1024, workers=1, progress=None,
-                 consumer=None):
+                 stream_tag=0, batch_size=1024, progress=None, consumer=None):
     """Simulate ``n_traj`` independent trajectories.
 
     Each trajectory owns a counter-based stream derived from
     ``(master_seed, stream_tag, trajectory_id)``; within a stream the noise
     coefficients are drawn first, then any preparation draws, so results are
-    bit-reproducible for any batch split or worker count.  OpenBLAS runs on
-    one thread while the ensemble is integrated (its count is restored on
-    return), so they are also independent of ``OPENBLAS_NUM_THREADS``.  The
-    batches go to :func:`processes` processes, a pool only when that is
-    more than one; pool processes draw their noise on one thread.
+    bit-reproducible for any batch split.  The batches are integrated in
+    the calling process, one after another, each drawing its noise on
+    :func:`qbm.noise.thread_count` threads.  OpenBLAS runs on one thread
+    while the ensemble is integrated (its count is restored on return), so
+    results are also independent of ``OPENBLAS_NUM_THREADS``.
 
     Without a ``consumer`` the records are stacked in trajectory-id order.
     With one, each batch goes to ``consumer(batch)`` in trajectory-id order
@@ -977,11 +971,10 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     """
     if n_traj < 1:
         raise ConfigurationError("n_traj must be >= 1")
-    for name, value in (("batch_size", batch_size), ("workers", workers)):
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     sched.validate_against(spec, pot)
-    check_memory(sched, pot, n_traj, batch_size, workers, stacked=consumer is None)
+    check_memory(sched, pot, n_traj, batch_size, stacked=consumer is None)
 
     times = sched.record_times()
     x = p = None
@@ -991,20 +984,12 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     weights = np.empty(n_traj)
     failed, bad_times = [], []
 
-    job = partial(_run_batch, spec, pot, sched, statistics, master_seed, stream_tag)
-    batches = [range(lo, min(lo + batch_size, n_traj))
-               for lo in range(0, n_traj, batch_size)]
-    mapper, pool = map, nullcontext()
-    n_proc = processes(n_traj, batch_size, workers)
-    if n_proc > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=n_proc, initializer=_init_pool_process)
-        mapper = pool.map
     done = 0
-    with _one_blas_thread(), pool:
-        # both maps yield in submission order, i.e. in trajectory-id order
-        for batch in mapper(job, batches):
-            lo, done = done, done + batch.n_traj
+    with _one_blas_thread():
+        for lo in range(0, n_traj, batch_size):
+            batch = _run_batch(spec, pot, sched, statistics, master_seed, stream_tag,
+                               range(lo, min(lo + batch_size, n_traj)))
+            done = lo + batch.n_traj
             weights[lo:done] = batch.weights
             failed.extend(lo + i for i in batch.failed_ids)
             if batch.failure_time is not None:
@@ -1018,10 +1003,7 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
             if progress:
                 progress(done, n_traj)
             if len(failed) > 0.001 * n_traj:
-                # the run fails whatever the rest holds: drop the batches
-                # not yet started
-                if n_proc > 1:
-                    pool.shutdown(cancel_futures=True)
+                # the run fails whatever the rest holds
                 break
 
     failed = np.array(failed, dtype=int)

@@ -41,11 +41,6 @@ _COVERAGE_FACTOR = 20.0
 # are as fast, and the workspaces stay four rows long.
 _FFT_ROWS = 4
 
-# Threads synthesize_batch fills a block's rows on (see thread_count); None
-# for one per usable core.  A pool process sets 1, as the pool's other
-# processes take the other cores.
-_threads = None
-
 # Paths the autocorrelation takes from its iterable and stacks at a time: its
 # lag products exist for this many paths only, never for a batch.
 _AUTOCORR_TILE = 64
@@ -254,7 +249,7 @@ def usable_cores():
 def thread_count():
     """Threads :func:`synthesize_batch` fills a block on: the usable cores, at
     most one per workspace row."""
-    return min(_threads or usable_cores(), _FFT_ROWS)
+    return min(usable_cores(), _FFT_ROWS)
 
 
 def _in_threads(fill, n_rows, group, n_threads):
@@ -296,15 +291,15 @@ def _in_threads(fill, n_rows, group, n_threads):
                 with lock:
                     errors.append(exc)
 
-    workers = [threading.Thread(target=work, args=(k,)) for k in range(1, n_threads)]
-    for t in workers:
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, n_threads)]
+    for t in helpers:
         t.start()
     try:
         work(0)
     finally:
         if cores:
             os.sched_setaffinity(0, cores)
-        for t in workers:
+        for t in helpers:
             t.join()
     if errors:
         raise errors[0]

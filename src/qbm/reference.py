@@ -6,7 +6,7 @@ import numpy as np
 
 from . import bath as _bath
 from . import noise as _noise
-from .dynamics import FREE, HARMONIC, linear_rows, momentum_response
+from .dynamics import _NOISE_BLOCK, FREE, HARMONIC, momentum_response, response_rows
 from .errors import ConfigurationError
 from .observables import ObservableSeries
 from .preparation import MomentumReset
@@ -59,19 +59,29 @@ def response(spec, pot, t_grid, dt):
     return ResponseFunction(times=t_grid, values=x[idx], hbar=spec.hbar)
 
 
-def _rows(spec, pot, sched):
-    """:func:`qbm.dynamics.linear_rows` of a quadratic potential."""
+def _responses(spec, pot, sched):
+    """``(Gx, Gp)`` of a quadratic potential over the run's steps: the
+    :func:`qbm.dynamics.momentum_response` solve the run shares."""
     if pot.form not in (FREE, HARMONIC):
         raise ConfigurationError(
             "the exact references require a quadratic (free or harmonic) potential")
-    return linear_rows(spec, pot, sched)
+    return momentum_response(spec, pot, sched.dt, sched.n_steps)
 
 
 def _exact_series(spec, sched, statistics, rows, mean=0.0):
-    """``mean^2`` plus the variance of the rows over the synthesised noise,
-    as a series on the record times with standard error 0."""
+    """``mean^2`` plus the variance over the synthesised noise of the rows
+    ``rows(nodes)`` builds at the record nodes, as a series on the record
+    times with standard error 0.
+
+    The rows exist ``_NOISE_BLOCK`` at a time; the transform and the sums of
+    :func:`qbm.noise.linear_variance` run per row, so the blocks leave the
+    bits as they are.
+    """
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
-    est = _noise.linear_variance(spec, grid, statistics, rows) + mean**2
+    nodes = sched.record_nodes()
+    est = np.concatenate([
+        _noise.linear_variance(spec, grid, statistics, rows(nodes[lo:lo + _NOISE_BLOCK]))
+        for lo in range(0, len(nodes), _NOISE_BLOCK)]) + mean**2
     return ObservableSeries(times=sched.record_times(), estimates=est,
                             standard_errors=np.zeros_like(est),
                             effective_sample_size=np.full(len(est), np.inf))
@@ -89,10 +99,11 @@ def thermal_msd(spec, pot, sched, statistics):
     period.  The schedule's interventions are not applied.  The series has
     standard error 0 and effective size inf.
     """
-    rows, _, _ = _rows(spec, pot, sched)
-    x_rows = rows[0, :len(sched.record_nodes())]
+    gx, _ = _responses(spec, pot, sched)
     # the first record node is t = 0
-    return _exact_series(spec, sched, statistics, x_rows - x_rows[0])
+    origin = response_rows(gx, sched.dt, sched.record_nodes()[:1])
+    return _exact_series(spec, sched, statistics,
+                         lambda nodes: response_rows(gx, sched.dt, nodes) - origin)
 
 
 def p2_exact(spec, pot, sched, statistics):
@@ -111,19 +122,26 @@ def p2_exact(spec, pot, sched, statistics):
         if not isinstance(iv.preparation, MomentumReset):
             raise ConfigurationError(
                 f"p2_exact applies momentum resets only, not {type(iv.preparation).__name__}")
+    _, gp = _responses(spec, pot, sched)
     n_rec = len(sched.record_nodes())
-    # the reset nodes' rows follow the records'
+    # the reset nodes' means follow the records'
     nodes = np.append(sched.record_nodes(), resets).astype(int)
-    all_rows, _, gp = _rows(spec, pot, sched)
-    rows = all_rows[1].copy()
     mean = np.zeros(len(nodes))
     for k, (iv, r) in enumerate(zip(sched.interventions, resets), start=n_rec):
         after = nodes >= r
-        lag = gp[nodes[after] - r]
-        kick = iv.preparation.p_value - mean[k]
-        rows[after] -= lag[:, None] * rows[k]
-        mean[after] += lag * kick
-    return _exact_series(spec, sched, statistics, rows[:n_rec], mean[:n_rec])
+        mean[after] += gp[nodes[after] - r] * (iv.preparation.p_value - mean[k])
+    kicks = []  # each reset's node and row, with the kicks of the resets before it
+
+    def rows(nodes):
+        out = response_rows(gp, sched.dt, nodes)
+        for r, row in kicks:
+            after = nodes >= r
+            out[after] -= gp[nodes[after] - r][:, None] * row
+        return out
+
+    for r in resets:
+        kicks.append((r, rows(np.array([r]))[0]))
+    return _exact_series(spec, sched, statistics, rows, mean[:n_rec])
 
 
 def sigma_analytical(sigma0, d2_series, resp):

@@ -88,6 +88,9 @@ REJECTED = [
     # the dt <= eps/10 rule has no switch
     pytest.param(dict(), ("record_stride = 4", "record_stride = 4\nrelax_dt_check = true"),
                  r"\[schedule\] unknown key 'relax_dt_check'", id="relax_dt_check-true"),
+    # one process integrates every batch: there is no pool to size
+    pytest.param(dict(run_extra="workers = 2"), None, r"\[run\] unknown key 'workers'",
+                 id="workers-2"),
     pytest.param(dict(potential="form = polynomial\ncoefficients = 0 x 1"), None,
                  r"\[potential\] coefficients must be a finite number, got 'x'",
                  id="coefficients-0-x-1"),
@@ -170,12 +173,15 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="n_traj"):
             parse_config(write_config(tmp_path, n_traj=0))
 
-    @pytest.mark.parametrize("run_extra, key", [
-        ("batch_size = 0", "batch_size"), ("batch_size = -4", "batch_size"),
-        ("workers = 0", "workers"), ("workers = -3", "workers"),
+    # one process integrates every batch: a workers count of any size is an unknown key
+    @pytest.mark.parametrize("run_extra, message", [
+        *(pytest.param(f"batch_size = {n}", r"\[run\] batch_size must be >= 1",
+                       id=f"batch_size = {n}-batch_size") for n in (0, -4)),
+        *(pytest.param(f"workers = {n}", r"\[run\] unknown key 'workers'",
+                       id=f"workers = {n}-workers") for n in (0, -3)),
     ])
-    def test_run_sizes_below_one_rejected(self, tmp_path, run_extra, key):
-        with pytest.raises(ConfigurationError, match=rf"\[run\] {key} must be >= 1"):
+    def test_run_sizes_below_one_rejected(self, tmp_path, run_extra, message):
+        with pytest.raises(ConfigurationError, match=message):
             parse_config(write_config(tmp_path, run_extra=run_extra))
 
     @pytest.mark.parametrize("prep, prep_extra", [
@@ -260,16 +266,6 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=message):
             parse_config(write_edited(tmp_path, kw, edit))
 
-    def test_workers_whose_buffers_exceed_memory_rejected(self, tmp_path, monkeypatch):
-        # 121 nodes: a 128-column buffer is 0.124 MB; 0.2 MB holds one, not two
-        from qbm import dynamics
-
-        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 200_000)
-        parse_config(write_config(tmp_path, "one.cfg", run_extra="batch_size = 32"))
-        two = write_config(tmp_path, "two.cfg", run_extra="batch_size = 32\nworkers = 2")
-        with pytest.raises(ConfigurationError, match=r"2 processes of \[run\] workers = 2"):
-            parse_config(two)
-
     def test_identity_reads_no_intervention_keys(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         assert cfg.preparation == {"form": "identity"}
@@ -337,32 +333,16 @@ class TestRun:
         assert env["blas_threads"] is None or env["blas_threads"] >= 1
         assert manifest["peak_rss_mb"] > 0
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_manifest_records_the_thread_counts(self, tmp_path, workers):
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_manifest_records_the_thread_counts(self, tmp_path, batches):
         from qbm import dynamics
-        # two batches, so two workers make a pool
-        cfg = parse_config(write_config(tmp_path,
-                                        run_extra=f"workers = {workers}\nbatch_size = 32"))
+        # one process integrates every batch on the same threads
+        cfg = parse_config(write_config(tmp_path, run_extra=f"batch_size = {64 // batches}"))
         out = tmp_path / "out"
         run(cfg, out_dir=str(out))
         manifest = json.loads((out / "run_manifest.json").read_text())
         blas = None if dynamics.blas_threads() is None else 1
-        noise = qnoise.thread_count() if workers == 1 else 1
-        assert manifest["threads"] == {"noise": noise, "blas": blas}
-
-    def test_one_batch_builds_no_process_pool(self, tmp_path, monkeypatch):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool for a run of one batch")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cfg = parse_config(write_config(tmp_path, run_extra="workers = 2"))
-        out = tmp_path / "out"
-        run(cfg, out_dir=str(out))
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["config"]["workers"] == 2
-        assert manifest["threads"]["noise"] == qnoise.thread_count()
+        assert manifest["threads"] == {"noise": qnoise.thread_count(), "blas": blas}
 
     def test_outputs_do_not_depend_on_openblas_num_threads(self, tmp_path):
         # a fresh interpreter per setting: OpenBLAS reads it when it loads.
@@ -585,24 +565,6 @@ class TestRun:
         with pytest.raises(IntegrationFailure):
             run(cfg, out_dir=str(out), dump_trajectories=True)
         assert not (out / "trajectories.bin").exists()
-
-    def test_process_pool_leaves_outputs_and_dump_identical(self, tmp_path):
-        # four batches over two worker processes: the dump's rows keep id order
-        cfg = write_config(tmp_path, n_traj=32, prep="cat",
-                           prep_extra="x0 = 1.0\nsigma = 0.5\nmode = translate",
-                           observables="x2 = default\ncat_coherence = default",
-                           run_extra="batch_size = 8")
-        outputs = {}
-        for workers in ("1", "2"):
-            out = tmp_path / workers
-            assert main(["run", str(cfg), "--workers", workers, "--dump-trajectories",
-                         "--out-dir", str(out)]) == 0
-            meta, vals = qnoise.load_ensemble(out / "trajectories.bin")
-            assert meta["config"].pop("workers") == int(workers)
-            outputs[workers] = (meta, vals.tobytes(),
-                                *((out / name).read_bytes()
-                                  for name in ("x2.csv", "cat_coherence.csv")))
-        assert outputs["2"] == outputs["1"]
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         cfg = parse_config(write_config(tmp_path))
@@ -847,12 +809,14 @@ class TestMain:
         assert main(["run", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    # one process integrates every batch: run reads no --workers of any size
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_override_below_one_rejected(self, tmp_path, capsys, workers):
         cfg = write_config(tmp_path, n_traj=8)
-        assert main(["run", str(cfg), "--workers", workers,
-                     "--out-dir", str(tmp_path / "o")]) == 1
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), "--workers", workers, "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     # a standard error needs two trajectories
@@ -942,18 +906,6 @@ class TestMain:
         assert err.startswith(f"error: cannot make output directory {str(taken)!r}")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert taken.read_text() == "a file\n"
-
-    def test_workers_override_beyond_memory_is_one_error_line(self, tmp_path, capsys,
-                                                              monkeypatch):
-        from qbm import dynamics
-
-        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 200_000)
-        cfg = write_config(tmp_path, run_extra="batch_size = 32")
-        out = tmp_path / "o"
-        assert main(["run", str(cfg), "--workers", "2", "--out-dir", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert re.match(r"error: \[schedule\] .* 2 processes of \[run\] workers = 2", err)
-        assert len(err.splitlines()) == 1 and not out.exists()
 
     @pytest.mark.parametrize("command, name, flags", [
         ("run", "sigma2.csv", []),

@@ -400,15 +400,6 @@ class TestRunEnsemble:
         with pytest.raises(ConfigurationError):
             run_ensemble(FIG1, FREE, sched, 0, "quantum", 1)
 
-    def test_worker_count_does_not_change_results(self):
-        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
-        a = run_ensemble(FIG1, FREE, sched, 64, "quantum", 17, batch_size=16,
-                         workers=1)
-        b = run_ensemble(FIG1, FREE, sched, 64, "quantum", 17, batch_size=16,
-                         workers=2)
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.p.tobytes() == b.p.tobytes()
-
     @settings(max_examples=10, deadline=None)
     @given(batch_size=st.integers(1, N_SPLIT))
     def test_batch_split_does_not_change_signed_ensemble(self, batch_size):
@@ -499,8 +490,7 @@ class TestStreamedRun:
         assert failure.value.trajectory_ids == (0, 1, 2)
         assert failure.value.time == seen[0].failure_time
 
-    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", -4),
-                                            ("workers", 0), ("workers", -3)])
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", -4)])
     def test_sizes_below_one_rejected(self, key, value):
         sched = Schedule(t_eq=1.0, t_end=0.0, dt=0.05)
         with pytest.raises(ConfigurationError, match=key):
@@ -559,24 +549,6 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-
-    def test_one_buffer_per_process_counted_before_a_process_starts(self, monkeypatch):
-        # 121 nodes: a 128-column buffer is 0.124 MB; 0.2 MB holds one, not two
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 200_000)
-        sched = Schedule(t_eq=4.0, t_end=2.0, dt=0.05)
-        with pytest.raises(ConfigurationError,
-                           match=r"buffers of 0\.000115 GiB, one in each of the 2 processes "
-                                 r"of \[run\] workers = 2, exceed.*lower \[run\] batch_size "
-                                 r"or \[run\] workers"):
-            run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4, workers=2)
-        ens = run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4, workers=1)
-        assert ens.n_traj == 8
 
     def test_integrate_leaves_the_noise_path_intact(self):
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
@@ -709,17 +681,25 @@ class TestThreads:
             run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, consumer=consumer)
         assert get() == 2
 
-    def test_pool_process_initializer_pins_both_to_one(self, monkeypatch, openblas):
-        get, put = openblas
-        put(2)
-        monkeypatch.setattr(qnoise, "_threads", None)
-        qdyn._init_pool_process()
-        assert get() == 1 and qnoise.thread_count() == 1
-        assert qdyn.thread_counts(workers=2) == {"noise": 1, "blas": 1}
+    def test_openblas_is_looked_up_once_per_process(self):
+        # two runs (one pin each, and one per map batch) and one integrate
+        # read the memoised lookup; the library is found once
+        qdyn._openblas.cache_clear()
+        sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05, record_stride=5)
+        assert qdyn._takes_map(FREE, sched)
+        for _ in range(2):
+            run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4)
+        grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+        integrate(FIG1, FREE, sched, qnoise.synthesize(FIG1, grid, "quantum",
+                                                       _traj_stream(1, 0, 0)))
+        qdyn.blas_threads()
+        qdyn.thread_counts()
+        info = qdyn._openblas.cache_info()
+        assert info.misses == 1 and info.hits >= 8
 
     def test_thread_counts_without_openblas(self, monkeypatch):
         monkeypatch.setattr(qdyn, "_openblas", lambda: None)
-        assert qdyn.thread_counts(workers=1) == {"noise": qnoise.thread_count(), "blas": None}
+        assert qdyn.thread_counts() == {"noise": qnoise.thread_count(), "blas": None}
         assert qdyn.blas_threads() is None
         sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
         assert run_ensemble(FIG1, FREE, sched, 4, "quantum", 1).n_traj == 4

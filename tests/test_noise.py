@@ -325,7 +325,7 @@ class TestThreadedSynthesis:
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         ref = stacked_synthesis(spec, grid, statistics, [stream(44, 0, i) for i in range(n)])
-        monkeypatch.setattr(qnoise, "_threads", threads)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: threads)
         got = synthesize_batch(spec, grid, statistics, [stream(44, 0, i) for i in range(n)])
         assert got.tobytes() == ref.tobytes()
 
@@ -334,14 +334,14 @@ class TestThreadedSynthesis:
         assert qnoise.thread_count() == qnoise._FFT_ROWS
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         assert qnoise.thread_count() == 2
-        monkeypatch.setattr(qnoise, "_threads", 1)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
         assert qnoise.thread_count() == 1
 
     @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
     def test_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch, statistics):
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
-        monkeypatch.setattr(qnoise, "_threads", 2)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         before = threading.active_count()
         # slow in the calling thread, so that the worker claims a group
         rngs = [Drawing(stream(45, 0, i), main_s=0.01, worker_error=True) for i in range(8)]
@@ -359,7 +359,7 @@ class TestThreadedSynthesis:
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         ref = stacked_synthesis(spec, grid, statistics, [stream(47, 0, i) for i in range(64)])
-        monkeypatch.setattr(qnoise, "_threads", 2)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         rngs = [Drawing(stream(47, 0, i), worker_s=0.05) for i in range(64)]
         got = synthesize_batch(spec, grid, statistics, rngs)
         assert got.tobytes() == ref.tobytes()
@@ -372,7 +372,7 @@ class TestThreadedSynthesis:
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         before = os.sched_getaffinity(0)
-        monkeypatch.setattr(qnoise, "_threads", 2)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         # slow in the calling thread, so that the worker claims groups too;
         # the worker holds its first group until the calling thread has
         # drawn, so it cannot claim them all before the calling thread's first
@@ -395,7 +395,7 @@ class TestThreadedSynthesis:
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         ref = stacked_synthesis(spec, grid, QUANTUM, [stream(46, 0, i) for i in range(65)])
-        monkeypatch.setattr(qnoise, "_threads", 4)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

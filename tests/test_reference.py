@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -17,7 +19,7 @@ from qbm.dynamics import (
     integrate_deterministic,
     run_ensemble,
 )
-from qbm.noise import FrequencyGrid, mode_amplitudes
+from qbm.noise import FrequencyGrid, linear_variance, mode_amplitudes
 from qbm.errors import ConfigurationError
 from qbm.observables import WeylObservable, estimate, msd
 from qbm.preparation import GaussianLocalize, MomentumReset
@@ -456,3 +458,59 @@ class TestP2Exact:
         z = (est[~at] - exact[~at]) / se[~at]
         # 40 correlated times: a 4-sigma bound for the largest |z|
         assert np.abs(z).max() <= 4.0
+
+
+class TestReferenceBlocks:
+    WARM = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+
+    def test_blocks_keep_the_bits_of_one_call(self):
+        # 161 records, three blocks, and two resets: the series equal one
+        # linear_variance call on all the rows of the run's map
+        sched = Schedule(t_eq=2.0, t_end=4.0, dt=0.025, interventions=(
+            (0.5, MomentumReset(0.7)), (1.525, MomentumReset(-0.2))))
+        pot = Potential.harmonic(1.0)
+        grid = FrequencyGrid.for_times(self.WARM, sched.dt, sched.n_steps + 1)
+        rows, _, gp = qdyn.linear_rows(self.WARM, pot, sched)
+        n_rec = len(sched.record_nodes())
+        x = rows[0, :n_rec] - rows[0, 0]
+        assert thermal_msd(self.WARM, pot, sched, "quantum").estimates.tobytes() == (
+            linear_variance(self.WARM, grid, "quantum", x) + 0.0).tobytes()
+        nodes = np.append(sched.record_nodes(), sched.intervention_nodes())
+        p, mean = rows[1].copy(), np.zeros(len(nodes))
+        for k, (iv, r) in enumerate(zip(sched.interventions, sched.intervention_nodes()),
+                                    start=n_rec):
+            after = nodes >= r
+            lag = gp[nodes[after] - r]
+            kick = iv.preparation.p_value - mean[k]
+            p[after] -= lag[:, None] * p[k]
+            mean[after] += lag * kick
+        expected = linear_variance(self.WARM, grid, "quantum", p[:n_rec]) + mean[:n_rec]**2
+        assert p2_exact(self.WARM, pot, sched, "quantum").estimates.tobytes() == \
+            expected.tobytes()
+
+    @pytest.mark.parametrize("reference", [thermal_msd, p2_exact])
+    def test_peak_memory_does_not_grow_with_the_records(self, reference):
+        # one record per step takes the stepper, whose run builds no rows: the
+        # references build theirs a noise block at a time, keep none, and peak
+        # alike at 401 and 801 records, where all the rows at once take 5.4
+        # and 10.8 MB and their transforms 8 and 16 MB more
+        pot = Potential.free()
+        for t_eq, t_end in ((22.0, 20.0), (2.0, 40.0)):
+            sched = Schedule(t_eq=t_eq, t_end=t_end, dt=0.05)
+            assert sched.n_steps == 840 and not qdyn._takes_map(pot, sched)
+            grid = FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
+            # the shared solve, as a run on this schedule leaves it
+            qdyn.momentum_response(FIG1, pot, sched.dt, sched.n_steps)
+            qdyn._node_rows.cache_clear()
+            tracemalloc.start()
+            try:
+                series = reference(FIG1, pot, sched, "quantum")
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            n_rec = len(sched.record_nodes())
+            assert len(series.estimates) == n_rec
+            assert peak < 4 * qdyn._NOISE_BLOCK * grid.fft_length * 8
+            # what is left is the series itself
+            assert current < 64 * n_rec
+            assert qdyn._node_rows.cache_info().currsize == 0
