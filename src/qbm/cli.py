@@ -474,11 +474,15 @@ def noise_check(cfg, out_dir=None, dump=False):
     Generates the noise paths ``qbm run`` integrates for the same config and
     seed (stream tag 0), estimates the autocorrelation on an
     ``_N_LAGS``-point grid spaced by the cutoff time, and scores each lag
-    against the analytic target.  Fails if any |z| > 4.  Paths are
-    synthesised and reduced 64 at a time, so memory grows neither with
-    ``n_traj`` beyond ``_N_LAGS`` floats per path nor with ``batch_size``.
-    Returns ``(report dict, ok flag)`` and writes ``noise_check.json`` (plus
-    the paths, as ``noise_paths.bin``, when ``dump`` is set).
+    against the analytic target.  Fails if any |z| > 4.  Each thread draws
+    one 64-path block at a time (:func:`qbm.dynamics.noise_blocks`) and
+    reduces it to its per-path lag products; the estimates are one
+    reduction of those in id order, so they do not depend on the thread
+    count, and memory grows neither with ``n_traj`` beyond ``_N_LAGS``
+    floats per path nor with ``batch_size``.  Returns ``(report dict, ok
+    flag)`` and writes ``noise_check.json`` (plus the paths, as
+    ``noise_paths.bin`` in id order, when ``dump`` is set: each thread
+    writes its block at the block's own rows).
     """
     if cfg.n_traj < 2:
         raise ConfigurationError(
@@ -497,12 +501,11 @@ def noise_check(cfg, out_dir=None, dump=False):
         else span / (2 * (_N_LAGS - 1))
     step = max(sched.dt, round(step_target / sched.dt) * sched.dt)
     lags = step * np.arange(_N_LAGS)
-    times = sched.dt * np.arange(n_times)
 
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_times)
-    # the run's own streams, a block alive at a time
-    blocks = _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed,
-                               stream_tag=0, ids=range(cfg.n_traj))
+    shifts = _noise.lag_shifts(lags, sched.dt, n_times)
+    # lag-major, so each lag's estimate reduces one contiguous row
+    products = np.empty((len(shifts), cfg.n_traj))
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,
               "master_seed": cfg.master_seed}
 
@@ -513,18 +516,17 @@ def noise_check(cfg, out_dir=None, dump=False):
             {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
             (cfg.n_traj, n_times))
           if dump else contextlib.nullcontext()) as write:
-        def paths():
-            # the autocorrelation consumes the paths a block at a time,
-            # and each block goes to the dump
-            for ids, _, block in blocks:
-                if write is not None:
-                    write(block)
-                yield from (_noise.NoisePath(seed=(cfg.master_seed, 0, i),
-                                             times=times, values=row)
-                            for i, row in zip(ids, block))
-                del block
+        def work(lo, hi, rngs, values):
+            # each block's paths reduced to their lag products, and put
+            # at their own rows of the dump
+            _noise.lag_products(values, shifts, products[:, lo:hi])
+            if write is not None:
+                write(values, row=lo)
 
-        est, se = _noise.empirical_autocorrelation(paths(), lags)
+        # the run's own streams, a block per thread alive at a time
+        _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed, 0,
+                          range(cfg.n_traj), work)
+        est, se = _noise.lag_statistics(products)
         target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
         z = (est - target) / np.where(se > 0, se, 1.0)
         pval = _runs_test_pvalue(np.sign(est - target))

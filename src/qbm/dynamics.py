@@ -26,13 +26,15 @@ being the record and intervention nodes, where the stepper's friction
 history does n_steps (n_steps + 1) / 2; :func:`run_ensemble` and
 :func:`integrate` take the map when it does no more and its rows fit in
 physical memory (:func:`_takes_map`).  A batch then holds the rows, built
-once per process, one noise block and its records.  Every other run, and
+once per process, one noise block and its records per noise thread
+(:func:`noise_blocks`), and the batch's records.  Every other run, and
 :func:`integrate_deterministic` (which builds the map's responses), takes
 the stepper (:func:`_integrate_batch`), whose batch holds one
 ``(n_steps + 1) x width`` buffer of noise and velocity history.
 """
 
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -376,18 +378,26 @@ def _traj_stream(master_seed, stream_tag, traj_id):
     return _traj_streams(master_seed, stream_tag, (traj_id,))[0]
 
 
-def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids):
-    """Noise paths of the trajectories ``ids``, ``_NOISE_BLOCK`` at a time.
+def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work):
+    """Call ``work(lo, hi, rngs, values)`` for each ``_NOISE_BLOCK``-path block of ``ids``.
 
-    Yields ``(block_ids, rngs, values)`` in the order of ``ids``: row ``i``
-    of ``values`` is the path of ``block_ids[i]``, drawn from its own
-    stream, which ``rngs[i]`` continues past the noise draws.  So the rows
-    equal those of one synthesis of all ``ids``, whatever the blocks.
+    ``ids[lo:hi]`` are the block's trajectories; row ``i`` of ``values`` is
+    the noise path of ``ids[lo + i]``, drawn from its own stream, which
+    ``rngs[i]`` continues past the noise draws.  The blocks run on
+    :func:`qbm.noise.thread_count` threads (at most one per block), each
+    thread claiming whole blocks and running each end to end: keying its
+    streams, synthesising its noise and calling ``work``.  So ``work`` runs
+    concurrently, in no set order, and writes only rows ``lo:hi`` of what
+    it fills; what it reads must have been built before this is called.
+    Every thread is joined before this returns, and an exception raised in
+    one block is raised here.
     """
-    for lo in range(0, len(ids), _NOISE_BLOCK):
-        block = ids[lo:lo + _NOISE_BLOCK]
-        rngs = _traj_streams(master_seed, stream_tag, block)
-        yield block, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs)
+    def block(lo, hi):
+        rngs = _traj_streams(master_seed, stream_tag, ids[lo:hi])
+        work(lo, hi, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs))
+
+    n_blocks = -(-len(ids) // _NOISE_BLOCK)
+    _noise._in_threads(block, len(ids), _NOISE_BLOCK, min(_noise.thread_count(), n_blocks))
 
 
 def _kernel_mid(spec, dt, n):
@@ -439,16 +449,18 @@ def _takes_map(pot, sched):
 def check_memory(sched, pot, n_traj, batch_size, stacked=False):
     """Reject a run whose batch memory and weights cannot fit in physical memory.
 
-    What a batch holds depends on the engine the run takes
+    A batch's noise blocks run on :func:`qbm.noise.thread_count` threads
+    (at most one per block; :func:`noise_blocks`), and each thread holds one
+    noise block of ``_NOISE_BLOCK`` paths beside its synthesis workspace or,
+    for a short block on the linear map, its zero-padded copy: two blocks
+    bound both, the workspace being ``_FFT_ROWS`` rows of about three FFT
+    periods.  The rest depends on the engine the run takes
     (:func:`_takes_map`).  The stepper's batch buffer holds ``(n_steps + 1)
     x width`` floats, ``width`` being the batch rounded up to the history
-    tile; the noise grid's period (about ``3 x n_steps`` samples) and a
-    noise block are smaller, so they fit if it does.  The linear map holds
-    ``16 n_map (n_steps + 1)`` bytes of x and p rows, ``n_map`` being the
-    record and intervention nodes; two noise blocks of ``_NOISE_BLOCK``
-    paths (a block beside its synthesis workspace or its zero-padded copy)
-    with the block's x and p at the nodes; and its batch's x and p records.
-    The run integrates one batch at a time and keeps one weight per
+    tile.  The linear map holds ``16 n_map (n_steps + 1)`` bytes of x and p
+    rows, ``n_map`` being the record and intervention nodes; on each thread
+    the block's x and p at the nodes; and its batch's x and p records.  The
+    run integrates one batch at a time and keeps one weight per
     trajectory.  The step count comes from ``t_eq``, ``t_end`` and ``dt``
     alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows, and
     ``n_traj = 1e14`` would size 800 TB of weights: both are rejected here,
@@ -463,13 +475,15 @@ def check_memory(sched, pot, n_traj, batch_size, stacked=False):
     weights = 8 * n_traj
     records = 16 * n_traj * n_rec if stacked else 0
     linear = _takes_map(pot, sched)
+    threads = min(_noise.thread_count(), -(-batch // _NOISE_BLOCK))
     if linear:
         n_map = n_rec + len(sched.interventions)
-        held = 16 * n_map * n_nodes + 16 * _NOISE_BLOCK * (n_nodes + n_map) + 16 * batch * n_rec
+        held = (16 * n_map * n_nodes + threads * 16 * _NOISE_BLOCK * (n_nodes + n_map)
+                + 16 * batch * n_rec)
         name = "x and p rows, noise blocks and batch records"
     else:
-        held = 8 * n_nodes * _buffer_width(batch)
-        name = "batch buffer"
+        held = 8 * n_nodes * _buffer_width(batch) + threads * 16 * _NOISE_BLOCK * n_nodes
+        name = "batch buffer and noise blocks"
     if memory is None or held + weights + records <= memory:
         return
     if held + weights <= memory:
@@ -488,12 +502,12 @@ def check_memory(sched, pot, n_traj, batch_size, stacked=False):
         raise ConfigurationError(
             f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps and [schedule] "
             f"record_stride = {sched.record_stride} gives {n_rec:.3g} records, whose x and p "
-            f"rows, noise block and batch records of {held / 2**30:.3g} GiB exceed {left} "
+            f"rows, noise blocks and batch records of {held / 2**30:.3g} GiB exceed {left} "
             f"(raise [schedule] dt or [schedule] record_stride, or lower [run] batch_size)")
     raise ConfigurationError(
         f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose batch buffer "
-        f"of {held / 2**30:.3g} GiB exceeds {left} (raise [schedule] dt or lower "
-        f"[run] batch_size)")
+        f"and noise blocks of {held / 2**30:.3g} GiB exceed {left} (raise [schedule] dt or "
+        f"lower [run] batch_size)")
 
 
 @lru_cache(maxsize=1)
@@ -540,7 +554,7 @@ def _one_blas_thread():
 
     How OpenBLAS splits the friction product among its threads changes the
     product's last bits, so one thread makes a run's bits independent of
-    ``OPENBLAS_NUM_THREADS``; and with the noise drawn on every core,
+    ``OPENBLAS_NUM_THREADS``; and with the noise blocks run on every core,
     OpenBLAS's spinning threads would only take those cores back.
     """
     calls = _openblas()
@@ -557,7 +571,7 @@ def _one_blas_thread():
 
 
 def thread_counts():
-    """Threads a run draws its noise on, and OpenBLAS's pinned count (None
+    """Threads a run's noise blocks run on, and OpenBLAS's pinned count (None
     when OpenBLAS is not found)."""
     return {"noise": _noise.thread_count(), "blas": None if _openblas() is None else 1}
 
@@ -735,7 +749,7 @@ def integrate(spec, pot, sched, noise_path, rng=None):
     if _takes_map(pot, sched):
         with _one_blas_thread():
             x_rec, p_rec, weights = _apply_map(spec, pot, sched, _build_plan(sched),
-                                               linear_rows(spec, pot, sched)[0],
+                                               linear_rows(spec, pot, sched),
                                                values[None], [rng])
     else:
         # the integrator consumes its buffer, never the caller's path
@@ -777,6 +791,11 @@ def momentum_response(spec, pot, dt, n_steps):
     _, gx, gp = integrate_deterministic(spec, pot, dt, n_steps)
     gx.flags.writeable = gp.flags.writeable = False
     return gx, gp
+
+
+# built by the first block that jumps, not up front: most preparations never
+# jump, and the solve is as long as the run
+_JUMP_RESPONSE_LOCK = threading.Lock()
 
 
 def _unit_jump(rbar, pbar, rng):
@@ -853,10 +872,10 @@ def linear_rows(spec, pot, sched):
     return _node_rows(spec, pot, sched.dt, sched.n_steps, nodes)
 
 
-def _apply_map(spec, pot, sched, plan, rows, values, rngs):
+def _apply_map(spec, pot, sched, plan, linear, values, rngs):
     """Records and weights of the noise paths ``values`` (one noise block at
-    most) by the linear map ``rows`` (:func:`linear_rows`), with the
-    preparations of ``plan`` in time order.
+    most) by the linear map ``linear`` (``(rows, Gx, Gp)`` of
+    :func:`linear_rows`), with the preparations of ``plan`` in time order.
 
     The x and p rows multiply a ``_NOISE_BLOCK``-path block, a short one
     zero-padded: in this layout a path's bits do not depend on its place in
@@ -870,7 +889,7 @@ def _apply_map(spec, pot, sched, plan, rows, values, rngs):
     Returns (x_rec, p_rec, weights).
     """
     n_steps = sched.n_steps
-    gx, gp = momentum_response(spec, pot, sched.dt, n_steps)
+    rows, gx, gp = linear
     nodes = np.array([*sched.record_nodes(), *sched.intervention_nodes()], dtype=int)
     n_rec = len(nodes) - len(plan)
     b = len(values)
@@ -890,7 +909,8 @@ def _apply_map(spec, pot, sched, plan, rows, values, rngs):
             x[later] += shift + gx[lag, None] * kick
             p[later] += gp[lag, None] * kick
             if np.any(dx):
-                jx, jp = _jump_response(spec, pot, sched.dt, n_steps)
+                with _JUMP_RESPONSE_LOCK:
+                    jx, jp = _jump_response(spec, pot, sched.dt, n_steps)
                 x[later] += jx[lag, None] * dx
                 p[later] += jp[lag, None] * dx
             at = nodes == node
@@ -905,27 +925,29 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
     B = len(ids)
     plan = _build_plan(sched)
-    blocks = noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids)
     if _takes_map(pot, sched):
-        rows = linear_rows(spec, pot, sched)[0]
+        # built here, not by the first block's thread
+        linear = linear_rows(spec, pot, sched)
         n_rec = len(sched.record_nodes())
         x, p, weights = np.empty((B, n_rec)), np.empty((B, n_rec)), np.empty(B)
-        lo = 0
+
+        def work(lo, hi, rngs, values):
+            x[lo:hi], p[lo:hi], weights[lo:hi] = _apply_map(
+                spec, pot, sched, plan, linear, values, rngs)
+
         with _one_blas_thread():
-            for _, rngs, values in blocks:
-                hi = lo + len(rngs)
-                x[lo:hi], p[lo:hi], weights[lo:hi] = _apply_map(
-                    spec, pot, sched, plan, rows, values, rngs)
-                lo = hi
-                del values  # not alive while the next block is drawn
+            noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
     else:
-        # one noise block at a time, transposed into the shared buffer: the
+        # each block transposed into its columns of the shared buffer: the
         # batch never holds its noise and its velocity history side by side
         buf = _noise_buffer(n_steps, B)
-        rngs = []
-        for _, block_rngs, values in blocks:
-            buf[:, len(rngs):len(rngs) + len(block_rngs)] = values.T
-            rngs += block_rngs
+        rngs = [None] * B
+
+        def work(lo, hi, block_rngs, values):
+            buf[:, lo:hi] = values.T
+            rngs[lo:hi] = block_rngs
+
+        noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
         x, p, weights = _integrate_batch(
             spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
             sched.record_nodes(), intervention_plan=plan, rngs=rngs)
@@ -952,10 +974,12 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     ``(master_seed, stream_tag, trajectory_id)``; within a stream the noise
     coefficients are drawn first, then any preparation draws, so results are
     bit-reproducible for any batch split.  The batches are integrated in
-    the calling process, one after another, each drawing its noise on
-    :func:`qbm.noise.thread_count` threads.  OpenBLAS runs on one thread
-    while the ensemble is integrated (its count is restored on return), so
-    results are also independent of ``OPENBLAS_NUM_THREADS``.
+    the calling process, one after another, each running its noise blocks,
+    and on the linear map their records, on :func:`qbm.noise.thread_count`
+    threads (:func:`noise_blocks`), with the same bits on any count.
+    OpenBLAS runs on one thread while the ensemble is integrated (its count
+    is restored on return), so results are also independent of
+    ``OPENBLAS_NUM_THREADS``.
 
     Without a ``consumer`` the records are stacked in trajectory-id order.
     With one, each batch goes to ``consumer(batch)`` in trajectory-id order

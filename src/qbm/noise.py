@@ -34,16 +34,16 @@ _PERIOD_FACTOR = 3.0
 # Frequency coverage must resolve the exponential cutoff: N*delta_omega >= 20/eps.
 _COVERAGE_FACTOR = 20.0
 
-# Rows of synthesize_batch's workspaces, shared out among its threads: each
-# transforms its share of rows per inverse FFT call.  numpy plans the
-# transform anew on every call, and each call has a fixed overhead, so one
-# path per call is slower than a 64-path block in one call; four per call
-# are as fast, and the workspaces stay four rows long.
+# Rows of synthesize_batch's workspaces, transformed per inverse FFT call.
+# numpy plans the transform anew on every call, and each call has a fixed
+# overhead, so one path per call is slower than a 64-path block in one call;
+# four per call are as fast, and the workspaces stay four rows long.
 _FFT_ROWS = 4
 
-# Paths the autocorrelation takes from its iterable and stacks at a time: its
-# lag products exist for this many paths only, never for a batch.
-_AUTOCORR_TILE = 64
+# Paths whose lag products :func:`lag_products` forms at a time: the rows and
+# their product buffer (16 x 4001 floats each on fig2's grid) stay in cache
+# across the lags.
+_LAG_ROWS = 16
 
 _MAGIC = b"QBENS\x01"
 
@@ -247,18 +247,19 @@ def usable_cores():
 
 
 def thread_count():
-    """Threads :func:`synthesize_batch` fills a block on: the usable cores, at
-    most one per workspace row."""
-    return min(usable_cores(), _FFT_ROWS)
+    """Threads a run's noise blocks are drawn and consumed on, each thread a
+    whole block at a time (:func:`qbm.dynamics.noise_blocks`): one per
+    usable core."""
+    return usable_cores()
 
 
 def _in_threads(fill, n_rows, group, n_threads):
-    """Call ``fill(k, lo, hi)`` on the rows, ``group`` at a time, on ``n_threads`` threads.
+    """Call ``fill(lo, hi)`` on the rows, ``group`` at a time, on ``n_threads`` threads.
 
-    Thread ``k`` (the calling thread is 0, short-lived threads the others)
-    claims the next group from one shared counter each time it finishes
-    one, so a thread whose core is taken by another process fills fewer
-    groups instead of holding the others up at the end.  Each thread is
+    Each thread (the calling thread and short-lived others) claims the next
+    group from one shared counter each time it finishes one, so a thread
+    whose core is taken by another process fills fewer groups instead of
+    holding the others up at the end.  Each thread is
     pinned to its own usable core while it works, and the calling thread's
     affinity is restored after: left to itself, the kernel of a 2-core
     virtual machine was seen to keep both threads on one core for a whole
@@ -286,7 +287,7 @@ def _in_threads(fill, n_rows, group, n_threads):
             if lo is None:
                 return
             try:
-                fill(k, lo, min(lo + group, n_rows))
+                fill(lo, min(lo + group, n_rows))
             except BaseException as exc:  # re-raised in the calling thread
                 with lock:
                     errors.append(exc)
@@ -310,30 +311,24 @@ def synthesize_batch(spec, grid, statistics, rngs):
 
     Each generator draws only its own path's coefficients, so a trajectory's
     noise is independent of how the ensemble is batched.  The paths are
-    built on :func:`thread_count` threads at once, each taking groups of
-    ``_FFT_ROWS // threads`` paths in turn.  Workspaces of ``_FFT_ROWS``
-    rows of normals, of coefficients and of transform output are allocated
-    once per call and shared out among the threads, and each group is one
-    inverse transform.  So beyond the result the working set grows neither
-    with the number of paths nor with the threads, and since every row keeps
-    its own generator, draw order and transform, the paths do not depend on
-    the thread count or on which thread built them.
+    built on the calling thread, ``_FFT_ROWS`` at a time, through workspaces
+    of ``_FFT_ROWS`` rows of normals, of coefficients and of transform
+    output allocated once per call, each group one inverse transform.  So
+    beyond the result the working set does not grow with the number of
+    paths, and since every row keeps its own generator, draw order and
+    transform, a path does not depend on the rows around it.  Runs call
+    this once per noise block, on as many threads as there are usable cores
+    (:func:`qbm.dynamics.noise_blocks`).
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
     grid.validate(spec)
     out = np.empty((len(rngs), grid.n_times))
-    n_threads = max(1, min(thread_count(), len(rngs)))
-    per = _FFT_ROWS // n_threads
     if statistics == WHITE:
         scale = np.sqrt(_white_variance(spec, grid.t_step))
-
-        def fill(k, lo, hi):
-            for row, r in zip(out[lo:hi], rngs[lo:hi]):
-                r.standard_normal(out=row)
-                row *= scale
-
-        _in_threads(fill, len(rngs), per, n_threads)
+        for row, r in zip(out, rngs):
+            r.standard_normal(out=row)
+            row *= scale
         return out
     # cast once: multiplying by the real amplitudes would cast them per group
     amp = mode_amplitudes(spec, grid, statistics).astype(complex)
@@ -341,21 +336,66 @@ def synthesize_batch(spec, grid, statistics, rngs):
     normals = np.empty((_FFT_ROWS, 2, grid.n_modes + 1))
     coeff = np.empty((_FFT_ROWS, grid.n_modes + 1), dtype=complex)
     periods = np.empty((_FFT_ROWS, m))
-
-    def fill(k, lo, hi):
-        own = slice(k * per, k * per + hi - lo)  # thread k's workspace rows
-        rows = _draw_half(rngs[lo:hi], normals[own], coeff[own])
+    for lo in range(0, len(rngs), _FFT_ROWS):
+        group = rngs[lo:lo + _FFT_ROWS]
+        k = len(group)
+        rows = _draw_half(group, normals[:k], coeff[:k])
         rows *= amp
         # Hermitian construction: the inverse transform is exactly real, so the
         # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-        irfft(rows, n=m, axis=1, out=periods[own])
-        # row by row: a multiply over the strided block would take a ufunc
-        # buffer, one per thread
-        for period, row in zip(periods[own], out[lo:hi]):
-            np.multiply(period[:grid.n_times], m, out=row)
-
-    _in_threads(fill, len(rngs), per, n_threads)
+        irfft(rows, n=m, axis=1, out=periods[:k])
+        np.multiply(periods[:k, :grid.n_times], m, out=out[lo:lo + k])
     return out
+
+
+def lag_shifts(lags, t_step, n_times):
+    """Sample shifts of ``lags`` on paths of ``n_times`` samples ``t_step`` apart.
+
+    A lag off the sample grid, or past the paths' span, is rejected.
+    """
+    shifts = []
+    for lag in np.atleast_1d(np.asarray(lags, dtype=float)):
+        k = int(round(lag / t_step))
+        if abs(k * t_step - lag) > 1e-9 * max(t_step, abs(lag)):
+            raise ConfigurationError(f"lag {lag} is not a multiple of the path step {t_step}")
+        if k < 0 or k >= n_times:
+            raise ConfigurationError(f"lag {lag} exceeds the admissible path span")
+        shifts.append(k)
+    return shifts
+
+
+def lag_products(rows, shifts, out):
+    """Per-path lag products: ``out[i, r]`` is the mean over ``t0`` of
+    ``rows[r, t0] * rows[r, t0 + shifts[i]]``.
+
+    ``rows`` is a 2-D array of paths, ``out`` a ``(len(shifts),
+    len(rows))`` array or view.  The rows are taken ``_LAG_ROWS`` at a
+    time, each group multiplied into one product buffer and summed by one
+    row reduction per lag: a path's products are its own row's, whatever
+    the rows around it.  Returns ``out``.
+    """
+    n = rows.shape[1]
+    prod = np.empty((min(_LAG_ROWS, len(rows)), n))
+    for lo in range(0, len(rows), _LAG_ROWS):
+        group = rows[lo:lo + _LAG_ROWS]
+        for i, k in enumerate(shifts):
+            lagged = np.multiply(group[:, :n - k], group[:, k:],
+                                 out=prod[:len(group), :n - k])
+            # np.mean's own row sum and division, without its temporaries
+            out[i, lo:lo + len(group)] = np.add.reduce(lagged, axis=1) / (n - k)
+    return out
+
+
+def lag_statistics(products):
+    """``(estimates, standard_errors)`` of the lag products of
+    :func:`lag_products`, one row per lag and one column per path; the
+    paths are the independent units."""
+    n_paths = products.shape[1]
+    if n_paths < 2:
+        raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
+    est = np.array([row.mean() for row in products])
+    se = np.array([row.std(ddof=1) for row in products]) / np.sqrt(n_paths)
+    return est, se
 
 
 def empirical_autocorrelation(paths, lags):
@@ -366,75 +406,58 @@ def empirical_autocorrelation(paths, lags):
     estimate over part of the span, pass paths sliced to it.
 
     ``paths`` is any iterable of :class:`NoisePath` on one time grid.  It is
-    consumed ``_AUTOCORR_TILE`` paths at a time, and each tile is reduced to
-    its per-path lag products through one tile of paths and one product
-    buffer allocated once per call.  So memory is bounded by those two tiles
-    (plus ``len(lags)`` floats per path) whatever the ensemble size, and the
-    estimates do not depend on the tiling: each per-path mean is its own row
-    reduction.
+    consumed ``_LAG_ROWS`` paths at a time, each tile stacked into one
+    reused tile buffer and reduced to its per-path lag products
+    (:func:`lag_products`) before the next is taken.  So memory is bounded
+    by two tiles of paths (plus ``len(lags)`` floats per path) whatever the
+    ensemble size, and the estimates do not depend on the tiling.
 
     Returns ``(estimates, standard_errors)`` aligned with ``lags``.
     """
     paths = iter(paths)
-    tile = list(itertools.islice(paths, _AUTOCORR_TILE))
+    tile = list(itertools.islice(paths, _LAG_ROWS))
     if not tile:
         raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
     times = tile[0].times
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
     n = len(tile[0].values)
-
-    lags = np.atleast_1d(np.asarray(lags, dtype=float))
-    shifts = []
-    for lag in lags:
-        k = int(round(lag / dt))
-        if abs(k * dt - lag) > 1e-9 * max(dt, abs(lag)):
-            raise ConfigurationError(f"lag {lag} is not a multiple of the path step {dt}")
-        if k < 0 or k >= n:
-            raise ConfigurationError(f"lag {lag} exceeds the admissible path span")
-        shifts.append(k)
+    shifts = lag_shifts(lags, dt, n)
 
     blocks = []
     tile_values = np.empty((len(tile), n))
-    prod = np.empty((len(tile), n))
     while tile:
         if any(len(p.values) != n for p in tile):
             raise ConfigurationError(
                 f"empirical_autocorrelation requires paths of one length ({n} samples)")
         values = np.stack([p.values for p in tile], out=tile_values[:len(tile)])
-        block = np.empty((len(shifts), len(tile)))
-        for i, k in enumerate(shifts):
-            lagged = np.multiply(values[:, :n - k], values[:, k:],
-                                 out=prod[:len(tile), :n - k])
-            # np.mean's own row sum and division, without its temporaries
-            block[i] = np.add.reduce(lagged, axis=1) / (n - k)
-        blocks.append(block)
+        blocks.append(lag_products(values, shifts, np.empty((len(shifts), len(tile)))))
         # release this tile's paths, and any array they view, before the
         # iterable produces the next ones
         del tile
-        tile = list(itertools.islice(paths, _AUTOCORR_TILE))
+        tile = list(itertools.islice(paths, _LAG_ROWS))
     # lag-major, so each lag reduces over one contiguous row of per-path values
-    per_path = np.concatenate(blocks, axis=1)
-    n_paths = per_path.shape[1]
-    if n_paths < 2:
-        raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
-    est = np.array([row.mean() for row in per_path])
-    se = np.array([row.std(ddof=1) for row in per_path]) / np.sqrt(n_paths)
-    return est, se
+    return lag_statistics(np.concatenate(blocks, axis=1))
 
 
 @contextlib.contextmanager
 def ensemble_writer(path, header, shape):
-    """Open a dump of float64 rows of the given shape; yields ``write(rows)``.
+    """Open a dump of float64 rows of the given shape; yields ``write(rows, row=None)``.
 
     The JSON header, ``shape`` included, goes first, so row blocks can be
-    appended as they are produced; leaving the context checks that exactly
-    ``shape`` was written.  The payload is little-endian.  If the block
-    raises, or the check fails, the file is deleted: no partial dump is left.
+    appended as they are produced, or, given ``row``, written at that row
+    of the payload: threads may write their own blocks in any order, and
+    the file still holds the rows in row order.  Leaving the context checks
+    that exactly ``shape`` was written.  The payload is little-endian.  If
+    the block raises, or the check fails, the file is deleted: no partial
+    dump is left.
     """
     meta = dict(header)
     meta["shape"] = [int(d) for d in shape]
     blob = json.dumps(meta, sort_keys=True).encode()
     expected = 8 * int(np.prod(meta["shape"]))
+    row_bytes = 8 * int(np.prod(meta["shape"][1:]))
+    lock = threading.Lock()
+    written = 0
     fh = open(path, "wb")
     try:
         with fh:
@@ -443,13 +466,19 @@ def ensemble_writer(path, header, shape):
             fh.write(blob)
             start = fh.tell()
 
-            def write(rows):
-                fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+            def write(rows, row=None):
+                nonlocal written
+                data = np.ascontiguousarray(rows, dtype="<f8").tobytes()
+                with lock:
+                    if row is not None:
+                        fh.seek(start + row * row_bytes)
+                    fh.write(data)
+                    written += len(data)
 
             yield write
-            if fh.tell() - start != expected:
+            if written != expected:
                 raise ConfigurationError(
-                    f"{path}: wrote {fh.tell() - start} payload bytes, shape {meta['shape']} "
+                    f"{path}: wrote {written} payload bytes, shape {meta['shape']} "
                     f"needs {expected}")
     except BaseException:
         os.remove(path)

@@ -27,6 +27,7 @@ sampling modes exist for position-selective preparations:
   the move from ``r_pre`` to ``r0`` is a jump.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +203,9 @@ class CatProject:
         overlap = np.exp(-self.x0**2 / (2.0 * self.sigma**2))
         self._ceiling = 8.0 / (2.0 * np.pi * self.hbar * 2.0 * (1.0 + overlap))
         self._box_mass = None
+        # a run's noise block threads draw from one preparation: the first
+        # draw builds the box mass, the others wait for it
+        self._box_mass_lock = threading.Lock()
 
     def wigner(self, r, p):
         return cat_wigner(self.x0, self.sigma, r, p, hbar=self.hbar)
@@ -258,7 +262,9 @@ class CatProject:
         return self._box_mass
 
     def _draw_post(self, rng):
-        return _draw_signed(rng, self.box, self.wigner, self._ceiling, self._abs_box_mass())
+        with self._box_mass_lock:
+            mass = self._abs_box_mass()
+        return _draw_signed(rng, self.box, self.wigner, self._ceiling, mass)
 
     def sample(self, rbar, pbar, rng):
         r0, p0, w_post = self._draw_post(rng)

@@ -525,20 +525,30 @@ class TestStreamedRun:
         assert peak < 1e6
 
     def test_buffer_that_fits_only_in_smaller_batches(self, monkeypatch):
-        # 4001 nodes: 128 columns need 4.1 MB, 256 columns 8.2 MB
+        # 4001 nodes: 128 columns need 4.1 MB, 256 columns 8.2 MB, and each
+        # of the two noise threads two 64-path blocks, 4.1 MB
         sched = Schedule(t_eq=100.0, t_end=100.0, dt=0.05)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 6_000_000)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 13_000_000)
         qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
         qdyn.check_memory(sched, FREE, n_traj=100, batch_size=1024)
-        with pytest.raises(ConfigurationError, match="buffer of 0.00763 GiB exceeds"):
+        with pytest.raises(ConfigurationError,
+                           match="buffer and noise blocks of 0.0153 GiB exceed"):
             qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=256)
+        # one thread per block at most: a batch of one block holds one
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 8_200_000)
+        qdyn.check_memory(sched, FREE, n_traj=64, batch_size=1024)
+        with pytest.raises(ConfigurationError, match="noise blocks"):
+            qdyn.check_memory(sched, FREE, n_traj=65, batch_size=1024)
 
     def test_stacked_records_counted_before_integrating(self, monkeypatch):
-        # 81 nodes and 41 records: a 128-column buffer is 82,944 B and 4096
-        # weights 32,768 B, while x and p stacked for 4096 trajectories are
+        # 81 nodes and 41 records: a 128-column buffer is 82,944 B, as are
+        # the two noise blocks of each of two threads, and 4096 weights
+        # 32,768 B, while x and p stacked for 4096 trajectories are
         # 2,686,976 B; the memory holds the streamed run, not the stacked one
         sched = Schedule(t_eq=2.0, t_end=2.0, dt=0.05)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 82_944 + 32_768 + 1000)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 3 * 82_944 + 32_768 + 1000)
         qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
         tracemalloc.start()
         try:
@@ -578,12 +588,14 @@ class TestStreamedRun:
 
     def test_linear_batch_holds_what_check_memory_counts(self, monkeypatch):
         # a free potential takes the linear map, with no buffer: its rows,
-        # built within the trace, two noise blocks with the block's x and p
-        # at the nodes, and the batch's records are what check_memory counts
-        # (9.2 MB here), against a 1601 x 3072 buffer of 39 MB; the rest (a
-        # block's generators, the failure check's masks) stays within a tenth
+        # built within the trace, on each of two threads two noise blocks
+        # with the block's x and p at the nodes, and the batch's records are
+        # what check_memory counts (10.9 MB here), against a 1601 x 3072
+        # buffer of 39 MB; the rest (a block's generators, the failure
+        # check's masks) stays within a tenth
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
         n_traj = 3000
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
         qdyn._node_rows.cache_clear()
         qdyn.momentum_response.cache_clear()
@@ -593,11 +605,11 @@ class TestStreamedRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = 16 * 101 * 1601 + 16 * 64 * (1601 + 101) + 16 * n_traj * 101
+        held = 16 * 101 * 1601 + 2 * 16 * 64 * (1601 + 101) + 16 * n_traj * 101
         monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj)
         qdyn.check_memory(sched, FREE, n_traj, n_traj)
         monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj - 1)
-        with pytest.raises(ConfigurationError, match=r"noise block and batch records of .*"
+        with pytest.raises(ConfigurationError, match=r"noise blocks and batch records of .*"
                                                      r"\[schedule\] record_stride"):
             qdyn.check_memory(sched, FREE, n_traj, n_traj)
         assert peak <= 1.1 * held
@@ -647,6 +659,37 @@ class TestStreamedRun:
         ids = stacked.failed_ids + streamed.failed_ids + seen[1].failed_ids
         assert ids == (1039, 1826, 1039, 1826, 339)
         assert all(type(i) is int for i in ids)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_failed_ids_in_id_order_on_any_noise_thread_count(self, monkeypatch, cores):
+        # the diverging quartic of test_failures_are_booked_per_batch, its
+        # noise blocks drawn on 1, 2 or 4 threads: the same ids, in id order
+        class RareKick:
+            def sample(self, rbar, pbar, rng):
+                if rng.random() < 1e-3:
+                    return rng.uniform(0.3, 1.5), 1.0, 1.0
+                return rbar, pbar, 1.0
+
+        class Kick:
+            def sample(self, rbar, pbar, rng):
+                return rng.uniform(0.3, 1.5), 1.0, 1.0
+
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
+        pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
+                         interventions=(Intervention(0.0, RareKick()),))
+        seen = []
+        streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2, batch_size=700,
+                                consumer=seen.append)
+        assert streamed.failed_ids == (1039, 1826)
+        assert [b.failed_ids for b in seen] == [(), (339,), (426,)]
+        # every trajectory of a 200-path batch (four blocks) diverges
+        sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
+                         interventions=(Intervention(0.0, Kick()),))
+        with pytest.raises(IntegrationFailure, match="^200 of 200 trajectories") as failure:
+            run_ensemble(NO_BATH, pot, sched, 200, "quantum", 3)
+        assert failure.value.trajectory_ids == tuple(range(32))
+
 
 class TestThreads:
     @pytest.fixture
@@ -1029,6 +1072,20 @@ def carried(spec, pot, n_steps, dt):
     return (1 + n_steps * dt / spec.mass) * (1 + spec.mass * omega0)
 
 
+def drawn_noise(spec, grid, statistics, master_seed, stream_tag, ids):
+    """The noise rows ``noise_blocks`` hands its blocks' work, with the
+    streams that continue past them, both in the order of ``ids``."""
+    xi = np.empty((len(ids), grid.n_times))
+    rngs = [None] * len(ids)
+
+    def work(lo, hi, block_rngs, values):
+        xi[lo:hi] = values
+        rngs[lo:hi] = block_rngs
+
+    qdyn.noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
+    return xi, rngs
+
+
 def logged_plan(plan, log):
     """``plan`` with every draw appended to ``log[node]`` as (rbar, pbar, r_pre, r0, p0, w)."""
     def logged(node, draw):
@@ -1099,11 +1156,11 @@ class TestLinearMap:
         map_log = {}
         monkeypatch.setattr(qdyn, "_build_plan",
                             lambda sched: logged_plan(_build_plan(sched), map_log))
+        # one noise thread, so the map's blocks log their draws in id order
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
         ens = _run_batch(spec, pot, sched, statistics, 47, 0, ids)
         grid = qnoise.FrequencyGrid.for_times(spec, dt, n + 1)
-        blocks = list(qdyn.noise_blocks(spec, grid, statistics, 47, 0, ids))
-        xi = np.concatenate([values for _, _, values in blocks])
-        rngs = [rng for _, block_rngs, _ in blocks for rng in block_rngs]
+        xi, rngs = drawn_noise(spec, grid, statistics, 47, 0, ids)
         x_all, p_all, w_ref, draws, step_bound = stepper_with_bound(
             spec, pot, dt, n, xi, np.zeros(n_traj), np.zeros(n_traj),
             _build_plan(sched), rngs)
@@ -1249,8 +1306,7 @@ class TestStreams:
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
         ids = range(2**32 - 40, 2**32 + 30)
-        rows = np.concatenate([values for _, _, values in qdyn.noise_blocks(
-            FIG1, grid, "quantum", 4099, 2, ids)])
+        rows, _ = drawn_noise(FIG1, grid, "quantum", 4099, 2, ids)
         ref = qnoise.synthesize_batch(FIG1, grid, "quantum",
                                       [self.seed_sequence_stream(4099, 2, i) for i in ids])
         assert rows.tobytes() == ref.tobytes()

@@ -9,8 +9,10 @@ import pytest
 import scipy.fft
 from scipy.fft import irfft
 
+from qbm import dynamics as qdyn
 from qbm import noise as qnoise
 from qbm.bath import BathSpec, quantum_correlation
+from qbm.dynamics import _traj_streams
 from qbm.errors import ConfigurationError
 from qbm.noise import (
     CLASSICAL,
@@ -283,40 +285,26 @@ def test_synthesis_working_set_is_its_row_workspaces():
     assert beyond_output(256) <= 1.02 * workspaces
 
 
-class Drawing:
-    """A generator that records the threads it draws on and their CPU
-    affinity, and draws after a pause in the calling thread (``main_s``) or
-    in others (``worker_s``), or raises in others.  With a ``started`` event
-    the calling thread sets it after a draw, and the others wait for it
-    before each of theirs."""
+def block_rows(spec, grid, statistics, seed, n, work=None):
+    """The rows ``dynamics.noise_blocks`` draws for ids 0..n-1, gathered by
+    position; ``work(lo, hi)`` is called in each block's thread first."""
+    values = np.full((n, grid.n_times), np.nan)
 
-    def __init__(self, rng, main_s=0.0, worker_s=0.0, worker_error=False, started=None):
-        self.rng, self.main_s, self.worker_s = rng, main_s, worker_s
-        self.worker_error = worker_error
-        self.started = started
-        self.threads = set()
-        self.affinity = {}
+    def gather(lo, hi, rngs, block):
+        if work is not None:
+            work(lo, hi)
+        values[lo:hi] = block
 
-    def standard_normal(self, out=None):
-        thread = threading.current_thread()
-        self.threads.add(thread)
-        if hasattr(os, "sched_getaffinity"):
-            self.affinity.setdefault(thread, set()).add(frozenset(os.sched_getaffinity(0)))
-        in_main = thread is threading.main_thread()
-        if self.worker_error and not in_main:
-            raise RuntimeError("broken generator")
-        if self.started is not None and not in_main:
-            self.started.wait(timeout=60)
-        time.sleep(self.main_s if in_main else self.worker_s)
-        values = self.rng.standard_normal(out=out)
-        if self.started is not None and in_main:
-            self.started.set()
-        return values
+    qdyn.noise_blocks(spec, grid, statistics, seed, 0, range(n), gather)
+    return values
 
 
 class TestThreadedSynthesis:
-    # 1 and 3 paths leave threads with one row or none, 64 and 65 split a
-    # block evenly and not
+    """A run's noise blocks, each drawn and consumed whole on one of
+    ``thread_count()`` threads by ``dynamics.noise_blocks``."""
+
+    # 1 and 3 paths leave the threads one block or none, 64 and 65 one
+    # whole block and a second of one path
     @pytest.mark.parametrize("n", [1, 3, 64, 65])
     @pytest.mark.parametrize("statistics", [QUANTUM, CLASSICAL, WHITE])
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
@@ -324,47 +312,59 @@ class TestThreadedSynthesis:
                                                     statistics, n):
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
-        ref = stacked_synthesis(spec, grid, statistics, [stream(44, 0, i) for i in range(n)])
+        ref = stacked_synthesis(spec, grid, statistics, _traj_streams(44, 0, range(n)))
         monkeypatch.setattr(qnoise, "usable_cores", lambda: threads)
-        got = synthesize_batch(spec, grid, statistics, [stream(44, 0, i) for i in range(n)])
+        got = block_rows(spec, grid, statistics, 44, n)
         assert got.tobytes() == ref.tobytes()
 
-    def test_thread_count_is_the_cores_at_most_one_per_workspace_row(self, monkeypatch):
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 64)
-        assert qnoise.thread_count() == qnoise._FFT_ROWS
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        assert qnoise.thread_count() == 2
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
-        assert qnoise.thread_count() == 1
+    def test_thread_count_is_the_usable_cores(self, monkeypatch):
+        for cores in (64, 2, 1):
+            monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
+            assert qnoise.thread_count() == cores
 
     @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
     def test_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch, statistics):
+        # an exception inside one block's work, on a thread other than the
+        # calling one: it is raised in the caller, no thread is left running
+        # and the caller's CPU affinity is restored
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         before = threading.active_count()
-        # slow in the calling thread, so that the worker claims a group
-        rngs = [Drawing(stream(45, 0, i), main_s=0.01, worker_error=True) for i in range(8)]
+
+        def work(lo, hi):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("broken block")
+            time.sleep(0.01)  # slow in the calling thread: the worker claims a block
+
         affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        with pytest.raises(RuntimeError, match="broken generator"):
-            synthesize_batch(spec, grid, statistics, rngs)
+        with pytest.raises(RuntimeError, match="broken block"):
+            block_rows(spec, grid, statistics, 45, 8 * 64, work)
         assert threading.active_count() == before
         if affinity is not None:
             assert os.sched_getaffinity(0) == affinity
 
     @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
     def test_a_slow_thread_fills_fewer_groups(self, monkeypatch, statistics):
-        # a worker whose core is taken draws slowly: the calling thread
-        # claims the groups it does not reach, and the rows keep their bits
+        # a worker whose core is taken runs its blocks slowly: the calling
+        # thread claims the blocks it does not reach, and the rows keep
+        # their bits
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
-        ref = stacked_synthesis(spec, grid, statistics, [stream(47, 0, i) for i in range(64)])
+        n = 16 * 64
+        ref = stacked_synthesis(spec, grid, statistics, _traj_streams(47, 0, range(n)))
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        rngs = [Drawing(stream(47, 0, i), worker_s=0.05) for i in range(64)]
-        got = synthesize_batch(spec, grid, statistics, rngs)
+        in_main = []
+
+        def work(lo, hi):
+            if threading.current_thread() is threading.main_thread():
+                in_main.append(lo)
+            else:
+                time.sleep(0.2)
+
+        got = block_rows(spec, grid, statistics, 47, n, work)
         assert got.tobytes() == ref.tobytes()
-        in_main = sum(r.threads == {threading.main_thread()} for r in rngs)
-        assert in_main >= 56
+        assert len(in_main) >= 13
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_each_thread_works_on_its_own_core_and_the_callers_affinity_is_restored(
@@ -373,36 +373,41 @@ class TestThreadedSynthesis:
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
         before = os.sched_getaffinity(0)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        # slow in the calling thread, so that the worker claims groups too;
-        # the worker holds its first group until the calling thread has
-        # drawn, so it cannot claim them all before the calling thread's first
+        # slow in the calling thread, so that the worker claims blocks too;
+        # the worker holds its first block until the calling thread has run
+        # one, so it cannot claim them all before the calling thread's first
         started = threading.Event()
-        rngs = [Drawing(stream(48, 0, i), main_s=0.005, started=started) for i in range(16)]
-        synthesize_batch(spec, grid, QUANTUM, rngs)
-        assert os.sched_getaffinity(0) == before
         masks = {}
-        for r in rngs:
-            for thread, seen in r.affinity.items():
-                masks.setdefault(thread, set()).update(seen)
+
+        def work(lo, hi):
+            thread = threading.current_thread()
+            masks.setdefault(thread, set()).add(frozenset(os.sched_getaffinity(0)))
+            if thread is threading.main_thread():
+                time.sleep(0.005)
+                started.set()
+            else:
+                started.wait(timeout=60)
+
+        block_rows(spec, grid, QUANTUM, 48, 16 * 64, work)
+        assert os.sched_getaffinity(0) == before
         assert len(masks) == 2
         assert all(len(seen) == 1 and len(next(iter(seen))) == 1 for seen in masks.values())
         if len(before) > 1:
             assert len({next(iter(seen)) for seen in masks.values()}) == 2
 
     def test_stress_more_threads_than_cores_and_short_switch_interval(self, monkeypatch):
-        # four threads on the shared workspaces, switching every microsecond:
-        # a row written from another thread's workspace would change the bits
+        # four threads switching every microsecond: a block's rows written
+        # at another block's place would change the bits
         spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
         grid = FrequencyGrid.for_times(spec, 0.025, 401)
-        ref = stacked_synthesis(spec, grid, QUANTUM, [stream(46, 0, i) for i in range(65)])
+        n = 5 * 64 + 1
+        ref = stacked_synthesis(spec, grid, QUANTUM, _traj_streams(46, 0, range(n)))
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                got = synthesize_batch(spec, grid, QUANTUM,
-                                       [stream(46, 0, i) for i in range(65)])
-                assert got.tobytes() == ref.tobytes()
+                assert block_rows(spec, grid, QUANTUM, 46, n).tobytes() == ref.tobytes()
         finally:
             sys.setswitchinterval(interval)
 

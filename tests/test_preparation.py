@@ -1,4 +1,5 @@
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
+from qbm import preparation as qprep
 from qbm.errors import ConfigurationError, DomainError, EnvelopeError
 from qbm.preparation import (
     Box,
@@ -13,6 +15,7 @@ from qbm.preparation import (
     GaussianLocalize,
     MomentumReset,
     _draw_signed,
+    _gauss_legendre,
     as_intervention,
     cat_wigner,
     gaussian_value,
@@ -322,6 +325,33 @@ class TestCatBoxMass:
         # 6-sigma tails of its two Gaussian factors
         mass = CatProject(0.0, 0.5)._abs_box_mass()
         assert mass == pytest.approx(0.9999999980268247**2, rel=1e-12)
+
+    def test_built_once_when_threads_draw_at_once(self, monkeypatch):
+        # a run's noise block threads draw from one preparation: one of them
+        # builds the box mass, the others wait and read it
+        cat = CatProject(0.6, 0.3)
+        builders = set()
+
+        def counted(edges):
+            builders.add(threading.current_thread())
+            return _gauss_legendre(edges)
+
+        monkeypatch.setattr(qprep, "_gauss_legendre", counted)
+        start = threading.Barrier(4)
+        draws = [None] * 4
+
+        def draw(i):
+            start.wait(timeout=60)
+            draws[i] = cat.sample(0.0, 0.0, stream(7, i))
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builders) == 1 and None not in draws
+        assert cat._abs_box_mass() == CatProject(0.6, 0.3)._abs_box_mass()
 
 
 class TestInterventionAdapters:
