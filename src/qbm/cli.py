@@ -39,6 +39,9 @@ OUT_DIR_ENV = "QBM_OUT_DIR"
 # each reference mode describes one observable and is written only beside it
 _REFERENCE_OBSERVABLE = {"sigma2": "x2", "p2": "p2"}
 
+# the command-line flag that overrides each of these [run] keys
+_FLAGS = {"master_seed": "--seed", "n_traj": "--n-traj"}
+
 # lags at which noise-check scores the autocorrelation
 _N_LAGS = 20
 
@@ -214,13 +217,16 @@ def _check_observables(observables, preparation, mode):
         taken[fname] = name
 
 
-def parse_config(path):
+def parse_config(path, overrides=None):
     """Parse and validate a config file into an :class:`ExperimentConfig`.
 
     Structural errors carry line numbers (from the INI parser); semantic
     errors name the offending section and key.  Unknown sections and keys,
     keys the chosen form does not read, and values their key's reader cannot
-    read are rejected.
+    read are rejected.  ``overrides`` maps [run] keys to the values of the
+    command-line flags that set them (``_FLAGS``; None leaves the file's):
+    each is read as its key is, under the flag's name, before the checks
+    that depend on it.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
@@ -238,6 +244,9 @@ def parse_config(path):
             raise ConfigurationError(f"unknown config section [{section}]")
     bath, potential, schedule, noise, preparation, observables, run_keys, reference = (
         _read_section(parser, section) for section in _TABLE)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            run_keys[key] = _read(_FLAGS[key], _TABLE["run"][key][0], str(value))
 
     if schedule["t_eq"] is None:
         # default span covers both the relaxation and the memory time scale,
@@ -283,9 +292,10 @@ def parse_config(path):
     try:
         spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
         sched.validate_against(spec, pot)
-        _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    # outside the try: its messages name the [run] and [schedule] keys
+    _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size)
     return cfg
 
 
@@ -559,24 +569,13 @@ def preset_path(name):
     return path
 
 
-def _resolve_config(arg):
+def _resolve_config(arg, overrides):
     if os.path.exists(arg):
-        return parse_config(arg)
+        return parse_config(arg, overrides)
     if arg in preset_names():
         with resources.as_file(preset_path(arg)) as p:
-            return parse_config(p)
+            return parse_config(p, overrides)
     raise ConfigurationError(f"no such config file or preset: {arg}")
-
-
-def _apply_overrides(cfg, args):
-    """Apply --seed and --n-traj, read as their [run] keys are."""
-    for flag, key in (("seed", "master_seed"), ("n_traj", "n_traj")):
-        value = getattr(args, flag)
-        if value is not None:
-            reader, _ = _TABLE["run"][key]
-            setattr(cfg, key, _read("--" + flag.replace("_", "-"), reader, str(value)))
-    _dyn.check_memory(cfg.schedule_obj(), cfg.potential_obj(), cfg.n_traj, cfg.batch_size)
-    return cfg
 
 
 def main(argv=None):
@@ -608,7 +607,7 @@ def main(argv=None):
         return 0
 
     try:
-        cfg = _apply_overrides(_resolve_config(args.config), args)
+        cfg = _resolve_config(args.config, {"master_seed": args.seed, "n_traj": args.n_traj})
         if args.command == "run":
             shown = False
 

@@ -28,13 +28,13 @@ history does n_steps (n_steps + 1) / 2; :func:`run_ensemble` and
 physical memory (:func:`_takes_map`).  A batch then holds the rows, built
 once per process, one noise block and its records per noise thread
 (:func:`noise_blocks`), and the batch's records.  Every other run, and
-:func:`integrate_deterministic` (which builds the map's responses), takes
-the stepper (:func:`_integrate_batch`), whose batch holds one
-``(n_steps + 1) x width`` buffer of noise and velocity history.
+:func:`integrate_deterministic` (the one solve the map's responses come
+from, before any block thread starts), takes the stepper
+(:func:`_integrate_batch`), whose batch holds one ``(n_steps + 1) x width``
+buffer of noise and velocity history.
 """
 
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -748,7 +748,7 @@ def integrate(spec, pot, sched, noise_path, rng=None):
     values = noise_path.values[:n_steps + 1]
     if _takes_map(pot, sched):
         with _one_blas_thread():
-            x_rec, p_rec, weights = _apply_map(spec, pot, sched, _build_plan(sched),
+            x_rec, p_rec, weights = _apply_map(sched, _build_plan(sched),
                                                linear_rows(spec, pot, sched),
                                                values[None], [rng])
     else:
@@ -793,31 +793,6 @@ def momentum_response(spec, pot, dt, n_steps):
     return gx, gp
 
 
-# built by the first block that jumps, not up front: most preparations never
-# jump, and the solve is as long as the run
-_JUMP_RESPONSE_LOCK = threading.Lock()
-
-
-def _unit_jump(rbar, pbar, rng):
-    return 0.0, 1.0, 0.0, 1.0
-
-
-@lru_cache(maxsize=1)
-def _jump_response(spec, pot, dt, n_steps):
-    """``(Jx, Jp)`` at lags 0..n_steps - 1 after a unit position jump at rest,
-    with its friction boundary term; read-only.
-
-    The jump is made at node 1 of an n_steps solve, since node 0 takes no
-    intervention; at rest before it the particle leaves a zero velocity in
-    the history.
-    """
-    x, p, _ = _integrate_batch(spec, pot, dt, n_steps, np.zeros((n_steps + 1, 1)),
-                               np.zeros(1), np.zeros(1), np.arange(1, n_steps + 1),
-                               intervention_plan=[(1, _unit_jump)], rngs=[None])
-    x.flags.writeable = p.flags.writeable = False
-    return x[0], p[0]
-
-
 def response_rows(g, dt, nodes, out=None):
     """Weights of the noise nodes at each node of ``nodes`` through the
     unit-momentum response ``g`` of an ``len(g) - 1``-step solve.
@@ -842,7 +817,8 @@ def response_rows(g, dt, nodes, out=None):
 
 @lru_cache(maxsize=1)
 def _node_rows(spec, pot, dt, n_steps, nodes):
-    """The run's x and p rows at ``nodes`` (see :func:`linear_rows`), read-only.
+    """The run's x and p rows at ``nodes`` and its responses (see
+    :func:`linear_rows`), read-only.
 
     Memoised for the map's batches; the exact references build theirs a
     block at a time and keep none.
@@ -851,30 +827,44 @@ def _node_rows(spec, pot, dt, n_steps, nodes):
     rows = np.empty((2, len(nodes), n_steps + 1))
     for half, g in zip(rows, (gx, gp)):
         response_rows(g, dt, nodes, out=half)
-    rows.flags.writeable = False
-    return rows, gx, gp
+    # the force f at each lag after a unit jump, weighted as response_rows
+    # weights the noise: f_0 counts half, and in p so does f_k
+    f = (-_bath.memory_kernel(spec, dt * np.arange(n_steps + 1))
+         - pot.derivative(0.0, spec.mass, order=2))
+    half_first = np.concatenate((0.5 * f[:1], f[1:]))
+    jx = 1.0 + dt * np.convolve(gx, half_first)[:n_steps + 1]
+    jp = dt * np.convolve(gp, half_first)[:n_steps + 1] - 0.5 * dt * gp[0] * f
+    for a in (rows, jx, jp):
+        a.flags.writeable = False
+    return rows, gx, gp, jx, jp
 
 
 def linear_rows(spec, pot, sched):
     """The linear map of a free or harmonic run, without its preparations.
 
-    Returns ``(rows, Gx, Gp)``.  ``rows[0]`` and ``rows[1]`` hold the
-    weights of the noise nodes in x and in p at the record nodes, then at
-    the intervention nodes, one row of ``n_steps + 1`` per node: node k
+    Returns ``(rows, Gx, Gp, Jx, Jp)``.  ``rows[0]`` and ``rows[1]`` hold
+    the weights of the noise nodes in x and in p at the record nodes, then
+    at the intervention nodes, one row of ``n_steps + 1`` per node: node k
     takes ``dt G(k - j)`` from noise node j <= k, with G the response to a
     unit momentum (:func:`momentum_response`), xi_0 counting half (it enters
     only the first half-kick) and, in p, xi_k counting half (it enters only
-    the last half-kick of step k - 1).  Read-only, memoised on the bath,
+    the last half-kick of step k - 1).  ``(Jx, Jp)`` are x and p at lags
+    0..n_steps after a unit position jump at rest.  The jump is a unit
+    offset plus an additive force ``f(j dt) = -M(j dt)`` at lag j, the
+    friction boundary term, less ``m omega0^2`` on the harmonic potential,
+    the offset's own restoring force; the scheme takes f as it takes the
+    noise, so ``Jx = 1 + dt G_x * f`` and ``Jp = dt G_p * f``, convolved
+    with the rows' half weights.  Read-only, memoised on the bath,
     potential, step, step count and nodes, so a process builds them once
-    per schedule.
+    per schedule, with the one deterministic solve behind G.
     """
     nodes = (*sched.record_nodes().tolist(), *sched.intervention_nodes())
     return _node_rows(spec, pot, sched.dt, sched.n_steps, nodes)
 
 
-def _apply_map(spec, pot, sched, plan, linear, values, rngs):
+def _apply_map(sched, plan, linear, values, rngs):
     """Records and weights of the noise paths ``values`` (one noise block at
-    most) by the linear map ``linear`` (``(rows, Gx, Gp)`` of
+    most) by the linear map ``linear`` (``(rows, Gx, Gp, Jx, Jp)`` of
     :func:`linear_rows`), with the preparations of ``plan`` in time order.
 
     The x and p rows multiply a ``_NOISE_BLOCK``-path block, a short one
@@ -884,12 +874,12 @@ def _apply_map(spec, pot, sched, plan, linear, values, rngs):
     responses, and each trajectory draws there once, in row order, from its
     own stream.  Later nodes then take a translate ``r_pre - rbar`` as a
     shift (translate mode needs the free potential), the kick ``p0 - pbar``
-    through (Gx, Gp) and a jump ``r0 - r_pre`` through the unit-jump
-    response; the records at the node itself are ``(r0, p0)`` exactly.
+    through (Gx, Gp) and a jump ``r0 - r_pre`` through (Jx, Jp); the
+    records at the node itself are ``(r0, p0)`` exactly.
     Returns (x_rec, p_rec, weights).
     """
     n_steps = sched.n_steps
-    rows, gx, gp = linear
+    rows, gx, gp, jx, jp = linear
     nodes = np.array([*sched.record_nodes(), *sched.intervention_nodes()], dtype=int)
     n_rec = len(nodes) - len(plan)
     b = len(values)
@@ -909,8 +899,6 @@ def _apply_map(spec, pot, sched, plan, linear, values, rngs):
             x[later] += shift + gx[lag, None] * kick
             p[later] += gp[lag, None] * kick
             if np.any(dx):
-                with _JUMP_RESPONSE_LOCK:
-                    jx, jp = _jump_response(spec, pot, sched.dt, n_steps)
                 x[later] += jx[lag, None] * dx
                 p[later] += jp[lag, None] * dx
             at = nodes == node
@@ -932,8 +920,8 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
         x, p, weights = np.empty((B, n_rec)), np.empty((B, n_rec)), np.empty(B)
 
         def work(lo, hi, rngs, values):
-            x[lo:hi], p[lo:hi], weights[lo:hi] = _apply_map(
-                spec, pot, sched, plan, linear, values, rngs)
+            x[lo:hi], p[lo:hi], weights[lo:hi] = _apply_map(sched, plan, linear,
+                                                            values, rngs)
 
         with _one_blas_thread():
             noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)

@@ -345,23 +345,27 @@ class TestRun:
         blas = None if dynamics.blas_threads() is None else 1
         assert manifest["threads"] == {"noise": qnoise.thread_count(), "blas": blas}
 
-    def test_outputs_do_not_depend_on_openblas_num_threads(self, tmp_path):
+    @pytest.mark.parametrize("preset, names", [
+        pytest.param("fig1", ["sigma2.csv", "sigma2_reference.csv"], id="fig1"),
+        pytest.param("fig2", ["coherence.csv"], id="fig2")])
+    def test_outputs_do_not_depend_on_openblas_num_threads(self, tmp_path, preset, names):
         # a fresh interpreter per setting: OpenBLAS reads it when it loads.
         # 128 trajectories are one history tile, which 2 unpinned threads
-        # split differently from one
+        # split differently from one; fig2's cat jumps through the jump
+        # response, whose convolution numpy may hand to BLAS
         src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
         csvs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                 [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
             out = tmp_path / threads
-            subprocess.run([sys.executable, "-m", "qbm.cli", "run", "fig1", "--n-traj", "128",
+            subprocess.run([sys.executable, "-m", "qbm.cli", "run", preset, "--n-traj", "128",
                             "--out-dir", str(out)], env=env, capture_output=True,
                            timeout=300, check=True)
             manifest = json.loads((out / "run_manifest.json").read_text())
             assert manifest["environment"]["blas_threads"] in (None, int(threads))
             csvs[threads] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
-        assert list(csvs["1"]) == ["sigma2.csv", "sigma2_reference.csv"]
+        assert list(csvs["1"]) == names
         assert csvs["1"] == csvs["2"]
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig2_white", "fig3",
@@ -903,6 +907,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: [run] n_traj = 100000000000000 needs")
         assert len(err.splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "noise-check"])
+    def test_n_traj_override_replaces_the_files_before_its_memory_check(
+            self, tmp_path, capsys, command):
+        # the file's n_traj alone would exceed physical memory; the run
+        # integrates the flag's
+        cfg = write_config(tmp_path, n_traj=10**14)
+        out = tmp_path / "o"
+        assert main([command, str(cfg), "--n-traj", "100", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err.count("error") == 0
+        if command == "run":
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["config"]["n_traj"] == 100
+        else:
+            assert json.loads((out / "noise_check.json").read_text())["n_paths"] == 100
 
     def test_msd_n_traj_override_below_two_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, observables="msd = default")

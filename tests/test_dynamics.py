@@ -1128,6 +1128,49 @@ WARM = BathSpec(gamma=1.0, eps=0.5, mass=1.0, kT=1.0)
 CAT = CatProject(1.0, 0.5)
 
 
+def unit_jump(rbar, pbar, rng):
+    """A position jump from 0 to 1 at rest, with weight 1."""
+    return 0.0, 1.0, 0.0, 1.0
+
+
+def stepper_jump_response(spec, pot, dt, n_steps):
+    """The stepper's (Jx, Jp) at lags 0..n_steps - 1 after a unit position
+    jump at rest, with its friction boundary term, and the stepper's bound
+    on their roundoff: the oracle of the map's derived jump response.
+
+    The jump is made at node 1 of an n_steps solve, since node 0 takes no
+    intervention; at rest before it the particle leaves a zero velocity in
+    the history.
+    """
+    x, p, _, _, bound = stepper_with_bound(spec, pot, dt, n_steps, np.zeros((1, n_steps + 1)),
+                                           np.zeros(1), np.zeros(1), [(1, unit_jump)], [None])
+    return x[0, 1:], p[0, 1:], bound[0]
+
+
+def derived_jump_bound(spec, pot, dt, n_steps):
+    """A-priori bounds, lag by lag, on the roundoff of the map's (Jx, Jp).
+
+    ``Jx = 1 + dt (Gx * fh)`` and ``Jp = dt (Gp * fh) - (dt/2) Gp(0) f``
+    (``qdyn.linear_rows``), f the unit jump's force at each lag and fh f
+    with f_0 halved (exact).  G's error, E_G (the stepper's bound on the
+    unit-momentum solve), is carried through dt (sum |f| + |f_k|) at lag k.
+    The convolution sums at most n + 1 products, then is scaled by dt and
+    takes the 1 or the endpoint term: within gamma_(n+4) of the absolute
+    sum of those terms (Higham, section 3.1), and one gamma_1 more for f,
+    which rounds once on the harmonic potential.
+    """
+    _, _, _, _, e_g = stepper_with_bound(spec, pot, dt, n_steps, np.zeros((1, n_steps + 1)),
+                                         np.zeros(1), np.ones(1))
+    gx, gp = qdyn.momentum_response(spec, pot, dt, n_steps)
+    f = (np.abs(memory_kernel(spec, dt * np.arange(n_steps + 1)))
+         + np.abs(pot.derivative(0.0, spec.mass, order=2)))
+    carried_g = e_g[0] * dt * (f.sum() + f)
+    return tuple(
+        carried_g + gamma_n(n_steps + 5) * (
+            one + dt * np.convolve(np.abs(g), f)[:n_steps + 1] + dt * abs(g[0]) * f)
+        for g, one in ((gx, 1.0), (gp, 0.0)))
+
+
 class TestLinearMap:
     @pytest.mark.parametrize("spec, pot, statistics, interventions", [
         pytest.param(FIG1, FREE, "quantum", (
@@ -1182,8 +1225,9 @@ class TestLinearMap:
         #   more, relative to |x|, |p|, m |v| and the draw's values.  With
         #   gamma_(n+10) for all of them, the stepper is within A gamma_(n+10)
         #   sum over nodes of (dt |force terms| + |state terms|)
-        #   (``stepper_with_bound``).  The unit solves behind Gx, Gp and the
-        #   jump response Jx, Jp are stepper runs: E_G and E_J.
+        #   (``stepper_with_bound``).  The unit solve behind Gx, Gp is a
+        #   stepper run: E_G.  The jump response Jx, Jp derives from it
+        #   within E_J (``derived_jump_bound``).
         # - The map: the product sums n + 1 terms, within gamma_(n+2) sum_j
         #   |row_kj xi_j| (dt G rounds once), and each row inherits G's error,
         #   dt sum_j |xi_j| E_G.  Each intervention adds its shift, kick and
@@ -1194,9 +1238,7 @@ class TestLinearMap:
         #   carries it at most R further: a factor (1 + R) per intervention.
         _, _, _, _, e_g = stepper_with_bound(spec, pot, dt, n, np.zeros((1, n + 1)),
                                              np.zeros(1), np.ones(1))
-        _, _, _, _, e_j = stepper_with_bound(spec, pot, dt, n, np.zeros((1, n + 1)),
-                                             np.zeros(1), np.zeros(1),
-                                             [(1, qdyn._unit_jump)], [None])
+        e_j = max(bound.max() for bound in derived_jump_bound(spec, pot, dt, n))
         a = carried(spec, pot, n, dt)
         response = a * (1 + a * dt * np.abs(memory_kernel(spec, dt * np.arange(n + 1))).sum())
         rows = np.abs(qdyn.linear_rows(spec, pot, sched)[0]).reshape(-1, n + 1)
@@ -1205,7 +1247,7 @@ class TestLinearMap:
         for rbar, pbar, r_pre, r0, p0, _ in (np.array(v, dtype=float).T
                                              for v in map_log.values()):
             kicks = np.abs(r_pre - rbar) + np.abs(p0 - pbar) + np.abs(r0 - r_pre)
-            map_bound += kicks * (e_g[0] + e_j[0] + gamma_n(4) * response)
+            map_bound += kicks * (e_g[0] + e_j + gamma_n(4) * response)
         bound = (1 + response) ** len(interventions) * (step_bound + map_bound)
 
         assert np.isfinite(x_ref).all() and np.isfinite(p_ref).all()
@@ -1250,22 +1292,50 @@ class TestLinearMap:
         assert qdyn._takes_map(FREE, sched)
         for lo in (0, 64, 128):
             _run_batch(FIG1, FREE, sched, "quantum", 3, 0, range(lo, lo + 64))
-        rows, gx, gp = qdyn.linear_rows(FIG1, FREE, sched)
+        rows, gx, gp, jx, jp = qdyn.linear_rows(FIG1, FREE, sched)
         assert len(solves) == 1
-        assert not (rows.flags.writeable or gx.flags.writeable or gp.flags.writeable)
+        assert not any(a.flags.writeable for a in (rows, gx, gp, jx, jp))
         assert rows.shape == (2, len(sched.record_nodes()) + 1, sched.n_steps + 1)
+        assert jx.shape == jp.shape == (sched.n_steps + 1,)
 
-    def test_no_jump_response_without_a_position_jump(self):
-        qdyn._jump_response.cache_clear()
-        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4, interventions=(
-            Intervention(0.0, GaussianLocalize(1.0), mode="translate"),
-            Intervention(0.5, MomentumReset(0.0))))
-        _run_batch(FIG1, FREE, sched, "quantum", 3, 0, range(70))
-        assert qdyn._jump_response.cache_info().currsize == 0
-        cat = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4, interventions=(
+    @pytest.mark.parametrize("pot", [FREE, HARMONIC], ids=["free", "harmonic"])
+    @pytest.mark.parametrize("t_eq, t_end", [(6.0, 4.65), (40.0, 30.0)],
+                             ids=["213-steps", "1400-steps"])
+    def test_jump_response_matches_the_stepper_within_its_bound(self, pot, t_eq, t_end):
+        # 213 steps end 21 nodes into the fourth friction block; 1400 steps
+        # end 56 nodes into the twenty-second
+        sched = Schedule(t_eq=t_eq, t_end=t_end, dt=0.05, record_stride=10,
+                         interventions=(Intervention(0.0, CAT),))
+        dt, n = sched.dt, sched.n_steps
+        # the bounds, formed before anything is compared
+        bound_x, bound_p = derived_jump_bound(FIG1, pot, dt, n)
+        jx_ref, jp_ref, e_step = stepper_jump_response(FIG1, pot, dt, n)
+        _, _, _, jx, jp = qdyn.linear_rows(FIG1, pot, sched)
+        assert np.all(np.abs(jx[:n] - jx_ref) <= bound_x[:n] + e_step)
+        assert np.all(np.abs(jp[:n] - jp_ref) <= bound_p[:n] + e_step)
+        # lag 0 is the jump node itself, where the state is (1, 0) exactly
+        assert (jx[0], jp[0]) == (1.0, 0.0)
+        # a roundoff bound, far below the response it bounds
+        assert max((bound_x + e_step).max() / np.abs(jx).max(),
+                   (bound_p + e_step).max() / np.abs(jp).max()) < 1e-6
+
+    def test_a_jumping_run_on_the_map_solves_once(self, monkeypatch):
+        # a cat's jumps go through the response derived from the unit-momentum
+        # solve: the map's one deterministic solve, even for a bath and a
+        # schedule no run has solved before
+        solves = []
+        monkeypatch.setattr(
+            qdyn, "_integrate_batch",
+            lambda *args, **kw: solves.append(args) or _integrate_batch(*args, **kw))
+        qdyn.momentum_response.cache_clear()
+        qdyn._node_rows.cache_clear()
+        spec = BathSpec(gamma=1.25, eps=0.5)
+        cat = Schedule(t_eq=2.0, t_end=1.05, dt=0.05, record_stride=4, interventions=(
             Intervention(0.0, CAT, mode="translate"),))
-        _run_batch(FIG1, FREE, cat, "quantum", 3, 0, range(70))
-        assert qdyn._jump_response.cache_info().currsize == 1
+        assert qdyn._takes_map(FREE, cat)
+        ens = _run_batch(spec, FREE, cat, "quantum", 3, 0, range(70))
+        assert len(solves) == 1
+        assert np.isfinite(ens.x).all() and np.isfinite(ens.p).all()
 
 
 class TestStreams:

@@ -470,7 +470,7 @@ class TestReferenceBlocks:
             (0.5, MomentumReset(0.7)), (1.525, MomentumReset(-0.2))))
         pot = Potential.harmonic(1.0)
         grid = FrequencyGrid.for_times(self.WARM, sched.dt, sched.n_steps + 1)
-        rows, _, gp = qdyn.linear_rows(self.WARM, pot, sched)
+        rows, _, gp, _, _ = qdyn.linear_rows(self.WARM, pot, sched)
         n_rec = len(sched.record_nodes())
         x = rows[0, :n_rec] - rows[0, 0]
         assert thermal_msd(self.WARM, pot, sched, "quantum").estimates.tobytes() == (
