@@ -248,12 +248,6 @@ def parse_config(path, overrides=None):
         if value is not None:
             run_keys[key] = _read(_FLAGS[key], _TABLE["run"][key][0], str(value))
 
-    if schedule["t_eq"] is None:
-        # default span covers both the relaxation and the memory time scale,
-        # rounded up to a step multiple
-        t_eq = _dyn.default_equilibration_span(_bath.BathSpec(**bath))
-        schedule["t_eq"] = np.ceil(t_eq / schedule["dt"]) * schedule["dt"]
-
     observables = {name: f"{name}.csv" if fname in ("", "default") else fname
                    for name, fname in observables.items() if fname is not None}
     mode = reference["mode"]
@@ -265,24 +259,6 @@ def parse_config(path, overrides=None):
             raise ConfigurationError(
                 f"[reference] mode {mode} describes the {described!r} "
                 f"observable, which [observables] does not configure")
-        # each reference is the curve of one experiment; any other config
-        # would get that curve beside an observable it does not describe
-        if mode == "sigma2":
-            needs = {
-                "the free potential": potential["form"] == "free",
-                "the gaussian preparation": preparation["form"] == "gaussian",
-                "translate mode": preparation.get("mode") == "translate",
-                "time = 0": preparation.get("time") == 0.0,
-            }
-        else:
-            needs = {
-                "a free or harmonic potential": potential["form"] in ("free", "harmonic"),
-                "the momentum-reset preparation": preparation["form"] == "momentum-reset",
-            }
-        unmet = [need for need, met in needs.items() if not met]
-        if unmet:
-            raise ConfigurationError(
-                f"[reference] mode {mode} requires {' and '.join(unmet)}")
 
     cfg = ExperimentConfig(
         bath=bath, potential=potential, schedule=schedule, statistics=noise["statistics"],
@@ -290,7 +266,18 @@ def parse_config(path, overrides=None):
 
     # revalidate module-level invariants now, with config-level naming
     try:
-        spec, pot, sched = cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj()
+        spec = cfg.bath_spec()
+        if schedule["t_eq"] is None:
+            # default span covers both the relaxation and the memory time
+            # scale, rounded up to a step multiple (a dt <= 0 is the
+            # schedule's to reject)
+            t_eq = _dyn.default_equilibration_span(spec)
+            dt = schedule["dt"]
+            schedule["t_eq"] = np.ceil(t_eq / dt) * dt if dt > 0 else t_eq
+        pot, sched = cfg.potential_obj(), cfg.schedule_obj()
+        if mode != "none":
+            # a reference is written only where it is exact
+            _ref.check_exact(pot, sched)
         sched.validate_against(spec, pot)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
@@ -324,17 +311,6 @@ def _accumulator(name, cfg, times):
     else:
         raise ConfigurationError(f"unknown observable {name!r}")
     return _obs.Accumulator(times, obs)
-
-
-def _reference_series(cfg, spec, pot, sched):
-    mode = cfg.reference["mode"]
-    if mode == "p2":
-        return _ref.p2_exact(spec, pot, sched, cfg.statistics)
-    if mode == "sigma2":
-        return _ref.sigma_analytical(
-            cfg.preparation["sigma0"], _ref.thermal_msd(spec, pot, sched, cfg.statistics),
-            _ref.response(spec, pot, sched.record_times(), dt=sched.dt))
-    raise ConfigurationError(f"no reference series for mode {mode!r}")
 
 
 def _output_dir(out_dir, cfg):
@@ -404,7 +380,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         written.append(path)
         if name == ref_observable:
             ref_path = os.path.join(out_dir, _reference_file(fname))
-            write_series_csv(ref_path, _reference_series(cfg, spec, pot, sched))
+            write_series_csv(ref_path, _ref.exact_series(spec, pot, sched, cfg.statistics, name))
             written.append(ref_path)
 
     if dump_trajectories:

@@ -9,7 +9,7 @@ from . import noise as _noise
 from .dynamics import _NOISE_BLOCK, FREE, HARMONIC, momentum_response, response_rows
 from .errors import ConfigurationError
 from .observables import ObservableSeries
-from .preparation import MomentumReset
+from .preparation import GaussianLocalize, MomentumReset
 
 # points at which small_parameter probes the potential over its range
 _PROBE_POINTS = 2001
@@ -43,13 +43,17 @@ def response(spec, pot, t_grid, dt):
 
     Supported for the free and harmonic potentials, where the dynamics is
     linear and the commutator reduces to a c-number.  Pass the ensemble's
-    own step to share discretisation with a Monte Carlo run; every time of
-    ``t_grid`` must be a multiple of ``dt``.
+    own step to share discretisation with a Monte Carlo run; ``t_grid``
+    must be nonempty and nondecreasing from 0, and every time of it a
+    multiple of ``dt``.
     """
     if pot.form not in (FREE, HARMONIC):
         raise ConfigurationError(
             "response requires a quadratic (free or harmonic) potential")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not len(t_grid) or not (
+            t_grid[0] >= 0 and np.all(np.diff(t_grid) >= 0)):
+        raise ConfigurationError("t_grid must be a nonempty, nondecreasing grid of times >= 0")
     n_steps = int(round(t_grid[-1] / dt))
     x, _ = momentum_response(spec, pot, dt, n_steps)
     times = dt * np.arange(n_steps + 1)
@@ -59,98 +63,105 @@ def response(spec, pot, t_grid, dt):
     return ResponseFunction(times=t_grid, values=x[idx], hbar=spec.hbar)
 
 
-def _responses(spec, pot, sched):
-    """``(Gx, Gp)`` of a quadratic potential over the run's steps: the
-    :func:`qbm.dynamics.momentum_response` solve the run shares."""
+# what exact_series covers: the preparations the scheme moves affinely
+_EXACT_RULE = ("[reference] mode needs a free or harmonic potential whose preparations "
+               "are all momentum resets or, on the free potential, gaussians in translate mode")
+
+
+def check_exact(pot, sched):
+    """Raise :class:`ConfigurationError` unless :func:`exact_series` covers
+    the run of ``pot`` over ``sched`` (``_EXACT_RULE``)."""
     if pot.form not in (FREE, HARMONIC):
-        raise ConfigurationError(
-            "the exact references require a quadratic (free or harmonic) potential")
-    return momentum_response(spec, pot, sched.dt, sched.n_steps)
+        raise ConfigurationError(f"{_EXACT_RULE}, not the {pot.form} potential")
+    for iv in sched.interventions:
+        prep = iv.preparation
+        if not (isinstance(prep, MomentumReset) or (
+                isinstance(prep, GaussianLocalize) and iv.mode == "translate"
+                and pot.form == FREE)):
+            raise ConfigurationError(
+                f"{_EXACT_RULE}, not {type(prep).__name__} in {iv.mode} mode "
+                f"on the {pot.form} potential")
 
 
-def _exact_series(spec, sched, statistics, rows, mean=0.0):
-    """``mean^2`` plus the variance over the synthesised noise of the rows
-    ``rows(nodes)`` builds at the record nodes, as a series on the record
-    times with standard error 0.
+def exact_series(spec, pot, sched, statistics, observable):
+    """Exact <x^2> (``observable`` "x2") or <p^2> ("p2") of the scheme through
+    the schedule's preparations, on the record times with standard error 0.
 
-    The rows exist ``_NOISE_BLOCK`` at a time; the transform and the sums of
-    :func:`qbm.noise.linear_variance` run per row, so the blocks leave the
+    For a free or harmonic potential the scheme is linear: x and p at each
+    node are affine forms, a row of weights of the noise nodes (those of
+    :func:`qbm.dynamics.response_rows`, through the run's memoised
+    :func:`qbm.dynamics.momentum_response` (Gx, Gp)), then the mean, then
+    the coefficients of each translate gaussian's two standard normals.  A
+    preparation at node r moves the forms at every node n >= r as the
+    linear map moves its samples: x by a shift, x and p by (Gx, Gp)(n - r)
+    times a kick.  A momentum reset kicks by ``p_value - p(r)``; a gaussian
+    in translate mode shifts x by ``sigma0 z - x(r)`` and kicks by
+    ``sigma_p z'``.  The value is :func:`qbm.noise.linear_variance` of the
+    noise weights plus the squared normal coefficients plus the mean
+    squared: the expectation of :func:`qbm.dynamics.run_ensemble` with the
+    same dt, history rule and FFT period.
+
+    The record forms exist ``_NOISE_BLOCK`` at a time; the transform and
+    the sums of ``linear_variance`` run per row, so the blocks leave the
     bits as they are.
     """
-    grid = _noise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+    if observable not in ("x2", "p2"):
+        raise ConfigurationError(f"exact_series computes x2 or p2, not {observable!r}")
+    check_exact(pot, sched)
+    var = ("x2", "p2").index(observable)
+    dt, n = sched.dt, sched.n_steps + 1
+    responses = momentum_response(spec, pot, dt, sched.n_steps)
+    gaussians = [iv for iv in sched.interventions
+                 if isinstance(iv.preparation, GaussianLocalize)]
+    moves = []  # (node, shift of x or None, kick) of each preparation so far
+
+    def forms(var, nodes):
+        """The forms of x (``var`` 0) or p (1) at ``nodes``."""
+        g = responses[var]
+        out = np.zeros((len(nodes), n + 1 + 2 * len(gaussians)))
+        response_rows(g, dt, nodes, out=out[:, :n])
+        for r, shift, kick in moves:
+            after = nodes >= r
+            out[after] += g[nodes[after] - r, None] * kick
+            if var == 0 and shift is not None:
+                out[after] += shift
+        return out
+
+    for iv, r in zip(sched.interventions, sched.intervention_nodes()):
+        prep, at = iv.preparation, np.array([r])
+        if isinstance(prep, MomentumReset):
+            kick = -forms(1, at)[0]
+            kick[n] += prep.p_value
+            moves.append((r, None, kick))
+        else:
+            z = n + 1 + 2 * gaussians.index(iv)  # the columns of z and z'
+            shift = -forms(0, at)[0]
+            shift[z] += prep.sigma0
+            kick = np.zeros_like(shift)
+            kick[z + 1] = prep.sigma_p
+            moves.append((r, shift, kick))
+
+    grid = _noise.FrequencyGrid.for_times(spec, dt, n)
     nodes = sched.record_nodes()
-    est = np.concatenate([
-        _noise.linear_variance(spec, grid, statistics, rows(nodes[lo:lo + _NOISE_BLOCK]))
-        for lo in range(0, len(nodes), _NOISE_BLOCK)]) + mean**2
+    est = []
+    for lo in range(0, len(nodes), _NOISE_BLOCK):
+        f = forms(var, nodes[lo:lo + _NOISE_BLOCK])
+        est.append(_noise.linear_variance(spec, grid, statistics, f[:, :n])
+                   + np.sum(f[:, n + 1:] ** 2, axis=1) + f[:, n] ** 2)
+    est = np.concatenate(est)
     return ObservableSeries(times=sched.record_times(), estimates=est,
                             standard_errors=np.zeros_like(est),
                             effective_sample_size=np.full(len(est), np.inf))
-
-
-def thermal_msd(spec, pot, sched, statistics):
-    """Exact thermal mean squared displacement <(x(t) - x(0))^2> of the scheme.
-
-    For a free or harmonic potential the integrator is linear in the noise:
-    node k holds ``dt sum_{j<=k} G(k - j) xi_j``, with G the response to a
-    unit momentum, of position (:func:`response`, G(0) = 0) or of momentum;
-    xi_0 and xi_k count half.  :func:`qbm.noise.linear_variance` gives each
-    displacement's variance over the synthesised noise: the expectation of
-    :func:`qbm.dynamics.run_ensemble` with the same dt, history rule and FFT
-    period.  The schedule's interventions are not applied.  The series has
-    standard error 0 and effective size inf.
-    """
-    gx, _ = _responses(spec, pot, sched)
-    # the first record node is t = 0
-    origin = response_rows(gx, sched.dt, sched.record_nodes()[:1])
-    return _exact_series(spec, sched, statistics,
-                         lambda nodes: response_rows(gx, sched.dt, nodes) - origin)
-
-
-def p2_exact(spec, pot, sched, statistics):
-    """Exact <p^2> of the scheme through the schedule's momentum resets.
-
-    The momentum rows are those of :func:`thermal_msd`, with the momentum
-    response Gp.  A reset to ``p_value`` at node r adds the response to the
-    kick ``p_value - p(r)``: for n >= r the rows become ``rows(n) - Gp(n - r)
-    rows(r)`` and the mean ``p_value Gp(n - r)``.  The mean squared plus
-    :func:`qbm.noise.linear_variance` of the rows is the expectation of
-    :func:`qbm.dynamics.run_ensemble` on the same schedule, whose
-    interventions must all be momentum resets.  Standard error 0.
-    """
-    resets = sched.intervention_nodes()
-    for iv in sched.interventions:
-        if not isinstance(iv.preparation, MomentumReset):
-            raise ConfigurationError(
-                f"p2_exact applies momentum resets only, not {type(iv.preparation).__name__}")
-    _, gp = _responses(spec, pot, sched)
-    n_rec = len(sched.record_nodes())
-    # the reset nodes' means follow the records'
-    nodes = np.append(sched.record_nodes(), resets).astype(int)
-    mean = np.zeros(len(nodes))
-    for k, (iv, r) in enumerate(zip(sched.interventions, resets), start=n_rec):
-        after = nodes >= r
-        mean[after] += gp[nodes[after] - r] * (iv.preparation.p_value - mean[k])
-    kicks = []  # each reset's node and row, with the kicks of the resets before it
-
-    def rows(nodes):
-        out = response_rows(gp, sched.dt, nodes)
-        for r, row in kicks:
-            after = nodes >= r
-            out[after] -= gp[nodes[after] - r][:, None] * row
-        return out
-
-    for r in resets:
-        kicks.append((r, rows(np.array([r]))[0]))
-    return _exact_series(spec, sched, statistics, rows, mean[:n_rec])
 
 
 def sigma_analytical(sigma0, d2_series, resp):
     """Position variance of a Gaussian-localised preparation.
 
     Assembles ``sigma0^2 + d2(t) + A(t)^2 / sigma0^2`` pointwise from the
-    thermal mean squared displacement (measured, or exact from
-    :func:`thermal_msd`) and the deterministic response amplitude.  All
-    three terms are individually nonnegative.
+    thermal mean squared displacement (as :func:`qbm.observables.msd`
+    measures it) and the deterministic response amplitude.  All three terms
+    are individually nonnegative.  :func:`exact_series` gives the scheme's
+    own curve of the same experiment.
     """
     if len(d2_series.times) != len(resp.times) or \
             np.any(np.abs(d2_series.times - resp.times) > 1e-9):

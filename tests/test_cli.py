@@ -232,21 +232,20 @@ class TestParseConfig:
                      id="p2-identity--x2 = default"),
         pytest.param("sigma2", "cat", "x0 = 0.6\nsigma = 0.3", "x2 = default", {},
                      id="sigma2-cat-x0 = 0.6\nsigma = 0.3-x2 = default"),  # needs gaussian
-        # one case per rule the reference curves rest on: sigma2 needs the
-        # free potential and the gaussian in translate mode at time = 0; p2
-        # a free or harmonic potential and the momentum-reset preparation
+        # one case per part of the one rule the exact reference rests on: a
+        # free or harmonic potential, and resets or translate gaussians on
+        # the free potential
         pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate", "x2 = default",
                      dict(potential="form = polynomial\ncoefficients = 0 0 0.5 0 0.1"),
                      id="sigma2-polynomial"),
         pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate", "x2 = default",
                      dict(potential="form = harmonic\nomega0 = 1.0"), id="sigma2-harmonic"),
         pytest.param("sigma2", "gaussian", "sigma0 = 1.0", "x2 = default", {}, id="sigma2-lab"),
-        pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate\ntime = 0.5",
-                     "x2 = default", {}, id="sigma2-time"),
+        pytest.param("p2", "cat", "x0 = 0.6\nsigma = 0.3\nmode = translate", "p2 = default",
+                     {}, id="p2-cat-translate"),
         pytest.param("p2", "momentum-reset", "", "p2 = default",
                      dict(potential="form = polynomial\ncoefficients = 0 0 0.5 0 0.1"),
                      id="p2-polynomial"),
-        pytest.param("p2", "identity", "", "p2 = default", {}, id="p2-identity"),
     ])
     def test_reference_it_cannot_write_rejected(self, tmp_path, mode, prep, prep_extra,
                                                 observables, config):
@@ -255,6 +254,33 @@ class TestParseConfig:
         path.write_text(path.read_text() + f"\n[reference]\nmode = {mode}\n")
         with pytest.raises(ConfigurationError, match=r"\[reference\] mode"):
             parse_config(path)
+
+    # each an experiment with an exact reference that the per-mode rules
+    # before the one rule rejected
+    @pytest.mark.parametrize("mode, prep, prep_extra, observables, config", [
+        pytest.param("sigma2", "gaussian", "sigma0 = 1.0\nmode = translate\ntime = 0.5",
+                     "x2 = default", {}, id="sigma2-time"),
+        pytest.param("p2", "identity", "", "p2 = default", {}, id="p2-identity"),
+        pytest.param("sigma2", "momentum-reset", "time = 0.5\np_value = 0.7", "x2 = default",
+                     dict(potential="form = harmonic\nomega0 = 1.0"), id="sigma2-reset-harmonic"),
+        pytest.param("p2", "gaussian", "sigma0 = 1.0\nmode = translate", "p2 = default", {},
+                     id="p2-gaussian"),
+    ])
+    def test_reference_the_one_rule_accepts_written(self, tmp_path, mode, prep, prep_extra,
+                                                    observables, config):
+        from qbm.reference import exact_series
+        path = write_config(tmp_path, prep=prep, prep_extra=prep_extra,
+                            observables=observables, n_traj=16, **config)
+        path.write_text(path.read_text() + f"\n[reference]\nmode = {mode}\n")
+        cfg = parse_config(path)
+        observable = "x2" if mode == "sigma2" else "p2"
+        run(cfg, out_dir=str(tmp_path / "out"))
+        ref = np.genfromtxt(tmp_path / "out" / f"{observable}_reference.csv", delimiter=",",
+                            names=True)
+        exact = exact_series(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
+                             cfg.statistics, observable)
+        assert ref["estimate"].tolist() == exact.estimates.tolist()
+        assert np.all(ref["standard_error"] == 0.0)
 
     def test_reference_has_no_ensemble_size(self, tmp_path):
         path = write_config(tmp_path, prep="gaussian", prep_extra="sigma0 = 1.0")
@@ -538,7 +564,7 @@ class TestRun:
         pytest.param("time = 0.3\np_value = -0.5", {}, id="p2-time"),
     ])
     def test_p2_reference_written(self, tmp_path, prep_extra, config):
-        from qbm.reference import p2_exact
+        from qbm.reference import exact_series
         path = write_config(tmp_path, prep="momentum-reset", prep_extra=prep_extra,
                             observables="p2 = default", n_traj=16, **config)
         path.write_text(path.read_text() + "\n[reference]\nmode = p2\n")
@@ -546,8 +572,8 @@ class TestRun:
         out = tmp_path / "out"
         run(cfg, out_dir=str(out))
         ref = np.genfromtxt(out / "p2_reference.csv", delimiter=",", names=True)
-        exact = p2_exact(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
-                         cfg.statistics)
+        exact = exact_series(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
+                             cfg.statistics, "p2")
         assert ref["estimate"].tolist() == exact.estimates.tolist()
         assert np.all(ref["standard_error"] == 0.0) and np.all(np.isinf(ref["effective_n"]))
         p_value = cfg.preparation["p_value"]
@@ -896,6 +922,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert re.search(message, err) and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    # without t_eq the default span reads the bath and dt: a bad value among
+    # them still ends on one line naming its key
+    @pytest.mark.parametrize("command", ["run", "noise-check"])
+    @pytest.mark.parametrize("old, new, key", [
+        ("gamma = 1.5707963267948966", "gamma = -1", "gamma"),
+        ("eps = 0.5", "eps = 0", "eps"),
+        ("kT = 0.0", "kT = -1", "kT"),
+        ("dt = 0.05", "dt = 0", "dt"),
+    ], ids=["gamma", "eps", "kT", "dt"])
+    def test_bad_value_without_t_eq_is_one_error_line(self, tmp_path, capsys, command, old,
+                                                       new, key):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("t_eq = 4.0\n", "").replace(old, new))
+        assert main([command, str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert re.search(rf"\b{key} must be >", err) and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "noise-check"])

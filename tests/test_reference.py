@@ -1,4 +1,5 @@
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.signal import fftconvolve
 
 from qbm import dynamics as qdyn
 from qbm.bath import BathSpec
+from qbm.cli import parse_config, preset_path, run
 from qbm.dynamics import (
     Intervention,
     Potential,
@@ -21,17 +23,16 @@ from qbm.dynamics import (
 )
 from qbm.noise import FrequencyGrid, linear_variance, mode_amplitudes
 from qbm.errors import ConfigurationError
-from qbm.observables import WeylObservable, estimate, msd
-from qbm.preparation import GaussianLocalize, MomentumReset
+from qbm.observables import ObservableSeries, WeylObservable, estimate
+from qbm.preparation import CatProject, GaussianLocalize, MomentumReset
 from qbm.reference import (
     coherence_length,
     equilibrium_p2,
-    p2_exact,
+    exact_series,
     p2_quadrature,
     response,
     sigma_analytical,
     small_parameter,
-    thermal_msd,
 )
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
@@ -70,6 +71,16 @@ class TestResponse:
         with pytest.raises(ConfigurationError):
             response(FIG1, Potential.polynomial([0, 0, 0, 1.0]),
                      np.linspace(0, 1, 5), dt=0.01)
+
+    @pytest.mark.parametrize("t_grid", [[1.0, 0.5], [-0.5, 0.0, 0.5], [], [[0.0, 0.5]]],
+                             ids=["decreasing", "negative", "empty", "two-dimensional"])
+    def test_grid_not_nondecreasing_from_zero_rejected(self, t_grid):
+        with pytest.raises(ConfigurationError, match="nondecreasing grid of times >= 0"):
+            response(FIG1, Potential.free(), t_grid, dt=0.01)
+
+    def test_repeated_time_read_twice(self):
+        r = response(FIG1, Potential.free(), [0.0, 0.5, 0.5, 1.0], dt=0.01)
+        assert r.values[1] == r.values[2] and r.values[0] == 0.0
 
 
 class TestSigmaAnalytical:
@@ -288,22 +299,14 @@ class TestAgainstExactResponse:
         assert abs(series.estimates[i] - exact) <= 3.0 * series.standard_errors[i]
 
 
-def identity_batch_msd(spec, pot, sched, statistics):
-    """Oracle: d^2 = diag(D C D^T) from one unit impulse per noise node.
+class FixedNormals:
+    """A stream whose standard normals are given in advance, in draw order."""
 
-    Row j of an identity noise batch pushed through the integrator gives the
-    weight of xi_j in every recorded x; D holds those weights minus the ones
-    at t = 0, and C is the synthesiser's node covariance, m * irfft(a^2) at
-    lag |i - j| for the spectral statistics.
-    """
-    n = sched.n_steps
-    impulses = _noise_buffer(n, n + 1)
-    impulses[:, :n + 1] = np.eye(n + 1)
-    x, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, np.zeros(n + 1),
-                               np.zeros(n + 1), sched.record_nodes())
-    d = (x - x[:, :1]).T  # record_nodes()[0] is t = 0
-    cov = node_covariance(spec, sched, statistics)
-    return np.einsum("ij,jk,ik->i", d, cov, d)
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self):
+        return self.values.pop(0)
 
 
 def node_covariance(spec, sched, statistics):
@@ -317,186 +320,238 @@ def node_covariance(spec, sched, statistics):
     return lag_cov[np.abs(np.arange(n + 1)[:, None] - np.arange(n + 1))]
 
 
-def identity_batch_p2(spec, pot, sched, statistics):
-    """Oracle: <p^2> = mean^2 + diag(D C D^T) through the schedule's resets.
+def identity_batch_moment(spec, pot, sched, statistics, observable):
+    """Oracle: <x^2> or <p^2> through the schedule's preparations, as
+    mean^2 + diag(D C D^T) + the squared coefficients of the normals.
 
-    Column 0 of the batch runs without noise and gives the mean; column
-    j + 1 adds a unit impulse at noise node j, so its records minus the
-    mean are the weights D of xi_j in every recorded p.
+    The stepper runs one column per input.  Column 0 runs without noise and
+    with every standard normal the translate gaussians draw at 0, and gives
+    the mean; column j + 1 adds a unit impulse at noise node j, and each
+    column past those a unit normal.  Their records minus the mean are the
+    weights D of xi_j and the coefficients of the normals.
     """
     n = sched.n_steps
-    impulses = _noise_buffer(n, n + 2)
+    n_normals = 2 * sum(isinstance(iv.preparation, GaussianLocalize)
+                        for iv in sched.interventions)
+    cols = n + 2 + n_normals
+    impulses = _noise_buffer(n, cols)
     impulses[:, 1:n + 2] = np.eye(n + 1)
-    start = np.zeros(n + 2)
-    _, p, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, start, start,
+    normals = [np.zeros(n_normals)] * (n + 2) + list(np.eye(n_normals))
+    start = np.zeros(cols)
+    x, p, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, start, start,
                                sched.record_nodes(), intervention_plan=_build_plan(sched),
-                               rngs=[None] * (n + 2))
-    d = (p[1:] - p[0]).T
+                               rngs=[FixedNormals(z) for z in normals])
+    rec = x if observable == "x2" else p
+    d = rec[1:] - rec[0]
+    noise = d[:n + 1].T
     cov = node_covariance(spec, sched, statistics)
-    return p[0] ** 2 + np.einsum("ij,jk,ik->i", d, cov, d)
+    return (rec[0] ** 2 + np.einsum("ij,jk,ik->i", noise, cov, noise)
+            + np.sum(d[n + 1:] ** 2, axis=0))
 
 
-class TestThermalMsd:
-    WARM = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+def identity_batch_msd(spec, pot, sched, statistics):
+    """Oracle: d^2 = diag(D C D^T), D the noise weights of x(t) - x(0)."""
+    n = sched.n_steps
+    impulses = _noise_buffer(n, n + 1)
+    impulses[:, :n + 1] = np.eye(n + 1)
+    x, _, _ = _integrate_batch(spec, pot, sched.dt, n, impulses, np.zeros(n + 1),
+                               np.zeros(n + 1), sched.record_nodes())
+    d = (x - x[:, :1]).T  # record_nodes()[0] is t = 0
+    cov = node_covariance(spec, sched, statistics)
+    return np.einsum("ij,jk,ik->i", d, cov, d)
 
-    @pytest.mark.parametrize("pot", [Potential.free(), Potential.harmonic(1.0)],
-                             ids=["free", "harmonic"])
+
+WARM = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+HARMONIC = Potential.harmonic(1.0)
+
+
+def schedule(*preparations, **kw):
+    """A short schedule with the preparations ``(time, preparation[, mode])``;
+    t = 0.5 is a record node, t = 0.525 is not."""
+    kw = dict(dict(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2), **kw)
+    return Schedule(**kw, interventions=tuple(Intervention(*prep) for prep in preparations))
+
+
+def translate(time, sigma0=0.8):
+    return (time, GaussianLocalize(sigma0), "translate")
+
+
+# the cases only the affine forms cover: (potential, preparations)
+NEW_CASES = {
+    "x2-after-reset-harmonic": (HARMONIC, [(0.5, MomentumReset(0.7))], "x2"),
+    "p2-after-gaussian": (Potential.free(), [translate(0.0)], "p2"),
+    "gaussian-at-0.525": (Potential.free(), [translate(0.525)], "x2"),
+    "two-resets-x2": (HARMONIC, [(0.5, MomentumReset(0.7)),
+                                 (1.025, MomentumReset(-0.4))], "x2"),
+    "two-resets-p2": (HARMONIC, [(0.5, MomentumReset(0.7)),
+                                 (1.025, MomentumReset(-0.4))], "p2"),
+    "reset-then-gaussian-x2": (Potential.free(), [(0.25, MomentumReset(1.2)),
+                                                  translate(0.75)], "x2"),
+    "reset-then-gaussian-p2": (Potential.free(), [(0.25, MomentumReset(1.2)),
+                                                  translate(0.75)], "p2"),
+}
+
+
+class TestExactSeries:
+    @pytest.mark.parametrize("observable", ["x2", "p2"])
+    @pytest.mark.parametrize("preparations", [[], [(0.5, MomentumReset(0.7))]],
+                             ids=["thermal", "reset"])
+    @pytest.mark.parametrize("pot", [Potential.free(), HARMONIC], ids=["free", "harmonic"])
     @pytest.mark.parametrize("statistics", ["quantum", "classical", "white"])
-    def test_matches_identity_batch_oracle(self, pot, statistics):
-        sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2)
-        exact = thermal_msd(self.WARM, pot, sched, statistics)
-        oracle = identity_batch_msd(self.WARM, pot, sched, statistics)
-        assert np.allclose(exact.times, sched.record_times(), rtol=0, atol=0)
-        assert exact.estimates[0] == 0.0 and oracle[0] == 0.0
-        np.testing.assert_allclose(exact.estimates, oracle, rtol=1e-12, atol=0)
-        assert np.all(exact.standard_errors == 0.0)
-        assert np.all(np.isinf(exact.effective_sample_size))
-
-    def test_float_record_stride_reads_as_its_integer(self):
-        # 2.0 passes the integer check; the record nodes index the response
-        pot = Potential.free()
-        as_float = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2.0)
-        as_int = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2)
-        exact = thermal_msd(self.WARM, pot, as_float, "quantum")
-        assert exact.estimates.tobytes() == thermal_msd(
-            self.WARM, pot, as_int, "quantum").estimates.tobytes()
-        assert as_float.record_nodes().dtype.kind == "i"
-
-    @pytest.mark.parametrize("spec, pot, statistics", [
-        (FIG1, Potential.free(), "quantum"),
-        (WARM, Potential.harmonic(1.0), "classical"),
-    ], ids=["fig1-free-quantum", "harmonic-classical"])
-    def test_pooled_monte_carlo_agrees(self, spec, pot, statistics):
-        # a short fig1-like schedule: the exact moments carry the same
-        # unfinished equilibration as the simulation, so t_eq need not be long
-        sched = Schedule(t_eq=4.0, t_end=2.0, dt=0.025, record_stride=2)
-        exact = thermal_msd(spec, pot, sched, statistics).estimates
-        parts = [msd(run_ensemble(spec, pot, sched, 1024, statistics, seed), 0.0)
-                 for seed in (11, 12, 13, 14)]
-        est = np.mean([s.estimates for s in parts], axis=0)
-        se = np.sqrt(np.sum([s.standard_errors**2 for s in parts], axis=0)) / len(parts)
-        z = (est[1:] - exact[1:]) / se[1:]
-        # 40 correlated times: a 4-sigma bound for the largest |z|
-        assert np.abs(z).max() <= 4.0
-
-
-class TestP2Exact:
-    WARM = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
-
-    @staticmethod
-    def reset_schedule(p_value, **kw):
-        # the reset at t = 0.5 is a record node; t = 0.525 is not
-        kw = dict(dict(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2), **kw)
-        return Schedule(**kw, interventions=(Intervention(0.5, MomentumReset(p_value)),))
-
-    @pytest.mark.parametrize("pot", [Potential.free(), Potential.harmonic(1.0)],
-                             ids=["free", "harmonic"])
-    @pytest.mark.parametrize("statistics", ["quantum", "classical", "white"])
-    def test_matches_identity_batch_oracle(self, pot, statistics):
-        sched = self.reset_schedule(0.7)
-        exact = p2_exact(self.WARM, pot, sched, statistics)
-        oracle = identity_batch_p2(self.WARM, pot, sched, statistics)
+    def test_matches_identity_batch_oracle(self, pot, statistics, preparations, observable):
+        sched = schedule(*preparations)
+        exact = exact_series(WARM, pot, sched, statistics, observable)
+        oracle = identity_batch_moment(WARM, pot, sched, statistics, observable)
         assert np.array_equal(exact.times, sched.record_times())
         np.testing.assert_allclose(exact.estimates, oracle, rtol=1e-12, atol=0)
         assert np.all(exact.standard_errors == 0.0)
         assert np.all(np.isinf(exact.effective_sample_size))
-        # the reset pins p; before it the particle is thermal
-        at = np.flatnonzero(exact.times == 0.5)
-        assert len(at) == 1 and exact.estimates[at[0]] == 0.7**2
-        thermal = p2_exact(self.WARM, pot, Schedule(t_eq=2.0, t_end=1.5, dt=0.025,
-                                                    record_stride=2), statistics)
-        np.testing.assert_allclose(exact.estimates[:at[0]], thermal.estimates[:at[0]],
-                                   rtol=1e-15, atol=0)
-        assert np.all(thermal.estimates[at[0]:] != exact.estimates[at[0]:])
 
-    def test_run_and_references_share_one_solve(self, monkeypatch):
-        # the run's rows, p2_exact and thermal_msd on one schedule take one
+    @pytest.mark.parametrize("statistics", ["quantum", "classical"])
+    @pytest.mark.parametrize("case", NEW_CASES)
+    def test_new_cases_match_identity_batch_oracle(self, case, statistics):
+        pot, preparations, observable = NEW_CASES[case]
+        sched = schedule(*preparations)
+        exact = exact_series(WARM, pot, sched, statistics, observable).estimates
+        oracle = identity_batch_moment(WARM, pot, sched, statistics, observable)
+        np.testing.assert_allclose(exact, oracle, rtol=1e-12, atol=0)
+
+    def test_reset_pins_p_and_leaves_the_thermal_past(self):
+        sched = schedule((0.5, MomentumReset(0.7)))
+        exact = exact_series(WARM, HARMONIC, sched, "quantum", "p2").estimates
+        at = np.flatnonzero(sched.record_times() == 0.5)
+        assert len(at) == 1 and exact[at[0]] == 0.7**2
+        thermal = exact_series(WARM, HARMONIC, schedule(), "quantum", "p2").estimates
+        assert exact[:at[0]].tobytes() == thermal[:at[0]].tobytes()
+        assert np.all(thermal[at[0]:] != exact[at[0]:])
+
+    @pytest.mark.parametrize("statistics", ["quantum", "classical", "white"])
+    def test_translate_gaussian_at_zero_is_the_sigma2_assembly(self, statistics):
+        # sigma0^2 + <(x(t) - x(0))^2> + A(t)^2 / sigma0^2, from the
+        # thermal displacement and the response on the record times
+        sigma0 = 0.8
+        sched = schedule(translate(0.0, sigma0))
+        exact = exact_series(WARM, Potential.free(), sched, statistics, "x2")
+        d2 = identity_batch_msd(WARM, Potential.free(), schedule(), statistics)
+        d2 = ObservableSeries(times=sched.record_times(), estimates=d2,
+                              standard_errors=np.zeros_like(d2),
+                              effective_sample_size=np.full(len(d2), np.inf))
+        resp = response(WARM, Potential.free(), sched.record_times(), dt=sched.dt)
+        assembled = sigma_analytical(sigma0, d2, resp)
+        np.testing.assert_allclose(exact.estimates, assembled.estimates, rtol=1e-12, atol=0)
+
+    def test_float_record_stride_reads_as_its_integer(self):
+        # 2.0 passes the integer check; the record nodes index the response
+        as_float = schedule(record_stride=2.0)
+        exact = exact_series(WARM, Potential.free(), as_float, "quantum", "x2")
+        assert exact.estimates.tobytes() == exact_series(
+            WARM, Potential.free(), schedule(), "quantum", "x2").estimates.tobytes()
+        assert as_float.record_nodes().dtype.kind == "i"
+
+    def test_run_and_references_share_one_solve(self, monkeypatch, tmp_path):
+        # a fig1 run, its map and its sigma2 reference, take one
         # deterministic solve between them
         solves = []
         monkeypatch.setattr(qdyn, "integrate_deterministic",
                             lambda *args: solves.append(args) or integrate_deterministic(*args))
         qdyn.momentum_response.cache_clear()
         qdyn._node_rows.cache_clear()
-        sched = self.reset_schedule(0.7)
-        ens = run_ensemble(self.WARM, Potential.free(), sched, 8, "quantum", 1)
-        p2_exact(self.WARM, Potential.free(), sched, "quantum")
-        thermal_msd(self.WARM, Potential.free(), sched, "quantum")
+        with resources.as_file(preset_path("fig1")) as path:
+            cfg = parse_config(path, {"n_traj": 16})
+        written = run(cfg, out_dir=str(tmp_path))
         assert len(solves) == 1
-        assert np.all(ens.p[:, sched.record_times() == 0.5] == 0.7)
+        assert str(tmp_path / "sigma2_reference.csv") in written
+        # the p2 of the same run shares it too
+        exact_series(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
+                     cfg.statistics, "p2")
+        assert len(solves) == 1
 
     def test_reset_off_the_record_grid(self):
-        sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.025, record_stride=2,
-                         interventions=((0.525, MomentumReset(-1.3)),))
+        sched = schedule((0.525, MomentumReset(-1.3)))
         assert 0.525 not in sched.record_times()
-        exact = p2_exact(self.WARM, Potential.harmonic(1.0), sched, "quantum")
-        oracle = identity_batch_p2(self.WARM, Potential.harmonic(1.0), sched, "quantum")
-        np.testing.assert_allclose(exact.estimates, oracle, rtol=1e-12, atol=0)
+        for observable in ("x2", "p2"):
+            exact = exact_series(WARM, HARMONIC, sched, "quantum", observable)
+            oracle = identity_batch_moment(WARM, HARMONIC, sched, "quantum", observable)
+            np.testing.assert_allclose(exact.estimates, oracle, rtol=1e-12, atol=0)
 
-    def test_other_preparation_and_nonlinear_potential_rejected(self):
-        sched = Schedule(t_eq=2.0, t_end=1.5, dt=0.025,
-                         interventions=((0.0, GaussianLocalize(1.0)),))
-        with pytest.raises(ConfigurationError, match="momentum resets only"):
-            p2_exact(self.WARM, Potential.free(), sched, "quantum")
-        with pytest.raises(ConfigurationError, match="quadratic"):
-            p2_exact(self.WARM, Potential.polynomial([0, 0, 0.5, 0, 0.1]),
-                     self.reset_schedule(0.0), "quantum")
+    @pytest.mark.parametrize("pot, preparation, mode", [
+        (Potential.free(), GaussianLocalize(1.0), "lab"),
+        (Potential.free(), CatProject(0.6, 0.3), "translate"),
+        (Potential.free(), CatProject(0.6, 0.3), "lab"),
+        (HARMONIC, GaussianLocalize(1.0), "translate"),
+        (Potential.polynomial([0, 0, 0.5, 0, 0.1]), MomentumReset(0.0), "lab"),
+    ], ids=["gaussian-lab", "cat-translate", "cat-lab", "gaussian-harmonic",
+            "reset-polynomial"])
+    def test_what_the_forms_cannot_carry_rejected(self, pot, preparation, mode):
+        sched = schedule((0.0, preparation, mode))
+        with pytest.raises(ConfigurationError, match=r"^\[reference\] mode needs"):
+            exact_series(WARM, pot, sched, "quantum", "x2")
 
-    @pytest.mark.parametrize("spec, pot, statistics", [
-        (FIG1, Potential.free(), "quantum"),
-        (WARM, Potential.harmonic(1.0), "classical"),
-    ], ids=["fig1-free-quantum", "harmonic-classical"])
-    def test_pooled_monte_carlo_agrees(self, spec, pot, statistics):
-        sched = self.reset_schedule(0.7, t_eq=4.0, t_end=2.0)
-        exact = p2_exact(spec, pot, sched, statistics).estimates
-        parts = [estimate(run_ensemble(spec, pot, sched, 1024, statistics, seed),
-                          WeylObservable.p2()) for seed in (21, 22, 23)]
+    def test_unknown_observable_rejected(self):
+        with pytest.raises(ConfigurationError, match="x2 or p2, not 'xp'"):
+            exact_series(WARM, Potential.free(), schedule(), "quantum", "xp")
+
+    @pytest.mark.parametrize("spec, pot, preparations, observable, statistics", [
+        (FIG1, Potential.free(), [], "x2", "quantum"),
+        (WARM, HARMONIC, [(0.5, MomentumReset(0.7))], "p2", "classical"),
+        *((WARM, *NEW_CASES[case], "quantum") for case in NEW_CASES),
+    ], ids=["fig1-free-thermal-x2", "harmonic-classical-reset-p2", *NEW_CASES])
+    def test_pooled_monte_carlo_agrees(self, spec, pot, preparations, observable,
+                                       statistics):
+        # a short schedule: the exact moments carry the same unfinished
+        # equilibration as the simulation, so t_eq need not be long
+        sched = schedule(*preparations, t_eq=4.0, t_end=2.0)
+        exact = exact_series(spec, pot, sched, statistics, observable).estimates
+        weyl = WeylObservable.x2() if observable == "x2" else WeylObservable.p2()
+        parts = [estimate(run_ensemble(spec, pot, sched, 1024, statistics, seed), weyl)
+                 for seed in (21, 22, 23)]
         est = np.mean([s.estimates for s in parts], axis=0)
         se = np.sqrt(np.sum([s.standard_errors**2 for s in parts], axis=0)) / len(parts)
-        # at the reset every trajectory holds p_value: no spread to score
-        at = sched.record_times() == 0.5
-        np.testing.assert_allclose(est[at], exact[at], rtol=1e-12)
-        z = (est[~at] - exact[~at]) / se[~at]
+        # at a reset every trajectory holds p_value: no spread to score, an
+        # SE of roundoff only
+        spread = se > 1e-12 * est
+        np.testing.assert_allclose(est[~spread], exact[~spread], rtol=1e-12)
+        z = (est[spread] - exact[spread]) / se[spread]
         # 40 correlated times: a 4-sigma bound for the largest |z|
         assert np.abs(z).max() <= 4.0
 
 
 class TestReferenceBlocks:
-    WARM = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
-
     def test_blocks_keep_the_bits_of_one_call(self):
         # 161 records, three blocks, and two resets: the series equal one
-        # linear_variance call on all the rows of the run's map
+        # linear_variance call on all the rows of the run's map, moved by
+        # the resets' kicks as the map moves its samples
         sched = Schedule(t_eq=2.0, t_end=4.0, dt=0.025, interventions=(
             (0.5, MomentumReset(0.7)), (1.525, MomentumReset(-0.2))))
-        pot = Potential.harmonic(1.0)
-        grid = FrequencyGrid.for_times(self.WARM, sched.dt, sched.n_steps + 1)
-        rows, _, gp, _, _ = qdyn.linear_rows(self.WARM, pot, sched)
+        grid = FrequencyGrid.for_times(WARM, sched.dt, sched.n_steps + 1)
+        rows, gx, gp, _, _ = qdyn.linear_rows(WARM, HARMONIC, sched)
         n_rec = len(sched.record_nodes())
-        x = rows[0, :n_rec] - rows[0, 0]
-        assert thermal_msd(self.WARM, pot, sched, "quantum").estimates.tobytes() == (
-            linear_variance(self.WARM, grid, "quantum", x) + 0.0).tobytes()
         nodes = np.append(sched.record_nodes(), sched.intervention_nodes())
-        p, mean = rows[1].copy(), np.zeros(len(nodes))
+        (x, p), mean = rows.copy(), np.zeros((2, len(nodes)))
         for k, (iv, r) in enumerate(zip(sched.interventions, sched.intervention_nodes()),
                                     start=n_rec):
             after = nodes >= r
-            lag = gp[nodes[after] - r]
-            kick = iv.preparation.p_value - mean[k]
-            p[after] -= lag[:, None] * p[k]
-            mean[after] += lag * kick
-        expected = linear_variance(self.WARM, grid, "quantum", p[:n_rec]) + mean[:n_rec]**2
-        assert p2_exact(self.WARM, pot, sched, "quantum").estimates.tobytes() == \
-            expected.tobytes()
+            kick = iv.preparation.p_value - mean[1, k]
+            kick_row = -p[k]
+            for form, m, g in ((x, mean[0], gx), (p, mean[1], gp)):
+                lag = g[nodes[after] - r]
+                form[after] += lag[:, None] * kick_row
+                m[after] += lag * kick
+        for observable, form, m in (("x2", x, mean[0]), ("p2", p, mean[1])):
+            expected = linear_variance(WARM, grid, "quantum", form[:n_rec]) + m[:n_rec]**2
+            assert exact_series(WARM, HARMONIC, sched, "quantum", observable) \
+                .estimates.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("reference", [thermal_msd, p2_exact])
-    def test_peak_memory_does_not_grow_with_the_records(self, reference):
+    @pytest.mark.parametrize("observable", ["x2", "p2"])
+    def test_peak_memory_does_not_grow_with_the_records(self, observable):
         # one record per step takes the stepper, whose run builds no rows: the
-        # references build theirs a noise block at a time, keep none, and peak
-        # alike at 401 and 801 records, where all the rows at once take 5.4
-        # and 10.8 MB and their transforms 8 and 16 MB more
+        # reference builds its forms a noise block at a time, keeps none, and
+        # peaks alike at 401 and 801 records, where all the rows at once take
+        # 5.4 and 10.8 MB and their transforms 8 and 16 MB more
         pot = Potential.free()
         for t_eq, t_end in ((22.0, 20.0), (2.0, 40.0)):
-            sched = Schedule(t_eq=t_eq, t_end=t_end, dt=0.05)
+            sched = Schedule(t_eq=t_eq, t_end=t_end, dt=0.05,
+                             interventions=((1.0, MomentumReset(0.5)),))
             assert sched.n_steps == 840 and not qdyn._takes_map(pot, sched)
             grid = FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
             # the shared solve, as a run on this schedule leaves it
@@ -504,7 +559,7 @@ class TestReferenceBlocks:
             qdyn._node_rows.cache_clear()
             tracemalloc.start()
             try:
-                series = reference(FIG1, pot, sched, "quantum")
+                series = exact_series(FIG1, pot, sched, "quantum", observable)
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
