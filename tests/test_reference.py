@@ -416,12 +416,14 @@ class TestExactSeries:
         oracle = identity_batch_moment(WARM, pot, sched, statistics, observable)
         np.testing.assert_allclose(exact, oracle, rtol=1e-12, atol=0)
 
-    def test_reset_pins_p_and_leaves_the_thermal_past(self):
+    @pytest.mark.parametrize("pot", [Potential.free(), HARMONIC], ids=["free", "harmonic"])
+    @pytest.mark.parametrize("statistics", ["quantum", "classical", "white"])
+    def test_reset_pins_p_and_leaves_the_thermal_past(self, pot, statistics):
         sched = schedule((0.5, MomentumReset(0.7)))
-        exact = exact_series(WARM, HARMONIC, sched, "quantum", "p2").estimates
+        exact = exact_series(WARM, pot, sched, statistics, "p2").estimates
         at = np.flatnonzero(sched.record_times() == 0.5)
         assert len(at) == 1 and exact[at[0]] == 0.7**2
-        thermal = exact_series(WARM, HARMONIC, schedule(), "quantum", "p2").estimates
+        thermal = exact_series(WARM, pot, schedule(), statistics, "p2").estimates
         assert exact[:at[0]].tobytes() == thermal[:at[0]].tobytes()
         assert np.all(thermal[at[0]:] != exact[at[0]:])
 
@@ -493,9 +495,12 @@ class TestExactSeries:
 
     @pytest.mark.parametrize("spec, pot, preparations, observable, statistics", [
         (FIG1, Potential.free(), [], "x2", "quantum"),
+        (FIG1, Potential.free(), [(0.5, MomentumReset(0.7))], "p2", "quantum"),
+        (WARM, HARMONIC, [], "x2", "classical"),
         (WARM, HARMONIC, [(0.5, MomentumReset(0.7))], "p2", "classical"),
         *((WARM, *NEW_CASES[case], "quantum") for case in NEW_CASES),
-    ], ids=["fig1-free-thermal-x2", "harmonic-classical-reset-p2", *NEW_CASES])
+    ], ids=["fig1-free-thermal-x2", "fig1-free-reset-p2", "harmonic-classical-thermal-x2",
+            "harmonic-classical-reset-p2", *NEW_CASES])
     def test_pooled_monte_carlo_agrees(self, spec, pot, preparations, observable,
                                        statistics):
         # a short schedule: the exact moments carry the same unfinished
