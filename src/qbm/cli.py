@@ -351,10 +351,13 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
 
     times = sched.record_times()
     accumulators = {name: _accumulator(name, cfg, times) for name in cfg.observables}
+    # before the run: its blocks of rows are not alive beside the map's
+    reference = (_ref.exact_series(spec, pot, sched, cfg.statistics, ref_observable)
+                 if ref_observable else None)
     traj_path = os.path.join(out_dir, "trajectories.bin")
     dump = contextlib.nullcontext()
     if dump_trajectories:
-        # one row per trajectory, in id order, as each batch reaches the
+        # one row per trajectory, in id order, as each piece reaches the
         # estimators; a failed run deletes the file
         dump = _noise.ensemble_writer(
             traj_path, {"kind": "trajectories", "config": cfg.to_dict(),
@@ -362,11 +365,11 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
                         "row_layout": "weight, x(times), p(times)"},
             (cfg.n_traj, 1 + 2 * len(times)))
     with dump as write_rows:
-        def consume(batch):
+        def consume(piece):
             for acc in accumulators.values():
-                acc.add(batch)
+                acc.add(piece)
             if write_rows is not None:
-                write_rows(np.column_stack([batch.weights, batch.x, batch.p]))
+                write_rows(np.column_stack([piece.weights, piece.x, piece.p]))
 
         ensemble = _dyn.run_ensemble(spec, pot, sched, cfg.n_traj, cfg.statistics,
                                      cfg.master_seed, stream_tag=0,
@@ -380,7 +383,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         written.append(path)
         if name == ref_observable:
             ref_path = os.path.join(out_dir, _reference_file(fname))
-            write_series_csv(ref_path, _ref.exact_series(spec, pot, sched, cfg.statistics, name))
+            write_series_csv(ref_path, reference)
             written.append(ref_path)
 
     if dump_trajectories:

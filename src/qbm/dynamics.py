@@ -26,8 +26,9 @@ being the record and intervention nodes, where the stepper's friction
 history does n_steps (n_steps + 1) / 2; :func:`run_ensemble` and
 :func:`integrate` take the map when it does no more and its rows fit in
 physical memory (:func:`_takes_map`).  A batch then holds the rows, built
-once per process, one noise block and its records per noise thread
-(:func:`noise_blocks`), and the batch's records.  Every other run, and
+once per process, and one noise block and its records per noise thread
+(:func:`noise_blocks`); each block's records are booked as soon as the
+blocks before it are (:func:`run_ensemble`).  Every other run, and
 :func:`integrate_deterministic` (the one solve the map's responses come
 from, before any block thread starts), takes the stepper
 (:func:`_integrate_batch`), whose batch holds one ``(n_steps + 1) x width``
@@ -35,6 +36,7 @@ buffer of noise and velocity history.
 """
 
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -378,7 +380,7 @@ def _traj_stream(master_seed, stream_tag, traj_id):
     return _traj_streams(master_seed, stream_tag, (traj_id,))[0]
 
 
-def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work):
+def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, book=None):
     """Call ``work(lo, hi, rngs, values)`` for each ``_NOISE_BLOCK``-path block of ``ids``.
 
     ``ids[lo:hi]`` are the block's trajectories; row ``i`` of ``values`` is
@@ -389,15 +391,43 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work):
     streams, synthesising its noise and calling ``work``.  So ``work`` runs
     concurrently, in no set order, and writes only rows ``lo:hi`` of what
     it fills; what it reads must have been built before this is called.
-    Every thread is joined before this returns, and an exception raised in
-    one block is raised here.
+
+    With ``book``, what ``work`` returns is the block's piece, and
+    ``book(lo, piece)`` is called for every piece in block order, one call
+    at a time, by whichever thread finishes the next piece to book: a thread
+    that finds another booking leaves its piece and claims its next block,
+    and the booking thread books it once it is done.  The calling thread
+    books whatever is left.  Every thread is joined before this returns,
+    and an exception raised in one block, or by ``book``, is raised here;
+    no piece is booked after it.
     """
+    pending = {}          # lo -> piece, finished but not yet booked
+    drain = threading.Lock()
+    booked = 0            # lo of the next piece to book
+
+    def book_ready():
+        nonlocal booked
+        # re-checked after each release: a piece left while the drain was
+        # busy is booked by the thread that held it
+        while booked in pending and drain.acquire(blocking=False):
+            try:
+                while booked in pending:
+                    book(booked, pending.pop(booked))
+                    booked += _NOISE_BLOCK
+            finally:
+                drain.release()
+
     def block(lo, hi):
         rngs = _traj_streams(master_seed, stream_tag, ids[lo:hi])
-        work(lo, hi, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs))
+        piece = work(lo, hi, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs))
+        if book is not None:
+            pending[lo] = piece
+            book_ready()
 
     n_blocks = -(-len(ids) // _NOISE_BLOCK)
     _noise._in_threads(block, len(ids), _NOISE_BLOCK, min(_noise.thread_count(), n_blocks))
+    if book is not None:
+        book_ready()
 
 
 def _kernel_mid(spec, dt, n):
@@ -459,8 +489,11 @@ def check_memory(sched, pot, n_traj, batch_size, stacked=False):
     x width`` floats, ``width`` being the batch rounded up to the history
     tile.  The linear map holds ``16 n_map (n_steps + 1)`` bytes of x and p
     rows, ``n_map`` being the record and intervention nodes; on each thread
-    the block's x and p at the nodes; and its batch's x and p records.  The
-    run integrates one batch at a time and keeps one weight per
+    the block's x and p at the nodes; and, at worst, its batch's x and p
+    records: the batch holds none, but a finished block waits to be booked
+    until every block before it is, so all but one of the batch's blocks
+    may wait on a slow one.  The run integrates one batch at a time and
+    keeps one weight per
     trajectory.  The step count comes from ``t_eq``, ``t_end`` and ``dt``
     alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows, and
     ``n_traj = 1e14`` would size 800 TB of weights: both are rejected here,
@@ -907,8 +940,14 @@ def _apply_map(sched, plan, linear, values, rngs):
     return x[:n_rec].T, p[:n_rec].T, weights
 
 
-def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
-    """One batch as a :class:`TrajectoryEnsemble` whose ``failed_ids`` index its rows."""
+def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids, book):
+    """Integrate the trajectories ``ids`` and book their records in id order.
+
+    Each piece goes to ``book(first, x, p, weights)``, ``first`` being the id
+    of its first trajectory: on the linear map one piece per noise block,
+    booked by a block thread (:func:`noise_blocks`), so the batch never holds
+    its records; on the stepper the whole batch, once it is integrated.
+    """
     n_steps = sched.n_steps
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
     B = len(ids)
@@ -916,32 +955,29 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
     if _takes_map(pot, sched):
         # built here, not by the first block's thread
         linear = linear_rows(spec, pot, sched)
-        n_rec = len(sched.record_nodes())
-        x, p, weights = np.empty((B, n_rec)), np.empty((B, n_rec)), np.empty(B)
 
         def work(lo, hi, rngs, values):
-            x[lo:hi], p[lo:hi], weights[lo:hi] = _apply_map(sched, plan, linear,
-                                                            values, rngs)
+            return _apply_map(sched, plan, linear, values, rngs)
 
         with _one_blas_thread():
-            noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
-    else:
-        # each block transposed into its columns of the shared buffer: the
-        # batch never holds its noise and its velocity history side by side
-        buf = _noise_buffer(n_steps, B)
-        rngs = [None] * B
+            noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work,
+                         book=lambda lo, piece: book(ids[lo], *piece))
+        return
+    # each block transposed into its columns of the shared buffer: the
+    # batch never holds its noise and its velocity history side by side
+    buf = _noise_buffer(n_steps, B)
+    rngs = [None] * B
 
-        def work(lo, hi, block_rngs, values):
-            buf[:, lo:hi] = values.T
-            rngs[lo:hi] = block_rngs
+    def work(lo, hi, block_rngs, values):
+        buf[:, lo:hi] = values.T
+        rngs[lo:hi] = block_rngs
 
-        noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
-        x, p, weights = _integrate_batch(
-            spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
-            sched.record_nodes(), intervention_plan=plan, rngs=rngs)
-    times = sched.record_times()
-    failed, t_bad = _failures(times, x, p, weights)
-    return TrajectoryEnsemble(times, x, p, weights, failed_ids=failed, failure_time=t_bad)
+    noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
+    x, p, weights = _integrate_batch(
+        spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
+        sched.record_nodes(), intervention_plan=plan, rngs=rngs)
+    del buf  # not alive beside what the booking allocates
+    book(ids[0], x, p, weights)
 
 
 def _failures(times, x, p, weights):
@@ -970,11 +1006,16 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     ``OPENBLAS_NUM_THREADS``.
 
     Without a ``consumer`` the records are stacked in trajectory-id order.
-    With one, each batch goes to ``consumer(batch)`` in trajectory-id order
-    as a :class:`TrajectoryEnsemble` whose ``failed_ids`` index its own
-    rows, and the returned ensemble keeps only the weights and the failed
-    ids (``x`` and ``p`` are None), so memory does not grow with ``n_traj``
-    beyond 8 bytes per trajectory.
+    With one, the records go to ``consumer(piece)`` in trajectory-id order,
+    piece after piece, each a :class:`TrajectoryEnsemble` whose
+    ``failed_ids`` index its own rows.  On the linear map
+    (:func:`_takes_map`) a piece is one noise block of at most
+    ``_NOISE_BLOCK`` trajectories, handed on by whichever block thread
+    books it, one call at a time; on the stepper it is a whole batch, on the
+    calling thread.  The returned ensemble then keeps only the weights and
+    the failed ids (``x`` and ``p`` are None), so memory does not grow with
+    ``n_traj`` beyond 8 bytes per trajectory.  ``progress(done, n_traj)`` is
+    called after each batch.
 
     Aborts with :class:`IntegrationFailure` once more than 0.1% of the
     trajectories have left float range, without integrating the batches
@@ -989,29 +1030,33 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     check_memory(sched, pot, n_traj, batch_size, stacked=consumer is None)
 
     times = sched.record_times()
-    x = p = None
+    stacked_x = stacked_p = None
     if consumer is None:
-        x = np.empty((n_traj, len(times)))
-        p = np.empty((n_traj, len(times)))
+        stacked_x = np.empty((n_traj, len(times)))
+        stacked_p = np.empty((n_traj, len(times)))
     weights = np.empty(n_traj)
     failed, bad_times = [], []
+
+    def book(first, x, p, w):
+        """Weights, failures and records of trajectories ``first`` on."""
+        end = first + len(w)
+        weights[first:end] = w
+        rows, t_bad = _failures(times, x, p, w)
+        failed.extend(first + i for i in rows)
+        if t_bad is not None:
+            bad_times.append(t_bad)
+        if consumer is None:
+            stacked_x[first:end] = x
+            stacked_p[first:end] = p
+        else:
+            consumer(TrajectoryEnsemble(times, x, p, w, failed_ids=rows, failure_time=t_bad))
 
     done = 0
     with _one_blas_thread():
         for lo in range(0, n_traj, batch_size):
-            batch = _run_batch(spec, pot, sched, statistics, master_seed, stream_tag,
-                               range(lo, min(lo + batch_size, n_traj)))
-            done = lo + batch.n_traj
-            weights[lo:done] = batch.weights
-            failed.extend(lo + i for i in batch.failed_ids)
-            if batch.failure_time is not None:
-                bad_times.append(batch.failure_time)
-            if consumer is None:
-                x[lo:done] = batch.x
-                p[lo:done] = batch.p
-            else:
-                consumer(batch)
-            del batch  # not alive while the next batch is integrated
+            done = min(lo + batch_size, n_traj)
+            _run_batch(spec, pot, sched, statistics, master_seed, stream_tag,
+                       range(lo, done), book)
             if progress:
                 progress(done, n_traj)
             if len(failed) > 0.001 * n_traj:
@@ -1026,5 +1071,5 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
             message = (f"{len(failed)} of the first {done} trajectories diverged; "
                        f"{n_traj - done} of {n_traj} were not integrated")
         raise IntegrationFailure(message, trajectory_ids=failed[:32], time=t_bad)
-    return TrajectoryEnsemble(times=times, x=x, p=p, weights=weights,
+    return TrajectoryEnsemble(times=times, x=stacked_x, p=stacked_p, weights=weights,
                               failed_ids=failed, failure_time=t_bad)

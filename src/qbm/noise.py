@@ -145,8 +145,8 @@ def _draw_half(rngs, normals, z):
     the even-length inverse FFT is exactly Hermitian.
     """
     for row, r in zip(normals, rngs):
-        r.standard_normal(out=row[0])
-        r.standard_normal(out=row[1])
+        # the real parts, then the imaginary: the row is contiguous
+        r.standard_normal(out=row)
     # numpy divides (a + ib) by the real sqrt(2) as (a * s, b * s) with
     # s = 1/sqrt(2); the same products keep the bits of that division
     s = 1.0 / np.sqrt(2.0)

@@ -9,8 +9,9 @@ from .errors import SignProblemError
 
 # Times whose effective sample size falls below this are flagged unreliable.
 _ESS_FLOOR = 100.0
-# Trajectories an accumulator folds in at a time (bounds its temporaries).
-_ADD_CHUNK = 1024
+# Trajectories an accumulator folds in at a time (bounds its temporaries): a
+# noise block, the piece a run on the linear map hands on.
+_ADD_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,19 @@ def _good(ensemble):
 class Accumulator:
     """Streamed estimate of one observable over a trajectory ensemble.
 
-    :meth:`add` takes the ensemble a batch at a time, in trajectory-id
-    order, and keeps three sums per recorded time; :meth:`series` turns
-    them into an :class:`ObservableSeries`.  Each sum adds the rows one after
-    another, the order in which numpy reduces a whole (n_traj, n_times)
-    array along its first axis when it has more than one column, so the
-    estimates equal those of one pass over the stacked ensemble bit for bit,
-    whatever the batches.  A single column numpy sums pairwise instead; there
-    the two differ in the last bits.  The delta-method variance comes from the values shifted by
-    the first trajectory's (Chan, Golub & LeVeque, Am. Stat. 37, 1983),
-    which keeps its cancellation small.
+    :meth:`add` takes the ensemble a piece at a time, in trajectory-id
+    order (a run's consumer gets a noise block on the linear map, a batch on
+    the stepper), and folds each piece in ``_ADD_CHUNK`` rows at a time into
+    three sums per recorded time, so beyond the sums it holds a few chunks'
+    temporaries; :meth:`series` turns them into an :class:`ObservableSeries`.
+    Each sum adds the rows one after another, the order in which numpy
+    reduces a whole (n_traj, n_times) array along its first axis when it has
+    more than one column, so the estimates equal those of one pass over the
+    stacked ensemble bit for bit, whatever the pieces and chunks.  A single
+    column numpy sums pairwise instead; there the two differ in the last
+    bits.  The delta-method variance comes from the values shifted by the
+    first trajectory's (Chan, Golub & LeVeque, Am. Stat. 37, 1983), which
+    keeps its cancellation small.
     """
 
     def __init__(self, times, obs, thermal=False):
@@ -148,9 +152,11 @@ class Accumulator:
 
     def add(self, ensemble):
         """Fold in the finite trajectories of ``ensemble``, ``_ADD_CHUNK`` at a time."""
-        good = _good(ensemble)
-        for lo in range(0, len(good), _ADD_CHUNK):
-            rows = good[lo:lo + _ADD_CHUNK]
+        # slices of the records when every row is finite, copies otherwise
+        good = _good(ensemble) if ensemble.failed_ids else None
+        n = ensemble.n_traj if good is None else len(good)
+        for lo in range(0, n, _ADD_CHUNK):
+            rows = slice(lo, lo + _ADD_CHUNK) if good is None else good[lo:lo + _ADD_CHUNK]
             self._add_rows(ensemble.x[rows], ensemble.p[rows], ensemble.weights[rows])
 
     def _add_rows(self, x, p, w):
@@ -208,7 +214,7 @@ def estimate(ensemble, obs):
     """Weighted ratio estimate of ``obs`` on the ensemble's recording grid.
 
     See :meth:`Accumulator.series`; the ensemble goes through an
-    :class:`Accumulator` 1024 trajectories at a time.
+    :class:`Accumulator` ``_ADD_CHUNK`` trajectories at a time.
     """
     acc = Accumulator(ensemble.times, obs)
     acc.add(ensemble)

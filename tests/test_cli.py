@@ -485,6 +485,26 @@ class TestRun:
         # the dump writes each batch as it comes, as the estimators take it
         assert peak(4096, True) <= 1.25 * peak(512, True)
 
+    def test_peak_memory_flat_in_batch_size_on_the_map(self, tmp_path):
+        # the fig1 preset at 2048 trajectories, with its sigma2 reference: on
+        # the linear map each noise block is folded into the estimators as
+        # it finishes, so a batch of 1024 holds no more than one of 64
+        with resources.as_file(preset_path("fig1")) as p:
+            cfg = parse_config(p)
+        cfg.n_traj = 2048
+
+        def peak(batch_size):
+            cfg.batch_size = batch_size
+            tracemalloc.start()
+            try:
+                run(cfg, out_dir=str(tmp_path / str(batch_size)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # warm up one-time allocations (FFT plan cache, imports)
+        assert peak(1024) <= 1.25 * peak(64)
+
     def test_float_serialisation_has_17_significant_digits(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         out = tmp_path / "out"

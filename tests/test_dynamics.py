@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from qbm.dynamics import (
     Potential,
     Schedule,
     Trajectory,
+    TrajectoryEnsemble,
     _build_plan,
     _integrate_batch,
     _kernel_mid,
@@ -69,6 +72,24 @@ class Shift:
 
     def sample(self, rbar, pbar, rng):
         return rbar + self.step, pbar, 1.0
+
+
+def run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
+    """The pieces ``_run_batch`` books for ``ids``, gathered into one
+    :class:`TrajectoryEnsemble`; they must come contiguous, in id order."""
+    n_rec = len(sched.record_nodes())
+    x, p, w = np.empty((len(ids), n_rec)), np.empty((len(ids), n_rec)), np.empty(len(ids))
+    end = 0
+
+    def book(first, px, pp, pw):
+        nonlocal end
+        assert first == ids[end]
+        x[end:end + len(pw)], p[end:end + len(pw)], w[end:end + len(pw)] = px, pp, pw
+        end += len(pw)
+
+    _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids, book)
+    assert end == len(ids)
+    return TrajectoryEnsemble(sched.record_times(), x, p, w)
 
 
 class TestPotential:
@@ -577,10 +598,10 @@ class TestStreamedRun:
         # array would add a whole one
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
         n_traj = 3000
-        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
+        run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
         tracemalloc.start()
         try:
-            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
+            run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,19 +610,25 @@ class TestStreamedRun:
     def test_linear_batch_holds_what_check_memory_counts(self, monkeypatch):
         # a free potential takes the linear map, with no buffer: its rows,
         # built within the trace, on each of two threads two noise blocks
-        # with the block's x and p at the nodes, and the batch's records are
-        # what check_memory counts (10.9 MB here), against a 1601 x 3072
-        # buffer of 39 MB; the rest (a block's generators, the failure
-        # check's masks) stays within a tenth
+        # with the block's x and p at the nodes, and the batch's records,
+        # the most its booked pieces can hold while they wait for an earlier
+        # block, are what check_memory counts (10.9 MB here), against a
+        # 1601 x 3072 buffer of 39 MB; the rest (a block's generators, the
+        # failure check's masks) stays within a tenth.  The pieces are
+        # dropped as they are booked, as a run's consumer leaves them
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
         n_traj = 3000
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
+
+        def drop(first, x, p, w):
+            pass
+
+        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8), drop)  # one-time allocations
         qdyn._node_rows.cache_clear()
         qdyn.momentum_response.cache_clear()
         tracemalloc.start()
         try:
-            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
+            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj), drop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -691,6 +718,46 @@ class TestStreamedRun:
         assert failure.value.trajectory_ids == tuple(range(32))
 
 
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_map_pieces_are_booked_in_id_order(self, monkeypatch, cores):
+        # 600 trajectories in batches of 300, each five noise blocks (64 x 4
+        # and 44), on 1, 2 or 4 threads switching every microsecond: the
+        # consumer gets one piece per block, one call at a time, and the
+        # pieces put end to end are the stacked run, byte for byte
+        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4,
+                         interventions=CAT_SCHED.interventions)
+        assert qdyn._takes_map(FREE, sched)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
+        stacked = run_ensemble(FIG1, FREE, sched, 600, "quantum", 29)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
+        pieces, inside, threads = [], [], set()
+        lock = threading.Lock()
+
+        def consumer(piece):
+            with lock:
+                inside.append(piece)
+                assert len(inside) == 1
+            threads.add(threading.get_ident())
+            pieces.append(piece)
+            with lock:
+                inside.remove(piece)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = run_ensemble(FIG1, FREE, sched, 600, "quantum", 29,
+                                    batch_size=300, consumer=consumer)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [piece.n_traj for piece in pieces] == [64, 64, 64, 64, 44] * 2
+        assert not any(piece.failed_ids for piece in pieces)
+        for key in ("x", "p", "weights"):
+            joined = np.concatenate([getattr(piece, key) for piece in pieces])
+            assert joined.tobytes() == getattr(stacked, key).tobytes()
+        assert streamed.weights.tobytes() == stacked.weights.tobytes()
+        assert len(threads) <= cores
+
+
 class TestThreads:
     @pytest.fixture
     def openblas(self):
@@ -722,6 +789,29 @@ class TestThreads:
 
         with pytest.raises(RuntimeError, match="consumer failed"):
             run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, consumer=consumer)
+        assert get() == 2
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_pin_is_restored_when_a_block_thread_consumer_fails(self, openblas,
+                                                                monkeypatch, cores):
+        # on the map the consumer runs on whichever block thread books the
+        # piece; its failure on the third of five pieces is raised by the
+        # run, no later piece is booked, and the pin is restored
+        get, put = openblas
+        put(2)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
+        sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05, record_stride=5)
+        assert qdyn._takes_map(FREE, sched)
+        seen = []
+
+        def consumer(piece):
+            seen.append(piece.n_traj)
+            if len(seen) == 3:
+                raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            run_ensemble(FIG1, FREE, sched, 300, "quantum", 1, consumer=consumer)
+        assert seen == [64, 64, 64]
         assert get() == 2
 
     def test_openblas_is_looked_up_once_per_process(self):
@@ -1030,9 +1120,9 @@ class TestTimeMajorIntegrator:
         # batch, has the bits of the same rows of the full batch
         sched = Schedule(t_eq=10.0, t_end=2.0, dt=0.05)
         assert sched.n_steps > 3 * _CONV_BLOCK
-        whole = _run_batch(FIG1, FREE, sched, "quantum", 20260808, 0, range(1024))
+        whole = run_batch(FIG1, FREE, sched, "quantum", 20260808, 0, range(1024))
         for lo, hi in [(1000, 1017), (5, 6), (100, 229), (0, 300), (513, 1024)]:
-            part = _run_batch(FIG1, FREE, sched, "quantum", 20260808, 0, range(lo, hi))
+            part = run_batch(FIG1, FREE, sched, "quantum", 20260808, 0, range(lo, hi))
             assert part.x.tobytes() == whole.x[lo:hi].tobytes(), (lo, hi)
             assert part.p.tobytes() == whole.p[lo:hi].tobytes(), (lo, hi)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
@@ -1046,9 +1136,9 @@ class TestTimeMajorIntegrator:
         # potential takes: its friction products run on whole history tiles
         sched = Schedule(t_eq=10.0, t_end=2.0, dt=0.05)
         pot = Potential.polynomial([0.0, 0.0, 0.5, 0.0, 0.1])
-        whole = _run_batch(FIG1, pot, sched, "quantum", 20260808, 0, range(1024))
+        whole = run_batch(FIG1, pot, sched, "quantum", 20260808, 0, range(1024))
         for lo, hi in [(1000, 1017), (5, 6), (100, 229), (0, 300), (513, 1024)]:
-            part = _run_batch(FIG1, pot, sched, "quantum", 20260808, 0, range(lo, hi))
+            part = run_batch(FIG1, pot, sched, "quantum", 20260808, 0, range(lo, hi))
             assert part.x.tobytes() == whole.x[lo:hi].tobytes(), (lo, hi)
             assert part.p.tobytes() == whole.p[lo:hi].tobytes(), (lo, hi)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
@@ -1201,7 +1291,7 @@ class TestLinearMap:
                             lambda sched: logged_plan(_build_plan(sched), map_log))
         # one noise thread, so the map's blocks log their draws in id order
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
-        ens = _run_batch(spec, pot, sched, statistics, 47, 0, ids)
+        ens = run_batch(spec, pot, sched, statistics, 47, 0, ids)
         grid = qnoise.FrequencyGrid.for_times(spec, dt, n + 1)
         xi, rngs = drawn_noise(spec, grid, statistics, 47, 0, ids)
         x_all, p_all, w_ref, draws, step_bound = stepper_with_bound(
@@ -1291,7 +1381,7 @@ class TestLinearMap:
             Intervention(0.0, GaussianLocalize(1.0), mode="translate"),))
         assert qdyn._takes_map(FREE, sched)
         for lo in (0, 64, 128):
-            _run_batch(FIG1, FREE, sched, "quantum", 3, 0, range(lo, lo + 64))
+            run_batch(FIG1, FREE, sched, "quantum", 3, 0, range(lo, lo + 64))
         rows, gx, gp, jx, jp = qdyn.linear_rows(FIG1, FREE, sched)
         assert len(solves) == 1
         assert not any(a.flags.writeable for a in (rows, gx, gp, jx, jp))
@@ -1333,7 +1423,7 @@ class TestLinearMap:
         cat = Schedule(t_eq=2.0, t_end=1.05, dt=0.05, record_stride=4, interventions=(
             Intervention(0.0, CAT, mode="translate"),))
         assert qdyn._takes_map(FREE, cat)
-        ens = _run_batch(spec, FREE, cat, "quantum", 3, 0, range(70))
+        ens = run_batch(spec, FREE, cat, "quantum", 3, 0, range(70))
         assert len(solves) == 1
         assert np.isfinite(ens.x).all() and np.isfinite(ens.p).all()
 
