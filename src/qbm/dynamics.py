@@ -228,7 +228,9 @@ class Schedule:
         return np.arange(self.eq_steps, self.n_steps + 1, self.record_stride)
 
     def record_times(self):
-        return -self.t_eq + self.dt * self.record_nodes()
+        """Times of the record nodes: whole multiples of ``dt`` from t = 0,
+        without the roundoff of ``t_eq`` that subtracting it would carry."""
+        return self.dt * (self.record_nodes() - self.eq_steps)
 
     def intervention_nodes(self):
         return [int(round((iv.time + self.t_eq) / self.dt)) for iv in self.interventions]

@@ -170,6 +170,16 @@ class TestSchedule:
             with pytest.raises(ConfigurationError, match="t_end"):
                 Schedule(t_eq=1.0, t_end=t_end, dt=0.05)
 
+    @pytest.mark.parametrize("t_eq, t_end, dt, stride", [
+        (25.0, 10.0, 0.025, 2), (60.0, 20.0, 0.05, 4), (4.0, 2.0, 0.005, 1)])
+    def test_record_times_are_whole_multiples_of_dt(self, t_eq, t_end, dt, stride):
+        # fig1's, classical_limit's and a fine schedule: subtracting t_eq
+        # from the node times would leave up to 7e-15 of its roundoff
+        sched = Schedule(t_eq=t_eq, t_end=t_end, dt=dt, record_stride=stride)
+        times = sched.record_times()
+        assert times.tobytes() == (dt * (stride * np.arange(len(times)))).tobytes()
+        assert times[0] == 0.0 and times[1] == stride * dt
+
     def test_intervention_ordering_and_range(self):
         iv = lambda t: Intervention(t, ResetTo(0.0, 0.0))
         with pytest.raises(ConfigurationError):
