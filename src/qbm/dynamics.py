@@ -491,13 +491,13 @@ def check_memory(sched, pot, n_traj, batch_size, stacked=False):
     x width`` floats, ``width`` being the batch rounded up to the history
     tile.  The linear map holds ``16 n_map (n_steps + 1)`` bytes of x and p
     rows, ``n_map`` being the record and intervention nodes; on each thread
-    the block's x and p at the nodes; and, at worst, its batch's x and p
-    records: the batch holds none, but a finished block waits to be booked
-    until every block before it is, so all but one of the batch's blocks
-    may wait on a slow one.  The run integrates one batch at a time and
-    keeps one weight per
-    trajectory.  The step count comes from ``t_eq``, ``t_end`` and ``dt``
-    alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows, and
+    the block's x and p at the nodes; and, at worst, those of its whole
+    batch: the batch holds no records, but a finished block waits to be
+    booked until every block before it is, so all but one of the batch's
+    blocks may wait on a slow one.  The run integrates one batch at a time
+    and keeps one weight per trajectory.  The step count comes from
+    ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt = 1e-300`` would size a
+    buffer of 1e300 rows, and
     ``n_traj = 1e14`` would size 800 TB of weights: both are rejected here,
     before anything is allocated.  A ``stacked`` run (:func:`run_ensemble`
     without a consumer) also holds every trajectory's ``x`` and ``p``
@@ -514,7 +514,7 @@ def check_memory(sched, pot, n_traj, batch_size, stacked=False):
     if linear:
         n_map = n_rec + len(sched.interventions)
         held = (16 * n_map * n_nodes + threads * 16 * _NOISE_BLOCK * (n_nodes + n_map)
-                + 16 * batch * n_rec)
+                + 16 * batch * n_map)
         name = "x and p rows, noise blocks and batch records"
     else:
         held = 8 * n_nodes * _buffer_width(batch) + threads * 16 * _NOISE_BLOCK * n_nodes

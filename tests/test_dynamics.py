@@ -606,12 +606,14 @@ class TestStreamedRun:
         # and its records: at 3000 trajectories of 1600 steps with two
         # records these stay below 0.3 buffers, while a second noise-sized
         # array would add a whole one
+        # (a polynomial potential: a free one with two records takes the map)
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
         n_traj = 3000
-        run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8))  # one-time allocations
+        assert not qdyn._takes_map(WELL, sched)
+        run_batch(FIG1, WELL, sched, "quantum", 1, 0, range(8))  # one-time allocations
         tracemalloc.start()
         try:
-            run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj))
+            run_batch(FIG1, WELL, sched, "quantum", 1, 0, range(n_traj))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
