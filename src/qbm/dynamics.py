@@ -398,10 +398,9 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
     ``book(lo, piece)`` is called for every piece in block order, one call
     at a time, by whichever thread finishes the next piece to book: a thread
     that finds another booking leaves its piece and claims its next block,
-    and the booking thread books it once it is done.  The calling thread
-    books whatever is left.  Every thread is joined before this returns,
-    and an exception raised in one block, or by ``book``, is raised here;
-    no piece is booked after it.
+    and the booking thread books it once it is done.  Every thread is
+    joined before this returns, and an exception raised in one block, or by
+    ``book``, is raised here; no piece is booked after it.
     """
     pending = {}          # lo -> piece, finished but not yet booked
     drain = threading.Lock()
@@ -428,8 +427,6 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
 
     n_blocks = -(-len(ids) // _NOISE_BLOCK)
     _noise._in_threads(block, len(ids), _NOISE_BLOCK, min(_noise.thread_count(), n_blocks))
-    if book is not None:
-        book_ready()
 
 
 def _kernel_mid(spec, dt, n):

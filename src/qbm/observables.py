@@ -152,11 +152,9 @@ class Accumulator:
 
     def add(self, ensemble):
         """Fold in the finite trajectories of ``ensemble``, ``_ADD_CHUNK`` at a time."""
-        # slices of the records when every row is finite, copies otherwise
-        good = _good(ensemble) if ensemble.failed_ids else None
-        n = ensemble.n_traj if good is None else len(good)
-        for lo in range(0, n, _ADD_CHUNK):
-            rows = slice(lo, lo + _ADD_CHUNK) if good is None else good[lo:lo + _ADD_CHUNK]
+        good = _good(ensemble)
+        for lo in range(0, len(good), _ADD_CHUNK):
+            rows = good[lo:lo + _ADD_CHUNK]
             self._add_rows(ensemble.x[rows], ensemble.p[rows], ensemble.weights[rows])
 
     def _add_rows(self, x, p, w):

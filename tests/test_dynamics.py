@@ -653,6 +653,57 @@ class TestStreamedRun:
             qdyn.check_memory(sched, FREE, n_traj, n_traj)
         assert peak <= 1.1 * held
 
+    def test_waiting_blocks_stay_within_what_check_memory_counts(self, monkeypatch):
+        # the worst case check_memory counts: block 0 is held back until
+        # every other block of the batch has finished, so their pieces all
+        # wait to be booked at once, and are still within the count of
+        # test_linear_batch_holds_what_check_memory_counts
+        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
+        n_traj = 3000
+        n_blocks = -(-n_traj // qdyn._NOISE_BLOCK)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        traj_streams, apply_map = qdyn._traj_streams, qdyn._apply_map
+        on_block = threading.local()
+        lock = threading.Lock()
+        others_done = threading.Event()
+        finished = []    # blocks other than block 0 done, in order
+        at_first_booking = []
+
+        def streams(master_seed, stream_tag, ids):
+            on_block.first = ids[0] == 0
+            return traj_streams(master_seed, stream_tag, ids)
+
+        def held_back(*args):
+            if on_block.first:
+                assert others_done.wait(60)
+                return apply_map(*args)
+            piece = apply_map(*args)
+            with lock:
+                finished.append(None)
+                if len(finished) == n_blocks - 1:
+                    others_done.set()
+            return piece
+
+        def drop(first, x, p, w):
+            if first == 0:
+                at_first_booking.append(len(finished))
+
+        # one-time allocations
+        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8), lambda *piece: None)
+        qdyn._node_rows.cache_clear()
+        qdyn.momentum_response.cache_clear()
+        monkeypatch.setattr(qdyn, "_traj_streams", streams)
+        monkeypatch.setattr(qdyn, "_apply_map", held_back)
+        tracemalloc.start()
+        try:
+            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj), drop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert at_first_booking == [n_blocks - 1]
+        held = 16 * 101 * 1601 + 2 * 16 * 64 * (1601 + 101) + 16 * n_traj * 101
+        assert peak <= 1.1 * held
+
     def test_record_dense_quadratic_run_takes_the_stepper(self, monkeypatch):
         # 10,000 steps recorded at every node from t = 0: the map would do
         # 2 x 8001 x 10001 multiply-adds per path against the stepper's
