@@ -468,8 +468,8 @@ def noise_check(cfg, out_dir=None, dump=False):
     reduces it to its per-path lag products; the estimates are one
     reduction of those in id order, so they do not depend on the thread
     count, and memory grows neither with ``n_traj`` beyond ``_N_LAGS``
-    floats per path nor with ``batch_size``.  Returns ``(report dict, ok
-    flag)`` and writes ``noise_check.json`` (plus the paths, as
+    floats and one stream key per path nor with ``batch_size``.  Returns
+    ``(report dict, ok flag)`` and writes ``noise_check.json`` (plus the paths, as
     ``noise_paths.bin`` in id order, when ``dump`` is set: each thread
     writes its block at the block's own rows).
     """

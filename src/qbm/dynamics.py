@@ -356,25 +356,48 @@ class _PhiloxKey:
         return self.key
 
 
-def _traj_streams(master_seed, stream_tag, ids):
-    """Counter-based streams of the trajectories ``ids``, keyed together.
+def _stream_keys(master_seed, stream_tag, ids):
+    """Philox keys of the trajectories ``ids``, as an (n, 2) uint64 array.
 
-    Stream ``i`` is Philox keyed as by ``SeedSequence((master_seed,
-    stream_tag, i))``, so it is independent of scheduling order and of the
-    ids keyed with it.
+    Row ``i`` is ``SeedSequence((master_seed, stream_tag,
+    ids[i])).generate_state(2, np.uint64)``, so a trajectory's stream is
+    independent of scheduling order and of the ids keyed with it.  The
+    entropy is built as arrays, not per id, so keying a whole run's ids
+    holds a few words per id.  Ids lie in [0, 2**64).
     """
+    prefix = _uint32_words(int(master_seed)) + _uint32_words(int(stream_tag))
+    try:  # through Python ints: numpy would wrap a negative numpy integer
+        ids = np.fromiter(map(int, ids), dtype=np.uint64, count=len(ids))
+    except OverflowError:
+        raise ValueError("trajectory ids must lie in [0, 2**64)") from None
+    # an id past 2**32 is two entropy words: one hash per row length
+    entropy = np.empty((len(ids), len(prefix) + 2), dtype=np.uint32)
+    entropy[:, :len(prefix)] = prefix
+    entropy[:, -2] = ids & 0xFFFFFFFF
+    entropy[:, -1] = ids >> 32
+    wide = entropy[:, -1] != 0
+    keys = np.empty((len(ids), 2), dtype=np.uint64)
+    keys[~wide] = _seed_keys(entropy[~wide, :-1])
+    if wide.any():
+        keys[wide] = _seed_keys(entropy[wide])
+    return keys
+
+
+def _key_streams(keys):
+    """One generator per row of :func:`_stream_keys`, at counter 0."""
     # registered here, not at import: importing qbm does not load numpy.random
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_PhiloxKey)
-    prefix = _uint32_words(int(master_seed)) + _uint32_words(int(stream_tag))
-    rows = [prefix + _uint32_words(int(i)) for i in ids]
-    keys = np.empty((len(rows), 2), dtype=np.uint64)
-    # ids past 2**32 are more entropy words: one hash per row length
-    for width in set(map(len, rows)):
-        sel = [k for k, row in enumerate(rows) if len(row) == width]
-        keys[sel] = _seed_keys(np.array([rows[k] for k in sel], dtype=np.uint32))
-    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
+    # a counter array, not Philox's default int 0, skips a slow conversion
+    zero = np.zeros(4, dtype=np.uint64)
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=zero))
+            for key in keys]
+
+
+def _traj_streams(master_seed, stream_tag, ids):
+    """Counter-based streams of the trajectories ``ids`` (see :func:`_stream_keys`)."""
+    return _key_streams(_stream_keys(master_seed, stream_tag, ids))
 
 
 def _traj_stream(master_seed, stream_tag, traj_id):
@@ -387,12 +410,16 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
 
     ``ids[lo:hi]`` are the block's trajectories; row ``i`` of ``values`` is
     the noise path of ``ids[lo + i]``, drawn from its own stream, which
-    ``rngs[i]`` continues past the noise draws.  The blocks run on
+    ``rngs[i]`` continues past the noise draws.  Every id's stream key is
+    hashed first, in one pass; then the blocks run on
     :func:`qbm.noise.thread_count` threads (at most one per block), each
-    thread claiming whole blocks and running each end to end: keying its
+    thread claiming whole blocks and running each end to end: making its
     streams, synthesising its noise and calling ``work``.  So ``work`` runs
     concurrently, in no set order, and writes only rows ``lo:hi`` of what
     it fills; what it reads must have been built before this is called.
+    OpenBLAS runs on one thread meanwhile (:func:`_one_blas_thread`), so
+    ``work``'s BLAS calls give the same bits whatever
+    ``OPENBLAS_NUM_THREADS`` is, and leave the cores to the block threads.
 
     With ``book``, what ``work`` returns is the block's piece, and
     ``book(lo, piece)`` is called for every piece in block order, one call
@@ -418,15 +445,19 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
             finally:
                 drain.release()
 
+    keys = _stream_keys(master_seed, stream_tag, ids)
+
     def block(lo, hi):
-        rngs = _traj_streams(master_seed, stream_tag, ids[lo:hi])
+        rngs = _key_streams(keys[lo:hi])
         piece = work(lo, hi, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs))
         if book is not None:
             pending[lo] = piece
             book_ready()
 
     n_blocks = -(-len(ids) // _NOISE_BLOCK)
-    _noise._in_threads(block, len(ids), _NOISE_BLOCK, min(_noise.thread_count(), n_blocks))
+    with _one_blas_thread():
+        _noise._in_threads(block, len(ids), _NOISE_BLOCK,
+                           min(_noise.thread_count(), n_blocks))
 
 
 def _kernel_mid(spec, dt, n):
@@ -958,9 +989,8 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids, book)
         def work(lo, hi, rngs, values):
             return _apply_map(sched, plan, linear, values, rngs)
 
-        with _one_blas_thread():
-            noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work,
-                         book=lambda lo, piece: book(ids[lo], *piece))
+        noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work,
+                     book=lambda lo, piece: book(ids[lo], *piece))
         return
     # each block transposed into its columns of the shared buffer: the
     # batch never holds its noise and its velocity history side by side

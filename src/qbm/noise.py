@@ -14,6 +14,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -40,10 +41,8 @@ _COVERAGE_FACTOR = 20.0
 # four per call are as fast, and the workspaces stay four rows long.
 _FFT_ROWS = 4
 
-# Paths whose lag products :func:`lag_products` forms at a time: the rows and
-# their product buffer (16 x 4001 floats each on fig2's grid) stay in cache
-# across the lags.
-_LAG_ROWS = 16
+# Paths :func:`empirical_autocorrelation` stacks into its tile buffer at a time.
+_TILE_PATHS = 16
 
 _MAGIC = b"QBENS\x01"
 
@@ -157,8 +156,13 @@ def _draw_half(rngs, normals, z):
     return z
 
 
+@lru_cache(maxsize=4)
 def mode_amplitudes(spec, grid, statistics):
-    """Per-mode amplitude sqrt(delta_omega / (2*pi) * PSD(omega_k)) for k = 0..N."""
+    """Per-mode amplitude sqrt(delta_omega / (2*pi) * PSD(omega_k)) for k = 0..N.
+
+    Memoised on its frozen arguments, so a run's noise blocks share one
+    array; it is returned read-only.
+    """
     w = grid.omegas
     if statistics == QUANTUM:
         psd = bath.noise_psd(spec, w)
@@ -167,7 +171,9 @@ def mode_amplitudes(spec, grid, statistics):
         psd = 2.0 * spec.kT * spec.gamma * spec.mass * np.exp(-spec.eps * w)
     else:
         raise ConfigurationError(f"no spectral amplitudes for statistics {statistics!r}")
-    return np.sqrt(grid.delta_omega / (2.0 * np.pi) * psd)
+    amp = np.sqrt(grid.delta_omega / (2.0 * np.pi) * psd)
+    amp.flags.writeable = False
+    return amp
 
 
 def _white_variance(spec, t_step):
@@ -369,20 +375,15 @@ def lag_products(rows, shifts, out):
     ``rows[r, t0] * rows[r, t0 + shifts[i]]``.
 
     ``rows`` is a 2-D array of paths, ``out`` a ``(len(shifts),
-    len(rows))`` array or view.  The rows are taken ``_LAG_ROWS`` at a
-    time, each group multiplied into one product buffer and summed by one
-    row reduction per lag: a path's products are its own row's, whatever
-    the rows around it.  Returns ``out``.
+    len(rows))`` array or view.  Each path and lag is one BLAS dot product
+    of the path with its own shifted view, so a path's products are its own
+    row's, whatever the rows around it.  How OpenBLAS splits a long dot
+    among its threads changes its last bits, so callers hold it to one
+    thread (:func:`qbm.dynamics.noise_blocks`).  Returns ``out``.
     """
     n = rows.shape[1]
-    prod = np.empty((min(_LAG_ROWS, len(rows)), n))
-    for lo in range(0, len(rows), _LAG_ROWS):
-        group = rows[lo:lo + _LAG_ROWS]
-        for i, k in enumerate(shifts):
-            lagged = np.multiply(group[:, :n - k], group[:, k:],
-                                 out=prod[:len(group), :n - k])
-            # np.mean's own row sum and division, without its temporaries
-            out[i, lo:lo + len(group)] = np.add.reduce(lagged, axis=1) / (n - k)
+    for i, k in enumerate(shifts):
+        out[i] = np.vecdot(rows[:, :n - k], rows[:, k:]) / (n - k)
     return out
 
 
@@ -406,16 +407,19 @@ def empirical_autocorrelation(paths, lags):
     estimate over part of the span, pass paths sliced to it.
 
     ``paths`` is any iterable of :class:`NoisePath` on one time grid.  It is
-    consumed ``_LAG_ROWS`` paths at a time, each tile stacked into one
+    consumed ``_TILE_PATHS`` paths at a time, each tile stacked into one
     reused tile buffer and reduced to its per-path lag products
-    (:func:`lag_products`) before the next is taken.  So memory is bounded
-    by two tiles of paths (plus ``len(lags)`` floats per path) whatever the
-    ensemble size, and the estimates do not depend on the tiling.
+    (:func:`lag_products`, OpenBLAS on one thread) before the next is
+    taken.  So memory is bounded by two tiles of paths (plus ``len(lags)``
+    floats per path) whatever the ensemble size, and the estimates do not
+    depend on the tiling or on ``OPENBLAS_NUM_THREADS``.
 
     Returns ``(estimates, standard_errors)`` aligned with ``lags``.
     """
+    from .dynamics import _one_blas_thread  # dynamics imports this module
+
     paths = iter(paths)
-    tile = list(itertools.islice(paths, _LAG_ROWS))
+    tile = list(itertools.islice(paths, _TILE_PATHS))
     if not tile:
         raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
     times = tile[0].times
@@ -430,11 +434,12 @@ def empirical_autocorrelation(paths, lags):
             raise ConfigurationError(
                 f"empirical_autocorrelation requires paths of one length ({n} samples)")
         values = np.stack([p.values for p in tile], out=tile_values[:len(tile)])
-        blocks.append(lag_products(values, shifts, np.empty((len(shifts), len(tile)))))
+        with _one_blas_thread():
+            blocks.append(lag_products(values, shifts, np.empty((len(shifts), len(tile)))))
         # release this tile's paths, and any array they view, before the
         # iterable produces the next ones
         del tile
-        tile = list(itertools.islice(paths, _LAG_ROWS))
+        tile = list(itertools.islice(paths, _TILE_PATHS))
     # lag-major, so each lag reduces over one contiguous row of per-path values
     return lag_statistics(np.concatenate(blocks, axis=1))
 

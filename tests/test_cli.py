@@ -744,6 +744,32 @@ class TestNoiseCheck:
         peak(2 * 64)  # warm up one-time allocations (FFT plan cache, imports)
         assert peak(8 * 64) <= 1.25 * peak(2 * 64)
 
+    def test_report_does_not_depend_on_openblas_num_threads(self, tmp_path):
+        # a fresh interpreter per setting: OpenBLAS reads it when it loads.
+        # 52,001 samples: the lag products are dots of about 52,000 terms,
+        # which 2 unpinned OpenBLAS threads split and sum differently
+        path = write_config(tmp_path, kT=0.2, n_traj=4)
+        path.write_text(path.read_text().replace("t_eq = 4.0", "t_eq = 1300.0")
+                        .replace("t_end = 2.0", "t_end = 1300.0"))
+        assert parse_config(path).schedule_obj().n_steps + 1 > 50_000
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
+        reports = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            blas = subprocess.run([sys.executable, "-c", "from qbm import dynamics; "
+                                   "print(dynamics.blas_threads())"], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            assert blas.stdout.strip() in ("None", threads)
+            out = tmp_path / threads
+            # exit 1 is a failed check, which writes its report too
+            done = subprocess.run([sys.executable, "-m", "qbm.cli", "noise-check", str(path),
+                                   "--out-dir", str(out)], env=env, capture_output=True,
+                                  timeout=300)
+            assert done.returncode in (0, 1) and not done.stderr
+            reports[threads] = (out / "noise_check.json").read_bytes()
+        assert reports["1"] == reports["2"]
+
     def test_report_and_dump_identical_at_any_batch_size(self, tmp_path):
         # 1 and 17 cut the ensemble into odd pieces, 1024 exceeds it
         outputs = {}

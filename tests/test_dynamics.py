@@ -662,16 +662,17 @@ class TestStreamedRun:
         n_traj = 3000
         n_blocks = -(-n_traj // qdyn._NOISE_BLOCK)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        traj_streams, apply_map = qdyn._traj_streams, qdyn._apply_map
+        key_streams, apply_map = qdyn._key_streams, qdyn._apply_map
+        first_key = qdyn._stream_keys(1, 0, [0])[0].tobytes()
         on_block = threading.local()
         lock = threading.Lock()
         others_done = threading.Event()
         finished = []    # blocks other than block 0 done, in order
         at_first_booking = []
 
-        def streams(master_seed, stream_tag, ids):
-            on_block.first = ids[0] == 0
-            return traj_streams(master_seed, stream_tag, ids)
+        def streams(keys):
+            on_block.first = keys[0].tobytes() == first_key
+            return key_streams(keys)
 
         def held_back(*args):
             if on_block.first:
@@ -692,7 +693,7 @@ class TestStreamedRun:
         _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8), lambda *piece: None)
         qdyn._node_rows.cache_clear()
         qdyn.momentum_response.cache_clear()
-        monkeypatch.setattr(qdyn, "_traj_streams", streams)
+        monkeypatch.setattr(qdyn, "_key_streams", streams)
         monkeypatch.setattr(qdyn, "_apply_map", held_back)
         tracemalloc.start()
         try:
@@ -840,6 +841,30 @@ class TestThreads:
         run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4,
                      consumer=lambda batch: seen.append(get()))
         assert seen == [1, 1]
+        assert get() == 2
+
+    def test_noise_blocks_and_autocorrelation_pin_openblas_and_restore_it(self, openblas,
+                                                                          monkeypatch):
+        # noise-check's lag products run in noise_blocks' work, and
+        # empirical_autocorrelation's in lag_products: both on one thread
+        get, put = openblas
+        put(2)
+        grid = qnoise.FrequencyGrid.for_times(FIG1, 0.05, 31)
+        seen = []
+        qdyn.noise_blocks(FIG1, grid, "quantum", 1, 0, range(70),
+                          lambda lo, hi, rngs, values: seen.append(get()))
+        lag_products = qnoise.lag_products
+
+        def counted(*args):
+            seen.append(get())
+            return lag_products(*args)
+
+        monkeypatch.setattr(qnoise, "lag_products", counted)
+        times = grid.t_step * np.arange(grid.n_times)
+        paths = [qnoise.NoisePath(seed=(i,), times=times, values=np.ones(grid.n_times))
+                 for i in range(20)]
+        qnoise.empirical_autocorrelation(paths, [0.0, 0.05])
+        assert seen == [1, 1, 1, 1]
         assert get() == 2
 
     def test_pin_is_restored_when_the_run_fails(self, openblas):
@@ -1518,7 +1543,8 @@ class TestStreams:
             self.seed_sequence_stream(seed, tag, self.IDS[-1]).standard_normal(8).tobytes()
 
     def test_negative_entropy_rejected_as_seed_sequence_rejects_it(self):
-        for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        # numpy would cast a negative numpy integer id to uint64 unchecked
+        for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, np.int64(-1))):
             with pytest.raises(ValueError):
                 np.random.SeedSequence(args)
             with pytest.raises(ValueError):

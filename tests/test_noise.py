@@ -164,6 +164,18 @@ class TestSynthesize:
             assert abs(e - classical_correlation(spec, lag)) <= 3.0 * s
 
 
+def test_mode_amplitudes_are_shared_and_read_only():
+    # every noise block of a run reads one array, which none may change
+    spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+    grid = FrequencyGrid.for_times(spec, 0.025, 401)
+    amp = mode_amplitudes(spec, grid, QUANTUM)
+    assert mode_amplitudes(BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5),
+                           FrequencyGrid.for_times(spec, 0.025, 401), QUANTUM) is amp
+    with pytest.raises(ValueError):
+        amp[0] = 0.0
+    assert mode_amplitudes(spec, grid, CLASSICAL) is not amp
+
+
 class TestLinearVariance:
     @pytest.mark.parametrize("statistics", [QUANTUM, CLASSICAL, WHITE])
     def test_rows_longer_than_the_path_rejected(self, statistics):
@@ -413,16 +425,59 @@ class TestThreadedSynthesis:
 
 
 def stacked_autocorrelation(paths, lags):
-    """Reference: the whole-ensemble kernel, all paths stacked in one array."""
+    """Reference: the whole-ensemble kernel, all paths stacked in one array,
+    each path's lag product one dot product of the path with its shift."""
     values = np.stack([p.values for p in paths])
     dt = paths[0].times[1] - paths[0].times[0]
+    n = values.shape[1]
     est, se = [], []
     for lag in lags:
         k = int(round(lag / dt))
-        per_path = np.mean(values[:, :values.shape[1] - k] * values[:, k:], axis=1)
+        per_path = np.array([np.dot(v[:n - k], v[k:]) for v in values]) / (n - k)
         est.append(per_path.mean())
         se.append(per_path.std(ddof=1) / np.sqrt(len(paths)))
     return np.array(est), np.array(se)
+
+
+def pairwise_lag_products(rows, shifts):
+    """Oracle: the earlier kernel, the products of each path and its shift
+    summed by numpy's pairwise row reduction."""
+    n = rows.shape[1]
+    return np.array([np.add.reduce(rows[:, :n - k] * rows[:, k:], axis=1) / (n - k)
+                     for k in shifts])
+
+
+class TestLagProducts:
+    # A priori: both kernels compute the m = n - k term sum s = sum_t a_t
+    # b_t, a_t b_t rounded once each, in some order; every order errs by at
+    # most gamma_m sum_t |a_t b_t|, gamma_m = m u / (1 - m u), u = 2**-53
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  The
+    # division by m rounds once more, so each mean lies within gamma_{m+1}
+    # sum_t |a_t b_t| / m of the exact one and the two kernels within
+    # twice that of each other.
+    @staticmethod
+    def bound(rows, shifts):
+        n = rows.shape[1]
+        u = np.finfo(float).eps / 2
+        out = []
+        for k in shifts:
+            m = n - k
+            gamma = (m + 1) * u / (1 - (m + 1) * u)
+            out.append(2 * gamma * np.abs(rows[:, :m] * rows[:, k:]).sum(axis=1) / m)
+        return np.array(out)
+
+    # fig2's grid (4001 samples at dt = 0.001, lags of eps = 10 samples) and
+    # a long one, past the 10,000 terms from which OpenBLAS threads a dot
+    @pytest.mark.parametrize("n_times", [4001, 60001])
+    def test_within_the_roundoff_bound_of_the_pairwise_kernel(self, n_times):
+        spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
+        grid = FrequencyGrid.for_times(spec, 0.001, n_times)
+        rows = synthesize_batch(spec, grid, QUANTUM, [stream(49, 0, i) for i in range(8)])
+        shifts = qnoise.lag_shifts(spec.eps * np.arange(20), 0.001, n_times)
+        with qdyn._one_blas_thread():
+            got = qnoise.lag_products(rows, shifts, np.empty((len(shifts), len(rows))))
+        ref = pairwise_lag_products(rows, shifts)
+        assert np.all(np.abs(got - ref) <= self.bound(rows, shifts))
 
 
 class TestEmpiricalAutocorrelation:
