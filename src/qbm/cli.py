@@ -457,6 +457,30 @@ def _runs_test_pvalue(signs):
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
+def _check_noise_memory(cfg, grid, n_lags, dump):
+    """Reject an ``n_traj`` whose noise-check does not fit in physical memory.
+
+    Before its blocks start, noise-check holds ``n_lags`` lag products per
+    path and keys every path's stream at once
+    (:func:`qbm.dynamics.keying_bytes`); then each of its noise threads
+    holds a block's generators and the synthesis workspaces its groups of
+    paths are drawn into (:func:`qbm.noise.group_bytes`), with, for the
+    dump, a contiguous copy of a group and its bytes.
+    """
+    memory = _dyn._physical_memory()
+    threads = min(_noise.thread_count(), -(-cfg.n_traj // _dyn._NOISE_BLOCK))
+    per_thread = _noise.group_bytes(grid) + _dyn._NOISE_BLOCK * _dyn._GENERATOR_BYTES
+    if dump:
+        per_thread += 2 * 8 * _noise._FFT_ROWS * grid.n_times
+    paths = 8 * n_lags * cfg.n_traj + _dyn.keying_bytes(cfg.master_seed, 0, cfg.n_traj)
+    if memory is None or paths + threads * per_thread <= memory:
+        return
+    raise ConfigurationError(
+        f"[run] n_traj = {cfg.n_traj} needs {paths / 2**30:.3g} GiB of lag products and "
+        f"stream keys, which with the noise groups exceed the {memory / 2**30:.3g} GiB of "
+        f"physical memory (lower [run] n_traj or --n-traj)")
+
+
 def noise_check(cfg, out_dir=None, dump=False):
     """Validate the run's noise against the bath correlation target.
 
@@ -464,14 +488,17 @@ def noise_check(cfg, out_dir=None, dump=False):
     seed (stream tag 0), estimates the autocorrelation on an
     ``_N_LAGS``-point grid spaced by the cutoff time, and scores each lag
     against the analytic target.  Fails if any |z| > 4.  Each thread draws
-    one 64-path block at a time (:func:`qbm.dynamics.noise_blocks`) and
-    reduces it to its per-path lag products; the estimates are one
-    reduction of those in id order, so they do not depend on the thread
-    count, and memory grows neither with ``n_traj`` beyond ``_N_LAGS``
-    floats and one stream key per path nor with ``batch_size``.  Returns
-    ``(report dict, ok flag)`` and writes ``noise_check.json`` (plus the paths, as
-    ``noise_paths.bin`` in id order, when ``dump`` is set: each thread
-    writes its block at the block's own rows).
+    one 64-path block at a time, a group of four paths after another
+    (:func:`qbm.dynamics.noise_blocks`), and reduces each group to its
+    per-path lag products as it is drawn; the estimates are one reduction
+    of those in id order, so they do not depend on the thread count, and
+    memory grows neither with ``n_traj`` beyond ``_N_LAGS`` floats and one
+    stream key per path nor with ``batch_size``.  That memory is counted,
+    and an ``n_traj`` it does not fit rejected, before anything is written
+    (:func:`_check_noise_memory`).  Returns ``(report dict, ok flag)`` and
+    writes ``noise_check.json`` (plus the paths, as ``noise_paths.bin`` in
+    id order, when ``dump`` is set: each thread writes each group at its
+    own rows).
     """
     if cfg.n_traj < 2:
         raise ConfigurationError(
@@ -493,6 +520,7 @@ def noise_check(cfg, out_dir=None, dump=False):
 
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_times)
     shifts = _noise.lag_shifts(lags, sched.dt, n_times)
+    _check_noise_memory(cfg, grid, len(shifts), dump)
     # lag-major, so each lag's estimate reduces one contiguous row
     products = np.empty((len(shifts), cfg.n_traj))
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,
@@ -505,14 +533,15 @@ def noise_check(cfg, out_dir=None, dump=False):
             {"kind": "noise", "config": cfg.to_dict(), "t_step": grid.t_step},
             (cfg.n_traj, n_times))
           if dump else contextlib.nullcontext()) as write:
-        def work(lo, hi, rngs, values):
-            # each block's paths reduced to their lag products, and put
+        def work(lo, hi, rngs, groups):
+            # each group's paths reduced to their lag products, and put
             # at their own rows of the dump
-            _noise.lag_products(values, shifts, products[:, lo:hi])
-            if write is not None:
-                write(values, row=lo)
+            for g, rows in groups:
+                _noise.lag_products(rows, shifts, products[:, lo + g:lo + g + len(rows)])
+                if write is not None:
+                    write(rows, row=lo + g)
 
-        # the run's own streams, a block per thread alive at a time
+        # the run's own streams, a group per thread alive at a time
         _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed, 0,
                           range(cfg.n_traj), work)
         est, se = _noise.lag_statistics(products)

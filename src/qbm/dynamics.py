@@ -61,9 +61,14 @@ _CONV_BLOCK = 64
 # lands in.
 _HISTORY_TILE = 128
 
-# Paths synthesised per call: noise exists as blocks of this many paths,
-# never as a batch.
+# Paths a noise thread takes at a time (noise_blocks): it makes their
+# streams and draws their noise a group of noise._FFT_ROWS paths at a time,
+# so noise never exists as a batch.
 _NOISE_BLOCK = 64
+
+# Bytes of one trajectory's generator (a numpy Generator on Philox), rounded
+# up from the 800 B that tracemalloc counts.
+_GENERATOR_BYTES = 1024
 
 FREE = "free"
 HARMONIC = "harmonic"
@@ -383,6 +388,15 @@ def _stream_keys(master_seed, stream_tag, ids):
     return keys
 
 
+def keying_bytes(master_seed, stream_tag, n):
+    """Most bytes :func:`_stream_keys` holds keying ``n`` ids: per id its
+    key (16 B), its uint64 id (8 B), two copies of its ``w`` entropy words
+    and two masks (8 w + 2 B), and the hash's word arrays, pool, state and
+    their temporaries (at most 4 max(w, 4) + 80 B, as measured)."""
+    w = len(_uint32_words(int(master_seed))) + len(_uint32_words(int(stream_tag))) + 2
+    return n * (26 + 8 * w + 4 * max(w, _POOL) + 80)
+
+
 def _key_streams(keys):
     """One generator per row of :func:`_stream_keys`, at counter 0."""
     # registered here, not at import: importing qbm does not load numpy.random
@@ -406,13 +420,21 @@ def _traj_stream(master_seed, stream_tag, traj_id):
 
 
 def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, book=None):
-    """Call ``work(lo, hi, rngs, values)`` for each ``_NOISE_BLOCK``-path block of ``ids``.
+    """Call ``work(lo, hi, rngs, groups)`` for each ``_NOISE_BLOCK``-path block of ``ids``.
 
-    ``ids[lo:hi]`` are the block's trajectories; row ``i`` of ``values`` is
-    the noise path of ``ids[lo + i]``, drawn from its own stream, which
-    ``rngs[i]`` continues past the noise draws.  Every id's stream key is
-    hashed first, in one pass; then the blocks run on
-    :func:`qbm.noise.thread_count` threads (at most one per block), each
+    ``ids[lo:hi]`` are the block's trajectories and ``rngs[i]`` the stream
+    of ``ids[lo + i]``.  ``groups`` yields the block's noise
+    ``noise._FFT_ROWS`` paths at a time, as ``(g, rows)``: row ``j`` of
+    ``rows`` is the noise path of ``ids[lo + g + j]``, each group one
+    :func:`qbm.noise.synthesize_batch` call on ``rngs[g:g + _FFT_ROWS]``,
+    made as ``work`` asks for it.  The calls of a block share their
+    workspaces (:func:`qbm.noise.shared_workspaces`), so ``rows`` is valid
+    only until ``work`` asks for the next group: ``work`` takes each
+    group's rows where they go, and a thread holds one group, not a block.
+    ``work`` must draw every group before it continues a stream past its
+    noise (a preparation draw), and this checks that it drew them all.
+    Every id's stream key is hashed first, in one pass; then the blocks run
+    on :func:`qbm.noise.thread_count` threads (at most one per block), each
     thread claiming whole blocks and running each end to end: making its
     streams, synthesising its noise and calling ``work``.  So ``work`` runs
     concurrently, in no set order, and writes only rows ``lo:hi`` of what
@@ -447,9 +469,19 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
 
     keys = _stream_keys(master_seed, stream_tag, ids)
 
+    def groups(rngs):
+        for g in range(0, len(rngs), _noise._FFT_ROWS):
+            yield g, _noise.synthesize_batch(spec, grid, statistics,
+                                             rngs[g:g + _noise._FFT_ROWS])
+
     def block(lo, hi):
         rngs = _key_streams(keys[lo:hi])
-        piece = work(lo, hi, rngs, _noise.synthesize_batch(spec, grid, statistics, rngs))
+        # the block's groups drawn into one pair of workspaces
+        with _noise.shared_workspaces():
+            drawn = groups(rngs)
+            piece = work(lo, hi, rngs, drawn)
+            if next(drawn, None) is not None:
+                raise RuntimeError(f"the noise block of ids[{lo}:{hi}] was not drawn whole")
         if book is not None:
             pending[lo] = piece
             book_ready()
@@ -510,22 +542,22 @@ def check_memory(sched, pot, n_traj, batch_size, stacked=False):
     """Reject a run whose batch memory and weights cannot fit in physical memory.
 
     A batch's noise blocks run on :func:`qbm.noise.thread_count` threads
-    (at most one per block; :func:`noise_blocks`), and each thread holds one
-    noise block of ``_NOISE_BLOCK`` paths beside its synthesis workspace or,
-    for a short block on the linear map, its zero-padded copy: two blocks
-    bound both, the workspace being ``_FFT_ROWS`` rows of about three FFT
-    periods.  The rest depends on the engine the run takes
-    (:func:`_takes_map`).  The stepper's batch buffer holds ``(n_steps + 1)
-    x width`` floats, ``width`` being the batch rounded up to the history
-    tile.  The linear map holds ``16 n_map (n_steps + 1)`` bytes of x and p
-    rows, ``n_map`` being the record and intervention nodes; on each thread
-    the block's x and p at the nodes; and, at worst, those of its whole
-    batch: the batch holds no records, but a finished block waits to be
-    booked until every block before it is, so all but one of the batch's
-    blocks may wait on a slow one.  The run integrates one batch at a time
-    and keeps one weight per trajectory.  The step count comes from
-    ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt = 1e-300`` would size a
-    buffer of 1e300 rows, and
+    (at most one per block; :func:`noise_blocks`), and each thread draws its
+    block a group of ``_FFT_ROWS`` paths at a time into one pair of
+    synthesis workspaces (:func:`qbm.noise.group_bytes`).  The rest depends
+    on the engine the run takes (:func:`_takes_map`).  The stepper takes
+    each group into its batch buffer of ``(n_steps + 1) x width`` floats,
+    ``width`` being the batch rounded up to the history tile, and holds the
+    batch's generators until it is integrated.  The linear map holds ``16
+    n_map (n_steps + 1)`` bytes of x and p rows, ``n_map`` being the record
+    and intervention nodes; on each thread the block's generators, one
+    ``_NOISE_BLOCK``-path block that its groups fill, and the block's x and
+    p at the nodes; and, at worst, those of its whole batch: the batch
+    holds no records, but a finished block waits to be booked until every
+    block before it is, so all but one of the batch's blocks may wait on a
+    slow one.  The run integrates one batch at a time and keeps one weight
+    per trajectory.  The step count comes from ``t_eq``, ``t_end`` and
+    ``dt`` alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows, and
     ``n_traj = 1e14`` would size 800 TB of weights: both are rejected here,
     before anything is allocated.  A ``stacked`` run (:func:`run_ensemble`
     without a consumer) also holds every trajectory's ``x`` and ``p``
@@ -539,13 +571,18 @@ def check_memory(sched, pot, n_traj, batch_size, stacked=False):
     records = 16 * n_traj * n_rec if stacked else 0
     linear = _takes_map(pot, sched)
     threads = min(_noise.thread_count(), -(-batch // _NOISE_BLOCK))
+    # the grid's size depends on the schedule alone
+    group = _noise.group_bytes(_noise.FrequencyGrid.for_times(None, sched.dt, n_nodes))
     if linear:
         n_map = n_rec + len(sched.interventions)
-        held = (16 * n_map * n_nodes + threads * 16 * _NOISE_BLOCK * (n_nodes + n_map)
+        held = (16 * n_map * n_nodes
+                + threads * (8 * _NOISE_BLOCK * (n_nodes + 2 * n_map) + group
+                             + _NOISE_BLOCK * _GENERATOR_BYTES)
                 + 16 * batch * n_map)
         name = "x and p rows, noise blocks and batch records"
     else:
-        held = 8 * n_nodes * _buffer_width(batch) + threads * 16 * _NOISE_BLOCK * n_nodes
+        held = (8 * n_nodes * _buffer_width(batch) + threads * group
+                + batch * _GENERATOR_BYTES)
         name = "batch buffer and noise blocks"
     if memory is None or held + weights + records <= memory:
         return
@@ -813,7 +850,7 @@ def integrate(spec, pot, sched, noise_path, rng=None):
         with _one_blas_thread():
             x_rec, p_rec, weights = _apply_map(sched, _build_plan(sched),
                                                linear_rows(spec, pot, sched),
-                                               values[None], [rng])
+                                               [(0, values[None])], [rng])
     else:
         # the integrator consumes its buffer, never the caller's path
         buf = _noise_buffer(n_steps, 1)
@@ -925,14 +962,16 @@ def linear_rows(spec, pot, sched):
     return _node_rows(spec, pot, sched.dt, sched.n_steps, nodes)
 
 
-def _apply_map(sched, plan, linear, values, rngs):
-    """Records and weights of the noise paths ``values`` (one noise block at
-    most) by the linear map ``linear`` (``(rows, Gx, Gp, Jx, Jp)`` of
-    :func:`linear_rows`), with the preparations of ``plan`` in time order.
+def _apply_map(sched, plan, linear, groups, rngs):
+    """Records and weights of the trajectories of the streams ``rngs`` (one
+    noise block at most) by the linear map ``linear`` (``(rows, Gx, Gp, Jx,
+    Jp)`` of :func:`linear_rows`), with the preparations of ``plan`` in time
+    order.  ``groups`` yields their noise paths as ``(g, rows)``, ``rows``
+    those of ``rngs[g:]`` (see :func:`noise_blocks`).
 
-    The x and p rows multiply a ``_NOISE_BLOCK``-path block, a short one
-    zero-padded: in this layout a path's bits do not depend on its place in
-    the block or on the block around it.  At each intervention node
+    The groups fill a zeroed ``_NOISE_BLOCK``-path block, which the x and p
+    rows multiply: in this layout a path's bits do not depend on its place
+    in the block or on the block around it.  At each intervention node
     ``(rbar, pbar)`` come from the rows and the earlier interventions'
     responses, and each trajectory draws there once, in row order, from its
     own stream.  Later nodes then take a translate ``r_pre - rbar`` as a
@@ -945,9 +984,10 @@ def _apply_map(sched, plan, linear, values, rngs):
     rows, gx, gp, jx, jp = linear
     nodes = np.array([*sched.record_nodes(), *sched.intervention_nodes()], dtype=int)
     n_rec = len(nodes) - len(plan)
-    b = len(values)
-    if b < _NOISE_BLOCK:
-        values = np.concatenate((values, np.zeros((_NOISE_BLOCK - b, n_steps + 1))))
+    b = len(rngs)
+    values = np.zeros((_NOISE_BLOCK, n_steps + 1))
+    for g, group in groups:
+        values[g:g + len(group)] = group
     x, p = (rows @ values.T)[:, :, :b]
     weights = np.ones(b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -986,19 +1026,20 @@ def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids, book)
         # built here, not by the first block's thread
         linear = linear_rows(spec, pot, sched)
 
-        def work(lo, hi, rngs, values):
-            return _apply_map(sched, plan, linear, values, rngs)
+        def work(lo, hi, rngs, groups):
+            return _apply_map(sched, plan, linear, groups, rngs)
 
         noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work,
                      book=lambda lo, piece: book(ids[lo], *piece))
         return
-    # each block transposed into its columns of the shared buffer: the
+    # each group transposed into its columns of the shared buffer: the
     # batch never holds its noise and its velocity history side by side
     buf = _noise_buffer(n_steps, B)
     rngs = [None] * B
 
-    def work(lo, hi, block_rngs, values):
-        buf[:, lo:hi] = values.T
+    def work(lo, hi, block_rngs, groups):
+        for g, rows in groups:
+            buf[:, lo + g:lo + g + len(rows)] = rows.T
         rngs[lo:hi] = block_rngs
 
     noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)

@@ -35,7 +35,8 @@ _PERIOD_FACTOR = 3.0
 # Frequency coverage must resolve the exponential cutoff: N*delta_omega >= 20/eps.
 _COVERAGE_FACTOR = 20.0
 
-# Rows of synthesize_batch's workspaces, transformed per inverse FFT call.
+# Rows of synthesize_batch's workspaces, transformed per inverse FFT call,
+# and the paths of each call a run makes (qbm.dynamics.noise_blocks).
 # numpy plans the transform anew on every call, and each call has a fixed
 # overhead, so one path per call is slower than a 64-path block in one call;
 # four per call are as fast, and the workspaces stay four rows long.
@@ -108,6 +109,10 @@ class FrequencyGrid:
                     f"delta_omega = {self.delta_omega:.6g} too coarse: synthesis period "
                     f"2*pi/delta_omega must exceed {_PERIOD_FACTOR:g}x the simulated span "
                     f"(needs delta_omega <= {resolution:.6g})")
+        if self.n_times > self.fft_length:
+            raise ConfigurationError(
+                f"frequency grid of {self.n_times} samples exceeds its FFT period of "
+                f"{self.fft_length}")
 
 
 def _next_fast_len(n):
@@ -138,21 +143,23 @@ def _draw_half(rngs, normals, z):
     """Coefficients for k = 0..N, one row of ``z`` per generator.
 
     Each generator draws its N+1 real parts, then its N+1 imaginary parts,
-    into its row of ``normals`` (shape ``(len(rngs), 2, N+1)``); the draw
-    order is part of the seed contract.  ``z_k = (eta_k + i zeta_k)/sqrt(2)``
-    for 0 < k < N; z_0 and the band-edge z_N are real standard normals, so
-    the even-length inverse FFT is exactly Hermitian.
+    into its row of ``normals`` (shape ``(len(rngs), 2 (N+1))``); the draw
+    order is part of the seed contract.  ``z_k = (eta_k + i
+    zeta_k)/sqrt(2)`` for 0 < k < N; z_0 and the band-edge z_N are real
+    standard normals, so the even-length inverse FFT is exactly Hermitian.
     """
+    n = z.shape[1]
     for row, r in zip(normals, rngs):
         # the real parts, then the imaginary: the row is contiguous
         r.standard_normal(out=row)
+    real, imag = normals[:, :n], normals[:, n:]
     # numpy divides (a + ib) by the real sqrt(2) as (a * s, b * s) with
     # s = 1/sqrt(2); the same products keep the bits of that division
     s = 1.0 / np.sqrt(2.0)
-    np.multiply(normals[:, 0], s, out=z.real)
-    np.multiply(normals[:, 1], s, out=z.imag)
-    z[:, 0] = normals[:, 0, 0]
-    z[:, -1] = normals[:, 0, -1]
+    np.multiply(real, s, out=z.real)
+    np.multiply(imag, s, out=z.imag)
+    z[:, 0] = real[:, 0]
+    z[:, -1] = real[:, -1]
     return z
 
 
@@ -312,46 +319,114 @@ def _in_threads(fill, n_rows, group, n_threads):
         raise errors[0]
 
 
+@lru_cache(maxsize=4)
+def _checked_amplitudes(spec, grid, statistics):
+    """The grid validated and :func:`mode_amplitudes` cast to complex, once
+    per bath, grid and statistics: each group of a run's noise blocks is
+    one :func:`synthesize_batch` call.  Read-only."""
+    grid.validate(spec)
+    # multiplying by the real amplitudes would cast them on every call
+    amp = mode_amplitudes(spec, grid, statistics).astype(complex)
+    amp.flags.writeable = False
+    return amp
+
+
+# The workspaces this thread's synthesize_batch calls share, by number of
+# modes, while :func:`shared_workspaces` holds them
+_shared = threading.local()
+
+
+@contextlib.contextmanager
+def shared_workspaces():
+    """Let this thread's :func:`synthesize_batch` calls share their workspaces.
+
+    Within the context the calls of one grid draw into one pair of
+    workspaces, allocated by the first of them, so a call of at most
+    ``_FFT_ROWS`` paths returns rows that are valid only until this
+    thread's next call.  A run synthesises its noise a group of
+    ``_FFT_ROWS`` paths per call (:func:`qbm.dynamics.noise_blocks`):
+    allocating the workspaces anew for each group, the allocator handed
+    their pages back to the OS and took them again on every call, which
+    made fig2's noise-check a third slower.
+    """
+    outer = getattr(_shared, "pairs", None)
+    _shared.pairs = {}
+    try:
+        yield
+    finally:
+        _shared.pairs = outer
+
+
+def _workspaces(n_rows, n_modes):
+    """``(scratch, coeff)``: ``n_rows`` rows of ``2 (n_modes + 1)`` floats and
+    of ``n_modes + 1`` complex coefficients, or within
+    :func:`shared_workspaces` the thread's ``_FFT_ROWS``-row pair."""
+    pairs = getattr(_shared, "pairs", None)
+    if pairs is not None and n_modes in pairs:
+        return pairs[n_modes]
+    rows = n_rows if pairs is None else _FFT_ROWS
+    # one allocation for both: glibc hands the free top of its heap back to
+    # the OS once it exceeds twice the largest mapped chunk freed so far, and
+    # as two halves each block's pair crossed that and was faulted in anew
+    whole = np.empty((2, rows, 2 * (n_modes + 1)))
+    pair = (whole[0], whole[1].view(complex))
+    if pairs is not None:
+        pairs[n_modes] = pair
+    return pair
+
+
 def synthesize_batch(spec, grid, statistics, rngs):
     """Stack paths for several generators into one (len(rngs), n_times) array.
 
     Each generator draws only its own path's coefficients, so a trajectory's
     noise is independent of how the ensemble is batched.  The paths are
-    built on the calling thread, ``_FFT_ROWS`` at a time, through workspaces
-    of ``_FFT_ROWS`` rows of normals, of coefficients and of transform
-    output allocated once per call, each group one inverse transform.  So
-    beyond the result the working set does not grow with the number of
-    paths, and since every row keeps its own generator, draw order and
-    transform, a path does not depend on the rows around it.  Runs call
-    this once per noise block, on as many threads as there are usable cores
-    (:func:`qbm.dynamics.noise_blocks`).
+    built on the calling thread, ``_FFT_ROWS`` at a time, through two
+    workspaces of ``_FFT_ROWS`` rows: one of ``2 (N+1)`` floats, into which
+    each group's normals are drawn and, once the coefficients are formed
+    from them, the inverse transform of its ``m = 2N``-point period is
+    written and scaled, and one of complex coefficients.  So beyond the
+    result the working set does not grow with the number of paths, and
+    since every row keeps its own generator, draw order and transform, a
+    path does not depend on the rows around it.  Within
+    :func:`shared_workspaces`, where a run draws each group of its noise
+    blocks (:func:`qbm.dynamics.noise_blocks`), the thread's calls share
+    their workspaces, and a call of at most ``_FFT_ROWS`` generators
+    returns its rows in place: the first ``n_times`` columns of the first
+    workspace, valid until the thread's next call.
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
-    grid.validate(spec)
-    out = np.empty((len(rngs), grid.n_times))
     if statistics == WHITE:
+        grid.validate(spec)
+        out = np.empty((len(rngs), grid.n_times))
         scale = np.sqrt(_white_variance(spec, grid.t_step))
         for row, r in zip(out, rngs):
             r.standard_normal(out=row)
             row *= scale
         return out
-    # cast once: multiplying by the real amplitudes would cast them per group
-    amp = mode_amplitudes(spec, grid, statistics).astype(complex)
+    amp = _checked_amplitudes(spec, grid, statistics)
     m = grid.fft_length
-    normals = np.empty((_FFT_ROWS, 2, grid.n_modes + 1))
-    coeff = np.empty((_FFT_ROWS, grid.n_modes + 1), dtype=complex)
-    periods = np.empty((_FFT_ROWS, m))
+    scratch, coeff = _workspaces(min(len(rngs), _FFT_ROWS), grid.n_modes)
+    in_place = getattr(_shared, "pairs", None) is not None and len(rngs) <= _FFT_ROWS
+    out = scratch[:len(rngs), :grid.n_times] if in_place else np.empty((len(rngs), grid.n_times))
     for lo in range(0, len(rngs), _FFT_ROWS):
         group = rngs[lo:lo + _FFT_ROWS]
         k = len(group)
-        rows = _draw_half(group, normals[:k], coeff[:k])
+        rows = _draw_half(group, scratch[:k], coeff[:k])
         rows *= amp
         # Hermitian construction: the inverse transform is exactly real, so the
         # imaginary residue is identically zero (trivially within the 1e-10*RMS bound).
-        irfft(rows, n=m, axis=1, out=periods[:k])
-        np.multiply(periods[:k, :grid.n_times], m, out=out[lo:lo + k])
+        periods = irfft(rows, n=m, axis=1, out=scratch[:k, :m])
+        np.multiply(periods[:, :grid.n_times], m, out=out[lo:lo + k])
     return out
+
+
+def group_bytes(grid):
+    """Bytes a thread holds drawing a run's noise a group at a time: the two
+    workspaces its :func:`synthesize_batch` calls share
+    (:func:`shared_workspaces`), each ``_FFT_ROWS`` rows of ``2 (N+1)``
+    floats, the first of which holds the group's rows."""
+    return 2 * _FFT_ROWS * 16 * (grid.n_modes + 1)
 
 
 def lag_shifts(lags, t_step, n_times):
@@ -383,7 +458,9 @@ def lag_products(rows, shifts, out):
     """
     n = rows.shape[1]
     for i, k in enumerate(shifts):
-        out[i] = np.vecdot(rows[:, :n - k], rows[:, k:]) / (n - k)
+        np.vecdot(rows[:, :n - k], rows[:, k:], out=out[i])
+    # one division for every lag: noise-check calls this per group of four paths
+    out /= np.subtract(n, shifts)[:, None]
     return out
 
 

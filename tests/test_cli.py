@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qbm
+from qbm import dynamics as qdyn
 from qbm import noise as qnoise
 from qbm.cli import (
     _runs_test_pvalue,
@@ -785,6 +786,32 @@ class TestNoiseCheck:
                                    values.tobytes())
         assert outputs[1] == outputs[17] == outputs[64] == outputs[1024]
 
+    def test_lag_products_do_not_depend_on_where_a_row_sits(self, tmp_path):
+        # noise-check reduces each group of four paths where it is drawn, in
+        # a workspace whose rows are 2 (N+1) = 12,002 floats apart; a report
+        # built from synthesize_batch over each whole 64-path block, rows
+        # 4001 floats apart, has its bits.  150 paths end on a short block
+        from qbm.dynamics import _one_blas_thread, _traj_streams
+        with resources.as_file(preset_path("fig2")) as p:
+            cfg = parse_config(p)
+        cfg.n_traj = 150
+        report, _ = noise_check(cfg, out_dir=str(tmp_path / "nc"))
+        spec, sched = cfg.bath_spec(), cfg.schedule_obj()
+        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+        assert 2 * (grid.n_modes + 1) != grid.n_times
+        shifts = qnoise.lag_shifts(report["lags"], sched.dt, grid.n_times)
+        products = np.empty((len(shifts), cfg.n_traj))
+        with _one_blas_thread():
+            for lo in range(0, cfg.n_traj, 64):
+                ids = range(lo, min(lo + 64, cfg.n_traj))
+                rows = qnoise.synthesize_batch(spec, grid, cfg.statistics,
+                                               _traj_streams(cfg.master_seed, 0, ids))
+                assert rows.flags.c_contiguous
+                qnoise.lag_products(rows, shifts, products[:, lo:lo + len(ids)])
+        est, se = qnoise.lag_statistics(products)
+        assert np.array(report["estimates"]).tobytes() == est.tobytes()
+        assert np.array(report["standard_errors"]).tobytes() == se.tobytes()
+
     def test_peak_memory_flat_in_batch_size(self, tmp_path):
         # fig2's grid (4001 samples of a 12000-point period): paths are
         # synthesised and reduced a 64-path block at a time, whatever the batch
@@ -803,6 +830,53 @@ class TestNoiseCheck:
 
         peak(64)  # warm up one-time allocations (imports, first-call set-up)
         assert peak(1024) <= 1.25 * peak(64)
+
+    def test_memory_beyond_physical_rejected_before_writing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 2000 paths of 121 nodes: the run's check counts 0.54 MB, while
+        # noise-check holds 20 lag products and a stream key per path and
+        # keys every path at once, 0.82 MB with its dump: 0.65 MB holds the
+        # run, not the check
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 650_000)
+        path = write_config(tmp_path)
+        cfg = parse_config(path)
+        qdyn.check_memory(cfg.schedule_obj(), cfg.potential_obj(), 2000, cfg.batch_size)
+        out = tmp_path / "nc"
+        assert main(["noise-check", str(path), "--n-traj", "2000", "--dump-noise",
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [run] n_traj = 2000 needs 0.000")
+        assert "(lower [run] n_traj or --n-traj)" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_peak_memory_within_what_it_counts(self, tmp_path, monkeypatch):
+        # fig2's shape on two noise threads: 20 lag products per path, the
+        # stream keys and their hash's temporaries, and on each thread a
+        # block's 64 generators and the two workspaces its groups of four
+        # paths are drawn into (0.77 MB), not a 64-path block (2 MB) beside
+        # its synthesis rows (1.2 MB)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        with resources.as_file(preset_path("fig2")) as p:
+            cfg = parse_config(p)
+        cfg.n_traj = 1500
+        noise_check(cfg, out_dir=str(tmp_path / "warm"))  # one-time allocations
+        spec, sched = cfg.bath_spec(), cfg.schedule_obj()
+        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+        counted = (8 * 20 * cfg.n_traj + qdyn.keying_bytes(cfg.master_seed, 0, cfg.n_traj)
+                   + 2 * (qnoise.group_bytes(grid) + 64 * 1024))
+        tracemalloc.start()
+        try:
+            noise_check(cfg, out_dir=str(tmp_path / "nc"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: counted - 1)
+        with pytest.raises(ConfigurationError, match=r"\[run\] n_traj = 1500 needs"):
+            noise_check(cfg, out_dir=str(tmp_path / "nc"))
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: counted)
+        noise_check(cfg, out_dir=str(tmp_path / "nc"))
+        assert peak <= counted, (peak, counted)
 
     def test_fig2_preset_checks_without_warnings(self, tmp_path):
         # the finite-temperature target must not leak quadrature warnings

@@ -557,24 +557,27 @@ class TestStreamedRun:
 
     def test_buffer_that_fits_only_in_smaller_batches(self, monkeypatch):
         # 4001 nodes: 128 columns need 4.1 MB, 256 columns 8.2 MB, and each
-        # of the two noise threads two 64-path blocks, 4.1 MB
+        # of the two noise threads the two workspaces it draws its groups of
+        # four paths into, 2 x 4 x 12,002 floats (0.77 MB), not two 64-path
+        # blocks (4.1 MB); the batch's generators add 1 kB each
         sched = Schedule(t_eq=100.0, t_end=100.0, dt=0.05)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 13_000_000)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 8_000_000)
         qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
         qdyn.check_memory(sched, FREE, n_traj=100, batch_size=1024)
         with pytest.raises(ConfigurationError,
-                           match="buffer and noise blocks of 0.0153 GiB exceed"):
+                           match="buffer and noise blocks of 0.00931 GiB exceed"):
             qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=256)
-        # one thread per block at most: a batch of one block holds one
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 8_200_000)
+        # one thread per block at most: a batch of one block holds one group
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 5_000_000)
         qdyn.check_memory(sched, FREE, n_traj=64, batch_size=1024)
         with pytest.raises(ConfigurationError, match="noise blocks"):
             qdyn.check_memory(sched, FREE, n_traj=65, batch_size=1024)
 
     def test_stacked_records_counted_before_integrating(self, monkeypatch):
-        # 81 nodes and 41 records: a 128-column buffer is 82,944 B, as are
-        # the two noise blocks of each of two threads, and 4096 weights
+        # 81 nodes and 41 records: a 128-column buffer is 82,944 B, the
+        # noise workspaces of each of two threads 15,488 B, the batch's
+        # generators 131,072 B and 4096 weights
         # 32,768 B, while x and p stacked for 4096 trajectories are
         # 2,686,976 B; the memory holds the streamed run, not the stacked one
         sched = Schedule(t_eq=2.0, t_end=2.0, dt=0.05)
@@ -600,15 +603,19 @@ class TestStreamedRun:
         assert path.values.tobytes() == before.tobytes()
         assert integrate(FIG1, FREE, sched, path).x.tobytes() == first.x.tobytes()
 
-    def test_batch_holds_one_noise_sized_buffer(self):
-        # noise and velocity history share one (n_steps + 1) x width buffer.
-        # Beyond it a batch holds its generators, one 64-path noise block
-        # and its records: at 3000 trajectories of 1600 steps with two
-        # records these stay below 0.3 buffers, while a second noise-sized
-        # array would add a whole one
+    def test_batch_holds_one_noise_sized_buffer(self, monkeypatch):
+        # noise and velocity history share one (n_steps + 1) x width buffer,
+        # which check_memory counts with, on each of two noise threads, the
+        # two workspaces it draws its groups of four paths into (307,328 B),
+        # not two 64-path blocks (1.6 MB), and the batch's generators (1 kB
+        # each).  Beyond that count a batch holds the friction's block
+        # products and its records: at 3000 trajectories of 1600 steps with
+        # two records these stay below a tenth of it, while a second
+        # noise-sized array would add a whole buffer
         # (a polynomial potential: a free one with two records takes the map)
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
         n_traj = 3000
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         assert not qdyn._takes_map(WELL, sched)
         run_batch(FIG1, WELL, sched, "quantum", 1, 0, range(8))  # one-time allocations
         tracemalloc.start()
@@ -617,15 +624,22 @@ class TestStreamedRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * _noise_buffer(sched.n_steps, n_traj).nbytes
+        held = _noise_buffer(sched.n_steps, n_traj).nbytes + 2 * 307_328 + n_traj * 1024
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj)
+        qdyn.check_memory(sched, WELL, n_traj, n_traj)
+        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj - 1)
+        with pytest.raises(ConfigurationError, match="batch buffer and noise blocks of"):
+            qdyn.check_memory(sched, WELL, n_traj, n_traj)
+        assert peak <= 1.1 * held
 
     def test_linear_batch_holds_what_check_memory_counts(self, monkeypatch):
         # a free potential takes the linear map, with no buffer: its rows,
-        # built within the trace, on each of two threads two noise blocks
-        # with the block's x and p at the nodes, and the batch's records,
-        # the most its booked pieces can hold while they wait for an earlier
-        # block, are what check_memory counts (10.9 MB here), against a
-        # 1601 x 3072 buffer of 39 MB; the rest (a block's generators, the
+        # built within the trace, on each of two threads the block's
+        # generators, one noise block, the workspaces its groups are drawn
+        # into (307,328 B) and the block's x and p at the nodes, and the
+        # batch's records, the most its booked pieces can hold while they
+        # wait for an earlier block, are what check_memory counts (10 MB
+        # here), against a 1601 x 3072 buffer of 39 MB; the rest (the
         # failure check's masks) stays within a tenth.  The pieces are
         # dropped as they are booked, as a run's consumer leaves them
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
@@ -644,7 +658,8 @@ class TestStreamedRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = 16 * 101 * 1601 + 2 * 16 * 64 * (1601 + 101) + 16 * n_traj * 101
+        held = (16 * 101 * 1601 + 2 * (8 * 64 * (1601 + 2 * 101) + 307_328 + 64 * 1024)
+                + 16 * n_traj * 101)
         monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj)
         qdyn.check_memory(sched, FREE, n_traj, n_traj)
         monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj - 1)
@@ -702,7 +717,8 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert at_first_booking == [n_blocks - 1]
-        held = 16 * 101 * 1601 + 2 * 16 * 64 * (1601 + 101) + 16 * n_traj * 101
+        held = (16 * 101 * 1601 + 2 * (8 * 64 * (1601 + 2 * 101) + 307_328 + 64 * 1024)
+                + 16 * n_traj * 101)
         assert peak <= 1.1 * held
 
     def test_record_dense_quadratic_run_takes_the_stepper(self, monkeypatch):
@@ -851,8 +867,13 @@ class TestThreads:
         put(2)
         grid = qnoise.FrequencyGrid.for_times(FIG1, 0.05, 31)
         seen = []
-        qdyn.noise_blocks(FIG1, grid, "quantum", 1, 0, range(70),
-                          lambda lo, hi, rngs, values: seen.append(get()))
+
+        def work(lo, hi, rngs, groups):
+            for g, rows in groups:
+                pass
+            seen.append(get())
+
+        qdyn.noise_blocks(FIG1, grid, "quantum", 1, 0, range(70), work)
         lag_products = qnoise.lag_products
 
         def counted(*args):
@@ -1251,13 +1272,15 @@ def carried(spec, pot, n_steps, dt):
 
 
 def drawn_noise(spec, grid, statistics, master_seed, stream_tag, ids):
-    """The noise rows ``noise_blocks`` hands its blocks' work, with the
-    streams that continue past them, both in the order of ``ids``."""
+    """The noise rows ``noise_blocks`` hands its blocks' work, a group at a
+    time, with the streams that continue past them, both in the order of
+    ``ids``."""
     xi = np.empty((len(ids), grid.n_times))
     rngs = [None] * len(ids)
 
-    def work(lo, hi, block_rngs, values):
-        xi[lo:hi] = values
+    def work(lo, hi, block_rngs, groups):
+        for g, rows in groups:
+            xi[lo + g:lo + g + len(rows)] = rows
         rngs[lo:hi] = block_rngs
 
     qdyn.noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)

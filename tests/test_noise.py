@@ -62,6 +62,16 @@ class TestFrequencyGrid:
         with pytest.raises(ConfigurationError, match="delta_omega"):
             bad.validate(FIG1)
 
+    def test_samples_beyond_the_period_rejected(self):
+        # 201 samples of a 200-point period: the transform's workspace rows
+        # hold 202 floats, so the samples past the period would be read from
+        # beyond it, not from the path
+        bad = FrequencyGrid(delta_omega=1.0, n_modes=100, t_step=1e-4, n_times=201)
+        with pytest.raises(ConfigurationError, match="201 samples exceeds its FFT period of 200"):
+            bad.validate(FIG1)
+        with pytest.raises(ConfigurationError, match="exceeds its FFT period"):
+            synthesize_batch(FIG1, bad, QUANTUM, [stream(1)])
+
     def test_next_fast_len_equals_scipy(self):
         got = [_next_fast_len(n) for n in range(1, 100001)]
         want = [scipy.fft.next_fast_len(n, real=True) for n in range(1, 100001)]
@@ -85,7 +95,7 @@ class TestDrawHalf:
     def test_moments(self):
         # the coefficients z_0..z_N of 120000 draws of N = 8 modes, one stream
         n, m = 8, 120000
-        draws = qnoise._draw_half([stream(7)] * m, np.empty((m, 2, n + 1)),
+        draws = qnoise._draw_half([stream(7)] * m, np.empty((m, 2 * (n + 1))),
                                   np.empty((m, n + 1), dtype=complex))
         # z_0 and z_N are real
         assert not draws[:, 0].imag.any() and not draws[:, n].imag.any()
@@ -275,13 +285,14 @@ class TestChunkedSynthesis:
 
 def test_synthesis_working_set_is_its_row_workspaces():
     # fig2's grid (4001 samples of a 12000-point period): beyond the output
-    # only four rows each of normals, coefficients and FFT periods (each row
-    # fft_length + 2 floats), the amplitudes and one numpy ufunc buffer may
-    # exist, whatever the number of paths
+    # only two workspaces of four rows (each row fft_length + 2 floats), one
+    # of normals and transform output, one of coefficients, and one numpy
+    # ufunc buffer may exist, whatever the number of paths; the complex
+    # amplitudes are cast once, by the first call
     spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
     grid = FrequencyGrid.for_times(spec, 0.001, 4001)
     assert grid.fft_length == 12000
-    workspaces = (3 * 4 + 1) * (grid.fft_length + 2) * 8 + 8 * np.getbufsize()
+    workspaces = 2 * 4 * (grid.fft_length + 2) * 8 + 8 * np.getbufsize()
     synthesize_batch(spec, grid, QUANTUM, [stream(43, 1, 0)])  # first-call set-up
 
     def beyond_output(n):
@@ -297,15 +308,49 @@ def test_synthesis_working_set_is_its_row_workspaces():
     assert beyond_output(256) <= 1.02 * workspaces
 
 
+@pytest.mark.parametrize("statistics", [QUANTUM, CLASSICAL])
+def test_group_calls_share_one_pair_of_workspaces(statistics):
+    # within shared_workspaces a thread's calls of four paths draw into one
+    # pair of workspaces, allocated by the first call, and return their rows
+    # in place: sixteen calls hold what one does, and each call's rows are
+    # those of a call of its own
+    spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
+    grid = FrequencyGrid.for_times(spec, 0.001, 4001)
+    synthesize_batch(spec, grid, statistics, [stream(43, 1, 0)])  # first-call set-up
+    ref = synthesize_batch(spec, grid, statistics, [stream(43, 0, i) for i in range(64)])
+    rngs = [stream(43, 0, i) for i in range(64)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        with qnoise.shared_workspaces():
+            first = synthesize_batch(spec, grid, statistics, rngs[:4])
+            held = tracemalloc.get_traced_memory()[0]
+            assert first.tobytes() == ref[:4].tobytes()
+            for g in range(4, 64, 4):
+                tracemalloc.reset_peak()
+                rows = synthesize_batch(spec, grid, statistics, rngs[g:g + 4])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                assert np.shares_memory(rows, first)
+                assert rows.tobytes() == ref[g:g + 4].tobytes()
+    finally:
+        tracemalloc.stop()
+    assert held >= qnoise.group_bytes(grid)
+    assert max(peaks) <= held + 8 * np.getbufsize()
+    # outside the context a call's rows are its own
+    assert not np.shares_memory(synthesize_batch(spec, grid, statistics, rngs[:4]), first)
+
+
 def block_rows(spec, grid, statistics, seed, n, work=None):
     """The rows ``dynamics.noise_blocks`` draws for ids 0..n-1, gathered by
-    position; ``work(lo, hi)`` is called in each block's thread first."""
+    position a group at a time; ``work(lo, hi)`` is called in each block's
+    thread first."""
     values = np.full((n, grid.n_times), np.nan)
 
-    def gather(lo, hi, rngs, block):
+    def gather(lo, hi, rngs, groups):
         if work is not None:
             work(lo, hi)
-        values[lo:hi] = block
+        for g, rows in groups:
+            values[lo + g:lo + g + len(rows)] = rows
 
     qdyn.noise_blocks(spec, grid, statistics, seed, 0, range(n), gather)
     return values
@@ -355,6 +400,34 @@ class TestThreadedSynthesis:
         assert threading.active_count() == before
         if affinity is not None:
             assert os.sched_getaffinity(0) == affinity
+
+    def test_a_block_not_drawn_whole_is_an_error(self):
+        # a consumer that stops before the last group would leave the
+        # streams of the paths after it where their noise draws begin
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+
+        def first_group_only(lo, hi, rngs, groups):
+            next(groups)
+
+        with pytest.raises(RuntimeError, match=r"ids\[0:10\] was not drawn whole"):
+            qdyn.noise_blocks(spec, grid, QUANTUM, 1, 0, range(10), first_group_only)
+
+    def test_failed_block_leaves_no_shared_workspaces(self):
+        # a block's groups share workspaces only while it is drawn: after a
+        # block that raises, this thread's calls return rows of their own
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+
+        def broken(lo, hi, rngs, groups):
+            next(groups)
+            raise ValueError("broken block")
+
+        with pytest.raises(ValueError, match="broken block"):
+            qdyn.noise_blocks(spec, grid, QUANTUM, 1, 0, range(4), broken)
+        first = synthesize_batch(spec, grid, QUANTUM, [stream(46, 0, 0)])
+        again = synthesize_batch(spec, grid, QUANTUM, [stream(46, 0, 1)])
+        assert not np.shares_memory(first, again)
 
     @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
     def test_a_slow_thread_fills_fewer_groups(self, monkeypatch, statistics):
