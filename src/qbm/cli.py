@@ -282,7 +282,7 @@ def parse_config(path, overrides=None):
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     # outside the try: its messages name the [run] and [schedule] keys
-    _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size)
+    _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size, master_seed=cfg.master_seed)
     return cfg
 
 
@@ -462,18 +462,14 @@ def _check_noise_memory(cfg, grid, n_lags, dump):
 
     Before its blocks start, noise-check holds ``n_lags`` lag products per
     path and keys every path's stream at once
-    (:func:`qbm.dynamics.keying_bytes`); then each of its noise threads
-    holds a block's generators and the synthesis workspaces its groups of
-    paths are drawn into (:func:`qbm.noise.group_bytes`), with, for the
-    dump, a contiguous copy of a group and its bytes.
+    (:func:`qbm.dynamics.keying_bytes`); then its noise threads hold what
+    :func:`qbm.dynamics.noise_thread_bytes` counts, each with, for the
+    dump, a contiguous copy of a path and its bytes.
     """
-    memory = _dyn._physical_memory()
-    threads = min(_noise.thread_count(), -(-cfg.n_traj // _dyn._NOISE_BLOCK))
-    per_thread = _noise.group_bytes(grid) + _dyn._NOISE_BLOCK * _dyn._GENERATOR_BYTES
-    if dump:
-        per_thread += 2 * 8 * _noise._FFT_ROWS * grid.n_times
+    memory = _dyn.physical_memory()
+    blocks = _dyn.noise_thread_bytes(grid, cfg.n_traj, 16 * grid.n_times if dump else 0)
     paths = 8 * n_lags * cfg.n_traj + _dyn.keying_bytes(cfg.master_seed, 0, cfg.n_traj)
-    if memory is None or paths + threads * per_thread <= memory:
+    if memory is None or paths + blocks <= memory:
         return
     raise ConfigurationError(
         f"[run] n_traj = {cfg.n_traj} needs {paths / 2**30:.3g} GiB of lag products and "
@@ -497,8 +493,8 @@ def noise_check(cfg, out_dir=None, dump=False):
     and an ``n_traj`` it does not fit rejected, before anything is written
     (:func:`_check_noise_memory`).  Returns ``(report dict, ok flag)`` and
     writes ``noise_check.json`` (plus the paths, as ``noise_paths.bin`` in
-    id order, when ``dump`` is set: each thread writes each group at its
-    own rows).
+    id order, when ``dump`` is set: each thread writes each path at its
+    own row).
     """
     if cfg.n_traj < 2:
         raise ConfigurationError(
@@ -534,12 +530,13 @@ def noise_check(cfg, out_dir=None, dump=False):
             (cfg.n_traj, n_times))
           if dump else contextlib.nullcontext()) as write:
         def work(lo, hi, rngs, groups):
-            # each group's paths reduced to their lag products, and put
-            # at their own rows of the dump
+            # each group's paths reduced to their lag products, and each
+            # path put at its own row of the dump
             for g, rows in groups:
                 _noise.lag_products(rows, shifts, products[:, lo + g:lo + g + len(rows)])
                 if write is not None:
-                    write(rows, row=lo + g)
+                    for j, path in enumerate(rows):
+                        write(path, row=lo + g + j)
 
         # the run's own streams, a group per thread alive at a time
         _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed, 0,

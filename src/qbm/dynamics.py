@@ -427,69 +427,103 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
     ``noise._FFT_ROWS`` paths at a time, as ``(g, rows)``: row ``j`` of
     ``rows`` is the noise path of ``ids[lo + g + j]``, each group one
     :func:`qbm.noise.synthesize_batch` call on ``rngs[g:g + _FFT_ROWS]``,
-    made as ``work`` asks for it.  The calls of a block share their
-    workspaces (:func:`qbm.noise.shared_workspaces`), so ``rows`` is valid
-    only until ``work`` asks for the next group: ``work`` takes each
-    group's rows where they go, and a thread holds one group, not a block.
-    ``work`` must draw every group before it continues a stream past its
-    noise (a preparation draw), and this checks that it drew them all.
-    Every id's stream key is hashed first, in one pass; then the blocks run
-    on :func:`qbm.noise.thread_count` threads (at most one per block), each
-    thread claiming whole blocks and running each end to end: making its
-    streams, synthesising its noise and calling ``work``.  So ``work`` runs
-    concurrently, in no set order, and writes only rows ``lo:hi`` of what
-    it fills; what it reads must have been built before this is called.
-    OpenBLAS runs on one thread meanwhile (:func:`_one_blas_thread`), so
-    ``work``'s BLAS calls give the same bits whatever
-    ``OPENBLAS_NUM_THREADS`` is, and leave the cores to the block threads.
+    made as ``work`` asks for it.  A block's calls share their workspaces
+    (:func:`qbm.noise.shared_workspaces`), so ``rows`` is valid only until
+    ``work`` asks for the next group: ``work`` takes each group's rows
+    where they go, and a thread holds one group, not a block.  ``work``
+    must draw every group before it continues a stream past its noise (a
+    preparation draw), and this checks that it drew them all.
+
+    Every id's stream key is hashed first, in one pass.  Then the calling
+    thread and short-lived others, one per usable core
+    (:func:`qbm.noise.usable_cores`) and at most one per block, claim
+    whole blocks from one shared counter and run each end to end: making
+    its streams, synthesising its noise and calling ``work``; a thread
+    whose core another process takes runs fewer blocks.  Each thread is
+    pinned to its own core, and the calling thread's affinity is restored
+    after: left to itself, a 2-core VM's kernel was seen to keep both
+    threads on one core for a whole run.  So ``work`` runs concurrently,
+    in no set order, and writes only rows ``lo:hi`` of what it fills; what
+    it reads must have been built before this is called.  OpenBLAS runs on
+    one thread meanwhile (:func:`_one_blas_thread`), so ``work``'s BLAS
+    calls give the same bits whatever ``OPENBLAS_NUM_THREADS`` is, and
+    leave the cores to the block threads.
 
     With ``book``, what ``work`` returns is the block's piece, and
     ``book(lo, piece)`` is called for every piece in block order, one call
-    at a time, by whichever thread finishes the next piece to book: a thread
-    that finds another booking leaves its piece and claims its next block,
-    and the booking thread books it once it is done.  Every thread is
-    joined before this returns, and an exception raised in one block, or by
-    ``book``, is raised here; no piece is booked after it.
+    at a time: a thread that finishes a block takes one lock, leaves its
+    piece and books every piece next in line, so a thread that finishes
+    while another books waits for it.  Every thread is joined before this
+    returns, and the first exception raised in a block, or by ``book``,
+    stops the claims and is raised here; no piece is booked after it.
     """
-    pending = {}          # lo -> piece, finished but not yet booked
-    drain = threading.Lock()
-    booked = 0            # lo of the next piece to book
-
-    def book_ready():
-        nonlocal booked
-        # re-checked after each release: a piece left while the drain was
-        # busy is booked by the thread that held it
-        while booked in pending and drain.acquire(blocking=False):
-            try:
-                while booked in pending:
-                    book(booked, pending.pop(booked))
-                    booked += _NOISE_BLOCK
-            finally:
-                drain.release()
-
     keys = _stream_keys(master_seed, stream_tag, ids)
+    n_threads = min(_noise.usable_cores(), -(-len(ids) // _NOISE_BLOCK))
+    try:
+        cores = sorted(os.sched_getaffinity(0)) if n_threads > 1 else None
+    except AttributeError:  # no affinity calls on this platform
+        cores = None
+    blocks = iter(range(0, len(ids), _NOISE_BLOCK))
+    claim = threading.Lock()
+    errors = []
+    drain = threading.Lock()
+    pending = {}          # lo -> piece, finished but not yet booked
+    booked = 0            # lo of the next piece to book
 
     def groups(rngs):
         for g in range(0, len(rngs), _noise._FFT_ROWS):
             yield g, _noise.synthesize_batch(spec, grid, statistics,
                                              rngs[g:g + _noise._FFT_ROWS])
 
-    def block(lo, hi):
+    def block(lo):
+        nonlocal booked
+        hi = min(lo + _NOISE_BLOCK, len(ids))
         rngs = _key_streams(keys[lo:hi])
-        # the block's groups drawn into one pair of workspaces
+        # the block's groups drawn into one pair of workspaces, freed before
+        # the booking: held over a thread's blocks, the pairs raised
+        # gauss-fig1's peak RSS by 0.25 MB
         with _noise.shared_workspaces():
             drawn = groups(rngs)
             piece = work(lo, hi, rngs, drawn)
             if next(drawn, None) is not None:
                 raise RuntimeError(f"the noise block of ids[{lo}:{hi}] was not drawn whole")
         if book is not None:
-            pending[lo] = piece
-            book_ready()
+            with drain:
+                pending[lo] = piece
+                while booked in pending:
+                    book(booked, pending.pop(booked))
+                    booked += _NOISE_BLOCK
 
-    n_blocks = -(-len(ids) // _NOISE_BLOCK)
+    def thread(k):
+        if cores:
+            try:
+                os.sched_setaffinity(0, {cores[k % len(cores)]})
+            except OSError:  # the core went away: run unpinned
+                pass
+        while True:
+            with claim:
+                lo = None if errors else next(blocks, None)
+            if lo is None:
+                return
+            try:
+                block(lo)
+            except BaseException as exc:  # re-raised in the calling thread
+                with claim:
+                    errors.append(exc)
+
+    helpers = [threading.Thread(target=thread, args=(k,)) for k in range(1, n_threads)]
     with _one_blas_thread():
-        _noise._in_threads(block, len(ids), _NOISE_BLOCK,
-                           min(_noise.thread_count(), n_blocks))
+        for t in helpers:
+            t.start()
+        try:
+            thread(0)
+        finally:
+            if cores:
+                os.sched_setaffinity(0, cores)
+            for t in helpers:
+                t.join()
+    if errors:
+        raise errors[0]
 
 
 def _kernel_mid(spec, dt, n):
@@ -507,7 +541,7 @@ def _noise_buffer(n_steps, n_traj):
     return np.zeros((n_steps + 1, _buffer_width(n_traj)))
 
 
-def _physical_memory():
+def physical_memory():
     """Bytes of physical memory, or None where the OS does not say."""
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -533,56 +567,74 @@ def _takes_map(pot, sched):
     if pot.form == POLYNOMIAL:
         return False
     n_map = _n_records(sched) + len(sched.interventions)
-    memory = _physical_memory()
+    memory = physical_memory()
     return (4 * n_map <= sched.n_steps
             and (memory is None or 16 * n_map * (sched.n_steps + 1) <= memory))
 
 
-def check_memory(sched, pot, n_traj, batch_size, stacked=False):
+def noise_thread_bytes(grid, n_ids, work_bytes=0):
+    """Most bytes the threads of :func:`noise_blocks` hold over ``n_ids``
+    ids of the noise ``grid``, with ``work_bytes`` more on each for what its
+    ``work`` holds.
+
+    One thread runs per usable core, at most one per block, and each holds
+    a block's generators (``_GENERATOR_BYTES`` each) and the two synthesis
+    workspaces all its groups are drawn into
+    (:func:`qbm.noise.shared_workspaces`), each ``_FFT_ROWS`` rows of ``2
+    (N+1)`` floats, the first of which holds the group's rows.
+    """
+    threads = min(_noise.usable_cores(), -(-n_ids // _NOISE_BLOCK))
+    return threads * (work_bytes + _NOISE_BLOCK * _GENERATOR_BYTES
+                      + 2 * _noise._FFT_ROWS * 16 * (grid.n_modes + 1))
+
+
+def check_memory(sched, pot, n_traj, batch_size, stacked=False, master_seed=0, stream_tag=0):
     """Reject a run whose batch memory and weights cannot fit in physical memory.
 
-    A batch's noise blocks run on :func:`qbm.noise.thread_count` threads
-    (at most one per block; :func:`noise_blocks`), and each thread draws its
-    block a group of ``_FFT_ROWS`` paths at a time into one pair of
-    synthesis workspaces (:func:`qbm.noise.group_bytes`).  The rest depends
-    on the engine the run takes (:func:`_takes_map`).  The stepper takes
-    each group into its batch buffer of ``(n_steps + 1) x width`` floats,
-    ``width`` being the batch rounded up to the history tile, and holds the
-    batch's generators until it is integrated.  The linear map holds ``16
-    n_map (n_steps + 1)`` bytes of x and p rows, ``n_map`` being the record
-    and intervention nodes; on each thread the block's generators, one
-    ``_NOISE_BLOCK``-path block that its groups fill, and the block's x and
-    p at the nodes; and, at worst, those of its whole batch: the batch
-    holds no records, but a finished block waits to be booked until every
-    block before it is, so all but one of the batch's blocks may wait on a
-    slow one.  The run integrates one batch at a time and keeps one weight
-    per trajectory.  The step count comes from ``t_eq``, ``t_end`` and
-    ``dt`` alone, so ``dt = 1e-300`` would size a buffer of 1e300 rows, and
-    ``n_traj = 1e14`` would size 800 TB of weights: both are rejected here,
-    before anything is allocated.  A ``stacked`` run (:func:`run_ensemble`
-    without a consumer) also holds every trajectory's ``x`` and ``p``
-    records.
+    A batch keys its ids with ``master_seed`` and ``stream_tag`` in one
+    pass (:func:`keying_bytes`), then runs its noise blocks
+    (:func:`noise_thread_bytes`).  The rest depends on the engine the run
+    takes (:func:`_takes_map`).  The stepper takes each group into its
+    batch buffer of ``(n_steps + 1) x width`` floats, ``width`` being the
+    batch rounded up to the history tile, and holds the batch's generators
+    until it is integrated (those on the threads are counted twice); it
+    then holds the friction's block products, ``_CONV_BLOCK`` rows of the
+    width and a kernel block of at most ``_CONV_BLOCK x n_steps`` floats,
+    and the batch's x and p records.  The linear map holds ``16 n_map
+    (n_steps + 1)`` bytes of x and p rows, ``n_map`` being the record and
+    intervention nodes; on each thread one ``_NOISE_BLOCK``-path block that
+    its groups fill, and the block's x and p at the nodes; and, at worst,
+    those of its whole batch: the batch holds no records, but a finished
+    block waits to be booked until every block before it is, so all but
+    one of the batch's blocks may wait on a slow one.  The run integrates
+    one batch at a time and keeps one weight per trajectory.  The step
+    count comes from ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt =
+    1e-300`` would size a buffer of 1e300 rows, and ``n_traj = 1e14`` would
+    size 800 TB of weights: both are rejected here, before anything is
+    allocated.  A ``stacked`` run (:func:`run_ensemble` without a consumer)
+    also holds every trajectory's ``x`` and ``p`` records.
     """
-    memory = _physical_memory()
+    memory = physical_memory()
     n_nodes = sched.n_steps + 1
     batch = min(batch_size, n_traj)
     n_rec = _n_records(sched)
     weights = 8 * n_traj
     records = 16 * n_traj * n_rec if stacked else 0
     linear = _takes_map(pot, sched)
-    threads = min(_noise.thread_count(), -(-batch // _NOISE_BLOCK))
     # the grid's size depends on the schedule alone
-    group = _noise.group_bytes(_noise.FrequencyGrid.for_times(None, sched.dt, n_nodes))
+    grid = _noise.FrequencyGrid.for_times(None, sched.dt, n_nodes)
+    held = keying_bytes(master_seed, stream_tag, batch)
     if linear:
         n_map = n_rec + len(sched.interventions)
-        held = (16 * n_map * n_nodes
-                + threads * (8 * _NOISE_BLOCK * (n_nodes + 2 * n_map) + group
-                             + _NOISE_BLOCK * _GENERATOR_BYTES)
-                + 16 * batch * n_map)
+        held += (16 * n_map * n_nodes
+                 + noise_thread_bytes(grid, batch, 8 * _NOISE_BLOCK * (n_nodes + 2 * n_map))
+                 + 16 * batch * n_map)
         name = "x and p rows, noise blocks and batch records"
     else:
-        held = (8 * n_nodes * _buffer_width(batch) + threads * group
-                + batch * _GENERATOR_BYTES)
+        width = _buffer_width(batch)
+        held += (8 * n_nodes * width + noise_thread_bytes(grid, batch)
+                 + batch * _GENERATOR_BYTES
+                 + 8 * _CONV_BLOCK * (width + sched.n_steps) + 16 * batch * n_rec)
         name = "batch buffer and noise blocks"
     if memory is None or held + weights + records <= memory:
         return
@@ -673,7 +725,7 @@ def _one_blas_thread():
 def thread_counts():
     """Threads a run's noise blocks run on, and OpenBLAS's pinned count (None
     when OpenBLAS is not found)."""
-    return {"noise": _noise.thread_count(), "blas": None if _openblas() is None else 1}
+    return {"noise": _noise.usable_cores(), "blas": None if _openblas() is None else 1}
 
 
 def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
@@ -882,13 +934,16 @@ def integrate_deterministic(spec, pot, dt, n_steps):
 def momentum_response(spec, pot, dt, n_steps):
     """``(Gx, Gp)``: x and p at lags 0..n_steps after a unit momentum at rest.
 
-    The :func:`integrate_deterministic` solve, read-only and memoised on
-    its arguments.  A solve of other length is solved anew: the last
+    The :func:`integrate_deterministic` solve, on one OpenBLAS thread
+    (:func:`_one_blas_thread`) whichever caller solves first, read-only and
+    memoised on its arguments.  A solve of other length is solved anew: the last
     history block's product has as many rows as that block has nodes, and
     with another row count OpenBLAS may sum a row in another order, so a
     longer solve's first values need not have a shorter one's bits.
     """
-    _, gx, gp = integrate_deterministic(spec, pot, dt, n_steps)
+    # pinned like every solve of a run: the exact references may solve first
+    with _one_blas_thread():
+        _, gx, gp = integrate_deterministic(spec, pot, dt, n_steps)
     gx.flags.writeable = gp.flags.writeable = False
     return gx, gp
 
@@ -1069,11 +1124,13 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     coefficients are drawn first, then any preparation draws, so results are
     bit-reproducible for any batch split.  The batches are integrated in
     the calling process, one after another, each running its noise blocks,
-    and on the linear map their records, on :func:`qbm.noise.thread_count`
-    threads (:func:`noise_blocks`), with the same bits on any count.
-    OpenBLAS runs on one thread while the ensemble is integrated (its count
-    is restored on return), so results are also independent of
-    ``OPENBLAS_NUM_THREADS``.
+    and on the linear map their records, on one thread per usable core
+    (:func:`noise_blocks`), with the same bits on any count.  OpenBLAS runs
+    on one thread while the ensemble is integrated (its count is restored
+    on return), as it does for the deterministic solve
+    (:func:`momentum_response`), so results are also independent of
+    ``OPENBLAS_NUM_THREADS``; its check counts the batch's memory before
+    anything is allocated (:func:`check_memory`).
 
     Without a ``consumer`` the records are stacked in trajectory-id order.
     With one, the records go to ``consumer(piece)`` in trajectory-id order,
@@ -1081,7 +1138,7 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     ``failed_ids`` index its own rows.  On the linear map
     (:func:`_takes_map`) a piece is one noise block of at most
     ``_NOISE_BLOCK`` trajectories, handed on by whichever block thread
-    books it, one call at a time; on the stepper it is a whole batch, on the
+    books it under the booking lock, one call at a time; on the stepper it is a whole batch, on the
     calling thread.  The returned ensemble then keeps only the weights and
     the failed ids (``x`` and ``p`` are None), so memory does not grow with
     ``n_traj`` beyond 8 bytes per trajectory.  ``progress(done, n_traj)`` is
@@ -1097,7 +1154,8 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     sched.validate_against(spec, pot)
-    check_memory(sched, pot, n_traj, batch_size, stacked=consumer is None)
+    check_memory(sched, pot, n_traj, batch_size, stacked=consumer is None,
+                 master_seed=master_seed, stream_tag=stream_tag)
 
     times = sched.record_times()
     stacked_x = stacked_p = None

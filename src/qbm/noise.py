@@ -259,66 +259,6 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
-def thread_count():
-    """Threads a run's noise blocks are drawn and consumed on, each thread a
-    whole block at a time (:func:`qbm.dynamics.noise_blocks`): one per
-    usable core."""
-    return usable_cores()
-
-
-def _in_threads(fill, n_rows, group, n_threads):
-    """Call ``fill(lo, hi)`` on the rows, ``group`` at a time, on ``n_threads`` threads.
-
-    Each thread (the calling thread and short-lived others) claims the next
-    group from one shared counter each time it finishes one, so a thread
-    whose core is taken by another process fills fewer groups instead of
-    holding the others up at the end.  Each thread is
-    pinned to its own usable core while it works, and the calling thread's
-    affinity is restored after: left to itself, the kernel of a 2-core
-    virtual machine was seen to keep both threads on one core for a whole
-    run, each wake-up by the other landing there, at no gain over one
-    thread.  All are joined before this returns; an exception raised in any
-    of them stops the claims and is raised here.
-    """
-    try:
-        cores = sorted(os.sched_getaffinity(0)) if n_threads > 1 else None
-    except AttributeError:  # no affinity calls on this platform
-        cores = None
-    groups = iter(range(0, n_rows, group))
-    lock = threading.Lock()
-    errors = []
-
-    def work(k):
-        if cores:
-            try:
-                os.sched_setaffinity(0, {cores[k % len(cores)]})
-            except OSError:  # the core went away: run unpinned
-                pass
-        while True:
-            with lock:
-                lo = None if errors else next(groups, None)
-            if lo is None:
-                return
-            try:
-                fill(lo, min(lo + group, n_rows))
-            except BaseException as exc:  # re-raised in the calling thread
-                with lock:
-                    errors.append(exc)
-
-    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, n_threads)]
-    for t in helpers:
-        t.start()
-    try:
-        work(0)
-    finally:
-        if cores:
-            os.sched_setaffinity(0, cores)
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
 @lru_cache(maxsize=4)
 def _checked_amplitudes(spec, grid, statistics):
     """The grid validated and :func:`mode_amplitudes` cast to complex, once
@@ -419,14 +359,6 @@ def synthesize_batch(spec, grid, statistics, rngs):
         periods = irfft(rows, n=m, axis=1, out=scratch[:k, :m])
         np.multiply(periods[:, :grid.n_times], m, out=out[lo:lo + k])
     return out
-
-
-def group_bytes(grid):
-    """Bytes a thread holds drawing a run's noise a group at a time: the two
-    workspaces its :func:`synthesize_batch` calls share
-    (:func:`shared_workspaces`), each ``_FFT_ROWS`` rows of ``2 (N+1)``
-    floats, the first of which holds the group's rows."""
-    return 2 * _FFT_ROWS * 16 * (grid.n_modes + 1)
 
 
 def lag_shifts(lags, t_step, n_times):

@@ -370,7 +370,7 @@ class TestRun:
         run(cfg, out_dir=str(out))
         manifest = json.loads((out / "run_manifest.json").read_text())
         blas = None if dynamics.blas_threads() is None else 1
-        assert manifest["threads"] == {"noise": qnoise.thread_count(), "blas": blas}
+        assert manifest["threads"] == {"noise": qnoise.usable_cores(), "blas": blas}
 
     @pytest.mark.parametrize("preset, names", [
         pytest.param("fig1", ["sigma2.csv", "sigma2_reference.csv"], id="fig1"),
@@ -833,12 +833,12 @@ class TestNoiseCheck:
 
     def test_memory_beyond_physical_rejected_before_writing(self, tmp_path, capsys,
                                                              monkeypatch):
-        # 2000 paths of 121 nodes: the run's check counts 0.54 MB, while
-        # noise-check holds 20 lag products and a stream key per path and
-        # keys every path at once, 0.82 MB with its dump: 0.65 MB holds the
-        # run, not the check
+        # 2000 paths of 121 nodes: the run's check counts 0.70 MB with its
+        # batch's stream keys, while noise-check holds 20 lag products and a
+        # stream key per path and keys every path at once, 0.81 MB with its
+        # dump: 0.75 MB holds the run, not the check
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 650_000)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: 750_000)
         path = write_config(tmp_path)
         cfg = parse_config(path)
         qdyn.check_memory(cfg.schedule_obj(), cfg.potential_obj(), 2000, cfg.batch_size)
@@ -864,17 +864,17 @@ class TestNoiseCheck:
         spec, sched = cfg.bath_spec(), cfg.schedule_obj()
         grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
         counted = (8 * 20 * cfg.n_traj + qdyn.keying_bytes(cfg.master_seed, 0, cfg.n_traj)
-                   + 2 * (qnoise.group_bytes(grid) + 64 * 1024))
+                   + qdyn.noise_thread_bytes(grid, cfg.n_traj))
         tracemalloc.start()
         try:
             noise_check(cfg, out_dir=str(tmp_path / "nc"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: counted - 1)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: counted - 1)
         with pytest.raises(ConfigurationError, match=r"\[run\] n_traj = 1500 needs"):
             noise_check(cfg, out_dir=str(tmp_path / "nc"))
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: counted)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: counted)
         noise_check(cfg, out_dir=str(tmp_path / "nc"))
         assert peak <= counted, (peak, counted)
 

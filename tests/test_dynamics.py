@@ -556,33 +556,37 @@ class TestStreamedRun:
         assert peak < 1e6
 
     def test_buffer_that_fits_only_in_smaller_batches(self, monkeypatch):
-        # 4001 nodes: 128 columns need 4.1 MB, 256 columns 8.2 MB, and each
-        # of the two noise threads the two workspaces it draws its groups of
-        # four paths into, 2 x 4 x 12,002 floats (0.77 MB), not two 64-path
-        # blocks (4.1 MB); the batch's generators add 1 kB each
+        # 4001 nodes and 2001 records: 128 columns need 4.1 MB of buffer and
+        # 4.1 MB of records, 256 columns 8.2 MB of each; beside them the
+        # friction's block products (2.1 MB), each of the two noise
+        # threads' two workspaces it draws its groups of four paths into,
+        # 2 x 4 x 12,002 floats (0.77 MB), and a block's generators, the
+        # batch's generators (1 kB each) and its stream keys
         sched = Schedule(t_eq=100.0, t_end=100.0, dt=0.05)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 8_000_000)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: 13_000_000)
         qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
         qdyn.check_memory(sched, FREE, n_traj=100, batch_size=1024)
         with pytest.raises(ConfigurationError,
-                           match="buffer and noise blocks of 0.00931 GiB exceed"):
+                           match="buffer and noise blocks of 0.0191 GiB exceed"):
             qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=256)
         # one thread per block at most: a batch of one block holds one group
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 5_000_000)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: 9_500_000)
         qdyn.check_memory(sched, FREE, n_traj=64, batch_size=1024)
         with pytest.raises(ConfigurationError, match="noise blocks"):
             qdyn.check_memory(sched, FREE, n_traj=65, batch_size=1024)
 
     def test_stacked_records_counted_before_integrating(self, monkeypatch):
-        # 81 nodes and 41 records: a 128-column buffer is 82,944 B, the
-        # noise workspaces of each of two threads 15,488 B, the batch's
-        # generators 131,072 B and 4096 weights
-        # 32,768 B, while x and p stacked for 4096 trajectories are
-        # 2,686,976 B; the memory holds the streamed run, not the stacked one
+        # 81 nodes and 41 records: a 128-column buffer is 82,944 B, each of
+        # two noise threads' workspaces and block of generators 81,024 B,
+        # the batch's generators 131,072 B, the friction's block products
+        # 106,496 B, its records 83,968 B, its stream keys 19,712 B and
+        # 4096 weights 32,768 B, while x and p stacked for 4096
+        # trajectories are 2,686,976 B; the memory holds the streamed run,
+        # not the stacked one
         sched = Schedule(t_eq=2.0, t_end=2.0, dt=0.05)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 3 * 82_944 + 32_768 + 1000)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: 586_240 + 32_768 + 1000)
         qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
         tracemalloc.start()
         try:
@@ -607,11 +611,11 @@ class TestStreamedRun:
         # noise and velocity history share one (n_steps + 1) x width buffer,
         # which check_memory counts with, on each of two noise threads, the
         # two workspaces it draws its groups of four paths into (307,328 B),
-        # not two 64-path blocks (1.6 MB), and the batch's generators (1 kB
-        # each).  Beyond that count a batch holds the friction's block
-        # products and its records: at 3000 trajectories of 1600 steps with
-        # two records these stay below a tenth of it, while a second
-        # noise-sized array would add a whole buffer
+        # not two 64-path blocks (1.6 MB), and a block's generators, the
+        # batch's generators (1 kB each) and stream keys, the friction's
+        # block products (64 rows of the width and a 64 x 1600 kernel
+        # block) and the batch's records.  The batch stays within that
+        # count, while a second noise-sized array would add a whole buffer
         # (a polynomial potential: a free one with two records takes the map)
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
         n_traj = 3000
@@ -624,21 +628,24 @@ class TestStreamedRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = _noise_buffer(sched.n_steps, n_traj).nbytes + 2 * 307_328 + n_traj * 1024
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj)
+        held = (_noise_buffer(sched.n_steps, n_traj).nbytes + 2 * (307_328 + 64 * 1024)
+                + n_traj * 1024 + qdyn.keying_bytes(1, 0, n_traj)
+                + 8 * 64 * (3072 + 1600) + 16 * n_traj * 2)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj)
         qdyn.check_memory(sched, WELL, n_traj, n_traj)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj - 1)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj - 1)
         with pytest.raises(ConfigurationError, match="batch buffer and noise blocks of"):
             qdyn.check_memory(sched, WELL, n_traj, n_traj)
-        assert peak <= 1.1 * held
+        assert peak <= held
 
     def test_linear_batch_holds_what_check_memory_counts(self, monkeypatch):
         # a free potential takes the linear map, with no buffer: its rows,
         # built within the trace, on each of two threads the block's
         # generators, one noise block, the workspaces its groups are drawn
-        # into (307,328 B) and the block's x and p at the nodes, and the
-        # batch's records, the most its booked pieces can hold while they
-        # wait for an earlier block, are what check_memory counts (10 MB
+        # into (307,328 B) and the block's x and p at the nodes, the batch's
+        # stream keys, and the batch's records, the most its booked pieces
+        # can hold while they wait for an earlier block, are what
+        # check_memory counts (10 MB
         # here), against a 1601 x 3072 buffer of 39 MB; the rest (the
         # failure check's masks) stays within a tenth.  The pieces are
         # dropped as they are booked, as a run's consumer leaves them
@@ -659,10 +666,10 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         held = (16 * 101 * 1601 + 2 * (8 * 64 * (1601 + 2 * 101) + 307_328 + 64 * 1024)
-                + 16 * n_traj * 101)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj)
+                + 16 * n_traj * 101 + qdyn.keying_bytes(1, 0, n_traj))
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj)
         qdyn.check_memory(sched, FREE, n_traj, n_traj)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: held + 8 * n_traj - 1)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj - 1)
         with pytest.raises(ConfigurationError, match=r"noise blocks and batch records of .*"
                                                      r"\[schedule\] record_stride"):
             qdyn.check_memory(sched, FREE, n_traj, n_traj)
@@ -727,7 +734,7 @@ class TestStreamedRun:
         # 10000 x 10001 / 2, and hold 16 x 8001 x 10001 B = 1.28 GB of rows
         # against the stepper's 10001 x 1024 x 8 B = 82 MB buffer
         dense = Schedule(t_eq=100.0, t_end=400.0, dt=0.05)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 2**30)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: 2**30)
         for pot in (FREE, HARMONIC, WELL):
             assert not qdyn._takes_map(pot, dense)
             qdyn.check_memory(dense, pot, n_traj=4096, batch_size=1024)
@@ -742,7 +749,7 @@ class TestStreamedRun:
         sparse = Schedule(t_eq=100.0, t_end=400.0, dt=0.05, record_stride=4)
         assert qdyn._takes_map(FREE, sparse) and qdyn._takes_map(HARMONIC, sparse)
         assert not qdyn._takes_map(WELL, sparse)
-        monkeypatch.setattr(qdyn, "_physical_memory", lambda: 2**28)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: 2**28)
         assert not qdyn._takes_map(FREE, sparse)
         qdyn.check_memory(sparse, FREE, n_traj=4096, batch_size=1024)
 
@@ -810,14 +817,14 @@ class TestStreamedRun:
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
         stacked = run_ensemble(FIG1, FREE, sched, 600, "quantum", 29)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
-        pieces, inside, threads = [], [], set()
+        pieces, inside, threads = [], [], []
         lock = threading.Lock()
 
         def consumer(piece):
             with lock:
                 inside.append(piece)
                 assert len(inside) == 1
-            threads.add(threading.get_ident())
+            threads.append(threading.get_ident())
             pieces.append(piece)
             with lock:
                 inside.remove(piece)
@@ -835,7 +842,10 @@ class TestStreamedRun:
             joined = np.concatenate([getattr(piece, key) for piece in pieces])
             assert joined.tobytes() == getattr(stacked, key).tobytes()
         assert streamed.weights.tobytes() == stacked.weights.tobytes()
-        assert len(threads) <= cores
+        # per batch: each starts threads of its own, and a thread whose
+        # join has returned may not have exited, so the next batch's may
+        # not take its ident
+        assert len(set(threads[:5])) <= cores and len(set(threads[5:])) <= cores
 
 
 class TestThreads:
@@ -886,6 +896,28 @@ class TestThreads:
                  for i in range(20)]
         qnoise.empirical_autocorrelation(paths, [0.0, 0.05])
         assert seen == [1, 1, 1, 1]
+        assert get() == 2
+
+    def test_exact_reference_solves_on_one_openblas_thread(self, openblas, monkeypatch):
+        # a run computes its exact reference before the ensemble, and the
+        # map's rows then reuse that memoised solve: it is pinned too
+        from qbm.reference import exact_series
+
+        get, put = openblas
+        put(2)
+        integrate_batch = qdyn._integrate_batch
+        seen = []
+
+        def spied(*args, **kwargs):
+            seen.append(get())
+            return integrate_batch(*args, **kwargs)
+
+        monkeypatch.setattr(qdyn, "_integrate_batch", spied)
+        qdyn.momentum_response.cache_clear()
+        sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
+        exact_series(FIG1, FREE, sched, "quantum", "x2")
+        qdyn.momentum_response.cache_clear()
+        assert seen == [1]
         assert get() == 2
 
     def test_pin_is_restored_when_the_run_fails(self, openblas):
@@ -941,7 +973,7 @@ class TestThreads:
 
     def test_thread_counts_without_openblas(self, monkeypatch):
         monkeypatch.setattr(qdyn, "_openblas", lambda: None)
-        assert qdyn.thread_counts() == {"noise": qnoise.thread_count(), "blas": None}
+        assert qdyn.thread_counts() == {"noise": qnoise.usable_cores(), "blas": None}
         assert qdyn.blas_threads() is None
         sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
         assert run_ensemble(FIG1, FREE, sched, 4, "quantum", 1).n_traj == 4

@@ -334,7 +334,8 @@ def test_group_calls_share_one_pair_of_workspaces(statistics):
                 assert rows.tobytes() == ref[g:g + 4].tobytes()
     finally:
         tracemalloc.stop()
-    assert held >= qnoise.group_bytes(grid)
+    # the workspaces one noise thread holds beside a block's generators
+    assert held >= qdyn.noise_thread_bytes(grid, 1) - 64 * qdyn._GENERATOR_BYTES
     assert max(peaks) <= held + 8 * np.getbufsize()
     # outside the context a call's rows are its own
     assert not np.shares_memory(synthesize_batch(spec, grid, statistics, rngs[:4]), first)
@@ -358,7 +359,7 @@ def block_rows(spec, grid, statistics, seed, n, work=None):
 
 class TestThreadedSynthesis:
     """A run's noise blocks, each drawn and consumed whole on one of
-    ``thread_count()`` threads by ``dynamics.noise_blocks``."""
+    ``usable_cores()`` threads by ``dynamics.noise_blocks``."""
 
     # 1 and 3 paths leave the threads one block or none, 64 and 65 one
     # whole block and a second of one path
@@ -373,11 +374,6 @@ class TestThreadedSynthesis:
         monkeypatch.setattr(qnoise, "usable_cores", lambda: threads)
         got = block_rows(spec, grid, statistics, 44, n)
         assert got.tobytes() == ref.tobytes()
-
-    def test_thread_count_is_the_usable_cores(self, monkeypatch):
-        for cores in (64, 2, 1):
-            monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
-            assert qnoise.thread_count() == cores
 
     @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
     def test_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch, statistics):
