@@ -25,10 +25,11 @@ noise block.  Per path it does 2 n_map (n_steps + 1) multiply-adds, n_map
 being the record and intervention nodes, where the stepper's friction
 history does n_steps (n_steps + 1) / 2; :func:`run_ensemble` and
 :func:`integrate` take the map when it does no more and its rows fit in
-physical memory (:func:`_takes_map`).  A batch then holds the rows, built
-once per process, and one noise block and its records per noise thread
-(:func:`noise_blocks`); each block's records are booked as soon as the
-blocks before it are (:func:`run_ensemble`).  Every other run, and
+physical memory (:func:`_takes_map`).  A run then builds the rows once
+(:func:`_batch_runner`) and frees them when it returns, and a batch holds
+one noise block and its records per noise thread (:func:`noise_blocks`);
+each block's records are booked as soon as the blocks before it are
+(:func:`run_ensemble`).  Every other run, and
 :func:`integrate_deterministic` (the one solve the map's responses come
 from, before any block thread starts), takes the stepper
 (:func:`_integrate_batch`), whose batch holds one ``(n_steps + 1) x width``
@@ -876,8 +877,9 @@ def integrate(spec, pot, sched, noise_path, rng=None):
 
     The particle starts at x = 0, p = 0 at t = -t_eq and evolves through the
     equilibration span before recording starts at t = 0; the schedule's
-    preparations draw from ``rng``.  The engine (:func:`_takes_map`) is
-    :func:`run_ensemble`'s, with the same bits.
+    preparations draw from ``rng``.  The engine (:func:`_takes_map`) and
+    the one OpenBLAS thread (:func:`_one_blas_thread`) are
+    :func:`run_ensemble`'s, so the bits are too.
 
     Raises :class:`ConfigurationError` if the path is shorter than the run
     or sampled at a step other than ``sched.dt``, and
@@ -898,18 +900,18 @@ def integrate(spec, pot, sched, noise_path, rng=None):
         rng = _traj_stream(0, 3, 0)
 
     values = noise_path.values[:n_steps + 1]
-    if _takes_map(pot, sched):
-        with _one_blas_thread():
+    with _one_blas_thread():
+        if _takes_map(pot, sched):
             x_rec, p_rec, weights = _apply_map(sched, _build_plan(sched),
                                                linear_rows(spec, pot, sched),
                                                [(0, values[None])], [rng])
-    else:
-        # the integrator consumes its buffer, never the caller's path
-        buf = _noise_buffer(n_steps, 1)
-        buf[:, 0] = values
-        x_rec, p_rec, weights = _integrate_batch(
-            spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1),
-            sched.record_nodes(), intervention_plan=_build_plan(sched), rngs=[rng])
+        else:
+            # the integrator consumes its buffer, never the caller's path
+            buf = _noise_buffer(n_steps, 1)
+            buf[:, 0] = values
+            x_rec, p_rec, weights = _integrate_batch(
+                spec, pot, sched.dt, n_steps, buf, np.zeros(1), np.zeros(1),
+                sched.record_nodes(), intervention_plan=_build_plan(sched), rngs=[rng])
     failed, t_bad = _failures(sched.record_times(), x_rec, p_rec, weights)
     if len(failed):
         raise IntegrationFailure("trajectory state or weight became non-finite",
@@ -948,50 +950,24 @@ def momentum_response(spec, pot, dt, n_steps):
     return gx, gp
 
 
-def response_rows(g, dt, nodes, out=None):
+def response_rows(g, dt, nodes, out):
     """Weights of the noise nodes at each node of ``nodes`` through the
-    unit-momentum response ``g`` of an ``len(g) - 1``-step solve.
+    unit-momentum response ``g`` of an ``len(g) - 1``-step solve, written
+    into the ``(len(nodes), len(g))`` array ``out``.
 
     Row k holds ``dt g(k - j)`` at noise node j <= k and 0 past it, with
-    xi_0 and xi_k counting half (see :func:`linear_rows`); a
-    ``(len(nodes), len(g))`` array, written into ``out`` when given.
+    xi_0 and xi_k counting half (see :func:`linear_rows`).
     """
     n_steps = len(g) - 1
     nodes = np.asarray(nodes, dtype=int)
     # u[n - k + j] = dt g(k - j), 0 for j > k: row k is the window of u at n - k
     window = sliding_window_view(np.concatenate((dt * g[::-1], np.zeros(n_steps))),
                                  n_steps + 1)
-    rows = np.empty((len(nodes), n_steps + 1)) if out is None else out
     # row by row: taking them all at once copies the whole window
-    for row, node in zip(rows, nodes):
+    for row, node in zip(out, nodes):
         row[:] = window[n_steps - node]
-    rows[:, 0] *= 0.5
-    rows[np.arange(len(nodes)), nodes] *= 0.5
-    return rows
-
-
-@lru_cache(maxsize=1)
-def _node_rows(spec, pot, dt, n_steps, nodes):
-    """The run's x and p rows at ``nodes`` and its responses (see
-    :func:`linear_rows`), read-only.
-
-    Memoised for the map's batches; the exact references build theirs a
-    block at a time and keep none.
-    """
-    gx, gp = momentum_response(spec, pot, dt, n_steps)
-    rows = np.empty((2, len(nodes), n_steps + 1))
-    for half, g in zip(rows, (gx, gp)):
-        response_rows(g, dt, nodes, out=half)
-    # the force f at each lag after a unit jump, weighted as response_rows
-    # weights the noise: f_0 counts half, and in p so does f_k
-    f = (-_bath.memory_kernel(spec, dt * np.arange(n_steps + 1))
-         - pot.derivative(0.0, spec.mass, order=2))
-    half_first = np.concatenate((0.5 * f[:1], f[1:]))
-    jx = 1.0 + dt * np.convolve(gx, half_first)[:n_steps + 1]
-    jp = dt * np.convolve(gp, half_first)[:n_steps + 1] - 0.5 * dt * gp[0] * f
-    for a in (rows, jx, jp):
-        a.flags.writeable = False
-    return rows, gx, gp, jx, jp
+    out[:, 0] *= 0.5
+    out[np.arange(len(nodes)), nodes] *= 0.5
 
 
 def linear_rows(spec, pot, sched):
@@ -1009,12 +985,27 @@ def linear_rows(spec, pot, sched):
     friction boundary term, less ``m omega0^2`` on the harmonic potential,
     the offset's own restoring force; the scheme takes f as it takes the
     noise, so ``Jx = 1 + dt G_x * f`` and ``Jp = dt G_p * f``, convolved
-    with the rows' half weights.  Read-only, memoised on the bath,
-    potential, step, step count and nodes, so a process builds them once
-    per schedule, with the one deterministic solve behind G.
+    with the rows' half weights.  Built anew on each call, from the
+    memoised deterministic solve behind G, and read-only: a run builds them
+    once (:func:`_batch_runner`), its block threads share them, and they
+    are freed when it returns.
     """
-    nodes = (*sched.record_nodes().tolist(), *sched.intervention_nodes())
-    return _node_rows(spec, pot, sched.dt, sched.n_steps, nodes)
+    dt, n_steps = sched.dt, sched.n_steps
+    nodes = [*sched.record_nodes(), *sched.intervention_nodes()]
+    gx, gp = momentum_response(spec, pot, dt, n_steps)
+    rows = np.empty((2, len(nodes), n_steps + 1))
+    for half, g in zip(rows, (gx, gp)):
+        response_rows(g, dt, nodes, out=half)
+    # the force f at each lag after a unit jump, weighted as response_rows
+    # weights the noise: f_0 counts half, and in p so does f_k
+    f = (-_bath.memory_kernel(spec, dt * np.arange(n_steps + 1))
+         - pot.derivative(0.0, spec.mass, order=2))
+    half_first = np.concatenate((0.5 * f[:1], f[1:]))
+    jx = 1.0 + dt * np.convolve(gx, half_first)[:n_steps + 1]
+    jp = dt * np.convolve(gp, half_first)[:n_steps + 1] - 0.5 * dt * gp[0] * f
+    for a in (rows, jx, jp):
+        a.flags.writeable = False
+    return rows, gx, gp, jx, jp
 
 
 def _apply_map(sched, plan, linear, groups, rngs):
@@ -1065,44 +1056,51 @@ def _apply_map(sched, plan, linear, groups, rngs):
     return x[:n_rec].T, p[:n_rec].T, weights
 
 
-def _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids, book):
-    """Integrate the trajectories ``ids`` and book their records in id order.
+def _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag):
+    """``run_batch(ids, book)``: integrate a run's trajectories ``ids`` and
+    book their records in id order.
 
-    Each piece goes to ``book(first, x, p, weights)``, ``first`` being the id
-    of its first trajectory: on the linear map one piece per noise block,
-    booked by a block thread (:func:`noise_blocks`), so the batch never holds
-    its records; on the stepper the whole batch, once it is integrated.
+    The engine (:func:`_takes_map`), noise grid, draws and, on the linear
+    map, its rows (:func:`linear_rows`) are set up once per run, before any
+    block thread starts, and freed with ``run_batch``.  Each piece goes to
+    ``book(first, x, p, weights)``, ``first`` being the id of its first
+    trajectory: on the linear map one piece per noise block, booked by a
+    block thread (:func:`noise_blocks`), so a batch never holds its records;
+    on the stepper the whole batch, once it is integrated.
     """
     n_steps = sched.n_steps
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
-    B = len(ids)
     plan = _build_plan(sched)
     if _takes_map(pot, sched):
-        # built here, not by the first block's thread
         linear = linear_rows(spec, pot, sched)
 
         def work(lo, hi, rngs, groups):
             return _apply_map(sched, plan, linear, groups, rngs)
 
-        noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work,
-                     book=lambda lo, piece: book(ids[lo], *piece))
-        return
-    # each group transposed into its columns of the shared buffer: the
-    # batch never holds its noise and its velocity history side by side
-    buf = _noise_buffer(n_steps, B)
-    rngs = [None] * B
+        def run_batch(ids, book):
+            noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work,
+                         book=lambda lo, piece: book(ids[lo], *piece))
+        return run_batch
 
-    def work(lo, hi, block_rngs, groups):
-        for g, rows in groups:
-            buf[:, lo + g:lo + g + len(rows)] = rows.T
-        rngs[lo:hi] = block_rngs
+    def run_batch(ids, book):
+        B = len(ids)
+        # each group transposed into its columns of the shared buffer: the
+        # batch never holds its noise and its velocity history side by side
+        buf = _noise_buffer(n_steps, B)
+        rngs = [None] * B
 
-    noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
-    x, p, weights = _integrate_batch(
-        spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
-        sched.record_nodes(), intervention_plan=plan, rngs=rngs)
-    del buf  # not alive beside what the booking allocates
-    book(ids[0], x, p, weights)
+        def work(lo, hi, block_rngs, groups):
+            for g, rows in groups:
+                buf[:, lo + g:lo + g + len(rows)] = rows.T
+            rngs[lo:hi] = block_rngs
+
+        noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work)
+        x, p, weights = _integrate_batch(
+            spec, pot, sched.dt, n_steps, buf, np.zeros(B), np.zeros(B),
+            sched.record_nodes(), intervention_plan=plan, rngs=rngs)
+        del buf  # not alive beside what the booking allocates
+        book(ids[0], x, p, weights)
+    return run_batch
 
 
 def _failures(times, x, p, weights):
@@ -1122,9 +1120,11 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     Each trajectory owns a counter-based stream derived from
     ``(master_seed, stream_tag, trajectory_id)``; within a stream the noise
     coefficients are drawn first, then any preparation draws, so results are
-    bit-reproducible for any batch split.  The batches are integrated in
-    the calling process, one after another, each running its noise blocks,
-    and on the linear map their records, on one thread per usable core
+    bit-reproducible for any batch split.  What the batches share, the
+    linear map's rows among it, is set up once (:func:`_batch_runner`) and
+    freed on return.  The batches are integrated in the calling process,
+    one after another, each running its noise blocks, and on the linear
+    map their records, on one thread per usable core
     (:func:`noise_blocks`), with the same bits on any count.  OpenBLAS runs
     on one thread while the ensemble is integrated (its count is restored
     on return), as it does for the deterministic solve
@@ -1181,10 +1181,10 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
 
     done = 0
     with _one_blas_thread():
+        run_batch = _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag)
         for lo in range(0, n_traj, batch_size):
             done = min(lo + batch_size, n_traj)
-            _run_batch(spec, pot, sched, statistics, master_seed, stream_tag,
-                       range(lo, done), book)
+            run_batch(range(lo, done), book)
             if progress:
                 progress(done, n_traj)
             if len(failed) > 0.001 * n_traj:

@@ -163,13 +163,8 @@ def _draw_half(rngs, normals, z):
     return z
 
 
-@lru_cache(maxsize=4)
 def mode_amplitudes(spec, grid, statistics):
-    """Per-mode amplitude sqrt(delta_omega / (2*pi) * PSD(omega_k)) for k = 0..N.
-
-    Memoised on its frozen arguments, so a run's noise blocks share one
-    array; it is returned read-only.
-    """
+    """Per-mode amplitude sqrt(delta_omega / (2*pi) * PSD(omega_k)) for k = 0..N."""
     w = grid.omegas
     if statistics == QUANTUM:
         psd = bath.noise_psd(spec, w)
@@ -178,9 +173,7 @@ def mode_amplitudes(spec, grid, statistics):
         psd = 2.0 * spec.kT * spec.gamma * spec.mass * np.exp(-spec.eps * w)
     else:
         raise ConfigurationError(f"no spectral amplitudes for statistics {statistics!r}")
-    amp = np.sqrt(grid.delta_omega / (2.0 * np.pi) * psd)
-    amp.flags.writeable = False
-    return amp
+    return np.sqrt(grid.delta_omega / (2.0 * np.pi) * psd)
 
 
 def _white_variance(spec, t_step):

@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 import tracemalloc
@@ -19,11 +20,11 @@ from qbm.dynamics import (
     Schedule,
     Trajectory,
     TrajectoryEnsemble,
+    _batch_runner,
     _build_plan,
     _integrate_batch,
     _kernel_mid,
     _noise_buffer,
-    _run_batch,
     _traj_stream,
     _traj_streams,
     integrate,
@@ -75,7 +76,7 @@ class Shift:
 
 
 def run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
-    """The pieces ``_run_batch`` books for ``ids``, gathered into one
+    """The pieces a run's ``_batch_runner`` books for ``ids``, gathered into one
     :class:`TrajectoryEnsemble`; they must come contiguous, in id order."""
     n_rec = len(sched.record_nodes())
     x, p, w = np.empty((len(ids), n_rec)), np.empty((len(ids), n_rec)), np.empty(len(ids))
@@ -87,7 +88,7 @@ def run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids):
         x[end:end + len(pw)], p[end:end + len(pw)], w[end:end + len(pw)] = px, pp, pw
         end += len(pw)
 
-    _run_batch(spec, pot, sched, statistics, master_seed, stream_tag, ids, book)
+    _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag)(ids, book)
     assert end == len(ids)
     return TrajectoryEnsemble(sched.record_times(), x, p, w)
 
@@ -656,12 +657,11 @@ class TestStreamedRun:
         def drop(first, x, p, w):
             pass
 
-        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8), drop)  # one-time allocations
-        qdyn._node_rows.cache_clear()
+        _batch_runner(FIG1, FREE, sched, "quantum", 1, 0)(range(8), drop)  # one-time allocations
         qdyn.momentum_response.cache_clear()
         tracemalloc.start()
         try:
-            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj), drop)
+            _batch_runner(FIG1, FREE, sched, "quantum", 1, 0)(range(n_traj), drop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -674,6 +674,25 @@ class TestStreamedRun:
                                                      r"\[schedule\] record_stride"):
             qdyn.check_memory(sched, FREE, n_traj, n_traj)
         assert peak <= 1.1 * held
+
+    def test_rows_are_freed_when_the_run_returns(self):
+        # the map's x and p rows, 16 x 101 x 1601 B = 2.6 MB here, live as
+        # long as the run that builds them: once it has returned, what it
+        # leaves is its weights and the memoised solve, which is not traced
+        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
+        n_map = len(sched.record_nodes())
+        assert qdyn._takes_map(FREE, sched) and n_map == 101
+        qdyn.momentum_response(FIG1, FREE, sched.dt, sched.n_steps)
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(FIG1, FREE, sched, 256, "quantum", 1,
+                               consumer=lambda piece: None)
+            gc.collect()
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ens.n_traj == 256
+        assert current < 16 * n_map * (sched.n_steps + 1)
 
     def test_waiting_blocks_stay_within_what_check_memory_counts(self, monkeypatch):
         # the worst case check_memory counts: block 0 is held back until
@@ -712,14 +731,13 @@ class TestStreamedRun:
                 at_first_booking.append(len(finished))
 
         # one-time allocations
-        _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(8), lambda *piece: None)
-        qdyn._node_rows.cache_clear()
+        _batch_runner(FIG1, FREE, sched, "quantum", 1, 0)(range(8), lambda *piece: None)
         qdyn.momentum_response.cache_clear()
         monkeypatch.setattr(qdyn, "_key_streams", streams)
         monkeypatch.setattr(qdyn, "_apply_map", held_back)
         tracemalloc.start()
         try:
-            _run_batch(FIG1, FREE, sched, "quantum", 1, 0, range(n_traj), drop)
+            _batch_runner(FIG1, FREE, sched, "quantum", 1, 0)(range(n_traj), drop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -918,6 +936,26 @@ class TestThreads:
         exact_series(FIG1, FREE, sched, "quantum", "x2")
         qdyn.momentum_response.cache_clear()
         assert seen == [1]
+        assert get() == 2
+
+    def test_integrate_gives_the_run_s_rows_on_the_stepper(self, openblas):
+        # a quartic takes the stepper, whose friction products two OpenBLAS
+        # threads split otherwise than one: integrate pins it as the run
+        # does, so each trajectory's noise and stream give the run's row
+        get, put = openblas
+        put(2)
+        spec = BathSpec(gamma=np.pi / 2, eps=0.05, kT=1.0)
+        pot = Potential.polynomial([0.0, 0.0, 0.5, 0.0, 0.1])
+        sched = Schedule(t_eq=4.0, t_end=1.0, dt=0.005, record_stride=50)
+        assert sched.n_steps == 1000 and not qdyn._takes_map(pot, sched)
+        ens = run_ensemble(spec, pot, sched, 4, "quantum", 5)
+        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+        for i in range(4):
+            rng = _traj_stream(5, 0, i)
+            traj = integrate(spec, pot, sched, qnoise.synthesize(spec, grid, "quantum", rng),
+                             rng=rng)
+            assert traj.x.tobytes() == ens.x[i].tobytes()
+            assert traj.p.tobytes() == ens.p[i].tobytes()
         assert get() == 2
 
     def test_pin_is_restored_when_the_run_fails(self, openblas):
@@ -1515,17 +1553,23 @@ class TestLinearMap:
             assert ens.weights.tobytes() == w_ref.tobytes()
 
     def test_rows_are_built_once_and_read_only(self, monkeypatch):
-        solves = []
+        # a run of three batches builds its rows once, before its first batch
+        solves, built = [], []
         monkeypatch.setattr(qdyn, "integrate_deterministic",
                             lambda *args: solves.append(args) or integrate_deterministic(*args))
+        linear_rows = qdyn.linear_rows
+        monkeypatch.setattr(qdyn, "linear_rows",
+                            lambda *args: built.append(linear_rows(*args)) or built[-1])
         qdyn.momentum_response.cache_clear()
-        qdyn._node_rows.cache_clear()
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4, interventions=(
             Intervention(0.0, GaussianLocalize(1.0), mode="translate"),))
         assert qdyn._takes_map(FREE, sched)
-        for lo in (0, 64, 128):
-            run_batch(FIG1, FREE, sched, "quantum", 3, 0, range(lo, lo + 64))
-        rows, gx, gp, jx, jp = qdyn.linear_rows(FIG1, FREE, sched)
+        batches = []
+        run_ensemble(FIG1, FREE, sched, 192, "quantum", 3, batch_size=64,
+                     progress=lambda done, n_traj: batches.append(done))
+        assert batches == [64, 128, 192]
+        assert len(built) == 1
+        rows, gx, gp, jx, jp = built[0]
         assert len(solves) == 1
         assert not any(a.flags.writeable for a in (rows, gx, gp, jx, jp))
         assert rows.shape == (2, len(sched.record_nodes()) + 1, sched.n_steps + 1)
@@ -1561,7 +1605,6 @@ class TestLinearMap:
             qdyn, "_integrate_batch",
             lambda *args, **kw: solves.append(args) or _integrate_batch(*args, **kw))
         qdyn.momentum_response.cache_clear()
-        qdyn._node_rows.cache_clear()
         spec = BathSpec(gamma=1.25, eps=0.5)
         cat = Schedule(t_eq=2.0, t_end=1.05, dt=0.05, record_stride=4, interventions=(
             Intervention(0.0, CAT, mode="translate"),))

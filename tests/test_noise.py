@@ -29,7 +29,7 @@ from qbm.noise import (
     synthesize,
     synthesize_batch,
 )
-from qbm.noise import _MAGIC, _next_fast_len
+from qbm.noise import _MAGIC, _checked_amplitudes, _next_fast_len
 
 FIG1 = BathSpec(gamma=np.pi / 2, eps=0.5, mass=1.0, hbar=1.0, kT=0.0)
 
@@ -174,16 +174,17 @@ class TestSynthesize:
             assert abs(e - classical_correlation(spec, lag)) <= 3.0 * s
 
 
-def test_mode_amplitudes_are_shared_and_read_only():
+def test_checked_amplitudes_are_shared_and_read_only():
     # every noise block of a run reads one array, which none may change
     spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
     grid = FrequencyGrid.for_times(spec, 0.025, 401)
-    amp = mode_amplitudes(spec, grid, QUANTUM)
-    assert mode_amplitudes(BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5),
-                           FrequencyGrid.for_times(spec, 0.025, 401), QUANTUM) is amp
+    amp = _checked_amplitudes(spec, grid, QUANTUM)
+    assert _checked_amplitudes(BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5),
+                               FrequencyGrid.for_times(spec, 0.025, 401), QUANTUM) is amp
     with pytest.raises(ValueError):
         amp[0] = 0.0
-    assert mode_amplitudes(spec, grid, CLASSICAL) is not amp
+    assert _checked_amplitudes(spec, grid, CLASSICAL) is not amp
+    assert amp.tobytes() == mode_amplitudes(spec, grid, QUANTUM).astype(complex).tobytes()
 
 
 class TestLinearVariance:

@@ -457,7 +457,6 @@ class TestExactSeries:
         monkeypatch.setattr(qdyn, "integrate_deterministic",
                             lambda *args: solves.append(args) or integrate_deterministic(*args))
         qdyn.momentum_response.cache_clear()
-        qdyn._node_rows.cache_clear()
         with resources.as_file(preset_path("fig1")) as path:
             cfg = parse_config(path, {"n_traj": 16})
         written = run(cfg, out_dir=str(tmp_path))
@@ -548,12 +547,14 @@ class TestReferenceBlocks:
                 .estimates.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("observable", ["x2", "p2"])
-    def test_peak_memory_does_not_grow_with_the_records(self, observable):
+    def test_peak_memory_does_not_grow_with_the_records(self, observable, monkeypatch):
         # one record per step takes the stepper, whose run builds no rows: the
         # reference builds its forms a noise block at a time, keeps none, and
         # peaks alike at 401 and 801 records, where all the rows at once take
         # 5.4 and 10.8 MB and their transforms 8 and 16 MB more
         pot = Potential.free()
+        built = []
+        monkeypatch.setattr(qdyn, "linear_rows", lambda *args: built.append(args))
         for t_eq, t_end in ((22.0, 20.0), (2.0, 40.0)):
             sched = Schedule(t_eq=t_eq, t_end=t_end, dt=0.05,
                              interventions=((1.0, MomentumReset(0.5)),))
@@ -561,7 +562,6 @@ class TestReferenceBlocks:
             grid = FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
             # the shared solve, as a run on this schedule leaves it
             qdyn.momentum_response(FIG1, pot, sched.dt, sched.n_steps)
-            qdyn._node_rows.cache_clear()
             tracemalloc.start()
             try:
                 series = exact_series(FIG1, pot, sched, "quantum", observable)
@@ -573,4 +573,5 @@ class TestReferenceBlocks:
             assert peak < 4 * qdyn._NOISE_BLOCK * grid.fft_length * 8
             # what is left is the series itself
             assert current < 64 * n_rec
-            assert qdyn._node_rows.cache_info().currsize == 0
+            # the reference never builds the map's rows
+            assert built == []
