@@ -282,7 +282,8 @@ def parse_config(path, overrides=None):
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     # outside the try: its messages name the [run] and [schedule] keys
-    _dyn.check_memory(sched, pot, cfg.n_traj, cfg.batch_size, master_seed=cfg.master_seed)
+    _dyn.check_memory(_dyn.memory_plan(spec, pot, sched, cfg.statistics, cfg.n_traj,
+                                       cfg.batch_size, master_seed=cfg.master_seed))
     return cfg
 
 
@@ -396,6 +397,10 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         "master_seed": cfg.master_seed,
         "wall_time_s": time.time() - t_start,
         "peak_rss_mb": _peak_rss_mb(),
+        # what the memory check counted, term by term (the run streams)
+        "memory_counted_mb": {term.name: term.nbytes / 2**20 for term in _dyn.memory_plan(
+            spec, pot, sched, cfg.statistics, cfg.n_traj, cfg.batch_size,
+            master_seed=cfg.master_seed).terms},
         "environment": _environment(),
         "threads": _dyn.thread_counts(),
         "outputs": [os.path.basename(w) for w in written],
@@ -457,26 +462,6 @@ def _runs_test_pvalue(signs):
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _check_noise_memory(cfg, grid, n_lags, dump):
-    """Reject an ``n_traj`` whose noise-check does not fit in physical memory.
-
-    Before its blocks start, noise-check holds ``n_lags`` lag products per
-    path and keys every path's stream at once
-    (:func:`qbm.dynamics.keying_bytes`); then its noise threads hold what
-    :func:`qbm.dynamics.noise_thread_bytes` counts, each with, for the
-    dump, a contiguous copy of a path and its bytes.
-    """
-    memory = _dyn.physical_memory()
-    blocks = _dyn.noise_thread_bytes(grid, cfg.n_traj, 16 * grid.n_times if dump else 0)
-    paths = 8 * n_lags * cfg.n_traj + _dyn.keying_bytes(cfg.master_seed, 0, cfg.n_traj)
-    if memory is None or paths + blocks <= memory:
-        return
-    raise ConfigurationError(
-        f"[run] n_traj = {cfg.n_traj} needs {paths / 2**30:.3g} GiB of lag products and "
-        f"stream keys, which with the noise groups exceed the {memory / 2**30:.3g} GiB of "
-        f"physical memory (lower [run] n_traj or --n-traj)")
-
-
 def noise_check(cfg, out_dir=None, dump=False):
     """Validate the run's noise against the bath correlation target.
 
@@ -487,14 +472,11 @@ def noise_check(cfg, out_dir=None, dump=False):
     one 64-path block at a time, a group of four paths after another
     (:func:`qbm.dynamics.noise_blocks`), and reduces each group to its
     per-path lag products as it is drawn; the estimates are one reduction
-    of those in id order, so they do not depend on the thread count, and
-    memory grows neither with ``n_traj`` beyond ``_N_LAGS`` floats and one
-    stream key per path nor with ``batch_size``.  That memory is counted,
-    and an ``n_traj`` it does not fit rejected, before anything is written
-    (:func:`_check_noise_memory`).  Returns ``(report dict, ok flag)`` and
-    writes ``noise_check.json`` (plus the paths, as ``noise_paths.bin`` in
-    id order, when ``dump`` is set: each thread writes each path at its
-    own row).
+    of those in id order, so they do not depend on the thread count.  Its
+    memory plan (:func:`qbm.dynamics.noise_check_plan`) is checked before
+    anything is written.  Returns ``(report dict, ok flag)`` and writes
+    ``noise_check.json`` (plus the paths, as ``noise_paths.bin`` in id
+    order, when ``dump`` is set: each thread writes each path at its own row).
     """
     if cfg.n_traj < 2:
         raise ConfigurationError(
@@ -516,7 +498,8 @@ def noise_check(cfg, out_dir=None, dump=False):
 
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_times)
     shifts = _noise.lag_shifts(lags, sched.dt, n_times)
-    _check_noise_memory(cfg, grid, len(shifts), dump)
+    _dyn.check_memory(_dyn.noise_check_plan(grid, cfg.statistics, cfg.n_traj, len(shifts),
+                                            dump, cfg.master_seed))
     # lag-major, so each lag's estimate reduces one contiguous row
     products = np.empty((len(shifts), cfg.n_traj))
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,

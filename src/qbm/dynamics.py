@@ -36,8 +36,10 @@ from, before any block thread starts), takes the stepper
 buffer of noise and velocity history.
 """
 
+import math
 import os
 import threading
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -70,6 +72,10 @@ _NOISE_BLOCK = 64
 # Bytes of one trajectory's generator (a numpy Generator on Philox), rounded
 # up from the 800 B that tracemalloc counts.
 _GENERATOR_BYTES = 1024
+
+# Bytes of one trajectory's preparation draw, its sampler's temporaries and
+# stacked row included, rounded up from the 400 B tracemalloc counts for a cat
+_DRAW_BYTES = 512
 
 FREE = "free"
 HARMONIC = "harmonic"
@@ -389,15 +395,6 @@ def _stream_keys(master_seed, stream_tag, ids):
     return keys
 
 
-def keying_bytes(master_seed, stream_tag, n):
-    """Most bytes :func:`_stream_keys` holds keying ``n`` ids: per id its
-    key (16 B), its uint64 id (8 B), two copies of its ``w`` entropy words
-    and two masks (8 w + 2 B), and the hash's word arrays, pool, state and
-    their temporaries (at most 4 max(w, 4) + 80 B, as measured)."""
-    w = len(_uint32_words(int(master_seed))) + len(_uint32_words(int(stream_tag))) + 2
-    return n * (26 + 8 * w + 4 * max(w, _POOL) + 80)
-
-
 def _key_streams(keys):
     """One generator per row of :func:`_stream_keys`, at counter 0."""
     # registered here, not at import: importing qbm does not load numpy.random
@@ -459,7 +456,7 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
     stops the claims and is raised here; no piece is booked after it.
     """
     keys = _stream_keys(master_seed, stream_tag, ids)
-    n_threads = min(_noise.usable_cores(), -(-len(ids) // _NOISE_BLOCK))
+    n_threads = _noise_threads(len(ids))
     try:
         cores = sorted(os.sched_getaffinity(0)) if n_threads > 1 else None
     except AttributeError:  # no affinity calls on this platform
@@ -556,111 +553,136 @@ def _n_records(sched):
     return (sched.n_steps - sched.eq_steps) // sched.record_stride + 1
 
 
+def _rows_shape(sched):
+    """Shape of the linear map's x and p rows, one per record and intervention node."""
+    return (2, _n_records(sched) + len(sched.interventions), sched.n_steps + 1)
+
+
 def _takes_map(pot, sched):
     """Whether a run of ``pot`` over ``sched`` takes the linear map.
 
     It does for a free or harmonic potential whose map does no more
     multiply-adds per path than the stepper, 4 n_map <= n_steps (see the
-    module docstring), and whose x and p rows, ``16 n_map (n_steps + 1)``
-    bytes, fit in physical memory.  The batch size does not enter, so a
-    run's bits do not depend on it.
+    module docstring), and whose rows fit in physical memory.  The batch
+    size does not enter, so a run's bits do not depend on it.
     """
     if pot.form == POLYNOMIAL:
         return False
-    n_map = _n_records(sched) + len(sched.interventions)
     memory = physical_memory()
-    return (4 * n_map <= sched.n_steps
-            and (memory is None or 16 * n_map * (sched.n_steps + 1) <= memory))
+    return (4 * _rows_shape(sched)[1] <= sched.n_steps
+            and (memory is None or _map_rows(sched).nbytes <= memory))
 
 
-def noise_thread_bytes(grid, n_ids, work_bytes=0):
-    """Most bytes the threads of :func:`noise_blocks` hold over ``n_ids``
-    ids of the noise ``grid``, with ``work_bytes`` more on each for what its
-    ``work`` holds.
+# What a run or a noise-check allocates at most: terms, each the bytes ``name``
+# holds and how to shrink them, summed as if all were alive at once
+MemoryTerm = namedtuple("MemoryTerm", "name nbytes shrink")
+MemoryPlan = namedtuple("MemoryPlan", "subject terms")
+_ROWS = "raise [schedule] dt or [schedule] record_stride"
+_STEPS = "raise [schedule] dt"
+_BUFFER = "raise [schedule] dt or lower [run] batch_size"
+_RECORDS = "raise [schedule] record_stride or lower [run] batch_size"
+_BATCH_SIZE = "lower [run] batch_size"
 
-    One thread runs per usable core, at most one per block, and each holds
-    a block's generators (``_GENERATOR_BYTES`` each) and the two synthesis
-    workspaces all its groups are drawn into
-    (:func:`qbm.noise.shared_workspaces`), each ``_FFT_ROWS`` rows of ``2
-    (N+1)`` floats, the first of which holds the group's rows.
+
+def _map_rows(sched):
+    """The linear map's rows and its responses G and J, in x and in p."""
+    n_map, n_nodes = _rows_shape(sched)[1:]
+    return MemoryTerm("map rows", 8 * (2 * n_map + 4) * n_nodes, _ROWS)
+
+
+def _noise_threads(n_ids):
+    """Threads :func:`noise_blocks` runs: one per usable core, at most one per block."""
+    return min(_noise.usable_cores(), -(-n_ids // _NOISE_BLOCK))
+
+
+def _noise_terms(grid, statistics, master_seed, stream_tag, n_ids, generators, shrink):
+    """What :func:`noise_blocks` over ``n_ids`` ids holds with ``generators``
+    alive: per id its key and id (24 B), two copies of its ``w`` entropy
+    words, two masks and the hash's temporaries (4 max(w, 4) + 80 B, as
+    measured); and per thread a workspace pair or, for white noise, the
+    group ``work`` holds beside the one being drawn."""
+    w = len(_uint32_words(int(master_seed))) + len(_uint32_words(int(stream_tag))) + 2
+    threads = _noise_threads(n_ids)
+    terms = [MemoryTerm("stream keys", n_ids * (26 + 8 * w + 4 * max(w, _POOL) + 80), shrink),
+             MemoryTerm("generators", generators * _GENERATOR_BYTES, shrink)]
+    if statistics == _noise.WHITE:
+        return [*terms, MemoryTerm("white noise groups",
+                                   threads * 2 * 8 * _noise._FFT_ROWS * grid.n_times, _STEPS)]
+    shape = _noise._workspace_shape(_noise._FFT_ROWS, grid.n_modes)
+    return [*terms, MemoryTerm("noise amplitudes", 16 * (grid.n_modes + 1), _STEPS),
+            MemoryTerm("noise workspaces", threads * 8 * math.prod(shape), _STEPS)]
+
+
+def memory_plan(spec, pot, sched, statistics, n_traj, batch_size, stacked=False,
+                master_seed=0, stream_tag=0):
+    """The memory plan of a run of ``n_traj`` trajectories, ``batch_size`` at a
+    time: its noise blocks' terms, its engine's (:func:`_takes_map`), its
+    weights and, ``stacked`` (:func:`run_ensemble` without a consumer), its
+    records.  A finished block of the linear map waits to be booked until
+    every block before it is, so every block's x and p may be alive at once.
+    The stepper's friction holds ``_CONV_BLOCK`` rows of the width and a
+    kernel block, beside a row of the width and three kernels.  ``dt =
+    1e-300`` plans 6e300 steps, rejected before they are allocated.
     """
-    threads = min(_noise.usable_cores(), -(-n_ids // _NOISE_BLOCK))
-    return threads * (work_bytes + _NOISE_BLOCK * _GENERATOR_BYTES
-                      + 2 * _noise._FFT_ROWS * 16 * (grid.n_modes + 1))
-
-
-def check_memory(sched, pot, n_traj, batch_size, stacked=False, master_seed=0, stream_tag=0):
-    """Reject a run whose batch memory and weights cannot fit in physical memory.
-
-    A batch keys its ids with ``master_seed`` and ``stream_tag`` in one
-    pass (:func:`keying_bytes`), then runs its noise blocks
-    (:func:`noise_thread_bytes`).  The rest depends on the engine the run
-    takes (:func:`_takes_map`).  The stepper takes each group into its
-    batch buffer of ``(n_steps + 1) x width`` floats, ``width`` being the
-    batch rounded up to the history tile, and holds the batch's generators
-    until it is integrated (those on the threads are counted twice); it
-    then holds the friction's block products, ``_CONV_BLOCK`` rows of the
-    width and a kernel block of at most ``_CONV_BLOCK x n_steps`` floats,
-    and the batch's x and p records.  The linear map holds ``16 n_map
-    (n_steps + 1)`` bytes of x and p rows, ``n_map`` being the record and
-    intervention nodes; on each thread one ``_NOISE_BLOCK``-path block that
-    its groups fill, and the block's x and p at the nodes; and, at worst,
-    those of its whole batch: the batch holds no records, but a finished
-    block waits to be booked until every block before it is, so all but
-    one of the batch's blocks may wait on a slow one.  The run integrates
-    one batch at a time and keeps one weight per trajectory.  The step
-    count comes from ``t_eq``, ``t_end`` and ``dt`` alone, so ``dt =
-    1e-300`` would size a buffer of 1e300 rows, and ``n_traj = 1e14`` would
-    size 800 TB of weights: both are rejected here, before anything is
-    allocated.  A ``stacked`` run (:func:`run_ensemble` without a consumer)
-    also holds every trajectory's ``x`` and ``p`` records.
-    """
-    memory = physical_memory()
-    n_nodes = sched.n_steps + 1
+    n_steps, n_rec = sched.n_steps, _n_records(sched)
     batch = min(batch_size, n_traj)
-    n_rec = _n_records(sched)
-    weights = 8 * n_traj
-    records = 16 * n_traj * n_rec if stacked else 0
-    linear = _takes_map(pot, sched)
-    # the grid's size depends on the schedule alone
-    grid = _noise.FrequencyGrid.for_times(None, sched.dt, n_nodes)
-    held = keying_bytes(master_seed, stream_tag, batch)
-    if linear:
-        n_map = n_rec + len(sched.interventions)
-        held += (16 * n_map * n_nodes
-                 + noise_thread_bytes(grid, batch, 8 * _NOISE_BLOCK * (n_nodes + 2 * n_map))
-                 + 16 * batch * n_map)
-        name = "x and p rows, noise blocks and batch records"
+    grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
+    if _takes_map(pot, sched):
+        threads, n_map = _noise_threads(batch), _rows_shape(sched)[1]
+        block = 8 * _NOISE_BLOCK
+        terms = [*_noise_terms(grid, statistics, master_seed, stream_tag, batch,
+                               threads * min(batch, _NOISE_BLOCK), _BATCH_SIZE),
+                 _map_rows(sched),
+                 MemoryTerm("noise blocks", threads * block * (n_steps + 1), _STEPS),
+                 MemoryTerm("block records", threads * 2 * block * n_map, _ROWS),
+                 MemoryTerm("batch records",
+                            (-(-batch // _NOISE_BLOCK) - threads) * 2 * block * n_map, _RECORDS)]
+        # the draws, and three arrays of x and numpy's two ufunc buffers to update it
+        updates = threads * (_NOISE_BLOCK * _DRAW_BYTES + 3 * block * n_map + 16 * np.getbufsize())
     else:
         width = _buffer_width(batch)
-        held += (8 * n_nodes * width + noise_thread_bytes(grid, batch)
-                 + batch * _GENERATOR_BYTES
-                 + 8 * _CONV_BLOCK * (width + sched.n_steps) + 16 * batch * n_rec)
-        name = "batch buffer and noise blocks"
-    if memory is None or held + weights + records <= memory:
+        terms = [*_noise_terms(grid, statistics, master_seed, stream_tag, batch, batch,
+                               _BATCH_SIZE),
+                 MemoryTerm("batch buffer", 8 * (n_steps + 1) * width, _BUFFER),
+                 MemoryTerm("friction block products",
+                            8 * (_CONV_BLOCK * (width + n_steps) + width + 3 * (n_steps + 1)),
+                            _BUFFER),
+                 MemoryTerm("batch records", 8 * batch * (2 * n_rec + 6), _RECORDS)]
+        updates = batch * (_DRAW_BYTES + 8 * len(sched.interventions))
+    if sched.interventions:
+        terms.append(MemoryTerm("intervention updates", updates, _RECORDS))
+    terms.append(MemoryTerm("weights", 8 * n_traj, "lower [run] n_traj"))
+    if stacked:
+        terms.append(MemoryTerm("stacked records", 16 * n_traj * n_rec,
+                                "stream the batches to a consumer"))
+    return MemoryPlan(f"[run] n_traj = {n_traj} over {n_steps:.3g} steps", terms)
+
+
+def noise_check_plan(grid, statistics, n_paths, n_lags, dump, master_seed):
+    """The memory plan of a noise-check of ``n_paths`` paths of ``grid``,
+    with ``n_lags`` lag products per path and for the ``dump`` per thread a
+    path's copy and bytes."""
+    threads, shrink = _noise_threads(n_paths), "lower [run] n_traj or --n-traj"
+    terms = [MemoryTerm("lag products", 8 * n_lags * n_paths, shrink),
+             *_noise_terms(grid, statistics, master_seed, 0, n_paths,
+                           threads * min(n_paths, _NOISE_BLOCK), shrink)]
+    if dump:
+        terms.append(MemoryTerm("dump rows", threads * 16 * grid.n_times, _STEPS))
+    return MemoryPlan(f"noise-check of [run] n_traj = {n_paths} paths", terms)
+
+
+def check_memory(plan):
+    """Reject a memory plan whose total exceeds physical memory, naming its
+    two largest terms and the change of config that shrinks each."""
+    memory = physical_memory()
+    total = sum(term.nbytes for term in plan.terms)
+    if memory is None or total <= memory:
         return
-    if held + weights <= memory:
-        raise ConfigurationError(
-            f"n_traj = {n_traj} stacks {records / 2**30:.3g} GiB of x and p records, which "
-            f"with the {name} and weights exceed the {memory / 2**30:.3g} GiB of "
-            f"physical memory (stream the batches to a consumer)")
-    if weights > held:
-        raise ConfigurationError(
-            f"[run] n_traj = {n_traj} needs {weights / 2**30:.3g} GiB of trajectory "
-            f"weights, which with the {name} exceed the {memory / 2**30:.3g} GiB of "
-            f"physical memory (lower [run] n_traj)")
-    left = (f"the {(memory - weights) / 2**30:.3g} GiB of physical memory the trajectory "
-            f"weights leave")
-    if linear:
-        raise ConfigurationError(
-            f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps and [schedule] "
-            f"record_stride = {sched.record_stride} gives {n_rec:.3g} records, whose x and p "
-            f"rows, noise blocks and batch records of {held / 2**30:.3g} GiB exceed {left} "
-            f"(raise [schedule] dt or [schedule] record_stride, or lower [run] batch_size)")
+    largest = sorted(plan.terms, key=lambda term: term.nbytes, reverse=True)[:2]
     raise ConfigurationError(
-        f"[schedule] t_eq, t_end and dt give {sched.n_steps:.3g} steps, whose batch buffer "
-        f"and noise blocks of {held / 2**30:.3g} GiB exceed {left} (raise [schedule] dt or "
-        f"lower [run] batch_size)")
+        f"{plan.subject} needs {total / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} "
+        "GiB of physical memory; most of it is " + " and ".join(
+            f"the {t.name}, {t.nbytes / 2**30:.3g} GiB ({t.shrink})" for t in largest))
 
 
 @lru_cache(maxsize=1)
@@ -828,6 +850,7 @@ def _integrate_batch(spec, pot, dt, n_steps, buf, x0, p0, record_nodes,
                 for t in range(0, width, _HISTORY_TILE):
                     np.matmul(kernel_t, buf[:block_start, t:t + _HISTORY_TILE],
                               out=old[:cols, t:t + _HISTORY_TILE])
+                del kernel_t  # not alive beside the next block's
             s = node - block_start
             np.negative(old[s, :B], out=fric)
             if s > 0:
@@ -993,7 +1016,7 @@ def linear_rows(spec, pot, sched):
     dt, n_steps = sched.dt, sched.n_steps
     nodes = [*sched.record_nodes(), *sched.intervention_nodes()]
     gx, gp = momentum_response(spec, pot, dt, n_steps)
-    rows = np.empty((2, len(nodes), n_steps + 1))
+    rows = np.empty(_rows_shape(sched))
     for half, g in zip(rows, (gx, gp)):
         response_rows(g, dt, nodes, out=half)
     # the force f at each lag after a unit jump, weighted as response_rows
@@ -1154,8 +1177,9 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     sched.validate_against(spec, pot)
-    check_memory(sched, pot, n_traj, batch_size, stacked=consumer is None,
-                 master_seed=master_seed, stream_tag=stream_tag)
+    check_memory(memory_plan(spec, pot, sched, statistics, n_traj, batch_size,
+                             stacked=consumer is None, master_seed=master_seed,
+                             stream_tag=stream_tag))
 
     times = sched.record_times()
     stacked_x = stacked_p = None

@@ -290,6 +290,11 @@ def shared_workspaces():
         _shared.pairs = outer
 
 
+def _workspace_shape(n_rows, n_modes):
+    """Shape of the one array :func:`_workspaces` allocates for a pair."""
+    return (2, n_rows, 2 * (n_modes + 1))
+
+
 def _workspaces(n_rows, n_modes):
     """``(scratch, coeff)``: ``n_rows`` rows of ``2 (n_modes + 1)`` floats and
     of ``n_modes + 1`` complex coefficients, or within
@@ -301,7 +306,7 @@ def _workspaces(n_rows, n_modes):
     # one allocation for both: glibc hands the free top of its heap back to
     # the OS once it exceeds twice the largest mapped chunk freed so far, and
     # as two halves each block's pair crossed that and was faulted in anew
-    whole = np.empty((2, rows, 2 * (n_modes + 1)))
+    whole = np.empty(_workspace_shape(rows, n_modes))
     pair = (whole[0], whole[1].view(complex))
     if pairs is not None:
         pairs[n_modes] = pair

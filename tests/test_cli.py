@@ -103,8 +103,8 @@ REJECTED = [
     pytest.param(dict(observables="msd = default", n_traj=1), None,
                  r"\[run\] n_traj must be >= 2, got 1", id="msd-n_traj-1"),
     pytest.param(dict(n_traj=10**14), None,
-                 r"\[run\] n_traj = 100000000000000 needs .* GiB of trajectory weights",
-                 id="n_traj-1e14"),
+                 r"\[run\] n_traj = 100000000000000 over 120 steps needs .* most of it is "
+                 r"the weights, .* GiB \(lower \[run\] n_traj\)", id="n_traj-1e14"),
     pytest.param(dict(), ("t_end = 2.0", "t_end = inf"),
                  r"\[schedule\] t_end must be a finite number, got 'inf'", id="t_end-inf"),
     pytest.param(dict(potential="form = harmonic\nomega0 = 1.0", prep="cat",
@@ -127,9 +127,9 @@ REJECTED = [
                            ("noise_paths.bin", "qbm noise-check"),
                            ("noise_check.json", "qbm noise-check"))),
     pytest.param(dict(), ("dt = 0.05", "dt = 1e-300"),
-                 r"\[schedule\] t_eq, t_end and dt give 6e\+300 steps, whose batch buffer "
-                 r"and noise blocks of .* GiB exceed the .* GiB of physical memory",
-                 id="dt-1e-300"),
+                 r"\[run\] n_traj = 64 over 6e\+300 steps needs .* GiB, more than the .* GiB "
+                 r"of physical memory; most of it is the batch buffer, .* GiB \(raise "
+                 r"\[schedule\] dt or lower \[run\] batch_size\)", id="dt-1e-300"),
     pytest.param(dict(prep="gaussian", prep_extra="sigma0 = 1.0",
                       observables="x2 = a.csv\np2 = a_reference.csv"),
                  ("[run]", "[reference]\nmode = sigma2\n\n[run]"),
@@ -360,6 +360,21 @@ class TestRun:
         assert env["nproc"] >= 1
         assert env["blas_threads"] is None or env["blas_threads"] >= 1
         assert manifest["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("potential, engine", [
+        pytest.param("form = free", "map rows", id="map"),
+        pytest.param("form = polynomial\ncoefficients = 0 0 0.5 0 0.1", "batch buffer",
+                     id="stepper")])
+    def test_manifest_records_what_the_memory_check_counted(self, tmp_path, potential, engine):
+        cfg = parse_config(write_config(tmp_path, potential=potential))
+        out = tmp_path / "out"
+        run(cfg, out_dir=str(out))
+        counted = json.loads((out / "run_manifest.json").read_text())["memory_counted_mb"]
+        plan = qdyn.memory_plan(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
+                                cfg.statistics, cfg.n_traj, cfg.batch_size,
+                                master_seed=cfg.master_seed)
+        assert counted == {term.name: term.nbytes / 2**20 for term in plan.terms}
+        assert engine in counted and "stacked records" not in counted
 
     @pytest.mark.parametrize("batches", [1, 2])
     def test_manifest_records_the_thread_counts(self, tmp_path, batches):
@@ -844,53 +859,6 @@ class TestNoiseCheck:
         peak(64)  # warm up one-time allocations (imports, first-call set-up)
         assert peak(1024) <= 1.25 * peak(64)
 
-    def test_memory_beyond_physical_rejected_before_writing(self, tmp_path, capsys,
-                                                             monkeypatch):
-        # 2000 paths of 121 nodes: the run's check counts 0.70 MB with its
-        # batch's stream keys, while noise-check holds 20 lag products and a
-        # stream key per path and keys every path at once, 0.81 MB with its
-        # dump: 0.75 MB holds the run, not the check
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: 750_000)
-        path = write_config(tmp_path)
-        cfg = parse_config(path)
-        qdyn.check_memory(cfg.schedule_obj(), cfg.potential_obj(), 2000, cfg.batch_size)
-        out = tmp_path / "nc"
-        assert main(["noise-check", str(path), "--n-traj", "2000", "--dump-noise",
-                     "--out-dir", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [run] n_traj = 2000 needs 0.000")
-        assert "(lower [run] n_traj or --n-traj)" in err and len(err.splitlines()) == 1
-        assert not out.exists()
-
-    def test_peak_memory_within_what_it_counts(self, tmp_path, monkeypatch):
-        # fig2's shape on two noise threads: 20 lag products per path, the
-        # stream keys and their hash's temporaries, and on each thread a
-        # block's 64 generators and the two workspaces its groups of four
-        # paths are drawn into (0.77 MB), not a 64-path block (2 MB) beside
-        # its synthesis rows (1.2 MB)
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        with resources.as_file(preset_path("fig2")) as p:
-            cfg = parse_config(p)
-        cfg.n_traj = 1500
-        noise_check(cfg, out_dir=str(tmp_path / "warm"))  # one-time allocations
-        spec, sched = cfg.bath_spec(), cfg.schedule_obj()
-        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
-        counted = (8 * 20 * cfg.n_traj + qdyn.keying_bytes(cfg.master_seed, 0, cfg.n_traj)
-                   + qdyn.noise_thread_bytes(grid, cfg.n_traj))
-        tracemalloc.start()
-        try:
-            noise_check(cfg, out_dir=str(tmp_path / "nc"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: counted - 1)
-        with pytest.raises(ConfigurationError, match=r"\[run\] n_traj = 1500 needs"):
-            noise_check(cfg, out_dir=str(tmp_path / "nc"))
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: counted)
-        noise_check(cfg, out_dir=str(tmp_path / "nc"))
-        assert peak <= counted, (peak, counted)
-
     def test_fig2_preset_checks_without_warnings(self, tmp_path):
         # the finite-temperature target must not leak quadrature warnings
         with resources.as_file(preset_path("fig2")) as p:
@@ -1083,7 +1051,7 @@ class TestMain:
         out = tmp_path / "o"
         assert main([command, str(cfg), "--n-traj", str(10**14), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [run] n_traj = 100000000000000 needs")
+        assert err.startswith("error: [run] n_traj = 100000000000000 over 120 steps needs")
         assert len(err.splitlines()) == 1 and not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "noise-check"])

@@ -1,7 +1,9 @@
 import gc
+import re
 import sys
 import threading
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
+from qbm import cli as qcli
 from qbm import dynamics as qdyn
 from qbm import noise as qnoise
 from qbm.bath import BathSpec, memory_kernel, noise_psd
@@ -528,77 +531,6 @@ class TestStreamedRun:
         with pytest.raises(ConfigurationError, match=key):
             run_ensemble(FIG1, FREE, sched, 4, "quantum", 1, **{key: value})
 
-    def test_step_count_beyond_physical_memory_rejected_before_allocating(self):
-        # 6e300 steps: the batch buffer would be 6e300 rows
-        sched = Schedule(t_eq=4.0, t_end=2.0, dt=1e-300)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError,
-                               match=r"\[schedule\] t_eq, t_end and dt give 6e\+300 steps.*"
-                                     r"physical memory.*\[run\] batch_size"):
-                run_ensemble(FIG1, FREE, sched, 4, "quantum", 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
-
-    def test_weights_beyond_physical_memory_rejected_before_allocating(self):
-        # 1e14 trajectories: 800 TB of weights beside a small batch buffer
-        sched = Schedule(t_eq=4.0, t_end=2.0, dt=0.05)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError,
-                               match=r"\[run\] n_traj = 100000000000000 needs 7\.45e\+05 "
-                                     r"GiB of trajectory weights.*physical memory"):
-                run_ensemble(FIG1, FREE, sched, 10**14, "quantum", 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
-
-    def test_buffer_that_fits_only_in_smaller_batches(self, monkeypatch):
-        # 4001 nodes and 2001 records: 128 columns need 4.1 MB of buffer and
-        # 4.1 MB of records, 256 columns 8.2 MB of each; beside them the
-        # friction's block products (2.1 MB), each of the two noise
-        # threads' two workspaces it draws its groups of four paths into,
-        # 2 x 4 x 12,002 floats (0.77 MB), and a block's generators, the
-        # batch's generators (1 kB each) and its stream keys
-        sched = Schedule(t_eq=100.0, t_end=100.0, dt=0.05)
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: 13_000_000)
-        qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
-        qdyn.check_memory(sched, FREE, n_traj=100, batch_size=1024)
-        with pytest.raises(ConfigurationError,
-                           match="buffer and noise blocks of 0.0191 GiB exceed"):
-            qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=256)
-        # one thread per block at most: a batch of one block holds one group
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: 9_500_000)
-        qdyn.check_memory(sched, FREE, n_traj=64, batch_size=1024)
-        with pytest.raises(ConfigurationError, match="noise blocks"):
-            qdyn.check_memory(sched, FREE, n_traj=65, batch_size=1024)
-
-    def test_stacked_records_counted_before_integrating(self, monkeypatch):
-        # 81 nodes and 41 records: a 128-column buffer is 82,944 B, each of
-        # two noise threads' workspaces and block of generators 81,024 B,
-        # the batch's generators 131,072 B, the friction's block products
-        # 106,496 B, its records 83,968 B, its stream keys 19,712 B and
-        # 4096 weights 32,768 B, while x and p stacked for 4096
-        # trajectories are 2,686,976 B; the memory holds the streamed run,
-        # not the stacked one
-        sched = Schedule(t_eq=2.0, t_end=2.0, dt=0.05)
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: 586_240 + 32_768 + 1000)
-        qdyn.check_memory(sched, FREE, n_traj=4096, batch_size=128)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError,
-                               match=r"n_traj = 4096 stacks 0\.0025 GiB of x and p records"):
-                run_ensemble(FIG1, FREE, sched, 4096, "quantum", 1, batch_size=128)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
-
     def test_integrate_leaves_the_noise_path_intact(self):
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
@@ -608,76 +540,9 @@ class TestStreamedRun:
         assert path.values.tobytes() == before.tobytes()
         assert integrate(FIG1, FREE, sched, path).x.tobytes() == first.x.tobytes()
 
-    def test_batch_holds_one_noise_sized_buffer(self, monkeypatch):
-        # noise and velocity history share one (n_steps + 1) x width buffer,
-        # which check_memory counts with, on each of two noise threads, the
-        # two workspaces it draws its groups of four paths into (307,328 B),
-        # not two 64-path blocks (1.6 MB), and a block's generators, the
-        # batch's generators (1 kB each) and stream keys, the friction's
-        # block products (64 rows of the width and a 64 x 1600 kernel
-        # block) and the batch's records.  The batch stays within that
-        # count, while a second noise-sized array would add a whole buffer
-        # (a polynomial potential: a free one with two records takes the map)
-        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=400)
-        n_traj = 3000
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-        assert not qdyn._takes_map(WELL, sched)
-        run_batch(FIG1, WELL, sched, "quantum", 1, 0, range(8))  # one-time allocations
-        tracemalloc.start()
-        try:
-            run_batch(FIG1, WELL, sched, "quantum", 1, 0, range(n_traj))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = (_noise_buffer(sched.n_steps, n_traj).nbytes + 2 * (307_328 + 64 * 1024)
-                + n_traj * 1024 + qdyn.keying_bytes(1, 0, n_traj)
-                + 8 * 64 * (3072 + 1600) + 16 * n_traj * 2)
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj)
-        qdyn.check_memory(sched, WELL, n_traj, n_traj)
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj - 1)
-        with pytest.raises(ConfigurationError, match="batch buffer and noise blocks of"):
-            qdyn.check_memory(sched, WELL, n_traj, n_traj)
-        assert peak <= held
-
-    def test_linear_batch_holds_what_check_memory_counts(self, monkeypatch):
-        # a free potential takes the linear map, with no buffer: its rows,
-        # built within the trace, on each of two threads the block's
-        # generators, one noise block, the workspaces its groups are drawn
-        # into (307,328 B) and the block's x and p at the nodes, the batch's
-        # stream keys, and the batch's records, the most its booked pieces
-        # can hold while they wait for an earlier block, are what
-        # check_memory counts (10 MB
-        # here), against a 1601 x 3072 buffer of 39 MB; the rest (the
-        # failure check's masks) stays within a tenth.  The pieces are
-        # dropped as they are booked, as a run's consumer leaves them
-        sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
-        n_traj = 3000
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
-
-        def drop(first, x, p, w):
-            pass
-
-        _batch_runner(FIG1, FREE, sched, "quantum", 1, 0)(range(8), drop)  # one-time allocations
-        qdyn.momentum_response.cache_clear()
-        tracemalloc.start()
-        try:
-            _batch_runner(FIG1, FREE, sched, "quantum", 1, 0)(range(n_traj), drop)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = (16 * 101 * 1601 + 2 * (8 * 64 * (1601 + 2 * 101) + 307_328 + 64 * 1024)
-                + 16 * n_traj * 101 + qdyn.keying_bytes(1, 0, n_traj))
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj)
-        qdyn.check_memory(sched, FREE, n_traj, n_traj)
-        monkeypatch.setattr(qdyn, "physical_memory", lambda: held + 8 * n_traj - 1)
-        with pytest.raises(ConfigurationError, match=r"noise blocks and batch records of .*"
-                                                     r"\[schedule\] record_stride"):
-            qdyn.check_memory(sched, FREE, n_traj, n_traj)
-        assert peak <= 1.1 * held
-
     def test_rows_are_freed_when_the_run_returns(self):
-        # the map's x and p rows, 16 x 101 x 1601 B = 2.6 MB here, live as
-        # long as the run that builds them: once it has returned, what it
+        # the map's x and p rows, 2.6 MB here, live as long as the run
+        # that builds them: once it has returned, what it
         # leaves is its weights and the memoised solve, which is not traced
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
         n_map = len(sched.record_nodes())
@@ -692,13 +557,12 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert ens.n_traj == 256
-        assert current < 16 * n_map * (sched.n_steps + 1)
+        assert current < qdyn._map_rows(sched).nbytes
 
     def test_waiting_blocks_stay_within_what_check_memory_counts(self, monkeypatch):
-        # the worst case check_memory counts: block 0 is held back until
+        # the worst case the memory plan counts: block 0 is held back until
         # every other block of the batch has finished, so their pieces all
-        # wait to be booked at once, and are still within the count of
-        # test_linear_batch_holds_what_check_memory_counts
+        # wait to be booked at once, and are still within the plan
         sched = Schedule(t_eq=60.0, t_end=20.0, dt=0.05, record_stride=4)
         n_traj = 3000
         n_blocks = -(-n_traj // qdyn._NOISE_BLOCK)
@@ -742,9 +606,8 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert at_first_booking == [n_blocks - 1]
-        held = (16 * 101 * 1601 + 2 * (8 * 64 * (1601 + 2 * 101) + 307_328 + 64 * 1024)
-                + 16 * n_traj * 101)
-        assert peak <= 1.1 * held
+        assert peak <= batch_total(qdyn.memory_plan(FIG1, FREE, sched, "quantum", n_traj, n_traj,
+                                                    master_seed=1))
 
     def test_record_dense_quadratic_run_takes_the_stepper(self, monkeypatch):
         # 10,000 steps recorded at every node from t = 0: the map would do
@@ -755,7 +618,7 @@ class TestStreamedRun:
         monkeypatch.setattr(qdyn, "physical_memory", lambda: 2**30)
         for pot in (FREE, HARMONIC, WELL):
             assert not qdyn._takes_map(pot, dense)
-            qdyn.check_memory(dense, pot, n_traj=4096, batch_size=1024)
+            qdyn.check_memory(qdyn.memory_plan(FIG1, pot, dense, "quantum", 4096, 1024))
         # the count decides where the rows would fit: of 80 steps, 20 nodes
         # take the map and 21 the stepper
         assert qdyn._takes_map(FREE, Schedule(t_eq=3.05, t_end=0.95, dt=0.05))
@@ -769,7 +632,7 @@ class TestStreamedRun:
         assert not qdyn._takes_map(WELL, sparse)
         monkeypatch.setattr(qdyn, "physical_memory", lambda: 2**28)
         assert not qdyn._takes_map(FREE, sparse)
-        qdyn.check_memory(sparse, FREE, n_traj=4096, batch_size=1024)
+        qdyn.check_memory(qdyn.memory_plan(FIG1, FREE, sparse, "quantum", 4096, 1024))
 
     def test_failed_ids_are_python_ints(self):
         # the diverging quartic of test_failures_are_booked_per_batch: the
@@ -864,6 +727,130 @@ class TestStreamedRun:
         # join has returned may not have exited, so the next batch's may
         # not take its ident
         assert len(set(threads[:5])) <= cores and len(set(threads[5:])) <= cores
+
+
+def preset_config(name):
+    with resources.as_file(qcli.preset_path(name)) as p:
+        return qcli.parse_config(p)
+
+
+def preset_args(name):
+    """``(spec, pot, sched, statistics)`` of a preset."""
+    cfg = preset_config(name)
+    return cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(), cfg.statistics
+
+
+def plan_total(plan, but=()):
+    """The total of a memory plan, less the terms named in ``but``."""
+    return sum(term.nbytes for term in plan.terms if term.name not in but)
+
+
+def batch_total(plan):
+    """What a run's batch holds at most: its plan less the run's weights."""
+    return plan_total(plan, but=("weights",))
+
+
+def traced_peak(call):
+    """tracemalloc's peak over ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# 1/2 x^2 + 0.1 x^4, which the stepper runs: 3000 steps and 51 records
+QUARTIC = (BathSpec(gamma=np.pi / 2, eps=0.05, kT=1.0),
+           Potential.polynomial([0.0, 0.0, 0.5, 0.0, 0.1]),
+           Schedule(t_eq=10.0, t_end=5.0, dt=0.005, record_stride=20), "quantum")
+
+
+class TestMemoryPlan:
+    # the lowest peak / plan measured on these cases is 0.80, fig2_white's
+    # noise-check: it keys every path, through the hash's temporaries,
+    # before its blocks start
+    FLOOR = 0.7
+
+    @pytest.mark.parametrize("shape, n", [
+        *((shape, n) for shape in ("fig1", "fig2", "fig2_white", "classical_limit", "quartic")
+          for n in (64, 300, 1024)),
+        ("noise-check-fig2", 1500), ("noise-check-fig2_white", 1500)])
+    def test_peak_within_its_plan(self, tmp_path, monkeypatch, shape, n):
+        # one batch of n trajectories on two noise threads, the map's rows
+        # and their solve built within the trace, or one noise-check of n
+        # paths (fig2's with its dump): its tracemalloc peak is within the
+        # plan check_memory sums, less the run's weights, and within
+        # FLOOR of it, less on the map the x and p of blocks waiting to be
+        # booked, which only a slow first block makes wait at once
+        # (test_waiting_blocks_stay_within_what_check_memory_counts).
+        # check_memory accepts the plan's total and rejects one byte less,
+        # naming its largest term and the config key that shrinks it, before
+        # anything is integrated or written
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        out = tmp_path / "rejected"
+        if shape.startswith("noise-check"):
+            cfg = preset_config(shape.split("-")[-1])
+            cfg.n_traj = n
+            spec, sched, statistics = cfg.bath_spec(), cfg.schedule_obj(), cfg.statistics
+            dump = statistics != qnoise.WHITE
+            qcli.noise_check(cfg, out_dir=str(tmp_path / "warm"), dump=dump)  # one-time set-up
+            peak = traced_peak(lambda: qcli.noise_check(cfg, out_dir=str(tmp_path / "nc"),
+                                                        dump=dump))
+            grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+            plan = qdyn.noise_check_plan(grid, statistics, n, 20, dump, cfg.master_seed)
+            counted, waiting = plan_total(plan), 0
+
+            def rejected():
+                qcli.noise_check(cfg, out_dir=str(out), dump=dump)
+        else:
+            args = QUARTIC if shape == "quartic" else preset_args(shape)
+            _batch_runner(*args, 1, 0)(range(8), lambda *piece: None)  # one-time set-up
+            qdyn.momentum_response.cache_clear()
+            peak = traced_peak(lambda: _batch_runner(*args, 1, 0)(range(n), lambda *piece: None))
+            plan = qdyn.memory_plan(*args, n, n, master_seed=1)
+            counted = batch_total(plan)
+            # on the map the batch records are those of the blocks that wait
+            waiting = (counted - plan_total(plan, but=("weights", "batch records"))
+                       if qdyn._takes_map(*args[1:3]) else 0)
+
+            def rejected():
+                run_ensemble(*args[:3], n, args[3], 1, batch_size=n,
+                             consumer=lambda piece: None)
+        assert self.FLOOR * (counted - waiting) <= peak <= counted, (peak, counted)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: plan_total(plan))
+        qdyn.check_memory(plan)
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: plan_total(plan) - 1)
+        largest = max(plan.terms, key=lambda term: term.nbytes)
+        assert "[" in largest.shrink
+        with pytest.raises(ConfigurationError, match=re.escape(f"the {largest.name}, ")
+                           + r"\S+ GiB " + re.escape(f"({largest.shrink})")):
+            rejected()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, match", [
+        pytest.param("stacked", r"n_traj = 4096 over 120 steps needs .* the stacked records, "
+                                r"\S+ GiB \(stream the batches to a consumer\)", id="stacked"),
+        pytest.param("dt-1e-300", r"over 6e\+300 steps needs .* physical memory; most of it is "
+                                  r"the batch buffer, .* \(raise \[schedule\] dt or lower "
+                                  r"\[run\] batch_size\)", id="dt-1e-300"),
+        pytest.param("n_traj-1e14", r"\[run\] n_traj = 100000000000000 over 120 steps needs "
+                                    r".* the weights, \S+ GiB \(lower \[run\] n_traj\)",
+                     id="n_traj-1e14")])
+    def test_rejected_before_allocating(self, monkeypatch, case, match):
+        # 6e300 steps would size a buffer of 6e300 rows, 1e14 trajectories
+        # 800 TB of weights, and 4096 stacked trajectories more x and p
+        # records than the memory left beside the streamed run
+        sched = Schedule(t_eq=4.0, t_end=2.0, dt=1e-300 if case == "dt-1e-300" else 0.05)
+        n_traj = {"dt-1e-300": 4, "n_traj-1e14": 10**14}.get(case, 4096)
+        if case == "stacked":
+            streamed = qdyn.memory_plan(FIG1, FREE, sched, "quantum", n_traj, 128)
+            monkeypatch.setattr(qdyn, "physical_memory", lambda: plan_total(streamed))
+
+        def run():
+            with pytest.raises(ConfigurationError, match=match):
+                run_ensemble(FIG1, FREE, sched, n_traj, "quantum", 1, batch_size=128)
+        assert traced_peak(run) < 1e6
 
 
 class TestThreads:

@@ -293,7 +293,9 @@ def test_synthesis_working_set_is_its_row_workspaces():
     spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
     grid = FrequencyGrid.for_times(spec, 0.001, 4001)
     assert grid.fft_length == 12000
-    workspaces = 2 * 4 * (grid.fft_length + 2) * 8 + 8 * np.getbufsize()
+    terms = qdyn._noise_terms(grid, QUANTUM, 43, 0, 1, 1, "")
+    workspaces = (next(term.nbytes for term in terms if term.name == "noise workspaces")
+                  + 8 * np.getbufsize())
     synthesize_batch(spec, grid, QUANTUM, [stream(43, 1, 0)])  # first-call set-up
 
     def beyond_output(n):
@@ -335,8 +337,9 @@ def test_group_calls_share_one_pair_of_workspaces(statistics):
                 assert rows.tobytes() == ref[g:g + 4].tobytes()
     finally:
         tracemalloc.stop()
-    # the workspaces one noise thread holds beside a block's generators
-    assert held >= qdyn.noise_thread_bytes(grid, 1) - 64 * qdyn._GENERATOR_BYTES
+    # the workspaces one noise thread holds, as the memory plan counts them
+    terms = qdyn._noise_terms(grid, statistics, 43, 0, 1, 1, "")
+    assert held >= next(term.nbytes for term in terms if term.name == "noise workspaces")
     assert max(peaks) <= held + 8 * np.getbufsize()
     # outside the context a call's rows are its own
     assert not np.shares_memory(synthesize_batch(spec, grid, statistics, rngs[:4]), first)
