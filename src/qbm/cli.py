@@ -34,8 +34,6 @@ from . import preparation as _prep
 from . import reference as _ref
 from .errors import ConfigurationError, IntegrationFailure, SignProblemError
 
-OUT_DIR_ENV = "QBM_OUT_DIR"
-
 # each reference mode describes one observable and is written only beside it
 _REFERENCE_OBSERVABLE = {"sigma2": "x2", "p2": "p2"}
 
@@ -58,8 +56,6 @@ class ExperimentConfig:
     observables: dict
     n_traj: int
     master_seed: int
-    batch_size: int
-    out_dir: str
     reference: dict
 
     def to_dict(self):
@@ -143,8 +139,7 @@ _TABLE = {
         "momentum-reset": {"time": (_number, 0.0), "p_value": (_number, 0.0)}}},
     # name = output file name; "" or "default" for <name>.csv
     "observables": dict.fromkeys(("x2", "p2", "xp", "cat_coherence", "msd"), (str, None)),
-    "run": {"n_traj": (_integer(2), _REQUIRED), "master_seed": (_integer(0), _REQUIRED),
-            "batch_size": (_integer(1), 1024), "out_dir": (str, None)},
+    "run": {"n_traj": (_integer(2), _REQUIRED), "master_seed": (_integer(0), _REQUIRED)},
     "reference": {"mode": (_choice("none", *_REFERENCE_OBSERVABLE), "none")},
 }
 
@@ -283,7 +278,7 @@ def parse_config(path, overrides=None):
         raise ConfigurationError(f"{path}: {exc}") from exc
     # outside the try: its messages name the [run] and [schedule] keys
     _dyn.check_memory(_dyn.memory_plan(spec, pot, sched, cfg.statistics, cfg.n_traj,
-                                       cfg.batch_size, master_seed=cfg.master_seed))
+                                       master_seed=cfg.master_seed))
     return cfg
 
 
@@ -314,10 +309,10 @@ def _accumulator(name, cfg, times):
     return _obs.Accumulator(times, obs)
 
 
-def _output_dir(out_dir, cfg):
-    """Make the output directory, ``out_dir`` or else the config's, else
-    ``$QBM_OUT_DIR``, else ``.``, and return it."""
-    out_dir = out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+def _output_dir(out_dir):
+    """Make the output directory, ``out_dir`` (``--out-dir``) or else ``.``,
+    and return it."""
+    out_dir = out_dir or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -337,7 +332,7 @@ def _check_outputs(out_dir, names):
 def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
     """Execute a configured experiment; returns the list of files written."""
     t_start = time.time()
-    out_dir = _output_dir(out_dir, cfg)
+    out_dir = _output_dir(out_dir)
     ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])
     names = [*cfg.observables.values(), "run_manifest.json"]
     if ref_observable:
@@ -373,8 +368,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
                 write_rows(np.column_stack([piece.weights, piece.x, piece.p]))
 
         ensemble = _dyn.run_ensemble(spec, pot, sched, cfg.n_traj, cfg.statistics,
-                                     cfg.master_seed, stream_tag=0,
-                                     batch_size=cfg.batch_size, progress=progress,
+                                     cfg.master_seed, stream_tag=0, progress=progress,
                                      consumer=consume)
     written = []
     for name, fname in sorted(cfg.observables.items()):
@@ -399,8 +393,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         "peak_rss_mb": _peak_rss_mb(),
         # what the memory check counted, term by term (the run streams)
         "memory_counted_mb": {term.name: term.nbytes / 2**20 for term in _dyn.memory_plan(
-            spec, pot, sched, cfg.statistics, cfg.n_traj, cfg.batch_size,
-            master_seed=cfg.master_seed).terms},
+            spec, pot, sched, cfg.statistics, cfg.n_traj, master_seed=cfg.master_seed).terms},
         "environment": _environment(),
         "threads": _dyn.thread_counts(),
         "outputs": [os.path.basename(w) for w in written],
@@ -505,7 +498,7 @@ def noise_check(cfg, out_dir=None, dump=False):
     report = {"statistics": cfg.statistics, "n_paths": cfg.n_traj,
               "master_seed": cfg.master_seed}
 
-    out_dir = _output_dir(out_dir, cfg)
+    out_dir = _output_dir(out_dir)
     _check_outputs(out_dir, ["noise_check.json", *(["noise_paths.bin"] if dump else [])])
     with (_noise.ensemble_writer(
             os.path.join(out_dir, "noise_paths.bin"),
@@ -578,7 +571,7 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--n-traj", type=int, default=None, help="override ensemble size")
         p.add_argument("--out-dir", default=None,
-                       help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+                       help="output directory (default: '.')")
     run_p.add_argument("--dump-trajectories", action="store_true",
                        help="dump recorded trajectories (binary)")
     chk_p.add_argument("--dump-noise", action="store_true", dest="dump",

@@ -26,8 +26,9 @@ being the record and intervention nodes, where the stepper's friction
 history does n_steps (n_steps + 1) / 2; :func:`run_ensemble` and
 :func:`integrate` take the map when it does no more and its rows fit in
 physical memory (:func:`_takes_map`).  A run then builds the rows once
-(:func:`_batch_runner`) and frees them when it returns, and a batch holds
-one noise block and its records per noise thread (:func:`noise_blocks`);
+(:func:`_batch_runner`) and frees them when it returns, integrates its
+trajectories ``_BATCH`` at a time, and a batch holds one noise block and
+its records per noise thread (:func:`noise_blocks`);
 each block's records are booked as soon as the blocks before it are
 (:func:`run_ensemble`).  Every other run, and
 :func:`integrate_deterministic` (the one solve the map's responses come
@@ -54,6 +55,10 @@ from .errors import ConfigurationError, IntegrationFailure
 
 # Node-block size for the blocked (BLAS) evaluation of the direct convolution.
 _CONV_BLOCK = 64
+
+# Trajectories run_ensemble integrates at a time, each batch ending in its
+# progress and divergence checks; no output bit depends on it.
+_BATCH = 1024
 
 # Trajectories per history tile; a batch's buffer is a whole number of tiles
 # wide (the last zero-padded).  The block product multiplies a kernel block
@@ -563,8 +568,8 @@ def _takes_map(pot, sched):
 
     It does for a free or harmonic potential whose map does no more
     multiply-adds per path than the stepper, 4 n_map <= n_steps (see the
-    module docstring), and whose rows fit in physical memory.  The batch
-    size does not enter, so a run's bits do not depend on it.
+    module docstring), and whose rows fit in physical memory.  The ensemble's
+    size does not enter, so a trajectory's bits do not depend on it.
     """
     if pot.form == POLYNOMIAL:
         return False
@@ -579,9 +584,7 @@ MemoryTerm = namedtuple("MemoryTerm", "name nbytes shrink")
 MemoryPlan = namedtuple("MemoryPlan", "subject terms")
 _ROWS = "raise [schedule] dt or [schedule] record_stride"
 _STEPS = "raise [schedule] dt"
-_BUFFER = "raise [schedule] dt or lower [run] batch_size"
-_RECORDS = "raise [schedule] record_stride or lower [run] batch_size"
-_BATCH_SIZE = "lower [run] batch_size"
+_N_TRAJ = "lower [run] n_traj"
 
 
 def _map_rows(sched):
@@ -613,9 +616,9 @@ def _noise_terms(grid, statistics, master_seed, stream_tag, n_ids, generators, s
             MemoryTerm("noise workspaces", threads * 8 * math.prod(shape), _STEPS)]
 
 
-def memory_plan(spec, pot, sched, statistics, n_traj, batch_size, stacked=False,
+def memory_plan(spec, pot, sched, statistics, n_traj, stacked=False,
                 master_seed=0, stream_tag=0):
-    """The memory plan of a run of ``n_traj`` trajectories, ``batch_size`` at a
+    """The memory plan of a run of ``n_traj`` trajectories, ``_BATCH`` at a
     time: its noise blocks' terms, its engine's (:func:`_takes_map`), its
     weights and, ``stacked`` (:func:`run_ensemble` without a consumer), its
     records.  A finished block of the linear map waits to be booked until
@@ -625,33 +628,36 @@ def memory_plan(spec, pot, sched, statistics, n_traj, batch_size, stacked=False,
     1e-300`` plans 6e300 steps, rejected before they are allocated.
     """
     n_steps, n_rec = sched.n_steps, _n_records(sched)
-    batch = min(batch_size, n_traj)
+    batch = min(_BATCH, n_traj)
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
     if _takes_map(pot, sched):
         threads, n_map = _noise_threads(batch), _rows_shape(sched)[1]
         block = 8 * _NOISE_BLOCK
         terms = [*_noise_terms(grid, statistics, master_seed, stream_tag, batch,
-                               threads * min(batch, _NOISE_BLOCK), _BATCH_SIZE),
+                               threads * min(batch, _NOISE_BLOCK), _N_TRAJ),
                  _map_rows(sched),
                  MemoryTerm("noise blocks", threads * block * (n_steps + 1), _STEPS),
                  MemoryTerm("block records", threads * 2 * block * n_map, _ROWS),
                  MemoryTerm("batch records",
-                            (-(-batch // _NOISE_BLOCK) - threads) * 2 * block * n_map, _RECORDS)]
+                            (-(-batch // _NOISE_BLOCK) - threads) * 2 * block * n_map, _ROWS)]
         # the draws, and three arrays of x and numpy's two ufunc buffers to update it
-        updates = threads * (_NOISE_BLOCK * _DRAW_BYTES + 3 * block * n_map + 16 * np.getbufsize())
+        updates = MemoryTerm("intervention updates", threads * (
+            _NOISE_BLOCK * _DRAW_BYTES + 3 * block * n_map + 16 * np.getbufsize()), _ROWS)
     else:
         width = _buffer_width(batch)
         terms = [*_noise_terms(grid, statistics, master_seed, stream_tag, batch, batch,
-                               _BATCH_SIZE),
-                 MemoryTerm("batch buffer", 8 * (n_steps + 1) * width, _BUFFER),
+                               _N_TRAJ),
+                 MemoryTerm("batch buffer", 8 * (n_steps + 1) * width, _STEPS),
                  MemoryTerm("friction block products",
                             8 * (_CONV_BLOCK * (width + n_steps) + width + 3 * (n_steps + 1)),
-                            _BUFFER),
-                 MemoryTerm("batch records", 8 * batch * (2 * n_rec + 6), _RECORDS)]
-        updates = batch * (_DRAW_BYTES + 8 * len(sched.interventions))
+                            _STEPS),
+                 MemoryTerm("batch records", 8 * batch * (2 * n_rec + 6), _ROWS)]
+        # per trajectory its draws and jumps, which no schedule key shrinks
+        updates = MemoryTerm("intervention updates",
+                             batch * (_DRAW_BYTES + 8 * len(sched.interventions)), _N_TRAJ)
     if sched.interventions:
-        terms.append(MemoryTerm("intervention updates", updates, _RECORDS))
-    terms.append(MemoryTerm("weights", 8 * n_traj, "lower [run] n_traj"))
+        terms.append(updates)
+    terms.append(MemoryTerm("weights", 8 * n_traj, _N_TRAJ))
     if stacked:
         terms.append(MemoryTerm("stacked records", 16 * n_traj * n_rec,
                                 "stream the batches to a consumer"))
@@ -1137,13 +1143,14 @@ def _failures(times, x, p, weights):
 
 
 def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
-                 stream_tag=0, batch_size=1024, progress=None, consumer=None):
+                 stream_tag=0, progress=None, consumer=None):
     """Simulate ``n_traj`` independent trajectories.
 
     Each trajectory owns a counter-based stream derived from
     ``(master_seed, stream_tag, trajectory_id)``; within a stream the noise
-    coefficients are drawn first, then any preparation draws, so results are
-    bit-reproducible for any batch split.  What the batches share, the
+    coefficients are drawn first, then any preparation draws, so a
+    trajectory's bits depend on its id, not on ``n_traj`` or on the batch
+    of ``_BATCH`` it lands in.  What the batches share, the
     linear map's rows among it, is set up once (:func:`_batch_runner`) and
     freed on return.  The batches are integrated in the calling process,
     one after another, each running its noise blocks, and on the linear
@@ -1174,12 +1181,9 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     """
     if n_traj < 1:
         raise ConfigurationError("n_traj must be >= 1")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     sched.validate_against(spec, pot)
-    check_memory(memory_plan(spec, pot, sched, statistics, n_traj, batch_size,
-                             stacked=consumer is None, master_seed=master_seed,
-                             stream_tag=stream_tag))
+    check_memory(memory_plan(spec, pot, sched, statistics, n_traj, stacked=consumer is None,
+                             master_seed=master_seed, stream_tag=stream_tag))
 
     times = sched.record_times()
     stacked_x = stacked_p = None
@@ -1206,8 +1210,8 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     done = 0
     with _one_blas_thread():
         run_batch = _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag)
-        for lo in range(0, n_traj, batch_size):
-            done = min(lo + batch_size, n_traj)
+        for lo in range(0, n_traj, _BATCH):
+            done = min(lo + _BATCH, n_traj)
             run_batch(range(lo, done), book)
             if progress:
                 progress(done, n_traj)

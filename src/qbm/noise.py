@@ -400,7 +400,8 @@ def lag_statistics(products):
     paths are the independent units."""
     n_paths = products.shape[1]
     if n_paths < 2:
-        raise ConfigurationError("empirical_autocorrelation requires at least 2 paths")
+        raise ConfigurationError(
+            f"lag_statistics needs the lag products of at least 2 paths, got {n_paths}")
     est = np.array([row.mean() for row in products])
     se = np.array([row.std(ddof=1) for row in products]) / np.sqrt(n_paths)
     return est, se

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,11 @@ FREE = Potential.free()
 # a polynomial potential: the stepper runs it, in one batch buffer per process
 WELL = Potential.polynomial([0.0, 0.0, 0.5])
 HARMONIC = Potential.harmonic(1.0)
+
+
+def batches_of(size):
+    """Within the block, a run integrates ``size`` trajectories at a time."""
+    return mock.patch.object(qdyn, "_BATCH", size)
 
 
 def zero_path(sched):
@@ -438,10 +444,9 @@ class TestRunEnsemble:
     @settings(max_examples=10, deadline=None)
     @given(batch_size=st.integers(1, N_SPLIT))
     def test_batch_split_does_not_change_signed_ensemble(self, batch_size):
-        whole = run_ensemble(FIG1, FREE, CAT_SCHED, N_SPLIT, "quantum", 31,
-                             batch_size=N_SPLIT)
-        split = run_ensemble(FIG1, FREE, CAT_SCHED, N_SPLIT, "quantum", 31,
-                             batch_size=batch_size)
+        whole = run_ensemble(FIG1, FREE, CAT_SCHED, N_SPLIT, "quantum", 31)
+        with batches_of(batch_size):
+            split = run_ensemble(FIG1, FREE, CAT_SCHED, N_SPLIT, "quantum", 31)
         assert (whole.weights < 0).any() and (whole.weights > 0).any()
         assert split.x.tobytes() == whole.x.tobytes()
         assert split.p.tobytes() == whole.p.tobytes()
@@ -452,10 +457,10 @@ class TestRunEnsemble:
         # kernels and thread splits chosen for a (nodes x batch) product would
         # otherwise change the last bits with the batch width
         sched = Schedule(t_eq=20.0, t_end=4.0, dt=0.05, record_stride=8)
-        whole = run_ensemble(FIG1, FREE, sched, 130, "quantum", 37, batch_size=130)
+        whole = run_ensemble(FIG1, FREE, sched, 130, "quantum", 37)
         for batch_size in (1, 17, 64, 100):
-            split = run_ensemble(FIG1, FREE, sched, 130, "quantum", 37,
-                                 batch_size=batch_size)
+            with batches_of(batch_size):
+                split = run_ensemble(FIG1, FREE, sched, 130, "quantum", 37)
             assert split.x.tobytes() == whole.x.tobytes()
             assert split.p.tobytes() == whole.p.tobytes()
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
@@ -468,8 +473,9 @@ class TestStreamedRun:
     def test_consumer_gets_every_batch_in_id_order(self):
         whole = run_ensemble(FIG1, FREE, CAT_SCHED, 40, "quantum", 23)
         got = []
-        streamed = run_ensemble(FIG1, FREE, CAT_SCHED, 40, "quantum", 23, batch_size=17,
-                                consumer=got.append)
+        with batches_of(17):
+            streamed = run_ensemble(FIG1, FREE, CAT_SCHED, 40, "quantum", 23,
+                                    consumer=got.append)
         assert [b.n_traj for b in got] == [17, 17, 6]
         assert np.concatenate([b.x for b in got]).tobytes() == whole.x.tobytes()
         assert np.concatenate([b.p for b in got]).tobytes() == whole.p.tobytes()
@@ -494,8 +500,9 @@ class TestStreamedRun:
                          interventions=(Intervention(0.0, RareKick()),))
         stacked = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2)
         seen = []
-        streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2, batch_size=700,
-                                consumer=seen.append)
+        with batches_of(700):
+            streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2,
+                                    consumer=seen.append)
         assert streamed.failed_ids == stacked.failed_ids == (1039, 1826)
         assert streamed.failure_time == stacked.failure_time
         # each batch names its own rows and its own first failure time
@@ -517,19 +524,13 @@ class TestStreamedRun:
         seen, shown = [], []
         with pytest.raises(IntegrationFailure,
                            match="^3 of the first 3 trajectories diverged; "
-                                 "5 of 8 were not integrated$") as failure:
-            run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3, batch_size=3,
-                         consumer=seen.append, progress=lambda *a: shown.append(a))
+                                 "5 of 8 were not integrated$") as failure, batches_of(3):
+            run_ensemble(NO_BATH, pot, sched, 8, "quantum", 3, consumer=seen.append,
+                         progress=lambda *a: shown.append(a))
         assert [b.n_traj for b in seen] == [3]
         assert shown == [(3, 8)]
         assert failure.value.trajectory_ids == (0, 1, 2)
         assert failure.value.time == seen[0].failure_time
-
-    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", -4)])
-    def test_sizes_below_one_rejected(self, key, value):
-        sched = Schedule(t_eq=1.0, t_end=0.0, dt=0.05)
-        with pytest.raises(ConfigurationError, match=key):
-            run_ensemble(FIG1, FREE, sched, 4, "quantum", 1, **{key: value})
 
     def test_integrate_leaves_the_noise_path_intact(self):
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
@@ -606,7 +607,8 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert at_first_booking == [n_blocks - 1]
-        assert peak <= batch_total(qdyn.memory_plan(FIG1, FREE, sched, "quantum", n_traj, n_traj,
+        monkeypatch.setattr(qdyn, "_BATCH", n_traj)  # the plan of the one batch traced
+        assert peak <= batch_total(qdyn.memory_plan(FIG1, FREE, sched, "quantum", n_traj,
                                                     master_seed=1))
 
     def test_record_dense_quadratic_run_takes_the_stepper(self, monkeypatch):
@@ -618,7 +620,7 @@ class TestStreamedRun:
         monkeypatch.setattr(qdyn, "physical_memory", lambda: 2**30)
         for pot in (FREE, HARMONIC, WELL):
             assert not qdyn._takes_map(pot, dense)
-            qdyn.check_memory(qdyn.memory_plan(FIG1, pot, dense, "quantum", 4096, 1024))
+            qdyn.check_memory(qdyn.memory_plan(FIG1, pot, dense, "quantum", 4096))
         # the count decides where the rows would fit: of 80 steps, 20 nodes
         # take the map and 21 the stepper
         assert qdyn._takes_map(FREE, Schedule(t_eq=3.05, t_end=0.95, dt=0.05))
@@ -632,7 +634,7 @@ class TestStreamedRun:
         assert not qdyn._takes_map(WELL, sparse)
         monkeypatch.setattr(qdyn, "physical_memory", lambda: 2**28)
         assert not qdyn._takes_map(FREE, sparse)
-        qdyn.check_memory(qdyn.memory_plan(FIG1, FREE, sparse, "quantum", 4096, 1024))
+        qdyn.check_memory(qdyn.memory_plan(FIG1, FREE, sparse, "quantum", 4096))
 
     def test_failed_ids_are_python_ints(self):
         # the diverging quartic of test_failures_are_booked_per_batch: the
@@ -649,8 +651,9 @@ class TestStreamedRun:
                          interventions=(Intervention(0.0, RareKick()),))
         seen = []
         stacked = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2)
-        streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2, batch_size=700,
-                                consumer=seen.append)
+        with batches_of(700):
+            streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2,
+                                    consumer=seen.append)
         ids = stacked.failed_ids + streamed.failed_ids + seen[1].failed_ids
         assert ids == (1039, 1826, 1039, 1826, 339)
         assert all(type(i) is int for i in ids)
@@ -670,12 +673,12 @@ class TestStreamedRun:
                 return rng.uniform(0.3, 1.5), 1.0, 1.0
 
         monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
+        monkeypatch.setattr(qdyn, "_BATCH", 700)
         pot = Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0])
         sched = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
                          interventions=(Intervention(0.0, RareKick()),))
         seen = []
-        streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2, batch_size=700,
-                                consumer=seen.append)
+        streamed = run_ensemble(NO_BATH, pot, sched, 2000, "quantum", 2, consumer=seen.append)
         assert streamed.failed_ids == (1039, 1826)
         assert [b.failed_ids for b in seen] == [(), (339,), (426,)]
         # every trajectory of a 200-path batch (four blocks) diverges
@@ -698,6 +701,7 @@ class TestStreamedRun:
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
         stacked = run_ensemble(FIG1, FREE, sched, 600, "quantum", 29)
         monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
+        monkeypatch.setattr(qdyn, "_BATCH", 300)
         pieces, inside, threads = [], [], []
         lock = threading.Lock()
 
@@ -713,8 +717,7 @@ class TestStreamedRun:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            streamed = run_ensemble(FIG1, FREE, sched, 600, "quantum", 29,
-                                    batch_size=300, consumer=consumer)
+            streamed = run_ensemble(FIG1, FREE, sched, 600, "quantum", 29, consumer=consumer)
         finally:
             sys.setswitchinterval(interval)
         assert [piece.n_traj for piece in pieces] == [64, 64, 64, 64, 44] * 2
@@ -808,15 +811,14 @@ class TestMemoryPlan:
             _batch_runner(*args, 1, 0)(range(8), lambda *piece: None)  # one-time set-up
             qdyn.momentum_response.cache_clear()
             peak = traced_peak(lambda: _batch_runner(*args, 1, 0)(range(n), lambda *piece: None))
-            plan = qdyn.memory_plan(*args, n, n, master_seed=1)
+            plan = qdyn.memory_plan(*args, n, master_seed=1)
             counted = batch_total(plan)
             # on the map the batch records are those of the blocks that wait
             waiting = (counted - plan_total(plan, but=("weights", "batch records"))
                        if qdyn._takes_map(*args[1:3]) else 0)
 
             def rejected():
-                run_ensemble(*args[:3], n, args[3], 1, batch_size=n,
-                             consumer=lambda piece: None)
+                run_ensemble(*args[:3], n, args[3], 1, consumer=lambda piece: None)
         assert self.FLOOR * (counted - waiting) <= peak <= counted, (peak, counted)
         monkeypatch.setattr(qdyn, "physical_memory", lambda: plan_total(plan))
         qdyn.check_memory(plan)
@@ -828,12 +830,37 @@ class TestMemoryPlan:
             rejected()
         assert not out.exists()
 
+    def test_every_hint_names_a_key_that_exists(self):
+        # the plans of a map run (fig2's cat), a stepper run with an
+        # intervention, stacked, and a dumped noise-check: each term but the
+        # stacked records names a config key or flag that shrinks it, and
+        # each it names is one parse_config reads
+        spec, pot, sched, statistics = QUARTIC
+        cat_sched = Schedule(t_eq=sched.t_eq, t_end=sched.t_end, dt=sched.dt,
+                             record_stride=sched.record_stride,
+                             interventions=(Intervention(0.0, CatProject(1.0, 0.5)),))
+        assert not qdyn._takes_map(pot, cat_sched) and qdyn._takes_map(*preset_args("fig2")[1:3])
+        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, sched.n_steps + 1)
+        plans = [qdyn.memory_plan(*preset_args("fig2"), 3000),
+                 qdyn.memory_plan(spec, pot, cat_sched, statistics, 3000, stacked=True),
+                 qdyn.noise_check_plan(grid, statistics, 3000, 20, True, 1)]
+        terms = [term for plan in plans for term in plan.terms]
+        assert {"map rows", "batch buffer", "intervention updates", "lag products"} <= {
+            term.name for term in terms}
+        for term in terms:
+            keys = re.findall(r"\[(\w+)\] (\w+)", term.shrink)
+            flags = re.findall(r"--[\w-]+", term.shrink)
+            assert keys or flags or term.name == "stacked records", term
+            for section, key in keys:
+                assert key in qcli._TABLE[section], term
+            assert set(flags) <= set(qcli._FLAGS.values()), term
+
     @pytest.mark.parametrize("case, match", [
         pytest.param("stacked", r"n_traj = 4096 over 120 steps needs .* the stacked records, "
                                 r"\S+ GiB \(stream the batches to a consumer\)", id="stacked"),
         pytest.param("dt-1e-300", r"over 6e\+300 steps needs .* physical memory; most of it is "
-                                  r"the batch buffer, .* \(raise \[schedule\] dt or lower "
-                                  r"\[run\] batch_size\)", id="dt-1e-300"),
+                                  r"the batch buffer, .* \(raise \[schedule\] dt\)",
+                 id="dt-1e-300"),
         pytest.param("n_traj-1e14", r"\[run\] n_traj = 100000000000000 over 120 steps needs "
                                     r".* the weights, \S+ GiB \(lower \[run\] n_traj\)",
                      id="n_traj-1e14")])
@@ -844,12 +871,12 @@ class TestMemoryPlan:
         sched = Schedule(t_eq=4.0, t_end=2.0, dt=1e-300 if case == "dt-1e-300" else 0.05)
         n_traj = {"dt-1e-300": 4, "n_traj-1e14": 10**14}.get(case, 4096)
         if case == "stacked":
-            streamed = qdyn.memory_plan(FIG1, FREE, sched, "quantum", n_traj, 128)
+            streamed = qdyn.memory_plan(FIG1, FREE, sched, "quantum", n_traj)
             monkeypatch.setattr(qdyn, "physical_memory", lambda: plan_total(streamed))
 
         def run():
             with pytest.raises(ConfigurationError, match=match):
-                run_ensemble(FIG1, FREE, sched, n_traj, "quantum", 1, batch_size=128)
+                run_ensemble(FIG1, FREE, sched, n_traj, "quantum", 1)
         assert traced_peak(run) < 1e6
 
 
@@ -869,8 +896,9 @@ class TestThreads:
         put(2)
         seen = []
         sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05)
-        run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4,
-                     consumer=lambda batch: seen.append(get()))
+        with batches_of(4):
+            run_ensemble(FIG1, FREE, sched, 8, "quantum", 1,
+                         consumer=lambda batch: seen.append(get()))
         assert seen == [1, 1]
         assert get() == 2
 
@@ -987,7 +1015,8 @@ class TestThreads:
         sched = Schedule(t_eq=1.0, t_end=0.5, dt=0.05, record_stride=5)
         assert qdyn._takes_map(FREE, sched)
         for _ in range(2):
-            run_ensemble(FIG1, FREE, sched, 8, "quantum", 1, batch_size=4)
+            with batches_of(4):
+                run_ensemble(FIG1, FREE, sched, 8, "quantum", 1)
         grid = qnoise.FrequencyGrid.for_times(FIG1, sched.dt, sched.n_steps + 1)
         integrate(FIG1, FREE, sched, qnoise.synthesize(FIG1, grid, "quantum",
                                                        _traj_stream(1, 0, 0)))
@@ -1552,7 +1581,8 @@ class TestLinearMap:
             Intervention(0.0, GaussianLocalize(1.0), mode="translate"),))
         assert qdyn._takes_map(FREE, sched)
         batches = []
-        run_ensemble(FIG1, FREE, sched, 192, "quantum", 3, batch_size=64,
+        monkeypatch.setattr(qdyn, "_BATCH", 64)
+        run_ensemble(FIG1, FREE, sched, 192, "quantum", 3,
                      progress=lambda done, n_traj: batches.append(done))
         assert batches == [64, 128, 192]
         assert len(built) == 1

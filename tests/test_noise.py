@@ -552,6 +552,12 @@ class TestLagProducts:
         ref = pairwise_lag_products(rows, shifts)
         assert np.all(np.abs(got - ref) <= self.bound(rows, shifts))
 
+    def test_statistics_need_two_paths(self):
+        # noise-check's reduction names its own condition, not its caller's
+        with pytest.raises(ConfigurationError, match="^lag_statistics needs the lag "
+                                                     "products of at least 2 paths, got 1$"):
+            qnoise.lag_statistics(np.ones((3, 1)))
+
 
 class TestEmpiricalAutocorrelation:
     def test_chunked_consumption_matches_stacked_reference_bit_for_bit(self):
