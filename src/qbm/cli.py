@@ -276,9 +276,12 @@ def parse_config(path, overrides=None):
         sched.validate_against(spec, pot)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    # outside the try: its messages name the [run] and [schedule] keys
+    # outside the try: its messages name the [run] and [schedule] keys; the
+    # records are those the estimators read, whatever their times (a dump
+    # reads both, and its run checks its own plan)
+    records = _records(_accumulator(name, cfg, [0.0]) for name in observables)
     _dyn.check_memory(_dyn.memory_plan(spec, pot, sched, cfg.statistics, cfg.n_traj,
-                                       master_seed=cfg.master_seed))
+                                       master_seed=cfg.master_seed, records=records))
     return cfg
 
 
@@ -309,6 +312,12 @@ def _accumulator(name, cfg, times):
     return _obs.Accumulator(times, obs)
 
 
+def _records(accumulators, dump=False):
+    """The records a run reads: those its estimators read, or both for the dump."""
+    reads = {v for acc in accumulators for v in acc.reads}
+    return tuple(v for v in _dyn.RECORDS if dump or v in reads)
+
+
 def _output_dir(out_dir):
     """Make the output directory, ``out_dir`` (``--out-dir``) or else ``.``,
     and return it."""
@@ -332,6 +341,18 @@ def _check_outputs(out_dir, names):
 def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
     """Execute a configured experiment; returns the list of files written."""
     t_start = time.time()
+    spec = cfg.bath_spec()
+    pot = cfg.potential_obj()
+    sched = cfg.schedule_obj()
+    times = sched.record_times()
+    accumulators = {name: _accumulator(name, cfg, times) for name in cfg.observables}
+    records = _records(accumulators.values(), dump=dump_trajectories)
+    # the run's own plan, checked before anything is made: a dump reads both
+    # records, where parse_config planned the estimators' reads
+    plan = _dyn.memory_plan(spec, pot, sched, cfg.statistics, cfg.n_traj,
+                            master_seed=cfg.master_seed, records=records)
+    _dyn.check_memory(plan)
+
     out_dir = _output_dir(out_dir)
     ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])
     names = [*cfg.observables.values(), "run_manifest.json"]
@@ -341,12 +362,6 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         names.append("trajectories.bin")
     _check_outputs(out_dir, names)
 
-    spec = cfg.bath_spec()
-    pot = cfg.potential_obj()
-    sched = cfg.schedule_obj()
-
-    times = sched.record_times()
-    accumulators = {name: _accumulator(name, cfg, times) for name in cfg.observables}
     # before the run: its blocks of rows are not alive beside the map's
     reference = (_ref.exact_series(spec, pot, sched, cfg.statistics, ref_observable)
                  if ref_observable else None)
@@ -369,7 +384,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
 
         ensemble = _dyn.run_ensemble(spec, pot, sched, cfg.n_traj, cfg.statistics,
                                      cfg.master_seed, stream_tag=0, progress=progress,
-                                     consumer=consume)
+                                     consumer=consume, records=records)
     written = []
     for name, fname in sorted(cfg.observables.items()):
         series = accumulators[name].series(ensemble)
@@ -392,8 +407,7 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
         "wall_time_s": time.time() - t_start,
         "peak_rss_mb": _peak_rss_mb(),
         # what the memory check counted, term by term (the run streams)
-        "memory_counted_mb": {term.name: term.nbytes / 2**20 for term in _dyn.memory_plan(
-            spec, pot, sched, cfg.statistics, cfg.n_traj, master_seed=cfg.master_seed).terms},
+        "memory_counted_mb": {term.name: term.nbytes / 2**20 for term in plan.terms},
         "environment": _environment(),
         "threads": _dyn.thread_counts(),
         "outputs": [os.path.basename(w) for w in written],
@@ -515,8 +529,12 @@ def noise_check(cfg, out_dir=None, dump=False):
                         write(path, row=lo + g + j)
 
         # the run's own streams, a group per thread alive at a time
-        _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed, 0,
-                          range(cfg.n_traj), work)
+        try:
+            _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed, 0,
+                              range(cfg.n_traj), work)
+        finally:
+            # the amplitudes every group shared
+            _noise._checked_amplitudes.cache_clear()
         est, se = _noise.lag_statistics(products)
         target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
         z = (est - target) / np.where(se > 0, se, 1.0)

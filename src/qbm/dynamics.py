@@ -21,20 +21,22 @@ Two engines run that scheme.  For a free or harmonic potential it is linear
 in the noise and in each preparation's jumps, so every record is a fixed row
 of weights against the noise path plus the responses to the preparations'
 kicks: the linear map (:func:`linear_rows`), applied one matrix product per
-noise block.  Per path it does 2 n_map (n_steps + 1) multiply-adds, n_map
-being the record and intervention nodes, where the stepper's friction
-history does n_steps (n_steps + 1) / 2; :func:`run_ensemble` and
-:func:`integrate` take the map when it does no more and its rows fit in
-physical memory (:func:`_takes_map`).  A run then builds the rows once
-(:func:`_batch_runner`) and frees them when it returns, integrates its
+row group and noise block.  Per path it does 2 n_map (n_steps + 1)
+multiply-adds, n_map being the record and intervention nodes, where the
+stepper's friction history does n_steps (n_steps + 1) / 2;
+:func:`run_ensemble` and :func:`integrate` take the map when it does no
+more and its rows fit in physical memory (:func:`_takes_map`).  A run then
+builds the rows once (:func:`_batch_runner`) and frees them when it
+returns: those of the intervention nodes, and at the record nodes only
+those of the variables the run reads (``records``), so a run of x² alone
+builds and multiplies half the record rows.  It integrates its
 trajectories ``_BATCH`` at a time, and a batch holds one noise block and
-its records per noise thread (:func:`noise_blocks`);
-each block's records are booked as soon as the blocks before it are
-(:func:`run_ensemble`).  Every other run, and
-:func:`integrate_deterministic` (the one solve the map's responses come
-from, before any block thread starts), takes the stepper
-(:func:`_integrate_batch`), whose batch holds one ``(n_steps + 1) x width``
-buffer of noise and velocity history.
+its records per noise thread (:func:`noise_blocks`); each block's records
+are booked as soon as the blocks before it are (:func:`run_ensemble`).
+Every other run, and :func:`integrate_deterministic` (the one solve the
+map's responses come from, before any block thread starts), takes the
+stepper (:func:`_integrate_batch`), whose batch holds one ``(n_steps + 1) x
+width`` buffer of noise and velocity history and records both variables.
 """
 
 import math
@@ -85,6 +87,9 @@ _DRAW_BYTES = 512
 FREE = "free"
 HARMONIC = "harmonic"
 POLYNOMIAL = "polynomial"
+
+# The recorded variables a run may read (run_ensemble's ``records``)
+RECORDS = ("x", "p")
 
 _MAX_POLY_DEGREE = 8
 
@@ -268,7 +273,8 @@ class TrajectoryEnsemble:
 
     ``failure_time`` is the first recorded time at which a failed
     trajectory is non-finite (None without one).  A streamed ensemble keeps
-    no records: its ``x`` and ``p`` are None.
+    no records: its ``x`` and ``p`` are None, as is a record the run does
+    not read (:func:`run_ensemble`'s ``records``).
     """
 
     def __init__(self, times, x, p, weights, failed_ids=(), failure_time=None):
@@ -558,9 +564,19 @@ def _n_records(sched):
     return (sched.n_steps - sched.eq_steps) // sched.record_stride + 1
 
 
-def _rows_shape(sched):
-    """Shape of the linear map's x and p rows, one per record and intervention node."""
-    return (2, _n_records(sched) + len(sched.interventions), sched.n_steps + 1)
+def _rows_shapes(sched):
+    """Shapes of the linear map's three row groups: x at the record nodes, p
+    at the record nodes, and x and p at the intervention nodes."""
+    n_rec, n_nodes = _n_records(sched), sched.n_steps + 1
+    return (n_rec, n_nodes), (n_rec, n_nodes), (2, len(sched.interventions), n_nodes)
+
+
+def _check_records(records):
+    """``records`` as a subset of ``("x", "p")``, in that order."""
+    unknown = set(records) - set(RECORDS)
+    if unknown:
+        raise ValueError(f"records are among {RECORDS}, got {sorted(unknown)}")
+    return tuple(v for v in RECORDS if v in records)
 
 
 def _takes_map(pot, sched):
@@ -568,13 +584,15 @@ def _takes_map(pot, sched):
 
     It does for a free or harmonic potential whose map does no more
     multiply-adds per path than the stepper, 4 n_map <= n_steps (see the
-    module docstring), and whose rows fit in physical memory.  The ensemble's
-    size does not enter, so a trajectory's bits do not depend on it.
+    module docstring), and whose rows of both variables fit in physical
+    memory.  Neither the ensemble's size nor the records the run reads
+    enter, so a trajectory's bits do not depend on them.
     """
     if pot.form == POLYNOMIAL:
         return False
     memory = physical_memory()
-    return (4 * _rows_shape(sched)[1] <= sched.n_steps
+    n_map = _n_records(sched) + len(sched.interventions)
+    return (4 * n_map <= sched.n_steps
             and (memory is None or _map_rows(sched).nbytes <= memory))
 
 
@@ -587,10 +605,13 @@ _STEPS = "raise [schedule] dt"
 _N_TRAJ = "lower [run] n_traj"
 
 
-def _map_rows(sched):
-    """The linear map's rows and its responses G and J, in x and in p."""
-    n_map, n_nodes = _rows_shape(sched)[1:]
-    return MemoryTerm("map rows", 8 * (2 * n_map + 4) * n_nodes, _ROWS)
+def _map_rows(sched, records=RECORDS):
+    """The linear map's row groups that a run reading ``records`` builds, and
+    its responses G and J, in x and in p."""
+    x, p, iv = _rows_shapes(sched)
+    rows = math.prod(iv) + sum(math.prod(shape) for v, shape in zip(RECORDS, (x, p))
+                               if v in records)
+    return MemoryTerm("map rows", 8 * (rows + 4 * iv[-1]), _ROWS)
 
 
 def _noise_threads(n_ids):
@@ -617,32 +638,39 @@ def _noise_terms(grid, statistics, master_seed, stream_tag, n_ids, generators, s
 
 
 def memory_plan(spec, pot, sched, statistics, n_traj, stacked=False,
-                master_seed=0, stream_tag=0):
+                master_seed=0, stream_tag=0, records=RECORDS):
     """The memory plan of a run of ``n_traj`` trajectories, ``_BATCH`` at a
-    time: its noise blocks' terms, its engine's (:func:`_takes_map`), its
-    weights and, ``stacked`` (:func:`run_ensemble` without a consumer), its
-    records.  A finished block of the linear map waits to be booked until
-    every block before it is, so every block's x and p may be alive at once.
-    The stepper's friction holds ``_CONV_BLOCK`` rows of the width and a
-    kernel block, beside a row of the width and three kernels.  ``dt =
-    1e-300`` plans 6e300 steps, rejected before they are allocated.
+    time, that reads ``records``: its noise blocks' terms, its engine's
+    (:func:`_takes_map`), its weights and, ``stacked`` (:func:`run_ensemble`
+    without a consumer), its records.  On the linear map the rows, a
+    block's products and the records of a finished block count only the
+    row groups the run reads (:func:`linear_rows`); a finished block waits
+    to be booked until every block before it is, so every block's records
+    may be alive at once.  The stepper records both variables.  Its
+    friction holds ``_CONV_BLOCK`` rows of the width and a kernel block,
+    beside a row of the width and three kernels.  ``dt = 1e-300`` plans
+    6e300 steps, rejected before they are allocated.
     """
-    n_steps, n_rec = sched.n_steps, _n_records(sched)
+    n_steps, n_rec, n_iv = sched.n_steps, _n_records(sched), len(sched.interventions)
+    records = _check_records(records)
     batch = min(_BATCH, n_traj)
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
     if _takes_map(pot, sched):
-        threads, n_map = _noise_threads(batch), _rows_shape(sched)[1]
+        threads, held = _noise_threads(batch), len(records) * n_rec
         block = 8 * _NOISE_BLOCK
         terms = [*_noise_terms(grid, statistics, master_seed, stream_tag, batch,
                                threads * min(batch, _NOISE_BLOCK), _N_TRAJ),
-                 _map_rows(sched),
+                 _map_rows(sched, records),
                  MemoryTerm("noise blocks", threads * block * (n_steps + 1), _STEPS),
-                 MemoryTerm("block records", threads * 2 * block * n_map, _ROWS),
+                 MemoryTerm("block records", threads * block * (held + 2 * n_iv), _ROWS),
                  MemoryTerm("batch records",
-                            (-(-batch // _NOISE_BLOCK) - threads) * 2 * block * n_map, _ROWS)]
-        # the draws, and three arrays of x and numpy's two ufunc buffers to update it
+                            (-(-batch // _NOISE_BLOCK) - threads) * block * held, _ROWS)]
+        # the draws, one update array of a group's rows, the lags and
+        # responses it gathers, and numpy's buffers for the three operands
+        # of an update of a short block's (strided) records
         updates = MemoryTerm("intervention updates", threads * (
-            _NOISE_BLOCK * _DRAW_BYTES + 3 * block * n_map + 16 * np.getbufsize()), _ROWS)
+            _NOISE_BLOCK * _DRAW_BYTES + (block + 16) * max(n_rec, n_iv)
+            + 24 * np.getbufsize()), _ROWS)
     else:
         width = _buffer_width(batch)
         terms = [*_noise_terms(grid, statistics, master_seed, stream_tag, batch, batch,
@@ -654,12 +682,12 @@ def memory_plan(spec, pot, sched, statistics, n_traj, stacked=False,
                  MemoryTerm("batch records", 8 * batch * (2 * n_rec + 6), _ROWS)]
         # per trajectory its draws and jumps, which no schedule key shrinks
         updates = MemoryTerm("intervention updates",
-                             batch * (_DRAW_BYTES + 8 * len(sched.interventions)), _N_TRAJ)
+                             batch * (_DRAW_BYTES + 8 * n_iv), _N_TRAJ)
     if sched.interventions:
         terms.append(updates)
     terms.append(MemoryTerm("weights", 8 * n_traj, _N_TRAJ))
     if stacked:
-        terms.append(MemoryTerm("stacked records", 16 * n_traj * n_rec,
+        terms.append(MemoryTerm("stacked records", 8 * len(records) * n_traj * n_rec,
                                 "stream the batches to a consumer"))
     return MemoryPlan(f"[run] n_traj = {n_traj} over {n_steps:.3g} steps", terms)
 
@@ -999,18 +1027,22 @@ def response_rows(g, dt, nodes, out):
     out[np.arange(len(nodes)), nodes] *= 0.5
 
 
-def linear_rows(spec, pot, sched):
+def linear_rows(spec, pot, sched, records=RECORDS):
     """The linear map of a free or harmonic run, without its preparations.
 
-    Returns ``(rows, Gx, Gp, Jx, Jp)``.  ``rows[0]`` and ``rows[1]`` hold
-    the weights of the noise nodes in x and in p at the record nodes, then
-    at the intervention nodes, one row of ``n_steps + 1`` per node: node k
-    takes ``dt G(k - j)`` from noise node j <= k, with G the response to a
-    unit momentum (:func:`momentum_response`), xi_0 counting half (it enters
-    only the first half-kick) and, in p, xi_k counting half (it enters only
-    the last half-kick of step k - 1).  ``(Jx, Jp)`` are x and p at lags
-    0..n_steps after a unit position jump at rest.  The jump is a unit
-    offset plus an additive force ``f(j dt) = -M(j dt)`` at lag j, the
+    Returns ``(rows, Gx, Gp, Jx, Jp)``, ``rows`` being three row groups of
+    the weights of the noise nodes, one row of ``n_steps + 1`` per node: x
+    at the record nodes, p at the record nodes, and the ``(2, n_iv, n_steps
+    + 1)`` x and p at the intervention nodes.  A record group is built only
+    if ``records`` names its variable, and is None otherwise; the
+    intervention group is always built, since the preparations draw from
+    it.  The schedule alone sets each group's shape (:func:`_rows_shapes`).
+    Node k takes ``dt G(k - j)`` from noise node j <= k, with G the response
+    to a unit momentum (:func:`momentum_response`), xi_0 counting half (it
+    enters only the first half-kick) and, in p, xi_k counting half (it
+    enters only the last half-kick of step k - 1).  ``(Jx, Jp)`` are x and
+    p at lags 0..n_steps after a unit position jump at rest.  The jump is a
+    unit offset plus an additive force ``f(j dt) = -M(j dt)`` at lag j, the
     friction boundary term, less ``m omega0^2`` on the harmonic potential,
     the offset's own restoring force; the scheme takes f as it takes the
     noise, so ``Jx = 1 + dt G_x * f`` and ``Jp = dt G_p * f``, convolved
@@ -1020,11 +1052,15 @@ def linear_rows(spec, pot, sched):
     are freed when it returns.
     """
     dt, n_steps = sched.dt, sched.n_steps
-    nodes = [*sched.record_nodes(), *sched.intervention_nodes()]
     gx, gp = momentum_response(spec, pot, dt, n_steps)
-    rows = np.empty(_rows_shape(sched))
-    for half, g in zip(rows, (gx, gp)):
-        response_rows(g, dt, nodes, out=half)
+    x_shape, p_shape, iv_shape = _rows_shapes(sched)
+    rec = sched.record_nodes()
+    rows = [None, None, np.empty(iv_shape)]
+    for k, (v, g, shape) in enumerate(zip(RECORDS, (gx, gp), (x_shape, p_shape))):
+        if v in records:
+            rows[k] = np.empty(shape)
+            response_rows(g, dt, rec, out=rows[k])
+        response_rows(g, dt, sched.intervention_nodes(), out=rows[2][k])
     # the force f at each lag after a unit jump, weighted as response_rows
     # weights the noise: f_0 counts half, and in p so does f_k
     f = (-_bath.memory_kernel(spec, dt * np.arange(n_steps + 1))
@@ -1032,9 +1068,9 @@ def linear_rows(spec, pot, sched):
     half_first = np.concatenate((0.5 * f[:1], f[1:]))
     jx = 1.0 + dt * np.convolve(gx, half_first)[:n_steps + 1]
     jp = dt * np.convolve(gp, half_first)[:n_steps + 1] - 0.5 * dt * gp[0] * f
-    for a in (rows, jx, jp):
+    for a in (*(r for r in rows if r is not None), jx, jp):
         a.flags.writeable = False
-    return rows, gx, gp, jx, jp
+    return tuple(rows), gx, gp, jx, jp
 
 
 def _apply_map(sched, plan, linear, groups, rngs):
@@ -1044,64 +1080,82 @@ def _apply_map(sched, plan, linear, groups, rngs):
     order.  ``groups`` yields their noise paths as ``(g, rows)``, ``rows``
     those of ``rngs[g:]`` (see :func:`noise_blocks`).
 
-    The groups fill a zeroed ``_NOISE_BLOCK``-path block, which the x and p
-    rows multiply: in this layout a path's bits do not depend on its place
-    in the block or on the block around it.  At each intervention node
-    ``(rbar, pbar)`` come from the rows and the earlier interventions'
-    responses, and each trajectory draws there once, in row order, from its
-    own stream.  Later nodes then take a translate ``r_pre - rbar`` as a
-    shift (translate mode needs the free potential), the kick ``p0 - pbar``
-    through (Gx, Gp) and a jump ``r0 - r_pre`` through (Jx, Jp); the
-    records at the node itself are ``(r0, p0)`` exactly.
-    Returns (x_rec, p_rec, weights).
+    The groups fill a zeroed ``_NOISE_BLOCK``-path block, which each row
+    group the map holds multiplies, one product per group: in this layout a
+    path's bits do not depend on its place in the block, on the block
+    around it or on which other groups the run reads.  At each intervention
+    node ``(rbar, pbar)`` come from the intervention group, moved by the
+    earlier interventions, and each trajectory draws there once, in row
+    order, from its own stream.  The later rows of every group then take a
+    translate ``r_pre - rbar`` as a shift (translate mode needs the free
+    potential), the kick ``p0 - pbar`` through (Gx, Gp) and a jump ``r0 -
+    r_pre`` through (Jx, Jp); nodes ascend, so those rows are each group's
+    tail, updated in place from one update array.  The records at the node
+    itself are ``(r0, p0)`` exactly.  Returns (x_rec, p_rec, weights), a
+    record the map does not hold being None.
     """
     n_steps = sched.n_steps
-    rows, gx, gp, jx, jp = linear
-    nodes = np.array([*sched.record_nodes(), *sched.intervention_nodes()], dtype=int)
-    n_rec = len(nodes) - len(plan)
+    (x_rows, p_rows, iv_rows), gx, gp, jx, jp = linear
+    rec, iv = sched.record_nodes(), np.array(sched.intervention_nodes(), dtype=int)
     b = len(rngs)
     values = np.zeros((_NOISE_BLOCK, n_steps + 1))
     for g, group in groups:
         values[g:g + len(group)] = group
-    x, p = (rows @ values.T)[:, :, :b]
+    x, p = ((rows @ values.T)[:, :b] if rows is not None else None
+            for rows in (x_rows, p_rows))
+    ivx, ivp = (iv_rows.reshape(-1, n_steps + 1) @ values.T).reshape(
+        2, len(iv), _NOISE_BLOCK)[:, :, :b]
     weights = np.ones(b)
+    # one update array, as many rows as the longest tail
+    update = np.empty((max(len(rec), len(iv)), b)) if plan else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (node, draw) in enumerate(plan):
-            rbar, pbar = x[n_rec + k], p[n_rec + k]
+            rbar, pbar = ivx[k], ivp[k]
             r_pre, r0, p0, w = np.array(
                 [draw(rbar[i], pbar[i], rngs[i]) for i in range(b)], dtype=float).T
             weights *= w
             shift, kick, dx = r_pre - rbar, p0 - pbar, r0 - r_pre
-            later = nodes > node
-            lag = nodes[later] - node
-            x[later] += shift + gx[lag, None] * kick
-            p[later] += gp[lag, None] * kick
-            if np.any(dx):
-                x[later] += jx[lag, None] * dx
-                p[later] += jp[lag, None] * dx
-            at = nodes == node
-            x[at] = r0
-            p[at] = p0
-    return x[:n_rec].T, p[:n_rec].T, weights
+            jumps = np.any(dx)
+            after = np.searchsorted(rec, node, side="right")
+            for held, nodes, start in (((x, p), rec, after), ((ivx, ivp), iv, k + 1)):
+                lag = nodes[start:] - node
+                u = update[:len(lag)]
+                # x + (shift + Gx kick), then + Jx dx; p + Gp kick, then + Jp dx
+                for a, g, j, moved in zip(held, (gx, gp), (jx, jp), (shift, None)):
+                    if a is None:
+                        continue
+                    np.multiply(g[lag, None], kick, out=u)
+                    if moved is not None:
+                        np.add(moved, u, out=u)
+                    a[start:] += u
+                    if jumps:
+                        np.multiply(j[lag, None], dx, out=u)
+                        a[start:] += u
+            if after and rec[after - 1] == node:
+                for a, at in ((x, r0), (p, p0)):
+                    if a is not None:
+                        a[after - 1] = at
+    return (None if x is None else x.T), (None if p is None else p.T), weights
 
 
-def _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag):
+def _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag, records=RECORDS):
     """``run_batch(ids, book)``: integrate a run's trajectories ``ids`` and
     book their records in id order.
 
     The engine (:func:`_takes_map`), noise grid, draws and, on the linear
-    map, its rows (:func:`linear_rows`) are set up once per run, before any
-    block thread starts, and freed with ``run_batch``.  Each piece goes to
-    ``book(first, x, p, weights)``, ``first`` being the id of its first
-    trajectory: on the linear map one piece per noise block, booked by a
-    block thread (:func:`noise_blocks`), so a batch never holds its records;
-    on the stepper the whole batch, once it is integrated.
+    map, its rows of ``records`` (:func:`linear_rows`) are set up once per
+    run, before any block thread starts, and freed with ``run_batch``.
+    Each piece goes to ``book(first, x, p, weights)``, ``first`` being the
+    id of its first trajectory: on the linear map one piece per noise block,
+    booked by a block thread (:func:`noise_blocks`), so a batch never holds
+    its records, and a record it does not read is None; on the stepper the
+    whole batch, once it is integrated, with both records.
     """
     n_steps = sched.n_steps
     grid = _noise.FrequencyGrid.for_times(spec, sched.dt, n_steps + 1)
     plan = _build_plan(sched)
     if _takes_map(pot, sched):
-        linear = linear_rows(spec, pot, sched)
+        linear = linear_rows(spec, pot, sched, records)
 
         def work(lo, hi, rngs, groups):
             return _apply_map(sched, plan, linear, groups, rngs)
@@ -1134,62 +1188,75 @@ def _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag):
 
 def _failures(times, x, p, weights):
     """Rows with a non-finite record or weight, and the first of ``times`` at
-    which a record of theirs is non-finite (None if only weights are)."""
-    failed = np.flatnonzero(~(np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
-                              & np.isfinite(weights)))
-    bad = (~np.isfinite(x[failed]) | ~np.isfinite(p[failed])).any(axis=0)
+    which a record of theirs is non-finite (None if only weights are).  A
+    record that is None is not checked."""
+    held = [a for a in (x, p) if a is not None]
+    finite = np.isfinite(weights)
+    for a in held:
+        finite &= np.isfinite(a).all(axis=1)
+    failed = np.flatnonzero(~finite)
+    bad = np.zeros(len(times), dtype=bool)
+    for a in held:
+        bad |= ~np.isfinite(a[failed]).all(axis=0)
     t_bad = float(times[np.argmax(bad)]) if bad.any() else None
     return failed, t_bad
 
 
 def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
-                 stream_tag=0, progress=None, consumer=None):
+                 stream_tag=0, progress=None, consumer=None, records=RECORDS):
     """Simulate ``n_traj`` independent trajectories.
 
     Each trajectory owns a counter-based stream derived from
     ``(master_seed, stream_tag, trajectory_id)``; within a stream the noise
     coefficients are drawn first, then any preparation draws, so a
     trajectory's bits depend on its id, not on ``n_traj`` or on the batch
-    of ``_BATCH`` it lands in.  What the batches share, the
-    linear map's rows among it, is set up once (:func:`_batch_runner`) and
-    freed on return.  The batches are integrated in the calling process,
-    one after another, each running its noise blocks, and on the linear
-    map their records, on one thread per usable core
-    (:func:`noise_blocks`), with the same bits on any count.  OpenBLAS runs
-    on one thread while the ensemble is integrated (its count is restored
-    on return), as it does for the deterministic solve
+    of ``_BATCH`` it lands in.  What the batches share, the linear map's
+    rows and the noise amplitudes among it, is set up once
+    (:func:`_batch_runner`) and freed on return.  The batches are
+    integrated in the calling process, one after another, each running its
+    noise blocks, and on the linear map their records, on one thread per
+    usable core (:func:`noise_blocks`), with the same bits on any count.
+    OpenBLAS runs on one thread while the ensemble is integrated (its count
+    is restored on return), as it does for the deterministic solve
     (:func:`momentum_response`), so results are also independent of
     ``OPENBLAS_NUM_THREADS``; its check counts the batch's memory before
     anything is allocated (:func:`check_memory`).
 
-    Without a ``consumer`` the records are stacked in trajectory-id order.
-    With one, the records go to ``consumer(piece)`` in trajectory-id order,
-    piece after piece, each a :class:`TrajectoryEnsemble` whose
-    ``failed_ids`` index its own rows.  On the linear map
-    (:func:`_takes_map`) a piece is one noise block of at most
-    ``_NOISE_BLOCK`` trajectories, handed on by whichever block thread
-    books it under the booking lock, one call at a time; on the stepper it is a whole batch, on the
-    calling thread.  The returned ensemble then keeps only the weights and
-    the failed ids (``x`` and ``p`` are None), so memory does not grow with
-    ``n_traj`` beyond 8 bytes per trajectory.  ``progress(done, n_traj)`` is
-    called after each batch.
+    ``records``, a subset of ``("x", "p")``, names the records the caller
+    reads.  On the linear map only their rows are built and multiplied, and
+    a piece's other record is None; each record's product has the same
+    shape whatever else is read, so its bits do not depend on ``records``.
+    The stepper records both variables, and its pieces carry both.
+
+    Without a ``consumer`` the records of ``records`` are stacked in
+    trajectory-id order (the other is None).  With one, the records go to
+    ``consumer(piece)`` in trajectory-id order, piece after piece, each a
+    :class:`TrajectoryEnsemble` whose ``failed_ids`` index its own rows.
+    On the linear map (:func:`_takes_map`) a piece is one noise block of at
+    most ``_NOISE_BLOCK`` trajectories, handed on by whichever block thread
+    books it under the booking lock, one call at a time; on the stepper it
+    is a whole batch, on the calling thread.  The returned ensemble then
+    keeps only the weights and the failed ids (``x`` and ``p`` are None),
+    so memory does not grow with ``n_traj`` beyond 8 bytes per trajectory.
+    ``progress(done, n_traj)`` is called after each batch.
 
     Aborts with :class:`IntegrationFailure` once more than 0.1% of the
     trajectories have left float range, without integrating the batches
     after the one that crosses that bound; isolated failures are reported
-    through ``failed_ids`` and carry NaN records.
+    through ``failed_ids`` and carry NaN records.  A record a piece does not
+    carry is not checked.
     """
     if n_traj < 1:
         raise ConfigurationError("n_traj must be >= 1")
+    records = _check_records(records)
     sched.validate_against(spec, pot)
     check_memory(memory_plan(spec, pot, sched, statistics, n_traj, stacked=consumer is None,
-                             master_seed=master_seed, stream_tag=stream_tag))
+                             master_seed=master_seed, stream_tag=stream_tag, records=records))
 
     times = sched.record_times()
-    stacked_x = stacked_p = None
+    stacked = {}
     if consumer is None:
-        stacked_x = np.empty((n_traj, len(times)))
-        stacked_p = np.empty((n_traj, len(times)))
+        stacked = {v: np.empty((n_traj, len(times))) for v in records}
     weights = np.empty(n_traj)
     failed, bad_times = [], []
 
@@ -1202,22 +1269,28 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
         if t_bad is not None:
             bad_times.append(t_bad)
         if consumer is None:
-            stacked_x[first:end] = x
-            stacked_p[first:end] = p
+            for v, a in zip(RECORDS, (x, p)):
+                if v in stacked:
+                    stacked[v][first:end] = a
         else:
             consumer(TrajectoryEnsemble(times, x, p, w, failed_ids=rows, failure_time=t_bad))
 
     done = 0
-    with _one_blas_thread():
-        run_batch = _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag)
-        for lo in range(0, n_traj, _BATCH):
-            done = min(lo + _BATCH, n_traj)
-            run_batch(range(lo, done), book)
-            if progress:
-                progress(done, n_traj)
-            if len(failed) > 0.001 * n_traj:
-                # the run fails whatever the rest holds
-                break
+    try:
+        with _one_blas_thread():
+            run_batch = _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag,
+                                      records)
+            for lo in range(0, n_traj, _BATCH):
+                done = min(lo + _BATCH, n_traj)
+                run_batch(range(lo, done), book)
+                if progress:
+                    progress(done, n_traj)
+                if len(failed) > 0.001 * n_traj:
+                    # the run fails whatever the rest holds
+                    break
+    finally:
+        # the amplitudes every noise group of the run shared
+        _noise._checked_amplitudes.cache_clear()
 
     failed = np.array(failed, dtype=int)
     t_bad = min(bad_times, default=None)
@@ -1227,5 +1300,5 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
             message = (f"{len(failed)} of the first {done} trajectories diverged; "
                        f"{n_traj - done} of {n_traj} were not integrated")
         raise IntegrationFailure(message, trajectory_ids=failed[:32], time=t_bad)
-    return TrajectoryEnsemble(times=times, x=stacked_x, p=stacked_p, weights=weights,
-                              failed_ids=failed, failure_time=t_bad)
+    return TrajectoryEnsemble(times=times, x=stacked.get("x"), p=stacked.get("p"),
+                              weights=weights, failed_ids=failed, failure_time=t_bad)

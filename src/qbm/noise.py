@@ -256,7 +256,9 @@ def usable_cores():
 def _checked_amplitudes(spec, grid, statistics):
     """The grid validated and :func:`mode_amplitudes` cast to complex, once
     per bath, grid and statistics: each group of a run's noise blocks is
-    one :func:`synthesize_batch` call.  Read-only."""
+    one :func:`synthesize_batch` call.  Read-only.  A run and a noise-check
+    clear the cache when they return, so the amplitudes live as long as
+    they do."""
     grid.validate(spec)
     # multiplying by the real amplitudes would cast them on every call
     amp = mode_amplitudes(spec, grid, statistics).astype(complex)

@@ -1,7 +1,6 @@
 """Weighted ensemble estimates of phase-space (Weyl symbol) observables."""
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,6 +21,7 @@ class WeylObservable:
     (the off-diagonal projector of a two-packet superposition; its phase
     ``cos(2 x0 p / hbar)`` threads hbar explicitly for unit consistency), and
     ``poly`` with a coefficient matrix C[i, j] for sum C_ij x^i p^j.
+    :attr:`reads` names the recorded variables the symbol reads.
     """
 
     form: str
@@ -52,9 +52,25 @@ class WeylObservable:
         c = tuple(tuple(float(v) for v in row) for row in coefficients)
         return cls(form="poly", coefficients=c)
 
+    @property
+    def reads(self):
+        """The variables the symbol reads: ``x2`` x, ``p2`` p, ``xp`` and
+        ``cat-coherence`` both, and ``poly`` those its nonzero coefficients
+        raise to a power (x for a constant, whose values take x's shape)."""
+        if self.form == "x2":
+            return ("x",)
+        if self.form == "p2":
+            return ("p",)
+        if self.form == "poly":
+            c = np.asarray(self.coefficients)
+            used = (c[1:].any(), c[:, 1:].any())
+            return tuple(v for v, u in zip(("x", "p"), used) if u) or ("x",)
+        return ("x", "p")
+
     def __call__(self, x, p):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
+        """The symbol's values; a variable it does not read may be None."""
+        x, p = (np.asarray(a, dtype=float) if v in self.reads else None
+                for v, a in (("x", x), ("p", p)))
         if self.form == "x2":
             return x * x
         if self.form == "p2":
@@ -67,6 +83,9 @@ class WeylObservable:
                                 - 2.0 * s2 * p**2 / self.hbar**2) \
                 * np.cos(2.0 * self.x0 * p / self.hbar)
         if self.form == "poly":
+            # a variable not read has only zero coefficients past power 0
+            x = np.zeros_like(p) if x is None else x
+            p = np.zeros_like(x) if p is None else p
             c = np.asarray(self.coefficients)
             return np.polynomial.polynomial.polyval2d(x, p, c)
         raise ValueError(f"unknown observable form {self.form!r}")
@@ -106,8 +125,15 @@ def _check_weights(weights):
     return total
 
 
-def _squared_displacement(x, p, k0):
-    return (x - x[:, k0][:, None]) ** 2
+@dataclass(frozen=True)
+class _SquaredDisplacement:
+    """``(x(t) - x(t_k0))^2`` per trajectory; reads x only."""
+
+    k0: int
+    reads = ("x",)
+
+    def __call__(self, x, p):
+        return (x - x[:, self.k0][:, None]) ** 2
 
 
 def _good(ensemble):
@@ -148,14 +174,21 @@ class Accumulator:
         k0 = int(np.argmin(np.abs(times - t0)))
         if abs(times[k0] - t0) > 1e-9:
             raise ValueError(f"reference time {t0} not on the recording grid")
-        return cls(times, partial(_squared_displacement, k0=k0), thermal=True)
+        return cls(times, _SquaredDisplacement(k0), thermal=True)
+
+    @property
+    def reads(self):
+        """The records the estimate reads: its observable's, x for the displacement."""
+        return self._obs.reads
 
     def add(self, ensemble):
-        """Fold in the finite trajectories of ``ensemble``, ``_ADD_CHUNK`` at a time."""
+        """Fold in the finite trajectories of ``ensemble``, ``_ADD_CHUNK`` at a
+        time; a record the ensemble does not carry (None) is passed as None."""
         good = _good(ensemble)
         for lo in range(0, len(good), _ADD_CHUNK):
             rows = good[lo:lo + _ADD_CHUNK]
-            self._add_rows(ensemble.x[rows], ensemble.p[rows], ensemble.weights[rows])
+            x, p = (None if a is None else a[rows] for a in (ensemble.x, ensemble.p))
+            self._add_rows(x, p, ensemble.weights[rows])
 
     def _add_rows(self, x, p, w):
         vals = self._obs(x, p)

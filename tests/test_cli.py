@@ -382,14 +382,55 @@ class TestRun:
         pytest.param("form = polynomial\ncoefficients = 0 0 0.5 0 0.1", "batch buffer",
                      id="stepper")])
     def test_manifest_records_what_the_memory_check_counted(self, tmp_path, potential, engine):
+        # the run's own plan: x2 alone reads x
         cfg = parse_config(write_config(tmp_path, potential=potential))
         out = tmp_path / "out"
         run(cfg, out_dir=str(out))
         counted = json.loads((out / "run_manifest.json").read_text())["memory_counted_mb"]
         plan = qdyn.memory_plan(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
-                                cfg.statistics, cfg.n_traj, master_seed=cfg.master_seed)
+                                cfg.statistics, cfg.n_traj, master_seed=cfg.master_seed,
+                                records=("x",))
         assert counted == {term.name: term.nbytes / 2**20 for term in plan.terms}
         assert engine in counted and "stacked records" not in counted
+
+    @pytest.mark.parametrize("dump", [False, True], ids=["x2", "dump"])
+    def test_pieces_carry_the_records_the_run_reads(self, tmp_path, monkeypatch, dump):
+        # fig1 reads x alone, so its map hands on pieces without p; the dump
+        # writes both.  The x records, and so sigma2.csv, are the same bytes
+        with resources.as_file(preset_path("fig1")) as path:
+            cfg = parse_config(path, {"n_traj": 96, "master_seed": 3})
+        run_ensemble, pieces = qdyn.run_ensemble, []
+
+        def spy(*args, consumer=None, **kwargs):
+            def watch(piece):
+                pieces.append((piece.x is not None, piece.p is not None))
+                consumer(piece)
+            return run_ensemble(*args, consumer=watch, **kwargs)
+
+        monkeypatch.setattr(qdyn, "run_ensemble", spy)
+        run(cfg, out_dir=str(tmp_path / "out"), dump_trajectories=dump)
+        assert pieces == [(True, dump)] * 2
+        if dump:
+            monkeypatch.setattr(qdyn, "run_ensemble", run_ensemble)
+            run(cfg, out_dir=str(tmp_path / "x2"))
+            assert ((tmp_path / "out" / "sigma2.csv").read_bytes()
+                    == (tmp_path / "x2" / "sigma2.csv").read_bytes())
+
+    def test_a_dump_too_large_is_rejected_before_any_output(self, tmp_path, monkeypatch):
+        # x2 alone reads x, and parse_config plans that; a dump reads both,
+        # so its run plans more and is checked before it makes anything
+        cfg = parse_config(write_config(tmp_path))
+        args = (cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(), cfg.statistics,
+                cfg.n_traj)
+        x_alone, both = (sum(term.nbytes for term in qdyn.memory_plan(
+            *args, master_seed=cfg.master_seed, records=records).terms)
+            for records in (("x",), ("x", "p")))
+        assert x_alone < both
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: x_alone)
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            run(cfg, out_dir=str(tmp_path / "dump"), dump_trajectories=True)
+        assert not (tmp_path / "dump").exists()
+        run(cfg, out_dir=str(tmp_path / "x2"))
 
     @pytest.mark.parametrize("batches", [1, 2])
     def test_manifest_records_the_thread_counts(self, tmp_path, monkeypatch, batches):
@@ -710,6 +751,26 @@ class TestNoiseCheck:
         assert ok and report["status"] == "pass"
         assert report["max_abs_z"] <= 4.0
         assert (tmp_path / "nc" / "noise_check.json").exists()
+
+    def test_amplitudes_are_freed_on_return(self, tmp_path):
+        # every group of the check reads one array of amplitudes (on one
+        # thread: two may both miss the first time), which the check does
+        # not leave behind
+        cfg = parse_config(write_config(tmp_path, n_traj=200))
+        qnoise._checked_amplitudes.cache_clear()
+        hits = []
+        synthesize_batch = qnoise.synthesize_batch
+
+        def spy(*args):
+            hits.append(qnoise._checked_amplitudes.cache_info().misses)
+            return synthesize_batch(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qnoise, "synthesize_batch", spy)
+            patch.setattr(qnoise, "usable_cores", lambda: 1)
+            noise_check(cfg, out_dir=str(tmp_path / "nc"))
+        assert hits == [0] + [1] * 49
+        assert qnoise._checked_amplitudes.cache_info().currsize == 0
 
     def test_dump_flag_writes_ensemble(self, tmp_path):
         from qbm.noise import load_ensemble

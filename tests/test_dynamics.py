@@ -560,6 +560,29 @@ class TestStreamedRun:
         assert ens.n_traj == 256
         assert current < qdyn._map_rows(sched).nbytes
 
+    def test_amplitudes_are_set_up_once_and_freed_on_return(self, monkeypatch):
+        # a run of two batches, whose noise groups all read one array of
+        # amplitudes (on one thread: two may both miss the first time), does
+        # not leave it behind, on the map or the stepper, nor when a
+        # trajectory diverges
+        monkeypatch.setattr(qdyn, "_BATCH", 128)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
+        sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4)
+        dense = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
+        for pot, s in ((FREE, sched), (FREE, dense), (WELL, sched)):
+            qnoise._checked_amplitudes.cache_clear()
+            seen = []
+            run_ensemble(FIG1, pot, s, 256, "quantum", 1, consumer=lambda piece: seen.append(
+                qnoise._checked_amplitudes.cache_info().misses))
+            assert seen == [1] * (4 if qdyn._takes_map(pot, s) else 2)
+            assert qnoise._checked_amplitudes.cache_info().currsize == 0
+        kick = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
+                        interventions=(Intervention(0.0, ResetTo(1.5, 1.0)),))
+        with pytest.raises(IntegrationFailure):
+            run_ensemble(NO_BATH, Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0]), kick, 8,
+                         "quantum", 3)
+        assert qnoise._checked_amplitudes.cache_info().currsize == 0
+
     def test_waiting_blocks_stay_within_what_check_memory_counts(self, monkeypatch):
         # the worst case the memory plan counts: block 0 is held back until
         # every other block of the batch has finished, so their pieces all
@@ -778,6 +801,10 @@ class TestMemoryPlan:
     @pytest.mark.parametrize("shape, n", [
         *((shape, n) for shape in ("fig1", "fig2", "fig2_white", "classical_limit", "quartic")
           for n in (64, 300, 1024)),
+        # at 64 trajectories a plan that reads one record is smaller than
+        # the rows of both, which the engine rule counts: a byte below it
+        # the run takes the stepper, rather than being rejected
+        *((shape, n) for shape in ("fig1/x", "fig3/p") for n in (300, 1024)),
         ("noise-check-fig2", 1500), ("noise-check-fig2_white", 1500)])
     def test_peak_within_its_plan(self, tmp_path, monkeypatch, shape, n):
         # one batch of n trajectories on two noise threads, the map's rows
@@ -789,7 +816,8 @@ class TestMemoryPlan:
         # (test_waiting_blocks_stay_within_what_check_memory_counts).
         # check_memory accepts the plan's total and rejects one byte less,
         # naming its largest term and the config key that shrinks it, before
-        # anything is integrated or written
+        # anything is integrated or written.  "fig1/x" reads only x, as
+        # fig1's run does, and "fig3/p" only p
         monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
         out = tmp_path / "rejected"
         if shape.startswith("noise-check"):
@@ -807,18 +835,24 @@ class TestMemoryPlan:
             def rejected():
                 qcli.noise_check(cfg, out_dir=str(out), dump=dump)
         else:
+            shape, _, read = shape.partition("/")
+            records = tuple(read) or qdyn.RECORDS
             args = QUARTIC if shape == "quartic" else preset_args(shape)
-            _batch_runner(*args, 1, 0)(range(8), lambda *piece: None)  # one-time set-up
+            runner = _batch_runner(*args, 1, 0, records)
+            runner(range(8), lambda *piece: None)  # one-time set-up
+            del runner
             qdyn.momentum_response.cache_clear()
-            peak = traced_peak(lambda: _batch_runner(*args, 1, 0)(range(n), lambda *piece: None))
-            plan = qdyn.memory_plan(*args, n, master_seed=1)
+            peak = traced_peak(lambda: _batch_runner(*args, 1, 0, records)(
+                range(n), lambda *piece: None))
+            plan = qdyn.memory_plan(*args, n, master_seed=1, records=records)
             counted = batch_total(plan)
             # on the map the batch records are those of the blocks that wait
             waiting = (counted - plan_total(plan, but=("weights", "batch records"))
                        if qdyn._takes_map(*args[1:3]) else 0)
 
             def rejected():
-                run_ensemble(*args[:3], n, args[3], 1, consumer=lambda piece: None)
+                run_ensemble(*args[:3], n, args[3], 1, consumer=lambda piece: None,
+                             records=records)
         assert self.FLOOR * (counted - waiting) <= peak <= counted, (peak, counted)
         monkeypatch.setattr(qdyn, "physical_memory", lambda: plan_total(plan))
         qdyn.check_memory(plan)
@@ -1528,7 +1562,8 @@ class TestLinearMap:
         e_j = max(bound.max() for bound in derived_jump_bound(spec, pot, dt, n))
         a = carried(spec, pot, n, dt)
         response = a * (1 + a * dt * np.abs(memory_kernel(spec, dt * np.arange(n + 1))).sum())
-        rows = np.abs(qdyn.linear_rows(spec, pot, sched)[0]).reshape(-1, n + 1)
+        rows = np.abs(np.vstack([group.reshape(-1, n + 1)
+                                 for group in qdyn.linear_rows(spec, pot, sched)[0]]))
         map_bound = (gamma_n(n + 2) * (rows @ np.abs(xi).T).max(axis=0)
                      + dt * np.abs(xi).sum(axis=1) * e_g[0])
         for rbar, pbar, r_pre, r0, p0, _ in (np.array(v, dtype=float).T
@@ -1569,7 +1604,9 @@ class TestLinearMap:
             assert ens.weights.tobytes() == w_ref.tobytes()
 
     def test_rows_are_built_once_and_read_only(self, monkeypatch):
-        # a run of three batches builds its rows once, before its first batch
+        # a run of three batches builds its rows once, before its first
+        # batch: x and p at the record nodes, and both at the intervention
+        # node; a run that reads x alone builds no p rows at the records
         solves, built = [], []
         monkeypatch.setattr(qdyn, "integrate_deterministic",
                             lambda *args: solves.append(args) or integrate_deterministic(*args))
@@ -1588,9 +1625,15 @@ class TestLinearMap:
         assert len(built) == 1
         rows, gx, gp, jx, jp = built[0]
         assert len(solves) == 1
-        assert not any(a.flags.writeable for a in (rows, gx, gp, jx, jp))
-        assert rows.shape == (2, len(sched.record_nodes()) + 1, sched.n_steps + 1)
-        assert jx.shape == jp.shape == (sched.n_steps + 1,)
+        assert not any(a.flags.writeable for a in (*rows, gx, gp, jx, jp))
+        n_rec, n_nodes = len(sched.record_nodes()), sched.n_steps + 1
+        assert [a.shape for a in rows] == [(n_rec, n_nodes), (n_rec, n_nodes), (2, 1, n_nodes)]
+        assert jx.shape == jp.shape == (n_nodes,)
+        run_ensemble(FIG1, FREE, sched, 64, "quantum", 3, records=("x",))
+        assert len(built) == 2 and len(solves) == 1
+        x_rows, p_rows, iv_rows = built[1][0]
+        assert p_rows is None
+        assert x_rows.tobytes() == rows[0].tobytes() and iv_rows.tobytes() == rows[2].tobytes()
 
     @pytest.mark.parametrize("pot", [FREE, HARMONIC], ids=["free", "harmonic"])
     @pytest.mark.parametrize("t_eq, t_end", [(6.0, 4.65), (40.0, 30.0)],
@@ -1629,6 +1672,173 @@ class TestLinearMap:
         ens = run_batch(spec, FREE, cat, "quantum", 3, 0, range(70))
         assert len(solves) == 1
         assert np.isfinite(ens.x).all() and np.isfinite(ens.p).all()
+
+
+def gathered_map(sched, plan, linear, xi, rngs, stacked=True):
+    """One noise block's records and weights by the linear map as it was
+    evaluated before each row group took its own product: the x rows of the
+    record and intervention nodes, and the p rows, stacked into one ``(2,
+    n_map, n_steps + 1)`` product (``stacked``; otherwise each group's own
+    product, as ``qdyn._apply_map`` takes them), and each preparation's
+    updates gathered from the rows after it and scattered back.  The
+    oracle of :class:`TestRecordRows`."""
+    (x_rows, p_rows, iv_rows), gx, gp, jx, jp = linear
+    n = sched.n_steps + 1
+    nodes = np.array([*sched.record_nodes(), *sched.intervention_nodes()], dtype=int)
+    n_rec, b = len(x_rows), len(rngs)
+    values = np.zeros((qdyn._NOISE_BLOCK, n))
+    values[:b] = xi
+    with qdyn._one_blas_thread():
+        if stacked:
+            rows = np.stack([np.concatenate((x_rows, iv_rows[0])),
+                             np.concatenate((p_rows, iv_rows[1]))])
+            x, p = (rows @ values.T)[:, :, :b]
+        else:
+            iv = (iv_rows.reshape(-1, n) @ values.T).reshape(2, -1, qdyn._NOISE_BLOCK)
+            x, p = (np.concatenate((rows @ values.T, at))[:, :b]
+                    for rows, at in ((x_rows, iv[0]), (p_rows, iv[1])))
+    weights = np.ones(b)
+    for k, (node, draw) in enumerate(plan):
+        rbar, pbar = x[n_rec + k], p[n_rec + k]
+        r_pre, r0, p0, w = np.array(
+            [draw(rbar[i], pbar[i], rngs[i]) for i in range(b)], dtype=float).T
+        weights *= w
+        shift, kick, dx = r_pre - rbar, p0 - pbar, r0 - r_pre
+        later = nodes > node
+        lag = nodes[later] - node
+        x[later] += shift + gx[lag, None] * kick
+        p[later] += gp[lag, None] * kick
+        if np.any(dx):
+            x[later] += jx[lag, None] * dx
+            p[later] += jp[lag, None] * dx
+        at = nodes == node
+        x[at] = r0
+        p[at] = p0
+    return x[:n_rec].T, p[:n_rec].T, weights
+
+
+# the 61-node schedule of test_map_pieces_are_booked_in_id_order: products
+# of 6 and 2 rows of 61 nodes, where BLAS may pick kernels for small
+# matrices that the presets' products do not reach
+SHORT_CAT = (FIG1, FREE, Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4,
+                                  interventions=CAT_SCHED.interventions), "quantum")
+
+
+class TestRecordRows:
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("shape", ["fig1", "fig2", "fig3", "classical_limit", "short-cat"])
+    def test_records_do_not_depend_on_what_else_the_run_reads(self, monkeypatch, shape, cores):
+        # 130 trajectories: two noise blocks and a tail of two.  Each record
+        # group is its own product, of one shape whatever the run reads, so
+        # reading x alone or p alone gives that record's bytes, and the
+        # weights', of a run that reads both
+        args = SHORT_CAT if shape == "short-cat" else preset_args(shape)
+        assert qdyn._takes_map(*args[1:3])
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: cores)
+        both = run_ensemble(*args[:3], 130, args[3], 5)
+        for v in ("x", "p"):
+            alone = run_ensemble(*args[:3], 130, args[3], 5, records=(v,))
+            other = {"x": "p", "p": "x"}[v]
+            assert getattr(alone, other) is None
+            assert getattr(alone, v).tobytes() == getattr(both, v).tobytes()
+            assert alone.weights.tobytes() == both.weights.tobytes()
+
+    @pytest.mark.parametrize("shape", ["fig1", "fig2", "fig3", "classical_limit"])
+    def test_own_products_move_records_within_the_roundoff_bound(self, shape):
+        # one 64-path block of each preset's map against the oracle that
+        # multiplies x and p at every node as one stacked product
+        spec, pot, sched, statistics = preset_args(shape)
+        n = sched.n_steps + 1
+        grid = qnoise.FrequencyGrid.for_times(spec, sched.dt, n)
+        linear = qdyn.linear_rows(spec, pot, sched)
+        (x_rows, p_rows, iv_rows), gx, gp, jx, jp = linear
+        ids = range(qdyn._NOISE_BLOCK)
+
+        def block(apply):
+            log = {}
+            xi, rngs = drawn_noise(spec, grid, statistics, 11, 0, ids)
+            out = apply(logged_plan(_build_plan(sched), log), xi, rngs)
+            return (*out, {node: np.array(v, dtype=float).T for node, v in log.items()}, xi)
+
+        with qdyn._one_blas_thread():
+            x, p, w, _, xi = block(lambda plan, xi, rngs: qdyn._apply_map(
+                sched, plan, linear, [(0, xi)], rngs))
+        x_own, p_own, w_own, _, _ = block(lambda plan, xi, rngs: gathered_map(
+            sched, plan, linear, xi, rngs, stacked=False))
+        x_old, p_old, w_old, draws, _ = block(lambda plan, xi, rngs: gathered_map(
+            sched, plan, linear, xi, rngs))
+        # Updating each group's tail in place from one update array makes
+        # the additions the gathered update makes, in the same order: given
+        # the same products, the same bits
+        for new, own in ((x, x_own), (p, p_own), (w, w_own)):
+            assert new.tobytes() == own.tobytes()
+
+        # The a-priori bound on the move from the stacked product, formed
+        # before the two are compared.
+        # - A dot of a row with a path sums n terms, within gamma_n sum_j
+        #   |row_j xi_j| of its exact value (Higham, section 3.1) whatever
+        #   the order OpenBLAS sums in: two evaluations differ by at most
+        #   twice that, D for a record and D_iv for rbar and pbar.
+        # - Each of these draws' r_pre, r0 and p0 is drawn without (rbar,
+        #   pbar), is rbar itself, or is pbar plus a draw: it moves by at
+        #   most D_iv = |d rbar| + |d pbar| and its rounding, 2 u |value|.
+        #   So the shift, the kick and the jump each move by at most c = 2
+        #   D_iv + 2 u (|r_pre| + |r0| + |p0|), and a record at the node by c.
+        # - A record after the node, x + (shift + G kick) + J dx, moves by
+        #   its product's D, c (1 + |G| + |J|) at its lag, and the five
+        #   roundings of each evaluation, within gamma_5 of the absolute
+        #   terms.  To first order, doubled.
+        gamma = gamma_n(n)
+        d_rec = [2 * gamma * np.abs(rows) @ np.abs(xi).T for rows in (x_rows, p_rows)]
+        rec = sched.record_nodes()
+        bound = [d.T.copy() for d in d_rec]
+        for k, node in enumerate(sched.intervention_nodes()):
+            d_iv = 2 * gamma * (np.abs(iv_rows[:, k]) @ np.abs(xi).T).sum(axis=0)
+            rbar, pbar, r_pre, r0, p0, _ = draws[node]
+            c = 2 * d_iv + 2 * U * (np.abs(r_pre) + np.abs(r0) + np.abs(p0))
+            after = rec > node
+            lag = rec[after] - node
+            terms = [np.abs(x_old[:, after]) + np.abs(r_pre - rbar)[:, None],
+                     np.abs(p_old[:, after])]
+            for b, g, j, t in zip(bound, (gx, gp), (jx, jp), terms):
+                b[:, after] += (c[:, None] * (1 + np.abs(g[lag]) + np.abs(j[lag]))
+                                + gamma_n(5) * (t + np.abs(g[lag] * (p0 - pbar)[:, None])
+                                                + np.abs(j[lag] * (r0 - r_pre)[:, None])))
+                b[:, rec == node] += c[:, None]
+        bound = [2 * b for b in bound]
+        assert np.all(np.abs(x - x_old) <= bound[0])
+        assert np.all(np.abs(p - p_old) <= bound[1])
+        # the weights: a reset's and a translate Gaussian's do not read
+        # (rbar, pbar); a translate cat's c W(r_pre, pbar) moves by at most
+        # |c| |dW/dp| |d pbar|, doubled
+        prep = sched.interventions[0].preparation if sched.interventions else None
+        if isinstance(prep, CatProject):
+            _, pbar, r_pre, _, _, _ = draws[sched.intervention_nodes()[0]]
+            d_pbar = 2 * gamma * np.abs(iv_rows[1, 0]) @ np.abs(xi).T
+            slope = cat_wigner_bounds(prep)[1]
+            assert np.all(np.abs(w - w_old)
+                          <= 2 * np.abs(w_old / prep.wigner(r_pre, pbar)) * slope * d_pbar)
+        else:
+            assert w.tobytes() == w_old.tobytes()
+        # without a preparation the records' products are the stacked
+        # product's shape: the same bits
+        if not sched.interventions:
+            assert x.tobytes() == x_old.tobytes() and p.tobytes() == p_old.tobytes()
+
+    def test_only_the_rows_read_are_built_and_counted(self):
+        # fig1 reads x: its rows hold x at the records and both at the
+        # preparation, as its plan counts; the engine rule counts both
+        spec, pot, sched, statistics = preset_args("fig1")
+        (x_rows, p_rows, iv_rows), *_ = qdyn.linear_rows(spec, pot, sched, ("x",))
+        assert p_rows is None and iv_rows.shape == (2, 1, sched.n_steps + 1)
+        held = x_rows.nbytes + iv_rows.nbytes + 4 * 8 * (sched.n_steps + 1)
+        assert qdyn._map_rows(sched, ("x",)).nbytes == held
+        assert qdyn._map_rows(sched).nbytes == held + x_rows.nbytes
+        plan = {t.name: t.nbytes for t in qdyn.memory_plan(spec, pot, sched, statistics,
+                                                           4096, records=("x",)).terms}
+        assert plan["map rows"] == held
+        with pytest.raises(ValueError, match="records are among"):
+            qdyn.memory_plan(spec, pot, sched, statistics, 4096, records=("v",))
 
 
 class TestStreams:

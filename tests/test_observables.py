@@ -44,6 +44,23 @@ class TestWeylObservable:
         p_flip = np.pi * hbar / 2.0
         assert o(np.array([0.0]), np.array([p_flip]))[0] < 0.0
 
+    @pytest.mark.parametrize("obs, reads", [
+        (WeylObservable.x2(), ("x",)), (WeylObservable.p2(), ("p",)),
+        (WeylObservable.xp(), ("x", "p")),
+        (WeylObservable.cat_coherence(1.0, 0.5), ("x", "p")),
+        # p - p^2, 2 + 3x, x p, and a constant, which takes x's shape
+        (WeylObservable.polynomial([[0.0, 1.0, -1.0]]), ("p",)),
+        (WeylObservable.polynomial([[2.0], [3.0]]), ("x",)),
+        (WeylObservable.polynomial([[0.0, 0.0], [0.0, 1.0]]), ("x", "p")),
+        (WeylObservable.polynomial([[2.5]]), ("x",))])
+    def test_reads_only_the_variables_it_names(self, obs, reads):
+        # a record it does not read may be None: the values keep their bits
+        rng = np.random.default_rng(2)
+        x, p = rng.normal(size=(2, 5, 3))
+        assert obs.reads == reads
+        alone = obs(x if "x" in reads else None, p if "p" in reads else None)
+        assert alone.shape == x.shape and alone.tobytes() == obs(x, p).tobytes()
+
     def test_polynomial(self):
         o = WeylObservable.polynomial([[0.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
         # p^2 + 2x
@@ -296,6 +313,22 @@ class TestAccumulator:
         acc.add(ens)
         with pytest.raises(ValueError, match="unweighted"):
             acc.series(ens)
+
+    def test_takes_pieces_without_the_other_record(self):
+        rng = np.random.default_rng(3)
+        x, p = rng.normal(size=(2, 40, 6))
+        ens = TrajectoryEnsemble(np.arange(6.0), x, p, np.ones(40))
+        for acc, bare in ((Accumulator(ens.times, WeylObservable.x2()),
+                           TrajectoryEnsemble(ens.times, x, None, ens.weights)),
+                          (Accumulator(ens.times, WeylObservable.p2()),
+                           TrajectoryEnsemble(ens.times, None, p, ens.weights)),
+                          (Accumulator.displacement(ens.times, 0.0),
+                           TrajectoryEnsemble(ens.times, x, None, ens.weights))):
+            full = Accumulator(ens.times, acc._obs, thermal=acc._thermal)
+            full.add(ens)
+            acc.add(bare)
+            assert acc.reads == (("x",) if bare.p is None else ("p",))
+            assert acc.series(ens).estimates.tobytes() == full.series(ens).estimates.tobytes()
 
     def test_series_reads_no_records(self, ensembles):
         # a streamed ensemble keeps only its weights and failed ids

@@ -528,10 +528,11 @@ class TestReferenceBlocks:
         sched = Schedule(t_eq=2.0, t_end=4.0, dt=0.025, interventions=(
             (0.5, MomentumReset(0.7)), (1.525, MomentumReset(-0.2))))
         grid = FrequencyGrid.for_times(WARM, sched.dt, sched.n_steps + 1)
-        rows, gx, gp, _, _ = qdyn.linear_rows(WARM, HARMONIC, sched)
+        (x_rec, p_rec, iv), gx, gp, _, _ = qdyn.linear_rows(WARM, HARMONIC, sched)
         n_rec = len(sched.record_nodes())
         nodes = np.append(sched.record_nodes(), sched.intervention_nodes())
-        (x, p), mean = rows.copy(), np.zeros((2, len(nodes)))
+        x, p = np.concatenate((x_rec, iv[0])), np.concatenate((p_rec, iv[1]))
+        mean = np.zeros((2, len(nodes)))
         for k, (iv, r) in enumerate(zip(sched.interventions, sched.intervention_nodes()),
                                     start=n_rec):
             after = nodes >= r
