@@ -12,7 +12,6 @@ Config files are flat INI-style key/value sections; unknown sections or keys
 are rejected.  Units are dimensionless with hbar = m = 1 defaults.
 """
 
-import argparse
 import configparser
 import contextlib
 import json
@@ -476,7 +475,8 @@ def noise_check(cfg, out_dir=None, dump=False):
     seed (stream tag 0), estimates the autocorrelation on an
     ``_N_LAGS``-point grid spaced by the cutoff time, and scores each lag
     against the analytic target.  Fails if any |z| > 4.  Each thread draws
-    one 64-path block at a time, a group of four paths after another
+    one 64-path block at a time, a group of four paths after another, from
+    amplitudes built once for the check and freed when its blocks are done
     (:func:`qbm.dynamics.noise_blocks`), and reduces each group to its
     per-path lag products as it is drawn; the estimates are one reduction
     of those in id order, so they do not depend on the thread count.  Its
@@ -529,12 +529,8 @@ def noise_check(cfg, out_dir=None, dump=False):
                         write(path, row=lo + g + j)
 
         # the run's own streams, a group per thread alive at a time
-        try:
-            _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed, 0,
-                              range(cfg.n_traj), work)
-        finally:
-            # the amplitudes every group shared
-            _noise._checked_amplitudes.cache_clear()
+        _dyn.noise_blocks(spec, grid, cfg.statistics, cfg.master_seed, 0,
+                          range(cfg.n_traj), work)
         est, se = _noise.lag_statistics(products)
         target = _noise.target_correlation(spec, cfg.statistics, lags, sched.dt)
         z = (est - target) / np.where(se > 0, se, 1.0)
@@ -578,6 +574,9 @@ def _resolve_config(arg, overrides):
 
 
 def main(argv=None):
+    # imported here: qbm.cli.run and noise_check do not parse a command line
+    import argparse
+
     ap = argparse.ArgumentParser(prog="qbm", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 

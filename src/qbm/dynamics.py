@@ -436,16 +436,18 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
     ``noise._FFT_ROWS`` paths at a time, as ``(g, rows)``: row ``j`` of
     ``rows`` is the noise path of ``ids[lo + g + j]``, each group one
     :func:`qbm.noise.synthesize_batch` call on ``rngs[g:g + _FFT_ROWS]``,
-    made as ``work`` asks for it.  A block's calls share their workspaces
+    made as ``work`` asks for it.  The noise amplitudes are built once per
+    call, before any block runs, and freed on return; a block's calls read
+    them and share one pair of workspaces
     (:func:`qbm.noise.shared_workspaces`), so ``rows`` is valid only until
     ``work`` asks for the next group: ``work`` takes each group's rows
     where they go, and a thread holds one group, not a block.  ``work``
     must draw every group before it continues a stream past its noise (a
     preparation draw), and this checks that it drew them all.
 
-    Every id's stream key is hashed first, in one pass.  Then the calling
-    thread and short-lived others, one per usable core
-    (:func:`qbm.noise.usable_cores`) and at most one per block, claim
+    Every id's stream key is hashed first, in one pass, and the amplitudes
+    built.  Then the calling thread and short-lived others, one per usable
+    core (:func:`qbm.noise.usable_cores`) and at most one per block, claim
     whole blocks from one shared counter and run each end to end: making
     its streams, synthesising its noise and calling ``work``; a thread
     whose core another process takes runs fewer blocks.  Each thread is
@@ -467,6 +469,8 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
     stops the claims and is raised here; no piece is booked after it.
     """
     keys = _stream_keys(master_seed, stream_tag, ids)
+    # one array for every block, freed on return (None for white noise)
+    amplitudes = _noise._checked_amplitudes(spec, grid, statistics)
     n_threads = _noise_threads(len(ids))
     try:
         cores = sorted(os.sched_getaffinity(0)) if n_threads > 1 else None
@@ -491,7 +495,7 @@ def noise_blocks(spec, grid, statistics, master_seed, stream_tag, ids, work, boo
         # the block's groups drawn into one pair of workspaces, freed before
         # the booking: held over a thread's blocks, the pairs raised
         # gauss-fig1's peak RSS by 0.25 MB
-        with _noise.shared_workspaces():
+        with _noise.shared_workspaces(spec, grid, statistics, amplitudes):
             drawn = groups(rngs)
             piece = work(lo, hi, rngs, drawn)
             if next(drawn, None) is not None:
@@ -666,11 +670,11 @@ def memory_plan(spec, pot, sched, statistics, n_traj, stacked=False,
                  MemoryTerm("batch records",
                             (-(-batch // _NOISE_BLOCK) - threads) * block * held, _ROWS)]
         # the draws, one update array of a group's rows, the lags and
-        # responses it gathers, and numpy's buffers for the three operands
-        # of an update of a short block's (strided) records
+        # responses it gathers, and numpy's buffers for the two operands of
+        # a broadcast product into it
         updates = MemoryTerm("intervention updates", threads * (
             _NOISE_BLOCK * _DRAW_BYTES + (block + 16) * max(n_rec, n_iv)
-            + 24 * np.getbufsize()), _ROWS)
+            + 16 * np.getbufsize()), _ROWS)
     else:
         width = _buffer_width(batch)
         terms = [*_noise_terms(grid, statistics, master_seed, stream_tag, batch, batch,
@@ -1091,8 +1095,11 @@ def _apply_map(sched, plan, linear, groups, rngs):
     potential), the kick ``p0 - pbar`` through (Gx, Gp) and a jump ``r0 -
     r_pre`` through (Jx, Jp); nodes ascend, so those rows are each group's
     tail, updated in place from one update array.  The records at the node
-    itself are ``(r0, p0)`` exactly.  Returns (x_rec, p_rec, weights), a
-    record the map does not hold being None.
+    itself are ``(r0, p0)`` exactly.  A short block's products stay
+    ``_NOISE_BLOCK`` paths wide until they are returned, its padded paths
+    drawing zeros and so taking zero updates: numpy updates a contiguous
+    tail without a buffer, a strided one through one per operand.  Returns
+    (x_rec, p_rec, weights), a record the map does not hold being None.
     """
     n_steps = sched.n_steps
     (x_rows, p_rows, iv_rows), gx, gp, jx, jp = linear
@@ -1101,19 +1108,20 @@ def _apply_map(sched, plan, linear, groups, rngs):
     values = np.zeros((_NOISE_BLOCK, n_steps + 1))
     for g, group in groups:
         values[g:g + len(group)] = group
-    x, p = ((rows @ values.T)[:, :b] if rows is not None else None
-            for rows in (x_rows, p_rows))
+    x, p = (rows @ values.T if rows is not None else None for rows in (x_rows, p_rows))
     ivx, ivp = (iv_rows.reshape(-1, n_steps + 1) @ values.T).reshape(
-        2, len(iv), _NOISE_BLOCK)[:, :, :b]
+        2, len(iv), _NOISE_BLOCK)
     weights = np.ones(b)
     # one update array, as many rows as the longest tail
-    update = np.empty((max(len(rec), len(iv)), b)) if plan else None
+    update = np.empty((max(len(rec), len(iv)), _NOISE_BLOCK)) if plan else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (node, draw) in enumerate(plan):
             rbar, pbar = ivx[k], ivp[k]
-            r_pre, r0, p0, w = np.array(
-                [draw(rbar[i], pbar[i], rngs[i]) for i in range(b)], dtype=float).T
-            weights *= w
+            # a short block's padded paths draw zeros, so take zero updates
+            drawn = np.zeros((_NOISE_BLOCK, 4))
+            drawn[:b] = [draw(rbar[i], pbar[i], rngs[i]) for i in range(b)]
+            r_pre, r0, p0, w = drawn.T
+            weights *= w[:b]
             shift, kick, dx = r_pre - rbar, p0 - pbar, r0 - r_pre
             jumps = np.any(dx)
             after = np.searchsorted(rec, node, side="right")
@@ -1135,7 +1143,7 @@ def _apply_map(sched, plan, linear, groups, rngs):
                 for a, at in ((x, r0), (p, p0)):
                     if a is not None:
                         a[after - 1] = at
-    return (None if x is None else x.T), (None if p is None else p.T), weights
+    return (None if x is None else x[:, :b].T), (None if p is None else p[:, :b].T), weights
 
 
 def _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag, records=RECORDS):
@@ -1144,7 +1152,8 @@ def _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag, records
 
     The engine (:func:`_takes_map`), noise grid, draws and, on the linear
     map, its rows of ``records`` (:func:`linear_rows`) are set up once per
-    run, before any block thread starts, and freed with ``run_batch``.
+    run, before any block thread starts, and freed with ``run_batch``; the
+    noise amplitudes, once per batch (:func:`noise_blocks`).
     Each piece goes to ``book(first, x, p, weights)``, ``first`` being the
     id of its first trajectory: on the linear map one piece per noise block,
     booked by a block thread (:func:`noise_blocks`), so a batch never holds
@@ -1211,11 +1220,12 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
     coefficients are drawn first, then any preparation draws, so a
     trajectory's bits depend on its id, not on ``n_traj`` or on the batch
     of ``_BATCH`` it lands in.  What the batches share, the linear map's
-    rows and the noise amplitudes among it, is set up once
-    (:func:`_batch_runner`) and freed on return.  The batches are
-    integrated in the calling process, one after another, each running its
-    noise blocks, and on the linear map their records, on one thread per
-    usable core (:func:`noise_blocks`), with the same bits on any count.
+    rows among it, is set up once (:func:`_batch_runner`) and freed on
+    return; each batch's noise blocks build and free their own amplitudes
+    (:func:`noise_blocks`).  The batches are integrated in the calling
+    process, one after another, each running its noise blocks, and on the
+    linear map their records, on one thread per usable core, with the same
+    bits on any count.
     OpenBLAS runs on one thread while the ensemble is integrated (its count
     is restored on return), as it does for the deterministic solve
     (:func:`momentum_response`), so results are also independent of
@@ -1276,21 +1286,17 @@ def run_ensemble(spec, pot, sched, n_traj, statistics, master_seed, *,
             consumer(TrajectoryEnsemble(times, x, p, w, failed_ids=rows, failure_time=t_bad))
 
     done = 0
-    try:
-        with _one_blas_thread():
-            run_batch = _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag,
-                                      records)
-            for lo in range(0, n_traj, _BATCH):
-                done = min(lo + _BATCH, n_traj)
-                run_batch(range(lo, done), book)
-                if progress:
-                    progress(done, n_traj)
-                if len(failed) > 0.001 * n_traj:
-                    # the run fails whatever the rest holds
-                    break
-    finally:
-        # the amplitudes every noise group of the run shared
-        _noise._checked_amplitudes.cache_clear()
+    with _one_blas_thread():
+        run_batch = _batch_runner(spec, pot, sched, statistics, master_seed, stream_tag,
+                                  records)
+        for lo in range(0, n_traj, _BATCH):
+            done = min(lo + _BATCH, n_traj)
+            run_batch(range(lo, done), book)
+            if progress:
+                progress(done, n_traj)
+            if len(failed) > 0.001 * n_traj:
+                # the run fails whatever the rest holds
+                break
 
     failed = np.array(failed, dtype=int)
     t_bad = min(bad_times, default=None)

@@ -14,7 +14,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -81,7 +80,9 @@ class FrequencyGrid:
         """Smallest FFT-friendly grid covering ``n_times`` samples at ``t_step``.
 
         The FFT length is the next fast length at least ``3 * span / t_step``
-        (anti-aliasing period) and at least ``n_times``.
+        (anti-aliasing period) and at least ``n_times``.  ``spec`` is not
+        read: the grid depends on the time layout alone, and
+        :meth:`validate` checks it against a bath.
         """
         span = (n_times - 1) * t_step
         min_len = max(int(np.ceil(_PERIOD_FACTOR * span / t_step)), n_times, 16)
@@ -252,44 +253,49 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=4)
 def _checked_amplitudes(spec, grid, statistics):
-    """The grid validated and :func:`mode_amplitudes` cast to complex, once
-    per bath, grid and statistics: each group of a run's noise blocks is
-    one :func:`synthesize_batch` call.  Read-only.  A run and a noise-check
-    clear the cache when they return, so the amplitudes live as long as
-    they do."""
+    """The grid validated and :func:`mode_amplitudes` cast to complex, for
+    every group a :func:`synthesize_batch` call forms from them; None for
+    white noise, which has none.  Read-only, since the block threads of a
+    :func:`qbm.dynamics.noise_blocks` call share one array."""
     grid.validate(spec)
-    # multiplying by the real amplitudes would cast them on every call
+    if statistics == WHITE:
+        return None
+    # multiplying by the real amplitudes would cast them on every group
     amp = mode_amplitudes(spec, grid, statistics).astype(complex)
     amp.flags.writeable = False
     return amp
 
 
-# The workspaces this thread's synthesize_batch calls share, by number of
-# modes, while :func:`shared_workspaces` holds them
+# What this thread's synthesize_batch calls share while
+# :func:`shared_workspaces` holds it: (spec, grid, statistics), the
+# amplitudes and the workspace pair
 _shared = threading.local()
 
 
 @contextlib.contextmanager
-def shared_workspaces():
-    """Let this thread's :func:`synthesize_batch` calls share their workspaces.
+def shared_workspaces(spec, grid, statistics, amplitudes):
+    """Let this thread's :func:`synthesize_batch` calls of one bath, grid and
+    statistics share ``amplitudes`` (:func:`_checked_amplitudes`) and one
+    pair of ``_FFT_ROWS``-row workspaces.
 
-    Within the context the calls of one grid draw into one pair of
-    workspaces, allocated by the first of them, so a call of at most
-    ``_FFT_ROWS`` paths returns rows that are valid only until this
-    thread's next call.  A run synthesises its noise a group of
-    ``_FFT_ROWS`` paths per call (:func:`qbm.dynamics.noise_blocks`):
-    allocating the workspaces anew for each group, the allocator handed
-    their pages back to the OS and took them again on every call, which
-    made fig2's noise-check a third slower.
+    The pair is allocated on entry, but for white noise, and freed on exit;
+    a call of at most ``_FFT_ROWS`` paths returns rows that are valid only
+    until this thread's next call.  A run synthesises its noise a group of
+    ``_FFT_ROWS`` paths per call, each noise block within this context
+    (:func:`qbm.dynamics.noise_blocks`, which builds the amplitudes once
+    for all its blocks): allocating the workspaces anew for each group, the
+    allocator handed their pages back to the OS and took them again on
+    every call, which made fig2's noise-check a third slower.  A call for
+    another bath, grid or statistics sets up its own.
     """
-    outer = getattr(_shared, "pairs", None)
-    _shared.pairs = {}
+    pair = None if statistics == WHITE else _workspaces(_FFT_ROWS, grid.n_modes)
+    outer = getattr(_shared, "state", None)
+    _shared.state = ((spec, grid, statistics), amplitudes, pair)
     try:
         yield
     finally:
-        _shared.pairs = outer
+        _shared.state = outer
 
 
 def _workspace_shape(n_rows, n_modes):
@@ -299,20 +305,12 @@ def _workspace_shape(n_rows, n_modes):
 
 def _workspaces(n_rows, n_modes):
     """``(scratch, coeff)``: ``n_rows`` rows of ``2 (n_modes + 1)`` floats and
-    of ``n_modes + 1`` complex coefficients, or within
-    :func:`shared_workspaces` the thread's ``_FFT_ROWS``-row pair."""
-    pairs = getattr(_shared, "pairs", None)
-    if pairs is not None and n_modes in pairs:
-        return pairs[n_modes]
-    rows = n_rows if pairs is None else _FFT_ROWS
+    of ``n_modes + 1`` complex coefficients."""
     # one allocation for both: glibc hands the free top of its heap back to
     # the OS once it exceeds twice the largest mapped chunk freed so far, and
     # as two halves each block's pair crossed that and was faulted in anew
-    whole = np.empty(_workspace_shape(rows, n_modes))
-    pair = (whole[0], whole[1].view(complex))
-    if pairs is not None:
-        pairs[n_modes] = pair
-    return pair
+    whole = np.empty(_workspace_shape(n_rows, n_modes))
+    return whole[0], whole[1].view(complex)
 
 
 def synthesize_batch(spec, grid, statistics, rngs):
@@ -327,27 +325,32 @@ def synthesize_batch(spec, grid, statistics, rngs):
     written and scaled, and one of complex coefficients.  So beyond the
     result the working set does not grow with the number of paths, and
     since every row keeps its own generator, draw order and transform, a
-    path does not depend on the rows around it.  Within
-    :func:`shared_workspaces`, where a run draws each group of its noise
-    blocks (:func:`qbm.dynamics.noise_blocks`), the thread's calls share
-    their workspaces, and a call of at most ``_FFT_ROWS`` generators
-    returns its rows in place: the first ``n_times`` columns of the first
-    workspace, valid until the thread's next call.
+    path does not depend on the rows around it.  A call validates the grid
+    and builds its amplitudes and workspaces, and frees them on return,
+    but within :func:`shared_workspaces` of its bath, grid and statistics,
+    where a run draws each group of its noise blocks
+    (:func:`qbm.dynamics.noise_blocks`): there it reads the context's, and
+    a call of at most ``_FFT_ROWS`` generators returns its rows in place,
+    the first ``n_times`` columns of the first workspace, valid until the
+    thread's next call.
     """
     if statistics not in STATISTICS:
         raise ConfigurationError(f"unknown noise statistics {statistics!r}")
+    state = getattr(_shared, "state", None)
+    if state is not None and state[0] == (spec, grid, statistics):
+        _, amp, pair = state
+    else:
+        amp, pair = _checked_amplitudes(spec, grid, statistics), None
     if statistics == WHITE:
-        grid.validate(spec)
         out = np.empty((len(rngs), grid.n_times))
         scale = np.sqrt(_white_variance(spec, grid.t_step))
         for row, r in zip(out, rngs):
             r.standard_normal(out=row)
             row *= scale
         return out
-    amp = _checked_amplitudes(spec, grid, statistics)
     m = grid.fft_length
-    scratch, coeff = _workspaces(min(len(rngs), _FFT_ROWS), grid.n_modes)
-    in_place = getattr(_shared, "pairs", None) is not None and len(rngs) <= _FFT_ROWS
+    in_place = pair is not None and len(rngs) <= _FFT_ROWS
+    scratch, coeff = pair or _workspaces(min(len(rngs), _FFT_ROWS), grid.n_modes)
     out = scratch[:len(rngs), :grid.n_times] if in_place else np.empty((len(rngs), grid.n_times))
     for lo in range(0, len(rngs), _FFT_ROWS):
         group = rngs[lo:lo + _FFT_ROWS]

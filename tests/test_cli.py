@@ -7,6 +7,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -753,24 +754,21 @@ class TestNoiseCheck:
         assert (tmp_path / "nc" / "noise_check.json").exists()
 
     def test_amplitudes_are_freed_on_return(self, tmp_path):
-        # every group of the check reads one array of amplitudes (on one
-        # thread: two may both miss the first time), which the check does
-        # not leave behind
+        # every group of the check, on two noise threads, reads one array
+        # of amplitudes, built once, which the check does not leave behind
         cfg = parse_config(write_config(tmp_path, n_traj=200))
-        qnoise._checked_amplitudes.cache_clear()
-        hits = []
-        synthesize_batch = qnoise.synthesize_batch
+        checked, refs = qnoise._checked_amplitudes, []
 
-        def spy(*args):
-            hits.append(qnoise._checked_amplitudes.cache_info().misses)
-            return synthesize_batch(*args)
+        def watched(*args):
+            amp = checked(*args)
+            refs.append(weakref.ref(amp))
+            return amp
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qnoise, "synthesize_batch", spy)
-            patch.setattr(qnoise, "usable_cores", lambda: 1)
+            patch.setattr(qnoise, "_checked_amplitudes", watched)
+            patch.setattr(qnoise, "usable_cores", lambda: 2)
             noise_check(cfg, out_dir=str(tmp_path / "nc"))
-        assert hits == [0] + [1] * 49
-        assert qnoise._checked_amplitudes.cache_info().currsize == 0
+        assert len(refs) == 1 and refs[0]() is None
 
     def test_dump_flag_writes_ensemble(self, tmp_path):
         from qbm.noise import load_ensemble
@@ -1233,6 +1231,34 @@ class TestImportPath:
         # nor numpy.ma, which costs every run its import
         for preset, modules in loaded.items():
             assert modules == [], (preset, modules)
+
+    def test_runs_load_neither_numpy_polynomial_nor_argparse(self, tmp_path):
+        # importing them cost every run 1.1 MB of RSS: only the command line
+        # needs argparse, and only a cat's box mass, a polynomial potential
+        # or a polynomial observable numpy.polynomial, which a fig2 run
+        # still loads on demand
+        script = textwrap.dedent("""
+            import json
+            import os
+            import sys
+            from qbm import cli
+
+            loaded = {}
+            for preset, command in (("fig1", cli.run), ("fig3", cli.run),
+                                    ("fig2", cli.noise_check), ("fig2-run", cli.run)):
+                cfg = cli._resolve_config(preset.split("-")[0], {"n_traj": 64})
+                command(cfg, out_dir=os.path.join(sys.argv[1], preset))
+                loaded[preset] = sorted({"numpy.polynomial", "argparse"} & set(sys.modules))
+            print(json.dumps(loaded))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        loaded = json.loads(out.stdout.strip().splitlines()[-1])
+        assert loaded == {"fig1": [], "fig3": [], "fig2": [],
+                          "fig2-run": ["numpy.polynomial"]}
 
 
 class TestBenchmarkSpans:

@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from importlib import resources
 from unittest import mock
 
@@ -561,27 +562,33 @@ class TestStreamedRun:
         assert current < qdyn._map_rows(sched).nbytes
 
     def test_amplitudes_are_set_up_once_and_freed_on_return(self, monkeypatch):
-        # a run of two batches, whose noise groups all read one array of
-        # amplitudes (on one thread: two may both miss the first time), does
-        # not leave it behind, on the map or the stepper, nor when a
+        # a run of two batches, on two noise threads, builds the amplitudes
+        # once per batch, which every noise group of its blocks reads, and
+        # does not leave them behind, on the map or the stepper, nor when a
         # trajectory diverges
         monkeypatch.setattr(qdyn, "_BATCH", 128)
-        monkeypatch.setattr(qnoise, "usable_cores", lambda: 1)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+        checked, refs = qnoise._checked_amplitudes, []
+
+        def watched(*args):
+            amp = checked(*args)
+            refs.append(weakref.ref(amp))
+            return amp
+
+        monkeypatch.setattr(qnoise, "_checked_amplitudes", watched)
         sched = Schedule(t_eq=2.0, t_end=1.0, dt=0.05, record_stride=4)
         dense = Schedule(t_eq=2.0, t_end=1.0, dt=0.05)
         for pot, s in ((FREE, sched), (FREE, dense), (WELL, sched)):
-            qnoise._checked_amplitudes.cache_clear()
-            seen = []
-            run_ensemble(FIG1, pot, s, 256, "quantum", 1, consumer=lambda piece: seen.append(
-                qnoise._checked_amplitudes.cache_info().misses))
-            assert seen == [1] * (4 if qdyn._takes_map(pot, s) else 2)
-            assert qnoise._checked_amplitudes.cache_info().currsize == 0
+            refs.clear()
+            run_ensemble(FIG1, pot, s, 256, "quantum", 1, consumer=lambda piece: None)
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
         kick = Schedule(t_eq=0.05, t_end=10.0, dt=0.05,
                         interventions=(Intervention(0.0, ResetTo(1.5, 1.0)),))
+        refs.clear()
         with pytest.raises(IntegrationFailure):
             run_ensemble(NO_BATH, Potential.polynomial([0.0, 0.0, 0.0, 0.0, -5.0]), kick, 8,
                          "quantum", 3)
-        assert qnoise._checked_amplitudes.cache_info().currsize == 0
+        assert len(refs) == 1 and refs[0]() is None
 
     def test_waiting_blocks_stay_within_what_check_memory_counts(self, monkeypatch):
         # the worst case the memory plan counts: block 0 is held back until

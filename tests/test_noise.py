@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -174,17 +175,32 @@ class TestSynthesize:
             assert abs(e - classical_correlation(spec, lag)) <= 3.0 * s
 
 
-def test_checked_amplitudes_are_shared_and_read_only():
-    # every noise block of a run reads one array, which none may change
+def test_checked_amplitudes_are_shared_and_read_only(monkeypatch):
+    # the blocks of one noise_blocks call read one array, which none may
+    # change; each call builds its own, and white noise has none
     spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
     grid = FrequencyGrid.for_times(spec, 0.025, 401)
     amp = _checked_amplitudes(spec, grid, QUANTUM)
-    assert _checked_amplitudes(BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5),
-                               FrequencyGrid.for_times(spec, 0.025, 401), QUANTUM) is amp
     with pytest.raises(ValueError):
         amp[0] = 0.0
-    assert _checked_amplitudes(spec, grid, CLASSICAL) is not amp
     assert amp.tobytes() == mode_amplitudes(spec, grid, QUANTUM).astype(complex).tobytes()
+    assert _checked_amplitudes(spec, grid, QUANTUM) is not amp
+    assert _checked_amplitudes(spec, grid, WHITE) is None
+    shared = []
+    workspaces = qnoise.shared_workspaces
+
+    def spy(spec, grid, statistics, amplitudes):
+        shared.append(amplitudes)
+        return workspaces(spec, grid, statistics, amplitudes)
+
+    monkeypatch.setattr(qnoise, "shared_workspaces", spy)
+    monkeypatch.setattr(qnoise, "usable_cores", lambda: 2)
+    for _ in range(2):
+        block_rows(spec, grid, QUANTUM, 1, 4 * 64)
+    assert len(shared) == 8
+    assert all(a is shared[0] for a in shared[:4]) and shared[4] is not shared[0]
+    assert all(a is shared[4] for a in shared[4:])
+    assert shared[0].tobytes() == amp.tobytes() and not shared[0].flags.writeable
 
 
 class TestLinearVariance:
@@ -286,17 +302,18 @@ class TestChunkedSynthesis:
 
 def test_synthesis_working_set_is_its_row_workspaces():
     # fig2's grid (4001 samples of a 12000-point period): beyond the output
-    # only two workspaces of four rows (each row fft_length + 2 floats), one
-    # of normals and transform output, one of coefficients, and one numpy
-    # ufunc buffer may exist, whatever the number of paths; the complex
-    # amplitudes are cast once, by the first call
+    # only the complex amplitudes, two workspaces of four rows (each row
+    # fft_length + 2 floats), one of normals and transform output, one of
+    # coefficients, and one numpy ufunc buffer may exist, whatever the
+    # number of paths; a call outside a noise block builds its own
+    # amplitudes and workspaces
     spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
     grid = FrequencyGrid.for_times(spec, 0.001, 4001)
     assert grid.fft_length == 12000
     terms = qdyn._noise_terms(grid, QUANTUM, 43, 0, 1, 1, "")
-    workspaces = (next(term.nbytes for term in terms if term.name == "noise workspaces")
-                  + 8 * np.getbufsize())
-    synthesize_batch(spec, grid, QUANTUM, [stream(43, 1, 0)])  # first-call set-up
+    held = (sum(term.nbytes for term in terms
+                if term.name in ("noise amplitudes", "noise workspaces"))
+            + 8 * np.getbufsize())
 
     def beyond_output(n):
         rngs = [stream(43, 0, i) for i in range(n)]
@@ -307,27 +324,28 @@ def test_synthesis_working_set_is_its_row_workspaces():
         finally:
             tracemalloc.stop()
 
-    assert beyond_output(64) <= 1.02 * workspaces
-    assert beyond_output(256) <= 1.02 * workspaces
+    assert beyond_output(64) <= 1.02 * held
+    assert beyond_output(256) <= 1.02 * held
 
 
 @pytest.mark.parametrize("statistics", [QUANTUM, CLASSICAL])
 def test_group_calls_share_one_pair_of_workspaces(statistics):
-    # within shared_workspaces a thread's calls of four paths draw into one
-    # pair of workspaces, allocated by the first call, and return their rows
-    # in place: sixteen calls hold what one does, and each call's rows are
-    # those of a call of its own
+    # within shared_workspaces a thread's calls of four paths read its
+    # amplitudes, draw into one pair of workspaces, allocated on entry, and
+    # return their rows in place: sixteen calls hold what one does, and each
+    # call's rows are those of a call of its own
     spec = BathSpec(gamma=np.pi / 2, eps=0.01, kT=1.0)
     grid = FrequencyGrid.for_times(spec, 0.001, 4001)
-    synthesize_batch(spec, grid, statistics, [stream(43, 1, 0)])  # first-call set-up
     ref = synthesize_batch(spec, grid, statistics, [stream(43, 0, i) for i in range(64)])
     rngs = [stream(43, 0, i) for i in range(64)]
+    amp = _checked_amplitudes(spec, grid, statistics)
+    other = FrequencyGrid.for_times(spec, 0.001, 2001)
     peaks = []
     tracemalloc.start()
     try:
-        with qnoise.shared_workspaces():
-            first = synthesize_batch(spec, grid, statistics, rngs[:4])
+        with qnoise.shared_workspaces(spec, grid, statistics, amp):
             held = tracemalloc.get_traced_memory()[0]
+            first = synthesize_batch(spec, grid, statistics, rngs[:4])
             assert first.tobytes() == ref[:4].tobytes()
             for g in range(4, 64, 4):
                 tracemalloc.reset_peak()
@@ -335,6 +353,11 @@ def test_group_calls_share_one_pair_of_workspaces(statistics):
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 assert np.shares_memory(rows, first)
                 assert rows.tobytes() == ref[g:g + 4].tobytes()
+            # a call for another grid sets up its own and returns its own rows
+            own = synthesize_batch(spec, other, statistics, [stream(43, 0, 0)])
+            assert not np.shares_memory(own, first)
+            assert own.tobytes() == synthesize_batch(
+                spec, other, statistics, [stream(43, 0, 0)]).tobytes()
     finally:
         tracemalloc.stop()
     # the workspaces one noise thread holds, as the memory plan counts them
@@ -428,6 +451,36 @@ class TestThreadedSynthesis:
         first = synthesize_batch(spec, grid, QUANTUM, [stream(46, 0, 0)])
         again = synthesize_batch(spec, grid, QUANTUM, [stream(46, 0, 1)])
         assert not np.shares_memory(first, again)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_amplitudes_are_built_once_per_call(self, monkeypatch, threads):
+        # building the amplitudes is made slow, so that every thread would
+        # start a block, and miss a cache, while the first still builds:
+        # the call builds them once, before its blocks, and frees them when
+        # it returns
+        spec = BathSpec(gamma=np.pi / 2, eps=0.5, kT=0.5)
+        grid = FrequencyGrid.for_times(spec, 0.025, 401)
+        ref = stacked_synthesis(spec, grid, QUANTUM, _traj_streams(48, 0, range(threads * 64)))
+        built, refs = [], []
+        amplitudes, checked = qnoise.mode_amplitudes, qnoise._checked_amplitudes
+
+        def slow(*args):
+            built.append(threading.current_thread())
+            time.sleep(0.2)
+            return amplitudes(*args)
+
+        def watched(*args):
+            amp = checked(*args)
+            refs.append(weakref.ref(amp))
+            return amp
+
+        monkeypatch.setattr(qnoise, "mode_amplitudes", slow)
+        monkeypatch.setattr(qnoise, "_checked_amplitudes", watched)
+        monkeypatch.setattr(qnoise, "usable_cores", lambda: threads)
+        got = block_rows(spec, grid, QUANTUM, 48, threads * 64)
+        assert len(built) == 1 and len(refs) == 1
+        assert refs[0]() is None
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("statistics", [QUANTUM, WHITE])
     def test_a_slow_thread_fills_fewer_groups(self, monkeypatch, statistics):

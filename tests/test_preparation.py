@@ -313,6 +313,20 @@ class TestRejectionDraws:
             assert rng.random() == ref.random()
 
 
+def test_rule_is_built_on_first_use_with_the_bits_of_the_import_time_rule():
+    # the 20-point rule a cat's box mass integrates with, once built at
+    # import: built on demand it has the same bytes, so a fig2 run's box
+    # mass keeps its own, and it is built once
+    x, w = np.polynomial.legendre.leggauss(20)
+    nodes, weights = qprep._rule()
+    assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert weights.tobytes() == (0.5 * w).tobytes()
+    assert qprep._rule()[0] is nodes
+    lo, hi = _gauss_legendre([0.0, 0.5, 2.0])
+    assert lo.tobytes() == np.concatenate([0.5 * nodes, 0.5 + 1.5 * nodes]).tobytes()
+    assert hi.tobytes() == np.concatenate([0.5 * weights, 1.5 * weights]).tobytes()
+
+
 class TestCatBoxMass:
     @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3), (0.3, 0.2)])
     def test_matches_nested_quadrature(self, x0, sigma):
