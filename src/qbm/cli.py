@@ -275,12 +275,6 @@ def parse_config(path, overrides=None):
         sched.validate_against(spec, pot)
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    # outside the try: its messages name the [run] and [schedule] keys; the
-    # records are those the estimators read, whatever their times (a dump
-    # reads both, and its run checks its own plan)
-    records = _records(_accumulator(name, cfg, [0.0]) for name in observables)
-    _dyn.check_memory(_dyn.memory_plan(spec, pot, sched, cfg.statistics, cfg.n_traj,
-                                       master_seed=cfg.master_seed, records=records))
     return cfg
 
 
@@ -343,14 +337,16 @@ def run(cfg, out_dir=None, dump_trajectories=False, progress=None):
     spec = cfg.bath_spec()
     pot = cfg.potential_obj()
     sched = cfg.schedule_obj()
-    times = sched.record_times()
-    accumulators = {name: _accumulator(name, cfg, times) for name in cfg.observables}
-    records = _records(accumulators.values(), dump=dump_trajectories)
-    # the run's own plan, checked before anything is made: a dump reads both
-    # records, where parse_config planned the estimators' reads
+    # the run's plan, checked before anything is made, the record times
+    # included (dt = 1e-300 would list 6e300): the records are those the
+    # estimators read, whatever their times, and a dump reads both
+    records = _records((_accumulator(name, cfg, [0.0]) for name in cfg.observables),
+                       dump=dump_trajectories)
     plan = _dyn.memory_plan(spec, pot, sched, cfg.statistics, cfg.n_traj,
                             master_seed=cfg.master_seed, records=records)
     _dyn.check_memory(plan)
+    times = sched.record_times()
+    accumulators = {name: _accumulator(name, cfg, times) for name in cfg.observables}
 
     out_dir = _output_dir(out_dir)
     ref_observable = _REFERENCE_OBSERVABLE.get(cfg.reference["mode"])

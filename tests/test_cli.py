@@ -71,7 +71,9 @@ def write_config(tmp_path, name="exp.cfg", **kw):
 
 
 # inputs no run can honour: (write_config keywords, (old, new) text
-# replacement or None, error message)
+# replacement or None, error message).  parse_config plans no memory: an
+# oversize plan is rejected by the command that plans it, run's or
+# noise-check's, so its message maps each command to its own plan's
 REJECTED = [
     pytest.param(dict(potential="form = free\nomega0 = 1.0"), None,
                  r"\[potential\] form free does not read 'omega0'", id="free-omega0"),
@@ -108,9 +110,12 @@ REJECTED = [
     # a standard error needs two trajectories
     pytest.param(dict(observables="msd = default", n_traj=1), None,
                  r"\[run\] n_traj must be >= 2, got 1", id="msd-n_traj-1"),
-    pytest.param(dict(n_traj=10**14), None,
-                 r"\[run\] n_traj = 100000000000000 over 120 steps needs .* most of it is "
-                 r"the weights, .* GiB \(lower \[run\] n_traj\)", id="n_traj-1e14"),
+    pytest.param(dict(n_traj=10**14), None, {
+        "run": r"\[run\] n_traj = 100000000000000 over 120 steps needs .* most of it is "
+               r"the weights, .* GiB \(lower \[run\] n_traj\)",
+        "noise-check": r"noise-check of \[run\] n_traj = 100000000000000 paths needs .* "
+                       r"most of it is the lag products, .* GiB \(lower \[run\] n_traj or "
+                       r"--n-traj\)"}, id="n_traj-1e14"),
     pytest.param(dict(), ("t_end = 2.0", "t_end = inf"),
                  r"\[schedule\] t_end must be a finite number, got 'inf'", id="t_end-inf"),
     pytest.param(dict(potential="form = harmonic\nomega0 = 1.0", prep="cat",
@@ -132,10 +137,13 @@ REJECTED = [
       for name, writer in (("run_manifest.json", "the run"), ("trajectories.bin", "the run"),
                            ("noise_paths.bin", "qbm noise-check"),
                            ("noise_check.json", "qbm noise-check"))),
-    pytest.param(dict(), ("dt = 0.05", "dt = 1e-300"),
-                 r"\[run\] n_traj = 64 over 6e\+300 steps needs .* GiB, more than the .* GiB "
-                 r"of physical memory; most of it is the batch buffer, .* GiB \(raise "
-                 r"\[schedule\] dt\)", id="dt-1e-300"),
+    pytest.param(dict(), ("dt = 0.05", "dt = 1e-300"), {
+        "run": r"\[run\] n_traj = 64 over 6e\+300 steps needs .* GiB, more than the .* GiB "
+               r"of physical memory; most of it is the batch buffer, .* GiB \(raise "
+               r"\[schedule\] dt\)",
+        "noise-check": r"noise-check of \[run\] n_traj = 64 paths needs .* GiB, more than the "
+                       r".* GiB of physical memory; most of it is the noise workspaces, .* GiB "
+                       r"\(raise \[schedule\] dt\)"}, id="dt-1e-300"),
     pytest.param(dict(prep="gaussian", prep_extra="sigma0 = 1.0",
                       observables="x2 = a.csv\np2 = a_reference.csv"),
                  ("[run]", "[reference]\nmode = sigma2\n\n[run]"),
@@ -308,8 +316,17 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("kw, edit, message", REJECTED)
     def test_input_a_run_cannot_honour_rejected(self, tmp_path, kw, edit, message):
-        with pytest.raises(ConfigurationError, match=message):
-            parse_config(write_edited(tmp_path, kw, edit))
+        # parse_config rejects a config error, the run an oversize plan,
+        # before it makes any output
+        path = write_edited(tmp_path, kw, edit)
+        if isinstance(message, dict):
+            cfg = parse_config(path)
+            with pytest.raises(ConfigurationError, match=message["run"]):
+                run(cfg, out_dir=str(tmp_path / "o"))
+            assert not (tmp_path / "o").exists()
+        else:
+            with pytest.raises(ConfigurationError, match=message):
+                parse_config(path)
 
     def test_identity_reads_no_intervention_keys(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -418,8 +435,8 @@ class TestRun:
                     == (tmp_path / "x2" / "sigma2.csv").read_bytes())
 
     def test_a_dump_too_large_is_rejected_before_any_output(self, tmp_path, monkeypatch):
-        # x2 alone reads x, and parse_config plans that; a dump reads both,
-        # so its run plans more and is checked before it makes anything
+        # x2 alone reads x; a dump reads both, so its run plans more and is
+        # checked before it makes anything
         cfg = parse_config(write_config(tmp_path))
         args = (cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(), cfg.statistics,
                 cfg.n_traj)
@@ -1047,8 +1064,30 @@ class TestMain:
         assert main([command, str(path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        if isinstance(message, dict):
+            message = message[command]
         assert re.search(message, err) and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_noise_check_is_held_to_its_own_plan(self, tmp_path, capsys, monkeypatch):
+        # physical memory just below the run's plan, above noise-check's:
+        # the check passes, and the run is rejected on one line before it
+        # makes its output directory
+        path = write_config(tmp_path)
+        cfg = parse_config(path)
+        plan = qdyn.memory_plan(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(),
+                                cfg.statistics, cfg.n_traj, master_seed=cfg.master_seed,
+                                records=("x",))
+        memory = sum(term.nbytes for term in plan.terms) - 1
+        monkeypatch.setattr(qdyn, "physical_memory", lambda: memory)
+        assert main(["noise-check", str(path), "--out-dir", str(tmp_path / "check")]) == 0
+        assert (tmp_path / "check" / "noise_check.json").exists()
+        capsys.readouterr()
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [run] n_traj = 64 over 120 steps needs ")
+        assert "physical memory" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
 
     # without t_eq the default span reads the bath and dt: a bad value among
     # them still ends on one line naming its key
@@ -1076,7 +1115,11 @@ class TestMain:
         out = tmp_path / "o"
         assert main([command, str(cfg), "--n-traj", str(10**14), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [run] n_traj = 100000000000000 over 120 steps needs")
+        # each command is held to its own plan
+        assert err.startswith({
+            "run": "error: [run] n_traj = 100000000000000 over 120 steps needs",
+            "noise-check": "error: noise-check of [run] n_traj = 100000000000000 paths needs",
+        }[command])
         assert len(err.splitlines()) == 1 and not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "noise-check"])
@@ -1234,9 +1277,8 @@ class TestImportPath:
 
     def test_runs_load_neither_numpy_polynomial_nor_argparse(self, tmp_path):
         # importing them cost every run 1.1 MB of RSS: only the command line
-        # needs argparse, and only a cat's box mass, a polynomial potential
-        # or a polynomial observable numpy.polynomial, which a fig2 run
-        # still loads on demand
+        # needs argparse, and only a polynomial potential or a polynomial
+        # observable numpy.polynomial, which no preset's run loads
         script = textwrap.dedent("""
             import json
             import os
@@ -1257,8 +1299,7 @@ class TestImportPath:
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                              capture_output=True, text=True, timeout=300, check=True)
         loaded = json.loads(out.stdout.strip().splitlines()[-1])
-        assert loaded == {"fig1": [], "fig3": [], "fig2": [],
-                          "fig2-run": ["numpy.polynomial"]}
+        assert loaded == {"fig1": [], "fig3": [], "fig2": [], "fig2-run": []}
 
 
 class TestBenchmarkSpans:

@@ -338,3 +338,65 @@ class TestAccumulator:
         bare = TrajectoryEnsemble(ens.times, None, None, ens.weights,
                                   failed_ids=ens.failed_ids)
         assert acc.series(bare).estimates.tobytes() == acc.series(ens).estimates.tobytes()
+
+
+def common_factor_bounds(w, vals):
+    """A-priori bounds on how far the ratio estimate, its standard error and
+    its effective sample size move, per recorded time and relative to their
+    values, when every weight is multiplied by one constant and rounded.
+
+    In exact arithmetic the three do not move.  With u = 2^-53, each weight
+    lies within 2 ulp (4 u) of the scaled one, so each term of a sum, of up
+    to three rounded factors with the weight squared among them, moves by at
+    most 16 u; each of the two computed sums of n terms lies within (n - 1) u
+    times the sum of its terms' magnitudes of its exact value: so a sum S
+    moves by at most k = (2 n + 16) u times its condition number
+    sum |terms| / |S|.  A quotient moves by the sum of its two parts'
+    bounds, and by 2 u for its own rounding in each run.  First order in u.
+    """
+    n, u = len(w), np.finfo(float).eps / 2
+    k = (2 * n + 16) * u
+    e_total = k * np.abs(w).sum() / abs(w.sum())
+    wv = w[:, None] * vals
+    ratio = wv.sum(axis=0) / w.sum()
+    e_ratio = k * np.abs(wv).sum(axis=0) / np.abs(wv.sum(axis=0)) + e_total + 2 * u
+    # the squared residuals: sum w^2 (v - shift - d)^2 with d = ratio - shift,
+    # from three sums, and through d from the ratio's move
+    w2, shifted, d = w[:, None] ** 2, vals - vals[0], ratio - vals[0]
+    magnitude = ((w2 * shifted**2).sum(axis=0) + 2 * np.abs(d) * (w2 * np.abs(shifted)).sum(axis=0)
+                 + d**2 * w2.sum())
+    slope = 2 * np.abs((w2 * (vals - ratio)).sum(axis=0))
+    resid2 = (w2 * (vals - ratio) ** 2).sum(axis=0)
+    e_resid2 = (k * magnitude + slope * np.abs(ratio) * e_ratio) / resid2
+    e_se = e_resid2 / 2 + e_total + 2 * u
+    e_ess = 2 * e_total + k + 2 * u
+    return e_ratio, e_se, e_ess
+
+
+class TestCommonFactor:
+    # a factor every weight shares cancels from the ratio, its standard error
+    # and its effective sample size; a preparation may leave one out (the
+    # cat's box mass).  Not powers of two, which scale exactly
+    @pytest.fixture(scope="class")
+    def cat(self):
+        from qbm.cli import parse_config, preset_path
+        from qbm.dynamics import run_ensemble
+
+        cfg = parse_config(preset_path("fig2"))
+        ens = run_ensemble(cfg.bath_spec(), cfg.potential_obj(), cfg.schedule_obj(), 400,
+                           cfg.statistics, cfg.master_seed)
+        assert (ens.weights < 0).any() and (ens.weights > 0).any()
+        return ens, WeylObservable.cat_coherence(cfg.preparation["x0"], cfg.preparation["sigma"])
+
+    @pytest.mark.parametrize("c", [1.2082446077909161, 1e-3, 1e3])
+    def test_estimates_ignore_a_common_factor(self, cat, c):
+        ens, obs = cat
+        scaled = TrajectoryEnsemble(ens.times, ens.x, ens.p, ens.weights * c)
+        base, moved = estimate(ens, obs), estimate(scaled, obs)
+        e_ratio, e_se, e_ess = common_factor_bounds(ens.weights, obs(ens.x, ens.p))
+        assert np.all(np.abs(moved.estimates - base.estimates)
+                      <= e_ratio * np.abs(base.estimates))
+        assert np.all(np.abs(moved.standard_errors - base.standard_errors)
+                      <= e_se * base.standard_errors)
+        assert np.all(np.abs(moved.effective_sample_size - base.effective_sample_size)
+                      <= e_ess * base.effective_sample_size)

@@ -1,4 +1,5 @@
 import copy
+import sys
 import threading
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
-from qbm import preparation as qprep
 from qbm.errors import ConfigurationError, DomainError, EnvelopeError
 from qbm.preparation import (
     Box,
@@ -15,7 +15,6 @@ from qbm.preparation import (
     GaussianLocalize,
     MomentumReset,
     _draw_signed,
-    _gauss_legendre,
     as_intervention,
     cat_wigner,
     gaussian_value,
@@ -160,7 +159,7 @@ class TestSampling:
 
         box = Box(center_r=0.0, half_r=5.0, center_p=0.0, half_p=5.0)
         with pytest.raises(EnvelopeError, match="acceptance below 1e-4"):
-            _draw_signed(stream(4), box, needle, 1.25, 1.0)
+            _draw_signed(stream(4), box, needle, 1.25)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -221,13 +220,15 @@ class TestImportanceIdentity:
     def test_cat_weight_integrates_lambda_times_f(self, x0, sigma, rbar, pbar):
         # E_q[lambda/q f] = int lambda f for f = 1 and f = r0^2; with
         # lambda = W(r0, p0) W(rbar, pbar) the right side is W(rbar, pbar)
-        # times the cat's norm 1 and its <x^2> = sigma^2 + x0^2/(1 + overlap)
+        # times the cat's norm 1 and its <x^2> = sigma^2 + x0^2/(1 + overlap).
+        # The weight leaves out the box mass M of |W|, so it averages to
+        # that over M
         cat = CatProject(x0, sigma)
         rng = stream(11)
         draws = np.array([cat.sample(rbar, pbar, rng) for _ in range(6000)])
         r0, w = draws[:, 0], draws[:, 2]
         overlap = np.exp(-x0**2 / (2.0 * sigma**2))
-        w_pre = cat.wigner(rbar, pbar)
+        w_pre = cat.wigner(rbar, pbar) / quad_abs_box_mass(cat)
         for f, integral in ((np.ones_like(r0), 1.0),
                             (r0**2, sigma**2 + x0**2 / (1.0 + overlap))):
             wf = w * f
@@ -249,7 +250,8 @@ def quad_abs_box_mass(cat):
     """
     box = cat.box
     x0, s2, beta = cat.x0, cat.sigma**2, 2.0 * cat.x0 / cat.hbar
-    r_star = s2 / x0 * np.arccosh(np.exp(x0**2 / (2.0 * s2)))
+    # x0 = 0 is one packet: no fringes, and r* = 0
+    r_star = s2 / x0 * np.arccosh(np.exp(x0**2 / (2.0 * s2))) if x0 > 0 else 0.0
     k = np.arange(int(beta * box.half_p / (2.0 * np.pi)) + 2)
 
     def over_p(r):
@@ -259,7 +261,7 @@ def quad_abs_box_mass(cat):
         if b > a:
             theta = np.arccos(-a / b)
             phases += list(2 * np.pi * k + theta) + list(2 * np.pi * (k + 1) - theta)
-        cuts = sorted(c / beta for c in phases if c / beta < box.half_p)
+        cuts = sorted(c / beta for c in phases if c < beta * box.half_p)
         edges = [0.0, *cuts, box.half_p]
         return sum(quad(lambda p: abs(cat.wigner(r, p)), lo, hi,
                         epsabs=1e-15, epsrel=1e-12, limit=200)[0]
@@ -270,10 +272,11 @@ def quad_abs_box_mass(cat):
     return 4.0 * total
 
 
-def block_rejection_reference(rng, box, factor, ceiling, mass):
+def block_rejection_reference(rng, box, factor, ceiling):
     """Reference rejection draw: per block, 2 x 128 uniforms place the
     proposals in the box and 128 more accept the first one under ``ceiling``;
-    the density is evaluated one point at a time."""
+    the density is evaluated one point at a time.  Returns the point and the
+    sign of ``factor`` there."""
     while True:
         u, accept = rng.random((2, 128)), rng.random(128)
         for k in range(128):
@@ -281,7 +284,22 @@ def block_rejection_reference(rng, box, factor, ceiling, mass):
             p0 = box.center_p + box.half_p * (2.0 * u[1, k] - 1.0)
             value = factor(r0, p0)
             if accept[k] * ceiling < abs(value):
-                return r0, p0, np.sign(value) * mass
+                return r0, p0, np.sign(value)
+
+
+def translate_pre_reference(rng, cat, pbar):
+    """Reference pre-intervention draw of a cat in translate mode, its
+    position mixture built for the draw: a component, then a normal offset;
+    returns ``r_pre`` and ``W(r_pre, pbar)`` over the mixture's density."""
+    overlap = np.exp(-cat.x0**2 / (2.0 * cat.sigma**2))
+    probs = np.array([1.0, 1.0, 2.0 * overlap])
+    probs /= probs.sum()
+    centers = np.array([-cat.x0, cat.x0, 0.0])
+    r_pre = centers[rng.choice(3, p=probs)] + cat.sigma * rng.standard_normal()
+    dens = sum(w * np.exp(-(r_pre - c) ** 2 / (2.0 * cat.sigma**2))
+               / np.sqrt(2.0 * np.pi * cat.sigma**2)
+               for w, c in zip(probs, centers))
+    return r_pre, cat.wigner(r_pre, pbar) / dens
 
 
 class TestRejectionDraws:
@@ -293,9 +311,8 @@ class TestRejectionDraws:
         for i in range(150):
             rng = stream(15, i)
             ref = copy.deepcopy(rng)
-            r0, p0, w_post = block_rejection_reference(ref, cat.box, cat.wigner,
-                                                       cat._ceiling, cat._abs_box_mass())
-            assert cat.sample(0.2, -0.4, rng) == (r0, p0, float(w_post * cat.wigner(0.2, -0.4)))
+            r0, p0, sign = block_rejection_reference(ref, cat.box, cat.wigner, cat._ceiling)
+            assert cat.sample(0.2, -0.4, rng) == (r0, p0, float(sign * cat.wigner(0.2, -0.4)))
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3)])
@@ -305,67 +322,50 @@ class TestRejectionDraws:
             rng = stream(16, i)
             ref = copy.deepcopy(rng)
             ref.random(), ref.standard_normal()  # the mixture component and offset
-            r0, p0, w_post = block_rejection_reference(ref, cat.box, cat.wigner,
-                                                       cat._ceiling, cat._abs_box_mass())
+            r0, p0, sign = block_rejection_reference(ref, cat.box, cat.wigner, cat._ceiling)
             r_pre, r0_t, p0_t, w = cat.sample_translate(0.2, -0.4, rng)
             assert (r0_t, p0_t) == (r0, p0)
-            assert np.sign(w) == np.sign(w_post * cat.wigner(r_pre, -0.4))
+            assert np.sign(w) == np.sign(sign * cat.wigner(r_pre, -0.4))
             assert rng.random() == ref.random()
 
-
-def test_rule_is_built_on_first_use_with_the_bits_of_the_import_time_rule():
-    # the 20-point rule a cat's box mass integrates with, once built at
-    # import: built on demand it has the same bytes, so a fig2 run's box
-    # mass keeps its own, and it is built once
-    x, w = np.polynomial.legendre.leggauss(20)
-    nodes, weights = qprep._rule()
-    assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
-    assert weights.tobytes() == (0.5 * w).tobytes()
-    assert qprep._rule()[0] is nodes
-    lo, hi = _gauss_legendre([0.0, 0.5, 2.0])
-    assert lo.tobytes() == np.concatenate([0.5 * nodes, 0.5 + 1.5 * nodes]).tobytes()
-    assert hi.tobytes() == np.concatenate([0.5 * weights, 1.5 * weights]).tobytes()
-
-
-class TestCatBoxMass:
-    @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3), (0.3, 0.2)])
-    def test_matches_nested_quadrature(self, x0, sigma):
+    @pytest.mark.parametrize("x0, sigma", [(2.0, 0.2), (0.6, 0.3)])
+    def test_cat_translate_weight(self, x0, sigma):
+        # the position mixture is built with the box: r_pre and the weight
+        # are those of a mixture built for each draw
         cat = CatProject(x0, sigma)
-        ref = quad_abs_box_mass(cat)
-        assert abs(cat._abs_box_mass() - ref) <= 1e-8 * ref
+        for i in range(150):
+            rng = stream(16, i)
+            ref = copy.deepcopy(rng)
+            r_pre, w_pre = translate_pre_reference(ref, cat, -0.4)
+            sign = block_rejection_reference(ref, cat.box, cat.wigner, cat._ceiling)[2]
+            r_pre_t, _, _, w = cat.sample_translate(0.2, -0.4, rng)
+            assert (r_pre_t, w) == (r_pre, float(w_pre * sign))
 
-    def test_fringeless_cat_is_the_box_mass_of_w(self):
-        # x0 = 0 is one Gaussian packet: W > 0, and the box holds all but the
-        # 6-sigma tails of its two Gaussian factors
-        mass = CatProject(0.0, 0.5)._abs_box_mass()
-        assert mass == pytest.approx(0.9999999980268247**2, rel=1e-12)
-
-    def test_built_once_when_threads_draw_at_once(self, monkeypatch):
-        # a run's noise block threads draw from one preparation: one of them
-        # builds the box mass, the others wait and read it
+    def test_threads_drawing_at_once_draw_what_one_thread_draws(self):
+        # a run's noise block threads draw from one preparation, which keeps
+        # nothing between draws: 4 threads, switching often, draw the bits
+        # of one thread
         cat = CatProject(0.6, 0.3)
-        builders = set()
-
-        def counted(edges):
-            builders.add(threading.current_thread())
-            return _gauss_legendre(edges)
-
-        monkeypatch.setattr(qprep, "_gauss_legendre", counted)
+        serial = [cat.sample_translate(0.0, 0.3, stream(7, i)) for i in range(200)]
         start = threading.Barrier(4)
         draws = [None] * 4
 
-        def draw(i):
+        def draw(k):
             start.wait(timeout=60)
-            draws[i] = cat.sample(0.0, 0.0, stream(7, i))
+            draws[k] = [cat.sample_translate(0.0, 0.3, stream(7, i)) for i in range(k, 200, 4)]
 
-        threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(builders) == 1 and None not in draws
-        assert cat._abs_box_mass() == CatProject(0.6, 0.3)._abs_box_mass()
+        assert draws == [serial[k::4] for k in range(4)]
 
 
 class TestInterventionAdapters:
@@ -412,14 +412,16 @@ class TestCatTranslateUnbiased:
         pbar = 0.4
         rng = stream(10)
         w = np.array([cat.sample_translate(0.0, pbar, rng)[3] for _ in range(60000)])
-        # E[w] = [int W(r, pbar) dr] * E[sign * box-mass] over the post draw
+        # E[w] = [int W(r, pbar) dr] * E[sign] over the post draw, and
+        # E[sign] is the box's mass of W over its mass of |W|
         r = np.linspace(-10, 10, 4001)
         marginal = simpson(cat.wigner(r, pbar), x=r)
         box = cat.box
         rr = np.linspace(-box.half_r, box.half_r, 1201)
         pp = np.linspace(-box.half_p, box.half_p, 1201)
         wg = cat.wigner(rr[:, None], pp[None, :])
-        post_mean = simpson(simpson(wg, x=pp, axis=1), x=rr)  # sign * |W| mass
+        post_mean = (simpson(simpson(wg, x=pp, axis=1), x=rr)
+                     / simpson(simpson(np.abs(wg), x=pp, axis=1), x=rr))
         target = marginal * post_mean
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean() - target) <= 3.0 * se
